@@ -11,14 +11,12 @@ from .analytic import (CltParams, GammaApproxParams, asymptotic_outage,
 from .channel import (NonReciprocalChannel, Reciprocity, ReciprocalChannel,
                       Scheme, SinrBudget, SystemConfig, UniformPhaseError,
                       VonMisesPhaseError, sample_channels, sinr_budget,
-                      sinr_nonreciprocal, sinr_reciprocal,
-                      sinr_with_phase_error)
+                      sinr_nonreciprocal, sinr_reciprocal)
 from .mc import (McEstimate, NoCrossoverError, estimate_outage, estimate_se,
                  find_crossover, outage_curve, se_curve)
-from .numerics import (NonConvergenceError, NotPsdError, QuadratureSpec,
-                       SymmetricMatrix, bessel_k, digamma, eig_symmetric, erf,
-                       integrate_semi_infinite, regularized_gamma_p,
-                       sample_gaussian_psd)
+from .numerics import (NonConvergenceError, QuadratureSpec, SymmetricMatrix,
+                       digamma, erf, integrate_semi_infinite,
+                       regularized_gamma_p)
 from .optim import (MaxMinResult, OptimMethod, QuadraticFormPair,
                     SolverFailureError, baseline_phases, build_quadratic_forms,
                     gaussian_randomization, greedy_iterative,

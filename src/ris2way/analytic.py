@@ -195,6 +195,9 @@ def asymptotic_outage(L: int, gamma_th: float, p_mw: float, omega: float,
         rho = p_mw / (omega + noise_mw)
         if L == 1:
             return (gamma_th / sigma2**2) * math.log(rho) / rho
+        if p_mw <= 1.0:  # the decay term below takes log(log P)
+            raise ValueError("asymptotic outage for L >= 2 needs P to exceed 0 dBm (1 mW), "
+                             f"got {p_mw:g} mW")
         params = gamma_approx_params(sigma2)
         a = params.k * L
         # log domain: the gain's factors overflow double range long before

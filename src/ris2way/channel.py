@@ -228,12 +228,6 @@ def sinr_nonreciprocal(ch: NonReciprocalChannel, phases: np.ndarray,
     return budget.rho1 * g1, budget.rho2 * g2
 
 
-def sinr_with_phase_error(ch: ReciprocalChannel, phases: np.ndarray, budget: SinrBudget,
-                          errors: np.ndarray) -> tuple[float, float]:
-    """SINRs when the applied phases are perturbed element-wise by `errors`."""
-    return sinr_reciprocal(ch, np.asarray(phases) + np.asarray(errors), budget)
-
-
 def wrap_phases(phases: np.ndarray) -> np.ndarray:
     """Wrap angles into [0, 2*pi)."""
     return np.mod(phases, 2.0 * np.pi)

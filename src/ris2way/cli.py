@@ -58,6 +58,10 @@ class ExperimentSpec:
     trials_outage: int = 10**5
     trials_se: int = 10**3
     trials_opt: int = 50
+    policy: Optional[str] = None
+    randomization_k: int = 100
+    greedy_grid: int = 360
+    sdp_tol: float = 1e-4
 
 
 def db_to_linear(db: float) -> float:
@@ -160,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--randomization-k", type=int, default=100)
     p_opt.add_argument("--greedy-grid", type=int, default=360)
     p_opt.add_argument("--sdp-tol", type=float, default=1e-4)
-    p_opt.add_argument("--sdp-path", choices=("joint", "bisect"), default="joint",
-                       help="relaxation search path (bisect is the level-search reference)")
 
     p_x = sub.add_parser("crossover", help="power where the one-slot scheme overtakes")
     _add_config_flags(p_x)
@@ -249,30 +251,20 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         gamma_th=db_to_linear(args.gamma_th_db),
         phase_error=parse_phase_error(args.phase_error),
     )
-    user = getattr(args, "user", "1")
-    user = user if user == "min" else int(user)
-    l_list = [int(t) for t in getattr(args, "l_list", "").split(",") if t]
-    spec = ExperimentSpec(
-        command=args.command,
-        p_dbm=parse_sweep(args.p_dbm) if hasattr(args, "p_dbm") else [],
-        l_list=l_list,
-        methods=[m for m in getattr(args, "methods", "").split(",") if m],
+    given = vars(args)
+    user = given.get("user", "1")
+    # flags whose parsed value is the spec field of the same name
+    plain = {f.name for f in dataclasses.fields(ExperimentSpec)} - {
+        "p_dbm", "l_list", "methods", "cfg", "user", "workers"}
+    return ExperimentSpec(
+        p_dbm=parse_sweep(args.p_dbm) if "p_dbm" in given else [],
+        l_list=[int(t) for t in given.get("l_list", "").split(",") if t],
+        methods=[m for m in given.get("methods", "").split(",") if m],
         cfg=cfg,
-        out=args.out,
-        seed=args.seed,
-        trials=getattr(args, "trials", None),
-        user=user,
+        user=user if user == "min" else int(user),
         workers=max(1, args.workers),
-        svg=args.svg,
-        preset=getattr(args, "preset", ""),
-        trials_outage=getattr(args, "trials_outage", 10**5),
-        trials_se=getattr(args, "trials_se", 10**3),
-        trials_opt=getattr(args, "trials_opt", 50),
+        **{k: v for k, v in given.items() if k in plain},
     )
-    for extra in ("randomization_k", "greedy_grid", "sdp_tol", "sdp_path", "policy"):
-        if hasattr(args, extra):
-            setattr(spec, extra, getattr(args, extra))
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +291,12 @@ def _maybe_svg(spec: ExperimentSpec, path: str, header: list[str],
     if not spec.svg or len(rows) < 2:
         return
     x = [float(r[0]) for r in rows]
-    series = {}
-    for j, name in enumerate(header[1:], start=1):
-        if name.startswith("stderr"):
-            continue
-        vals = [float(r[j]) for r in rows]
-        series[name] = vals
+    series = {name: [float(r[j]) for r in rows]
+              for j, name in enumerate(header[1:], start=1)
+              if not name.startswith("stderr")}
+    if not any(math.isfinite(v) and (v > 0 or not log_y)
+               for vals in series.values() for v in vals):
+        return  # e.g. every outage estimate is 0 on a log axis
     write_line_svg(os.path.splitext(path)[0] + ".svg", x, series, log_y=log_y,
                    title=os.path.basename(path), x_label=header[0], y_label=y_label)
 
@@ -313,11 +305,20 @@ def _maybe_svg(spec: ExperimentSpec, path: str, header: list[str],
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _default_policy(spec: ExperimentSpec) -> str:
-    policy = getattr(spec, "policy", None)
-    if policy:
-        return policy
-    return ("optimal" if spec.cfg.reciprocity is Reciprocity.RECIPROCAL else "greedy")
+_Y_LABELS = {"outage": "outage probability", "se": "bits/sec/Hz"}
+
+
+@dataclass(frozen=True)
+class _Column:
+    """One outage/SE column: a closed-form law, or a Monte Carlo estimate
+    ("mc") with its policy, trial count and user."""
+
+    label: str  # header name after the metric prefix
+    cfg: SystemConfig  # without transmit power
+    method: str
+    policy: str = "optimal"
+    trials: int = 0
+    user: object = 1
 
 
 def _validate_methods(spec: ExperimentSpec, allowed: tuple[str, ...]) -> None:
@@ -333,20 +334,9 @@ def _validate_methods(spec: ExperimentSpec, allowed: tuple[str, ...]) -> None:
                 raise SpecError(f"analytic method {m!r} applies to reciprocal channels")
 
 
-def _sweep_axis(spec: ExperimentSpec) -> tuple[str, list]:
-    if len(spec.l_list) > 1:
-        if len(spec.p_dbm) != 1:
-            raise SpecError("an element-count sweep needs a single power point")
-        return "L", spec.l_list
-    if not spec.p_dbm:
-        raise SpecError("empty power sweep")
-    return "p_dbm", spec.p_dbm
-
-
-def _metric_analytic(spec: ExperimentSpec, method: str, cfg: SystemConfig,
-                     metric: str) -> float:
+def _metric_analytic(method: str, cfg: SystemConfig, metric: str, user) -> float:
     budget = sinr_budget(cfg)
-    rho = budget.rho1 if spec.user in (1, "min") else budget.rho2
+    rho = budget.rho1 if user in (1, "min") else budget.rho2
     half = cfg.scheme is Scheme.TWO
     params = analytic.gamma_approx_params(cfg.sigma2)
     if metric == "outage":
@@ -386,65 +376,62 @@ def _metric_analytic(spec: ExperimentSpec, method: str, cfg: SystemConfig,
     raise SpecError(f"method {method!r} not implemented for {metric}")
 
 
+def _sweep_table(spec: ExperimentSpec, metric: str, axis: str, xs: list,
+                 columns: list[_Column], p_dbm: float = 0.0) -> tuple[list, list]:
+    """Header and rows of one outage/SE table, one row per point of `xs`.
+
+    axis "p_dbm" sweeps the transmit power; axis "L" sweeps the element count
+    at the single power `p_dbm`.  Monte Carlo gains do not depend on the power,
+    so they are collected once per (config, policy, trials) key and reduced at
+    every point; adjacent columns with the same key share one collection.
+    """
+    fmt = fmt_prob if metric == "outage" else fmt_val
+    reduce = mc.outage_from_gains if metric == "outage" else mc.se_from_gains
+    header, cells = [axis], [[fmt_val(x) for x in xs]]
+    key = gains = None
+    for col in columns:
+        values, errors = [], []
+        for x in xs:
+            cfg = col.cfg if axis == "p_dbm" else dataclasses.replace(col.cfg, L=x)
+            at = cfg.with_power(db_to_linear(x if axis == "p_dbm" else p_dbm))
+            if col.method != "mc":
+                values.append(fmt(_metric_analytic(col.method, at, metric, col.user)))
+                continue
+            if key != (cfg, col.policy, col.trials):
+                key = (cfg, col.policy, col.trials)
+                gains = mc.collect_gains(cfg, col.policy, col.trials, spec.seed,
+                                         spec.workers, _optim_kwargs(spec))
+            e = reduce(at, gains, spec.seed, col.user)
+            values.append(fmt(e.value))
+            errors.append(fmt_prob(e.std_error))
+        header.append(f"{metric}_{col.label}")
+        cells.append(values)
+        if col.method == "mc":
+            header.append(f"stderr_{col.label}")
+            cells.append(errors)
+    return header, [list(row) for row in zip(*cells)]
+
+
 def run_sweep_command(spec: ExperimentSpec, metric: str) -> None:
-    allowed = OUTAGE_METHODS if metric == "outage" else SE_METHODS
-    _validate_methods(spec, allowed)
-    axis_name, axis = _sweep_axis(spec)
-    policy = _default_policy(spec)
-    fmt_metric = fmt_prob if metric == "outage" else fmt_val
-
-    header = [axis_name]
-    for m in spec.methods:
-        header.append(f"{metric}_{m}")
-        if m == "mc":
-            header.append("stderr_mc")
-
-    mc_fn = mc.outage_curve if metric == "outage" else mc.se_curve
-    table: list[list[str]] = []
-    if axis_name == "p_dbm":
-        cfgs = [spec.cfg.with_power(db_to_linear(p)) for p in axis]
-        mc_cache = {}
-        if "mc" in spec.methods:
-            est = mc_fn(spec.cfg, axis, policy=policy, trials=spec.trials,
-                        seed=spec.seed, user=spec.user, workers=spec.workers,
-                        optim_kwargs=_optim_kwargs(spec))
-            mc_cache = dict(zip(axis, est))
-        for p, cfg in zip(axis, cfgs):
-            row = [fmt_val(p)]
-            for m in spec.methods:
-                if m == "mc":
-                    e = mc_cache[p]
-                    row.extend([fmt_metric(e.value), fmt_prob(e.std_error)])
-                else:
-                    row.append(fmt_metric(_metric_analytic(spec, m, cfg, metric)))
-            table.append(row)
+    _validate_methods(spec, OUTAGE_METHODS if metric == "outage" else SE_METHODS)
+    policy = spec.policy or ("optimal" if spec.cfg.reciprocity is Reciprocity.RECIPROCAL
+                             else "greedy")
+    columns = [_Column(m, spec.cfg, m, policy, spec.trials, spec.user) for m in spec.methods]
+    if len(spec.l_list) > 1:
+        if len(spec.p_dbm) != 1:
+            raise SpecError("an element-count sweep needs a single power point")
+        header, rows = _sweep_table(spec, metric, "L", spec.l_list, columns, spec.p_dbm[0])
+    elif spec.p_dbm:
+        header, rows = _sweep_table(spec, metric, "p_dbm", spec.p_dbm, columns)
     else:
-        p_mw = db_to_linear(spec.p_dbm[0])
-        for L in axis:
-            cfg = dataclasses.replace(spec.cfg, L=L).with_power(p_mw)
-            row = [str(L)]
-            for m in spec.methods:
-                if m == "mc":
-                    fn = mc.estimate_outage if metric == "outage" else mc.estimate_se
-                    e = fn(cfg, policy=policy, trials=spec.trials, seed=spec.seed,
-                           user=spec.user, workers=spec.workers,
-                           optim_kwargs=_optim_kwargs(spec))
-                    row.extend([fmt_metric(e.value), fmt_prob(e.std_error)])
-                else:
-                    row.append(fmt_metric(_metric_analytic(spec, m, cfg, metric)))
-            table.append(row)
-    write_csv(spec.out, header, table)
-    _maybe_svg(spec, spec.out, header, table, log_y=(metric == "outage"),
-               y_label="outage probability" if metric == "outage" else "bits/sec/Hz")
+        raise SpecError("empty power sweep")
+    write_csv(spec.out, header, rows)
+    _maybe_svg(spec, spec.out, header, rows, metric == "outage", _Y_LABELS[metric])
 
 
 def _optim_kwargs(spec: ExperimentSpec) -> dict:
-    return {
-        "randomization_k": getattr(spec, "randomization_k", 100),
-        "greedy_grid": getattr(spec, "greedy_grid", 360),
-        "sdp_tol": getattr(spec, "sdp_tol", 1e-4),
-        "sdp_path": getattr(spec, "sdp_path", "joint"),
-    }
+    return {"randomization_k": spec.randomization_k, "greedy_grid": spec.greedy_grid,
+            "sdp_tol": spec.sdp_tol}
 
 
 def run_optimize(spec: ExperimentSpec) -> None:
@@ -469,17 +456,13 @@ def run_optimize(spec: ExperimentSpec) -> None:
         ch = sample_channels(cfg, rngmod.trial_generator(spec.seed, rngmod.STREAM_CHANNEL, trial))
         row = [str(trial)]
         results = {}
-        t_star = None
         for m in spec.methods:
             stream = (rngmod.STREAM_BASELINE if m in ("u1", "random")
                       else rngmod.STREAM_OPTIM)
             rng = rngmod.trial_generator(spec.seed, stream, trial)
-            res = solve_maxmin(ch, budget, method=OptimMethod(m), rng=rng, **kwargs)
-            results[m] = res
-            if m == "sdp":
-                t_star = res.t_star
+            results[m] = solve_maxmin(ch, budget, method=OptimMethod(m), rng=rng, **kwargs)
         if "sdp" in spec.methods:
-            row.append(fmt_val(t_star))
+            row.append(fmt_val(results["sdp"].t_star))
         for m in spec.methods:
             g1, g2 = results[m].achieved
             row.extend([fmt_val(g1), fmt_val(g2), fmt_val(min(g1, g2))])
@@ -487,22 +470,26 @@ def run_optimize(spec: ExperimentSpec) -> None:
     write_csv(spec.out, header, rows)
 
 
+def _crossover_dbm(cfg: SystemConfig) -> str:
+    """Closed-form power where the one-slot scheme overtakes, in dBm."""
+    p_mw = analytic.scheme_crossover_power(cfg.L, cfg.omega, cfg.nu, cfg.noise_mw,
+                                           cfg.sigma2)
+    return f"{10.0 * math.log10(p_mw):.6f}"
+
+
 def run_crossover(spec: ExperimentSpec) -> None:
     if not spec.methods or any(m not in CROSSOVER_METHODS for m in spec.methods):
         raise SpecError(f"crossover methods must come from {', '.join(CROSSOVER_METHODS)}")
     if spec.cfg.reciprocity is not Reciprocity.RECIPROCAL:
         raise SpecError("the scheme-crossover comparison is defined on reciprocal channels")
-    l_values = spec.l_list or [spec.cfg.L]
     header = ["L"] + [f"crossover_{m}_dbm" for m in spec.methods]
     rows = []
-    for L in l_values:
+    for L in spec.l_list or [spec.cfg.L]:
         cfg = dataclasses.replace(spec.cfg, L=L)
         row = [str(L)]
         for m in spec.methods:
             if m == "analytic":
-                p_mw = analytic.scheme_crossover_power(L, cfg.omega, cfg.nu,
-                                                       cfg.noise_mw, cfg.sigma2)
-                row.append(f"{10.0 * math.log10(p_mw):.6f}")
+                row.append(_crossover_dbm(cfg))
             else:
                 p_dbm = mc.find_crossover(cfg, spec.p_dbm, policy="optimal",
                                           trials=spec.trials, seed=spec.seed,
@@ -516,22 +503,64 @@ def run_crossover(spec: ExperimentSpec) -> None:
 # presets
 # ---------------------------------------------------------------------------
 
-def _preset_out(spec: ExperimentSpec, name: str) -> str:
-    base, ext = os.path.splitext(spec.out)
-    prefix = base if ext.lower() == ".csv" else spec.out
-    return f"{prefix}_{name}.csv"
+def _grid(lo: int, hi: int) -> list[float]:
+    """dBm grid from lo to hi inclusive in 2 dB steps."""
+    return [float(p) for p in range(lo, hi + 1, 2)]
 
 
-def run_reproduce(spec: ExperimentSpec) -> None:
-    fn = {
-        "fig2": _preset_fig2, "fig3": _preset_fig3, "fig4": _preset_fig4,
-        "fig5": _preset_fig5, "fig6": _preset_fig6, "fig7": _preset_fig7,
-        "fig8": _preset_fig8,
-    }[spec.preset]
-    for name, (header, rows, log_y, ylab) in fn(spec).items():
-        path = _preset_out(spec, name)
-        write_csv(path, header, rows)
-        _maybe_svg(spec, path, header, rows, log_y=log_y, y_label=ylab)
+def _power_panels(spec: ExperimentSpec) -> dict[str, dict[str, tuple]]:
+    """The power-sweep presets: preset -> panel -> (metric, dBm grid, columns).
+
+    Every column is on a reciprocal channel unless it says otherwise.
+    """
+    def col(label, method, trials=0, policy="optimal", user=1, **over):
+        cfg = dataclasses.replace(spec.cfg, **{"reciprocity": Reciprocity.RECIPROCAL, **over})
+        return _Column(label, cfg, method, policy, trials, user)
+
+    trials = {"outage": spec.trials_outage, "se": spec.trials_se}
+    deltas = (math.pi / 8, math.pi / 4, math.pi / 2, math.pi)
+    nonrec = Reciprocity.NON_RECIPROCAL
+    return {
+        # single element across interference exponents, and the two-slot reference
+        "fig3": {m: (m, _grid(-10, 40), [
+            col(f"{k}_nu{nu:g}", k, trials[m], L=1, nu=nu)
+            for nu in (0.0, 1.0) for k in ("mc", "exact")]
+            + [col("exact_twoslot", "exact", L=1, scheme=Scheme.TWO)])
+            for m in ("outage", "se")},
+        # each doubling of L shifts the outage waterfall ~12 dB down; span them all
+        "fig4": {"outage": ("outage", _grid(-80, 30), [
+            col(f"{m}_L{L}", m, spec.trials_outage, L=L, nu=0.0)
+            for L in (2, 4, 16, 32, 64) for m in ("mc", "gamma", "clt")])},
+        # low enough to show every scheme-crossover at the default noise level;
+        # two-slot curves are identical across nu, so the nu=1 panel keeps one
+        "fig5": {name: ("se", _grid(-50, 40), [
+            col(f"{m}_L{L}_{scheme.value}", m, spec.trials_se, L=L, nu=nu, scheme=scheme)
+            for L in (2, 16, 64) for scheme in (Scheme.ONE, Scheme.TWO)
+            if not (scheme is Scheme.TWO and nu == 1.0 and L != 2)
+            for m in ("mc", "gamma")])
+            for nu, name in ((0.0, "a_nu0"), (1.0, "b_nu1"))},
+        # phase jitter, between the fully scrambled and the error-free laws
+        "fig6": {m: (m, _grid(-20, 30), [
+            c for L in l_values for c in (
+                [col(f"mc_L{L}_d{d:.3f}", "mc", trials[m], L=L, nu=0.0,
+                     phase_error=UniformPhaseError(d)) for d in deltas]
+                + [col(f"scrambled_L{L}", "phase-error", L=L, nu=0.0),
+                   col(f"errorfree_L{L}", "gamma", L=L, nu=0.0)])])
+            for m, l_values in (("outage", (4, 16)), ("se", (4, 32)))},
+        # (a) per-user rates of the max-min methods and baselines at L=8;
+        # (b) reciprocal optimum vs non-reciprocal max-min across element counts
+        "fig8": {
+            "a_methods": ("se", _grid(-10, 10), [
+                col(f"mc_{p}_u{u}", "mc", spec.trials_opt, p, u, L=8, nu=0.0,
+                    reciprocity=nonrec)
+                for p in ("sdp", "greedy", "u1", "random") for u in (1, 2)]),
+            "b_reciprocity_gap": ("se", _grid(-10, 10), [
+                c for L in (1, 2, 4, 16) for c in (
+                    col(f"mc_rec_L{L}", "mc", spec.trials_se, L=L),
+                    col(f"mc_nonrec_L{L}", "mc", spec.trials_opt, "greedy", L=L,
+                        reciprocity=nonrec))]),
+        },
+    }
 
 
 def _preset_fig2(spec: ExperimentSpec) -> dict:
@@ -543,162 +572,16 @@ def _preset_fig2(spec: ExperimentSpec) -> dict:
 
     ts = [0.05 * i for i in range(1, 81)]
     header = ["t"]
-    cols = []
+    rows_b = [[fmt_val(t)] for t in ts]
     for s2 in (0.1, 1.0, 10.0):
         header.extend([f"ccdf_exact_s{s2:g}", f"ccdf_gamma_s{s2:g}"])
         params = analytic.gamma_approx_params(s2)
-        exact = [1.0 - float(analytic.outage_exact_L1(t * t, 1.0, s2)) for t in ts]
-        gam = [float(regularized_gamma_q(params.k, t / params.theta)) for t in ts]
-        cols.append((exact, gam))
-    rows_b = []
-    for i, t in enumerate(ts):
-        row = [fmt_val(t)]
-        for exact, gam in cols:
-            row.extend([fmt_prob(exact[i]), fmt_prob(gam[i])])
-        rows_b.append(row)
+        for t, row in zip(ts, rows_b):
+            # threshold t^2 at unit SNR (P = noise = 1 mW, no interference)
+            cfg = SystemConfig(L=1, sigma2=s2, noise_mw=1.0, omega=0.0, gamma_th=t * t)
+            row.extend([fmt_prob(1.0 - _metric_analytic("exact", cfg, "outage", 1)),
+                        fmt_prob(float(regularized_gamma_q(params.k, t / params.theta)))])
     out["b_ccdf"] = (header, rows_b, True, "CCDF")
-    return out
-
-
-def _base_cfg(spec: ExperimentSpec, **over) -> SystemConfig:
-    return dataclasses.replace(spec.cfg, **over)
-
-
-def _preset_fig3(spec: ExperimentSpec) -> dict:
-    grid = [float(p) for p in range(-10, 41, 2)]
-    out = {}
-    for metric, trials in (("outage", spec.trials_outage), ("se", spec.trials_se)):
-        header = ["p_dbm"]
-        columns = []
-        for nu in (0.0, 1.0):
-            cfg = _base_cfg(spec, L=1, nu=nu, reciprocity=Reciprocity.RECIPROCAL)
-            mc_fn = mc.outage_curve if metric == "outage" else mc.se_curve
-            est = mc_fn(cfg, grid, trials=trials, seed=spec.seed,
-                        user=spec.user, workers=spec.workers)
-            ana = []
-            for p in grid:
-                c = cfg.with_power(db_to_linear(p))
-                rho = sinr_budget(c).rho1
-                if metric == "outage":
-                    ana.append(float(analytic.outage_exact_L1(c.gamma_th, rho, c.sigma2)))
-                else:
-                    ana.append(analytic.se_exact_L1(rho, c.sigma2))
-            header.extend([f"{metric}_mc_nu{nu:g}", f"stderr_mc_nu{nu:g}",
-                           f"{metric}_exact_nu{nu:g}"])
-            columns.append((est, ana))
-        # interference-free two-slot reference
-        cfg2 = _base_cfg(spec, L=1, scheme=Scheme.TWO, reciprocity=Reciprocity.RECIPROCAL)
-        ref = []
-        for p in grid:
-            c = cfg2.with_power(db_to_linear(p))
-            rho = sinr_budget(c).rho1
-            if metric == "outage":
-                ref.append(float(analytic.outage_exact_L1(c.gamma_th, rho, c.sigma2)))
-            else:
-                ref.append(analytic.se_exact_L1(rho, c.sigma2, half_rate=True))
-        header.append(f"{metric}_exact_twoslot")
-        fmt_m = fmt_prob if metric == "outage" else fmt_val
-        rows = []
-        for i, p in enumerate(grid):
-            row = [fmt_val(p)]
-            for est, ana in columns:
-                row.extend([fmt_m(est[i].value), fmt_prob(est[i].std_error), fmt_m(ana[i])])
-            row.append(fmt_m(ref[i]))
-            rows.append(row)
-        out[metric] = (header, rows, metric == "outage",
-                       "outage probability" if metric == "outage" else "bits/sec/Hz")
-    return out
-
-
-def _preset_fig4(spec: ExperimentSpec) -> dict:
-    # each doubling of L shifts the outage waterfall ~12 dB down; span them all
-    grid = [float(p) for p in range(-80, 31, 2)]
-    header = ["p_dbm"]
-    rows = [[fmt_val(p)] for p in grid]
-    for L in (2, 4, 16, 32, 64):
-        cfg = _base_cfg(spec, L=L, nu=0.0, reciprocity=Reciprocity.RECIPROCAL)
-        est = mc.outage_curve(cfg, grid, trials=spec.trials_outage, seed=spec.seed,
-                              user=spec.user, workers=spec.workers)
-        params = analytic.gamma_approx_params(cfg.sigma2)
-        clt = analytic.clt_params(L, cfg.sigma2)
-        header.extend([f"outage_mc_L{L}", f"stderr_mc_L{L}",
-                       f"outage_gamma_L{L}", f"outage_clt_L{L}"])
-        for i, p in enumerate(grid):
-            rho = sinr_budget(cfg.with_power(db_to_linear(p))).rho1
-            rows[i].extend([
-                fmt_prob(est[i].value), fmt_prob(est[i].std_error),
-                fmt_prob(float(analytic.outage_gamma_Lge2(L, cfg.gamma_th, rho, params))),
-                fmt_prob(float(analytic.outage_clt(L, cfg.gamma_th, rho, clt))),
-            ])
-    return {"outage": (header, rows, True, "outage probability")}
-
-
-def _preset_fig5(spec: ExperimentSpec) -> dict:
-    # low enough to show every scheme-crossover at the default noise level
-    grid = [float(p) for p in range(-50, 41, 2)]
-    out = {}
-    for nu, name in ((0.0, "a_nu0"), (1.0, "b_nu1")):
-        header = ["p_dbm"]
-        rows = [[fmt_val(p)] for p in grid]
-        for L in (2, 16, 64):
-            for scheme in (Scheme.ONE, Scheme.TWO):
-                if scheme is Scheme.TWO and nu == 1.0 and L != 2:
-                    continue  # two-slot curves identical across nu; keep one panel light
-                cfg = _base_cfg(spec, L=L, nu=nu, scheme=scheme,
-                                reciprocity=Reciprocity.RECIPROCAL)
-                est = mc.se_curve(cfg, grid, trials=spec.trials_se, seed=spec.seed,
-                                  user=spec.user, workers=spec.workers)
-                params = analytic.gamma_approx_params(cfg.sigma2)
-                tag = f"L{L}_{scheme.value}"
-                header.extend([f"se_mc_{tag}", f"stderr_mc_{tag}", f"se_gamma_{tag}"])
-                for i, p in enumerate(grid):
-                    rho = sinr_budget(cfg.with_power(db_to_linear(p))).rho1
-                    rows[i].extend([
-                        fmt_val(est[i].value), fmt_prob(est[i].std_error),
-                        fmt_val(analytic.se_gamma(L, rho, params,
-                                                  half_rate=scheme is Scheme.TWO)),
-                    ])
-        out[name] = (header, rows, False, "bits/sec/Hz")
-    return out
-
-
-def _preset_fig6(spec: ExperimentSpec) -> dict:
-    deltas = (math.pi / 8, math.pi / 4, math.pi / 2, math.pi)
-    out = {}
-    grid = [float(p) for p in range(-20, 31, 2)]
-    for metric, l_values, trials in (("outage", (4, 16), spec.trials_outage),
-                                     ("se", (4, 32), spec.trials_se)):
-        header = ["p_dbm"]
-        rows = [[fmt_val(p)] for p in grid]
-        fmt_m = fmt_prob if metric == "outage" else fmt_val
-        for L in l_values:
-            for delta in deltas:
-                cfg = _base_cfg(spec, L=L, nu=0.0, reciprocity=Reciprocity.RECIPROCAL,
-                                phase_error=UniformPhaseError(delta))
-                mc_fn = mc.outage_curve if metric == "outage" else mc.se_curve
-                est = mc_fn(cfg, grid, trials=trials, seed=spec.seed,
-                            user=spec.user, workers=spec.workers)
-                tag = f"L{L}_d{delta:.3f}"
-                header.extend([f"{metric}_mc_{tag}", f"stderr_mc_{tag}"])
-                for i in range(len(grid)):
-                    rows[i].extend([fmt_m(est[i].value), fmt_prob(est[i].std_error)])
-            # exact laws: fully scrambled and error-free references
-            cfg0 = _base_cfg(spec, L=L, nu=0.0, reciprocity=Reciprocity.RECIPROCAL,
-                             phase_error=None)
-            header.extend([f"{metric}_scrambled_L{L}", f"{metric}_errorfree_L{L}"])
-            params = analytic.gamma_approx_params(cfg0.sigma2)
-            for i, p in enumerate(grid):
-                rho = sinr_budget(cfg0.with_power(db_to_linear(p))).rho1
-                if metric == "outage":
-                    scr = float(analytic.outage_phase_error_uniform_pi(L, cfg0.gamma_th,
-                                                                       rho, cfg0.sigma2))
-                    free = float(analytic.outage_gamma_Lge2(L, cfg0.gamma_th, rho, params))
-                else:
-                    scr = analytic.se_phase_error_uniform_pi(L, rho, cfg0.sigma2)
-                    free = analytic.se_gamma(L, rho, params)
-                rows[i].extend([fmt_m(scr), fmt_m(free)])
-        out[metric] = (header, rows, metric == "outage",
-                       "outage probability" if metric == "outage" else "bits/sec/Hz")
     return out
 
 
@@ -707,54 +590,32 @@ def _preset_fig7(spec: ExperimentSpec) -> dict:
     out = {}
     for nu, name in ((0.0, "a_nu0"), (1.0, "b_nu1")):
         header = ["omega"] + [f"p_boundary_L{L}_dbm" for L in (1, 2, 16, 64)]
-        rows = []
-        for w in omegas:
-            row = [fmt_prob(w)]
-            for L in (1, 2, 16, 64):
-                p_mw = analytic.scheme_crossover_power(L, w, nu, spec.cfg.noise_mw,
-                                                       spec.cfg.sigma2)
-                row.append(f"{10.0 * math.log10(p_mw):.6f}")
-            rows.append(row)
+        rows = [[fmt_prob(w)] + [_crossover_dbm(dataclasses.replace(spec.cfg, L=L, omega=w, nu=nu))
+                                 for L in (1, 2, 16, 64)] for w in omegas]
         out[name] = (header, rows, False, "boundary power [dBm]")
     return out
 
 
-def _preset_fig8(spec: ExperimentSpec) -> dict:
-    grid = [float(p) for p in range(-10, 11, 2)]
-    out = {}
-    # (a) per-user rates of the max-min methods and baselines at L=8
-    cfg = _base_cfg(spec, L=8, nu=0.0, reciprocity=Reciprocity.NON_RECIPROCAL)
-    header = ["p_dbm"]
-    rows = [[fmt_val(p)] for p in grid]
-    for policy in ("sdp", "greedy", "u1", "random"):
-        gains = mc.collect_gains(cfg, policy, spec.trials_opt, spec.seed,
-                                 spec.workers, _optim_kwargs(spec))
-        for user in (1, 2):
-            header.extend([f"se_mc_{policy}_u{user}", f"stderr_mc_{policy}_u{user}"])
-            for i, p in enumerate(grid):
-                e = mc.se_from_gains(cfg.with_power(db_to_linear(p)), gains,
-                                     spec.seed, user)
-                rows[i].extend([fmt_val(e.value), fmt_prob(e.std_error)])
-    out["a_methods"] = (header, rows, False, "bits/sec/Hz")
+def _preset_out(spec: ExperimentSpec, name: str) -> str:
+    base, ext = os.path.splitext(spec.out)
+    prefix = base if ext.lower() == ".csv" else spec.out
+    return f"{prefix}_{name}.csv"
 
-    # (b) reciprocal optimum vs non-reciprocal max-min across element counts
-    header_b = ["p_dbm"]
-    rows_b = [[fmt_val(p)] for p in grid]
-    for L in (1, 2, 4, 16):
-        rec = mc.se_curve(_base_cfg(spec, L=L, reciprocity=Reciprocity.RECIPROCAL),
-                          grid, trials=spec.trials_se, seed=spec.seed, user=1,
-                          workers=spec.workers)
-        non = mc.se_curve(_base_cfg(spec, L=L, reciprocity=Reciprocity.NON_RECIPROCAL),
-                          grid, policy="greedy", trials=spec.trials_opt,
-                          seed=spec.seed, user=1, workers=spec.workers,
-                          optim_kwargs=_optim_kwargs(spec))
-        header_b.extend([f"se_mc_rec_L{L}", f"stderr_mc_rec_L{L}",
-                         f"se_mc_nonrec_L{L}", f"stderr_mc_nonrec_L{L}"])
-        for i in range(len(grid)):
-            rows_b[i].extend([fmt_val(rec[i].value), fmt_prob(rec[i].std_error),
-                              fmt_val(non[i].value), fmt_prob(non[i].std_error)])
-    out["b_reciprocity_gap"] = (header_b, rows_b, False, "bits/sec/Hz")
-    return out
+
+def run_reproduce(spec: ExperimentSpec) -> None:
+    if spec.preset == "fig2":
+        tables = _preset_fig2(spec)
+    elif spec.preset == "fig7":
+        tables = _preset_fig7(spec)
+    else:
+        tables = {}
+        for name, (metric, grid, columns) in _power_panels(spec)[spec.preset].items():
+            header, rows = _sweep_table(spec, metric, "p_dbm", grid, columns)
+            tables[name] = (header, rows, metric == "outage", _Y_LABELS[metric])
+    for name, (header, rows, log_y, y_label) in tables.items():
+        path = _preset_out(spec, name)
+        write_csv(path, header, rows)
+        _maybe_svg(spec, path, header, rows, log_y, y_label)
 
 
 def run(spec: ExperimentSpec) -> int:

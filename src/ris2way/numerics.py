@@ -1,6 +1,6 @@
-"""Special functions, semi-infinite quadrature, and dense symmetric linear algebra.
+"""Special functions, semi-infinite quadrature, and a dense symmetric matrix type.
 
-Everything here is pure and reentrant; RNG state is always caller-owned.
+Everything here is pure and reentrant.
 The special functions delegate to scipy's well-tested kernels behind
 domain-checked wrappers, plus a log-domain Bessel-K evaluator for large
 orders where the direct value overflows a double.
@@ -23,10 +23,6 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
-
-
-class NotPsdError(ValueError):
-    """Matrix has an eigenvalue below the PSD tolerance."""
 
 
 @dataclass(frozen=True)
@@ -57,25 +53,6 @@ class SymmetricMatrix:
     @property
     def dimension(self) -> int:
         return self.array.shape[0]
-
-
-def _as_matrix(m) -> np.ndarray:
-    if isinstance(m, SymmetricMatrix):
-        return m.array
-    a = np.asarray(m, dtype=float)
-    return (a + a.T) / 2.0
-
-
-def bessel_k(order: int, x: float) -> float:
-    """Modified Bessel function of the second kind K_order(x) for x > 0.
-
-    Underflows to exactly 0 once the result is below the smallest double.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not np.all(np.asarray(x) > 0):
-        raise ValueError("bessel_k requires x > 0")
-    return special.kv(order, x)
 
 
 def log_bessel_k(order: int, x: float) -> float:
@@ -167,27 +144,3 @@ def integrate_semi_infinite(f: Callable[[float], float],
                 value=value, error_estimate=abserr)
     return QuadratureResult(float(value), float(abserr))
 
-
-def eig_symmetric(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (sorted descending) and orthonormal eigenvectors (columns)."""
-    a = _as_matrix(m)
-    w, v = np.linalg.eigh(a)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
-
-
-def sample_gaussian_psd(a, rng: np.random.Generator) -> np.ndarray:
-    """Draw one zero-mean Gaussian vector with covariance `a` (PSD up to tolerance).
-
-    Eigenvalues in [-1e-9 * lambda_max, 0) are clamped to zero; anything more
-    negative raises NotPsdError.
-    """
-    mat = _as_matrix(a)
-    w, v = np.linalg.eigh(mat)
-    lam_max = max(float(w[-1]), 0.0)
-    if np.any(w < -1e-9 * lam_max):
-        raise NotPsdError(
-            f"matrix has eigenvalue {w.min()!r} below -1e-9 * lambda_max ({lam_max!r})")
-    # eigenvalues at roundoff scale are null-space noise, not signal
-    w = np.where(w < 1e-12 * lam_max, 0.0, w)
-    return (v * np.sqrt(w)) @ rng.standard_normal(mat.shape[0])

@@ -465,11 +465,12 @@ def solve_maxmin(ch: NonReciprocalChannel, budget: SinrBudget,
                  method: OptimMethod = OptimMethod.SDP_RELAX,
                  rng: Optional[np.random.Generator] = None,
                  randomization_k: int = 100, greedy_grid: int = 360,
-                 sdp_tol: float = 1e-4, sdp_path: str = "joint") -> MaxMinResult:
+                 sdp_tol: float = 1e-4) -> MaxMinResult:
     """One-call driver used by the Monte Carlo and CLI layers.
 
-    Defaults to the joint central-path solve for throughput; the bisection
-    path is the reference and agrees within sdp_tol (pass sdp_path="bisect").
+    Solves the relaxation on the joint central path for throughput; the
+    bisection path (sdp_maxmin(method="bisect")) is the reference and agrees
+    within sdp_tol.
     """
     if method is OptimMethod.GREEDY_ITERATIVE:
         return greedy_iterative(ch, budget, k=greedy_grid)
@@ -479,7 +480,7 @@ def solve_maxmin(ch: NonReciprocalChannel, budget: SinrBudget,
                             achieved=sinr_nonreciprocal(ch, phases, budget),
                             method=method)
     forms = build_quadratic_forms(ch, budget)
-    solution = sdp_maxmin(forms, tol=sdp_tol, method=sdp_path)
+    solution = sdp_maxmin(forms, tol=sdp_tol, method="joint")
     if rng is None:
         raise ValueError("gaussian randomization needs an RNG")
     phases, _ = gaussian_randomization(solution.a_star, forms, randomization_k, rng)

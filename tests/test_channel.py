@@ -14,7 +14,8 @@ from ris2way.channel import (NonReciprocalChannel, Reciprocity, Scheme,
                              VonMisesPhaseError, sample_channel_block,
                              sample_channels, sample_phase_errors,
                              sinr_budget, sinr_nonreciprocal, sinr_reciprocal,
-                             sinr_with_phase_error, wrap_phases)
+                             wrap_phases)
+from ris2way.mc import collect_gains
 from ris2way.optim import optimal_phase_reciprocal
 
 
@@ -170,23 +171,14 @@ def test_scheme_two_snr_always_beats_scheme_one():
         assert g2 > g1
 
 
-def test_phase_error_zero_is_noop():
-    cfg = cfg_rec(L=4)
-    ch = sample_channels(cfg, np.random.default_rng(9))
-    budget = SinrBudget(1.0, 1.0)
-    phases = optimal_phase_reciprocal(ch)
-    assert (sinr_with_phase_error(ch, phases, budget, np.zeros(4))
-            == sinr_reciprocal(ch, phases, budget))
-
-
 def test_phase_error_single_element_invariant():
+    # one element: the jitter rotates the only term, so every gain is unchanged
     cfg = cfg_rec(L=1)
-    ch = sample_channels(cfg, np.random.default_rng(10))
-    budget = SinrBudget(1.0, 1.0)
-    phases = optimal_phase_reciprocal(ch)
-    base = sinr_reciprocal(ch, phases, budget)[0]
-    jittered = sinr_with_phase_error(ch, phases, budget, np.array([2.2]))[0]
-    assert jittered == pytest.approx(base, rel=1e-12)
+    free = collect_gains(cfg, "optimal", 5000, seed=10)
+    for model in (UniformPhaseError(2.2), VonMisesPhaseError(0.3, 1.0)):
+        jittered = collect_gains(cfg_rec(L=1, phase_error=model), "optimal", 5000, seed=10)
+        np.testing.assert_allclose(jittered.g1, free.g1, rtol=1e-12)
+        np.testing.assert_allclose(jittered.g2, free.g2, rtol=1e-12)
 
 
 def test_phase_error_sampling_shapes_and_ranges():

@@ -157,16 +157,77 @@ def test_svg_emitted(tmp_path):
     assert text.startswith("<svg") and "polyline" in text
 
 
-def test_reproduce_preset_writes_csvs(tmp_path):
-    out = tmp_path / "fig4.csv"
-    rc = run_cli(["reproduce", "fig4", "--trials-outage", "2000",
-                  "--seed", "3", "--out", str(out)])
+def _mc(metric, tag):
+    return [f"{metric}_mc_{tag}", f"stderr_mc_{tag}"]
+
+
+DELTAS = ("0.393", "0.785", "1.571", "3.142")
+
+# preset -> panel -> (row count, header)
+PRESET_TABLES = {
+    "fig2": {
+        "a_kl": (25, ["sigma", "kl_divergence"]),
+        "b_ccdf": (80, ["t"] + [f"ccdf_{k}_s{s}" for s in ("0.1", "1", "10")
+                                for k in ("exact", "gamma")]),
+    },
+    "fig3": {m: (26, ["p_dbm"] + _mc(m, "nu0") + [f"{m}_exact_nu0"] + _mc(m, "nu1")
+                 + [f"{m}_exact_nu1", f"{m}_exact_twoslot"])
+             for m in ("outage", "se")},
+    "fig4": {"outage": (56, ["p_dbm"] + [c for L in (2, 4, 16, 32, 64) for c in (
+        _mc("outage", f"L{L}") + [f"outage_gamma_L{L}", f"outage_clt_L{L}"])])},
+    "fig5": {name: (46, ["p_dbm"] + [c for tag in tags for c in (
+        _mc("se", tag) + [f"se_gamma_{tag}"])])
+        for name, tags in (("a_nu0", [f"L{L}_{s}" for L in (2, 16, 64) for s in ("one", "two")]),
+                           ("b_nu1", ["L2_one", "L2_two", "L16_one", "L64_one"]))},
+    "fig6": {m: (26, ["p_dbm"] + [c for L in ls for c in (
+        [c for d in DELTAS for c in _mc(m, f"L{L}_d{d}")]
+        + [f"{m}_scrambled_L{L}", f"{m}_errorfree_L{L}"])])
+        for m, ls in (("outage", (4, 16)), ("se", (4, 32)))},
+    "fig7": {name: (17, ["omega"] + [f"p_boundary_L{L}_dbm" for L in (1, 2, 16, 64)])
+             for name in ("a_nu0", "b_nu1")},
+    "fig8": {
+        "a_methods": (11, ["p_dbm"] + [c for p in ("sdp", "greedy", "u1", "random")
+                                       for u in (1, 2) for c in _mc("se", f"{p}_u{u}")]),
+        "b_reciprocity_gap": (11, ["p_dbm"] + [c for L in (1, 2, 4, 16) for c in (
+            _mc("se", f"rec_L{L}") + _mc("se", f"nonrec_L{L}"))]),
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_TABLES))
+def test_reproduce_preset_writes_csvs(tmp_path, preset):
+    rc = run_cli(["reproduce", preset, "--trials-outage", "200", "--trials-se", "20",
+                  "--trials-opt", "1", "--seed", "3", "--out", str(tmp_path / f"{preset}.csv")])
     assert rc == 0
-    header, rows = read_csv(tmp_path / "fig4_outage.csv")
-    assert header[0] == "p_dbm"
-    assert any(c.startswith("outage_gamma_L") for c in header)
-    assert any(c.startswith("stderr_mc_L") for c in header)
-    assert len(rows) == 56
+    tables = PRESET_TABLES[preset]
+    assert sorted(os.listdir(tmp_path)) == sorted(f"{preset}_{name}.csv" for name in tables)
+    for name, (n_rows, expected_header) in tables.items():
+        header, rows = read_csv(tmp_path / f"{preset}_{name}.csv")
+        assert header == expected_header
+        assert len(rows) == n_rows
+        assert all(len(row) == len(header) for row in rows)
+
+
+def test_svg_skipped_when_nothing_plottable(tmp_path):
+    # every outage estimate is 0, which a log axis cannot show
+    out = tmp_path / "o.csv"
+    rc = run_cli(["outage", "--L", "16", "--methods", "mc", "--p-dbm", "20:30:5",
+                  "--trials", "2000", "--svg", "--out", str(out)])
+    assert rc == 0
+    _, rows = read_csv(out)
+    assert [float(r[1]) for r in rows] == [0.0, 0.0, 0.0]
+    assert not (tmp_path / "o.svg").exists()
+
+
+def test_asymptotic_outage_needs_power_above_1mw(tmp_path, capsys):
+    rc = run_cli(["outage", "--L", "4", "--methods", "asymptotic",
+                  "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and "exceed 0 dBm (1 mW)" in err
+    rc = run_cli(["outage", "--L", "4", "--methods", "asymptotic", "--p-dbm", "2:30:2",
+                  "--out", str(tmp_path / "y.csv")])
+    assert rc == 0
 
 
 def test_reproduce_fig2_kl_column_scale_free(tmp_path):

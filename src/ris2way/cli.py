@@ -618,9 +618,24 @@ def run_reproduce(spec: ExperimentSpec) -> None:
         _maybe_svg(spec, path, header, rows, log_y, y_label)
 
 
+def _check_out(spec: ExperimentSpec) -> None:
+    """Reject an --out the CSVs cannot be written to, before any work."""
+    directory = os.path.dirname(spec.out) or "."
+    if not os.path.isdir(directory):
+        raise SpecError(f"output directory {directory!r} of --out {spec.out!r} "
+                        "does not exist")
+    if not os.access(directory, os.W_OK):
+        raise SpecError(f"output directory {directory!r} of --out {spec.out!r} "
+                        "is not writable")
+    # reproduce takes --out as a file-name prefix, which may name a directory
+    if spec.command != "reproduce" and os.path.isdir(spec.out):
+        raise SpecError(f"--out {spec.out!r} is a directory")
+
+
 def run(spec: ExperimentSpec) -> int:
     """Execute one experiment; returns a process exit code."""
     try:
+        _check_out(spec)
         if spec.command == "outage":
             run_sweep_command(spec, "outage")
         elif spec.command == "se":

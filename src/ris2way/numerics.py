@@ -4,6 +4,15 @@ Everything here is pure and reentrant.
 The special functions delegate to scipy's well-tested kernels behind
 domain-checked wrappers, plus a log-domain Bessel-K evaluator for large
 orders where the direct value overflows a double.
+
+`integrate_semi_infinite` is adaptive Gauss-Kronrod quadrature over a Python
+callback.  The closed-form spectral efficiencies do not use it: they are
+expectations over a Gamma law, taken on fixed trapezoid nodes in log y by
+`analytic._gamma_expectation`, whose error estimate compares the full node
+sum with the sum over every other node.  Both report failure through
+NonConvergenceError with the same QuadratureSpec tolerances; the adaptive
+route stays as the independent reference the rule is tested against, and for
+the Gamma-fit divergence.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from scipy import integrate, special
 
 
 class NonConvergenceError(RuntimeError):
-    """Quadrature exhausted its subdivision budget above tolerance."""
+    """Quadrature ended with its error estimate above tolerance."""
 
     def __init__(self, message, value=None, error_estimate=None):
         super().__init__(message)

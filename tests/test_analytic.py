@@ -11,6 +11,8 @@ from scipy import special
 
 from ris2way import analytic as an
 from ris2way.channel import Scheme
+from ris2way.numerics import (NonConvergenceError, QuadratureSpec,
+                              integrate_semi_infinite)
 
 K_REF = 1.6099457599185225      # pi^2/(16-pi^2)
 THETA_REF = 0.4878413813377144  # (16-pi^2)/(4 pi), sigma2=1
@@ -163,6 +165,68 @@ def test_spectral_efficiency_equals_generic_cdf_route():
         lambda x: float(special.gammainc(2 * p.k, math.sqrt(x / rho) / p.theta)))
     assert via_cdf == pytest.approx(an.se_gamma(2, rho, p), rel=1e-8)
     assert an.se_gamma(2, rho, p, half_rate=True) == pytest.approx(via_cdf / 2, rel=1e-8)
+
+
+def quadpack_se(ccdf, mean, half_rate):
+    """Adaptive-quadrature oracle for E[log2(1 + X)] = int ccdf(x) / (1 + x) dx / ln 2.
+
+    Integrated in t = x / min(E[X], 1): at rho sigma^4 ~ 1e-5 all the mass
+    sits below x ~ 1e-5, where the semi-infinite map puts no node and the
+    unscaled integral comes back as 0.
+    """
+    s = min(mean, 1.0)
+    value, _ = integrate_semi_infinite(lambda t: s * ccdf(s * t) / (1.0 + s * t))
+    return value / math.log(2.0) * (0.5 if half_rate else 1.0)
+
+
+@pytest.mark.parametrize("L", [1, 2, 4, 16, 64, 256])
+def test_se_rule_matches_adaptive_quadrature(L):
+    for sigma2 in (0.3, 1.0, 2.5):
+        p = an.gamma_approx_params(sigma2)
+        a = L * p.k
+        for rho, half in ((1e-4, False), (1e-1, True), (1e3, False), (1e9, True)):
+            def gamma_ccdf(x):
+                return float(special.gammaincc(a, math.sqrt(x / rho) / p.theta))
+
+            def scrambled_ccdf(x):
+                z = (2.0 / sigma2) * math.sqrt(x / rho)
+                return float(an.cascade_ccdf_uniform_phase(L, z)[0])
+
+            ref = quadpack_se(gamma_ccdf, rho * p.theta**2 * a * (a + 1), half)
+            assert an.se_gamma(L, rho, p, half_rate=half) == pytest.approx(ref, rel=1e-9)
+            ref = quadpack_se(scrambled_ccdf, rho * sigma2**2 * L, half)
+            assert (an.se_phase_error_uniform_pi(L, rho, sigma2, half_rate=half)
+                    == pytest.approx(ref, rel=1e-9))
+
+
+def test_se_exact_l1_is_the_scrambled_law_at_one_element():
+    for sigma2 in (0.3, 1.0, 2.5):
+        for rho in (1e-4, 1.0, 1e9):
+            assert an.se_exact_L1(rho, sigma2) == an.se_phase_error_uniform_pi(1, rho, sigma2)
+
+
+def test_se_rule_reports_unreachable_tolerance():
+    spec = QuadratureSpec(relative_tolerance=1e-16, absolute_tolerance=1e-300)
+    with pytest.raises(NonConvergenceError) as info:
+        an.se_exact_L1(1e3, 1.0, spec)
+    assert info.value.value > 0
+    assert info.value.error_estimate > 0
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0])
+def test_se_closed_forms_reject_nonpositive_rho(rho):
+    p = an.gamma_approx_params(1.0)
+    for se in (lambda: an.se_gamma(2, rho, p), lambda: an.se_exact_L1(rho),
+               lambda: an.se_phase_error_uniform_pi(4, rho)):
+        with pytest.raises(ValueError, match="rho must be > 0"):
+            se()
+
+
+def test_se_closed_forms_return_python_floats():
+    p = an.gamma_approx_params(1.0)
+    assert type(an.se_gamma(2, 10.0, p)) is float
+    assert type(an.se_exact_L1(10.0)) is float
+    assert type(an.se_phase_error_uniform_pi(4, 10.0)) is float
 
 
 def test_asymptotic_outage_floor_is_exact_value_at_interference_limit():

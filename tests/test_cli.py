@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from ris2way import cli
 from ris2way.cli import (main, parse_args, parse_phase_error, parse_sweep,
                          spec_from_args)
 from ris2way.channel import UniformPhaseError, VonMisesPhaseError
@@ -228,6 +229,24 @@ def test_asymptotic_outage_needs_power_above_1mw(tmp_path, capsys):
     rc = run_cli(["outage", "--L", "4", "--methods", "asymptotic", "--p-dbm", "2:30:2",
                   "--out", str(tmp_path / "y.csv")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("argv, out, reason", [
+    (["se", "--L", "2", "--methods", "gamma", "--p-dbm", "0:2:2"], "missing/x.csv",
+     "does not exist"),
+    (["reproduce", "fig5"], "missing/x.csv", "does not exist"),
+    (["se", "--L", "2", "--methods", "gamma", "--p-dbm", "0:2:2"], "", "is a directory"),
+])
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv, out,
+                                              reason):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(cli, "_sweep_table", no_work)
+    out = str(tmp_path / out)
+    assert run_cli(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and repr(out) in err and reason in err
 
 
 def test_reproduce_fig2_kl_column_scale_free(tmp_path):

@@ -282,6 +282,9 @@ def asymptotic_outage(L: int, gamma_th: float, p_mw: float, omega: float,
     if nu == 0.0:
         rho = p_mw / (omega + noise_mw)
         if L == 1:
+            if rho <= 1.0:  # log(rho) / rho is not a probability below rho = 1
+                raise ValueError("asymptotic outage for L = 1 needs rho = P / (omega + N0) "
+                                 f"to exceed 1, got {rho:g}")
             return (gamma_th / sigma2**2) * math.log(rho) / rho
         if p_mw <= 1.0:  # the decay term below takes log(log P)
             raise ValueError("asymptotic outage for L >= 2 needs P to exceed 0 dBm (1 mW), "

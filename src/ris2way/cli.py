@@ -80,6 +80,23 @@ def parse_sweep(text: str) -> list[float]:
     return [start + i * step for i in range(n)]
 
 
+def _parse_l_list(text: str) -> list[int]:
+    """Comma list of element counts for --l-list ("" means none)."""
+    try:
+        counts = [int(tok) for tok in text.split(",") if tok]
+    except ValueError as exc:
+        raise SpecError(f"bad --l-list {text!r}, expected a comma list of integers") from exc
+    if any(L < 1 for L in counts):
+        raise SpecError(f"bad --l-list {text!r}: element counts must be >= 1")
+    return counts
+
+
+def _parse_user(text: str):
+    if text not in ("1", "2", "min"):
+        raise SpecError(f"bad --user {text!r}, expected 1, 2 or min")
+    return text if text == "min" else int(text)
+
+
 def parse_phase_error(text: str):
     if text in ("none", ""):
         return None
@@ -252,16 +269,15 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         phase_error=parse_phase_error(args.phase_error),
     )
     given = vars(args)
-    user = given.get("user", "1")
     # flags whose parsed value is the spec field of the same name
     plain = {f.name for f in dataclasses.fields(ExperimentSpec)} - {
         "p_dbm", "l_list", "methods", "cfg", "user", "workers"}
     return ExperimentSpec(
         p_dbm=parse_sweep(args.p_dbm) if "p_dbm" in given else [],
-        l_list=[int(t) for t in given.get("l_list", "").split(",") if t],
+        l_list=_parse_l_list(given.get("l_list", "")),
         methods=[m for m in given.get("methods", "").split(",") if m],
         cfg=cfg,
-        user=user if user == "min" else int(user),
+        user=_parse_user(given.get("user", "1")),
         workers=max(1, args.workers),
         **{k: v for k, v in given.items() if k in plain},
     )
@@ -417,7 +433,7 @@ def run_sweep_command(spec: ExperimentSpec, metric: str) -> None:
     policy = spec.policy or ("optimal" if spec.cfg.reciprocity is Reciprocity.RECIPROCAL
                              else "greedy")
     columns = [_Column(m, spec.cfg, m, policy, spec.trials, spec.user) for m in spec.methods]
-    if len(spec.l_list) > 1:
+    if spec.l_list:
         if len(spec.p_dbm) != 1:
             raise SpecError("an element-count sweep needs a single power point")
         header, rows = _sweep_table(spec, metric, "L", spec.l_list, columns, spec.p_dbm[0])
@@ -668,7 +684,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parse_args(argv)
         spec = spec_from_args(args)
-    except SpecError as exc:
+    except ValueError as exc:  # SpecError, or a SystemConfig field out of range
         print(f"ris2way: invalid spec: {exc}", file=sys.stderr)
         return 2
     return run(spec)

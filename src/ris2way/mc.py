@@ -47,15 +47,6 @@ class TrialGains:
     g1: np.ndarray
     g2: np.ndarray
 
-    def user(self, user) -> np.ndarray:
-        if user == 1:
-            return self.g1
-        if user == 2:
-            return self.g2
-        if user == "min":
-            return np.minimum(self.g1, self.g2)
-        raise ValueError("user must be 1, 2, or 'min'")
-
 
 def _reciprocal_gain_block(cfg: SystemConfig, seed: int, block: int, count: int) -> TrialGains:
     ch = sample_channel_block(cfg, rngmod.block_generator(seed, rngmod.STREAM_CHANNEL, block), count)
@@ -152,10 +143,13 @@ def collect_gains(cfg: SystemConfig, policy: str, trials: int, seed: int,
 
 def _per_trial_sinr(cfg: SystemConfig, gains: TrialGains, user) -> np.ndarray:
     budget = sinr_budget(cfg)
+    if user == 1:
+        return budget.rho1 * gains.g1
+    if user == 2:
+        return budget.rho2 * gains.g2
     if user == "min":
         return np.minimum(budget.rho1 * gains.g1, budget.rho2 * gains.g2)
-    rho = budget.rho1 if user == 1 else budget.rho2
-    return rho * gains.user(user)
+    raise ValueError("user must be 1, 2, or 'min'")
 
 
 def outage_from_gains(cfg: SystemConfig, gains: TrialGains, seed: int,

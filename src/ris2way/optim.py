@@ -3,9 +3,14 @@
 Reciprocal channels admit a closed-form optimum.  Non-reciprocal channels get
 max-min SINR treatment: the unit-modulus phase problem is lifted to a PSD
 matrix variable with per-element trace constraints, the rank constraint is
-dropped, and the resulting small dense SDP is solved by bisection over the
-SINR level with a log-barrier interior-point feasibility test at each level
-(no external solver).  Rank-one solutions are recovered by Gaussian
+dropped, and the resulting small dense SDP is solved with a log-barrier
+interior-point method (no external solver): along one central path that
+maximizes the SINR level, or by bisection over the level with a feasibility
+test at each.  The relaxation has only L+2 constraints (L pair traces, two
+form levels), so each Newton step solves an (L+3)x(L+3) system in the
+constraint multipliers and the level step, and recovers the matrix step
+from them at O(L^3) cost (the Schur-complement reduction of Helmberg, Rendl,
+Vanderbei and Wolkowicz, 1996).  Rank-one solutions are recovered by Gaussian
 randomization; a greedy discretized coordinate search is the low-complexity
 alternative.
 """
@@ -15,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -118,39 +122,43 @@ def lifted_to_phases(alpha: np.ndarray) -> np.ndarray:
 # log-barrier interior-point machinery on the lifted cone
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _svec_index(n: int):
-    """Upper-triangle index pairs and off-diagonal sqrt(2) weights."""
-    iu, ju = np.triu_indices(n)
-    w = np.where(iu == ju, 1.0, math.sqrt(2.0))
-    return iu, ju, w
+def _newton_step(a: np.ndarray, forms: tuple[np.ndarray, np.ndarray], g: np.ndarray,
+                 grad_t: float) -> tuple[np.ndarray, float]:
+    """Newton direction (dA, dtheta) of the barrier under the pair-trace rows.
 
-
-def _svec(a: np.ndarray) -> np.ndarray:
-    iu, ju, w = _svec_index(a.shape[0])
-    return a[iu, ju] * w
-
-
-def _smat(x: np.ndarray, n: int) -> np.ndarray:
-    iu, ju, w = _svec_index(n)
-    a = np.zeros((n, n))
-    a[iu, ju] = x / w
-    a[ju, iu] = a[iu, ju]
-    return a
-
-
-def _logdet_hessian(minv: np.ndarray) -> np.ndarray:
-    """Hessian of -log det at A, in svec coordinates, where minv = A^{-1}.
-
-    H[(i,j),(k,l)] = f_ij f_kl (M_ik M_jl + M_il M_jk) with f = 1 off-diagonal
-    and 1/sqrt(2) on the diagonal pairs.
+    With slacks g_p, G = -A^{-1} - sum_p F_p / g_p, g_theta = grad_t and E_l
+    the diagonal indicator of pair l, stationarity gives
+    dA = -A (G + sum_p delta_p F_p + sum_l nu_l E_l) A, where
+    (delta_1, delta_2, nu_1..nu_L, dtheta) solve the symmetric (L+3) system
+    delta_1 + delta_2 = g_theta, <E_l, dA> = 0, g_p^2 delta_p = <F_p, dA> - dtheta.
+    Its entries are <F_p, A F_q A>, pair sums of diag(A F_p A) and 2x2 block
+    sums of A*A, so a step costs O(L^3).  A G A = -A - sum_p A F_p A / g_p is
+    formed without A^{-1}, and dA is symmetrized: near the rank-one optimum
+    either roundoff lets the pair traces drift away from 1.
     """
-    n = minv.shape[0]
-    iu, ju, _ = _svec_index(n)
-    f = np.where(iu == ju, 1.0 / math.sqrt(2.0), 1.0)
-    a1 = minv[np.ix_(iu, iu)] * minv[np.ix_(ju, ju)]
-    a2 = minv[np.ix_(iu, ju)] * minv[np.ix_(ju, iu)]
-    return (a1 + a2) * np.outer(f, f)
+    npairs = a.shape[0] // 2
+    afa = [a @ f @ a for f in forms]
+    aga = -a - afa[0] / g[0] - afa[1] / g[1]
+
+    def pair_sums(m: np.ndarray) -> np.ndarray:
+        return np.diagonal(m).reshape(npairs, 2).sum(axis=1)
+
+    s = np.zeros((npairs + 3, npairs + 3))
+    rhs = np.empty(npairs + 3)
+    for p in (0, 1):
+        for q in (0, 1):
+            s[p, q] = np.sum(forms[p] * afa[q])
+        s[p, p] += g[p] ** 2
+        s[2:-1, p] = s[p, 2:-1] = pair_sums(afa[p])
+        rhs[p] = -np.sum(forms[p] * aga)
+    s[2:-1, 2:-1] = (a * a).reshape(npairs, 2, npairs, 2).sum(axis=(1, 3))
+    s[:2, -1] = s[-1, :2] = 1.0
+    rhs[2:-1] = -pair_sums(aga)
+    rhs[-1] = grad_t
+    sol = np.linalg.solve(s, rhs)
+    nu = np.repeat(sol[2:-1], 2)
+    da = -(aga + sol[0] * afa[0] + sol[1] * afa[1] + (a * nu) @ a)
+    return 0.5 * (da + da.T), float(sol[-1])
 
 
 @dataclass
@@ -173,20 +181,7 @@ def _maximize_linear_over_cone(f1: np.ndarray, f2: np.ndarray, levels: tuple[flo
     the sign of the optimum is certified (phase-I feasibility test).
     """
     n = f1.shape[0]
-    npairs = n // 2
-    m = n * (n + 1) // 2
-    iu, ju, _ = _svec_index(n)
-    sf1, sf2 = _svec(f1), _svec(f2)
-    svecs = (sf1, sf2)
     lev = np.asarray(levels, dtype=float)
-
-    # equality rows: per-pair trace = 1
-    eq = np.zeros((npairs, m + 1))
-    diag_positions = np.flatnonzero(iu == ju)
-    for l in range(npairs):
-        eq[l, diag_positions[2 * l]] = 1.0
-        eq[l, diag_positions[2 * l + 1]] = 1.0
-
     a = a0.copy()
     gains = np.array([np.sum(f1 * a), np.sum(f2 * a)])
     theta = float(np.min(gains - lev)) - 1.0
@@ -201,34 +196,18 @@ def _maximize_linear_over_cone(f1: np.ndarray, f2: np.ndarray, levels: tuple[flo
                 raise SolverFailureError(
                     f"interior point stalled: tau={tau!r}, theta={theta!r}, "
                     f"gap<={complexity / tau!r}, newton_steps={total_newton}")
-            ainv = np.linalg.inv(a)
             g = gains - lev - theta
             if np.any(g <= 0.0):  # drifted out by roundoff; should not happen
                 raise SolverFailureError(f"iterate left the feasible interior: slacks {g!r}")
-            grad_a = -_svec(ainv) - (svecs[0] / g[0] + svecs[1] / g[1])
-            grad_t = -tau + np.sum(1.0 / g)
-            grad = np.concatenate([grad_a, [grad_t]])
-
-            h = np.zeros((m + 1, m + 1))
-            h[:m, :m] = _logdet_hessian(ainv)
-            for p in (0, 1):
-                v = np.concatenate([svecs[p], [-1.0]])
-                h += np.outer(v, v) / g[p] ** 2
-
-            kkt = np.zeros((m + 1 + npairs, m + 1 + npairs))
-            kkt[:m + 1, :m + 1] = h
-            kkt[:m + 1, m + 1:] = eq.T
-            kkt[m + 1:, :m + 1] = eq
-            rhs = np.concatenate([-grad, np.zeros(npairs)])
+            grad_a = -np.linalg.inv(a) - (f1 / g[0] + f2 / g[1])
+            grad_t = -tau + float(np.sum(1.0 / g))
             try:
-                sol = np.linalg.solve(kkt, rhs)
+                da, dtheta = _newton_step(a, (f1, f2), g, grad_t)
             except np.linalg.LinAlgError as exc:
-                raise SolverFailureError(f"singular KKT system at tau={tau!r}") from exc
-            dx, dtheta = sol[:m], sol[m]
-            decrement = -float(grad @ sol[:m + 1])
+                raise SolverFailureError(f"singular Newton system at tau={tau!r}") from exc
+            decrement = -(float(np.sum(grad_a * da)) + grad_t * dtheta)
             total_newton += 1
 
-            da = _smat(dx, n)
             step = 1.0
             _, logdet0 = _logdet_chol(a)
             phi0 = -tau * theta - logdet0 - math.log(g[0]) - math.log(g[1])

@@ -245,6 +245,16 @@ def test_asymptotic_outage_ratio_stabilizes():
     assert abs(vals[0] / vals[1] - 1.0) < 0.10
 
 
+def test_asymptotic_outage_single_element_domain():
+    # log(rho)/rho is no probability for rho <= 1; above, the formula is unchanged
+    for p_mw in (1e-5, 1e-4 + 1e-7):
+        with pytest.raises(ValueError, match="exceed 1"):
+            an.asymptotic_outage(1, 1.0, p_mw, 1e-4, 0.0, 1e-7)
+    rho = 1e-3 / (1e-4 + 1e-7)
+    assert (an.asymptotic_outage(1, 2.0, 1e-3, 1e-4, 0.0, 1e-7, sigma2=0.5)
+            == 2.0 / 0.25 * math.log(rho) / rho)
+
+
 def test_sandwich_bounds_bracket_simulation():
     for L, rho in [(2, 100.0), (4, 3.0)]:
         gamma = cascade_sums(L, rho, 2_000_000, seed=23)

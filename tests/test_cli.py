@@ -147,6 +147,37 @@ def test_element_sweep(tmp_path):
     assert [r[0] for r in rows] == ["2", "4", "8"]
 
 
+def test_single_value_l_list_is_an_element_sweep(tmp_path, capsys):
+    out = tmp_path / "l.csv"
+    rc = run_cli(["outage", "--l-list", "8", "--p-dbm", "10:10:1",
+                  "--methods", "gamma,clt", "--out", str(out)])
+    assert rc == 0
+    header, rows = read_csv(out)
+    assert header == ["L", "outage_gamma", "outage_clt"]
+    rc = run_cli(["outage", "--L", "8", "--p-dbm", "10:10:1",
+                  "--methods", "gamma,clt", "--out", str(tmp_path / "p.csv")])
+    assert rc == 0
+    assert rows == [["8"] + r[1:] for r in read_csv(tmp_path / "p.csv")[1]]
+    rc = run_cli(["se", "--l-list", "8", "--p-dbm", "-10:0:10",
+                  "--methods", "gamma", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "single power point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["outage", "--user", "3", "--methods", "exact"], "--user"),
+    (["se", "--user", "foo", "--methods", "exact"], "--user"),
+    (["outage", "--l-list", "2,x", "--p-dbm", "0:0:1", "--methods", "gamma"], "--l-list"),
+    (["crossover", "--l-list", "0", "--methods", "analytic"], "--l-list"),
+])
+def test_bad_user_or_l_list_exit_code(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and flag in err
+    assert not out.exists()
+
+
 def test_svg_emitted(tmp_path):
     out = tmp_path / "o.csv"
     rc = run_cli(["outage", "--L", "1", "--method", "exact", "--p-dbm", "-10:10:5",
@@ -218,6 +249,14 @@ def test_svg_skipped_when_nothing_plottable(tmp_path):
     _, rows = read_csv(out)
     assert [float(r[1]) for r in rows] == [0.0, 0.0, 0.0]
     assert not (tmp_path / "o.svg").exists()
+
+
+def test_asymptotic_outage_single_element_needs_rho_above_one(tmp_path, capsys):
+    rc = run_cli(["outage", "--L", "1", "--methods", "asymptotic", "--p-dbm", "-50:-40:5",
+                  "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and "to exceed 1" in err
 
 
 def test_asymptotic_outage_needs_power_above_1mw(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from ris2way.channel import (NonReciprocalChannel, Reciprocity, SinrBudget,
                              SystemConfig, sample_channels, sinr_nonreciprocal,
                              sinr_reciprocal)
-from ris2way.optim import (OptimMethod, baseline_phases,
+from ris2way.optim import (OptimMethod, _newton_step, baseline_phases,
                            build_quadratic_forms, gaussian_randomization,
                            greedy_iterative, lifted_to_phases,
                            optimal_phase_reciprocal, phases_to_lifted,
@@ -142,6 +142,49 @@ def test_sdp_solution_feasibility_certificates():
     assert np.linalg.eigvalsh(a)[0] >= -1e-8
     assert np.sum(forms.f1.array * a) >= sol.t_star * (1 - 1e-9)
     assert np.sum(forms.f2.array * a) >= sol.t_star * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("L", [1, 4, 9])
+def test_newton_step_satisfies_kkt_conditions(L):
+    # random interior point with unit pair traces; theta at 70% of the smaller form
+    rng = np.random.default_rng(40 + L)
+    n = 2 * L
+    x = rng.standard_normal((n, n))
+    a = x @ x.T / n + 0.1 * np.eye(n)
+    scale = 1.0 / np.sqrt(np.repeat(a.diagonal().reshape(L, 2).sum(axis=1), 2))
+    a = a * np.outer(scale, scale)
+    forms = build_quadratic_forms(nonrec(L, 50 + L), SinrBudget(1.7, 0.4))
+    f = (forms.f1.array, forms.f2.array)
+    gains = np.array([np.sum(f[0] * a), np.sum(f[1] * a)])
+    g = gains - (gains.min() - 0.3 * gains.min())
+    grad_t = -10.0 + float(np.sum(1.0 / g))
+    da, dtheta = _newton_step(a, f, g, grad_t)
+
+    ainv = np.linalg.inv(a)
+    grad_a = -ainv - f[0] / g[0] - f[1] / g[1]
+    size = np.abs(grad_a).max()
+    assert np.allclose(da, da.T, rtol=0.0, atol=1e-15 * np.abs(da).max())
+    assert np.abs(da.diagonal().reshape(L, 2).sum(axis=1)).max() <= 1e-12 * np.abs(da).max()
+    delta = np.array([(np.sum(f[p] * da) - dtheta) / g[p] ** 2 for p in (0, 1)])
+    assert delta.sum() == pytest.approx(grad_t, rel=1e-10)
+    resid = ainv @ da @ ainv + delta[0] * f[0] + delta[1] * f[1] + grad_a
+    assert np.abs(resid - np.diag(resid.diagonal())).max() <= 1e-9 * size
+    assert np.allclose(resid.diagonal()[0::2], resid.diagonal()[1::2], rtol=0.0,
+                       atol=1e-9 * size)
+
+
+def test_sdp_at_32_elements_bounds_greedy_and_randomization():
+    ch = nonrec(32, 41)
+    forms = build_quadratic_forms(ch, BUDGET)
+    tol = 1e-4
+    sol = sdp_maxmin(forms, tol=tol, method="joint")
+    assert 0.0 <= sol.feasibility_gap <= tol * sol.t_star
+    a = sol.a_star.array
+    assert np.abs(a.diagonal().reshape(32, 2).sum(axis=1) - 1.0).max() <= 1e-7
+    assert np.linalg.eigvalsh(a)[0] >= -1e-8
+    _, rounded = gaussian_randomization(sol.a_star, forms, 100, np.random.default_rng(42))
+    greedy = min(greedy_iterative(ch, BUDGET).achieved)
+    assert max(rounded, greedy) <= sol.t_star * (1 + tol)
 
 
 def test_randomization_rank_one_recovers_exactly():

@@ -6,8 +6,7 @@ from .analytic import (CltParams, GammaApproxParams, asymptotic_outage,
                        gamma_approx_params, kl_divergence_gamma_fit,
                        outage_clt, outage_exact_L1, outage_gamma_Lge2,
                        outage_phase_error_uniform_pi, scheme_crossover_power,
-                       se_exact_L1, se_gamma, se_phase_error_uniform_pi,
-                       spectral_efficiency)
+                       se_exact_L1, se_gamma, se_phase_error_uniform_pi)
 from .channel import (NonReciprocalChannel, Reciprocity, ReciprocalChannel,
                       Scheme, SinrBudget, SystemConfig, UniformPhaseError,
                       VonMisesPhaseError, sample_channels, sinr_budget,

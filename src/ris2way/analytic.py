@@ -18,9 +18,12 @@ Gamma law, E[phi(Y)] with Y ~ Gamma(a, 1):
 
 One fixed-node rule computes all of them: the trapezoid rule in u = log y
 (exponentially convergent for this analytic, rapidly decaying integrand), with
-a step shrinking like 1/sqrt(a + 1).  Its error estimate is the difference
-between the full sum and the sum over every other node; NonConvergenceError
-is raised when that exceeds the QuadratureSpec tolerance.
+a step shrinking like 1/sqrt(a + 1).  The Gamma-fit divergence needs
+E[log K_0(S)] with S of density s K_0(s), which is taken by the same rule in
+u = log s on a fixed grid.  Both error estimates are the difference between
+the full sum and the sum over every other node; NonConvergenceError is raised
+when that exceeds the QuadratureSpec tolerance.  Nothing here calls adaptive
+quadrature.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from scipy import special
 
 from .channel import Scheme
 from .numerics import (NonConvergenceError, QuadratureSpec, digamma, erf,
-                       integrate_semi_infinite, log_bessel_k, regularized_gamma_p)
+                       log_bessel_k, regularized_gamma_p)
 
 EULER_GAMMA = float(np.euler_gamma)  # expansion constant, not the phase jitter
 LOG2 = math.log(2.0)
@@ -142,23 +145,31 @@ def outage_phase_error_uniform_pi(L: int, gamma_th, rho: float, sigma2: float = 
     return out if out.size > 1 else float(out[0])
 
 
-def spectral_efficiency(cdf: Callable[[float], float],
-                        spec: QuadratureSpec = QuadratureSpec(),
-                        half_rate: bool = False) -> float:
-    """Average rate (1/ln 2) * int_0^inf (1 - F(x)) / (1 + x) dx in bits/sec/Hz.
-
-    half_rate halves the result for the two-slot scheme.
-    """
-    value, _ = integrate_semi_infinite(lambda x: (1.0 - cdf(x)) / (1.0 + x), spec)
-    return value / LOG2 * (0.5 if half_rate else 1.0)
-
-
 # Node spacing in u = log y, divided by sqrt(a + 1): log Y has standard
 # deviation ~1/sqrt(a), so this keeps ~4 nodes per standard deviation, where
 # the every-other-node sum S_2h already meets a 1e-9 relative tolerance.
 _GAMMA_RULE_STEP = 0.23
 _LOG_LEFT_MASS = -40.0      # left cut: P(Y below it) <= e^-40
 _LOG_WEIGHT_FLOOR = -700.0  # right cut: the weight beyond it is below e^-700
+
+
+def _log_trapezoid(terms: np.ndarray, h: float, j: np.ndarray,
+                   spec: QuadratureSpec, what: str) -> float:
+    """Trapezoid sum S_h = h sum(terms) over the nodes u = u0 + h j.
+
+    |S_h - S_2h|, with S_2h the sum over the nodes of even j, estimates the
+    error of S_2h and so overstates that of S_h; NonConvergenceError is
+    raised when it exceeds the tolerance of `spec`.
+    """
+    value = h * float(np.sum(terms))
+    coarse = 2.0 * h * float(np.sum(terms[j % 2 == 0]))
+    error = abs(value - coarse)
+    tol = max(spec.absolute_tolerance, spec.relative_tolerance * abs(value))
+    if not math.isfinite(value) or not error <= tol:
+        raise NonConvergenceError(
+            f"{what} did not converge: estimate {value!r}, error {error!r} "
+            f"above tolerance {tol!r}", value=value, error_estimate=error)
+    return value
 
 
 def _gamma_expectation(phi: Callable[[np.ndarray], np.ndarray], a: float,
@@ -172,10 +183,7 @@ def _gamma_expectation(phi: Callable[[np.ndarray], np.ndarray], a: float,
     mode u = log a.  On the left they stop where P(Y < e^u) <= e^{a u} /
     Gamma(a + 1) reaches e^-40, which for such phi bounds the relative
     truncation error by about e^-40; on the right, where the weight falls
-    below e^-700.  |S_h - S_2h|, with S_2h the sum over every other node,
-    estimates the error of S_2h and so overstates that of S_h by a wide
-    margin; NonConvergenceError is raised when it exceeds the tolerance of
-    `spec`.
+    below e^-700.  The error check is that of `_log_trapezoid`.
     """
     if a < 1:
         raise ValueError("the Gamma-law rule needs shape a >= 1")
@@ -190,16 +198,7 @@ def _gamma_expectation(phi: Callable[[np.ndarray], np.ndarray], a: float,
     u = mode + h * j
     y = np.exp(u)
     terms = phi(y) * np.exp(a * u - y - log_norm)
-    value = h * float(np.sum(terms))
-    coarse = 2.0 * h * float(np.sum(terms[j % 2 == 0]))
-    error = abs(value - coarse)
-    tol = max(spec.absolute_tolerance, spec.relative_tolerance * abs(value))
-    if not math.isfinite(value) or not error <= tol:
-        raise NonConvergenceError(
-            f"Gamma-law expectation (shape {a:g}) did not converge: estimate "
-            f"{value!r}, error {error!r} above tolerance {tol!r}",
-            value=value, error_estimate=error)
-    return value
+    return _log_trapezoid(terms, h, j, spec, f"Gamma-law expectation (shape {a:g})")
 
 
 def _exp_e1(r: np.ndarray) -> np.ndarray:
@@ -374,27 +373,47 @@ def scheme_crossover_power(L: int, omega: float, nu: float, noise_mw: float,
     raise ValueError("crossover power handled for nu in {0, 1} only")
 
 
+# Fixed grid for E[log K_0(S)] in u = log s.  The every-other-node sum, at
+# step 0.3, is already within ~3e-12 of the limit, and the full sum within
+# roundoff.
+_KL_RULE_STEP = 0.15
+_KL_LOG_RANGE = (-20.0, 4.0)
+
+
 def kl_divergence_gamma_fit(sigma2: float,
                             spec: Optional[QuadratureSpec] = None) -> float:
     """Divergence between the exact cascade-amplitude density and its Gamma fit.
 
-    The expectation of log K_0 is taken by quadrature against the exact density
-    f(t) = 4 t K_0(2 t / sigma^2) / sigma^4.
+    The exact density is f(t) = 4 t K_0(2 t / sigma^2) / sigma^4, and against
+    the Gamma(k, theta) fit the divergence is a constant plus
+    E_f[log K_0(2 T / sigma^2)].  Both laws scale with sigma^2, so the
+    divergence does not depend on it: s = 2 t / sigma^2 turns the expectation
+    into E[log K_0(S)], S with density s K_0(s), and the constant is taken at
+    sigma^2 = 1.
+
+    The expectation is the trapezoid rule in u = log s on a fixed grid of step
+    0.15 over [-20, 4], with the error check of `_log_trapezoid`.  log K_0
+    changes sign at s ~ 0.46, so the truncation argument of
+    `_gamma_expectation` does not carry over; the cut tails are bounded
+    directly.  Below eps = e^-20, 1 < K_0(s) < log(2/s), and
+    s log(2/s) log log(2/s) increases, so that tail is at most
+    eps^2 log(2/eps) log log(2/eps) < 3e-16.  Above S = e^4,
+    K_0(s) < sqrt(pi/(2s)) e^-s and |log K_0(s)| < 1.1 s, so that tail is at
+    most about 1.1 sqrt(pi/2) S^1.5 e^-S < 1e-20.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
-    params = gamma_approx_params(sigma2)
-    k, theta = params.k, params.theta
     if spec is None:
-        spec = QuadratureSpec(relative_tolerance=1e-10, absolute_tolerance=1e-13,
-                              max_subdivisions=400)
-
-    def integrand(t):
-        z = 2.0 * t / sigma2
-        log_k0 = math.log(special.kve(0, z)) - z
-        return 4.0 * t * math.exp(log_k0) / sigma2**2 * log_k0
-
-    expect_log_k0, _ = integrate_semi_infinite(integrand, spec)
-    return (math.pi * sigma2 / (4.0 * theta) + k * math.log(theta / sigma2)
+        spec = QuadratureSpec(relative_tolerance=1e-10, absolute_tolerance=1e-13)
+    h = _KL_RULE_STEP
+    lo, hi = _KL_LOG_RANGE
+    j = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+    s = np.exp(h * j)
+    log_k0 = np.log(special.kve(0, s)) - s
+    terms = s * s * np.exp(log_k0) * log_k0
+    expect_log_k0 = _log_trapezoid(terms, h, j, spec, "Gamma-fit divergence")
+    params = gamma_approx_params(1.0)
+    k, theta = params.k, params.theta
+    return (math.pi / (4.0 * theta) + k * math.log(theta)
             + EULER_GAMMA * (k - 2.0) + math.log(4.0 * math.gamma(k))
             + expect_log_k0)

@@ -113,6 +113,14 @@ def parse_phase_error(text: str):
                     "use none, uniform:DELTA, or vonmises:MU,KAPPA")
 
 
+def _env_workers() -> int:
+    value = os.environ.get("RIS2WAY_WORKERS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise SpecError(f"RIS2WAY_WORKERS must be an integer, got {value!r}") from None
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, metavar="FILE",
                    help="flat key=value file pre-setting any long flag; flags override")
@@ -135,8 +143,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--phase-error", default="none",
                    help="none | uniform:DELTA | vonmises:MU,KAPPA (radians)")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("RIS2WAY_WORKERS", "1")),
+    p.add_argument("--workers", type=int, default=_env_workers(),
                    help="Monte Carlo worker processes (default $RIS2WAY_WORKERS or 1)")
     p.add_argument("--out", default="out.csv", help="output CSV path (or prefix)")
     p.add_argument("--svg", action="store_true",

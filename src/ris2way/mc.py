@@ -135,7 +135,8 @@ def collect_gains(cfg: SystemConfig, policy: str, trials: int, seed: int,
     if workers <= 1 or len(tasks) == 1:
         parts = [_gain_block_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork context starts every worker up front, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             parts = list(pool.map(_gain_block_task, tasks, chunksize=1))
     return TrialGains(np.concatenate([p.g1 for p in parts]),
                       np.concatenate([p.g2 for p in parts]))

@@ -6,13 +6,15 @@ domain-checked wrappers, plus a log-domain Bessel-K evaluator for large
 orders where the direct value overflows a double.
 
 `integrate_semi_infinite` is adaptive Gauss-Kronrod quadrature over a Python
-callback.  The closed-form spectral efficiencies do not use it: they are
-expectations over a Gamma law, taken on fixed trapezoid nodes in log y by
-`analytic._gamma_expectation`, whose error estimate compares the full node
-sum with the sum over every other node.  Both report failure through
+callback.  The library's closed forms do not use it: the spectral
+efficiencies and the Gamma-fit divergence are expectations taken on fixed
+trapezoid nodes in a log variable (`analytic._gamma_expectation` and
+`analytic.kl_divergence_gamma_fit`), whose error estimate compares the full
+node sum with the sum over every other node.  Both report failure through
 NonConvergenceError with the same QuadratureSpec tolerances; the adaptive
-route stays as the independent reference the rule is tested against, and for
-the Gamma-fit divergence.
+route stays only as the independent reference the rules are tested against,
+so it imports scipy.integrate (and with it scipy.optimize) on first call
+rather than when the package loads.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 
 class NonConvergenceError(RuntimeError):
@@ -132,6 +134,8 @@ def integrate_semi_infinite(f: Callable[[float], float],
     NonConvergenceError when the subdivision budget is exhausted with the
     error estimate still above tolerance.
     """
+    from scipy import integrate
+
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         value, abserr, info, *tail = integrate.quad(
             f, 0.0, np.inf,

@@ -22,6 +22,7 @@ CROSSOVER_DBM = {2: 17.495567352187408, 16: -1.8144996364813814,
 DELTA_P_2_16 = 19.310066988668790
 DELTA_P_16_64 = 12.168671041685136
 KL_SIGMA1 = 2.2989918962881927e-4
+KL_30_DIGITS = 2.2989918962736978633688983349e-4  # mpmath, 30 digits
 
 
 def cascade_sums(L, rho, trials, seed, sigma2=1.0):
@@ -137,10 +138,6 @@ def test_phase_error_law_matches_scrambled_simulation():
         assert abs(mc - ana) <= 3 * se
 
 
-def test_spectral_efficiency_zero_sinr():
-    assert an.spectral_efficiency(lambda x: 1.0) == pytest.approx(0.0, abs=1e-9)
-
-
 def test_spectral_efficiency_exact_l1_matches_simulation():
     rho = 100.0
     se_quad = an.se_exact_L1(rho)
@@ -158,15 +155,6 @@ def test_spectral_efficiency_gamma_matches_simulation():
     assert se_quad == pytest.approx(se_mc, rel=0.01)
 
 
-def test_spectral_efficiency_equals_generic_cdf_route():
-    rho = 50.0
-    p = an.gamma_approx_params(1.0)
-    via_cdf = an.spectral_efficiency(
-        lambda x: float(special.gammainc(2 * p.k, math.sqrt(x / rho) / p.theta)))
-    assert via_cdf == pytest.approx(an.se_gamma(2, rho, p), rel=1e-8)
-    assert an.se_gamma(2, rho, p, half_rate=True) == pytest.approx(via_cdf / 2, rel=1e-8)
-
-
 def quadpack_se(ccdf, mean, half_rate):
     """Adaptive-quadrature oracle for E[log2(1 + X)] = int ccdf(x) / (1 + x) dx / ln 2.
 
@@ -177,6 +165,21 @@ def quadpack_se(ccdf, mean, half_rate):
     s = min(mean, 1.0)
     value, _ = integrate_semi_infinite(lambda t: s * ccdf(s * t) / (1.0 + s * t))
     return value / math.log(2.0) * (0.5 if half_rate else 1.0)
+
+
+def test_spectral_efficiency_equals_generic_cdf_route():
+    rho = 50.0
+    p = an.gamma_approx_params(1.0)
+    a = 2 * p.k
+
+    def ccdf(x):
+        return float(special.gammaincc(a, math.sqrt(x / rho) / p.theta))
+
+    mean = rho * p.theta**2 * a * (a + 1)
+    via_cdf = quadpack_se(ccdf, mean, False)
+    assert via_cdf == pytest.approx(an.se_gamma(2, rho, p), rel=1e-8)
+    assert (an.se_gamma(2, rho, p, half_rate=True)
+            == pytest.approx(quadpack_se(ccdf, mean, True), rel=1e-8))
 
 
 @pytest.mark.parametrize("L", [1, 2, 4, 16, 64, 256])
@@ -344,6 +347,39 @@ def test_crossover_interference_limited_branch():
     r_floor = an.se_exact_L1(1e4)
     r_two = an.asymptotic_se(1, p1, 1e-4, 1.0, 1e-10, scheme=Scheme.TWO)
     assert r_two == pytest.approx(r_floor, rel=1e-9)
+
+
+def quadpack_kl(sigma2):
+    """Adaptive-quadrature oracle: the divergence with E[log K_0(2T/sigma^2)]
+    integrated against the exact density 4 t K_0(2t/sigma^2) / sigma^4 in t."""
+    p = an.gamma_approx_params(sigma2)
+
+    def integrand(t):
+        z = 2.0 * t / sigma2
+        log_k0 = math.log(special.kve(0, z)) - z
+        return 4.0 * t * math.exp(log_k0) / sigma2**2 * log_k0
+
+    spec = QuadratureSpec(relative_tolerance=1e-10, absolute_tolerance=1e-13,
+                          max_subdivisions=400)
+    expect_log_k0, _ = integrate_semi_infinite(integrand, spec)
+    return (math.pi * sigma2 / (4.0 * p.theta) + p.k * math.log(p.theta / sigma2)
+            + an.EULER_GAMMA * (p.k - 2.0) + math.log(4.0 * math.gamma(p.k))
+            + expect_log_k0)
+
+
+@pytest.mark.parametrize("sigma2", [0.01, 0.3, 1.0, 100.0])
+def test_kl_rule_matches_adaptive_quadrature(sigma2):
+    kl = an.kl_divergence_gamma_fit(sigma2)
+    assert kl == pytest.approx(quadpack_kl(sigma2), rel=1e-9)
+    assert kl == pytest.approx(KL_30_DIGITS, rel=1e-10)
+
+
+def test_kl_rule_reports_unreachable_tolerance():
+    spec = QuadratureSpec(relative_tolerance=1e-16, absolute_tolerance=1e-300)
+    with pytest.raises(NonConvergenceError) as info:
+        an.kl_divergence_gamma_fit(1.0, spec)
+    assert info.value.value < 0  # E[log K_0(S)] ~ -1.504
+    assert info.value.error_estimate > 0
 
 
 def test_kl_divergence_reference_and_scale_invariance():

@@ -3,6 +3,8 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -320,6 +322,28 @@ def test_workers_default_from_environment(monkeypatch):
     assert args.workers == 6
     args = parse_args(["outage", "--L", "1", "--workers", "2"])
     assert args.workers == 2
+
+
+def test_non_integer_workers_environment_exit_code(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("RIS2WAY_WORKERS", "abc")
+    rc = run_cli(["outage", "--L", "1", "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "RIS2WAY_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["ris2way", "ris2way.cli"])
+def test_import_leaves_quadpack_unloaded(module):
+    """Adaptive quadrature is only a test reference; loading the package or
+    the CLI must not import scipy.integrate or scipy.optimize."""
+    code = (f"import sys, {module}; "
+            "print(*sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
 
 
 def test_spec_from_args_roundtrip():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from ris2way import analytic as an
+from ris2way import mc
+from ris2way import rng as rngmod
 from ris2way.channel import (Reciprocity, Scheme, SystemConfig,
                              UniformPhaseError, sinr_budget)
 from ris2way.mc import (NoCrossoverError, collect_gains, estimate_outage,
@@ -65,6 +67,35 @@ def test_estimates_identical_across_worker_counts():
     assert vals[0] == vals[1]
     ses = [estimate_se(cfg, trials=9_000, seed=6, workers=w).value for w in (1, 3)]
     assert ses[0] == ses[1]
+
+
+def test_worker_pool_capped_at_block_count(monkeypatch):
+    """A forking pool starts every worker up front, so ask for no more than
+    there are blocks; the fake pool records the request and runs serially."""
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+    cfg = cfg_rec(L=2)
+    trials = rngmod.BLOCK_SIZE + 10  # two blocks
+    serial = collect_gains(cfg, "optimal", trials, seed=3)
+    for workers in (2, 64):
+        gains = collect_gains(cfg, "optimal", trials, seed=3, workers=workers)
+        assert np.array_equal(gains.g1, serial.g1)
+        assert np.array_equal(gains.g2, serial.g2)
+    assert requested == [2, 2]
 
 
 def test_gains_prefix_property():

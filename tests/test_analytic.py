@@ -370,8 +370,8 @@ def quadpack_kl(sigma2):
 @pytest.mark.parametrize("sigma2", [0.01, 0.3, 1.0, 100.0])
 def test_kl_rule_matches_adaptive_quadrature(sigma2):
     kl = an.kl_divergence_gamma_fit(sigma2)
-    assert kl == pytest.approx(quadpack_kl(sigma2), rel=1e-9)
-    assert kl == pytest.approx(KL_30_DIGITS, rel=1e-10)
+    assert kl == pytest.approx(quadpack_kl(sigma2), rel=1e-9, abs=0)
+    assert kl == pytest.approx(KL_30_DIGITS, rel=1e-10, abs=0)
 
 
 def test_kl_rule_reports_unreachable_tolerance():

@@ -339,8 +339,7 @@ def test_import_leaves_quadpack_unloaded(module):
             "print(*sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
             "if m in sys.modules))")
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == ""

@@ -13,11 +13,10 @@ from .channel import (NonReciprocalChannel, Reciprocity, ReciprocalChannel,
                       sinr_nonreciprocal, sinr_reciprocal)
 from .mc import (McEstimate, NoCrossoverError, estimate_outage, estimate_se,
                  find_crossover, outage_curve, se_curve)
-from .numerics import (NonConvergenceError, QuadratureSpec, SymmetricMatrix,
-                       digamma, erf, integrate_semi_infinite,
-                       regularized_gamma_p)
-from .optim import (MaxMinResult, OptimMethod, QuadraticFormPair,
-                    SolverFailureError, baseline_phases, build_quadratic_forms,
+from .numerics import (NonConvergenceError, QuadratureSpec, digamma, erf,
+                       integrate_semi_infinite, regularized_gamma_p)
+from .optim import (MaxMinResult, OptimMethod, SolverFailureError,
+                    baseline_phases, build_quadratic_forms,
                     gaussian_randomization, greedy_iterative,
                     optimal_phase_reciprocal, sdp_maxmin, solve_maxmin)
 

@@ -355,6 +355,12 @@ def _validate_methods(spec: ExperimentSpec, allowed: tuple[str, ...]) -> None:
         for m in spec.methods:
             if m in ("exact", "gamma", "clt", "asymptotic", "phase-error"):
                 raise SpecError(f"analytic method {m!r} applies to reciprocal channels")
+    counts = spec.l_list or [spec.cfg.L]  # every L the sweep will use
+    for m in spec.methods:
+        if m == "exact" and any(L != 1 for L in counts):
+            raise SpecError("method 'exact' is the single-element law (L=1)")
+        if m == "gamma" and any(L < 2 for L in counts):
+            raise SpecError("method 'gamma' needs L >= 2")
 
 
 def _metric_analytic(method: str, cfg: SystemConfig, metric: str, user) -> float:
@@ -364,12 +370,8 @@ def _metric_analytic(method: str, cfg: SystemConfig, metric: str, user) -> float
     params = analytic.gamma_approx_params(cfg.sigma2)
     if metric == "outage":
         if method == "exact":
-            if cfg.L != 1:
-                raise SpecError("method 'exact' is the single-element law (L=1)")
             return float(analytic.outage_exact_L1(cfg.gamma_th, rho, cfg.sigma2))
         if method == "gamma":
-            if cfg.L < 2:
-                raise SpecError("method 'gamma' needs L >= 2")
             return float(analytic.outage_gamma_Lge2(cfg.L, cfg.gamma_th, rho, params))
         if method == "clt":
             return float(analytic.outage_clt(cfg.L, cfg.gamma_th, rho,
@@ -383,12 +385,8 @@ def _metric_analytic(method: str, cfg: SystemConfig, metric: str, user) -> float
                 cfg.L, cfg.gamma_th, rho, cfg.sigma2))
     else:
         if method == "exact":
-            if cfg.L != 1:
-                raise SpecError("method 'exact' is the single-element law (L=1)")
             return analytic.se_exact_L1(rho, cfg.sigma2, half_rate=half)
         if method == "gamma":
-            if cfg.L < 2:
-                raise SpecError("method 'gamma' needs L >= 2")
             return analytic.se_gamma(cfg.L, rho, params, half_rate=half)
         if method == "asymptotic":
             return analytic.asymptotic_se(cfg.L, cfg.p1_mw, cfg.omega, cfg.nu,
@@ -464,6 +462,8 @@ def run_optimize(spec: ExperimentSpec) -> None:
                         "(pass --reciprocity non-reciprocal)")
     if len(spec.p_dbm) != 1:
         raise SpecError("optimize needs a single power point")
+    if spec.trials < 1:
+        raise SpecError("trials must be >= 1")
     cfg = spec.cfg.with_power(db_to_linear(spec.p_dbm[0]))
     budget = sinr_budget(cfg)
     kwargs = _optim_kwargs(spec)

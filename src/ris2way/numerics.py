@@ -1,4 +1,4 @@
-"""Special functions, semi-infinite quadrature, and a dense symmetric matrix type.
+"""Special functions and an adaptive semi-infinite reference quadrature.
 
 Everything here is pure and reentrant.
 The special functions delegate to scipy's well-tested kernels behind
@@ -47,23 +47,6 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-
-
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Dense symmetric matrix; construction symmetrizes so entry(i,j) == entry(j,i)."""
-
-    array: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.array, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "array", (a + a.T) / 2.0)
-
-    @property
-    def dimension(self) -> int:
-        return self.array.shape[0]
 
 
 def log_bessel_k(order: int, x: float) -> float:

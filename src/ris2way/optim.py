@@ -26,7 +26,6 @@ import numpy as np
 
 from .channel import (NonReciprocalChannel, ReciprocalChannel, SinrBudget,
                       sinr_nonreciprocal, wrap_phases)
-from .numerics import SymmetricMatrix
 
 
 class SolverFailureError(RuntimeError):
@@ -40,22 +39,10 @@ class OptimMethod(enum.Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
-class QuadraticFormPair:
-    """PSD forms F_p (rank <= 2, dimension 2L) with alpha^T F_p alpha = gamma_p."""
-
-    f1: SymmetricMatrix
-    f2: SymmetricMatrix
-
-    @property
-    def dimension(self) -> int:
-        return self.f1.dimension
-
-
 @dataclass
 class SdpSolution:
     t_star: float
-    a_star: SymmetricMatrix
+    a_star: np.ndarray
     iterations: int
     feasibility_gap: float
 
@@ -67,7 +54,7 @@ class MaxMinResult:
     method: OptimMethod
     iterations: int = 0
     t_star: Optional[float] = None
-    a_star: Optional[SymmetricMatrix] = None
+    a_star: Optional[np.ndarray] = None
     feasibility_gap: float = 0.0
     sweep_objectives: list = field(default_factory=list)
 
@@ -94,20 +81,19 @@ def _lifted_vectors(z: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
     return c, d
 
 
-def build_quadratic_forms(ch: NonReciprocalChannel, budget: SinrBudget) -> QuadraticFormPair:
+def build_quadratic_forms(ch: NonReciprocalChannel,
+                          budget: SinrBudget) -> tuple[np.ndarray, np.ndarray]:
     """Lift both user SINRs to quadratic forms in the stacked cos/sin variables.
 
-    User 1 combines h_r with g_t; user 2 combines g_r with h_t, each under its
-    own average-SINR scale.
+    Returns the pair (F_1, F_2) of symmetric PSD 2L x 2L arrays, each of rank
+    <= 2, with alpha^T F_p alpha = gamma_p.  User 1 combines h_r with g_t;
+    user 2 combines g_r with h_t, each under its own average-SINR scale.
     """
     if not isinstance(ch, NonReciprocalChannel):
         raise ValueError("quadratic forms are defined for non-reciprocal realizations")
     c1, d1 = _lifted_vectors(ch.h_r * ch.g_t, budget.rho1)
     c2, d2 = _lifted_vectors(ch.g_r * ch.h_t, budget.rho2)
-    return QuadraticFormPair(
-        f1=SymmetricMatrix(np.outer(c1, c1) + np.outer(d1, d1)),
-        f2=SymmetricMatrix(np.outer(c2, c2) + np.outer(d2, d2)),
-    )
+    return np.outer(c1, c1) + np.outer(d1, d1), np.outer(c2, c2) + np.outer(d2, d2)
 
 
 def phases_to_lifted(phases: np.ndarray) -> np.ndarray:
@@ -260,20 +246,35 @@ def _initial_interior(n: int) -> np.ndarray:
     return 0.5 * np.eye(n)
 
 
-def sdp_maxmin(forms: QuadraticFormPair, tol: float = 1e-4,
+def _form_arrays(forms: tuple[np.ndarray, np.ndarray],
+                 *others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (F_1, F_2) as float arrays, once both forms and `others` are
+    checked to be square of one shape 2L x 2L."""
+    f1, f2 = (np.asarray(f, dtype=float) for f in forms)
+    shapes = [np.shape(m) for m in (f1, f2, *others)]
+    if len(shapes[0]) != 2 or any(s != (shapes[0][0],) * 2 for s in shapes):
+        raise ValueError(f"forms{' and a_star' if others else ''} must be square "
+                         f"arrays of one shape, got shapes {shapes}")
+    if shapes[0][0] % 2 or shapes[0][0] < 2:
+        raise ValueError("forms must have even dimension 2L")
+    return f1, f2
+
+
+def sdp_maxmin(forms: tuple[np.ndarray, np.ndarray], tol: float = 1e-4,
                method: str = "bisect") -> SdpSolution:
-    """Solve the lifted max-min relaxation to relative tolerance `tol`.
+    """Solve the lifted max-min relaxation of the forms (F_1, F_2) to relative
+    tolerance `tol` > 0.
 
     method="bisect" runs the level search: a doubling/halving bracket around a
     trial level followed by bisection, each level decided by a phase-I slack
     maximization.  method="joint" maximizes the level directly along a single
-    central path; both agree within tol.
+    central path; both agree within tol.  The returned a_star is a symmetric
+    2L x 2L array.
     """
-    f1 = forms.f1.array
-    f2 = forms.f2.array
-    n = forms.dimension
-    if n % 2 or n < 2:
-        raise ValueError("forms must have even dimension 2L")
+    if not tol > 0:
+        raise ValueError(f"relaxation tolerance must be > 0, got {tol!r}")
+    f1, f2 = _form_arrays(forms)
+    n = f1.shape[0]
     a0 = _initial_interior(n)
     base = np.array([np.sum(f1 * a0), np.sum(f2 * a0)])
     # scale by the smaller form value: the optimum then lies in [1, 2L] scaled
@@ -287,7 +288,7 @@ def sdp_maxmin(forms: QuadraticFormPair, tol: float = 1e-4,
         out = _maximize_linear_over_cone(f1s, f2s, (0.0, 0.0), a0,
                                          gap_tol=tol / 4.0)
         return SdpSolution(t_star=out.theta * scale,
-                           a_star=SymmetricMatrix(out.a),
+                           a_star=out.a,
                            iterations=out.newton_steps,
                            feasibility_gap=out.gap * scale)
     if method != "bisect":
@@ -336,23 +337,23 @@ def sdp_maxmin(forms: QuadraticFormPair, tol: float = 1e-4,
         else:
             t_high = mid
     return SdpSolution(t_star=t_low * scale,
-                       a_star=SymmetricMatrix(best_a),
+                       a_star=best_a,
                        iterations=newton_total,
                        feasibility_gap=(t_high - t_low) * scale)
 
 
-def gaussian_randomization(a_star: SymmetricMatrix, forms: QuadraticFormPair,
+def gaussian_randomization(a_star: np.ndarray, forms: tuple[np.ndarray, np.ndarray],
                            k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Recover phases from the relaxed solution: draw K Gaussian vectors with
-    covariance A*, normalize each cos/sin pair onto the unit circle, keep the
-    candidate with the best min-SINR quadratic form value."""
+    covariance A* (a symmetric array shaped like the forms (F_1, F_2)),
+    normalize each cos/sin pair onto the unit circle, keep the candidate with
+    the best min-SINR quadratic form value."""
     if k < 1:
         raise ValueError("need at least one randomization sample")
-    f1 = forms.f1.array
-    f2 = forms.f2.array
-    n = forms.dimension
+    f1, f2 = _form_arrays(forms, a_star)
+    n = f1.shape[0]
     npairs = n // 2
-    w, v = np.linalg.eigh(a_star.array)
+    w, v = np.linalg.eigh(a_star)
     lam_max = max(float(w[-1]), 0.0)
     factor = v * np.sqrt(np.clip(w, 0.0, None))
     if np.any(w < -1e-9 * lam_max):

@@ -37,20 +37,20 @@ def cascade_sums(L, rho, trials, seed, sigma2=1.0):
 
 def test_gamma_params_reference():
     p = an.gamma_approx_params(1.0)
-    assert p.k == pytest.approx(K_REF, rel=1e-12)
-    assert p.theta == pytest.approx(THETA_REF, rel=1e-12)
+    assert p.k == pytest.approx(K_REF, rel=1e-12, abs=0)
+    assert p.theta == pytest.approx(THETA_REF, rel=1e-12, abs=0)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_gamma_params_moment_identities(sigma2):
     p = an.gamma_approx_params(sigma2)
-    assert p.k * p.theta == pytest.approx(math.pi * sigma2 / 4.0, rel=1e-12)
+    assert p.k * p.theta == pytest.approx(math.pi * sigma2 / 4.0, rel=1e-12, abs=0)
     assert p.k * p.theta**2 == pytest.approx((16 - math.pi**2) * sigma2**2 / 16.0,
-                                             rel=1e-12)
+                                             rel=1e-12, abs=0)
 
 
 def test_outage_exact_l1_reference_points():
-    assert an.outage_exact_L1(1.0, 1.0, 1.0) == pytest.approx(OUT_L1_REF, rel=1e-12)
+    assert an.outage_exact_L1(1.0, 1.0, 1.0) == pytest.approx(OUT_L1_REF, rel=1e-12, abs=0)
     assert an.outage_exact_L1(0.0, 5.0, 1.0) == 0.0
     assert an.outage_exact_L1(1e9, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -71,7 +71,7 @@ def test_outage_gamma_reduces_to_elementwise_gamma_cdf():
     for l, gth, rho in [(2, 1.0, 50.0), (4, 0.3, 10.0), (16, 2.0, 1e3)]:
         mine = an.outage_gamma_Lge2(l, gth, rho, p)
         ref = special.gammainc(l * p.k, math.sqrt(gth / rho) / p.theta)
-        assert mine == pytest.approx(ref, rel=1e-12)
+        assert mine == pytest.approx(ref, rel=1e-12, abs=0)
     assert an.outage_gamma_Lge2(4, 0.0, 10.0, p) == 0.0
 
 
@@ -121,7 +121,7 @@ def test_outage_clt_tracks_simulation_large_l():
 def test_phase_error_law_reduces_to_single_element():
     for gth, rho in [(0.5, 10.0), (1.0, 123.0), (4.0, 7.0)]:
         assert (an.outage_phase_error_uniform_pi(1, gth, rho)
-                == pytest.approx(float(an.outage_exact_L1(gth, rho)), rel=1e-9))
+                == pytest.approx(float(an.outage_exact_L1(gth, rho)), rel=1e-9, abs=0))
     assert an.outage_phase_error_uniform_pi(4, 0.0, 10.0) == 0.0
 
 
@@ -143,7 +143,7 @@ def test_spectral_efficiency_exact_l1_matches_simulation():
     se_quad = an.se_exact_L1(rho)
     gamma = cascade_sums(1, rho, 1_000_000, seed=17)
     se_mc = np.mean(np.log2(1.0 + gamma))
-    assert se_quad == pytest.approx(se_mc, rel=5e-3)
+    assert se_quad == pytest.approx(se_mc, rel=5e-3, abs=0)
 
 
 def test_spectral_efficiency_gamma_matches_simulation():
@@ -152,7 +152,7 @@ def test_spectral_efficiency_gamma_matches_simulation():
     se_quad = an.se_gamma(16, rho, p)
     gamma = cascade_sums(16, rho, 200_000, seed=19)
     se_mc = np.mean(np.log2(1.0 + gamma))
-    assert se_quad == pytest.approx(se_mc, rel=0.01)
+    assert se_quad == pytest.approx(se_mc, rel=0.01, abs=0)
 
 
 def quadpack_se(ccdf, mean, half_rate):
@@ -177,9 +177,9 @@ def test_spectral_efficiency_equals_generic_cdf_route():
 
     mean = rho * p.theta**2 * a * (a + 1)
     via_cdf = quadpack_se(ccdf, mean, False)
-    assert via_cdf == pytest.approx(an.se_gamma(2, rho, p), rel=1e-8)
+    assert via_cdf == pytest.approx(an.se_gamma(2, rho, p), rel=1e-8, abs=0)
     assert (an.se_gamma(2, rho, p, half_rate=True)
-            == pytest.approx(quadpack_se(ccdf, mean, True), rel=1e-8))
+            == pytest.approx(quadpack_se(ccdf, mean, True), rel=1e-8, abs=0))
 
 
 @pytest.mark.parametrize("L", [1, 2, 4, 16, 64, 256])
@@ -196,10 +196,10 @@ def test_se_rule_matches_adaptive_quadrature(L):
                 return float(an.cascade_ccdf_uniform_phase(L, z)[0])
 
             ref = quadpack_se(gamma_ccdf, rho * p.theta**2 * a * (a + 1), half)
-            assert an.se_gamma(L, rho, p, half_rate=half) == pytest.approx(ref, rel=1e-9)
+            assert an.se_gamma(L, rho, p, half_rate=half) == pytest.approx(ref, rel=1e-9, abs=0)
             ref = quadpack_se(scrambled_ccdf, rho * sigma2**2 * L, half)
             assert (an.se_phase_error_uniform_pi(L, rho, sigma2, half_rate=half)
-                    == pytest.approx(ref, rel=1e-9))
+                    == pytest.approx(ref, rel=1e-9, abs=0))
 
 
 def test_se_exact_l1_is_the_scrambled_law_at_one_element():
@@ -234,10 +234,10 @@ def test_se_closed_forms_return_python_floats():
 
 def test_asymptotic_outage_floor_is_exact_value_at_interference_limit():
     assert (an.asymptotic_outage(1, 1.0, 1e5, 1e-4, 1.0, 1e-7)
-            == pytest.approx(float(an.outage_exact_L1(1.0, 1e4)), rel=1e-12))
+            == pytest.approx(float(an.outage_exact_L1(1.0, 1e4)), rel=1e-12, abs=0))
     p = an.gamma_approx_params(1.0)
     assert (an.asymptotic_outage(4, 1.0, 1e5, 1e-4, 1.0, 1e-7)
-            == pytest.approx(float(an.outage_gamma_Lge2(4, 1.0, 1e4, p)), rel=1e-12))
+            == pytest.approx(float(an.outage_gamma_Lge2(4, 1.0, 1e4, p)), rel=1e-12, abs=0))
 
 
 def test_asymptotic_outage_ratio_stabilizes():
@@ -271,7 +271,7 @@ def test_sandwich_bounds_bracket_simulation():
 
 def test_asymptotic_se_reference_value():
     assert (an.asymptotic_se(1, 1e6, 1e-4, 0.0, 1e-7)
-            == pytest.approx(31.552346620145983, rel=1e-12))
+            == pytest.approx(31.552346620145983, rel=1e-12, abs=0))
     quad = an.se_exact_L1(1e6 / (1e-4 + 1e-7))
     assert abs(an.asymptotic_se(1, 1e6, 1e-4, 0.0, 1e-7) - quad) < 0.05
 
@@ -279,7 +279,7 @@ def test_asymptotic_se_reference_value():
 def test_asymptotic_se_floor_equals_quadrature_floor():
     p = an.gamma_approx_params(1.0)
     assert (an.asymptotic_se(4, 1e5, 1e-4, 1.0, 1e-7)
-            == pytest.approx(an.se_gamma(4, 1e4, p), rel=1e-12))
+            == pytest.approx(an.se_gamma(4, 1e4, p), rel=1e-12, abs=0))
 
 
 def test_se_asymptote_gap_shrinks_with_power():
@@ -298,7 +298,7 @@ def test_se_grows_one_log2_decade_per_power_decade():
             gap = an.se_exact_L1(1e8) - an.se_exact_L1(1e6)
         else:
             gap = an.se_gamma(L, 1e8, p) - an.se_gamma(L, 1e6, p)
-        assert gap == pytest.approx(math.log2(100.0), rel=0.02)
+        assert gap == pytest.approx(math.log2(100.0), rel=0.02, abs=0)
 
 
 def test_delta_values():
@@ -308,7 +308,7 @@ def test_delta_values():
     assert an.delta_p(2, 16, k) == pytest.approx(DELTA_P_2_16, abs=1e-9)
     assert an.delta_p(16, 64, k) == pytest.approx(DELTA_P_16_64, abs=1e-9)
     assert an.delta_r(2, 16, k) == pytest.approx(2 * DELTA_P_2_16 / (20 * math.log10(math.e))
-                                                 / math.log(2), rel=1e-12)
+                                                 / math.log(2), rel=1e-12, abs=0)
 
 
 def test_crossover_power_reference_values():
@@ -321,7 +321,7 @@ def test_crossover_power_noise_floor_scaling():
     # omega -> 0: boundary proportional to the noise power
     lo = an.scheme_crossover_power(2, 1e-18, 0.0, 1e-10)
     hi = an.scheme_crossover_power(2, 1e-18, 0.0, 1e-8)
-    assert hi / lo == pytest.approx(100.0, rel=1e-6)
+    assert hi / lo == pytest.approx(100.0, rel=1e-6, abs=0)
 
 
 def test_crossover_is_intersection_of_asymptotic_se():
@@ -346,7 +346,7 @@ def test_crossover_interference_limited_branch():
     # the bound solves R_two(P) = R_floor: check by direct evaluation
     r_floor = an.se_exact_L1(1e4)
     r_two = an.asymptotic_se(1, p1, 1e-4, 1.0, 1e-10, scheme=Scheme.TWO)
-    assert r_two == pytest.approx(r_floor, rel=1e-9)
+    assert r_two == pytest.approx(r_floor, rel=1e-9, abs=0)
 
 
 def quadpack_kl(sigma2):
@@ -384,7 +384,7 @@ def test_kl_rule_reports_unreachable_tolerance():
 
 def test_kl_divergence_reference_and_scale_invariance():
     v1 = an.kl_divergence_gamma_fit(1.0)
-    assert v1 == pytest.approx(KL_SIGMA1, rel=1e-6)
+    assert v1 == pytest.approx(KL_SIGMA1, rel=1e-6, abs=0)
     assert v1 >= 0.0
     values = [an.kl_divergence_gamma_fit(s2) for s2 in (0.01, 1.0, 100.0)]
     assert max(values) / min(values) < 1.3

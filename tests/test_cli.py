@@ -180,6 +180,23 @@ def test_bad_user_or_l_list_exit_code(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (["--trials", "0"], "trials must be >= 1"),
+    (["--trials", "-3"], "trials must be >= 1"),
+    (["--sdp-tol", "0"], "tolerance must be > 0"),
+    (["--sdp-tol", "-1"], "tolerance must be > 0"),
+    (["--sdp-tol", "nan"], "tolerance must be > 0"),
+])
+def test_bad_optimize_input_exit_code(tmp_path, capsys, flags, reason):
+    out = tmp_path / "x.csv"
+    argv = ["optimize", "--L", "2", "--reciprocity", "non-reciprocal",
+            "--methods", "sdp", "--trials", "2"]
+    assert run_cli(argv + flags + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and reason in err
+    assert not out.exists()
+
+
 def test_svg_emitted(tmp_path):
     out = tmp_path / "o.csv"
     rc = run_cli(["outage", "--L", "1", "--method", "exact", "--p-dbm", "-10:10:5",
@@ -290,6 +307,23 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, arg
     assert "invalid spec" in err and repr(out) in err and reason in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["outage", "--L", "4", "--methods", "mc,exact", "--trials", "2000000"],
+     "method 'exact' is the single-element law (L=1)"),
+    (["se", "--l-list", "1,2,4", "--p-dbm", "0:0:1", "--methods", "mc,gamma"],
+     "method 'gamma' needs L >= 2"),
+])
+def test_element_count_rules_fail_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                                  reason):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before checking the element count")
+
+    monkeypatch.setattr(cli.mc, "collect_gains", no_work)
+    assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and reason in err
+
+
 def test_reproduce_fig2_kl_column_scale_free(tmp_path):
     rc = run_cli(["reproduce", "fig2", "--out", str(tmp_path / "fig2.csv")])
     assert rc == 0
@@ -343,6 +377,18 @@ def test_import_leaves_quadpack_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == ""
+
+
+def test_benchmark_tracer_installs():
+    """perfbench/tracer.py wraps library functions by name; deleting or
+    renaming one must fail here, not when the benchmark starts."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(os.path.join(root, d) for d in ("src", "perfbench"))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    code = "from tracer import Tracer; Tracer().install()"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_spec_from_args_roundtrip():

@@ -55,11 +55,12 @@ def test_quadratic_forms_reproduce_sinr_many_instances():
     for _ in range(200):
         ch = nonrec(4, rng.integers(2**31))
         forms = build_quadratic_forms(ch, budget)
+        assert all(np.array_equal(f, f.T) for f in forms)
         for _ in range(50):
             phases = rng.uniform(0, 2 * math.pi, 4)
             alpha = phases_to_lifted(phases)
-            q1 = alpha @ forms.f1.array @ alpha
-            q2 = alpha @ forms.f2.array @ alpha
+            q1 = alpha @ forms[0] @ alpha
+            q2 = alpha @ forms[1] @ alpha
             g1, g2 = sinr_nonreciprocal(ch, phases, budget)
             worst = max(worst, abs(q1 - g1) / g1, abs(q2 - g2) / g2)
     assert worst < 1e-9
@@ -71,14 +72,14 @@ def test_quadratic_forms_single_element_constant():
     forms = build_quadratic_forms(ch, budget)
     for p in (0.0, 1.0, 4.4):
         alpha = phases_to_lifted(np.array([p]))
-        assert alpha @ forms.f1.array @ alpha == pytest.approx(
+        assert alpha @ forms[0] @ alpha == pytest.approx(
             2.0 * (np.abs(ch.h_r[0]) * np.abs(ch.g_t[0])) ** 2, rel=1e-12)
 
 
 def test_quadratic_forms_rank_two():
     ch = nonrec(5, 6)
     forms = build_quadratic_forms(ch, SinrBudget(1.0, 2.0))
-    for f in (forms.f1.array, forms.f2.array):
+    for f in forms:
         w = np.linalg.eigvalsh(f)[::-1]  # descending
         assert w[0] > 0 and w[1] > 0
         assert w[0] == pytest.approx(w[1], rel=1e-9)  # both nonzero eigenvalues equal
@@ -135,13 +136,14 @@ def test_sdp_joint_and_bisect_agree():
 def test_sdp_solution_feasibility_certificates():
     forms = build_quadratic_forms(nonrec(4, 14), SinrBudget(1.0, 1.0))
     sol = sdp_maxmin(forms, tol=1e-4)
-    a = sol.a_star.array
+    a = sol.a_star
+    assert np.array_equal(a, a.T)
     n = a.shape[0]
     for l in range(n // 2):
         assert a[2 * l, 2 * l] + a[2 * l + 1, 2 * l + 1] == pytest.approx(1.0, abs=1e-7)
     assert np.linalg.eigvalsh(a)[0] >= -1e-8
-    assert np.sum(forms.f1.array * a) >= sol.t_star * (1 - 1e-9)
-    assert np.sum(forms.f2.array * a) >= sol.t_star * (1 - 1e-9)
+    assert np.sum(forms[0] * a) >= sol.t_star * (1 - 1e-9)
+    assert np.sum(forms[1] * a) >= sol.t_star * (1 - 1e-9)
 
 
 @pytest.mark.parametrize("L", [1, 4, 9])
@@ -153,8 +155,7 @@ def test_newton_step_satisfies_kkt_conditions(L):
     a = x @ x.T / n + 0.1 * np.eye(n)
     scale = 1.0 / np.sqrt(np.repeat(a.diagonal().reshape(L, 2).sum(axis=1), 2))
     a = a * np.outer(scale, scale)
-    forms = build_quadratic_forms(nonrec(L, 50 + L), SinrBudget(1.7, 0.4))
-    f = (forms.f1.array, forms.f2.array)
+    f = build_quadratic_forms(nonrec(L, 50 + L), SinrBudget(1.7, 0.4))
     gains = np.array([np.sum(f[0] * a), np.sum(f[1] * a)])
     g = gains - (gains.min() - 0.3 * gains.min())
     grad_t = -10.0 + float(np.sum(1.0 / g))
@@ -179,7 +180,8 @@ def test_sdp_at_32_elements_bounds_greedy_and_randomization():
     tol = 1e-4
     sol = sdp_maxmin(forms, tol=tol, method="joint")
     assert 0.0 <= sol.feasibility_gap <= tol * sol.t_star
-    a = sol.a_star.array
+    a = sol.a_star
+    assert np.array_equal(a, a.T)
     assert np.abs(a.diagonal().reshape(32, 2).sum(axis=1) - 1.0).max() <= 1e-7
     assert np.linalg.eigvalsh(a)[0] >= -1e-8
     _, rounded = gaussian_randomization(sol.a_star, forms, 100, np.random.default_rng(42))
@@ -187,17 +189,38 @@ def test_sdp_at_32_elements_bounds_greedy_and_randomization():
     assert max(rounded, greedy) <= sol.t_star * (1 + tol)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_sdp_needs_positive_tolerance(tol):
+    forms = build_quadratic_forms(nonrec(2, 42), BUDGET)
+    with pytest.raises(ValueError, match="tolerance must be > 0"):
+        sdp_maxmin(forms, tol=tol)
+
+
+def test_malformed_forms_rejected():
+    f1, f2 = build_quadratic_forms(nonrec(3, 43), BUDGET)
+    rng = np.random.default_rng(44)
+    for forms, reason in [((f1[:, :4], f2[:, :4]), "square"),
+                          ((f1[0], f2[0]), "square"),
+                          ((f1, f2[:4, :4]), "one shape"),
+                          ((f1[:5, :5], f2[:5, :5]), "even dimension")]:
+        with pytest.raises(ValueError, match=reason):
+            sdp_maxmin(forms)
+        a_star = 0.5 * np.eye(forms[0].shape[-1])
+        with pytest.raises(ValueError, match=reason):
+            gaussian_randomization(a_star, forms, 5, rng)
+    with pytest.raises(ValueError, match="a_star"):
+        gaussian_randomization(0.5 * np.eye(4), (f1, f2), 5, rng)
+
+
 def test_randomization_rank_one_recovers_exactly():
     rng = np.random.default_rng(15)
     phases_true = rng.uniform(0, 2 * math.pi, 4)
     alpha = phases_to_lifted(phases_true)
     forms = build_quadratic_forms(nonrec(4, 16), SinrBudget(1.0, 1.0))
-    from ris2way.numerics import SymmetricMatrix
-    a_star = SymmetricMatrix(np.outer(alpha, alpha))
-    got, val = gaussian_randomization(a_star, forms, 5, rng)
+    got, val = gaussian_randomization(np.outer(alpha, alpha), forms, 5, rng)
     assert np.allclose(got, phases_true, atol=1e-7)
-    q1 = alpha @ forms.f1.array @ alpha
-    q2 = alpha @ forms.f2.array @ alpha
+    q1 = alpha @ forms[0] @ alpha
+    q2 = alpha @ forms[1] @ alpha
     assert val == pytest.approx(min(q1, q2), rel=1e-7)
 
 
@@ -290,8 +313,8 @@ def test_quadratic_identity_holds_for_every_method_output():
     for method in OptimMethod:
         res = solve_maxmin(ch, budget, method=method, rng=rng)
         alpha = phases_to_lifted(res.phases)
-        q1 = alpha @ forms.f1.array @ alpha
-        q2 = alpha @ forms.f2.array @ alpha
+        q1 = alpha @ forms[0] @ alpha
+        q2 = alpha @ forms[1] @ alpha
         g1, g2 = sinr_nonreciprocal(ch, res.phases, budget)
         assert q1 == pytest.approx(g1, rel=1e-9)
         assert q2 == pytest.approx(g2, rel=1e-9)

@@ -47,8 +47,10 @@ class VonMisesPhaseError:
     kappa: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be > 0")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not self.kappa > 0:
+            raise ValueError(f"kappa must be > 0, got {self.kappa}")
 
 
 PhaseErrorModel = Union[UniformPhaseError, VonMisesPhaseError]
@@ -197,7 +199,8 @@ def sample_phase_errors(model: Optional[PhaseErrorModel], rng: np.random.Generat
     """Per-element phase errors for one or more trials; None when error-free.
 
     Uniform errors are drawn as delta * U(-1, 1) so that sweeps over delta can
-    share the underlying uniforms (common random numbers).
+    share the underlying uniforms (common random numbers); `mc` draws them once
+    per block for every width of a group.
     """
     if model is None:
         return None

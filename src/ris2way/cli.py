@@ -74,6 +74,8 @@ def parse_sweep(text: str) -> list[float]:
         start, stop, step = (float(tok) for tok in text.split(":"))
     except ValueError as exc:
         raise SpecError(f"bad sweep {text!r}, expected START:STOP:STEP") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise SpecError(f"bad sweep {text!r}: START, STOP and STEP must be finite")
     if step <= 0 or stop < start:
         raise SpecError(f"bad sweep {text!r}: need STOP >= START and STEP > 0")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -108,7 +110,7 @@ def parse_phase_error(text: str):
             mu, kappa = (float(t) for t in rest.split(","))
             return VonMisesPhaseError(mu, kappa)
     except ValueError as exc:
-        raise SpecError(f"bad phase error spec {text!r}") from exc
+        raise SpecError(f"bad phase error spec {text!r}: {exc}") from exc
     raise SpecError(f"bad phase error spec {text!r}: "
                     "use none, uniform:DELTA, or vonmises:MU,KAPPA")
 
@@ -403,26 +405,39 @@ def _sweep_table(spec: ExperimentSpec, metric: str, axis: str, xs: list,
 
     axis "p_dbm" sweeps the transmit power; axis "L" sweeps the element count
     at the single power `p_dbm`.  Monte Carlo gains do not depend on the power,
-    so they are collected once per (config, policy, trials) key and reduced at
-    every point; adjacent columns with the same key share one collection.
+    so they are collected once and reduced at every point.  The first time the
+    table meets a Monte Carlo column with a new `mc.draw_key`, it collects
+    every config of the table with that key in one `mc.collect_gains` call
+    (on a reciprocal channel: every scheme, nu and phase-error model at one L),
+    and it holds that one group until the next key arrives.
     """
     fmt = fmt_prob if metric == "outage" else fmt_val
     reduce = mc.outage_from_gains if metric == "outage" else mc.se_from_gains
+
+    def power_free(col, x):
+        return col.cfg if axis == "p_dbm" else dataclasses.replace(col.cfg, L=x)
+
+    drawn = [(mc.draw_key(cfg, col.policy, col.trials), cfg)
+             for col in columns if col.method == "mc"
+             for cfg in (power_free(col, x) for x in xs)]
     header, cells = [axis], [[fmt_val(x) for x in xs]]
     key = gains = None
     for col in columns:
         values, errors = [], []
         for x in xs:
-            cfg = col.cfg if axis == "p_dbm" else dataclasses.replace(col.cfg, L=x)
+            cfg = power_free(col, x)
             at = cfg.with_power(db_to_linear(x if axis == "p_dbm" else p_dbm))
             if col.method != "mc":
                 values.append(fmt(_metric_analytic(col.method, at, metric, col.user)))
                 continue
-            if key != (cfg, col.policy, col.trials):
-                key = (cfg, col.policy, col.trials)
-                gains = mc.collect_gains(cfg, col.policy, col.trials, spec.seed,
-                                         spec.workers, _optim_kwargs(spec))
-            e = reduce(at, gains, spec.seed, col.user)
+            if mc.draw_key(cfg, col.policy, col.trials) != key:
+                key = mc.draw_key(cfg, col.policy, col.trials)
+                group = list(dict.fromkeys(c for k, c in drawn if k == key))
+                gains = None  # drop the previous group before drawing this one
+                gains = dict(zip(group, mc.collect_gains(
+                    group, col.policy, col.trials, spec.seed, spec.workers,
+                    _optim_kwargs(spec))))
+            e = reduce(at, gains[cfg], spec.seed, col.user)
             values.append(fmt(e.value))
             errors.append(fmt_prob(e.std_error))
         header.append(f"{metric}_{col.label}")

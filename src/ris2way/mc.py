@@ -5,7 +5,11 @@ Per-trial channel gains are a pure function of (seed, trial index); trials are
 processed in fixed-size blocks whose partial results are merged in block
 order, so estimates are bit-for-bit reproducible for any worker count.  Gains
 do not depend on the transmit power, which gives common random numbers across
-power sweeps and across schemes for free.
+power sweeps for free.  `draw_key` names what else they depend on: on a
+reciprocal channel only L, sigma2, the trial count and the phase-error model,
+so configs that differ in scheme, nu, omega, gamma_th, noise or jitter width
+share one channel draw per block, and `collect_gains` collects such a group in
+one pass over the blocks (common random numbers across schemes, nu and delta).
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .channel import (NonReciprocalChannel, Reciprocity, Scheme, SinrBudget,
-                      SystemConfig, sample_channel_block, sample_phase_errors,
-                      sinr_budget)
+from .channel import (NonReciprocalChannel, PhaseErrorModel, Reciprocity, Scheme,
+                      SinrBudget, SystemConfig, UniformPhaseError,
+                      sample_channel_block, sample_phase_errors, sinr_budget)
 from .optim import OptimMethod, solve_maxmin
 
 
@@ -48,45 +52,56 @@ class TrialGains:
     g2: np.ndarray
 
 
-def _reciprocal_gain_block(cfg: SystemConfig, seed: int, block: int, count: int) -> TrialGains:
+def _reciprocal_gain_block(cfg: SystemConfig, models: tuple[PhaseErrorModel | None, ...],
+                           seed: int, block: int, count: int) -> np.ndarray:
+    """One row of gains per phase-error model, all from one channel draw."""
     ch = sample_channel_block(cfg, rngmod.block_generator(seed, rngmod.STREAM_CHANNEL, block), count)
     amp = np.abs(ch.h) * np.abs(ch.g)
-    if cfg.phase_error is None:
-        # optimal phases co-phase every term (per slot for the two-slot scheme)
-        g = np.sum(amp, axis=1) ** 2
-    else:
+    if any(isinstance(m, UniformPhaseError) for m in models):
+        # every uniform width scales the same draw, as sample_phase_errors does
+        u = rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block).uniform(
+            -1.0, 1.0, size=amp.shape)
+    out = np.empty((len(models), count))
+    for row, model in zip(out, models):
+        if model is None:
+            # optimal phases co-phase every term (per slot for the two-slot scheme)
+            row[:] = np.sum(amp, axis=1) ** 2
+            continue
         # adjustment jitter hits the applied phases in either scheme
-        err_rng = rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
-        eps = sample_phase_errors(cfg.phase_error, err_rng, amp.shape)
-        g = np.abs(np.sum(amp * np.exp(1j * eps), axis=1)) ** 2
-    return TrialGains(g, g)
+        if isinstance(model, UniformPhaseError):
+            eps = model.delta * u
+        else:
+            err_rng = rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
+            eps = sample_phase_errors(model, err_rng, amp.shape)
+        row[:] = np.abs(np.sum(amp * np.exp(1j * eps), axis=1)) ** 2
+    return out
 
 
 def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: int,
-                              count: int, optim_kwargs: dict) -> TrialGains:
+                              count: int, optim_kwargs: dict) -> np.ndarray:
+    """The rows (g1, g2) of one block."""
     ch = sample_channel_block(cfg, rngmod.block_generator(seed, rngmod.STREAM_CHANNEL, block), count)
     z1 = ch.h_r * ch.g_t
     z2 = ch.g_r * ch.h_t
     if cfg.scheme is Scheme.TWO:
         # each slot gets its own co-phasing, independent of the policy
-        return TrialGains(np.sum(np.abs(z1), axis=1) ** 2,
-                          np.sum(np.abs(z2), axis=1) ** 2)
+        return np.array([np.sum(np.abs(z1), axis=1) ** 2,
+                         np.sum(np.abs(z2), axis=1) ** 2])
     if policy == "u1":
-        return TrialGains(np.sum(np.abs(z1), axis=1) ** 2,
-                          np.abs(np.sum(z2 * np.exp(-1j * np.angle(z1)), axis=1)) ** 2)
+        return np.array([np.sum(np.abs(z1), axis=1) ** 2,
+                         np.abs(np.sum(z2 * np.exp(-1j * np.angle(z1)), axis=1)) ** 2])
     if policy == "random":
         brng = rngmod.block_generator(seed, rngmod.STREAM_BASELINE, block)
         phases = brng.uniform(0.0, 2.0 * math.pi, size=z1.shape)
         rot = np.exp(1j * phases)
-        return TrialGains(np.abs(np.sum(z1 * rot, axis=1)) ** 2,
-                          np.abs(np.sum(z2 * rot, axis=1)) ** 2)
+        return np.array([np.abs(np.sum(z1 * rot, axis=1)) ** 2,
+                         np.abs(np.sum(z2 * rot, axis=1)) ** 2])
     if policy in ("greedy", "sdp"):
         # per-trial max-min optimization at unit rho; valid for power sweeps
         # because scaling (rho1, rho2) together does not move the argmax
         budget_unit = _unit_ratio_budget(cfg)
         method = OptimMethod.GREEDY_ITERATIVE if policy == "greedy" else OptimMethod.SDP_RELAX
-        g1 = np.empty(count)
-        g2 = np.empty(count)
+        g = np.empty((2, count))
         for i in range(count):
             trial_index = block * rngmod.BLOCK_SIZE + i
             trial = NonReciprocalChannel(ch.h_t[i], ch.h_r[i], ch.g_t[i], ch.g_r[i])
@@ -94,9 +109,9 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: 
             res = solve_maxmin(trial, budget_unit, method=method, rng=trial_rng,
                                **optim_kwargs)
             rot = np.exp(1j * res.phases)
-            g1[i] = np.abs(np.sum(z1[i] * rot)) ** 2
-            g2[i] = np.abs(np.sum(z2[i] * rot)) ** 2
-        return TrialGains(g1, g2)
+            g[0, i] = np.abs(np.sum(z1[i] * rot)) ** 2
+            g[1, i] = np.abs(np.sum(z2[i] * rot)) ** 2
+        return g
     raise ValueError(f"unknown phase policy {policy!r}")
 
 
@@ -110,17 +125,42 @@ def _unit_ratio_budget(cfg: SystemConfig) -> SinrBudget:
 
 
 def _gain_block_task(args):
-    cfg, policy, seed, block, count, optim_kwargs = args
+    cfg, variants, policy, seed, block, count, optim_kwargs = args
     if cfg.reciprocity is Reciprocity.RECIPROCAL:
-        return _reciprocal_gain_block(cfg, seed, block, count)
+        return _reciprocal_gain_block(cfg, variants, seed, block, count)
     return _nonreciprocal_gain_block(cfg, policy, seed, block, count, optim_kwargs)
 
 
-def collect_gains(cfg: SystemConfig, policy: str, trials: int, seed: int,
-                  workers: int = 1, optim_kwargs: dict | None = None) -> TrialGains:
-    """Per-trial gains for `trials` trials, identical for any worker count."""
+def draw_key(cfg: SystemConfig, policy: str, trials: int) -> tuple:
+    """What a collection's gains depend on, besides the seed and the phase-error
+    model: configs with equal keys can be collected together.
+
+    A reciprocal gain reads only L, sigma2, the phase-error model, the trials
+    and the seed; scheme, nu, omega, gamma_th, noise and power do not enter it.
+    A non-reciprocal gain may read every field (the max-min policies keep the
+    rho1:rho2 ratio), so only identical configs share a key.
+    """
+    if cfg.reciprocity is Reciprocity.RECIPROCAL:
+        return (cfg.reciprocity, cfg.L, cfg.sigma2, policy, trials)
+    return (cfg, policy, trials)
+
+
+def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
+                  workers: int = 1, optim_kwargs: dict | None = None) -> list[TrialGains]:
+    """Per-trial gains of each config in `cfgs`, identical for any worker count.
+
+    The configs must share one `draw_key`.  Each block's channel is drawn once
+    for the whole group, so every config gets exactly the gains it would get
+    on its own.
+    """
+    if not cfgs:
+        raise ValueError("need at least one config")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    cfg = cfgs[0]
+    if any(draw_key(c, policy, trials) != draw_key(cfg, policy, trials) for c in cfgs):
+        raise ValueError("the configs of one collection must share a draw key")
+    # equal keys mean one reciprocity, and identical non-reciprocal configs
     if policy not in PHASE_POLICIES:
         raise ValueError(f"unknown phase policy {policy!r}")
     if cfg.reciprocity is Reciprocity.RECIPROCAL and policy != "optimal":
@@ -130,16 +170,31 @@ def collect_gains(cfg: SystemConfig, policy: str, trials: int, seed: int,
             raise ValueError("non-reciprocal channels need a max-min or baseline policy")
         if cfg.phase_error is not None:
             raise ValueError("the phase-error model applies to reciprocal channels")
-    tasks = [(cfg, policy, seed, block, count, optim_kwargs or {})
+    reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
+    # a reciprocal block has one gain row per distinct phase-error model,
+    # a non-reciprocal one the rows g1 and g2
+    variants = tuple(dict.fromkeys(c.phase_error for c in cfgs))
+    tasks = [(cfg, variants, policy, seed, block, count, optim_kwargs or {})
              for block, count in rngmod.iter_blocks(trials)]
+    rows = np.empty((len(variants) if reciprocal else 2, trials))
     if workers <= 1 or len(tasks) == 1:
-        parts = [_gain_block_task(t) for t in tasks]
+        _fill_blocks(rows, map(_gain_block_task, tasks))
     else:
         # the fork context starts every worker up front, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            parts = list(pool.map(_gain_block_task, tasks, chunksize=1))
-    return TrialGains(np.concatenate([p.g1 for p in parts]),
-                      np.concatenate([p.g2 for p in parts]))
+            _fill_blocks(rows, pool.map(_gain_block_task, tasks, chunksize=1))
+    if not reciprocal:
+        return [TrialGains(rows[0], rows[1]) for _ in cfgs]
+    by_model = dict(zip(variants, rows))
+    return [TrialGains(by_model[c.phase_error], by_model[c.phase_error]) for c in cfgs]
+
+
+def _fill_blocks(rows: np.ndarray, parts) -> None:
+    """Write each block's (rows, count) gains, taken in block order, into `rows`."""
+    lo = 0
+    for part in parts:
+        rows[:, lo:lo + part.shape[1]] = part
+        lo += part.shape[1]
 
 
 def _per_trial_sinr(cfg: SystemConfig, gains: TrialGains, user) -> np.ndarray:
@@ -176,14 +231,14 @@ def se_from_gains(cfg: SystemConfig, gains: TrialGains, seed: int,
 def estimate_outage(cfg: SystemConfig, policy: str = "optimal", trials: int = 10**6,
                     seed: int = 0, user=1, workers: int = 1,
                     optim_kwargs: dict | None = None) -> McEstimate:
-    gains = collect_gains(cfg, policy, trials, seed, workers, optim_kwargs)
+    [gains] = collect_gains([cfg], policy, trials, seed, workers, optim_kwargs)
     return outage_from_gains(cfg, gains, seed, user)
 
 
 def estimate_se(cfg: SystemConfig, policy: str = "optimal", trials: int = 10**3,
                 seed: int = 0, user=1, workers: int = 1,
                 optim_kwargs: dict | None = None) -> McEstimate:
-    gains = collect_gains(cfg, policy, trials, seed, workers, optim_kwargs)
+    [gains] = collect_gains([cfg], policy, trials, seed, workers, optim_kwargs)
     return se_from_gains(cfg, gains, seed, user)
 
 
@@ -191,7 +246,7 @@ def outage_curve(cfg: SystemConfig, p_dbm_grid, policy: str = "optimal",
                  trials: int = 10**6, seed: int = 0, user=1, workers: int = 1,
                  optim_kwargs: dict | None = None) -> list[McEstimate]:
     """Outage across a power sweep with common random numbers."""
-    gains = collect_gains(cfg, policy, trials, seed, workers, optim_kwargs)
+    [gains] = collect_gains([cfg], policy, trials, seed, workers, optim_kwargs)
     return [outage_from_gains(cfg.with_power(10.0 ** (p / 10.0)), gains, seed, user)
             for p in p_dbm_grid]
 
@@ -200,7 +255,7 @@ def se_curve(cfg: SystemConfig, p_dbm_grid, policy: str = "optimal",
              trials: int = 10**3, seed: int = 0, user=1, workers: int = 1,
              optim_kwargs: dict | None = None) -> list[McEstimate]:
     """Spectral efficiency across a power sweep with common random numbers."""
-    gains = collect_gains(cfg, policy, trials, seed, workers, optim_kwargs)
+    [gains] = collect_gains([cfg], policy, trials, seed, workers, optim_kwargs)
     return [se_from_gains(cfg.with_power(10.0 ** (p / 10.0)), gains, seed, user)
             for p in p_dbm_grid]
 
@@ -210,7 +265,7 @@ def find_crossover(cfg: SystemConfig, p_dbm_grid, policy: str = "optimal",
                    tol_db: float = 0.01, optim_kwargs: dict | None = None) -> float:
     """Power (dBm) where the one-slot scheme's spectral efficiency overtakes the
     two-slot scheme's, refined by bisection under common random numbers."""
-    gains = collect_gains(cfg, policy, trials, seed, workers, optim_kwargs)
+    [gains] = collect_gains([cfg], policy, trials, seed, workers, optim_kwargs)
     grid = np.asarray(list(p_dbm_grid), dtype=float)
     if grid.size < 2:
         raise ValueError("need at least two grid points")

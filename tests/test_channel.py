@@ -40,6 +40,18 @@ def test_config_validation():
         VonMisesPhaseError(0.0, 0.0)
 
 
+@pytest.mark.parametrize("mu, kappa, reason", [
+    (math.nan, 1.0, "mu must be finite, got nan"),
+    (math.inf, 1.0, "mu must be finite, got inf"),
+    (-math.inf, 1.0, "mu must be finite, got -inf"),
+    (0.0, math.nan, "kappa must be > 0, got nan"),
+])
+def test_von_mises_rejects_non_finite_parameters(mu, kappa, reason):
+    # a NaN location or concentration used to draw NaN phases without an error
+    with pytest.raises(ValueError, match=reason):
+        VonMisesPhaseError(mu, kappa)
+
+
 def test_sinr_budget_scheme_one_values():
     cfg = cfg_rec(p1_mw=1.0, p2_mw=1.0, omega=1e-4, nu=0.0, noise_mw=1e-7)
     b = sinr_budget(cfg)
@@ -174,9 +186,9 @@ def test_scheme_two_snr_always_beats_scheme_one():
 def test_phase_error_single_element_invariant():
     # one element: the jitter rotates the only term, so every gain is unchanged
     cfg = cfg_rec(L=1)
-    free = collect_gains(cfg, "optimal", 5000, seed=10)
+    [free] = collect_gains([cfg], "optimal", 5000, seed=10)
     for model in (UniformPhaseError(2.2), VonMisesPhaseError(0.3, 1.0)):
-        jittered = collect_gains(cfg_rec(L=1, phase_error=model), "optimal", 5000, seed=10)
+        [jittered] = collect_gains([cfg_rec(L=1, phase_error=model)], "optimal", 5000, seed=10)
         np.testing.assert_allclose(jittered.g1, free.g1, rtol=1e-12)
         np.testing.assert_allclose(jittered.g2, free.g2, rtol=1e-12)
 

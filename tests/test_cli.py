@@ -180,6 +180,24 @@ def test_bad_user_or_l_list_exit_code(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["outage", "--phase-error", "vonmises:nan,1", "--L", "4", "--methods", "mc"],
+     "'vonmises:nan,1': mu must be finite, got nan"),
+    (["se", "--phase-error", "vonmises:0,nan", "--L", "4", "--methods", "mc"],
+     "'vonmises:0,nan': kappa must be > 0, got nan"),
+    (["outage", "--p-dbm", "0:inf:1", "--methods", "exact"],
+     "bad sweep '0:inf:1': START, STOP and STEP must be finite"),
+    (["outage", "--p-dbm", "nan:1:1", "--methods", "exact"],
+     "bad sweep 'nan:1:1': START, STOP and STEP must be finite"),
+])
+def test_non_finite_jitter_or_sweep_exit_code(tmp_path, capsys, argv, reason):
+    out = tmp_path / "x.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and reason in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, reason", [
     (["--trials", "0"], "trials must be >= 1"),
     (["--trials", "-3"], "trials must be >= 1"),
@@ -257,6 +275,32 @@ def test_reproduce_preset_writes_csvs(tmp_path, preset):
         assert header == expected_header
         assert len(rows) == n_rows
         assert all(len(row) == len(header) for row in rows)
+
+
+def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):
+    """fig6's jitter widths and fig5's schemes share one channel draw per L."""
+    group_sizes = []
+    collect = cli.mc.collect_gains
+
+    def spy(cfgs, *args, **kwargs):
+        group_sizes.append(len(cfgs))
+        return collect(cfgs, *args, **kwargs)
+
+    monkeypatch.setattr(cli.mc, "collect_gains", spy)
+    # 5000 outage trials are two blocks, so three workers start a pool
+    flags = ["--trials-outage", "5000", "--trials-se", "20", "--seed", "3"]
+    for workers in ("1", "3"):
+        assert run_cli(["reproduce", "fig6", "--workers", workers, *flags,
+                        "--out", str(tmp_path / f"w{workers}.csv")]) == 0
+    # one call per L and panel, each for the four widths
+    assert group_sizes == [4] * 8
+    for panel in ("outage", "se"):
+        assert ((tmp_path / f"w1_{panel}.csv").read_bytes()
+                == (tmp_path / f"w3_{panel}.csv").read_bytes())
+    group_sizes.clear()
+    assert run_cli(["reproduce", "fig5", *flags, "--out", str(tmp_path / "f5.csv")]) == 0
+    # both schemes of an L share a call; the nu=1 panel has one scheme at L=16, 64
+    assert group_sizes == [2, 2, 2, 2, 1, 1]
 
 
 def test_svg_skipped_when_nothing_plottable(tmp_path):

@@ -1,6 +1,7 @@
 """Monte Carlo estimators: accuracy against the closed forms, bit-for-bit
 reproducibility across worker counts, and variance-reduced comparisons."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from ris2way import analytic as an
 from ris2way import mc
 from ris2way import rng as rngmod
 from ris2way.channel import (Reciprocity, Scheme, SystemConfig,
-                             UniformPhaseError, sinr_budget)
+                             UniformPhaseError, VonMisesPhaseError,
+                             sample_channel_block, sample_phase_errors,
+                             sinr_budget)
 from ris2way.mc import (NoCrossoverError, collect_gains, estimate_outage,
                         estimate_se, find_crossover, outage_curve)
 
@@ -90,18 +93,77 @@ def test_worker_pool_capped_at_block_count(monkeypatch):
     monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
     cfg = cfg_rec(L=2)
     trials = rngmod.BLOCK_SIZE + 10  # two blocks
-    serial = collect_gains(cfg, "optimal", trials, seed=3)
+    [serial] = collect_gains([cfg], "optimal", trials, seed=3)
     for workers in (2, 64):
-        gains = collect_gains(cfg, "optimal", trials, seed=3, workers=workers)
+        [gains] = collect_gains([cfg], "optimal", trials, seed=3, workers=workers)
         assert np.array_equal(gains.g1, serial.g1)
         assert np.array_equal(gains.g2, serial.g2)
     assert requested == [2, 2]
 
 
+JITTER_MODELS = (None, UniformPhaseError(math.pi / 8), UniformPhaseError(math.pi),
+                 VonMisesPhaseError(0.0, 2.0))
+
+
+def _one_config_gains(cfg, trials, seed):
+    """Reference: each block's channel and jitter drawn for `cfg` alone."""
+    parts = []
+    for block, count in rngmod.iter_blocks(trials):
+        ch = sample_channel_block(
+            cfg, rngmod.block_generator(seed, rngmod.STREAM_CHANNEL, block), count)
+        amp = np.abs(ch.h) * np.abs(ch.g)
+        eps = sample_phase_errors(
+            cfg.phase_error, rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block),
+            amp.shape)
+        if eps is None:
+            parts.append(np.sum(amp, axis=1) ** 2)
+        else:
+            parts.append(np.abs(np.sum(amp * np.exp(1j * eps), axis=1)) ** 2)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("L", [1, 4, 16])
+def test_grouped_gains_equal_one_config_gains(L):
+    trials = 9_000  # two full blocks and a partial one
+    cfgs = [cfg_rec(L=L, phase_error=m) for m in JITTER_MODELS]
+    # scheme and nu do not enter a reciprocal gain, so these join the group
+    cfgs += [dataclasses.replace(cfgs[1], scheme=Scheme.TWO),
+             dataclasses.replace(cfgs[3], nu=1.0),
+             dataclasses.replace(cfgs[0], scheme=Scheme.TWO, nu=0.5)]
+    alone = [collect_gains([c], "optimal", trials, seed=21)[0] for c in cfgs]
+    for cfg, gains in zip(cfgs, alone):
+        assert np.array_equal(gains.g1, _one_config_gains(cfg, trials, 21))
+        assert np.array_equal(gains.g2, gains.g1)
+    for workers in (1, 3):
+        grouped = collect_gains(cfgs, "optimal", trials, seed=21, workers=workers)
+        assert len(grouped) == len(cfgs)
+        for gains, ref in zip(grouped, alone):
+            assert np.array_equal(gains.g1, ref.g1)
+            assert np.array_equal(gains.g2, ref.g2)
+    for extra, base in ((4, 1), (5, 3), (6, 0)):
+        assert np.array_equal(alone[extra].g1, alone[base].g1)
+
+
+def test_group_must_share_a_draw_key():
+    with pytest.raises(ValueError, match="draw key"):
+        collect_gains([cfg_rec(L=2), cfg_rec(L=3)], "optimal", 10, seed=0)
+    with pytest.raises(ValueError, match="draw key"):
+        collect_gains([cfg_rec(L=2), cfg_rec(L=2, sigma2=2.0)], "optimal", 10, seed=0)
+    non = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL)
+    with pytest.raises(ValueError, match="draw key"):
+        collect_gains([non, dataclasses.replace(non, nu=1.0)], "greedy", 10, seed=0)
+    with pytest.raises(ValueError):
+        collect_gains([], "optimal", 10, seed=0)
+    # identical non-reciprocal configs share a key and get the same gains
+    a, b = collect_gains([non, non], "u1", 10, seed=0)
+    [ref] = collect_gains([non], "u1", 10, seed=0)
+    assert np.array_equal(a.g1, ref.g1) and np.array_equal(b.g2, ref.g2)
+
+
 def test_gains_prefix_property():
     cfg = cfg_rec(L=2)
-    small = collect_gains(cfg, "optimal", 3_000, seed=7)
-    big = collect_gains(cfg, "optimal", 9_000, seed=7)
+    [small] = collect_gains([cfg], "optimal", 3_000, seed=7)
+    [big] = collect_gains([cfg], "optimal", 9_000, seed=7)
     assert np.array_equal(small.g1, big.g1[:3_000])
 
 
@@ -132,9 +194,9 @@ def test_outage_with_phase_error_matches_scrambled_law():
 
 def test_nonreciprocal_policies_ordering():
     cfg = cfg_rec(L=4, reciprocity=Reciprocity.NON_RECIPROCAL).with_power(1.0)
-    gains_u1 = collect_gains(cfg, "u1", 300, seed=11)
-    gains_rand = collect_gains(cfg, "random", 300, seed=11)
-    gains_greedy = collect_gains(cfg, "greedy", 300, seed=11)
+    [gains_u1] = collect_gains([cfg], "u1", 300, seed=11)
+    [gains_rand] = collect_gains([cfg], "random", 300, seed=11)
+    [gains_greedy] = collect_gains([cfg], "greedy", 300, seed=11)
     # co-phasing for user 1 dominates every other policy's user-1 gain
     assert np.all(gains_u1.g1 >= gains_greedy.g1 * (1 - 1e-9))
     assert np.all(gains_u1.g1 >= gains_rand.g1 * (1 - 1e-9))
@@ -145,15 +207,15 @@ def test_nonreciprocal_policies_ordering():
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        collect_gains(cfg_rec(L=2), "greedy", 10, seed=0)
+        collect_gains([cfg_rec(L=2)], "greedy", 10, seed=0)
     with pytest.raises(ValueError):
-        collect_gains(cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL),
+        collect_gains([cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL)],
                       "optimal", 10, seed=0)
     with pytest.raises(ValueError):
-        collect_gains(cfg_rec(L=2), "bogus", 10, seed=0)
+        collect_gains([cfg_rec(L=2)], "bogus", 10, seed=0)
     with pytest.raises(ValueError):
-        collect_gains(cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL,
-                              phase_error=UniformPhaseError(0.5)),
+        collect_gains([cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL,
+                               phase_error=UniformPhaseError(0.5))],
                       "greedy", 10, seed=0)
 
 
@@ -161,8 +223,8 @@ def test_phase_error_applies_to_both_schemes():
     import dataclasses
     cfg1 = cfg_rec(L=4, phase_error=UniformPhaseError(math.pi / 2)).with_power(1.0)
     cfg2 = dataclasses.replace(cfg1, scheme=Scheme.TWO)
-    g1 = collect_gains(cfg1, "optimal", 2_000, seed=15)
-    g2 = collect_gains(cfg2, "optimal", 2_000, seed=15)
+    [g1] = collect_gains([cfg1], "optimal", 2_000, seed=15)
+    [g2] = collect_gains([cfg2], "optimal", 2_000, seed=15)
     assert np.array_equal(g1.g1, g2.g1)  # same jittered gains, only rho differs
 
 

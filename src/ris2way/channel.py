@@ -73,18 +73,17 @@ class SystemConfig:
     phase_error: Optional[PhaseErrorModel] = None
 
     def __post_init__(self):
+        # every message starts with the field's name; the checks are written
+        # so that NaN fails them
         if self.L < 1:
             raise ValueError("L must be >= 1")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be > 0")
-        if self.p1_mw < 0 or self.p2_mw < 0 or self.noise_mw < 0:
-            raise ValueError("powers must be >= 0")
-        if self.omega < 0:
-            raise ValueError("omega must be >= 0")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
+        for name in ("p1_mw", "p2_mw", "noise_mw", "omega", "gamma_th"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0 <= self.nu <= 1:
-            raise ValueError("nu must lie in [0, 1]")
-        if self.gamma_th < 0:
-            raise ValueError("gamma_th must be >= 0")
+            raise ValueError(f"nu must lie in [0, 1], got {self.nu}")
 
     def with_power(self, p_mw: float) -> "SystemConfig":
         """Both users at the same transmit power (the usual sweep variable)."""

@@ -265,18 +265,30 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args([command] + _merge_negative_values(rest))
 
 
+# the flag that sets each SystemConfig field, to name it in error messages
+_CONFIG_FLAGS = {"L": "--L", "sigma2": "--sigma2", "noise_mw": "--noise-dbm",
+                 "omega": "--omega", "nu": "--nu", "gamma_th": "--gamma-th-db"}
+
+
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    cfg = SystemConfig(
-        L=args.elements,
-        sigma2=args.sigma2,
-        noise_mw=db_to_linear(args.noise_dbm),
-        omega=args.omega,
-        nu=args.nu,
-        scheme=Scheme(args.scheme),
-        reciprocity=Reciprocity(args.reciprocity),
-        gamma_th=db_to_linear(args.gamma_th_db),
-        phase_error=parse_phase_error(args.phase_error),
-    )
+    phase_error = parse_phase_error(args.phase_error)
+    try:
+        cfg = SystemConfig(
+            L=args.elements,
+            sigma2=args.sigma2,
+            noise_mw=db_to_linear(args.noise_dbm),
+            omega=args.omega,
+            nu=args.nu,
+            scheme=Scheme(args.scheme),
+            reciprocity=Reciprocity(args.reciprocity),
+            gamma_th=db_to_linear(args.gamma_th_db),
+            phase_error=phase_error,
+        )
+    except ValueError as exc:  # SystemConfig messages start with the field name
+        field = str(exc).split(" ", 1)[0]
+        if field not in _CONFIG_FLAGS:
+            raise
+        raise SpecError(f"{_CONFIG_FLAGS[field]}: {exc}") from None
     given = vars(args)
     # flags whose parsed value is the spec field of the same name
     plain = {f.name for f in dataclasses.fields(ExperimentSpec)} - {

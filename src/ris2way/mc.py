@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .channel import (NonReciprocalChannel, PhaseErrorModel, Reciprocity, Scheme,
-                      SinrBudget, SystemConfig, UniformPhaseError,
-                      sample_channel_block, sample_phase_errors, sinr_budget)
-from .optim import OptimMethod, solve_maxmin
+from .channel import (PhaseErrorModel, Reciprocity, Scheme, SinrBudget,
+                      SystemConfig, UniformPhaseError, sample_channel_block,
+                      sample_phase_errors, sinr_budget)
+from .optim import OptimMethod, SolverFailureError, _scalar_square, maxmin_block
 
 
 class NoCrossoverError(RuntimeError):
@@ -97,21 +97,23 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: 
         return np.array([np.abs(np.sum(z1 * rot, axis=1)) ** 2,
                          np.abs(np.sum(z2 * rot, axis=1)) ** 2])
     if policy in ("greedy", "sdp"):
-        # per-trial max-min optimization at unit rho; valid for power sweeps
-        # because scaling (rho1, rho2) together does not move the argmax
-        budget_unit = _unit_ratio_budget(cfg)
+        # max-min optimization of every trial at unit rho; valid for power
+        # sweeps because scaling (rho1, rho2) together does not move the argmax
+        first = block * rngmod.BLOCK_SIZE
+        rngs = None
+        if policy == "sdp":
+            rngs = [rngmod.trial_generator(seed, rngmod.STREAM_OPTIM, first + i)
+                    for i in range(count)]
         method = OptimMethod.GREEDY_ITERATIVE if policy == "greedy" else OptimMethod.SDP_RELAX
-        g = np.empty((2, count))
-        for i in range(count):
-            trial_index = block * rngmod.BLOCK_SIZE + i
-            trial = NonReciprocalChannel(ch.h_t[i], ch.h_r[i], ch.g_t[i], ch.g_r[i])
-            trial_rng = rngmod.trial_generator(seed, rngmod.STREAM_OPTIM, trial_index)
-            res = solve_maxmin(trial, budget_unit, method=method, rng=trial_rng,
-                               **optim_kwargs)
-            rot = np.exp(1j * res.phases)
-            g[0, i] = np.abs(np.sum(z1[i] * rot)) ** 2
-            g[1, i] = np.abs(np.sum(z2[i] * rot)) ** 2
-        return g
+        try:
+            phases = maxmin_block(z1, z2, _unit_ratio_budget(cfg), method, rngs,
+                                  **optim_kwargs)
+        except SolverFailureError as exc:
+            raise SolverFailureError(f"trial {first + exc.instance}: {exc}") from exc
+        rot = np.exp(1j * phases)
+        # squared as a numpy scalar squares: a trial's gains are the same bits
+        # as |sum(z * rot)| ** 2 evaluated for that trial alone
+        return np.array([_scalar_square(np.abs(np.sum(z * rot, axis=1))) for z in (z1, z2)])
     raise ValueError(f"unknown phase policy {policy!r}")
 
 

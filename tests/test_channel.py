@@ -40,6 +40,22 @@ def test_config_validation():
         VonMisesPhaseError(0.0, 0.0)
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("sigma2", math.nan, "sigma2 must be finite and > 0, got nan"),
+    ("sigma2", math.inf, "sigma2 must be finite and > 0, got inf"),
+    ("p1_mw", math.nan, "p1_mw must be >= 0, got nan"),
+    ("p2_mw", math.nan, "p2_mw must be >= 0, got nan"),
+    ("noise_mw", math.nan, "noise_mw must be >= 0, got nan"),
+    ("omega", math.nan, "omega must be >= 0, got nan"),
+    ("gamma_th", math.nan, "gamma_th must be >= 0, got nan"),
+    ("nu", math.nan, r"nu must lie in \[0, 1\], got nan"),
+])
+def test_config_rejects_non_finite_parameters(field, value, reason):
+    # each check used to be a comparison that NaN fails silently
+    with pytest.raises(ValueError, match=reason):
+        cfg_rec(**{field: value})
+
+
 @pytest.mark.parametrize("mu, kappa, reason", [
     (math.nan, 1.0, "mu must be finite, got nan"),
     (math.inf, 1.0, "mu must be finite, got inf"),

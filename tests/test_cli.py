@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from ris2way import cli
+from ris2way import cli, optim
 from ris2way.cli import (main, parse_args, parse_phase_error, parse_sweep,
                          spec_from_args)
 from ris2way.channel import UniformPhaseError, VonMisesPhaseError
@@ -198,6 +198,21 @@ def test_non_finite_jitter_or_sweep_exit_code(tmp_path, capsys, argv, reason):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--sigma2", "nan"), ("--noise-dbm", "nan"), ("--gamma-th-db", "nan"), ("--omega", "nan"),
+    ("--sigma2", "inf"),
+])
+def test_non_finite_config_flag_exit_code(tmp_path, capsys, flag, value):
+    # each used to exit 0 with outage 0.0 at every power
+    out = tmp_path / "x.csv"
+    argv = ["outage", "--L", "2", "--methods", "mc", "--p-dbm", "0:4:2", "--trials", "2000",
+            flag, value, "--out", str(out)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and f"{flag}: " in err and f"got {value}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, reason", [
     (["--trials", "0"], "trials must be >= 1"),
     (["--trials", "-3"], "trials must be >= 1"),
@@ -212,6 +227,19 @@ def test_bad_optimize_input_exit_code(tmp_path, capsys, flags, reason):
     assert run_cli(argv + flags + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "invalid spec" in err and reason in err
+    assert not out.exists()
+
+
+def test_solver_failure_exit_code_names_the_trial(tmp_path, capsys, monkeypatch):
+    def fail(z1, z2, budget, method, rngs=None, **kwargs):
+        raise optim.SolverFailureError("interior point stalled", 2)
+
+    monkeypatch.setattr(cli.mc, "maxmin_block", fail)
+    out = tmp_path / "x.csv"
+    argv = ["se", "--L", "2", "--reciprocity", "non-reciprocal", "--policy", "sdp",
+            "--methods", "mc", "--p-dbm", "0:0:1", "--trials", "5", "--out", str(out)]
+    assert run_cli(argv) == 3
+    assert "solver failure: trial 2: interior point stalled" in capsys.readouterr().err
     assert not out.exists()
 
 

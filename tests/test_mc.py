@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from ris2way import analytic as an
-from ris2way import mc
+from ris2way import mc, optim
 from ris2way import rng as rngmod
-from ris2way.channel import (Reciprocity, Scheme, SystemConfig,
-                             UniformPhaseError, VonMisesPhaseError,
+from ris2way.channel import (NonReciprocalChannel, Reciprocity, Scheme,
+                             SystemConfig, UniformPhaseError, VonMisesPhaseError,
                              sample_channel_block, sample_phase_errors,
                              sinr_budget)
 from ris2way.mc import (NoCrossoverError, collect_gains, estimate_outage,
@@ -240,3 +240,52 @@ def test_crossover_absent_raises():
     # interference-limited: the one-slot scheme never overtakes at high power
     with pytest.raises(NoCrossoverError):
         find_crossover(cfg, np.arange(30.0, 60.0, 5.0), trials=2_000, seed=13)
+
+
+@pytest.mark.parametrize("policy, L", [("greedy", 3), ("sdp", 2)])
+def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
+    """A trial's gains are the same bits whether its block holds 1, 37 or 4096
+    trials, for any worker count and sub-batch size, and equal the gains of
+    its instance solved alone."""
+    cfg = cfg_rec(L=L, reciprocity=Reciprocity.NON_RECIPROCAL)
+    trials = rngmod.BLOCK_SIZE + 37
+    [full] = collect_gains([cfg], policy, trials, seed=31)
+    [pooled] = collect_gains([cfg], policy, trials, seed=31, workers=3)
+    assert np.array_equal(pooled.g1, full.g1) and np.array_equal(pooled.g2, full.g2)
+    for few in (1, 37):
+        [part] = collect_gains([cfg], policy, few, seed=31)
+        assert np.array_equal(part.g1, full.g1[:few])
+        assert np.array_equal(part.g2, full.g2[:few])
+    method = optim.OptimMethod(policy)
+    ch = sample_channel_block(cfg, rngmod.block_generator(31, rngmod.STREAM_CHANNEL, 0),
+                              rngmod.BLOCK_SIZE)
+    rngs = [rngmod.trial_generator(31, rngmod.STREAM_OPTIM, i) for i in range(len(ch.h_t))]
+    z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
+    phases = optim.maxmin_block(z1, z2, mc._unit_ratio_budget(cfg), method, rngs)
+    rot = np.exp(1j * phases)
+    for i in range(len(rot)):
+        # each gain as one trial's numpy-scalar expression gives it
+        assert full.g1[i] == np.abs(np.sum(z1[i] * rot[i])) ** 2
+        assert full.g2[i] == np.abs(np.sum(z2[i] * rot[i])) ** 2
+    for i in range(37):
+        trial = NonReciprocalChannel(ch.h_t[i], ch.h_r[i], ch.g_t[i], ch.g_r[i])
+        res = optim.solve_maxmin(trial, mc._unit_ratio_budget(cfg), method,
+                                 rng=rngmod.trial_generator(31, rngmod.STREAM_OPTIM, i))
+        assert np.array_equal(res.phases, phases[i])
+    monkeypatch.setattr(optim, "_STACK_ELEMENTS", 1)  # one row per sub-batch
+    [single_rows] = collect_gains([cfg], policy, 37, seed=31)
+    assert np.array_equal(single_rows.g1, full.g1[:37])
+    assert np.array_equal(single_rows.g2, full.g2[:37])
+
+
+def test_solver_failure_names_the_trial(monkeypatch):
+    def fail_in_second_block(z1, z2, budget, method, rngs=None, **kwargs):
+        if len(z1) == 10:
+            raise optim.SolverFailureError("line search failed", 4)
+        return np.zeros(z1.shape)
+
+    monkeypatch.setattr(mc, "maxmin_block", fail_in_second_block)
+    cfg = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL)
+    with pytest.raises(optim.SolverFailureError,
+                       match=f"trial {rngmod.BLOCK_SIZE + 4}: line search failed"):
+        collect_gains([cfg], "sdp", rngmod.BLOCK_SIZE + 10, seed=0)

@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from ris2way import optim
 from ris2way.channel import (NonReciprocalChannel, Reciprocity, SinrBudget,
-                             SystemConfig, sample_channels, sinr_nonreciprocal,
-                             sinr_reciprocal)
-from ris2way.optim import (OptimMethod, _newton_step, baseline_phases,
-                           build_quadratic_forms, gaussian_randomization,
-                           greedy_iterative, lifted_to_phases,
+                             SystemConfig, sample_channel_block, sample_channels,
+                             sinr_nonreciprocal, sinr_reciprocal, wrap_phases)
+from ris2way.optim import (OptimMethod, _greedy_block, _newton_step, _sdp_joint,
+                           baseline_phases, build_quadratic_forms,
+                           gaussian_randomization, greedy_iterative,
+                           lifted_to_phases, maxmin_block,
                            optimal_phase_reciprocal, phases_to_lifted,
                            sdp_maxmin, solve_maxmin)
 
@@ -159,7 +161,10 @@ def test_newton_step_satisfies_kkt_conditions(L):
     gains = np.array([np.sum(f[0] * a), np.sum(f[1] * a)])
     g = gains - (gains.min() - 0.3 * gains.min())
     grad_t = -10.0 + float(np.sum(1.0 / g))
-    da, dtheta = _newton_step(a, f, g, grad_t)
+    chol = np.linalg.cholesky(a)
+    step = _newton_step(a[None], chol[None], np.stack(f)[None], gains[None], g[None],
+                        np.array([grad_t]))
+    da, dtheta, y, decrement = (v[0] for v in step)
 
     ainv = np.linalg.inv(a)
     grad_a = -ainv - f[0] / g[0] - f[1] / g[1]
@@ -172,6 +177,29 @@ def test_newton_step_satisfies_kkt_conditions(L):
     assert np.abs(resid - np.diag(resid.diagonal())).max() <= 1e-9 * size
     assert np.allclose(resid.diagonal()[0::2], resid.diagonal()[1::2], rtol=0.0,
                        atol=1e-9 * size)
+    # Y is the whitened step, and far from the boundary the sum-of-squares
+    # decrement equals the gradient form through A^{-1} to roundoff
+    r_inv = np.linalg.inv(chol)
+    assert np.allclose(y, r_inv @ da @ r_inv.T, rtol=0.0, atol=1e-12 * np.abs(y).max())
+    assert decrement >= 0.0
+    assert decrement == pytest.approx(-(np.sum(grad_a * da) + grad_t * dtheta),
+                                      rel=1e-9, abs=0)
+
+
+def test_decrement_nonnegative_at_every_step(monkeypatch):
+    seen = []
+
+    def recording_step(*args):
+        out = _newton_step(*args)
+        seen.append(out[3])
+        return out
+
+    monkeypatch.setattr(optim, "_newton_step", recording_step)
+    forms = [build_quadratic_forms(nonrec(L, 60 + L), SinrBudget(1.3, 0.7)) for L in (1, 6, 6)]
+    optim._sdp_joint(np.stack([np.stack(f) for f in forms[1:]]), 1e-6)
+    sdp_maxmin(forms[0], tol=1e-4, method="bisect")
+    decrements = np.concatenate(seen)
+    assert decrements.size > 100 and np.all(decrements >= 0.0)
 
 
 def test_sdp_at_32_elements_bounds_greedy_and_randomization():
@@ -337,3 +365,109 @@ def test_solve_maxmin_sdp_populates_result():
     assert res.method is OptimMethod.SDP_RELAX
     assert min(res.achieved) <= res.t_star * (1 + 1e-4)
     assert res.feasibility_gap >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# stacked solvers: every row as its instance alone
+# ---------------------------------------------------------------------------
+
+def scalar_greedy(z1, z2, budget, k=360, improvement_threshold=1e-6, max_sweeps=200):
+    """Reference: the coordinate search on one instance in numpy/Python scalar
+    arithmetic.  Returns the phases and the objective after each sweep."""
+    L = z1.size
+    grid = np.exp(1j * 2.0 * math.pi * np.arange(k) / k)
+    rho = np.array([budget.rho1, budget.rho2])
+    phase_factors = np.ones(L, dtype=complex)
+    s1 = complex(np.sum(z1 * phase_factors))
+    s2 = complex(np.sum(z2 * phase_factors))
+    obj = min(rho[0] * abs(s1) ** 2, rho[1] * abs(s2) ** 2)
+    history = []
+    for _ in range(max_sweeps):
+        previous = obj
+        for l in range(L):
+            b1 = s1 - z1[l] * phase_factors[l]
+            b2 = s2 - z2[l] * phase_factors[l]
+            cand = np.minimum(rho[0] * np.abs(b1 + z1[l] * grid) ** 2,
+                              rho[1] * np.abs(b2 + z2[l] * grid) ** 2)
+            best = int(np.argmax(cand))
+            if cand[best] >= obj:
+                phase_factors[l] = grid[best]
+                s1 = b1 + z1[l] * grid[best]
+                s2 = b2 + z2[l] * grid[best]
+                obj = float(cand[best])
+        history.append(obj)
+        if obj - previous <= improvement_threshold * max(obj, 1e-300):
+            break
+    return wrap_phases(np.angle(phase_factors)), history
+
+
+def nonrec_terms(L, m, seed):
+    """(z1, z2) rows of m non-reciprocal trials, with some terms set to zero:
+    whole rows of z1 or z2, and single elements."""
+    cfg = SystemConfig(L=L, reciprocity=Reciprocity.NON_RECIPROCAL)
+    ch = sample_channel_block(cfg, np.random.default_rng(seed), m)
+    z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
+    z1[:m // 40] = 0.0
+    z2[m // 40:m // 20] = 0.0
+    z1[m // 20:m // 10, 0] = 0.0
+    z2[m // 10:m // 7, -1] = 0.0
+    return z1, z2
+
+
+@pytest.mark.parametrize("L,m", [(1, 3500), (2, 3000), (3, 2200), (8, 700), (16, 400),
+                                 (32, 200)])
+def test_greedy_block_matches_scalar_search(L, m):
+    """10^4 trials in all: phases, sweep counts and sweep objectives equal the
+    scalar search bit for bit, rows with zero terms included."""
+    budget = SinrBudget(1.0, 0.45)
+    z1, z2 = nonrec_terms(L, m, 70 + L)
+    phases, sweeps, history = _greedy_block(z1, z2, budget, 360, 1e-6, 200)
+    block = maxmin_block(z1, z2, budget, OptimMethod.GREEDY_ITERATIVE)  # in sub-batches
+    assert np.array_equal(block, phases)
+    for i in range(m):
+        ref_phases, ref_history = scalar_greedy(z1[i], z2[i], budget)
+        assert np.array_equal(phases[i], ref_phases)
+        assert sweeps[i] == len(ref_history)
+        assert [h[i] for h in history[:sweeps[i]]] == ref_history
+
+
+@pytest.mark.parametrize("method", [OptimMethod.GREEDY_ITERATIVE, OptimMethod.SDP_RELAX])
+def test_block_rows_equal_solve_maxmin(method):
+    budget = SinrBudget(0.8, 1.0)
+    z1, z2 = nonrec_terms(4, 40, 80)
+    if method is OptimMethod.SDP_RELAX:
+        # the relaxation needs both forms nonzero: no all-zero rows
+        z1[:2], z2[:2] = z1[2], z2[2]
+    rngs = [np.random.default_rng(900 + i) for i in range(40)]
+    block = maxmin_block(z1, z2, budget, method, rngs)
+    for i in range(40):
+        ch = NonReciprocalChannel(h_t=z2[i], h_r=z1[i], g_t=np.ones(4, dtype=complex),
+                                  g_r=np.ones(4, dtype=complex))
+        res = solve_maxmin(ch, budget, method, rng=np.random.default_rng(900 + i))
+        assert np.array_equal(block[i], res.phases)
+
+
+@pytest.mark.parametrize("L", [1, 2, 4, 8, 16, 32])
+def test_stacked_joint_path_agrees_with_bisect(L):
+    tol = 1e-3  # keeps the bisection reference affordable
+    forms = [build_quadratic_forms(nonrec(L, 1000 * L + i), SinrBudget(1.3, 0.7))
+             for i in range(20)]
+    stacked = _sdp_joint(np.stack([np.stack(f) for f in forms]), tol)
+    for i, f in enumerate(forms):
+        alone = sdp_maxmin(f, tol=tol, method="joint")
+        assert alone.t_star == stacked.t_star[i]
+        assert np.array_equal(alone.a_star, stacked.a_star[i])
+        assert alone.iterations == stacked.iterations[i]
+        reference = sdp_maxmin(f, tol=tol, method="bisect").t_star
+        assert abs(stacked.t_star[i] - reference) <= tol * reference
+
+
+def test_stacked_failure_names_its_row(monkeypatch):
+    monkeypatch.setattr(optim, "_STACK_ELEMENTS", 2 * 32)  # two rows per sub-batch at L=2
+    z1, z2 = nonrec_terms(2, 40, 81)
+    z1, z2 = z1[-6:], z2[-6:]
+    z1[3] = 0.0  # user 1's form vanishes: no interior start
+    rngs = [np.random.default_rng(i) for i in range(6)]
+    with pytest.raises(optim.SolverFailureError, match="vanishes") as info:
+        maxmin_block(z1, z2, BUDGET, OptimMethod.SDP_RELAX, rngs)
+    assert info.value.instance == 3

@@ -11,10 +11,10 @@ from .channel import (NonReciprocalChannel, Reciprocity, ReciprocalChannel,
                       Scheme, SinrBudget, SystemConfig, UniformPhaseError,
                       VonMisesPhaseError, sample_channels, sinr_budget,
                       sinr_nonreciprocal, sinr_reciprocal)
-from .mc import (McEstimate, NoCrossoverError, estimate_outage, estimate_se,
-                 find_crossover, outage_curve, se_curve)
+from .mc import (McEstimate, NoCrossoverError, collect_gains, find_crossover,
+                 outage_from_gains, se_from_gains)
 from .numerics import (NonConvergenceError, QuadratureSpec, digamma, erf,
-                       integrate_semi_infinite, regularized_gamma_p)
+                       regularized_gamma_p)
 from .optim import (MaxMinResult, OptimMethod, SolverFailureError,
                     baseline_phases, build_quadratic_forms,
                     gaussian_randomization, greedy_iterative,

@@ -26,7 +26,8 @@ from .channel import (Reciprocity, Scheme, SystemConfig, UniformPhaseError,
                       VonMisesPhaseError, sample_channels, sinr_budget)
 from .mc import NoCrossoverError
 from .numerics import NonConvergenceError, regularized_gamma_q
-from .optim import OptimMethod, SolverFailureError, solve_maxmin
+from .optim import (GREEDY_GRID, RANDOMIZATION_K, SDP_TOL, OptimMethod,
+                    SolverFailureError, solve_maxmin)
 from .svgplot import write_line_svg
 
 OUTAGE_METHODS = ("mc", "exact", "gamma", "clt", "asymptotic", "phase-error")
@@ -59,9 +60,9 @@ class ExperimentSpec:
     trials_se: int = 10**3
     trials_opt: int = 50
     policy: Optional[str] = None
-    randomization_k: int = 100
-    greedy_grid: int = 360
-    sdp_tol: float = 1e-4
+    randomization_k: int = RANDOMIZATION_K
+    greedy_grid: int = GREEDY_GRID
+    sdp_tol: float = SDP_TOL
 
 
 def db_to_linear(db: float) -> float:
@@ -187,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--method", "--methods", dest="methods", default="sdp,greedy",
                        help=f"comma list from {','.join(OPT_METHODS)}")
     p_opt.add_argument("--trials", type=int, default=50, help="independent instances")
-    p_opt.add_argument("--randomization-k", type=int, default=100)
-    p_opt.add_argument("--greedy-grid", type=int, default=360)
-    p_opt.add_argument("--sdp-tol", type=float, default=1e-4)
+    p_opt.add_argument("--randomization-k", type=int, default=RANDOMIZATION_K)
+    p_opt.add_argument("--greedy-grid", type=int, default=GREEDY_GRID)
+    p_opt.add_argument("--sdp-tol", type=float, default=SDP_TOL)
 
     p_x = sub.add_parser("crossover", help="power where the one-slot scheme overtakes")
     _add_config_flags(p_x)
@@ -447,9 +448,8 @@ def _sweep_table(spec: ExperimentSpec, metric: str, axis: str, xs: list,
                 group = list(dict.fromkeys(c for k, c in drawn if k == key))
                 gains = None  # drop the previous group before drawing this one
                 gains = dict(zip(group, mc.collect_gains(
-                    group, col.policy, col.trials, spec.seed, spec.workers,
-                    _optim_kwargs(spec))))
-            e = reduce(at, gains[cfg], spec.seed, col.user)
+                    group, col.policy, col.trials, spec.seed, spec.workers)))
+            e = reduce(at, gains[cfg], col.user)
             values.append(fmt(e.value))
             errors.append(fmt_prob(e.std_error))
         header.append(f"{metric}_{col.label}")
@@ -477,11 +477,6 @@ def run_sweep_command(spec: ExperimentSpec, metric: str) -> None:
     _maybe_svg(spec, spec.out, header, rows, metric == "outage", _Y_LABELS[metric])
 
 
-def _optim_kwargs(spec: ExperimentSpec) -> dict:
-    return {"randomization_k": spec.randomization_k, "greedy_grid": spec.greedy_grid,
-            "sdp_tol": spec.sdp_tol}
-
-
 def run_optimize(spec: ExperimentSpec) -> None:
     _validate_methods(spec, OPT_METHODS)
     if spec.cfg.reciprocity is not Reciprocity.NON_RECIPROCAL:
@@ -493,7 +488,6 @@ def run_optimize(spec: ExperimentSpec) -> None:
         raise SpecError("trials must be >= 1")
     cfg = spec.cfg.with_power(db_to_linear(spec.p_dbm[0]))
     budget = sinr_budget(cfg)
-    kwargs = _optim_kwargs(spec)
 
     header = ["trial"]
     if "sdp" in spec.methods:
@@ -510,7 +504,9 @@ def run_optimize(spec: ExperimentSpec) -> None:
             stream = (rngmod.STREAM_BASELINE if m in ("u1", "random")
                       else rngmod.STREAM_OPTIM)
             rng = rngmod.trial_generator(spec.seed, stream, trial)
-            results[m] = solve_maxmin(ch, budget, method=OptimMethod(m), rng=rng, **kwargs)
+            results[m] = solve_maxmin(
+                ch, budget, method=OptimMethod(m), rng=rng, sdp_tol=spec.sdp_tol,
+                randomization_k=spec.randomization_k, greedy_grid=spec.greedy_grid)
         if "sdp" in spec.methods:
             row.append(fmt_val(results["sdp"].t_star))
         for m in spec.methods:
@@ -541,9 +537,8 @@ def run_crossover(spec: ExperimentSpec) -> None:
             if m == "analytic":
                 row.append(_crossover_dbm(cfg))
             else:
-                p_dbm = mc.find_crossover(cfg, spec.p_dbm, policy="optimal",
-                                          trials=spec.trials, seed=spec.seed,
-                                          user=spec.user, workers=spec.workers)
+                p_dbm = mc.find_crossover(cfg, spec.p_dbm, spec.trials, spec.seed,
+                                          spec.user, spec.workers)
                 row.append(f"{p_dbm:.6f}")
         rows.append(row)
     write_csv(spec.out, header, rows)

@@ -1,15 +1,16 @@
-"""Monte Carlo estimators: outage probability, average spectral efficiency,
-scheme comparison, and crossover detection.
+"""Monte Carlo estimators of outage probability and average spectral
+efficiency, and the scheme-crossover search.
 
-Per-trial channel gains are a pure function of (seed, trial index); trials are
-processed in fixed-size blocks whose partial results are merged in block
-order, so estimates are bit-for-bit reproducible for any worker count.  Gains
-do not depend on the transmit power, which gives common random numbers across
-power sweeps for free.  `draw_key` names what else they depend on: on a
-reciprocal channel only L, sigma2, the trial count and the phase-error model,
-so configs that differ in scheme, nu, omega, gamma_th, noise or jitter width
-share one channel draw per block, and `collect_gains` collects such a group in
-one pass over the blocks (common random numbers across schemes, nu and delta).
+`collect_gains` draws each config's per-trial gains; `outage_from_gains` and
+`se_from_gains` reduce them at one power point.  Gains do not depend on the
+transmit power, so a sweep collects once and reduces at every point.  They
+are a pure function of (seed, trial index), drawn in fixed-size blocks merged
+in block order, so they are bit-for-bit reproducible for any worker count.
+`draw_key` names what else they depend on: on a reciprocal channel only L,
+sigma2, the trial count and the phase-error model, so configs differing in
+scheme, nu, omega, gamma_th, noise or jitter width share one channel draw per
+block, and `collect_gains` collects such a group in one pass (common random
+numbers across schemes, nu and delta); max-min policies use `optim`'s defaults.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ class McEstimate:
     value: float
     std_error: float
     trials: int
-    seed: int
-    metric: str  # "outage" or "se"
 
 
 PHASE_POLICIES = ("optimal", "u1", "random", "greedy", "sdp")
+_CROSSOVER_TOL_DB = 0.01
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _reciprocal_gain_block(cfg: SystemConfig, models: tuple[PhaseErrorModel | No
 
 
 def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: int,
-                              count: int, optim_kwargs: dict) -> np.ndarray:
+                              count: int) -> np.ndarray:
     """The rows (g1, g2) of one block."""
     ch = sample_channel_block(cfg, rngmod.block_generator(seed, rngmod.STREAM_CHANNEL, block), count)
     z1 = ch.h_r * ch.g_t
@@ -96,25 +96,22 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: 
         rot = np.exp(1j * phases)
         return np.array([np.abs(np.sum(z1 * rot, axis=1)) ** 2,
                          np.abs(np.sum(z2 * rot, axis=1)) ** 2])
-    if policy in ("greedy", "sdp"):
-        # max-min optimization of every trial at unit rho; valid for power
-        # sweeps because scaling (rho1, rho2) together does not move the argmax
-        first = block * rngmod.BLOCK_SIZE
-        rngs = None
-        if policy == "sdp":
-            rngs = [rngmod.trial_generator(seed, rngmod.STREAM_OPTIM, first + i)
-                    for i in range(count)]
-        method = OptimMethod.GREEDY_ITERATIVE if policy == "greedy" else OptimMethod.SDP_RELAX
-        try:
-            phases = maxmin_block(z1, z2, _unit_ratio_budget(cfg), method, rngs,
-                                  **optim_kwargs)
-        except SolverFailureError as exc:
-            raise SolverFailureError(f"trial {first + exc.instance}: {exc}") from exc
-        rot = np.exp(1j * phases)
-        # squared as a numpy scalar squares: a trial's gains are the same bits
-        # as |sum(z * rot)| ** 2 evaluated for that trial alone
-        return np.array([_scalar_square(np.abs(np.sum(z * rot, axis=1))) for z in (z1, z2)])
-    raise ValueError(f"unknown phase policy {policy!r}")
+    # greedy or sdp: max-min phases of every trial at unit rho, valid at every
+    # power because scaling (rho1, rho2) together does not move the argmax
+    first = block * rngmod.BLOCK_SIZE
+    rngs = None
+    if policy == "sdp":
+        rngs = [rngmod.trial_generator(seed, rngmod.STREAM_OPTIM, first + i)
+                for i in range(count)]
+    method = OptimMethod.GREEDY_ITERATIVE if policy == "greedy" else OptimMethod.SDP_RELAX
+    try:
+        phases = maxmin_block(z1, z2, _unit_ratio_budget(cfg), method, rngs)
+    except SolverFailureError as exc:
+        raise SolverFailureError(f"trial {first + exc.instance}: {exc}") from exc
+    rot = np.exp(1j * phases)
+    # squared as a numpy scalar squares: a trial's gains are the same bits
+    # as |sum(z * rot)| ** 2 evaluated for that trial alone
+    return np.array([_scalar_square(np.abs(np.sum(z * rot, axis=1))) for z in (z1, z2)])
 
 
 def _unit_ratio_budget(cfg: SystemConfig) -> SinrBudget:
@@ -127,10 +124,10 @@ def _unit_ratio_budget(cfg: SystemConfig) -> SinrBudget:
 
 
 def _gain_block_task(args):
-    cfg, variants, policy, seed, block, count, optim_kwargs = args
+    cfg, variants, policy, seed, block, count = args
     if cfg.reciprocity is Reciprocity.RECIPROCAL:
         return _reciprocal_gain_block(cfg, variants, seed, block, count)
-    return _nonreciprocal_gain_block(cfg, policy, seed, block, count, optim_kwargs)
+    return _nonreciprocal_gain_block(cfg, policy, seed, block, count)
 
 
 def draw_key(cfg: SystemConfig, policy: str, trials: int) -> tuple:
@@ -148,7 +145,7 @@ def draw_key(cfg: SystemConfig, policy: str, trials: int) -> tuple:
 
 
 def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
-                  workers: int = 1, optim_kwargs: dict | None = None) -> list[TrialGains]:
+                  workers: int = 1) -> list[TrialGains]:
     """Per-trial gains of each config in `cfgs`, identical for any worker count.
 
     The configs must share one `draw_key`.  Each block's channel is drawn once
@@ -165,18 +162,17 @@ def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
     # equal keys mean one reciprocity, and identical non-reciprocal configs
     if policy not in PHASE_POLICIES:
         raise ValueError(f"unknown phase policy {policy!r}")
-    if cfg.reciprocity is Reciprocity.RECIPROCAL and policy != "optimal":
-        raise ValueError("reciprocal channels support the 'optimal' policy only")
-    if cfg.reciprocity is Reciprocity.NON_RECIPROCAL:
-        if policy == "optimal":
-            raise ValueError("non-reciprocal channels need a max-min or baseline policy")
-        if cfg.phase_error is not None:
-            raise ValueError("the phase-error model applies to reciprocal channels")
     reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
+    if reciprocal and policy != "optimal":
+        raise ValueError("reciprocal channels support the 'optimal' policy only")
+    if not reciprocal and policy == "optimal":
+        raise ValueError("non-reciprocal channels need a max-min or baseline policy")
+    if not reciprocal and cfg.phase_error is not None:
+        raise ValueError("the phase-error model applies to reciprocal channels")
     # a reciprocal block has one gain row per distinct phase-error model,
     # a non-reciprocal one the rows g1 and g2
     variants = tuple(dict.fromkeys(c.phase_error for c in cfgs))
-    tasks = [(cfg, variants, policy, seed, block, count, optim_kwargs or {})
+    tasks = [(cfg, variants, policy, seed, block, count)
              for block, count in rngmod.iter_blocks(trials)]
     rows = np.empty((len(variants) if reciprocal else 2, trials))
     if workers <= 1 or len(tasks) == 1:
@@ -210,16 +206,16 @@ def _per_trial_sinr(cfg: SystemConfig, gains: TrialGains, user) -> np.ndarray:
     raise ValueError("user must be 1, 2, or 'min'")
 
 
-def outage_from_gains(cfg: SystemConfig, gains: TrialGains, seed: int,
-                      user=1) -> McEstimate:
+def outage_from_gains(cfg: SystemConfig, gains: TrialGains, user=1) -> McEstimate:
+    """Outage probability at cfg's power: the share of trials with SINR <= gamma_th."""
     gamma = _per_trial_sinr(cfg, gains, user)
     n = gamma.size
     p = float(np.count_nonzero(gamma <= cfg.gamma_th)) / n
-    return McEstimate(p, math.sqrt(p * (1.0 - p) / n), n, seed, "outage")
+    return McEstimate(p, math.sqrt(p * (1.0 - p) / n), n)
 
 
-def se_from_gains(cfg: SystemConfig, gains: TrialGains, seed: int,
-                  user=1) -> McEstimate:
+def se_from_gains(cfg: SystemConfig, gains: TrialGains, user=1) -> McEstimate:
+    """Mean spectral efficiency at cfg's power, halved for the two-slot scheme."""
     gamma = _per_trial_sinr(cfg, gains, user)
     rate = np.log2(1.0 + gamma)
     if cfg.scheme is Scheme.TWO:
@@ -227,47 +223,15 @@ def se_from_gains(cfg: SystemConfig, gains: TrialGains, seed: int,
     n = rate.size
     mean = float(np.mean(rate))
     std = float(np.std(rate, ddof=1)) if n > 1 else 0.0
-    return McEstimate(mean, std / math.sqrt(n), n, seed, "se")
+    return McEstimate(mean, std / math.sqrt(n), n)
 
 
-def estimate_outage(cfg: SystemConfig, policy: str = "optimal", trials: int = 10**6,
-                    seed: int = 0, user=1, workers: int = 1,
-                    optim_kwargs: dict | None = None) -> McEstimate:
-    [gains] = collect_gains([cfg], policy, trials, seed, workers, optim_kwargs)
-    return outage_from_gains(cfg, gains, seed, user)
-
-
-def estimate_se(cfg: SystemConfig, policy: str = "optimal", trials: int = 10**3,
-                seed: int = 0, user=1, workers: int = 1,
-                optim_kwargs: dict | None = None) -> McEstimate:
-    [gains] = collect_gains([cfg], policy, trials, seed, workers, optim_kwargs)
-    return se_from_gains(cfg, gains, seed, user)
-
-
-def outage_curve(cfg: SystemConfig, p_dbm_grid, policy: str = "optimal",
-                 trials: int = 10**6, seed: int = 0, user=1, workers: int = 1,
-                 optim_kwargs: dict | None = None) -> list[McEstimate]:
-    """Outage across a power sweep with common random numbers."""
-    [gains] = collect_gains([cfg], policy, trials, seed, workers, optim_kwargs)
-    return [outage_from_gains(cfg.with_power(10.0 ** (p / 10.0)), gains, seed, user)
-            for p in p_dbm_grid]
-
-
-def se_curve(cfg: SystemConfig, p_dbm_grid, policy: str = "optimal",
-             trials: int = 10**3, seed: int = 0, user=1, workers: int = 1,
-             optim_kwargs: dict | None = None) -> list[McEstimate]:
-    """Spectral efficiency across a power sweep with common random numbers."""
-    [gains] = collect_gains([cfg], policy, trials, seed, workers, optim_kwargs)
-    return [se_from_gains(cfg.with_power(10.0 ** (p / 10.0)), gains, seed, user)
-            for p in p_dbm_grid]
-
-
-def find_crossover(cfg: SystemConfig, p_dbm_grid, policy: str = "optimal",
-                   trials: int = 10**3, seed: int = 0, user=1, workers: int = 1,
-                   tol_db: float = 0.01, optim_kwargs: dict | None = None) -> float:
-    """Power (dBm) where the one-slot scheme's spectral efficiency overtakes the
-    two-slot scheme's, refined by bisection under common random numbers."""
-    [gains] = collect_gains([cfg], policy, trials, seed, workers, optim_kwargs)
+def find_crossover(cfg: SystemConfig, p_dbm_grid, trials: int = 10**3, seed: int = 0,
+                   user=1, workers: int = 1) -> float:
+    """Power (dBm) on a reciprocal channel where the one-slot scheme's spectral
+    efficiency overtakes the two-slot scheme's, refined by bisection to
+    _CROSSOVER_TOL_DB under common random numbers."""
+    [gains] = collect_gains([cfg], "optimal", trials, seed, workers)
     grid = np.asarray(list(p_dbm_grid), dtype=float)
     if grid.size < 2:
         raise ValueError("need at least two grid points")
@@ -276,23 +240,20 @@ def find_crossover(cfg: SystemConfig, p_dbm_grid, policy: str = "optimal",
         p_mw = 10.0 ** (p_dbm / 10.0)
         one = dataclasses.replace(cfg, scheme=Scheme.ONE).with_power(p_mw)
         two = dataclasses.replace(cfg, scheme=Scheme.TWO).with_power(p_mw)
-        return (se_from_gains(one, gains, seed, user).value
-                - se_from_gains(two, gains, seed, user).value)
+        return (se_from_gains(one, gains, user).value
+                - se_from_gains(two, gains, user).value)
 
     values = [diff(p) for p in grid]
-    bracket = None
     for i in range(len(grid) - 1):
         if values[i] == 0.0:
             return float(grid[i])
         if values[i] * values[i + 1] < 0.0:
-            bracket = (grid[i], grid[i + 1])
             break
-    if bracket is None:
+    else:
         raise NoCrossoverError(
             f"no sign change of SE(one-slot) - SE(two-slot) on [{grid[0]}, {grid[-1]}] dBm")
-    lo, hi = bracket
-    flo = diff(lo)
-    while hi - lo > tol_db:
+    lo, hi, flo = grid[i], grid[i + 1], values[i]
+    while hi - lo > _CROSSOVER_TOL_DB:
         mid = 0.5 * (lo + hi)
         fm = diff(mid)
         if fm == 0.0:

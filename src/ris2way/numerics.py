@@ -115,7 +115,9 @@ def integrate_semi_infinite(f: Callable[[float], float],
     The infinite range is mapped onto a finite interval and refined by
     adaptive Gauss-Kronrod subdivision (QUADPACK QAGI); raises
     NonConvergenceError when the subdivision budget is exhausted with the
-    error estimate still above tolerance.
+    error estimate still above tolerance.  Mass far from unit scale can be
+    missed silently: for sigma^2 = 1e-6, E[log K_0] comes back ~0 as converged
+    (KL divergence 1.504, not 2.3e-4).  Rescale first; the library never calls it.
     """
     from scipy import integrate
 

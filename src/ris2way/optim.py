@@ -48,6 +48,10 @@ from .channel import (NonReciprocalChannel, ReciprocalChannel, SinrBudget,
 _STACK_ELEMENTS = 1 << 18
 _GREEDY_THRESHOLD = 1e-6
 _GREEDY_MAX_SWEEPS = 200
+# max-min settings of every Monte Carlo block; the one-instance defaults
+RANDOMIZATION_K = 100
+GREEDY_GRID = 360
+SDP_TOL = 1e-4
 
 
 class SolverFailureError(RuntimeError):
@@ -70,6 +74,12 @@ class OptimMethod(enum.Enum):
 
 @dataclass
 class SdpSolution:
+    """feasibility_gap: the final bracket width on the bisection path; on the
+    joint path the nominal barrier bound (2L+2)/tau, scaled, which is not
+    certified once tau passes ~1e6 (roundoff of the (L+3) Newton system keeps
+    the last stages from centring; at L=8, tol 3e-7 a rounded solution can
+    exceed t_star + feasibility_gap by ~3e-8 relative)."""
+
     t_star: float
     a_star: np.ndarray
     iterations: int
@@ -438,19 +448,19 @@ def _form_arrays(forms: tuple[np.ndarray, np.ndarray],
     return f1, f2
 
 
-def sdp_maxmin(forms: tuple[np.ndarray, np.ndarray], tol: float = 1e-4,
+def sdp_maxmin(forms: tuple[np.ndarray, np.ndarray], tol: float = SDP_TOL,
                method: str = "bisect") -> SdpSolution:
     """Solve the lifted max-min relaxation of the forms (F_1, F_2) to relative
-    tolerance `tol` > 0.
+    tolerance 0 < `tol` < 1.
 
     method="bisect" runs the level search: a doubling/halving bracket around a
     trial level followed by bisection, each level decided by a phase-I slack
     maximization.  method="joint" maximizes the level directly along a single
-    central path; both agree within tol.  The returned a_star is a symmetric
-    2L x 2L array.
+    central path; both agree within tol.  a_star is a symmetric 2L x 2L
+    array; the joint path's feasibility_gap is nominal (see `SdpSolution`).
     """
-    if not tol > 0:
-        raise ValueError(f"relaxation tolerance must be > 0, got {tol!r}")
+    if not 0 < tol < 1:
+        raise ValueError(f"relaxation tolerance must be > 0 and < 1, got {tol!r}")
     if method not in ("joint", "bisect"):
         raise ValueError(f"unknown method {method!r}")
     f = np.stack(_form_arrays(forms))[None]
@@ -561,8 +571,7 @@ def _scalar_square(x: np.ndarray) -> np.ndarray:
     return np.array([v ** 2 for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
-def _greedy_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget, k: int,
-                  threshold: float, max_sweeps: int):
+def _greedy_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget, k: int):
     """Greedy coordinate ascent on each row of the (m, L) terms z1, z2.
 
     Returns the (m, L) phases, each row's sweep count and, per sweep, the
@@ -575,8 +584,6 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget, k: int,
     """
     if k < 2:
         raise ValueError("grid must have at least 2 angles")
-    if threshold < 0:
-        raise ValueError("improvement threshold must be >= 0")
     m, L = z1.shape
     grid = np.exp(1j * 2.0 * math.pi * np.arange(k) / k)  # grid[0] == 1
     rho = np.array([[budget.rho1], [budget.rho2]])
@@ -588,7 +595,7 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget, k: int,
     sweeps = np.zeros(m, dtype=int)
     history = []
     live = np.arange(m)
-    for _ in range(max_sweeps):
+    for _ in range(_GREEDY_MAX_SWEEPS):
         if not live.size:
             break
         y, p, at, t, o = z[live], terms[live], index[live], sums[live], obj[live]
@@ -618,63 +625,58 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget, k: int,
         terms[live], index[live], sums[live], obj[live] = p, at, t, o
         sweeps[live] += 1
         history.append(obj.copy())
-        live = live[~(o - previous <= threshold * np.maximum(o, 1e-300))]
+        live = live[~(o - previous <= _GREEDY_THRESHOLD * np.maximum(o, 1e-300))]
     return wrap_phases(np.angle(grid[index])), sweeps, history
 
 
-def greedy_iterative(ch: NonReciprocalChannel, budget: SinrBudget, k: int = 360,
-                     improvement_threshold: float = _GREEDY_THRESHOLD,
-                     max_sweeps: int = _GREEDY_MAX_SWEEPS) -> MaxMinResult:
+def greedy_iterative(ch: NonReciprocalChannel, budget: SinrBudget,
+                     k: int = GREEDY_GRID) -> MaxMinResult:
     """Coordinate ascent on a discretized phase grid of K angles per element.
 
     Sweeps the elements in order, setting each phase to the grid angle that
     maximizes the min-SINR with the others held fixed (first maximizer wins on
-    ties); stops when a full sweep improves the objective by less than
-    improvement_threshold * objective.
+    ties); stops when a full sweep improves the objective by at most 1e-6 of
+    it, or after 200 sweeps.
     """
     phases, sweeps, history = _greedy_block(
-        (ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], budget, k,
-        improvement_threshold, max_sweeps)
+        (ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], budget, k)
     return MaxMinResult(phases=phases[0], achieved=sinr_nonreciprocal(ch, phases[0], budget),
                         method=OptimMethod.GREEDY_ITERATIVE, iterations=int(sweeps[0]),
                         sweep_objectives=[float(h[0]) for h in history])
 
 
 def maxmin_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget,
-                 method: OptimMethod, rngs: Optional[Sequence[np.random.Generator]] = None,
-                 randomization_k: int = 100, greedy_grid: int = 360,
-                 sdp_tol: float = 1e-4) -> np.ndarray:
+                 method: OptimMethod,
+                 rngs: Optional[Sequence[np.random.Generator]] = None) -> np.ndarray:
     """Max-min phases (m, L) of m instances, given as the rows of the terms
     z1 = h_r g_t and z2 = g_r h_t, all under one budget.
 
     GREEDY_ITERATIVE runs the greedy search of `greedy_iterative` on every row
     at once.  SDP_RELAX solves every row's relaxation on one stacked joint
     central path, then rounds each row by `gaussian_randomization` with
-    rngs[i].  Row i gets the phases `solve_maxmin` gives its instance alone.
+    rngs[i].  Row i gets the phases `solve_maxmin` gives its instance alone
+    at the default settings (GREEDY_GRID, SDP_TOL, RANDOMIZATION_K).
     A SolverFailureError names the failing row in its `instance`.
     """
     m, L = z1.shape
     phases = np.empty((m, L))
     if method is OptimMethod.GREEDY_ITERATIVE:
-        for rows in _sub_batches(m, 2 * greedy_grid):
-            phases[rows] = _greedy_block(z1[rows], z2[rows], budget, greedy_grid,
-                                         _GREEDY_THRESHOLD, _GREEDY_MAX_SWEEPS)[0]
+        for rows in _sub_batches(m, 2 * GREEDY_GRID):
+            phases[rows] = _greedy_block(z1[rows], z2[rows], budget, GREEDY_GRID)[0]
         return phases
     if method is not OptimMethod.SDP_RELAX:
         raise ValueError(f"not a max-min search: {method}")
-    if not sdp_tol > 0:
-        raise ValueError(f"relaxation tolerance must be > 0, got {sdp_tol!r}")
     if rngs is None or len(rngs) != m:
         raise ValueError("gaussian randomization needs one RNG per instance")
     for rows in _sub_batches(m, 8 * L * L):
         f = np.stack(_forms(z1[rows], z2[rows], budget), axis=1)
         row = rows.start
         try:
-            sol = _sdp_joint(f, sdp_tol)
+            sol = _sdp_joint(f, SDP_TOL)
             for row in range(rows.start, rows.stop):
                 i = row - rows.start
                 phases[row], _ = gaussian_randomization(sol.a_star[i], (f[i, 0], f[i, 1]),
-                                                        randomization_k, rngs[row])
+                                                        RANDOMIZATION_K, rngs[row])
         except SolverFailureError as exc:
             exc.instance = row if exc.instance is None else rows.start + exc.instance
             raise
@@ -696,14 +698,14 @@ def baseline_phases(ch: NonReciprocalChannel, kind: OptimMethod,
 def solve_maxmin(ch: NonReciprocalChannel, budget: SinrBudget,
                  method: OptimMethod = OptimMethod.SDP_RELAX,
                  rng: Optional[np.random.Generator] = None,
-                 randomization_k: int = 100, greedy_grid: int = 360,
-                 sdp_tol: float = 1e-4) -> MaxMinResult:
+                 randomization_k: int = RANDOMIZATION_K, greedy_grid: int = GREEDY_GRID,
+                 sdp_tol: float = SDP_TOL) -> MaxMinResult:
     """One-call driver for a single instance (the CLI's optimize command).
 
     Solves the relaxation on the joint central path for throughput; the
     bisection path (sdp_maxmin(method="bisect")) is the reference and agrees
-    within sdp_tol.  The phases equal those `maxmin_block` gives this
-    instance in any block.
+    within sdp_tol.  At the default settings the phases equal those
+    `maxmin_block` gives this instance in any block.
     """
     if method is OptimMethod.GREEDY_ITERATIVE:
         return greedy_iterative(ch, budget, k=greedy_grid)

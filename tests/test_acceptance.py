@@ -5,6 +5,7 @@ Statistical checks run at fixed seeds; standard errors for known-truth
 comparisons use the analytic probability.
 """
 
+import functools
 import math
 import time
 
@@ -38,19 +39,30 @@ def base_cfg(**kw):
     return SystemConfig(**base)
 
 
+def _curve(reduce, cfg, gains, grid):
+    """One estimate per power of `grid` (dBm), each reduced from the same gains."""
+    return [reduce(cfg.with_power(10.0 ** (p / 10.0)), gains) for p in grid]
+
+
+def _first(gains, n):
+    """The first n trials of a collection, which are the n-trial collection."""
+    return mc.TrialGains(gains.g1[:n], gains.g2[:n])
+
+
 # -------------------------------------------------------------------- 1
 def test_criterion_1_exact_single_element_agreement():
     t0 = time.time()
     cfg = base_cfg(L=1)
     grid = list(range(-40, 41, 2))
-    curve = mc.outage_curve(cfg, grid, trials=10**6, seed=101)
+    [gains] = mc.collect_gains([cfg], "optimal", 10**6, seed=101)
+    curve = _curve(mc.outage_from_gains, cfg, gains, grid)
     worst = 0.0
     for p_dbm, est in zip(grid, curve):
         rho = sinr_budget(cfg.with_power(10 ** (p_dbm / 10.0))).rho1
         exact = float(an.outage_exact_L1(1.0, rho))
         dev = abs(est.value - exact) / max(_se_known(exact, est.trials), 1e-300)
         worst = max(worst, dev)
-    se_curve = mc.se_curve(cfg, grid, trials=10**5, seed=101)
+    se_curve = _curve(mc.se_from_gains, cfg, _first(gains, 10**5), grid)
     worst_se = 0.0
     for p_dbm, est in zip(grid, se_curve):
         rho = sinr_budget(cfg.with_power(10 ** (p_dbm / 10.0))).rho1
@@ -63,13 +75,21 @@ def test_criterion_1_exact_single_element_agreement():
 
 
 # -------------------------------------------------------------------- 2
-@pytest.mark.parametrize("L", [2, 4, 16, 32, 64])
-def test_criterion_2_gamma_approximation_quality(L):
+@functools.lru_cache(maxsize=None)
+def _criterion_2_curve(L):
+    """The config, the power grid around the outage transition and the
+    10^6-trial outage curve on it, drawn once for both criterion-2 tests."""
     cfg = base_cfg(L=L)
     center_rho = 1.0 / (L * math.pi / 4.0) ** 2
     center_dbm = 10.0 * math.log10(center_rho * (cfg.omega + cfg.noise_mw))
     grid = [center_dbm + d for d in range(-10, 17, 2)]
-    curve = mc.outage_curve(cfg, grid, trials=10**6, seed=202)
+    [gains] = mc.collect_gains([cfg], "optimal", 10**6, seed=202)
+    return cfg, grid, _curve(mc.outage_from_gains, cfg, gains, grid)
+
+
+@pytest.mark.parametrize("L", [2, 4, 16, 32, 64])
+def test_criterion_2_gamma_approximation_quality(L):
+    cfg, grid, curve = _criterion_2_curve(L)
     worst = 0.0
     at = None
     for p_dbm, est in zip(grid, curve):
@@ -89,11 +109,7 @@ def test_criterion_2_gamma_approximation_quality(L):
 
 @pytest.mark.parametrize("L", [32, 64])
 def test_criterion_2_gamma_beats_clt(L):
-    cfg = base_cfg(L=L)
-    center_rho = 1.0 / (L * math.pi / 4.0) ** 2
-    center_dbm = 10.0 * math.log10(center_rho * (cfg.omega + cfg.noise_mw))
-    grid = [center_dbm + d for d in range(-10, 17, 2)]
-    curve = mc.outage_curve(cfg, grid, trials=10**6, seed=202)
+    cfg, grid, curve = _criterion_2_curve(L)
     clt = an.clt_params(L, 1.0)
     dev_gamma = dev_clt = 0.0
     for p_dbm, est in zip(grid, curve):
@@ -175,7 +191,8 @@ def test_criterion_6_asymptotic_rates_and_sandwich():
     for L, rho, trials in ((2, 100.0, 10**6), (4, 3.0, 10**6)):
         cfg = base_cfg(L=L)
         p_dbm = 10 * math.log10(rho * (cfg.omega + cfg.noise_mw))
-        est = mc.estimate_outage(cfg.with_power(10 ** (p_dbm / 10)), trials=trials, seed=606)
+        [gains] = mc.collect_gains([cfg], "optimal", trials, seed=606)
+        est = mc.outage_from_gains(cfg.with_power(10 ** (p_dbm / 10)), gains)
         lo, up = an.sandwich_bounds_Lge2(L, 1.0, sinr_budget(cfg.with_power(10 ** (p_dbm / 10))).rho1)
         ok = ok and lo <= est.value + 3 * est.std_error and est.value - 3 * est.std_error <= up
         details.append(f"L={L} sandwich [{lo:.2e}, {up:.2e}] vs MC {est.value:.2e}")
@@ -192,12 +209,13 @@ def test_criterion_7_interference_floors():
     ok = True
     for L in (1, 4):
         cfg = base_cfg(L=L, nu=1.0)
+        [gains] = mc.collect_gains([cfg], "optimal", 10**6, seed=5)
         outs, ses, outs_ana, ses_ana = [], [], [], []
         for p_dbm in (20.0, 30.0, 40.0):
             c = cfg.with_power(10 ** (p_dbm / 10.0))
             rho = sinr_budget(c).rho1
-            o = mc.estimate_outage(c, trials=10**6, seed=5)
-            s = mc.estimate_se(c, trials=10**5, seed=5)
+            o = mc.outage_from_gains(c, gains)
+            s = mc.se_from_gains(c, _first(gains, 10**5))
             if L == 1:
                 o_ana = float(an.outage_exact_L1(1.0, rho))
                 s_ana = an.se_exact_L1(rho)
@@ -235,7 +253,8 @@ def test_criterion_8_phase_error_exact_law():
         center_rho = max(1.0 / max(L * 0.25, 1.0), 1.0) * 10.0
         p_center = 10 * math.log10(center_rho * (cfg.omega + cfg.noise_mw))
         grid = [p_center + d for d in (-5.0, 0.0, 5.0, 10.0)]
-        curve = mc.outage_curve(cfg, grid, trials=10**6, seed=808)
+        [gains] = mc.collect_gains([cfg], "optimal", 10**6, seed=808)
+        curve = _curve(mc.outage_from_gains, cfg, gains, grid)
         worst = 0.0
         for p_dbm, est in zip(grid, curve):
             rho = sinr_budget(cfg.with_power(10 ** (p_dbm / 10.0))).rho1
@@ -247,11 +266,12 @@ def test_criterion_8_phase_error_exact_law():
     for L in (4, 16):
         cfg_err = base_cfg(L=L, phase_error=UniformPhaseError(math.pi / 8.0))
         cfg_free = base_cfg(L=L)
+        # one channel draw serves both: the jitter only rotates the terms
+        gains_err, gains_free = mc.collect_gains([cfg_err, cfg_free], "optimal", 10**5,
+                                                 seed=809)
         for p_dbm in (10.0, 20.0, 30.0):
-            se_err = mc.estimate_se(cfg_err.with_power(10 ** (p_dbm / 10)),
-                                    trials=10**5, seed=809)
-            se_free = mc.estimate_se(cfg_free.with_power(10 ** (p_dbm / 10)),
-                                     trials=10**5, seed=809)
+            se_err = mc.se_from_gains(cfg_err.with_power(10 ** (p_dbm / 10)), gains_err)
+            se_free = mc.se_from_gains(cfg_free.with_power(10 ** (p_dbm / 10)), gains_free)
             rel = abs(se_err.value / se_free.value - 1.0)
             ok = ok and rel <= 0.01
         details.append(f"L={L} jitter<=pi/8 SE gap {100*rel:.2f}%")

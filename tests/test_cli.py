@@ -219,6 +219,9 @@ def test_non_finite_config_flag_exit_code(tmp_path, capsys, flag, value):
     (["--sdp-tol", "0"], "tolerance must be > 0"),
     (["--sdp-tol", "-1"], "tolerance must be > 0"),
     (["--sdp-tol", "nan"], "tolerance must be > 0"),
+    (["--sdp-tol", "1"], "tolerance must be > 0"),
+    (["--sdp-tol", "100"], "tolerance must be > 0"),
+    (["--sdp-tol", "inf"], "tolerance must be > 0"),
 ])
 def test_bad_optimize_input_exit_code(tmp_path, capsys, flags, reason):
     out = tmp_path / "x.csv"
@@ -451,15 +454,21 @@ def test_import_leaves_quadpack_unloaded(module):
     assert out.strip() == ""
 
 
-def test_benchmark_tracer_installs():
-    """perfbench/tracer.py wraps library functions by name; deleting or
+def test_benchmark_tracer_installs(tmp_path):
+    """perfbench/tracer.py wraps library functions by name and reads
+    `collect_gains`'s trials and workers by parameter name; deleting or
     renaming one must fail here, not when the benchmark starts."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(os.path.join(root, d) for d in ("src", "perfbench"))
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
-    code = "from tracer import Tracer; Tracer().install()"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True)
+    code = ("import sys; from tracer import Tracer; from ris2way import cli; "
+            "tracer = Tracer(); tracer.install(); "
+            "assert cli.main(['outage', '--L', '2', '--methods', 'mc', '--p-dbm', "
+            "'0:10:5', '--trials', '50', '--out', sys.argv[1]]) == 0; "
+            "m = tracer.summary()['metrics']; "
+            "assert (m['mc.trials'], m['mc.reduce.calls']) == (50, 3), m")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o.csv")], env=env,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -14,8 +14,8 @@ from ris2way.channel import (NonReciprocalChannel, Reciprocity, Scheme,
                              SystemConfig, UniformPhaseError, VonMisesPhaseError,
                              sample_channel_block, sample_phase_errors,
                              sinr_budget)
-from ris2way.mc import (NoCrossoverError, collect_gains, estimate_outage,
-                        estimate_se, find_crossover, outage_curve)
+from ris2way.mc import (NoCrossoverError, collect_gains, find_crossover,
+                        outage_from_gains, se_from_gains)
 
 
 def cfg_rec(**kw):
@@ -26,11 +26,11 @@ def cfg_rec(**kw):
 
 def test_outage_matches_exact_single_element():
     cfg = cfg_rec(L=1).with_power(1.0)
-    est = estimate_outage(cfg, trials=200_000, seed=1)
+    [gains] = collect_gains([cfg], "optimal", 200_000, seed=1)
+    est = outage_from_gains(cfg, gains)
     rho = sinr_budget(cfg).rho1
     exact = float(an.outage_exact_L1(cfg.gamma_th, rho))
     assert abs(est.value - exact) <= 3 * est.std_error
-    assert est.metric == "outage"
     assert est.trials == 200_000
     assert est.std_error == pytest.approx(
         math.sqrt(est.value * (1 - est.value) / est.trials), rel=1e-12)
@@ -38,19 +38,20 @@ def test_outage_matches_exact_single_element():
 
 def test_outage_high_power_is_zero():
     cfg = cfg_rec(L=4).with_power(1e9)
-    est = estimate_outage(cfg, trials=20_000, seed=2)
-    assert est.value == 0.0
+    [gains] = collect_gains([cfg], "optimal", 20_000, seed=2)
+    assert outage_from_gains(cfg, gains).value == 0.0
 
 
 def test_se_zero_power():
     cfg = cfg_rec(L=2, p1_mw=0.0, p2_mw=0.0)
-    est = estimate_se(cfg, trials=5_000, seed=3)
-    assert est.value == 0.0
+    [gains] = collect_gains([cfg], "optimal", 5_000, seed=3)
+    assert se_from_gains(cfg, gains).value == 0.0
 
 
 def test_se_matches_quadrature_single_element():
     cfg = cfg_rec(L=1).with_power(1.0)  # 0 dBm
-    est = estimate_se(cfg, trials=100_000, seed=4)
+    [gains] = collect_gains([cfg], "optimal", 100_000, seed=4)
+    est = se_from_gains(cfg, gains)
     rho = sinr_budget(cfg).rho1
     assert est.value == pytest.approx(an.se_exact_L1(rho), rel=0.01)
 
@@ -58,17 +59,18 @@ def test_se_matches_quadrature_single_element():
 def test_se_scheme_two_half_rate():
     cfg1 = cfg_rec(L=2, omega=0.0).with_power(1.0)
     cfg2 = cfg_rec(L=2, omega=0.0, scheme=Scheme.TWO).with_power(1.0)
-    a = estimate_se(cfg1, trials=4_000, seed=5)
-    b = estimate_se(cfg2, trials=4_000, seed=5)
+    gains1, gains2 = collect_gains([cfg1, cfg2], "optimal", 4_000, seed=5)
+    a = se_from_gains(cfg1, gains1)
+    b = se_from_gains(cfg2, gains2)
     assert b.value == pytest.approx(a.value / 2.0, rel=1e-12)
 
 
 def test_estimates_identical_across_worker_counts():
     cfg = cfg_rec(L=3).with_power(10.0)
-    vals = [estimate_outage(cfg, trials=9_000, seed=6, workers=w).value
-            for w in (1, 3)]
+    gains = [collect_gains([cfg], "optimal", 9_000, seed=6, workers=w)[0] for w in (1, 3)]
+    vals = [outage_from_gains(cfg, g).value for g in gains]
     assert vals[0] == vals[1]
-    ses = [estimate_se(cfg, trials=9_000, seed=6, workers=w).value for w in (1, 3)]
+    ses = [se_from_gains(cfg, g).value for g in gains]
     assert ses[0] == ses[1]
 
 
@@ -169,8 +171,9 @@ def test_gains_prefix_property():
 
 def test_common_random_numbers_monotone_in_power():
     cfg = cfg_rec(L=2)
-    curve = outage_curve(cfg, [0.0, 5.0, 10.0, 15.0], trials=50_000, seed=8)
-    values = [e.value for e in curve]
+    [gains] = collect_gains([cfg], "optimal", 50_000, seed=8)
+    values = [outage_from_gains(cfg.with_power(10 ** (p / 10)), gains).value
+              for p in (0.0, 5.0, 10.0, 15.0)]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
@@ -178,15 +181,17 @@ def test_scheme_two_outage_never_worse_per_seed():
     import dataclasses
     cfg1 = cfg_rec(L=2, omega=1e-2)
     cfg2 = dataclasses.replace(cfg1, scheme=Scheme.TWO)
+    gains1, gains2 = collect_gains([cfg1, cfg2], "optimal", 30_000, seed=9)
     for p in (0.0, 10.0):
-        o1 = estimate_outage(cfg1.with_power(10 ** (p / 10)), trials=30_000, seed=9)
-        o2 = estimate_outage(cfg2.with_power(10 ** (p / 10)), trials=30_000, seed=9)
+        o1 = outage_from_gains(cfg1.with_power(10 ** (p / 10)), gains1)
+        o2 = outage_from_gains(cfg2.with_power(10 ** (p / 10)), gains2)
         assert o2.value <= o1.value
 
 
 def test_outage_with_phase_error_matches_scrambled_law():
     cfg = cfg_rec(L=4, phase_error=UniformPhaseError(math.pi)).with_power(0.1)
-    est = estimate_outage(cfg, trials=400_000, seed=10)
+    [gains] = collect_gains([cfg], "optimal", 400_000, seed=10)
+    est = outage_from_gains(cfg, gains)
     rho = sinr_budget(cfg).rho1
     ana = an.outage_phase_error_uniform_pi(4, cfg.gamma_th, rho)
     assert abs(est.value - ana) <= 3 * max(est.std_error, 1e-9)

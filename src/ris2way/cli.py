@@ -20,14 +20,17 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import analytic, mc
 from . import rng as rngmod
 from .channel import (Reciprocity, Scheme, SystemConfig, UniformPhaseError,
-                      VonMisesPhaseError, sample_channels, sinr_budget)
+                      VonMisesPhaseError, sample_channels, sinr_budget,
+                      sinr_nonreciprocal)
 from .mc import NoCrossoverError
 from .numerics import NonConvergenceError, regularized_gamma_q
 from .optim import (GREEDY_GRID, RANDOMIZATION_K, SDP_TOL, OptimMethod,
-                    SolverFailureError, solve_maxmin)
+                    SolverFailureError, baseline_phases, maxmin_block)
 from .svgplot import write_line_svg
 
 OUTAGE_METHODS = ("mc", "exact", "gamma", "clt", "asymptotic", "phase-error")
@@ -486,8 +489,33 @@ def run_optimize(spec: ExperimentSpec) -> None:
         raise SpecError("optimize needs a single power point")
     if spec.trials < 1:
         raise SpecError("trials must be >= 1")
+    if not 0 < spec.sdp_tol < 1:
+        raise SpecError(f"--sdp-tol: relaxation tolerance must be > 0 and < 1, "
+                        f"got {spec.sdp_tol!r}")
+    if spec.randomization_k < 1:
+        raise SpecError(f"--randomization-k: need at least one randomization sample, "
+                        f"got {spec.randomization_k}")
+    if spec.greedy_grid < 2:
+        raise SpecError(f"--greedy-grid: the grid needs at least 2 angles, "
+                        f"got {spec.greedy_grid}")
     cfg = spec.cfg.with_power(db_to_linear(spec.p_dbm[0]))
     budget = sinr_budget(cfg)
+    chans = [sample_channels(cfg, rngmod.trial_generator(spec.seed, rngmod.STREAM_CHANNEL, t))
+             for t in range(spec.trials)]
+    z1 = np.array([ch.h_r * ch.g_t for ch in chans])
+    z2 = np.array([ch.g_r * ch.h_t for ch in chans])
+    # the baselines per trial; each max-min method on every trial in one stacked call
+    phases, bounds = {}, {}
+    for m in spec.methods:
+        method = OptimMethod(m)
+        if m in ("u1", "random"):
+            phases[m] = [baseline_phases(ch, method, rngmod.trial_generator(
+                spec.seed, rngmod.STREAM_BASELINE, t)) for t, ch in enumerate(chans)]
+            continue
+        rngs = ([rngmod.trial_generator(spec.seed, rngmod.STREAM_OPTIM, t)
+                 for t in range(spec.trials)] if m == "sdp" else None)
+        phases[m], bounds[m] = maxmin_block(z1, z2, budget, method, rngs, grid=spec.greedy_grid,
+                                            tol=spec.sdp_tol, k=spec.randomization_k)
 
     header = ["trial"]
     if "sdp" in spec.methods:
@@ -496,21 +524,12 @@ def run_optimize(spec: ExperimentSpec) -> None:
         header.extend([f"gamma1_{m}", f"gamma2_{m}", f"min_{m}"])
 
     rows = []
-    for trial in range(spec.trials):
-        ch = sample_channels(cfg, rngmod.trial_generator(spec.seed, rngmod.STREAM_CHANNEL, trial))
+    for trial, ch in enumerate(chans):
         row = [str(trial)]
-        results = {}
-        for m in spec.methods:
-            stream = (rngmod.STREAM_BASELINE if m in ("u1", "random")
-                      else rngmod.STREAM_OPTIM)
-            rng = rngmod.trial_generator(spec.seed, stream, trial)
-            results[m] = solve_maxmin(
-                ch, budget, method=OptimMethod(m), rng=rng, sdp_tol=spec.sdp_tol,
-                randomization_k=spec.randomization_k, greedy_grid=spec.greedy_grid)
         if "sdp" in spec.methods:
-            row.append(fmt_val(results["sdp"].t_star))
+            row.append(fmt_val(bounds["sdp"][trial]))
         for m in spec.methods:
-            g1, g2 = results[m].achieved
+            g1, g2 = sinr_nonreciprocal(ch, phases[m][trial], budget)
             row.extend([fmt_val(g1), fmt_val(g2), fmt_val(min(g1, g2))])
         rows.append(row)
     write_csv(spec.out, header, rows)

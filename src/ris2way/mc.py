@@ -105,7 +105,7 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: 
                 for i in range(count)]
     method = OptimMethod.GREEDY_ITERATIVE if policy == "greedy" else OptimMethod.SDP_RELAX
     try:
-        phases = maxmin_block(z1, z2, _unit_ratio_budget(cfg), method, rngs)
+        phases, _ = maxmin_block(z1, z2, _unit_ratio_budget(cfg), method, rngs)
     except SolverFailureError as exc:
         raise SolverFailureError(f"trial {first + exc.instance}: {exc}") from exc
     rot = np.exp(1j * phases)

@@ -20,14 +20,14 @@ sections 9.5 and 11.3).  Rank-one solutions are recovered by Gaussian randomizat
 (Sidiropoulos, Davidson and Luo, 2006); a greedy discretized coordinate
 search is the low-complexity alternative.
 
-Both solvers run on stacks of instances.  `maxmin_block` solves the m
-instances of a Monte Carlo block together: one barrier iteration, or one
-greedy element update, serves every row at once, and each row keeps its own
-step length, barrier parameter and stopping state.  Rows are solved in
-sub-batches of at most _STACK_ELEMENTS elements per stacked array.  A row
-depends only on its own instance, so it gets the same bits alone, in a
-partial block or in a full one; `sdp_maxmin`, `greedy_iterative` and
-`solve_maxmin` are stacks of one.
+Both solvers run on stacks of instances, and `maxmin_block` is the one
+driver of the design pipeline: it solves the m instances of a Monte Carlo
+block, or every trial of the optimize command, together.  One barrier
+iteration, or one greedy element update, serves every row at once, and each
+row keeps its own step length, barrier parameter and stopping state.  Rows
+are solved in sub-batches of at most _STACK_ELEMENTS elements per stacked
+array.  A row depends only on its own instance, so it gets the same bits
+alone, in a partial block or in a full one.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .channel import (NonReciprocalChannel, ReciprocalChannel, SinrBudget,
 _STACK_ELEMENTS = 1 << 18
 _GREEDY_THRESHOLD = 1e-6
 _GREEDY_MAX_SWEEPS = 200
-# max-min settings of every Monte Carlo block; the one-instance defaults
+# default settings of `maxmin_block`
 RANDOMIZATION_K = 100
 GREEDY_GRID = 360
 SDP_TOL = 1e-4
@@ -93,8 +93,6 @@ class MaxMinResult:
     method: OptimMethod
     iterations: int = 0
     t_star: Optional[float] = None
-    a_star: Optional[np.ndarray] = None
-    feasibility_gap: float = 0.0
     sweep_objectives: list = field(default_factory=list)
 
 
@@ -582,8 +580,6 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget, k: int):
     expression |b + z_l grid|^2, so each row follows the one-instance search
     bit for bit.
     """
-    if k < 2:
-        raise ValueError("grid must have at least 2 angles")
     m, L = z1.shape
     grid = np.exp(1j * 2.0 * math.pi * np.arange(k) / k)  # grid[0] == 1
     rho = np.array([[budget.rho1], [budget.rho2]])
@@ -638,6 +634,8 @@ def greedy_iterative(ch: NonReciprocalChannel, budget: SinrBudget,
     ties); stops when a full sweep improves the objective by at most 1e-6 of
     it, or after 200 sweeps.
     """
+    if k < 2:
+        raise ValueError("grid must have at least 2 angles")
     phases, sweeps, history = _greedy_block(
         (ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], budget, k)
     return MaxMinResult(phases=phases[0], achieved=sinr_nonreciprocal(ch, phases[0], budget),
@@ -647,23 +645,29 @@ def greedy_iterative(ch: NonReciprocalChannel, budget: SinrBudget,
 
 def maxmin_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget,
                  method: OptimMethod,
-                 rngs: Optional[Sequence[np.random.Generator]] = None) -> np.ndarray:
+                 rngs: Optional[Sequence[np.random.Generator]] = None, *,
+                 grid: int = GREEDY_GRID, tol: float = SDP_TOL,
+                 k: int = RANDOMIZATION_K) -> tuple[np.ndarray, np.ndarray]:
     """Max-min phases (m, L) of m instances, given as the rows of the terms
-    z1 = h_r g_t and z2 = g_r h_t, all under one budget.
+    z1 = h_r g_t and z2 = g_r h_t, all under one budget, and each row's
+    relaxation bound t* (NaN for the greedy search).
 
-    GREEDY_ITERATIVE runs the greedy search of `greedy_iterative` on every row
-    at once.  SDP_RELAX solves every row's relaxation on one stacked joint
-    central path, then rounds each row by `gaussian_randomization` with
-    rngs[i].  Row i gets the phases `solve_maxmin` gives its instance alone
-    at the default settings (GREEDY_GRID, SDP_TOL, RANDOMIZATION_K).
+    GREEDY_ITERATIVE runs the greedy search of `greedy_iterative` on `grid`
+    angles on every row at once.  SDP_RELAX solves every row's relaxation to
+    relative tolerance 0 < `tol` < 1 on one stacked joint central path, then
+    rounds each row by `gaussian_randomization` with `k` samples from
+    rngs[i].  Row i gets the phases its instance gets alone.
     A SolverFailureError names the failing row in its `instance`.
     """
+    if not (0 < tol < 1 and grid >= 2):
+        raise ValueError(f"need 0 < tol < 1 and grid >= 2, got tol={tol!r}, grid={grid!r}")
     m, L = z1.shape
     phases = np.empty((m, L))
+    t_star = np.full(m, np.nan)
     if method is OptimMethod.GREEDY_ITERATIVE:
-        for rows in _sub_batches(m, 2 * GREEDY_GRID):
-            phases[rows] = _greedy_block(z1[rows], z2[rows], budget, GREEDY_GRID)[0]
-        return phases
+        for rows in _sub_batches(m, 2 * grid):
+            phases[rows] = _greedy_block(z1[rows], z2[rows], budget, grid)[0]
+        return phases, t_star
     if method is not OptimMethod.SDP_RELAX:
         raise ValueError(f"not a max-min search: {method}")
     if rngs is None or len(rngs) != m:
@@ -672,15 +676,16 @@ def maxmin_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget,
         f = np.stack(_forms(z1[rows], z2[rows], budget), axis=1)
         row = rows.start
         try:
-            sol = _sdp_joint(f, SDP_TOL)
+            sol = _sdp_joint(f, tol)
+            t_star[rows] = sol.t_star
             for row in range(rows.start, rows.stop):
                 i = row - rows.start
                 phases[row], _ = gaussian_randomization(sol.a_star[i], (f[i, 0], f[i, 1]),
-                                                        RANDOMIZATION_K, rngs[row])
+                                                        k, rngs[row])
         except SolverFailureError as exc:
             exc.instance = row if exc.instance is None else rows.start + exc.instance
             raise
-    return phases
+    return phases, t_star
 
 
 def baseline_phases(ch: NonReciprocalChannel, kind: OptimMethod,
@@ -697,32 +702,16 @@ def baseline_phases(ch: NonReciprocalChannel, kind: OptimMethod,
 
 def solve_maxmin(ch: NonReciprocalChannel, budget: SinrBudget,
                  method: OptimMethod = OptimMethod.SDP_RELAX,
-                 rng: Optional[np.random.Generator] = None,
-                 randomization_k: int = RANDOMIZATION_K, greedy_grid: int = GREEDY_GRID,
-                 sdp_tol: float = SDP_TOL) -> MaxMinResult:
-    """One-call driver for a single instance (the CLI's optimize command).
-
-    Solves the relaxation on the joint central path for throughput; the
-    bisection path (sdp_maxmin(method="bisect")) is the reference and agrees
-    within sdp_tol.  At the default settings the phases equal those
-    `maxmin_block` gives this instance in any block.
-    """
-    if method is OptimMethod.GREEDY_ITERATIVE:
-        return greedy_iterative(ch, budget, k=greedy_grid)
+                 rng: Optional[np.random.Generator] = None) -> MaxMinResult:
+    """Phases of one instance: `baseline_phases` for the baselines, a one-row
+    `maxmin_block` at its default settings for SDP_RELAX (with the relaxation
+    bound in `t_star`) and GREEDY_ITERATIVE."""
     if method in (OptimMethod.U1_PHASE, OptimMethod.RANDOM):
-        phases = baseline_phases(ch, method, rng)
-        return MaxMinResult(phases=phases,
-                            achieved=sinr_nonreciprocal(ch, phases, budget),
-                            method=method)
-    forms = build_quadratic_forms(ch, budget)
-    solution = sdp_maxmin(forms, tol=sdp_tol, method="joint")
-    if rng is None:
-        raise ValueError("gaussian randomization needs an RNG")
-    phases, _ = gaussian_randomization(solution.a_star, forms, randomization_k, rng)
-    return MaxMinResult(phases=phases,
-                        achieved=sinr_nonreciprocal(ch, phases, budget),
-                        method=OptimMethod.SDP_RELAX,
-                        iterations=solution.iterations,
-                        t_star=solution.t_star,
-                        a_star=solution.a_star,
-                        feasibility_gap=solution.feasibility_gap)
+        phases, t_star = baseline_phases(ch, method, rng), None
+    else:
+        rows, bounds = maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], budget,
+                                    method, None if rng is None else [rng])
+        phases = rows[0]
+        t_star = float(bounds[0]) if method is OptimMethod.SDP_RELAX else None
+    return MaxMinResult(phases=phases, achieved=sinr_nonreciprocal(ch, phases, budget),
+                        method=method, t_star=t_star)

@@ -349,7 +349,7 @@ def test_criterion_9_maxmin_optimization():
 @pytest.mark.parametrize("L,target", [(2, 0.3), (4, 2.0), (16, 6.5)])
 def test_criterion_10_reciprocity_power_gap(L, target):
     from ris2way.channel import NonReciprocalChannel, sample_channel_block
-    from ris2way.optim import greedy_iterative
+    from ris2way.optim import OptimMethod, maxmin_block
 
     trials = 1000
     cfg = base_cfg(L=L, reciprocity=Reciprocity.NON_RECIPROCAL)
@@ -360,10 +360,11 @@ def test_criterion_10_reciprocity_power_gap(L, target):
     for block, count in rngmod.iter_blocks(trials):
         ch = sample_channel_block(
             cfg, rngmod.block_generator(123, rngmod.STREAM_CHANNEL, block), count)
+        phases, _ = maxmin_block(ch.h_r * ch.g_t, ch.g_r * ch.h_t, budget,
+                                 OptimMethod.GREEDY_ITERATIVE)
         for i in range(count):
             trial = NonReciprocalChannel(ch.h_t[i], ch.h_r[i], ch.g_t[i], ch.g_r[i])
-            res = greedy_iterative(trial, budget, k=360)
-            rot = np.exp(1j * res.phases)
+            rot = np.exp(1j * phases[i])
             q_nr[done] = abs(np.sum(trial.h_r * trial.g_t * rot)) ** 2
             # common-random-number pairing: the reciprocal-optimum statistic
             # from the same fading draws

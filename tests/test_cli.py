@@ -9,9 +9,11 @@ import sys
 import pytest
 
 from ris2way import cli, optim
+from ris2way import rng as rngmod
+from ris2way.channel import (UniformPhaseError, VonMisesPhaseError, sample_channels,
+                             sinr_budget, sinr_nonreciprocal)
 from ris2way.cli import (main, parse_args, parse_phase_error, parse_sweep,
                          spec_from_args)
-from ris2way.channel import UniformPhaseError, VonMisesPhaseError
 
 
 def run_cli(args):
@@ -139,6 +141,34 @@ def test_optimize_respects_relaxation_bound(tmp_path):
             assert float(row[header.index(f"gamma1_{m}")]) <= g1_u1 * (1 + 1e-9)
 
 
+def test_optimize_flags_reach_the_stacked_solvers(tmp_path):
+    """Every cell at non-default settings equals the one-instance reference at
+    those settings: the greedy search on 90 angles, and the joint-path
+    relaxation at tol 1e-3 rounded from 7 samples of the trial's STREAM_OPTIM
+    generator."""
+    out = tmp_path / "opt.csv"
+    argv = ["optimize", "--L", "4", "--reciprocity", "non-reciprocal", "--seed", "3",
+            "--methods", "sdp,greedy", "--trials", "4", "--greedy-grid", "90",
+            "--sdp-tol", "1e-3", "--randomization-k", "7", "--out", str(out)]
+    assert run_cli(argv) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 4
+    spec = spec_from_args(parse_args(argv))
+    cfg = spec.cfg.with_power(cli.db_to_linear(spec.p_dbm[0]))
+    budget = sinr_budget(cfg)
+    for t, row in enumerate(rows):
+        ch = sample_channels(cfg, rngmod.trial_generator(3, rngmod.STREAM_CHANNEL, t))
+        forms = optim.build_quadratic_forms(ch, budget)
+        sol = optim.sdp_maxmin(forms, tol=1e-3, method="joint")
+        sdp, _ = optim.gaussian_randomization(
+            sol.a_star, forms, 7, rngmod.trial_generator(3, rngmod.STREAM_OPTIM, t))
+        expected = [str(t), cli.fmt_val(sol.t_star)]
+        for phases in (sdp, optim.greedy_iterative(ch, budget, k=90).phases):
+            g1, g2 = sinr_nonreciprocal(ch, phases, budget)
+            expected += [cli.fmt_val(g1), cli.fmt_val(g2), cli.fmt_val(min(g1, g2))]
+        assert row == expected
+
+
 def test_element_sweep(tmp_path):
     out = tmp_path / "l.csv"
     rc = run_cli(["outage", "--l-list", "2,4,8", "--p-dbm", "10:10:1",
@@ -222,8 +252,17 @@ def test_non_finite_config_flag_exit_code(tmp_path, capsys, flag, value):
     (["--sdp-tol", "1"], "tolerance must be > 0"),
     (["--sdp-tol", "100"], "tolerance must be > 0"),
     (["--sdp-tol", "inf"], "tolerance must be > 0"),
+    # checked whatever the methods, before any draw
+    (["--methods", "greedy", "--sdp-tol", "100"], "--sdp-tol: relaxation tolerance must be > 0"),
+    (["--methods", "greedy", "--randomization-k", "-5"], "--randomization-k: need at least one"),
+    (["--methods", "sdp", "--randomization-k", "0"], "--randomization-k: need at least one"),
+    (["--greedy-grid", "1"], "--greedy-grid: the grid needs at least 2 angles"),
 ])
-def test_bad_optimize_input_exit_code(tmp_path, capsys, flags, reason):
+def test_bad_optimize_input_exit_code(tmp_path, capsys, monkeypatch, flags, reason):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a channel before checking the flags")
+
+    monkeypatch.setattr(cli, "sample_channels", no_draw)
     out = tmp_path / "x.csv"
     argv = ["optimize", "--L", "2", "--reciprocity", "non-reciprocal",
             "--methods", "sdp", "--trials", "2"]

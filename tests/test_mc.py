@@ -266,7 +266,7 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
                               rngmod.BLOCK_SIZE)
     rngs = [rngmod.trial_generator(31, rngmod.STREAM_OPTIM, i) for i in range(len(ch.h_t))]
     z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
-    phases = optim.maxmin_block(z1, z2, mc._unit_ratio_budget(cfg), method, rngs)
+    phases, _ = optim.maxmin_block(z1, z2, mc._unit_ratio_budget(cfg), method, rngs)
     rot = np.exp(1j * phases)
     for i in range(len(rot)):
         # each gain as one trial's numpy-scalar expression gives it
@@ -287,7 +287,7 @@ def test_solver_failure_names_the_trial(monkeypatch):
     def fail_in_second_block(z1, z2, budget, method, rngs=None, **kwargs):
         if len(z1) == 10:
             raise optim.SolverFailureError("line search failed", 4)
-        return np.zeros(z1.shape)
+        return np.zeros(z1.shape), np.full(len(z1), np.nan)
 
     monkeypatch.setattr(mc, "maxmin_block", fail_in_second_block)
     cfg = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL)

@@ -219,9 +219,24 @@ def test_sdp_at_32_elements_bounds_greedy_and_randomization():
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0, math.inf])
 def test_sdp_needs_positive_tolerance(tol):
-    forms = build_quadratic_forms(nonrec(2, 42), BUDGET)
+    ch = nonrec(2, 42)
+    forms = build_quadratic_forms(ch, BUDGET)
     with pytest.raises(ValueError, match="tolerance must be > 0"):
         sdp_maxmin(forms, tol=tol)
+    for method in (OptimMethod.SDP_RELAX, OptimMethod.GREEDY_ITERATIVE):
+        with pytest.raises(ValueError, match="0 < tol < 1"):
+            maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], BUDGET, method,
+                         [np.random.default_rng(0)], tol=tol)
+
+
+@pytest.mark.parametrize("grid", [1, 0, -3])
+def test_greedy_needs_two_grid_angles(grid):
+    ch = nonrec(2, 42)
+    with pytest.raises(ValueError, match="grid >= 2"):
+        maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], BUDGET,
+                     OptimMethod.GREEDY_ITERATIVE, grid=grid)
+    with pytest.raises(ValueError, match="at least 2 angles"):
+        greedy_iterative(ch, BUDGET, k=grid)
 
 
 def test_malformed_forms_rejected():
@@ -361,10 +376,9 @@ def test_solve_maxmin_sdp_populates_result():
     ch = nonrec(4, 27)
     res = solve_maxmin(ch, BUDGET, method=OptimMethod.SDP_RELAX,
                        rng=np.random.default_rng(28))
-    assert res.t_star is not None and res.a_star is not None
+    assert res.t_star == sdp_maxmin(build_quadratic_forms(ch, BUDGET), method="joint").t_star
     assert res.method is OptimMethod.SDP_RELAX
     assert min(res.achieved) <= res.t_star * (1 + 1e-4)
-    assert res.feasibility_gap >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +436,7 @@ def test_greedy_block_matches_scalar_search(L, m):
     budget = SinrBudget(1.0, 0.45)
     z1, z2 = nonrec_terms(L, m, 70 + L)
     phases, sweeps, history = _greedy_block(z1, z2, budget, 360)
-    block = maxmin_block(z1, z2, budget, OptimMethod.GREEDY_ITERATIVE)  # in sub-batches
+    block, _ = maxmin_block(z1, z2, budget, OptimMethod.GREEDY_ITERATIVE)  # in sub-batches
     assert np.array_equal(block, phases)
     for i in range(m):
         ref_phases, ref_history = scalar_greedy(z1[i], z2[i], budget)
@@ -439,12 +453,16 @@ def test_block_rows_equal_solve_maxmin(method):
         # the relaxation needs both forms nonzero: no all-zero rows
         z1[:2], z2[:2] = z1[2], z2[2]
     rngs = [np.random.default_rng(900 + i) for i in range(40)]
-    block = maxmin_block(z1, z2, budget, method, rngs)
+    block, bound = maxmin_block(z1, z2, budget, method, rngs)
     for i in range(40):
         ch = NonReciprocalChannel(h_t=z2[i], h_r=z1[i], g_t=np.ones(4, dtype=complex),
                                   g_r=np.ones(4, dtype=complex))
         res = solve_maxmin(ch, budget, method, rng=np.random.default_rng(900 + i))
         assert np.array_equal(block[i], res.phases)
+        if method is OptimMethod.SDP_RELAX:
+            assert bound[i] == res.t_star
+        else:
+            assert np.isnan(bound[i]) and res.t_star is None
 
 
 @pytest.mark.parametrize("L", [1, 2, 4, 8, 16, 32])

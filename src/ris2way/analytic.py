@@ -24,6 +24,10 @@ u = log s on a fixed grid.  Both error estimates are the difference between
 the full sum and the sum over every other node; NonConvergenceError is raised
 when that exceeds the QuadratureSpec tolerance.  Nothing here calls adaptive
 quadrature.
+
+The outage laws and the spectral efficiencies take rho as a scalar or as an
+array: a power sweep is one call, with the node grid built once, and each
+point's value is the same bits as its own scalar call.
 """
 
 from __future__ import annotations
@@ -82,31 +86,32 @@ def _cascade_argument(gamma_th, rho, sigma2):
     return (2.0 / sigma2) * np.sqrt(np.asarray(gamma_th, dtype=float) / rho)
 
 
-def outage_exact_L1(gamma_th, rho: float, sigma2: float = 1.0):
-    """Exact single-element outage 1 - z K_1(z); clamped to [0, 1]."""
-    if rho <= 0:
+def _check_rho(rho) -> None:
+    if np.any(np.asarray(rho) <= 0):
         raise ValueError("rho must be > 0")
+
+
+def outage_exact_L1(gamma_th, rho, sigma2: float = 1.0):
+    """Exact single-element outage 1 - z K_1(z); clamped to [0, 1]."""
+    _check_rho(rho)
     z = _cascade_argument(gamma_th, rho, sigma2)
     with np.errstate(invalid="ignore", over="ignore"):
         out = np.where(z == 0.0, 0.0, 1.0 - z * special.kv(1, z))
     return np.clip(out, 0.0, 1.0)
 
 
-def outage_gamma_Lge2(L: int, gamma_th, rho: float,
-                      params: GammaApproxParams) -> float:
+def outage_gamma_Lge2(L: int, gamma_th, rho, params: GammaApproxParams):
     """Gamma-approximation outage P(L k, sqrt(gamma_th/rho) / theta)."""
     if L < 2:
         raise ValueError("gamma-approximation outage is for L >= 2")
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
+    _check_rho(rho)
     x = np.sqrt(np.asarray(gamma_th, dtype=float) / rho) / params.theta
     return regularized_gamma_p(L * params.k, x)
 
 
-def outage_clt(L: int, gamma_th, rho: float, params: CltParams):
+def outage_clt(L: int, gamma_th, rho, params: CltParams):
     """Gaussian-limit outage in its error-function form."""
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
+    _check_rho(rho)
     u = np.sqrt(np.asarray(gamma_th, dtype=float) / rho)
     s = math.sqrt(2.0 * params.eta)
     out = 0.5 * (erf((u - params.mu) / s) + erf((u + params.mu) / s))
@@ -114,35 +119,23 @@ def outage_clt(L: int, gamma_th, rho: float, params: CltParams):
 
 
 def _log_cascade_ccdf_uniform_phase(L: int, z: float) -> float:
-    """log of the tail 2 (z/2)^L K_L(z) / Gamma(L), stable for any order."""
+    """log of the tail 2 (z/2)^L K_L(z) / Gamma(L) of the fully phase-scrambled
+    cascade sum, stable for any order: the factors overflow long before the
+    product (which lies in [0, 1]) does."""
     return (math.log(2.0) + L * math.log(z / 2.0) + log_bessel_k(L, z)
             - special.gammaln(L))
 
 
-def cascade_ccdf_uniform_phase(L: int, z) -> np.ndarray:
-    """Tail 2 (z/2)^L K_L(z) / Gamma(L) of the fully phase-scrambled cascade sum.
-
-    Evaluated in the log domain: the individual factors overflow long before
-    the product (which lies in [0, 1]) does.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty_like(z)
-    for i, zi in enumerate(z):
-        out[i] = 1.0 if zi == 0.0 else math.exp(_log_cascade_ccdf_uniform_phase(L, zi))
-    return np.clip(out, 0.0, 1.0)
-
-
-def outage_phase_error_uniform_pi(L: int, gamma_th, rho: float, sigma2: float = 1.0):
+def outage_phase_error_uniform_pi(L: int, gamma_th, rho, sigma2: float = 1.0):
     """Exact outage when every element phase is scrambled uniformly over (-pi, pi]."""
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    z = np.atleast_1d(_cascade_argument(gamma_th, rho, sigma2))
-    out = np.empty_like(z)
-    for i, zi in enumerate(z):
+    _check_rho(rho)
+    z = _cascade_argument(gamma_th, rho, sigma2)
+    out = np.empty(z.shape)
+    for i, zi in np.ndenumerate(z):
         out[i] = 0.0 if zi == 0.0 else -math.expm1(
             min(_log_cascade_ccdf_uniform_phase(L, zi), 0.0))
     out = np.clip(out, 0.0, 1.0)
-    return out if out.size > 1 else float(out[0])
+    return float(out) if out.ndim == 0 else out
 
 
 # Node spacing in u = log y, divided by sqrt(a + 1): log Y has standard
@@ -154,31 +147,42 @@ _LOG_WEIGHT_FLOOR = -700.0  # right cut: the weight beyond it is below e^-700
 
 
 def _log_trapezoid(terms: np.ndarray, h: float, j: np.ndarray,
-                   spec: QuadratureSpec, what: str) -> float:
-    """Trapezoid sum S_h = h sum(terms) over the nodes u = u0 + h j.
+                   spec: QuadratureSpec, what: str) -> np.ndarray:
+    """Trapezoid sums S_h = h sum(terms) of each row of `terms`, over the
+    nodes u = u0 + h j.
 
     |S_h - S_2h|, with S_2h the sum over the nodes of even j, estimates the
     error of S_2h and so overstates that of S_h; NonConvergenceError is
-    raised when it exceeds the tolerance of `spec`.
+    raised for the first row where it exceeds the tolerance of `spec`.  Each
+    row is summed on its own, so a row's value and error are the same bits
+    in a stack of any height.
     """
-    value = h * float(np.sum(terms))
-    coarse = 2.0 * h * float(np.sum(terms[j % 2 == 0]))
-    error = abs(value - coarse)
-    tol = max(spec.absolute_tolerance, spec.relative_tolerance * abs(value))
-    if not math.isfinite(value) or not error <= tol:
+    value = h * np.sum(terms, axis=1)
+    # numpy sums each contiguous row pairwise, as it sums a 1-D array; the
+    # masked copy is column-major, and its rows would be summed in another order
+    coarse = 2.0 * h * np.sum(np.ascontiguousarray(terms[:, j % 2 == 0]), axis=1)
+    error = np.abs(value - coarse)
+    tol = np.fmax(spec.absolute_tolerance, spec.relative_tolerance * np.abs(value))
+    failed = ~(np.isfinite(value) & (error <= tol))
+    if failed.any():
+        i = int(np.argmax(failed))
+        v, e, t = float(value[i]), float(error[i]), float(tol[i])
         raise NonConvergenceError(
-            f"{what} did not converge: estimate {value!r}, error {error!r} "
-            f"above tolerance {tol!r}", value=value, error_estimate=error)
+            f"{what} did not converge: estimate {v!r}, error {e!r} "
+            f"above tolerance {t!r}", value=v, error_estimate=e)
     return value
 
 
 def _gamma_expectation(phi: Callable[[np.ndarray], np.ndarray], a: float,
-                       spec: QuadratureSpec) -> float:
+                       spec: QuadratureSpec) -> np.ndarray:
     """E[phi(Y)] for Y ~ Gamma(a, 1), a >= 1, by the trapezoid rule in u = log y.
 
-    phi must be nonnegative and nondecreasing, as every rate here is.  The
-    weight exp(a u - e^u - lnGamma(a)) is analytic and decays exponentially to
-    the left and double-exponentially to the right, so the trapezoid sum S_h
+    phi maps the nodes y to a (points, nodes) array, one row per integrand,
+    and the result holds one expectation per row; the grid and the weights
+    are built once for all of them.  Each phi must be nonnegative and
+    nondecreasing, as every rate here is.  The weight
+    exp(a u - e^u - lnGamma(a)) is analytic and decays exponentially to the
+    left and double-exponentially to the right, so the trapezoid sum S_h
     converges exponentially in 1/h.  The nodes sit on a grid anchored at the
     mode u = log a.  On the left they stop where P(Y < e^u) <= e^{a u} /
     Gamma(a + 1) reaches e^-40, which for such phi bounds the relative
@@ -217,47 +221,55 @@ def _exp_e1(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _se_cascade_law(L: int, rho: float, sigma2: float, spec: QuadratureSpec,
-                    half_rate: bool) -> float:
+def _column(rho) -> np.ndarray:
+    """rho as a (points, 1) column, checked; a scalar is one point."""
+    rho = np.asarray(rho, dtype=float).reshape(-1, 1)
+    _check_rho(rho)
+    return rho
+
+
+def _rate(nats: np.ndarray, rho, half_rate: bool):
+    """bits/sec/Hz from natural-log rates: a float for a scalar rho, else an array."""
+    rate = nats / LOG2 * (0.5 if half_rate else 1.0)
+    return float(rate[0]) if np.ndim(rho) == 0 else rate
+
+
+def _se_cascade_law(L: int, rho, sigma2: float, spec: QuadratureSpec,
+                    half_rate: bool):
     """E[log2(1 + X)] where X has the tail 2 (z/2)^L K_L(z) / Gamma(L),
-    z = (2/sigma^2) sqrt(x/rho).
+    z = (2/sigma^2) sqrt(x/rho), at each rho.
 
     That tail is the law of c G E with c = rho sigma^4, G ~ Gamma(L, 1) and
     E ~ Exp(1); averaging over E in closed form leaves E_G[e^x E1(x)] at
     x = 1/(c G).
     """
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    c = rho * sigma2**2
-    value = _gamma_expectation(lambda g: _exp_e1(c * g), L, spec)
-    return value / LOG2 * (0.5 if half_rate else 1.0)
+    c = _column(rho) * sigma2**2
+    return _rate(_gamma_expectation(lambda g: _exp_e1(c * g), L, spec), rho, half_rate)
 
 
-def se_exact_L1(rho: float, sigma2: float = 1.0,
+def se_exact_L1(rho, sigma2: float = 1.0,
                 spec: QuadratureSpec = QuadratureSpec(),
-                half_rate: bool = False) -> float:
+                half_rate: bool = False):
     """Single-element spectral efficiency (the Bessel-kernel rate integral)."""
     return _se_cascade_law(1, rho, sigma2, spec, half_rate)
 
 
-def se_gamma(L: int, rho: float, params: GammaApproxParams,
+def se_gamma(L: int, rho, params: GammaApproxParams,
              spec: QuadratureSpec = QuadratureSpec(),
-             half_rate: bool = False) -> float:
-    """Gamma-approximation spectral efficiency for L >= 2.
+             half_rate: bool = False):
+    """Gamma-approximation spectral efficiency for L >= 2, at each rho.
 
     The outage P(L k, sqrt(x/rho)/theta) is the CDF of rho theta^2 Y^2 with
     Y ~ Gamma(L k, 1), so the rate is E[log2(1 + rho theta^2 Y^2)].
     """
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    scale = rho * params.theta**2
-    value = _gamma_expectation(lambda y: np.log1p(scale * y * y), L * params.k, spec)
-    return value / LOG2 * (0.5 if half_rate else 1.0)
+    scale = _column(rho) * params.theta**2
+    nats = _gamma_expectation(lambda y: np.log1p(scale * y * y), L * params.k, spec)
+    return _rate(nats, rho, half_rate)
 
 
-def se_phase_error_uniform_pi(L: int, rho: float, sigma2: float = 1.0,
+def se_phase_error_uniform_pi(L: int, rho, sigma2: float = 1.0,
                               spec: QuadratureSpec = QuadratureSpec(),
-                              half_rate: bool = False) -> float:
+                              half_rate: bool = False):
     """Spectral efficiency under fully scrambled phases (exact law)."""
     return _se_cascade_law(L, rho, sigma2, spec, half_rate)
 
@@ -411,7 +423,7 @@ def kl_divergence_gamma_fit(sigma2: float,
     s = np.exp(h * j)
     log_k0 = np.log(special.kve(0, s)) - s
     terms = s * s * np.exp(log_k0) * log_k0
-    expect_log_k0 = _log_trapezoid(terms, h, j, spec, "Gamma-fit divergence")
+    expect_log_k0 = float(_log_trapezoid(terms[None], h, j, spec, "Gamma-fit divergence")[0])
     params = gamma_approx_params(1.0)
     k, theta = params.k, params.theta
     return (math.pi / (4.0 * theta) + k * math.log(theta)

@@ -381,57 +381,77 @@ def _validate_methods(spec: ExperimentSpec, allowed: tuple[str, ...]) -> None:
             raise SpecError("method 'gamma' needs L >= 2")
 
 
-def _metric_analytic(method: str, cfg: SystemConfig, metric: str, user) -> float:
-    budget = sinr_budget(cfg)
-    rho = budget.rho1 if user in (1, "min") else budget.rho2
+def _metric_analytic(method: str, cfgs: list[SystemConfig], metric: str, user) -> list[float]:
+    """A closed-form column at each config of `cfgs`, which differ only in power.
+
+    Every law but the asymptotic ones takes the whole rho vector in one call;
+    each rho is the scalar `sinr_budget` arithmetic of its config.
+    """
+    cfg = cfgs[0]
+    if method == "asymptotic":
+        if metric == "outage":
+            return [analytic.asymptotic_outage(c.L, c.gamma_th, c.p1_mw, c.omega, c.nu,
+                                               c.noise_mw, c.sigma2) for c in cfgs]
+        return [analytic.asymptotic_se(c.L, c.p1_mw, c.omega, c.nu, c.noise_mw,
+                                       c.sigma2, c.scheme) for c in cfgs]
+    budgets = [sinr_budget(c) for c in cfgs]
+    rho = np.array([b.rho1 if user in (1, "min") else b.rho2 for b in budgets])
     half = cfg.scheme is Scheme.TWO
     params = analytic.gamma_approx_params(cfg.sigma2)
     if metric == "outage":
         if method == "exact":
-            return float(analytic.outage_exact_L1(cfg.gamma_th, rho, cfg.sigma2))
-        if method == "gamma":
-            return float(analytic.outage_gamma_Lge2(cfg.L, cfg.gamma_th, rho, params))
-        if method == "clt":
-            return float(analytic.outage_clt(cfg.L, cfg.gamma_th, rho,
-                                             analytic.clt_params(cfg.L, cfg.sigma2)))
-        if method == "asymptotic":
-            return analytic.asymptotic_outage(cfg.L, cfg.gamma_th, cfg.p1_mw,
-                                              cfg.omega, cfg.nu, cfg.noise_mw,
-                                              cfg.sigma2)
-        if method == "phase-error":
-            return float(analytic.outage_phase_error_uniform_pi(
-                cfg.L, cfg.gamma_th, rho, cfg.sigma2))
+            values = analytic.outage_exact_L1(cfg.gamma_th, rho, cfg.sigma2)
+        elif method == "gamma":
+            values = analytic.outage_gamma_Lge2(cfg.L, cfg.gamma_th, rho, params)
+        elif method == "clt":
+            values = analytic.outage_clt(cfg.L, cfg.gamma_th, rho,
+                                         analytic.clt_params(cfg.L, cfg.sigma2))
+        elif method == "phase-error":
+            values = analytic.outage_phase_error_uniform_pi(cfg.L, cfg.gamma_th, rho,
+                                                            cfg.sigma2)
+        else:
+            raise SpecError(f"method {method!r} not implemented for {metric}")
+    elif method == "exact":
+        values = analytic.se_exact_L1(rho, cfg.sigma2, half_rate=half)
+    elif method == "gamma":
+        values = analytic.se_gamma(cfg.L, rho, params, half_rate=half)
+    elif method == "phase-error":
+        values = analytic.se_phase_error_uniform_pi(cfg.L, rho, cfg.sigma2, half_rate=half)
     else:
-        if method == "exact":
-            return analytic.se_exact_L1(rho, cfg.sigma2, half_rate=half)
-        if method == "gamma":
-            return analytic.se_gamma(cfg.L, rho, params, half_rate=half)
-        if method == "asymptotic":
-            return analytic.asymptotic_se(cfg.L, cfg.p1_mw, cfg.omega, cfg.nu,
-                                          cfg.noise_mw, cfg.sigma2, cfg.scheme)
-        if method == "phase-error":
-            return analytic.se_phase_error_uniform_pi(cfg.L, rho, cfg.sigma2,
-                                                      half_rate=half)
-    raise SpecError(f"method {method!r} not implemented for {metric}")
+        raise SpecError(f"method {method!r} not implemented for {metric}")
+    return np.atleast_1d(values).tolist()
 
 
 def _sweep_table(spec: ExperimentSpec, metric: str, axis: str, xs: list,
                  columns: list[_Column], p_dbm: float = 0.0) -> tuple[list, list]:
     """Header and rows of one outage/SE table, one row per point of `xs`.
 
-    axis "p_dbm" sweeps the transmit power; axis "L" sweeps the element count
-    at the single power `p_dbm`.  Monte Carlo gains do not depend on the power,
-    so they are collected once and reduced at every point.  The first time the
-    table meets a Monte Carlo column with a new `mc.draw_key`, it collects
-    every config of the table with that key in one `mc.collect_gains` call
-    (on a reciprocal channel: every scheme, nu and phase-error model at one L),
-    and it holds that one group until the next key arrives.
+    axis "p_dbm" sweeps the transmit power: each column is one call of its
+    closed form, or of its Monte Carlo reduction, over the whole power grid.
+    axis "L" sweeps the element count at the single power `p_dbm`, one call
+    per point.  Monte Carlo gains do not depend on the power, so they are
+    collected once and reduced at every point.  The first time the table
+    meets a Monte Carlo column with a new `mc.draw_key`, it collects every
+    config of the table with that key in one `mc.collect_gains` call (on a
+    reciprocal channel: every scheme, nu and phase-error model at one L), and
+    it holds that one group until the next key arrives.
     """
     fmt = fmt_prob if metric == "outage" else fmt_val
     reduce = mc.outage_from_gains if metric == "outage" else mc.se_from_gains
 
     def power_free(col, x):
         return col.cfg if axis == "p_dbm" else dataclasses.replace(col.cfg, L=x)
+
+    powered = {}  # power-free config -> its configs at the table's powers
+
+    def segments(col):
+        """(power-free config, its configs at each point) per evaluation call."""
+        if axis == "L":
+            return [(cfg, [cfg.with_power(db_to_linear(p_dbm))])
+                    for cfg in (power_free(col, x) for x in xs)]
+        if col.cfg not in powered:
+            powered[col.cfg] = [col.cfg.with_power(db_to_linear(x)) for x in xs]
+        return [(col.cfg, powered[col.cfg])]
 
     drawn = [(mc.draw_key(cfg, col.policy, col.trials), cfg)
              for col in columns if col.method == "mc"
@@ -440,11 +460,9 @@ def _sweep_table(spec: ExperimentSpec, metric: str, axis: str, xs: list,
     key = gains = None
     for col in columns:
         values, errors = [], []
-        for x in xs:
-            cfg = power_free(col, x)
-            at = cfg.with_power(db_to_linear(x if axis == "p_dbm" else p_dbm))
+        for cfg, at in segments(col):
             if col.method != "mc":
-                values.append(fmt(_metric_analytic(col.method, at, metric, col.user)))
+                values.extend(fmt(v) for v in _metric_analytic(col.method, at, metric, col.user))
                 continue
             if mc.draw_key(cfg, col.policy, col.trials) != key:
                 key = mc.draw_key(cfg, col.policy, col.trials)
@@ -452,9 +470,9 @@ def _sweep_table(spec: ExperimentSpec, metric: str, axis: str, xs: list,
                 gains = None  # drop the previous group before drawing this one
                 gains = dict(zip(group, mc.collect_gains(
                     group, col.policy, col.trials, spec.seed, spec.workers)))
-            e = reduce(at, gains[cfg], col.user)
-            values.append(fmt(e.value))
-            errors.append(fmt_prob(e.std_error))
+            for e in reduce(at, gains[cfg], col.user):
+                values.append(fmt(e.value))
+                errors.append(fmt_prob(e.std_error))
         header.append(f"{metric}_{col.label}")
         cells.append(values)
         if col.method == "mc":
@@ -514,8 +532,12 @@ def run_optimize(spec: ExperimentSpec) -> None:
             continue
         rngs = ([rngmod.trial_generator(spec.seed, rngmod.STREAM_OPTIM, t)
                  for t in range(spec.trials)] if m == "sdp" else None)
-        phases[m], bounds[m] = maxmin_block(z1, z2, budget, method, rngs, grid=spec.greedy_grid,
-                                            tol=spec.sdp_tol, k=spec.randomization_k)
+        try:
+            phases[m], bounds[m] = maxmin_block(z1, z2, budget, method, rngs,
+                                                grid=spec.greedy_grid, tol=spec.sdp_tol,
+                                                k=spec.randomization_k)
+        except SolverFailureError as exc:  # a stack row is a trial
+            raise SolverFailureError(f"trial {exc.instance}: {exc}") from exc
 
     header = ["trial"]
     if "sdp" in spec.methods:
@@ -643,7 +665,7 @@ def _preset_fig2(spec: ExperimentSpec) -> dict:
         for t, row in zip(ts, rows_b):
             # threshold t^2 at unit SNR (P = noise = 1 mW, no interference)
             cfg = SystemConfig(L=1, sigma2=s2, noise_mw=1.0, omega=0.0, gamma_th=t * t)
-            row.extend([fmt_prob(1.0 - _metric_analytic("exact", cfg, "outage", 1)),
+            row.extend([fmt_prob(1.0 - _metric_analytic("exact", [cfg], "outage", 1)[0]),
                         fmt_prob(float(regularized_gamma_q(params.k, t / params.theta)))])
     out["b_ccdf"] = (header, rows_b, True, "CCDF")
     return out

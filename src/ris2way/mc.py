@@ -2,10 +2,11 @@
 efficiency, and the scheme-crossover search.
 
 `collect_gains` draws each config's per-trial gains; `outage_from_gains` and
-`se_from_gains` reduce them at one power point.  Gains do not depend on the
-transmit power, so a sweep collects once and reduces at every point.  They
-are a pure function of (seed, trial index), drawn in fixed-size blocks merged
-in block order, so they are bit-for-bit reproducible for any worker count.
+`se_from_gains` reduce them at one power point, or at every point of a power
+sweep in one call.  Gains do not depend on the transmit power, so a sweep
+collects once and reduces each column once.  They are a pure function of (seed,
+trial index), drawn in fixed-size blocks merged in block order, so they are
+bit-for-bit reproducible for any worker count.
 `draw_key` names what else they depend on: on a reciprocal channel only L,
 sigma2, the trial count and the phase-error model, so configs differing in
 scheme, nu, omega, gamma_th, noise or jitter width share one channel draw per
@@ -195,35 +196,81 @@ def _fill_blocks(rows: np.ndarray, parts) -> None:
         lo += part.shape[1]
 
 
-def _per_trial_sinr(cfg: SystemConfig, gains: TrialGains, user) -> np.ndarray:
-    budget = sinr_budget(cfg)
+# the most doubles a (points, trials) temporary of a reduction holds, unless
+# one point alone has more trials
+_REDUCE_CHUNK = 2**17
+
+
+def _reduce(cfgs, gains: TrialGains, user, stat):
+    """Estimates at each config's power from stat(sinr, cfg) -> (values, std
+    errors), which reduces each row of a (points, trials) SINR array.
+
+    The points go through in chunks of at most _REDUCE_CHUNK doubles.  Every
+    row is reduced on its own, so an estimate is the same bits whatever the
+    chunk or the number of configs; one config gives one McEstimate, a
+    sequence a list in its order.
+    """
+    single = isinstance(cfgs, SystemConfig)
+    cfgs = [cfgs] if single else list(cfgs)
+    if not cfgs:
+        raise ValueError("need at least one config")
+    first = cfgs[0]
+    if any(c.scheme is not first.scheme or c.gamma_th != first.gamma_th for c in cfgs):
+        raise ValueError("the configs of one reduction must differ only in power")
+    budgets = [sinr_budget(c) for c in cfgs]
+    rho1 = np.array([b.rho1 for b in budgets])[:, None]
+    rho2 = np.array([b.rho2 for b in budgets])[:, None]
+    n = gains.g1.size
+    step = max(1, _REDUCE_CHUNK // n)
+    out = []
+    for lo in range(0, len(cfgs), step):
+        # passed straight to stat, so no chunk's SINR outlives its reduction
+        values, errors = stat(_per_trial_sinr(rho1[lo:lo + step], rho2[lo:lo + step],
+                                              gains, user), first)
+        out.extend(McEstimate(float(v), float(e), n) for v, e in zip(values, errors))
+    return out[0] if single else out
+
+
+def _per_trial_sinr(rho1: np.ndarray, rho2: np.ndarray, gains: TrialGains, user) -> np.ndarray:
+    """(points, trials) SINRs of `user` from (points, 1) columns of rho."""
     if user == 1:
-        return budget.rho1 * gains.g1
+        return rho1 * gains.g1
     if user == 2:
-        return budget.rho2 * gains.g2
+        return rho2 * gains.g2
     if user == "min":
-        return np.minimum(budget.rho1 * gains.g1, budget.rho2 * gains.g2)
+        return np.minimum(rho1 * gains.g1, rho2 * gains.g2)
     raise ValueError("user must be 1, 2, or 'min'")
 
 
-def outage_from_gains(cfg: SystemConfig, gains: TrialGains, user=1) -> McEstimate:
-    """Outage probability at cfg's power: the share of trials with SINR <= gamma_th."""
-    gamma = _per_trial_sinr(cfg, gains, user)
-    n = gamma.size
-    p = float(np.count_nonzero(gamma <= cfg.gamma_th)) / n
-    return McEstimate(p, math.sqrt(p * (1.0 - p) / n), n)
+def outage_from_gains(cfg, gains: TrialGains, user=1):
+    """Outage probability at cfg's power: the share of trials with SINR <= gamma_th.
+
+    `cfg` may be a sequence of configs that differ only in power, for one
+    estimate per config.
+    """
+    def stat(sinr, cfg):
+        n = sinr.shape[1]
+        p = np.count_nonzero(sinr <= cfg.gamma_th, axis=1) / n
+        return p, np.sqrt(p * (1.0 - p) / n)
+
+    return _reduce(cfg, gains, user, stat)
 
 
-def se_from_gains(cfg: SystemConfig, gains: TrialGains, user=1) -> McEstimate:
-    """Mean spectral efficiency at cfg's power, halved for the two-slot scheme."""
-    gamma = _per_trial_sinr(cfg, gains, user)
-    rate = np.log2(1.0 + gamma)
-    if cfg.scheme is Scheme.TWO:
-        rate = rate / 2.0
-    n = rate.size
-    mean = float(np.mean(rate))
-    std = float(np.std(rate, ddof=1)) if n > 1 else 0.0
-    return McEstimate(mean, std / math.sqrt(n), n)
+def se_from_gains(cfg, gains: TrialGains, user=1):
+    """Mean spectral efficiency at cfg's power, halved for the two-slot scheme.
+
+    `cfg` may be a sequence of configs that differ only in power, for one
+    estimate per config.
+    """
+    def stat(sinr, cfg):
+        n = sinr.shape[1]
+        rate = np.log2(1.0 + sinr)
+        if cfg.scheme is Scheme.TWO:
+            rate = rate / 2.0
+        std = np.std(rate, axis=1, ddof=1) if n > 1 else np.zeros(len(rate))
+        return np.mean(rate, axis=1), std / math.sqrt(n)
+
+    return _reduce(cfg, gains, user, stat)
 
 
 def find_crossover(cfg: SystemConfig, p_dbm_grid, trials: int = 10**3, seed: int = 0,

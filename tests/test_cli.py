@@ -285,6 +285,19 @@ def test_solver_failure_exit_code_names_the_trial(tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
 
+def test_optimize_solver_failure_names_the_trial(tmp_path, capsys, monkeypatch):
+    def fail(z1, z2, budget, method, rngs=None, **kwargs):
+        raise optim.SolverFailureError("interior point stalled", 2)
+
+    monkeypatch.setattr(cli, "maxmin_block", fail)
+    out = tmp_path / "x.csv"
+    argv = ["optimize", "--L", "2", "--reciprocity", "non-reciprocal", "--trials", "5",
+            "--out", str(out)]
+    assert run_cli(argv) == 3
+    assert "solver failure: trial 2: interior point stalled" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_svg_emitted(tmp_path):
     out = tmp_path / "o.csv"
     rc = run_cli(["outage", "--L", "1", "--method", "exact", "--p-dbm", "-10:10:5",
@@ -505,7 +518,7 @@ def test_benchmark_tracer_installs(tmp_path):
             "assert cli.main(['outage', '--L', '2', '--methods', 'mc', '--p-dbm', "
             "'0:10:5', '--trials', '50', '--out', sys.argv[1]]) == 0; "
             "m = tracer.summary()['metrics']; "
-            "assert (m['mc.trials'], m['mc.reduce.calls']) == (50, 3), m")
+            "assert (m['mc.trials'], m['mc.reduce.calls']) == (50, 1), m")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o.csv")], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -65,6 +65,51 @@ def test_se_scheme_two_half_rate():
     assert b.value == pytest.approx(a.value / 2.0, rel=1e-12)
 
 
+def _one_point(metric, cfg, gains, user):
+    """Reference: one power point's reduction on 1-D arrays, written out."""
+    b = sinr_budget(cfg)
+    sinr = {1: lambda: b.rho1 * gains.g1, 2: lambda: b.rho2 * gains.g2,
+            "min": lambda: np.minimum(b.rho1 * gains.g1, b.rho2 * gains.g2)}[user]()
+    n = sinr.size
+    if metric == "outage":
+        p = float(np.count_nonzero(sinr <= cfg.gamma_th)) / n
+        return p, math.sqrt(p * (1.0 - p) / n), n
+    rate = np.log2(1.0 + sinr)
+    if cfg.scheme is Scheme.TWO:
+        rate = rate / 2.0
+    return float(np.mean(rate)), float(np.std(rate, ddof=1)) / math.sqrt(n), n
+
+
+@pytest.mark.parametrize("metric", ["outage", "se"])
+def test_power_grid_reduction_equals_one_point_reductions(metric):
+    """One reduction over a power grid gives each point's bits exactly: users
+    1, 2 and min of a non-reciprocal channel with rho1 != rho2, the two-slot
+    half rate, and more points than one chunk holds."""
+    reduce = outage_from_gains if metric == "outage" else se_from_gains
+    powers = [10.0 ** (p / 10.0) for p in range(-80, 41, 2)]  # the fig3-fig6 grids
+    trials = 5000
+    assert len(powers) * trials > 2 * mc._REDUCE_CHUNK  # three chunks of points
+    nonrec = cfg_rec(L=4, reciprocity=Reciprocity.NON_RECIPROCAL, nu=0.5, omega=1e-3)
+    [g_nonrec] = collect_gains([nonrec], "u1", trials, seed=41)
+    assert not np.array_equal(g_nonrec.g1, g_nonrec.g2)
+    two, one = cfg_rec(L=4, scheme=Scheme.TWO), cfg_rec(L=4, nu=1.0, gamma_th=2.0)
+    g_two, g_one = collect_gains([two, one], "optimal", trials, seed=41)
+    cases = [([dataclasses.replace(nonrec, p1_mw=p, p2_mw=3.0 * p) for p in powers],
+              g_nonrec, user) for user in (1, 2, "min")]
+    cases += [([c.with_power(p) for p in powers], g, 1) for c, g in ((two, g_two), (one, g_one))]
+    for cfgs, gains, user in cases:
+        want = [_one_point(metric, c, gains, user) for c in cfgs]
+        got = reduce(cfgs, gains, user)
+        assert [(e.value, e.std_error, e.trials) for e in got] == want
+        for c, w in zip(cfgs[::10], want[::10]):
+            e = reduce(c, gains, user)
+            assert (e.value, e.std_error, e.trials) == w
+    budget = sinr_budget(cases[0][0][0])
+    assert budget.rho1 != budget.rho2
+    with pytest.raises(ValueError, match="differ only in power"):
+        reduce([one, two], g_one)
+
+
 def test_estimates_identical_across_worker_counts():
     cfg = cfg_rec(L=3).with_power(10.0)
     gains = [collect_gains([cfg], "optimal", 9_000, seed=6, workers=w)[0] for w in (1, 3)]

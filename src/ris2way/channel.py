@@ -158,8 +158,14 @@ ChannelRealization = Union[ReciprocalChannel, NonReciprocalChannel]
 
 
 def _cn_matrix(z: np.ndarray, sigma2: float) -> np.ndarray:
+    # scaled straight into the real and imaginary views: the same bits as
+    # sqrt(sigma2/2) * (re + 1j*im), without its complex temporaries
     half = z.shape[-1] // 2
-    return math.sqrt(sigma2 / 2.0) * (z[..., :half] + 1j * z[..., half:])
+    scale = math.sqrt(sigma2 / 2.0)
+    out = np.empty(z.shape[:-1] + (half,), dtype=complex)
+    np.multiply(z[..., :half], scale, out=out.real)
+    np.multiply(z[..., half:], scale, out=out.imag)
+    return out
 
 
 def sample_channels(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
@@ -173,9 +179,11 @@ def sample_channels(cfg: SystemConfig, rng: np.random.Generator) -> ChannelReali
 def sample_channel_block(cfg: SystemConfig, rng: np.random.Generator, n: int) -> ChannelRealization:
     """Draw n realizations at once; fields become (n, L) arrays.
 
-    The draw layout (one standard_normal call per block, vectors in a fixed
-    column order) is part of the reproducibility contract: trial i of a block
-    is row i no matter how many trials the block holds.
+    The draw layout (rows filled in order from one sequential standard_normal
+    stream, vectors in a fixed column order) is part of the reproducibility
+    contract: trial i of a block is row i no matter how many trials the block
+    holds, and consecutive calls on one generator continue that stream, so a
+    block drawn as row chunks is the same rows as one call.
     """
     L = cfg.L
     if cfg.reciprocity is Reciprocity.RECIPROCAL:

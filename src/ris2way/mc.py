@@ -6,7 +6,9 @@ efficiency, and the scheme-crossover search.
 sweep in one call.  Gains do not depend on the transmit power, so a sweep
 collects once and reduces each column once.  They are a pure function of (seed,
 trial index), drawn in fixed-size blocks merged in block order, so they are
-bit-for-bit reproducible for any worker count.
+bit-for-bit reproducible for any worker count.  A block is drawn and reduced
+in cache-sized row chunks; its generators run on from chunk to chunk, so the
+chunks' rows are the bits of one whole-block draw.
 `draw_key` names what else they depend on: on a reciprocal channel only L,
 sigma2, the trial count and the phase-error model, so configs differing in
 scheme, nu, omega, gamma_th, noise or jitter width share one channel draw per
@@ -25,8 +27,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .channel import (PhaseErrorModel, Reciprocity, Scheme, SinrBudget,
-                      SystemConfig, UniformPhaseError, sample_channel_block,
-                      sample_phase_errors, sinr_budget)
+                      SystemConfig, UniformPhaseError, VonMisesPhaseError,
+                      sample_channel_block, sample_phase_errors, sinr_budget)
 from .optim import OptimMethod, SolverFailureError, _scalar_square, maxmin_block
 
 
@@ -53,52 +55,89 @@ class TrialGains:
     g2: np.ndarray
 
 
+# the most standard normals one chunk of a gain block draws (256 KB): a block
+# is drawn and reduced a cache-sized run of rows at a time
+_DRAW_CHUNK = 2**15
+
+
+def _channel_chunks(cfg: SystemConfig, seed: int, block: int, count: int):
+    """(rows, channel) for consecutive row chunks of one block's channel.
+
+    Every chunk continues the block's one generator, so together they are the
+    rows of one whole-block `sample_channel_block` call, bit for bit.
+    """
+    rng = rngmod.block_generator(seed, rngmod.STREAM_CHANNEL, block)
+    per_row = (4 if cfg.reciprocity is Reciprocity.RECIPROCAL else 8) * cfg.L
+    step = max(1, _DRAW_CHUNK // per_row)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        yield slice(lo, hi), sample_channel_block(cfg, rng, hi - lo)
+
+
 def _reciprocal_gain_block(cfg: SystemConfig, models: tuple[PhaseErrorModel | None, ...],
                            seed: int, block: int, count: int) -> np.ndarray:
     """One row of gains per phase-error model, all from one channel draw."""
-    ch = sample_channel_block(cfg, rngmod.block_generator(seed, rngmod.STREAM_CHANNEL, block), count)
-    amp = np.abs(ch.h) * np.abs(ch.g)
+    # every uniform width scales one shared draw, as sample_phase_errors does;
+    # each von Mises model has a generator of its own.  Like the channel's,
+    # they run on from chunk to chunk.
+    uni_rng = None
     if any(isinstance(m, UniformPhaseError) for m in models):
-        # every uniform width scales the same draw, as sample_phase_errors does
-        u = rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block).uniform(
-            -1.0, 1.0, size=amp.shape)
+        uni_rng = rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
+    err_rngs = [rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
+                if isinstance(m, VonMisesPhaseError) else None for m in models]
     out = np.empty((len(models), count))
-    for row, model in zip(out, models):
-        if model is None:
-            # optimal phases co-phase every term (per slot for the two-slot scheme)
-            row[:] = np.sum(amp, axis=1) ** 2
-            continue
-        # adjustment jitter hits the applied phases in either scheme
-        if isinstance(model, UniformPhaseError):
-            eps = model.delta * u
-        else:
-            err_rng = rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
-            eps = sample_phase_errors(model, err_rng, amp.shape)
-        row[:] = np.abs(np.sum(amp * np.exp(1j * eps), axis=1)) ** 2
+    for rows, ch in _channel_chunks(cfg, seed, block, count):
+        amp = np.abs(ch.h) * np.abs(ch.g)
+        if uni_rng is not None:
+            u = uni_rng.uniform(-1.0, 1.0, size=amp.shape)
+        for gain, model, err_rng in zip(out[:, rows], models, err_rngs):
+            if model is None:
+                # optimal phases co-phase every term (per slot for the two-slot scheme)
+                gain[:] = np.sum(amp, axis=1) ** 2
+                continue
+            # adjustment jitter hits the applied phases in either scheme
+            if isinstance(model, UniformPhaseError):
+                eps = model.delta * u
+            else:
+                eps = sample_phase_errors(model, err_rng, amp.shape)
+            gain[:] = np.abs(np.sum(amp * np.exp(1j * eps), axis=1)) ** 2
     return out
 
 
 def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: int,
                               count: int) -> np.ndarray:
-    """The rows (g1, g2) of one block."""
-    ch = sample_channel_block(cfg, rngmod.block_generator(seed, rngmod.STREAM_CHANNEL, block), count)
-    z1 = ch.h_r * ch.g_t
-    z2 = ch.g_r * ch.h_t
-    if cfg.scheme is Scheme.TWO:
-        # each slot gets its own co-phasing, independent of the policy
-        return np.array([np.sum(np.abs(z1), axis=1) ** 2,
-                         np.sum(np.abs(z2), axis=1) ** 2])
-    if policy == "u1":
-        return np.array([np.sum(np.abs(z1), axis=1) ** 2,
-                         np.abs(np.sum(z2 * np.exp(-1j * np.angle(z1)), axis=1)) ** 2])
-    if policy == "random":
+    """The rows (g1, g2) of one block.
+
+    Fixed-phase policies reduce each channel chunk as it is drawn; the max-min
+    policies gather the block's terms and solve them in one `maxmin_block` call.
+    """
+    if cfg.scheme is Scheme.ONE and policy in ("greedy", "sdp"):
+        terms = np.empty((2, count, cfg.L), dtype=complex)
+        for rows, ch in _channel_chunks(cfg, seed, block, count):
+            terms[0, rows] = ch.h_r * ch.g_t
+            terms[1, rows] = ch.g_r * ch.h_t
+        return _maxmin_gains(cfg, policy, seed, block, terms[0], terms[1])
+    brng = None
+    if cfg.scheme is Scheme.ONE and policy == "random":
         brng = rngmod.block_generator(seed, rngmod.STREAM_BASELINE, block)
-        phases = brng.uniform(0.0, 2.0 * math.pi, size=z1.shape)
-        rot = np.exp(1j * phases)
-        return np.array([np.abs(np.sum(z1 * rot, axis=1)) ** 2,
-                         np.abs(np.sum(z2 * rot, axis=1)) ** 2])
-    # greedy or sdp: max-min phases of every trial at unit rho, valid at every
-    # power because scaling (rho1, rho2) together does not move the argmax
+    # complex products are not bitwise commutative, and numpy evaluates
+    # `z2 * temporary` as `temporary * z2` once the temporary reaches 256 KiB
+    # (its temporary elision); u1's whole-block product took that order from
+    # 2**14 terms on, so each of the block's chunks keeps it
+    swap = count * cfg.L >= 2**14
+    out = np.empty((2, count))
+    for rows, ch in _channel_chunks(cfg, seed, block, count):
+        out[:, rows] = _fixed_phase_gains(cfg, policy, ch.h_r * ch.g_t, ch.g_r * ch.h_t,
+                                          brng, swap)
+    return out
+
+
+def _maxmin_gains(cfg: SystemConfig, policy: str, seed: int, block: int,
+                  z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """(g1, g2) of a block's terms under max-min phases of every trial at unit
+    rho, valid at every power because scaling (rho1, rho2) together does not
+    move the argmax."""
+    count = len(z1)
     first = block * rngmod.BLOCK_SIZE
     rngs = None
     if policy == "sdp":
@@ -113,6 +152,20 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: 
     # squared as a numpy scalar squares: a trial's gains are the same bits
     # as |sum(z * rot)| ** 2 evaluated for that trial alone
     return np.array([_scalar_square(np.abs(np.sum(z * rot, axis=1))) for z in (z1, z2)])
+
+
+def _fixed_phase_gains(cfg: SystemConfig, policy: str, z1: np.ndarray, z2: np.ndarray,
+                       brng, swap: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(g1, g2) of one chunk under the two-slot co-phasing, u1 or random phases."""
+    if cfg.scheme is Scheme.TWO:
+        # each slot gets its own co-phasing, independent of the policy
+        return np.sum(np.abs(z1), axis=1) ** 2, np.sum(np.abs(z2), axis=1) ** 2
+    if policy == "u1":
+        rot = np.exp(-1j * np.angle(z1))
+        return (np.sum(np.abs(z1), axis=1) ** 2,
+                np.abs(np.sum(rot * z2 if swap else z2 * rot, axis=1)) ** 2)
+    rot = np.exp(1j * brng.uniform(0.0, 2.0 * math.pi, size=z1.shape))
+    return np.abs(np.sum(z1 * rot, axis=1)) ** 2, np.abs(np.sum(z2 * rot, axis=1)) ** 2
 
 
 def _unit_ratio_budget(cfg: SystemConfig) -> SinrBudget:

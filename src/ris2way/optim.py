@@ -143,10 +143,6 @@ def build_quadratic_forms(ch: NonReciprocalChannel,
     return _forms(ch.h_r * ch.g_t, ch.g_r * ch.h_t, budget)
 
 
-def phases_to_lifted(phases: np.ndarray) -> np.ndarray:
-    return _interleave(np.cos(phases), np.sin(phases))
-
-
 def lifted_to_phases(alpha: np.ndarray) -> np.ndarray:
     return wrap_phases(np.arctan2(alpha[1::2], alpha[0::2]))
 

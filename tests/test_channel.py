@@ -1,5 +1,6 @@
 """Channel statistics, SINR kernels, and reproducibility of the trial streams."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -250,6 +251,19 @@ def test_block_stream_partition_independence():
     other_stream = sample_channel_block(cfg, rngmod.block_generator(7, 1, 0), 10)
     assert not np.array_equal(g_big.h[:10], other_block.h)
     assert not np.array_equal(g_big.h[:10], other_stream.h)
+
+
+@pytest.mark.parametrize("reciprocity", list(Reciprocity))
+def test_chunked_block_draw_equals_one_call(reciprocity):
+    # rows come from one sequential stream: consecutive calls on one
+    # generator continue it, so a block drawn in row chunks is the same rows
+    cfg = cfg_rec(L=5, reciprocity=reciprocity)
+    whole = sample_channel_block(cfg, rngmod.block_generator(11, 0, 2), 1000)
+    rng = rngmod.block_generator(11, 0, 2)
+    parts = [sample_channel_block(cfg, rng, n) for n in (1, 300, 7, 692)]
+    for field in dataclasses.fields(whole):
+        chunked = np.concatenate([getattr(p, field.name) for p in parts])
+        assert np.array_equal(chunked, getattr(whole, field.name))
 
 
 def test_dimension_mismatch_raises():

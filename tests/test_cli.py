@@ -509,16 +509,19 @@ def test_import_leaves_quadpack_unloaded(module):
 def test_benchmark_tracer_installs(tmp_path):
     """perfbench/tracer.py wraps library functions by name and reads
     `collect_gains`'s trials and workers by parameter name; deleting or
-    renaming one must fail here, not when the benchmark starts."""
+    renaming one must fail here, not when the benchmark starts.  The sweep's
+    blocks are drawn in several row chunks, which together draw exactly the
+    4*L normals per trial of one whole-block draw."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(os.path.join(root, d) for d in ("src", "perfbench"))
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     code = ("import sys; from tracer import Tracer; from ris2way import cli; "
             "tracer = Tracer(); tracer.install(); "
-            "assert cli.main(['outage', '--L', '2', '--methods', 'mc', '--p-dbm', "
-            "'0:10:5', '--trials', '50', '--out', sys.argv[1]]) == 0; "
+            "assert cli.main(['outage', '--L', '64', '--methods', 'mc', '--p-dbm', "
+            "'0:10:5', '--trials', '300', '--out', sys.argv[1]]) == 0; "
             "m = tracer.summary()['metrics']; "
-            "assert (m['mc.trials'], m['mc.reduce.calls']) == (50, 1), m")
+            "assert (m['mc.trials'], m['mc.reduce.calls']) == (300, 1), m; "
+            "assert m['channel.normals'] == 4 * 64 * 300, m")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o.csv")], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

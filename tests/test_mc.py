@@ -191,6 +191,50 @@ def test_grouped_gains_equal_one_config_gains(L):
         assert np.array_equal(alone[extra].g1, alone[base].g1)
 
 
+@pytest.mark.parametrize("L", [1, 3, 64, 100])
+def test_chunked_gain_block_equals_whole_block_draw(L):
+    """Every gain kernel draws and reduces its block in row chunks; its rows
+    are the bits of the whole-block expressions on one `sample_channel_block`
+    call per block.  Chunk edges fall in varied places; L=1 is one chunk."""
+    seed, block = 17, 3
+    vm = VonMisesPhaseError(0.5, 3.0)
+    models = (None, UniformPhaseError(math.pi / 8), vm, UniformPhaseError(math.pi))
+
+    def gen(stream):
+        return rngmod.block_generator(seed, stream, block)
+
+    rec = cfg_rec(L=L)
+    non = cfg_rec(L=L, reciprocity=Reciprocity.NON_RECIPROCAL)
+    for count in (rngmod.BLOCK_SIZE, 1000, 7):
+        ch = sample_channel_block(rec, gen(rngmod.STREAM_CHANNEL), count)
+        amp = np.abs(ch.h) * np.abs(ch.g)
+        u = gen(rngmod.STREAM_PHASE_ERROR).uniform(-1.0, 1.0, size=amp.shape)
+        jitter = (models[1].delta * u,
+                  sample_phase_errors(vm, gen(rngmod.STREAM_PHASE_ERROR), amp.shape),
+                  models[3].delta * u)
+        expected = [np.sum(amp, axis=1) ** 2]
+        expected += [np.abs(np.sum(amp * np.exp(1j * eps), axis=1)) ** 2 for eps in jitter]
+        got = mc._reciprocal_gain_block(rec, models, seed, block, count)
+        assert (got == np.array(expected)).all()
+
+        ch = sample_channel_block(non, gen(rngmod.STREAM_CHANNEL), count)
+        z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
+        cophased = [np.sum(np.abs(z1), axis=1) ** 2, np.sum(np.abs(z2), axis=1) ** 2]
+        rot = np.exp(1j * gen(rngmod.STREAM_BASELINE).uniform(0.0, 2.0 * math.pi,
+                                                             size=z1.shape))
+        expected = {
+            "u1": [cophased[0], np.abs(np.sum(z2 * np.exp(-1j * np.angle(z1)), axis=1)) ** 2],
+            "random": [np.abs(np.sum(z1 * rot, axis=1)) ** 2,
+                       np.abs(np.sum(z2 * rot, axis=1)) ** 2],
+        }
+        for policy, rows in expected.items():
+            got = mc._nonreciprocal_gain_block(non, policy, seed, block, count)
+            assert (got == np.array(rows)).all(), policy
+        two = dataclasses.replace(non, scheme=Scheme.TWO)
+        got = mc._nonreciprocal_gain_block(two, "random", seed, block, count)
+        assert (got == np.array(cophased)).all()
+
+
 def test_group_must_share_a_draw_key():
     with pytest.raises(ValueError, match="draw key"):
         collect_gains([cfg_rec(L=2), cfg_rec(L=3)], "optimal", 10, seed=0)

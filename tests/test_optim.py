@@ -15,10 +15,14 @@ from ris2way.optim import (OptimMethod, _greedy_block, _newton_step, _sdp_joint,
                            baseline_phases, build_quadratic_forms,
                            gaussian_randomization, greedy_iterative,
                            lifted_to_phases, maxmin_block,
-                           optimal_phase_reciprocal, phases_to_lifted,
-                           sdp_maxmin, solve_maxmin)
+                           optimal_phase_reciprocal, sdp_maxmin, solve_maxmin)
 
 BUDGET = SinrBudget(1.0, 1.0)
+
+
+def phases_to_lifted(phases):
+    """alpha = (cos phi_1, sin phi_1, ..., cos phi_L, sin phi_L)."""
+    return optim._interleave(np.cos(phases), np.sin(phases))
 
 
 def nonrec(L, seed, sigma2=1.0):

@@ -150,7 +150,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="none | uniform:DELTA | vonmises:MU,KAPPA (radians)")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--workers", type=int, default=_env_workers(),
-                   help="Monte Carlo worker processes (default $RIS2WAY_WORKERS or 1)")
+                   help="Monte Carlo worker processes, at most the CPUs this process "
+                   "may run on (default $RIS2WAY_WORKERS or 1)")
     p.add_argument("--out", default="out.csv", help="output CSV path (or prefix)")
     p.add_argument("--svg", action="store_true",
                    help="also write an SVG line plot next to each CSV")
@@ -719,21 +720,25 @@ def _check_out(spec: ExperimentSpec) -> None:
 
 
 def run(spec: ExperimentSpec) -> int:
-    """Execute one experiment; returns a process exit code."""
+    """Execute one experiment; returns a process exit code.
+
+    Its Monte Carlo collections share one worker pool, joined before it returns.
+    """
     try:
         _check_out(spec)
-        if spec.command == "outage":
-            run_sweep_command(spec, "outage")
-        elif spec.command == "se":
-            run_sweep_command(spec, "se")
-        elif spec.command == "optimize":
-            run_optimize(spec)
-        elif spec.command == "crossover":
-            run_crossover(spec)
-        elif spec.command == "reproduce":
-            run_reproduce(spec)
-        else:
-            raise SpecError(f"unknown command {spec.command!r}")
+        with mc.shared_pool():
+            if spec.command == "outage":
+                run_sweep_command(spec, "outage")
+            elif spec.command == "se":
+                run_sweep_command(spec, "se")
+            elif spec.command == "optimize":
+                run_optimize(spec)
+            elif spec.command == "crossover":
+                run_crossover(spec)
+            elif spec.command == "reproduce":
+                run_reproduce(spec)
+            else:
+                raise SpecError(f"unknown command {spec.command!r}")
     except (SpecError, ValueError) as exc:
         print(f"ris2way: invalid spec: {exc}", file=sys.stderr)
         return 2

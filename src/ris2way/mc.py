@@ -6,9 +6,13 @@ efficiency, and the scheme-crossover search.
 sweep in one call.  Gains do not depend on the transmit power, so a sweep
 collects once and reduces each column once.  They are a pure function of (seed,
 trial index), drawn in fixed-size blocks merged in block order, so they are
-bit-for-bit reproducible for any worker count.  A block is drawn and reduced
-in cache-sized row chunks; its generators run on from chunk to chunk, so the
-chunks' rows are the bits of one whole-block draw.
+bit-for-bit reproducible for any worker count.  Blocks go to a process pool of
+at most min(workers, blocks, CPUs this process may run on) workers, or run
+serially when that is one; inside a `shared_pool` block every collection
+shares one pool.  A block is drawn and reduced in cache-sized row chunks; its
+generators run on from chunk to chunk, so the chunks' rows are the bits of one
+whole-block draw.  A phase-jitter term amp * e^(i eps) is formed as
+(amp cos eps, amp sin eps), the same bits as the complex exponential.
 `draw_key` names what else they depend on: on a reciprocal channel only L,
 sigma2, the trial count and the phase-error model, so configs differing in
 scheme, nu, omega, gamma_th, noise or jitter width share one channel draw per
@@ -20,7 +24,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +91,14 @@ def _reciprocal_gain_block(cfg: SystemConfig, models: tuple[PhaseErrorModel | No
         uni_rng = rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
     err_rngs = [rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
                 if isinstance(m, VonMisesPhaseError) else None for m in models]
+    jitter = any(m is not None for m in models)
     out = np.empty((len(models), count))
     for rows, ch in _channel_chunks(cfg, seed, block, count):
         amp = np.abs(ch.h) * np.abs(ch.g)
         if uni_rng is not None:
             u = uni_rng.uniform(-1.0, 1.0, size=amp.shape)
+        if jitter:
+            terms = np.empty(amp.shape, dtype=complex)
         for gain, model, err_rng in zip(out[:, rows], models, err_rngs):
             if model is None:
                 # optimal phases co-phase every term (per slot for the two-slot scheme)
@@ -100,7 +109,11 @@ def _reciprocal_gain_block(cfg: SystemConfig, models: tuple[PhaseErrorModel | No
                 eps = model.delta * u
             else:
                 eps = sample_phase_errors(model, err_rng, amp.shape)
-            gain[:] = np.abs(np.sum(amp * np.exp(1j * eps), axis=1)) ** 2
+            # the bits of amp * np.exp(1j * eps): exp(i eps) is (cos eps, sin eps),
+            # and a real times a complex scales each part
+            np.multiply(amp, np.cos(eps), out=terms.real)
+            np.multiply(amp, np.sin(eps), out=terms.imag)
+            gain[:] = np.abs(np.sum(terms, axis=1)) ** 2
     return out
 
 
@@ -229,16 +242,71 @@ def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
     tasks = [(cfg, variants, policy, seed, block, count)
              for block, count in rngmod.iter_blocks(trials)]
     rows = np.empty((len(variants) if reciprocal else 2, trials))
-    if workers <= 1 or len(tasks) == 1:
+    # the fork context starts every worker up front, so start no idle ones, and
+    # none beyond the CPUs: on one CPU a pool only adds its start-up and pickling
+    size = min(workers, len(tasks), _usable_cpus())
+    if size <= 1:
         _fill_blocks(rows, map(_gain_block_task, tasks))
     else:
-        # the fork context starts every worker up front, so start no idle ones
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            _fill_blocks(rows, pool.map(_gain_block_task, tasks, chunksize=1))
+        with shared_pool() as shared:
+            _fill_blocks(rows, shared.pool(size).map(_gain_block_task, tasks, chunksize=1))
     if not reciprocal:
         return [TrialGains(rows[0], rows[1]) for _ in cfgs]
     by_model = dict(zip(variants, rows))
     return [TrialGains(by_model[c.phase_error], by_model[c.phase_error]) for c in cfgs]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _SharedPool:
+    """The worker pool of one `shared_pool` block, started on first need."""
+
+    def __init__(self):
+        self._pool, self._size = None, 0
+
+    def pool(self, size: int) -> ProcessPoolExecutor:
+        """A pool of at least `size` workers.  A call that can use more workers
+        than the pool has replaces it with a larger one."""
+        if size > self._size:
+            self.close()
+            self._pool, self._size = ProcessPoolExecutor(max_workers=size), size
+        return self._pool
+
+    def close(self) -> None:
+        """Join the workers; a failed call's queued blocks are dropped."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+        self._pool, self._size = None, 0
+
+
+_scope: _SharedPool | None = None  # the open `shared_pool` block's pool
+
+
+@contextmanager
+def shared_pool():
+    """Let every `collect_gains` call inside the block share one worker pool.
+
+    The pool starts when a call first needs one and is joined when the block
+    exits, so no worker outlives the block.  A block nested in another yields
+    the outer one's pool; a `collect_gains` call outside any block opens its
+    own, so it joins its pool before it returns.
+    """
+    global _scope
+    if _scope is not None:
+        yield _scope
+        return
+    _scope = _SharedPool()
+    try:
+        yield _scope
+    finally:
+        scope, _scope = _scope, None
+        scope.close()
 
 
 def _fill_blocks(rows: np.ndarray, parts) -> None:

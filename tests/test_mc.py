@@ -3,6 +3,7 @@ reproducibility across worker counts, and variance-reduced comparisons."""
 
 import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -110,9 +111,12 @@ def test_power_grid_reduction_equals_one_point_reductions(metric):
         reduce([one, two], g_one)
 
 
-def test_estimates_identical_across_worker_counts():
+def test_estimates_identical_across_worker_counts(monkeypatch):
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)  # a real pool on any host
     cfg = cfg_rec(L=3).with_power(10.0)
     gains = [collect_gains([cfg], "optimal", 9_000, seed=6, workers=w)[0] for w in (1, 3)]
+    # a call outside `shared_pool` joins its own pool before it returns
+    assert multiprocessing.active_children() == []
     vals = [outage_from_gains(cfg, g).value for g in gains]
     assert vals[0] == vals[1]
     ses = [se_from_gains(cfg, g).value for g in gains]
@@ -121,31 +125,54 @@ def test_estimates_identical_across_worker_counts():
 
 def test_worker_pool_capped_at_block_count(monkeypatch):
     """A forking pool starts every worker up front, so ask for no more than
-    there are blocks; the fake pool records the request and runs serially."""
-    requested = []
+    min(workers, usable CPUs, blocks), and for none when that is one; the fake
+    pool records the request and runs serially."""
+    requested, closed = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
             requested.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, cancel_futures=False):
+            closed.append(True)
 
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
     cfg = cfg_rec(L=2)
-    trials = rngmod.BLOCK_SIZE + 10  # two blocks
+    trials = 2 * rngmod.BLOCK_SIZE + 10  # three blocks
     [serial] = collect_gains([cfg], "optimal", trials, seed=3)
-    for workers in (2, 64):
+
+    def collect(workers, cpus, trials=trials):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
         [gains] = collect_gains([cfg], "optimal", trials, seed=3, workers=workers)
-        assert np.array_equal(gains.g1, serial.g1)
-        assert np.array_equal(gains.g2, serial.g2)
-    assert requested == [2, 2]
+        assert np.array_equal(gains.g1, serial.g1[:trials])
+        assert np.array_equal(gains.g2, serial.g2[:trials])
+
+    for workers, cpus, size in ((2, 8, 2), (64, 8, 3), (64, 2, 2), (3, 64, 3)):
+        requested.clear()
+        collect(workers, cpus)
+        assert requested == [size]
+    requested.clear()
+    for workers in (2, 64):
+        collect(workers, 1)  # one usable CPU: serial, no pool
+    assert requested == []
+    # in a shared_pool block the pool outlives each call, and is replaced only
+    # by a call that can use more workers than it has
+    requested.clear()
+    closed.clear()
+    with mc.shared_pool():
+        collect(2, 8)
+        collect(8, 8, trials=rngmod.BLOCK_SIZE + 1)
+        assert (requested, closed) == ([2], [])
+        collect(8, 8)
+        assert (requested, closed) == ([2, 3], [True])
+        collect(64, 1)
+        with mc.shared_pool():  # a nested block uses the outer pool
+            collect(3, 8)
+        assert (requested, closed) == ([2, 3], [True])
+    assert closed == [True, True]
 
 
 JITTER_MODELS = (None, UniformPhaseError(math.pi / 8), UniformPhaseError(math.pi),
@@ -198,7 +225,8 @@ def test_chunked_gain_block_equals_whole_block_draw(L):
     call per block.  Chunk edges fall in varied places; L=1 is one chunk."""
     seed, block = 17, 3
     vm = VonMisesPhaseError(0.5, 3.0)
-    models = (None, UniformPhaseError(math.pi / 8), vm, UniformPhaseError(math.pi))
+    widths = [UniformPhaseError(math.pi / k) for k in (8, 4, 2, 1)]  # fig6's
+    models = (None, widths[0], vm, *widths[1:])
 
     def gen(stream):
         return rngmod.block_generator(seed, stream, block)
@@ -209,10 +237,12 @@ def test_chunked_gain_block_equals_whole_block_draw(L):
         ch = sample_channel_block(rec, gen(rngmod.STREAM_CHANNEL), count)
         amp = np.abs(ch.h) * np.abs(ch.g)
         u = gen(rngmod.STREAM_PHASE_ERROR).uniform(-1.0, 1.0, size=amp.shape)
-        jitter = (models[1].delta * u,
+        jitter = (widths[0].delta * u,
                   sample_phase_errors(vm, gen(rngmod.STREAM_PHASE_ERROR), amp.shape),
-                  models[3].delta * u)
+                  *(w.delta * u for w in widths[1:]))
         expected = [np.sum(amp, axis=1) ** 2]
+        # the kernel forms (amp cos eps, amp sin eps); on a platform whose cos
+        # or sin differs from the complex exponential this fails
         expected += [np.abs(np.sum(amp * np.exp(1j * eps), axis=1)) ** 2 for eps in jitter]
         got = mc._reciprocal_gain_block(rec, models, seed, block, count)
         assert (got == np.array(expected)).all()

@@ -720,25 +720,21 @@ def _check_out(spec: ExperimentSpec) -> None:
 
 
 def run(spec: ExperimentSpec) -> int:
-    """Execute one experiment; returns a process exit code.
-
-    Its Monte Carlo collections share one worker pool, joined before it returns.
-    """
+    """Execute one experiment; returns a process exit code."""
     try:
         _check_out(spec)
-        with mc.shared_pool():
-            if spec.command == "outage":
-                run_sweep_command(spec, "outage")
-            elif spec.command == "se":
-                run_sweep_command(spec, "se")
-            elif spec.command == "optimize":
-                run_optimize(spec)
-            elif spec.command == "crossover":
-                run_crossover(spec)
-            elif spec.command == "reproduce":
-                run_reproduce(spec)
-            else:
-                raise SpecError(f"unknown command {spec.command!r}")
+        if spec.command == "outage":
+            run_sweep_command(spec, "outage")
+        elif spec.command == "se":
+            run_sweep_command(spec, "se")
+        elif spec.command == "optimize":
+            run_optimize(spec)
+        elif spec.command == "crossover":
+            run_crossover(spec)
+        elif spec.command == "reproduce":
+            run_reproduce(spec)
+        else:
+            raise SpecError(f"unknown command {spec.command!r}")
     except (SpecError, ValueError) as exc:
         print(f"ris2way: invalid spec: {exc}", file=sys.stderr)
         return 2

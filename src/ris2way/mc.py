@@ -7,12 +7,12 @@ sweep in one call.  Gains do not depend on the transmit power, so a sweep
 collects once and reduces each column once.  They are a pure function of (seed,
 trial index), drawn in fixed-size blocks merged in block order, so they are
 bit-for-bit reproducible for any worker count.  Blocks go to a process pool of
-at most min(workers, blocks, CPUs this process may run on) workers, or run
-serially when that is one; inside a `shared_pool` block every collection
-shares one pool.  A block is drawn and reduced in cache-sized row chunks; its
-generators run on from chunk to chunk, so the chunks' rows are the bits of one
-whole-block draw.  A phase-jitter term amp * e^(i eps) is formed as
-(amp cos eps, amp sin eps), the same bits as the complex exponential.
+at most min(workers, blocks, CPUs this process may run on) workers, joined
+before the call returns, or run serially when that is one.  A block is drawn
+and reduced in cache-sized row chunks; its generators run on from chunk to
+chunk, so the chunks' rows are the bits of one whole-block draw.  A
+phase-jitter term amp * e^(i eps) is formed as (amp cos eps, amp sin eps), the
+same bits as the complex exponential.
 `draw_key` names what else they depend on: on a reciprocal channel only L,
 sigma2, the trial count and the phase-error model, so configs differing in
 scheme, nu, omega, gamma_th, noise or jitter width share one channel draw per
@@ -26,7 +26,6 @@ import dataclasses
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,8 +247,8 @@ def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
     if size <= 1:
         _fill_blocks(rows, map(_gain_block_task, tasks))
     else:
-        with shared_pool() as shared:
-            _fill_blocks(rows, shared.pool(size).map(_gain_block_task, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            _fill_blocks(rows, pool.map(_gain_block_task, tasks, chunksize=1))
     if not reciprocal:
         return [TrialGains(rows[0], rows[1]) for _ in cfgs]
     by_model = dict(zip(variants, rows))
@@ -262,51 +261,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-class _SharedPool:
-    """The worker pool of one `shared_pool` block, started on first need."""
-
-    def __init__(self):
-        self._pool, self._size = None, 0
-
-    def pool(self, size: int) -> ProcessPoolExecutor:
-        """A pool of at least `size` workers.  A call that can use more workers
-        than the pool has replaces it with a larger one."""
-        if size > self._size:
-            self.close()
-            self._pool, self._size = ProcessPoolExecutor(max_workers=size), size
-        return self._pool
-
-    def close(self) -> None:
-        """Join the workers; a failed call's queued blocks are dropped."""
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-        self._pool, self._size = None, 0
-
-
-_scope: _SharedPool | None = None  # the open `shared_pool` block's pool
-
-
-@contextmanager
-def shared_pool():
-    """Let every `collect_gains` call inside the block share one worker pool.
-
-    The pool starts when a call first needs one and is joined when the block
-    exits, so no worker outlives the block.  A block nested in another yields
-    the outer one's pool; a `collect_gains` call outside any block opens its
-    own, so it joins its pool before it returns.
-    """
-    global _scope
-    if _scope is not None:
-        yield _scope
-        return
-    _scope = _SharedPool()
-    try:
-        yield _scope
-    finally:
-        scope, _scope = _scope, None
-        scope.close()
 
 
 def _fill_blocks(rows: np.ndarray, parts) -> None:

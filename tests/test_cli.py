@@ -377,6 +377,7 @@ def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):
     for workers in ("1", "3"):
         assert run_cli(["reproduce", "fig6", "--workers", workers, *flags,
                         "--out", str(tmp_path / f"w{workers}.csv")]) == 0
+        assert multiprocessing.active_children() == []  # no worker outlives the run
     # one call per L and panel, each for the four widths
     assert group_sizes == [4] * 8
     for panel in ("outage", "se"):
@@ -386,29 +387,6 @@ def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):
     assert run_cli(["reproduce", "fig5", *flags, "--out", str(tmp_path / "f5.csv")]) == 0
     # both schemes of an L share a call; the nu=1 panel has one scheme at L=16, 64
     assert group_sizes == [2, 2, 2, 2, 1, 1]
-
-
-def test_reproduce_starts_one_pool_and_joins_it(tmp_path, monkeypatch):
-    """fig6's two pooled collections share one pool, and no worker outlives
-    the run."""
-    started = []
-    pool_class = cli.mc.ProcessPoolExecutor
-
-    def counted(max_workers):
-        started.append(max_workers)
-        return pool_class(max_workers=max_workers)
-
-    monkeypatch.setattr(cli.mc, "ProcessPoolExecutor", counted)
-    monkeypatch.setattr(cli.mc, "_usable_cpus", lambda: 2)
-    flags = ["--trials-outage", "5000", "--trials-se", "20", "--seed", "5"]
-    for workers in ("1", "3"):
-        assert run_cli(["reproduce", "fig6", "--workers", workers, *flags,
-                        "--out", str(tmp_path / f"w{workers}.csv")]) == 0
-        assert multiprocessing.active_children() == []
-    assert started == [2]
-    for panel in ("outage", "se"):
-        assert ((tmp_path / f"w1_{panel}.csv").read_bytes()
-                == (tmp_path / f"w3_{panel}.csv").read_bytes())
 
 
 def test_svg_skipped_when_nothing_plottable(tmp_path):

@@ -115,7 +115,7 @@ def test_estimates_identical_across_worker_counts(monkeypatch):
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)  # a real pool on any host
     cfg = cfg_rec(L=3).with_power(10.0)
     gains = [collect_gains([cfg], "optimal", 9_000, seed=6, workers=w)[0] for w in (1, 3)]
-    # a call outside `shared_pool` joins its own pool before it returns
+    # each call joins its pool before it returns
     assert multiprocessing.active_children() == []
     vals = [outage_from_gains(cfg, g).value for g in gains]
     assert vals[0] == vals[1]
@@ -127,14 +127,17 @@ def test_worker_pool_capped_at_block_count(monkeypatch):
     """A forking pool starts every worker up front, so ask for no more than
     min(workers, usable CPUs, blocks), and for none when that is one; the fake
     pool records the request and runs serially."""
-    requested, closed = [], []
+    requested = []
 
     class SerialPool:
         def __init__(self, max_workers):
             requested.append(max_workers)
 
-        def shutdown(self, cancel_futures=False):
-            closed.append(True)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
 
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
@@ -144,11 +147,11 @@ def test_worker_pool_capped_at_block_count(monkeypatch):
     trials = 2 * rngmod.BLOCK_SIZE + 10  # three blocks
     [serial] = collect_gains([cfg], "optimal", trials, seed=3)
 
-    def collect(workers, cpus, trials=trials):
+    def collect(workers, cpus):
         monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
         [gains] = collect_gains([cfg], "optimal", trials, seed=3, workers=workers)
-        assert np.array_equal(gains.g1, serial.g1[:trials])
-        assert np.array_equal(gains.g2, serial.g2[:trials])
+        assert np.array_equal(gains.g1, serial.g1)
+        assert np.array_equal(gains.g2, serial.g2)
 
     for workers, cpus, size in ((2, 8, 2), (64, 8, 3), (64, 2, 2), (3, 64, 3)):
         requested.clear()
@@ -158,21 +161,6 @@ def test_worker_pool_capped_at_block_count(monkeypatch):
     for workers in (2, 64):
         collect(workers, 1)  # one usable CPU: serial, no pool
     assert requested == []
-    # in a shared_pool block the pool outlives each call, and is replaced only
-    # by a call that can use more workers than it has
-    requested.clear()
-    closed.clear()
-    with mc.shared_pool():
-        collect(2, 8)
-        collect(8, 8, trials=rngmod.BLOCK_SIZE + 1)
-        assert (requested, closed) == ([2], [])
-        collect(8, 8)
-        assert (requested, closed) == ([2, 3], [True])
-        collect(64, 1)
-        with mc.shared_pool():  # a nested block uses the outer pool
-            collect(3, 8)
-        assert (requested, closed) == ([2, 3], [True])
-    assert closed == [True, True]
 
 
 JITTER_MODELS = (None, UniformPhaseError(math.pi / 8), UniformPhaseError(math.pi),

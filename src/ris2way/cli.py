@@ -17,6 +17,7 @@ import dataclasses
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -423,55 +424,84 @@ def _metric_analytic(method: str, cfgs: list[SystemConfig], metric: str, user) -
     return np.atleast_1d(values).tolist()
 
 
+def _power_free(col: _Column, axis: str, xs: list) -> list[SystemConfig]:
+    """The power-free config of each evaluation call of `col`: the column's own
+    on a power sweep, one per element count on an L sweep."""
+    if axis == "p_dbm":
+        return [col.cfg]
+    return [dataclasses.replace(col.cfg, L=x) for x in xs]
+
+
+class _RunGains:
+    """The Monte Carlo gains of one run's tables, collected once per `mc.draw_key`.
+
+    It is built from every (axis, xs, columns) table of the run before any of
+    them is evaluated.  The first reduction with a key collects every config of
+    the run with that key in one `mc.collect_gains` call (on a reciprocal
+    channel: every scheme, nu and phase-error model at one L and trial count, in
+    any of the tables), and the group is held only until its last reduction.
+    """
+
+    def __init__(self, spec: ExperimentSpec, tables: list[tuple]):
+        self._seed, self._workers = spec.seed, spec.workers
+        self._members = {}  # draw key -> its configs, in order of first use
+        self._uses = Counter()  # draw key -> reductions left
+        self._held = {}  # draw key -> {config: gains}, while the group is in use
+        for axis, xs, columns in tables:
+            for col in columns:
+                if col.method != "mc":
+                    continue
+                for cfg in _power_free(col, axis, xs):
+                    key = mc.draw_key(cfg, col.policy, col.trials)
+                    self._members.setdefault(key, {})[cfg] = None
+                    self._uses[key] += 1
+
+    def take(self, col: _Column, cfg: SystemConfig) -> mc.TrialGains:
+        """The gains of power-free `cfg` for one reduction of column `col`."""
+        key = mc.draw_key(cfg, col.policy, col.trials)
+        if key not in self._held:
+            group = list(self._members[key])
+            self._held[key] = dict(zip(group, mc.collect_gains(
+                group, col.policy, col.trials, self._seed, self._workers)))
+        gains = self._held[key][cfg]
+        self._uses[key] -= 1
+        if not self._uses[key]:
+            del self._held[key]  # its last reduction: drop the group
+        return gains
+
+
 def _sweep_table(spec: ExperimentSpec, metric: str, axis: str, xs: list,
-                 columns: list[_Column], p_dbm: float = 0.0) -> tuple[list, list]:
+                 columns: list[_Column], gains: _RunGains,
+                 p_dbm: float = 0.0) -> tuple[list, list]:
     """Header and rows of one outage/SE table, one row per point of `xs`.
 
     axis "p_dbm" sweeps the transmit power: each column is one call of its
     closed form, or of its Monte Carlo reduction, over the whole power grid.
     axis "L" sweeps the element count at the single power `p_dbm`, one call
-    per point.  Monte Carlo gains do not depend on the power, so they are
-    collected once and reduced at every point.  The first time the table
-    meets a Monte Carlo column with a new `mc.draw_key`, it collects every
-    config of the table with that key in one `mc.collect_gains` call (on a
-    reciprocal channel: every scheme, nu and phase-error model at one L), and
-    it holds that one group until the next key arrives.
+    per point.  Monte Carlo gains do not depend on the power, so they come from
+    the run's `gains`, collected once per draw key, and are reduced at every
+    point.
     """
     fmt = fmt_prob if metric == "outage" else fmt_val
     reduce = mc.outage_from_gains if metric == "outage" else mc.se_from_gains
-
-    def power_free(col, x):
-        return col.cfg if axis == "p_dbm" else dataclasses.replace(col.cfg, L=x)
-
     powered = {}  # power-free config -> its configs at the table's powers
 
-    def segments(col):
-        """(power-free config, its configs at each point) per evaluation call."""
+    def at_powers(cfg):
         if axis == "L":
-            return [(cfg, [cfg.with_power(db_to_linear(p_dbm))])
-                    for cfg in (power_free(col, x) for x in xs)]
-        if col.cfg not in powered:
-            powered[col.cfg] = [col.cfg.with_power(db_to_linear(x)) for x in xs]
-        return [(col.cfg, powered[col.cfg])]
+            return [cfg.with_power(db_to_linear(p_dbm))]
+        if cfg not in powered:
+            powered[cfg] = [cfg.with_power(db_to_linear(x)) for x in xs]
+        return powered[cfg]
 
-    drawn = [(mc.draw_key(cfg, col.policy, col.trials), cfg)
-             for col in columns if col.method == "mc"
-             for cfg in (power_free(col, x) for x in xs)]
     header, cells = [axis], [[fmt_val(x) for x in xs]]
-    key = gains = None
     for col in columns:
         values, errors = [], []
-        for cfg, at in segments(col):
+        for cfg in _power_free(col, axis, xs):
             if col.method != "mc":
-                values.extend(fmt(v) for v in _metric_analytic(col.method, at, metric, col.user))
+                values.extend(fmt(v) for v in _metric_analytic(col.method, at_powers(cfg),
+                                                                metric, col.user))
                 continue
-            if mc.draw_key(cfg, col.policy, col.trials) != key:
-                key = mc.draw_key(cfg, col.policy, col.trials)
-                group = list(dict.fromkeys(c for k, c in drawn if k == key))
-                gains = None  # drop the previous group before drawing this one
-                gains = dict(zip(group, mc.collect_gains(
-                    group, col.policy, col.trials, spec.seed, spec.workers)))
-            for e in reduce(at, gains[cfg], col.user):
+            for e in reduce(at_powers(cfg), gains.take(col, cfg), col.user):
                 values.append(fmt(e.value))
                 errors.append(fmt_prob(e.std_error))
         header.append(f"{metric}_{col.label}")
@@ -490,11 +520,13 @@ def run_sweep_command(spec: ExperimentSpec, metric: str) -> None:
     if spec.l_list:
         if len(spec.p_dbm) != 1:
             raise SpecError("an element-count sweep needs a single power point")
-        header, rows = _sweep_table(spec, metric, "L", spec.l_list, columns, spec.p_dbm[0])
+        axis, xs, p_dbm = "L", spec.l_list, spec.p_dbm[0]
     elif spec.p_dbm:
-        header, rows = _sweep_table(spec, metric, "p_dbm", spec.p_dbm, columns)
+        axis, xs, p_dbm = "p_dbm", spec.p_dbm, 0.0
     else:
         raise SpecError("empty power sweep")
+    header, rows = _sweep_table(spec, metric, axis, xs, columns,
+                                _RunGains(spec, [(axis, xs, columns)]), p_dbm)
     write_csv(spec.out, header, rows)
     _maybe_svg(spec, spec.out, header, rows, metric == "outage", _Y_LABELS[metric])
 
@@ -695,9 +727,13 @@ def run_reproduce(spec: ExperimentSpec) -> None:
     elif spec.preset == "fig7":
         tables = _preset_fig7(spec)
     else:
+        panels = _power_panels(spec)[spec.preset]
+        # one collection per draw key across all of the preset's tables
+        gains = _RunGains(spec, [("p_dbm", grid, columns)
+                                 for _, grid, columns in panels.values()])
         tables = {}
-        for name, (metric, grid, columns) in _power_panels(spec)[spec.preset].items():
-            header, rows = _sweep_table(spec, metric, "p_dbm", grid, columns)
+        for name, (metric, grid, columns) in panels.items():
+            header, rows = _sweep_table(spec, metric, "p_dbm", grid, columns, gains)
             tables[name] = (header, rows, metric == "outage", _Y_LABELS[metric])
     for name, (header, rows, log_y, y_label) in tables.items():
         path = _preset_out(spec, name)

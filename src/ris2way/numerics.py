@@ -115,9 +115,14 @@ def integrate_semi_infinite(f: Callable[[float], float],
     The infinite range is mapped onto a finite interval and refined by
     adaptive Gauss-Kronrod subdivision (QUADPACK QAGI); raises
     NonConvergenceError when the subdivision budget is exhausted with the
-    error estimate still above tolerance.  Mass far from unit scale can be
-    missed silently: for sigma^2 = 1e-6, E[log K_0] comes back ~0 as converged
-    (KL divergence 1.504, not 2.3e-4).  Rescale first; the library never calls it.
+    error estimate still above tolerance.
+
+    Unit-scale blind spot: when the integrand's mass sits far from unit scale,
+    the map can put no node where the mass is, and the call returns a wrong
+    value with no error.  The Gamma-fit KL integrand at sigma^2 = 1e-6 comes
+    back with E[log K_0] ~ 0, reported as converged (divergence 1.504, not
+    2.3e-4).  Rescale the integrand to unit scale first.  The library no longer
+    calls it; the tests use it only as an adaptive reference.
     """
     from scipy import integrate
 

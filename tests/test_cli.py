@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -362,7 +363,8 @@ def test_reproduce_preset_writes_csvs(tmp_path, preset):
 
 
 def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):
-    """fig6's jitter widths and fig5's schemes share one channel draw per L."""
+    """fig6's jitter widths share one channel draw per L and panel; fig5's
+    schemes and nu share one per L across both of its tables."""
     group_sizes = []
     collect = cli.mc.collect_gains
 
@@ -385,8 +387,39 @@ def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):
                 == (tmp_path / f"w3_{panel}.csv").read_bytes())
     group_sizes.clear()
     assert run_cli(["reproduce", "fig5", *flags, "--out", str(tmp_path / "f5.csv")]) == 0
-    # both schemes of an L share a call; the nu=1 panel has one scheme at L=16, 64
-    assert group_sizes == [2, 2, 2, 2, 1, 1]
+    # one call per L for both panels: both schemes at nu=0, and the nu=1 panel's
+    # schemes (one-slot only at L=16, 64)
+    assert group_sizes == [4, 3, 3]
+    # each table is the bits it has as the preset's only table
+    panels = cli._power_panels
+    for name, alone in (("a_nu0", [2, 2, 2]), ("b_nu1", [2, 1, 1])):
+        def one_table(spec, name=name):
+            every = panels(spec)
+            return {**every, "fig5": {name: every["fig5"][name]}}
+
+        monkeypatch.setattr(cli, "_power_panels", one_table)
+        group_sizes.clear()
+        assert run_cli(["reproduce", "fig5", *flags, "--out", str(tmp_path / name)]) == 0
+        assert group_sizes == alone
+        assert ((tmp_path / f"{name}_{name}.csv").read_bytes()
+                == (tmp_path / f"f5_{name}.csv").read_bytes())
+
+
+def test_run_gains_drop_each_group_after_its_last_reduction():
+    """A run holds a draw key's gains from its first reduction to its last and
+    no longer: fig5's groups live across both tables, then go one by one."""
+    spec = cli.ExperimentSpec("reproduce", trials_se=20, seed=3)
+    tables = [("p_dbm", grid, columns)
+              for _, grid, columns in cli._power_panels(spec)["fig5"].values()]
+    gains = cli._RunGains(spec, tables)
+    uses = [col for _, _, columns in tables for col in columns if col.method == "mc"]
+    refs = {}  # L -> weak references to the gains handed out for it
+    for i, col in enumerate(uses):
+        refs.setdefault(col.cfg.L, []).append(weakref.ref(gains.take(col, col.cfg)))
+        later = {c.cfg.L for c in uses[i + 1:]}
+        assert {L: [r() is not None for r in rs] for L, rs in refs.items()} == {
+            L: [L in later] * len(rs) for L, rs in refs.items()}
+    assert [c.cfg.L for c in uses[-3:]] == [2, 16, 64]  # table b uses every group
 
 
 def test_svg_skipped_when_nothing_plottable(tmp_path):

@@ -89,7 +89,7 @@ def test_power_grid_reduction_equals_one_point_reductions(metric):
     reduce = outage_from_gains if metric == "outage" else se_from_gains
     powers = [10.0 ** (p / 10.0) for p in range(-80, 41, 2)]  # the fig3-fig6 grids
     trials = 5000
-    assert len(powers) * trials > 2 * mc._REDUCE_CHUNK  # three chunks of points
+    assert len(powers) * trials > 2 * mc._REDUCE_CHUNK  # at least three chunks of points
     nonrec = cfg_rec(L=4, reciprocity=Reciprocity.NON_RECIPROCAL, nu=0.5, omega=1e-3)
     [g_nonrec] = collect_gains([nonrec], "u1", trials, seed=41)
     assert not np.array_equal(g_nonrec.g1, g_nonrec.g2)
@@ -109,6 +109,28 @@ def test_power_grid_reduction_equals_one_point_reductions(metric):
     assert budget.rho1 != budget.rho2
     with pytest.raises(ValueError, match="differ only in power"):
         reduce([one, two], g_one)
+
+
+@pytest.mark.parametrize("metric", ["outage", "se"])
+def test_reduction_bits_do_not_depend_on_the_chunk(metric, monkeypatch):
+    """The estimates are the same bits with _REDUCE_CHUNK at 2**17, 2**14 and 7:
+    a fig5-shaped sweep (46 points x 1000 trials, one-slot and two-slot) in one
+    chunk, in three, and one point per chunk; and 8e4 trials, one point per
+    chunk at every size."""
+    reduce = outage_from_gains if metric == "outage" else se_from_gains
+    powers = [10.0 ** (p / 10.0) for p in range(-50, 41, 2)]  # fig5's grid
+    assert len(powers) == 46
+    one, two = cfg_rec(L=2), cfg_rec(L=2, scheme=Scheme.TWO)
+    cases = list(zip((one, two), collect_gains([one, two], "optimal", 1000, seed=5)))
+    cases += zip((one, two), collect_gains([one, two], "optimal", 80_000, seed=5))
+    got = {}
+    for chunk in (2**17, 2**14, 7):
+        monkeypatch.setattr(mc, "_REDUCE_CHUNK", chunk)
+        got[chunk] = [[(e.value, e.std_error, e.trials)
+                       for e in reduce([c.with_power(p) for p in powers], g)]
+                      for c, g in cases]
+    assert got[2**17] == got[2**14] == got[7]
+    assert len({value for value, _, _ in got[7][0]}) > 10  # the sweep spans the waterfall
 
 
 def test_estimates_identical_across_worker_counts(monkeypatch):

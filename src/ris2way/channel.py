@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -107,13 +107,27 @@ def loop_interference_mw(p_mw: float, omega: float, nu: float) -> float:
     return omega * p_mw**nu
 
 
-def sinr_budget(cfg: SystemConfig) -> SinrBudget:
+def _rho(cfg: SystemConfig, p_peer_mw: float, p_own_mw: float) -> float:
+    """SINR coefficient of a user receiving at p_peer_mw while sending at p_own_mw."""
     if cfg.scheme is Scheme.TWO:
         # orthogonal slots: no loop interference, plain SNR
-        return SinrBudget(cfg.p2_mw / cfg.noise_mw, cfg.p1_mw / cfg.noise_mw)
-    i1 = loop_interference_mw(cfg.p1_mw, cfg.omega, cfg.nu)
-    i2 = loop_interference_mw(cfg.p2_mw, cfg.omega, cfg.nu)
-    return SinrBudget(cfg.p2_mw / (i1 + cfg.noise_mw), cfg.p1_mw / (i2 + cfg.noise_mw))
+        return p_peer_mw / cfg.noise_mw
+    return p_peer_mw / (loop_interference_mw(p_own_mw, cfg.omega, cfg.nu) + cfg.noise_mw)
+
+
+def sinr_budget(cfg: SystemConfig) -> SinrBudget:
+    return SinrBudget(_rho(cfg, cfg.p2_mw, cfg.p1_mw), _rho(cfg, cfg.p1_mw, cfg.p2_mw))
+
+
+def sweep_rho(cfg: SystemConfig, p_mw: Iterable[float]) -> np.ndarray:
+    """rho at each transmit power of `p_mw` with both users sending at it; cfg's
+    own powers are ignored.  Each entry is the bits of both rho1 and rho2 of
+    `sinr_budget(cfg.with_power(p))`, which equal powers make the same."""
+    p_mw = list(p_mw)
+    for p in p_mw:
+        if not p >= 0:
+            raise ValueError(f"transmit powers must be >= 0, got {p}")
+    return np.array([_rho(cfg, p, p) for p in p_mw], dtype=float)
 
 
 @dataclass(frozen=True)

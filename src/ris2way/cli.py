@@ -27,7 +27,7 @@ from . import analytic, mc
 from . import rng as rngmod
 from .channel import (Reciprocity, Scheme, SystemConfig, UniformPhaseError,
                       VonMisesPhaseError, sample_channels, sinr_budget,
-                      sinr_nonreciprocal)
+                      sinr_nonreciprocal, sweep_rho)
 from .mc import NoCrossoverError
 from .numerics import NonConvergenceError, regularized_gamma_q
 from .optim import (GREEDY_GRID, RANDOMIZATION_K, SDP_TOL, OptimMethod,
@@ -40,6 +40,7 @@ OPT_METHODS = ("sdp", "greedy", "u1", "random")
 CROSSOVER_METHODS = ("analytic", "mc")
 
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
+_MAX_SWEEP_POINTS = 10**5  # the largest preset grid has 56
 
 
 class SpecError(ValueError):
@@ -83,7 +84,11 @@ def parse_sweep(text: str) -> list[float]:
         raise SpecError(f"bad sweep {text!r}: START, STOP and STEP must be finite")
     if step <= 0 or stop < start:
         raise SpecError(f"bad sweep {text!r}: need STOP >= START and STEP > 0")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    # counted as a float first: a huge count would overflow int() or the list
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_SWEEP_POINTS:
+        raise SpecError(f"bad sweep {text!r}: more than {_MAX_SWEEP_POINTS} points")
+    n = int(math.floor(span)) + 1
     return [start + i * step for i in range(n)]
 
 
@@ -383,21 +388,19 @@ def _validate_methods(spec: ExperimentSpec, allowed: tuple[str, ...]) -> None:
             raise SpecError("method 'gamma' needs L >= 2")
 
 
-def _metric_analytic(method: str, cfgs: list[SystemConfig], metric: str, user) -> list[float]:
-    """A closed-form column at each config of `cfgs`, which differ only in power.
+def _metric_analytic(method: str, cfg: SystemConfig, p_mw: list[float],
+                     metric: str) -> list[float]:
+    """A closed-form column of power-free `cfg` at each transmit power of `p_mw`.
 
-    Every law but the asymptotic ones takes the whole rho vector in one call;
-    each rho is the scalar `sinr_budget` arithmetic of its config.
+    Every law but the asymptotic ones takes the whole rho vector in one call.
     """
-    cfg = cfgs[0]
     if method == "asymptotic":
         if metric == "outage":
-            return [analytic.asymptotic_outage(c.L, c.gamma_th, c.p1_mw, c.omega, c.nu,
-                                               c.noise_mw, c.sigma2) for c in cfgs]
-        return [analytic.asymptotic_se(c.L, c.p1_mw, c.omega, c.nu, c.noise_mw,
-                                       c.sigma2, c.scheme) for c in cfgs]
-    budgets = [sinr_budget(c) for c in cfgs]
-    rho = np.array([b.rho1 if user in (1, "min") else b.rho2 for b in budgets])
+            return [analytic.asymptotic_outage(cfg.L, cfg.gamma_th, p, cfg.omega, cfg.nu,
+                                               cfg.noise_mw, cfg.sigma2) for p in p_mw]
+        return [analytic.asymptotic_se(cfg.L, p, cfg.omega, cfg.nu, cfg.noise_mw,
+                                       cfg.sigma2, cfg.scheme) for p in p_mw]
+    rho = sweep_rho(cfg, p_mw)
     half = cfg.scheme is Scheme.TWO
     params = analytic.gamma_approx_params(cfg.sigma2)
     if metric == "outage":
@@ -470,38 +473,28 @@ class _RunGains:
         return gains
 
 
-def _sweep_table(spec: ExperimentSpec, metric: str, axis: str, xs: list,
-                 columns: list[_Column], gains: _RunGains,
-                 p_dbm: float = 0.0) -> tuple[list, list]:
+def _sweep_table(metric: str, axis: str, xs: list, columns: list[_Column],
+                 gains: _RunGains, p_dbm: float = 0.0) -> tuple[list, list]:
     """Header and rows of one outage/SE table, one row per point of `xs`.
 
     axis "p_dbm" sweeps the transmit power: each column is one call of its
     closed form, or of its Monte Carlo reduction, over the whole power grid.
     axis "L" sweeps the element count at the single power `p_dbm`, one call
-    per point.  Monte Carlo gains do not depend on the power, so they come from
-    the run's `gains`, collected once per draw key, and are reduced at every
-    point.
+    per point.  Both users send at each power.  Monte Carlo gains do not depend
+    on the power, so they come from the run's `gains`, collected once per draw
+    key, and are reduced at every point.
     """
     fmt = fmt_prob if metric == "outage" else fmt_val
     reduce = mc.outage_from_gains if metric == "outage" else mc.se_from_gains
-    powered = {}  # power-free config -> its configs at the table's powers
-
-    def at_powers(cfg):
-        if axis == "L":
-            return [cfg.with_power(db_to_linear(p_dbm))]
-        if cfg not in powered:
-            powered[cfg] = [cfg.with_power(db_to_linear(x)) for x in xs]
-        return powered[cfg]
-
+    p_mw = [db_to_linear(x) for x in (xs if axis == "p_dbm" else [p_dbm])]
     header, cells = [axis], [[fmt_val(x) for x in xs]]
     for col in columns:
         values, errors = [], []
         for cfg in _power_free(col, axis, xs):
             if col.method != "mc":
-                values.extend(fmt(v) for v in _metric_analytic(col.method, at_powers(cfg),
-                                                                metric, col.user))
+                values.extend(fmt(v) for v in _metric_analytic(col.method, cfg, p_mw, metric))
                 continue
-            for e in reduce(at_powers(cfg), gains.take(col, cfg), col.user):
+            for e in reduce(cfg, p_mw, gains.take(col, cfg), col.user):
                 values.append(fmt(e.value))
                 errors.append(fmt_prob(e.std_error))
         header.append(f"{metric}_{col.label}")
@@ -525,7 +518,7 @@ def run_sweep_command(spec: ExperimentSpec, metric: str) -> None:
         axis, xs, p_dbm = "p_dbm", spec.p_dbm, 0.0
     else:
         raise SpecError("empty power sweep")
-    header, rows = _sweep_table(spec, metric, axis, xs, columns,
+    header, rows = _sweep_table(metric, axis, xs, columns,
                                 _RunGains(spec, [(axis, xs, columns)]), p_dbm)
     write_csv(spec.out, header, rows)
     _maybe_svg(spec, spec.out, header, rows, metric == "outage", _Y_LABELS[metric])
@@ -695,10 +688,10 @@ def _preset_fig2(spec: ExperimentSpec) -> dict:
     for s2 in (0.1, 1.0, 10.0):
         header.extend([f"ccdf_exact_s{s2:g}", f"ccdf_gamma_s{s2:g}"])
         params = analytic.gamma_approx_params(s2)
-        for t, row in zip(ts, rows_b):
-            # threshold t^2 at unit SNR (P = noise = 1 mW, no interference)
-            cfg = SystemConfig(L=1, sigma2=s2, noise_mw=1.0, omega=0.0, gamma_th=t * t)
-            row.extend([fmt_prob(1.0 - _metric_analytic("exact", [cfg], "outage", 1)[0]),
+        # P(|h g| > t) is one minus the single-element outage at threshold t^2, rho = 1
+        outage = analytic.outage_exact_L1(np.array([t * t for t in ts]), 1.0, s2)
+        for t, o, row in zip(ts, outage, rows_b):
+            row.extend([fmt_prob(1.0 - o),
                         fmt_prob(float(regularized_gamma_q(params.k, t / params.theta)))])
     out["b_ccdf"] = (header, rows_b, True, "CCDF")
     return out
@@ -733,7 +726,7 @@ def run_reproduce(spec: ExperimentSpec) -> None:
                                  for _, grid, columns in panels.values()])
         tables = {}
         for name, (metric, grid, columns) in panels.items():
-            header, rows = _sweep_table(spec, metric, "p_dbm", grid, columns, gains)
+            header, rows = _sweep_table(metric, "p_dbm", grid, columns, gains)
             tables[name] = (header, rows, metric == "outage", _Y_LABELS[metric])
     for name, (header, rows, log_y, y_label) in tables.items():
         path = _preset_out(spec, name)

@@ -2,11 +2,13 @@
 efficiency, and the scheme-crossover search.
 
 `collect_gains` draws each config's per-trial gains; `outage_from_gains` and
-`se_from_gains` reduce them at one power point, or at every point of a power
-sweep in one call.  Gains do not depend on the transmit power, so a sweep
-collects once and reduces each column once.  They are a pure function of (seed,
-trial index), drawn in fixed-size blocks merged in block order, so they are
-bit-for-bit reproducible for any worker count.  Blocks go to a process pool of
+`se_from_gains` take a config plus a vector of transmit powers and reduce them
+at every power in one call, returning one estimate per power.  A sweep point
+means both users sending at that power; the config's own powers are ignored.
+Gains do not depend on the transmit power, so a sweep collects once and
+reduces each column once.  They are a pure function of (seed, trial index),
+drawn in fixed-size blocks merged in block order, so they are bit-for-bit
+reproducible for any worker count.  Blocks go to a process pool of
 at most min(workers, blocks, CPUs this process may run on) workers, joined
 before the call returns, or run serially when that is one.  A block is drawn
 and reduced in cache-sized row chunks; its generators run on from chunk to
@@ -33,7 +35,8 @@ import numpy as np
 from . import rng as rngmod
 from .channel import (PhaseErrorModel, Reciprocity, Scheme, SinrBudget,
                       SystemConfig, UniformPhaseError, VonMisesPhaseError,
-                      sample_channel_block, sample_phase_errors, sinr_budget)
+                      sample_channel_block, sample_phase_errors, sinr_budget,
+                      sweep_rho)
 from .optim import OptimMethod, SolverFailureError, _scalar_square, maxmin_block
 
 
@@ -278,67 +281,47 @@ def _fill_blocks(rows: np.ndarray, parts) -> None:
 _REDUCE_CHUNK = 2**14
 
 
-def _reduce(cfgs, gains: TrialGains, user, stat):
-    """Estimates at each config's power from stat(sinr, cfg) -> (values, std
-    errors), which reduces each row of a (points, trials) SINR array.
+def _reduce(cfg: SystemConfig, p_mw, gains: TrialGains, user, stat) -> list[McEstimate]:
+    """Estimates at each transmit power of `p_mw` (both users at that power)
+    from stat(sinr, cfg) -> (values, std errors), which reduces each row of a
+    (points, trials) SINR array.
 
     The points go through in chunks of at most _REDUCE_CHUNK doubles.  Every
     row is reduced on its own, so an estimate is the same bits whatever the
-    chunk or the number of configs; one config gives one McEstimate, a
-    sequence a list in its order.
+    chunk or the number of powers.
     """
-    single = isinstance(cfgs, SystemConfig)
-    cfgs = [cfgs] if single else list(cfgs)
-    if not cfgs:
-        raise ValueError("need at least one config")
-    first = cfgs[0]
-    if any(c.scheme is not first.scheme or c.gamma_th != first.gamma_th for c in cfgs):
-        raise ValueError("the configs of one reduction must differ only in power")
-    budgets = [sinr_budget(c) for c in cfgs]
-    rho1 = np.array([b.rho1 for b in budgets])[:, None]
-    rho2 = np.array([b.rho2 for b in budgets])[:, None]
-    n = gains.g1.size
-    step = max(1, _REDUCE_CHUNK // n)
-    out = []
-    for lo in range(0, len(cfgs), step):
-        # passed straight to stat, so no chunk's SINR outlives its reduction
-        values, errors = stat(_per_trial_sinr(rho1[lo:lo + step], rho2[lo:lo + step],
-                                              gains, user), first)
-        out.extend(McEstimate(float(v), float(e), n) for v, e in zip(values, errors))
-    return out[0] if single else out
-
-
-def _per_trial_sinr(rho1: np.ndarray, rho2: np.ndarray, gains: TrialGains, user) -> np.ndarray:
-    """(points, trials) SINRs of `user` from (points, 1) columns of rho."""
-    if user == 1:
-        return rho1 * gains.g1
-    if user == 2:
-        return rho2 * gains.g2
     if user == "min":
-        return np.minimum(rho1 * gains.g1, rho2 * gains.g2)
-    raise ValueError("user must be 1, 2, or 'min'")
+        # both users share one rho >= 0, and rounding a product is monotone,
+        # so rho * min(g1, g2) is the bits of min(rho * g1, rho * g2)
+        g = np.minimum(gains.g1, gains.g2)
+    elif user in (1, 2):
+        g = gains.g1 if user == 1 else gains.g2
+    else:
+        raise ValueError("user must be 1, 2, or 'min'")
+    rho = sweep_rho(cfg, p_mw)[:, None]
+    step = max(1, _REDUCE_CHUNK // g.size)
+    out = []
+    for lo in range(0, len(rho), step):
+        # passed straight to stat, so no chunk's SINR outlives its reduction
+        values, errors = stat(rho[lo:lo + step] * g, cfg)
+        out.extend(McEstimate(float(v), float(e), g.size) for v, e in zip(values, errors))
+    return out
 
 
-def outage_from_gains(cfg, gains: TrialGains, user=1):
-    """Outage probability at cfg's power: the share of trials with SINR <= gamma_th.
-
-    `cfg` may be a sequence of configs that differ only in power, for one
-    estimate per config.
-    """
+def outage_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains, user=1) -> list[McEstimate]:
+    """Outage probability at each power of `p_mw`: the share of trials with
+    SINR <= gamma_th.  cfg's own powers are ignored."""
     def stat(sinr, cfg):
         n = sinr.shape[1]
         p = np.count_nonzero(sinr <= cfg.gamma_th, axis=1) / n
         return p, np.sqrt(p * (1.0 - p) / n)
 
-    return _reduce(cfg, gains, user, stat)
+    return _reduce(cfg, p_mw, gains, user, stat)
 
 
-def se_from_gains(cfg, gains: TrialGains, user=1):
-    """Mean spectral efficiency at cfg's power, halved for the two-slot scheme.
-
-    `cfg` may be a sequence of configs that differ only in power, for one
-    estimate per config.
-    """
+def se_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains, user=1) -> list[McEstimate]:
+    """Mean spectral efficiency at each power of `p_mw`, halved for the
+    two-slot scheme.  cfg's own powers are ignored."""
     def stat(sinr, cfg):
         n = sinr.shape[1]
         rate = np.log2(1.0 + sinr)
@@ -347,7 +330,7 @@ def se_from_gains(cfg, gains: TrialGains, user=1):
         std = np.std(rate, axis=1, ddof=1) if n > 1 else np.zeros(len(rate))
         return np.mean(rate, axis=1), std / math.sqrt(n)
 
-    return _reduce(cfg, gains, user, stat)
+    return _reduce(cfg, p_mw, gains, user, stat)
 
 
 def find_crossover(cfg: SystemConfig, p_dbm_grid, trials: int = 10**3, seed: int = 0,
@@ -355,19 +338,19 @@ def find_crossover(cfg: SystemConfig, p_dbm_grid, trials: int = 10**3, seed: int
     """Power (dBm) on a reciprocal channel where the one-slot scheme's spectral
     efficiency overtakes the two-slot scheme's, refined by bisection to
     _CROSSOVER_TOL_DB under common random numbers."""
-    [gains] = collect_gains([cfg], "optimal", trials, seed, workers)
     grid = np.asarray(list(p_dbm_grid), dtype=float)
     if grid.size < 2:
         raise ValueError("need at least two grid points")
+    [gains] = collect_gains([cfg], "optimal", trials, seed, workers)
+    one = dataclasses.replace(cfg, scheme=Scheme.ONE)
+    two = dataclasses.replace(cfg, scheme=Scheme.TWO)
 
-    def diff(p_dbm: float) -> float:
-        p_mw = 10.0 ** (p_dbm / 10.0)
-        one = dataclasses.replace(cfg, scheme=Scheme.ONE).with_power(p_mw)
-        two = dataclasses.replace(cfg, scheme=Scheme.TWO).with_power(p_mw)
-        return (se_from_gains(one, gains, user).value
-                - se_from_gains(two, gains, user).value)
+    def diffs(p_dbm) -> list[float]:
+        p_mw = [10.0 ** (p / 10.0) for p in p_dbm]
+        return [a.value - b.value for a, b in zip(se_from_gains(one, p_mw, gains, user),
+                                                  se_from_gains(two, p_mw, gains, user))]
 
-    values = [diff(p) for p in grid]
+    values = diffs(grid)
     for i in range(len(grid) - 1):
         if values[i] == 0.0:
             return float(grid[i])
@@ -379,7 +362,7 @@ def find_crossover(cfg: SystemConfig, p_dbm_grid, trials: int = 10**3, seed: int
     lo, hi, flo = grid[i], grid[i + 1], values[i]
     while hi - lo > _CROSSOVER_TOL_DB:
         mid = 0.5 * (lo + hi)
-        fm = diff(mid)
+        [fm] = diffs([mid])
         if fm == 0.0:
             return mid
         if flo * fm < 0.0:

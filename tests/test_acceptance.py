@@ -41,7 +41,7 @@ def base_cfg(**kw):
 
 def _curve(reduce, cfg, gains, grid):
     """One estimate per power of `grid` (dBm), each reduced from the same gains."""
-    return [reduce(cfg.with_power(10.0 ** (p / 10.0)), gains) for p in grid]
+    return reduce(cfg, [10.0 ** (p / 10.0) for p in grid], gains)
 
 
 def _first(gains, n):
@@ -192,8 +192,9 @@ def test_criterion_6_asymptotic_rates_and_sandwich():
         cfg = base_cfg(L=L)
         p_dbm = 10 * math.log10(rho * (cfg.omega + cfg.noise_mw))
         [gains] = mc.collect_gains([cfg], "optimal", trials, seed=606)
-        est = mc.outage_from_gains(cfg.with_power(10 ** (p_dbm / 10)), gains)
-        lo, up = an.sandwich_bounds_Lge2(L, 1.0, sinr_budget(cfg.with_power(10 ** (p_dbm / 10))).rho1)
+        p_mw = 10 ** (p_dbm / 10)
+        [est] = mc.outage_from_gains(cfg, [p_mw], gains)
+        lo, up = an.sandwich_bounds_Lge2(L, 1.0, sinr_budget(cfg.with_power(p_mw)).rho1)
         ok = ok and lo <= est.value + 3 * est.std_error and est.value - 3 * est.std_error <= up
         details.append(f"L={L} sandwich [{lo:.2e}, {up:.2e}] vs MC {est.value:.2e}")
     for L in (2, 4):
@@ -212,10 +213,10 @@ def test_criterion_7_interference_floors():
         [gains] = mc.collect_gains([cfg], "optimal", 10**6, seed=5)
         outs, ses, outs_ana, ses_ana = [], [], [], []
         for p_dbm in (20.0, 30.0, 40.0):
-            c = cfg.with_power(10 ** (p_dbm / 10.0))
-            rho = sinr_budget(c).rho1
-            o = mc.outage_from_gains(c, gains)
-            s = mc.se_from_gains(c, _first(gains, 10**5))
+            p_mw = 10 ** (p_dbm / 10.0)
+            rho = sinr_budget(cfg.with_power(p_mw)).rho1
+            [o] = mc.outage_from_gains(cfg, [p_mw], gains)
+            [s] = mc.se_from_gains(cfg, [p_mw], _first(gains, 10**5))
             if L == 1:
                 o_ana = float(an.outage_exact_L1(1.0, rho))
                 s_ana = an.se_exact_L1(rho)
@@ -269,9 +270,9 @@ def test_criterion_8_phase_error_exact_law():
         # one channel draw serves both: the jitter only rotates the terms
         gains_err, gains_free = mc.collect_gains([cfg_err, cfg_free], "optimal", 10**5,
                                                  seed=809)
-        for p_dbm in (10.0, 20.0, 30.0):
-            se_err = mc.se_from_gains(cfg_err.with_power(10 ** (p_dbm / 10)), gains_err)
-            se_free = mc.se_from_gains(cfg_free.with_power(10 ** (p_dbm / 10)), gains_free)
+        powers = [10 ** (p_dbm / 10) for p_dbm in (10.0, 20.0, 30.0)]
+        for se_err, se_free in zip(mc.se_from_gains(cfg_err, powers, gains_err),
+                                   mc.se_from_gains(cfg_free, powers, gains_free)):
             rel = abs(se_err.value / se_free.value - 1.0)
             ok = ok and rel <= 0.01
         details.append(f"L={L} jitter<=pi/8 SE gap {100*rel:.2f}%")

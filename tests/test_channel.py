@@ -15,7 +15,7 @@ from ris2way.channel import (NonReciprocalChannel, Reciprocity, Scheme,
                              VonMisesPhaseError, sample_channel_block,
                              sample_channels, sample_phase_errors,
                              sinr_budget, sinr_nonreciprocal, sinr_reciprocal,
-                             wrap_phases)
+                             sweep_rho, wrap_phases)
 from ris2way.mc import collect_gains
 from ris2way.optim import optimal_phase_reciprocal
 
@@ -86,6 +86,28 @@ def test_sinr_budget_interference_limited():
     cfg = cfg_rec(p1_mw=100.0, p2_mw=100.0, omega=1e-4, nu=1.0, noise_mw=1e-30)
     b = sinr_budget(cfg)
     assert b.rho1 == pytest.approx(1e4, rel=1e-10)
+
+
+@given(scheme=st.sampled_from(Scheme), nu=st.floats(0.0, 1.0),
+       omega=st.floats(0.0, 1e3), noise=st.floats(1e-15, 1e3),
+       own=st.floats(0.0, 1e6),
+       powers=st.lists(st.floats(0.0, 1e12), min_size=1, max_size=8))
+def test_sweep_rho_is_the_budget_of_each_power(scheme, nu, omega, noise, own, powers):
+    """Each entry is the bits of rho1 and rho2 of that power's own config, and
+    of the SINR coefficient written out; the config's powers do not enter."""
+    cfg = cfg_rec(scheme=scheme, nu=nu, omega=omega, noise_mw=noise, p1_mw=own, p2_mw=2 * own)
+    rho = sweep_rho(cfg, powers)
+    assert rho.shape == (len(powers),)
+    for p, r in zip(powers, rho):
+        b = sinr_budget(cfg.with_power(p))
+        written_out = p / noise if scheme is Scheme.TWO else p / (omega * p**nu + noise)
+        assert r == b.rho1 == b.rho2 == written_out
+
+
+@pytest.mark.parametrize("power", [-1.0, math.nan])
+def test_sweep_rho_rejects_negative_powers(power):
+    with pytest.raises(ValueError, match="transmit powers must be >= 0"):
+        sweep_rho(cfg_rec(), [1.0, power])
 
 
 def test_amplitude_second_moment():

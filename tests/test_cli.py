@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from ris2way import cli, optim
+from ris2way import channel, cli, optim
 from ris2way import rng as rngmod
 from ris2way.channel import (UniformPhaseError, VonMisesPhaseError, sample_channels,
                              sinr_budget, sinr_nonreciprocal)
@@ -221,6 +221,11 @@ def test_bad_user_or_l_list_exit_code(tmp_path, capsys, argv, flag):
      "bad sweep '0:inf:1': START, STOP and STEP must be finite"),
     (["outage", "--p-dbm", "nan:1:1", "--methods", "exact"],
      "bad sweep 'nan:1:1': START, STOP and STEP must be finite"),
+    # a count that overflows a float, and one that would build ~1e301 points
+    (["outage", "--p-dbm", "0:1e308:1e-300", "--methods", "exact"],
+     "bad sweep '0:1e308:1e-300': more than 100000 points"),
+    (["outage", "--p-dbm", "0:10:1e-300", "--methods", "exact"],
+     "bad sweep '0:10:1e-300': more than 100000 points"),
 ])
 def test_non_finite_jitter_or_sweep_exit_code(tmp_path, capsys, argv, reason):
     out = tmp_path / "x.csv"
@@ -403,6 +408,22 @@ def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):
         assert group_sizes == alone
         assert ((tmp_path / f"{name}_{name}.csv").read_bytes()
                 == (tmp_path / f"f5_{name}.csv").read_bytes())
+
+
+def test_sweeps_build_no_config_per_point(tmp_path, monkeypatch):
+    """A power or element-count sweep carries one power-free config per column
+    and a power vector: no sweep point builds a config or a budget of its own."""
+    def per_point(*args):
+        raise AssertionError("a sweep point built its own config or budget")
+
+    monkeypatch.setattr(cli.SystemConfig, "with_power", per_point)
+    for module in (channel, cli, cli.mc):
+        monkeypatch.setattr(module, "sinr_budget", per_point)
+    for argv in (["reproduce", "fig5", "--trials-se", "20"],
+                 ["outage", "--l-list", "2,4", "--p-dbm", "10:10:1", "--trials", "500",
+                  "--methods", "mc,gamma,clt,asymptotic"],
+                 ["crossover", "-L", "2", "--methods", "mc", "--trials", "500"]):
+        assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 0
 
 
 def test_run_gains_drop_each_group_after_its_last_reduction():

@@ -28,7 +28,7 @@ def cfg_rec(**kw):
 def test_outage_matches_exact_single_element():
     cfg = cfg_rec(L=1).with_power(1.0)
     [gains] = collect_gains([cfg], "optimal", 200_000, seed=1)
-    est = outage_from_gains(cfg, gains)
+    [est] = outage_from_gains(cfg, [1.0], gains)
     rho = sinr_budget(cfg).rho1
     exact = float(an.outage_exact_L1(cfg.gamma_th, rho))
     assert abs(est.value - exact) <= 3 * est.std_error
@@ -38,31 +38,31 @@ def test_outage_matches_exact_single_element():
 
 
 def test_outage_high_power_is_zero():
-    cfg = cfg_rec(L=4).with_power(1e9)
+    cfg = cfg_rec(L=4)
     [gains] = collect_gains([cfg], "optimal", 20_000, seed=2)
-    assert outage_from_gains(cfg, gains).value == 0.0
+    assert outage_from_gains(cfg, [1e9], gains)[0].value == 0.0
 
 
 def test_se_zero_power():
-    cfg = cfg_rec(L=2, p1_mw=0.0, p2_mw=0.0)
+    cfg = cfg_rec(L=2)
     [gains] = collect_gains([cfg], "optimal", 5_000, seed=3)
-    assert se_from_gains(cfg, gains).value == 0.0
+    assert se_from_gains(cfg, [0.0], gains)[0].value == 0.0
 
 
 def test_se_matches_quadrature_single_element():
     cfg = cfg_rec(L=1).with_power(1.0)  # 0 dBm
     [gains] = collect_gains([cfg], "optimal", 100_000, seed=4)
-    est = se_from_gains(cfg, gains)
+    [est] = se_from_gains(cfg, [1.0], gains)
     rho = sinr_budget(cfg).rho1
     assert est.value == pytest.approx(an.se_exact_L1(rho), rel=0.01)
 
 
 def test_se_scheme_two_half_rate():
-    cfg1 = cfg_rec(L=2, omega=0.0).with_power(1.0)
-    cfg2 = cfg_rec(L=2, omega=0.0, scheme=Scheme.TWO).with_power(1.0)
+    cfg1 = cfg_rec(L=2, omega=0.0)
+    cfg2 = cfg_rec(L=2, omega=0.0, scheme=Scheme.TWO)
     gains1, gains2 = collect_gains([cfg1, cfg2], "optimal", 4_000, seed=5)
-    a = se_from_gains(cfg1, gains1)
-    b = se_from_gains(cfg2, gains2)
+    [a] = se_from_gains(cfg1, [1.0], gains1)
+    [b] = se_from_gains(cfg2, [1.0], gains2)
     assert b.value == pytest.approx(a.value / 2.0, rel=1e-12)
 
 
@@ -84,7 +84,7 @@ def _one_point(metric, cfg, gains, user):
 @pytest.mark.parametrize("metric", ["outage", "se"])
 def test_power_grid_reduction_equals_one_point_reductions(metric):
     """One reduction over a power grid gives each point's bits exactly: users
-    1, 2 and min of a non-reciprocal channel with rho1 != rho2, the two-slot
+    1, 2 and min of a non-reciprocal channel with g1 != g2, the two-slot
     half rate, and more points than one chunk holds."""
     reduce = outage_from_gains if metric == "outage" else se_from_gains
     powers = [10.0 ** (p / 10.0) for p in range(-80, 41, 2)]  # the fig3-fig6 grids
@@ -95,20 +95,15 @@ def test_power_grid_reduction_equals_one_point_reductions(metric):
     assert not np.array_equal(g_nonrec.g1, g_nonrec.g2)
     two, one = cfg_rec(L=4, scheme=Scheme.TWO), cfg_rec(L=4, nu=1.0, gamma_th=2.0)
     g_two, g_one = collect_gains([two, one], "optimal", trials, seed=41)
-    cases = [([dataclasses.replace(nonrec, p1_mw=p, p2_mw=3.0 * p) for p in powers],
-              g_nonrec, user) for user in (1, 2, "min")]
-    cases += [([c.with_power(p) for p in powers], g, 1) for c, g in ((two, g_two), (one, g_one))]
-    for cfgs, gains, user in cases:
-        want = [_one_point(metric, c, gains, user) for c in cfgs]
-        got = reduce(cfgs, gains, user)
+    cases = [(nonrec, g_nonrec, user) for user in (1, 2, "min")]
+    cases += [(two, g_two, 1), (one, g_one, 1)]
+    for cfg, gains, user in cases:
+        want = [_one_point(metric, cfg.with_power(p), gains, user) for p in powers]
+        got = reduce(cfg, powers, gains, user)
         assert [(e.value, e.std_error, e.trials) for e in got] == want
-        for c, w in zip(cfgs[::10], want[::10]):
-            e = reduce(c, gains, user)
+        for p, w in zip(powers[::10], want[::10]):
+            [e] = reduce(cfg, [p], gains, user)
             assert (e.value, e.std_error, e.trials) == w
-    budget = sinr_budget(cases[0][0][0])
-    assert budget.rho1 != budget.rho2
-    with pytest.raises(ValueError, match="differ only in power"):
-        reduce([one, two], g_one)
 
 
 @pytest.mark.parametrize("metric", ["outage", "se"])
@@ -127,7 +122,7 @@ def test_reduction_bits_do_not_depend_on_the_chunk(metric, monkeypatch):
     for chunk in (2**17, 2**14, 7):
         monkeypatch.setattr(mc, "_REDUCE_CHUNK", chunk)
         got[chunk] = [[(e.value, e.std_error, e.trials)
-                       for e in reduce([c.with_power(p) for p in powers], g)]
+                       for e in reduce(c, powers, g)]
                       for c, g in cases]
     assert got[2**17] == got[2**14] == got[7]
     assert len({value for value, _, _ in got[7][0]}) > 10  # the sweep spans the waterfall
@@ -135,13 +130,13 @@ def test_reduction_bits_do_not_depend_on_the_chunk(metric, monkeypatch):
 
 def test_estimates_identical_across_worker_counts(monkeypatch):
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)  # a real pool on any host
-    cfg = cfg_rec(L=3).with_power(10.0)
+    cfg = cfg_rec(L=3)
     gains = [collect_gains([cfg], "optimal", 9_000, seed=6, workers=w)[0] for w in (1, 3)]
     # each call joins its pool before it returns
     assert multiprocessing.active_children() == []
-    vals = [outage_from_gains(cfg, g).value for g in gains]
+    vals = [outage_from_gains(cfg, [10.0], g)[0].value for g in gains]
     assert vals[0] == vals[1]
-    ses = [se_from_gains(cfg, g).value for g in gains]
+    ses = [se_from_gains(cfg, [10.0], g)[0].value for g in gains]
     assert ses[0] == ses[1]
 
 
@@ -301,8 +296,8 @@ def test_gains_prefix_property():
 def test_common_random_numbers_monotone_in_power():
     cfg = cfg_rec(L=2)
     [gains] = collect_gains([cfg], "optimal", 50_000, seed=8)
-    values = [outage_from_gains(cfg.with_power(10 ** (p / 10)), gains).value
-              for p in (0.0, 5.0, 10.0, 15.0)]
+    values = [e.value for e in outage_from_gains(
+        cfg, [10 ** (p / 10) for p in (0.0, 5.0, 10.0, 15.0)], gains)]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
@@ -311,16 +306,16 @@ def test_scheme_two_outage_never_worse_per_seed():
     cfg1 = cfg_rec(L=2, omega=1e-2)
     cfg2 = dataclasses.replace(cfg1, scheme=Scheme.TWO)
     gains1, gains2 = collect_gains([cfg1, cfg2], "optimal", 30_000, seed=9)
-    for p in (0.0, 10.0):
-        o1 = outage_from_gains(cfg1.with_power(10 ** (p / 10)), gains1)
-        o2 = outage_from_gains(cfg2.with_power(10 ** (p / 10)), gains2)
+    powers = [10 ** (p / 10) for p in (0.0, 10.0)]
+    for o1, o2 in zip(outage_from_gains(cfg1, powers, gains1),
+                      outage_from_gains(cfg2, powers, gains2)):
         assert o2.value <= o1.value
 
 
 def test_outage_with_phase_error_matches_scrambled_law():
     cfg = cfg_rec(L=4, phase_error=UniformPhaseError(math.pi)).with_power(0.1)
     [gains] = collect_gains([cfg], "optimal", 400_000, seed=10)
-    est = outage_from_gains(cfg, gains)
+    [est] = outage_from_gains(cfg, [0.1], gains)
     rho = sinr_budget(cfg).rho1
     ana = an.outage_phase_error_uniform_pi(4, cfg.gamma_th, rho)
     assert abs(est.value - ana) <= 3 * max(est.std_error, 1e-9)
@@ -374,6 +369,15 @@ def test_crossover_absent_raises():
     # interference-limited: the one-slot scheme never overtakes at high power
     with pytest.raises(NoCrossoverError):
         find_crossover(cfg, np.arange(30.0, 60.0, 5.0), trials=2_000, seed=13)
+
+
+def test_crossover_checks_the_grid_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("collect_gains called")
+
+    monkeypatch.setattr(mc, "collect_gains", no_draws)
+    with pytest.raises(ValueError, match="at least two grid points"):
+        find_crossover(cfg_rec(L=2), [10.0], trials=100, seed=0)
 
 
 @pytest.mark.parametrize("policy, L", [("greedy", 3), ("sdp", 2)])

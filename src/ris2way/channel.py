@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -58,12 +58,11 @@ PhaseErrorModel = Union[UniformPhaseError, VonMisesPhaseError]
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full experiment description."""
+    """Full experiment description.  The transmit power is not part of it: a
+    sweep passes the powers, both users sending at each, to `sweep_rho`."""
 
     L: int
     sigma2: float = 1.0
-    p1_mw: float = 1.0
-    p2_mw: float = 1.0
     noise_mw: float = 1e-7
     omega: float = 1e-4
     nu: float = 0.0
@@ -77,17 +76,16 @@ class SystemConfig:
         # so that NaN fails them
         if self.L < 1:
             raise ValueError("L must be >= 1")
-        if not 0 < self.sigma2 < math.inf:
-            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
-        for name in ("p1_mw", "p2_mw", "noise_mw", "omega", "gamma_th"):
+        for name in ("sigma2", "noise_mw"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("omega", "gamma_th"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.omega == math.inf:
+            raise ValueError("omega must be finite, got inf")
         if not 0 <= self.nu <= 1:
             raise ValueError(f"nu must lie in [0, 1], got {self.nu}")
-
-    def with_power(self, p_mw: float) -> "SystemConfig":
-        """Both users at the same transmit power (the usual sweep variable)."""
-        return replace(self, p1_mw=p_mw, p2_mw=p_mw)
 
 
 @dataclass(frozen=True)
@@ -107,27 +105,22 @@ def loop_interference_mw(p_mw: float, omega: float, nu: float) -> float:
     return omega * p_mw**nu
 
 
-def _rho(cfg: SystemConfig, p_peer_mw: float, p_own_mw: float) -> float:
-    """SINR coefficient of a user receiving at p_peer_mw while sending at p_own_mw."""
+def _rho(cfg: SystemConfig, p_mw: float) -> float:
+    """SINR coefficient of either user when both send at p_mw."""
     if cfg.scheme is Scheme.TWO:
         # orthogonal slots: no loop interference, plain SNR
-        return p_peer_mw / cfg.noise_mw
-    return p_peer_mw / (loop_interference_mw(p_own_mw, cfg.omega, cfg.nu) + cfg.noise_mw)
-
-
-def sinr_budget(cfg: SystemConfig) -> SinrBudget:
-    return SinrBudget(_rho(cfg, cfg.p2_mw, cfg.p1_mw), _rho(cfg, cfg.p1_mw, cfg.p2_mw))
+        return p_mw / cfg.noise_mw
+    return p_mw / (loop_interference_mw(p_mw, cfg.omega, cfg.nu) + cfg.noise_mw)
 
 
 def sweep_rho(cfg: SystemConfig, p_mw: Iterable[float]) -> np.ndarray:
-    """rho at each transmit power of `p_mw` with both users sending at it; cfg's
-    own powers are ignored.  Each entry is the bits of both rho1 and rho2 of
-    `sinr_budget(cfg.with_power(p))`, which equal powers make the same."""
+    """rho at each transmit power of `p_mw` with both users sending at it, so
+    that rho1 = rho2 = rho: `SinrBudget(rho, rho)` is that point's budget."""
     p_mw = list(p_mw)
     for p in p_mw:
         if not p >= 0:
             raise ValueError(f"transmit powers must be >= 0, got {p}")
-    return np.array([_rho(cfg, p, p) for p in p_mw], dtype=float)
+    return np.array([_rho(cfg, p) for p in p_mw], dtype=float)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import analytic, mc
 from . import rng as rngmod
-from .channel import (Reciprocity, Scheme, SystemConfig, UniformPhaseError,
-                      VonMisesPhaseError, sample_channels, sinr_budget,
+from .channel import (Reciprocity, Scheme, SinrBudget, SystemConfig,
+                      UniformPhaseError, VonMisesPhaseError, sample_channels,
                       sinr_nonreciprocal, sweep_rho)
 from .mc import NoCrossoverError
 from .numerics import NonConvergenceError, regularized_gamma_q
@@ -542,9 +542,9 @@ def run_optimize(spec: ExperimentSpec) -> None:
     if spec.greedy_grid < 2:
         raise SpecError(f"--greedy-grid: the grid needs at least 2 angles, "
                         f"got {spec.greedy_grid}")
-    cfg = spec.cfg.with_power(db_to_linear(spec.p_dbm[0]))
-    budget = sinr_budget(cfg)
-    chans = [sample_channels(cfg, rngmod.trial_generator(spec.seed, rngmod.STREAM_CHANNEL, t))
+    rho = float(sweep_rho(spec.cfg, [db_to_linear(spec.p_dbm[0])])[0])
+    budget = SinrBudget(rho, rho)
+    chans = [sample_channels(spec.cfg, rngmod.trial_generator(spec.seed, rngmod.STREAM_CHANNEL, t))
              for t in range(spec.trials)]
     z1 = np.array([ch.h_r * ch.g_t for ch in chans])
     z2 = np.array([ch.g_r * ch.h_t for ch in chans])

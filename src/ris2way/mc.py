@@ -4,22 +4,25 @@ efficiency, and the scheme-crossover search.
 `collect_gains` draws each config's per-trial gains; `outage_from_gains` and
 `se_from_gains` take a config plus a vector of transmit powers and reduce them
 at every power in one call, returning one estimate per power.  A sweep point
-means both users sending at that power; the config's own powers are ignored.
-Gains do not depend on the transmit power, so a sweep collects once and
-reduces each column once.  They are a pure function of (seed, trial index),
-drawn in fixed-size blocks merged in block order, so they are bit-for-bit
-reproducible for any worker count.  Blocks go to a process pool of
-at most min(workers, blocks, CPUs this process may run on) workers, joined
-before the call returns, or run serially when that is one.  A block is drawn
-and reduced in cache-sized row chunks; its generators run on from chunk to
-chunk, so the chunks' rows are the bits of one whole-block draw.  A
-phase-jitter term amp * e^(i eps) is formed as (amp cos eps, amp sin eps), the
-same bits as the complex exponential.
+means both users sending at that power, so rho1 = rho2 at every point (a
+config carries no power).  Gains do not depend on the transmit power, so a
+sweep collects once and reduces each column once.  They are a pure function of
+(seed, trial index), drawn in fixed-size blocks merged in block order, so they
+are bit-for-bit reproducible for any worker count, and trial i is the same
+bits whatever the trial count.  Blocks go to a process pool of at most
+min(workers, blocks, CPUs this process may run on) workers, joined before the
+call returns, or run serially when that is one.  A block is drawn and reduced
+in cache-sized row chunks; its generators run on from chunk to chunk, so the
+chunks' rows are the bits of one whole-block draw.  A phase-jitter term
+amp * e^(i eps) is formed as (amp cos eps, amp sin eps), the same bits as the
+complex exponential.
 `draw_key` names what else they depend on: on a reciprocal channel only L,
 sigma2, the trial count and the phase-error model, so configs differing in
 scheme, nu, omega, gamma_th, noise or jitter width share one channel draw per
 block, and `collect_gains` collects such a group in one pass (common random
-numbers across schemes, nu and delta); max-min policies use `optim`'s defaults.
+numbers across schemes, nu and delta).  A non-reciprocal gain also reads the
+scheme and the policy, and nothing else: max-min phases are solved at
+rho1 = rho2, as every sweep point has them, with `optim`'s defaults.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ import numpy as np
 from . import rng as rngmod
 from .channel import (PhaseErrorModel, Reciprocity, Scheme, SinrBudget,
                       SystemConfig, UniformPhaseError, VonMisesPhaseError,
-                      sample_channel_block, sample_phase_errors, sinr_budget,
-                      sweep_rho)
+                      sample_channel_block, sample_phase_errors, sweep_rho)
 from .optim import OptimMethod, SolverFailureError, _scalar_square, maxmin_block
 
 
@@ -131,27 +133,21 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: 
         for rows, ch in _channel_chunks(cfg, seed, block, count):
             terms[0, rows] = ch.h_r * ch.g_t
             terms[1, rows] = ch.g_r * ch.h_t
-        return _maxmin_gains(cfg, policy, seed, block, terms[0], terms[1])
+        return _maxmin_gains(policy, seed, block, terms[0], terms[1])
     brng = None
     if cfg.scheme is Scheme.ONE and policy == "random":
         brng = rngmod.block_generator(seed, rngmod.STREAM_BASELINE, block)
-    # complex products are not bitwise commutative, and numpy evaluates
-    # `z2 * temporary` as `temporary * z2` once the temporary reaches 256 KiB
-    # (its temporary elision); u1's whole-block product took that order from
-    # 2**14 terms on, so each of the block's chunks keeps it
-    swap = count * cfg.L >= 2**14
     out = np.empty((2, count))
     for rows, ch in _channel_chunks(cfg, seed, block, count):
-        out[:, rows] = _fixed_phase_gains(cfg, policy, ch.h_r * ch.g_t, ch.g_r * ch.h_t,
-                                          brng, swap)
+        out[:, rows] = _fixed_phase_gains(cfg, policy, ch.h_r * ch.g_t, ch.g_r * ch.h_t, brng)
     return out
 
 
-def _maxmin_gains(cfg: SystemConfig, policy: str, seed: int, block: int,
-                  z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """(g1, g2) of a block's terms under max-min phases of every trial at unit
-    rho, valid at every power because scaling (rho1, rho2) together does not
-    move the argmax."""
+def _maxmin_gains(policy: str, seed: int, block: int, z1: np.ndarray,
+                  z2: np.ndarray) -> np.ndarray:
+    """(g1, g2) of a block's terms under max-min phases of every trial at
+    rho1 = rho2 = 1, valid at every sweep power: both users send at it, so
+    rho1 = rho2, and scaling them together does not move the argmax."""
     count = len(z1)
     first = block * rngmod.BLOCK_SIZE
     rngs = None
@@ -160,7 +156,7 @@ def _maxmin_gains(cfg: SystemConfig, policy: str, seed: int, block: int,
                 for i in range(count)]
     method = OptimMethod.GREEDY_ITERATIVE if policy == "greedy" else OptimMethod.SDP_RELAX
     try:
-        phases, _ = maxmin_block(z1, z2, _unit_ratio_budget(cfg), method, rngs)
+        phases, _ = maxmin_block(z1, z2, SinrBudget(1.0, 1.0), method, rngs)
     except SolverFailureError as exc:
         raise SolverFailureError(f"trial {first + exc.instance}: {exc}") from exc
     rot = np.exp(1j * phases)
@@ -170,26 +166,19 @@ def _maxmin_gains(cfg: SystemConfig, policy: str, seed: int, block: int,
 
 
 def _fixed_phase_gains(cfg: SystemConfig, policy: str, z1: np.ndarray, z2: np.ndarray,
-                       brng, swap: bool) -> tuple[np.ndarray, np.ndarray]:
+                       brng) -> tuple[np.ndarray, np.ndarray]:
     """(g1, g2) of one chunk under the two-slot co-phasing, u1 or random phases."""
     if cfg.scheme is Scheme.TWO:
         # each slot gets its own co-phasing, independent of the policy
         return np.sum(np.abs(z1), axis=1) ** 2, np.sum(np.abs(z2), axis=1) ** 2
     if policy == "u1":
+        # rot is a variable, not a temporary numpy may reuse by reversing this
+        # product's (not bitwise commutative) operands: a trial's gains are
+        # the same bits in a block of any size
         rot = np.exp(-1j * np.angle(z1))
-        return (np.sum(np.abs(z1), axis=1) ** 2,
-                np.abs(np.sum(rot * z2 if swap else z2 * rot, axis=1)) ** 2)
+        return np.sum(np.abs(z1), axis=1) ** 2, np.abs(np.sum(z2 * rot, axis=1)) ** 2
     rot = np.exp(1j * brng.uniform(0.0, 2.0 * math.pi, size=z1.shape))
     return np.abs(np.sum(z1 * rot, axis=1)) ** 2, np.abs(np.sum(z2 * rot, axis=1)) ** 2
-
-
-def _unit_ratio_budget(cfg: SystemConfig) -> SinrBudget:
-    # keep the rho1:rho2 ratio (it shapes the max-min solution), drop the scale
-    budget = sinr_budget(cfg)
-    scale = max(budget.rho1, budget.rho2)
-    if scale == 0.0:
-        return budget
-    return SinrBudget(budget.rho1 / scale, budget.rho2 / scale)
 
 
 def _gain_block_task(args):
@@ -204,13 +193,11 @@ def draw_key(cfg: SystemConfig, policy: str, trials: int) -> tuple:
     model: configs with equal keys can be collected together.
 
     A reciprocal gain reads only L, sigma2, the phase-error model, the trials
-    and the seed; scheme, nu, omega, gamma_th, noise and power do not enter it.
-    A non-reciprocal gain may read every field (the max-min policies keep the
-    rho1:rho2 ratio), so only identical configs share a key.
+    and the seed; a non-reciprocal one (which has no phase-error model) reads
+    the scheme as well.  nu, omega, gamma_th and noise enter neither.
     """
-    if cfg.reciprocity is Reciprocity.RECIPROCAL:
-        return (cfg.reciprocity, cfg.L, cfg.sigma2, policy, trials)
-    return (cfg, policy, trials)
+    key = (cfg.reciprocity, cfg.L, cfg.sigma2, policy, trials)
+    return key if cfg.reciprocity is Reciprocity.RECIPROCAL else key + (cfg.scheme,)
 
 
 def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
@@ -228,7 +215,8 @@ def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
     cfg = cfgs[0]
     if any(draw_key(c, policy, trials) != draw_key(cfg, policy, trials) for c in cfgs):
         raise ValueError("the configs of one collection must share a draw key")
-    # equal keys mean one reciprocity, and identical non-reciprocal configs
+    # equal keys mean one reciprocity, L and sigma2, and on a non-reciprocal
+    # channel one scheme
     if policy not in PHASE_POLICIES:
         raise ValueError(f"unknown phase policy {policy!r}")
     reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
@@ -236,7 +224,7 @@ def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
         raise ValueError("reciprocal channels support the 'optimal' policy only")
     if not reciprocal and policy == "optimal":
         raise ValueError("non-reciprocal channels need a max-min or baseline policy")
-    if not reciprocal and cfg.phase_error is not None:
+    if not reciprocal and any(c.phase_error is not None for c in cfgs):
         raise ValueError("the phase-error model applies to reciprocal channels")
     # a reciprocal block has one gain row per distinct phase-error model,
     # a non-reciprocal one the rows g1 and g2
@@ -309,8 +297,8 @@ def _reduce(cfg: SystemConfig, p_mw, gains: TrialGains, user, stat) -> list[McEs
 
 
 def outage_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains, user=1) -> list[McEstimate]:
-    """Outage probability at each power of `p_mw`: the share of trials with
-    SINR <= gamma_th.  cfg's own powers are ignored."""
+    """Outage probability at each power of `p_mw`, both users sending at it:
+    the share of trials with SINR <= gamma_th."""
     def stat(sinr, cfg):
         n = sinr.shape[1]
         p = np.count_nonzero(sinr <= cfg.gamma_th, axis=1) / n
@@ -320,8 +308,8 @@ def outage_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains, user=1) -> lis
 
 
 def se_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains, user=1) -> list[McEstimate]:
-    """Mean spectral efficiency at each power of `p_mw`, halved for the
-    two-slot scheme.  cfg's own powers are ignored."""
+    """Mean spectral efficiency at each power of `p_mw`, both users sending at
+    it, halved for the two-slot scheme."""
     def stat(sinr, cfg):
         n = sinr.shape[1]
         rate = np.log2(1.0 + sinr)

@@ -16,7 +16,7 @@ from ris2way import analytic as an
 from ris2way import mc
 from ris2way import rng as rngmod
 from ris2way.channel import (Reciprocity, SinrBudget, SystemConfig,
-                             UniformPhaseError, sample_channels, sinr_budget)
+                             UniformPhaseError, sample_channels, sweep_rho)
 from ris2way.cli import main as cli_main
 from ris2way.optim import (build_quadratic_forms, gaussian_randomization,
                            greedy_iterative, sdp_maxmin)
@@ -58,14 +58,14 @@ def test_criterion_1_exact_single_element_agreement():
     curve = _curve(mc.outage_from_gains, cfg, gains, grid)
     worst = 0.0
     for p_dbm, est in zip(grid, curve):
-        rho = sinr_budget(cfg.with_power(10 ** (p_dbm / 10.0))).rho1
+        rho = sweep_rho(cfg, [10 ** (p_dbm / 10.0)])[0]
         exact = float(an.outage_exact_L1(1.0, rho))
         dev = abs(est.value - exact) / max(_se_known(exact, est.trials), 1e-300)
         worst = max(worst, dev)
     se_curve = _curve(mc.se_from_gains, cfg, _first(gains, 10**5), grid)
     worst_se = 0.0
     for p_dbm, est in zip(grid, se_curve):
-        rho = sinr_budget(cfg.with_power(10 ** (p_dbm / 10.0))).rho1
+        rho = sweep_rho(cfg, [10 ** (p_dbm / 10.0)])[0]
         worst_se = max(worst_se, abs(est.value / an.se_exact_L1(rho) - 1.0))
     elapsed = time.time() - t0
     ok = worst <= 3.0 and worst_se <= 0.01 and elapsed < 120
@@ -95,7 +95,7 @@ def test_criterion_2_gamma_approximation_quality(L):
     for p_dbm, est in zip(grid, curve):
         if est.value < 1e-4:
             continue
-        rho = sinr_budget(cfg.with_power(10 ** (p_dbm / 10.0))).rho1
+        rho = sweep_rho(cfg, [10 ** (p_dbm / 10.0)])[0]
         gamma = float(an.outage_gamma_Lge2(L, 1.0, rho, GAMMA_PARAMS))
         # the estimator's own std error degenerates at saturated cells; fall
         # back to the binomial error at the analytic value
@@ -113,7 +113,7 @@ def test_criterion_2_gamma_beats_clt(L):
     clt = an.clt_params(L, 1.0)
     dev_gamma = dev_clt = 0.0
     for p_dbm, est in zip(grid, curve):
-        rho = sinr_budget(cfg.with_power(10 ** (p_dbm / 10.0))).rho1
+        rho = sweep_rho(cfg, [10 ** (p_dbm / 10.0)])[0]
         dev_gamma = max(dev_gamma,
                         abs(est.value - float(an.outage_gamma_Lge2(L, 1.0, rho, GAMMA_PARAMS))))
         dev_clt = max(dev_clt,
@@ -194,7 +194,7 @@ def test_criterion_6_asymptotic_rates_and_sandwich():
         [gains] = mc.collect_gains([cfg], "optimal", trials, seed=606)
         p_mw = 10 ** (p_dbm / 10)
         [est] = mc.outage_from_gains(cfg, [p_mw], gains)
-        lo, up = an.sandwich_bounds_Lge2(L, 1.0, sinr_budget(cfg.with_power(p_mw)).rho1)
+        lo, up = an.sandwich_bounds_Lge2(L, 1.0, sweep_rho(cfg, [p_mw])[0])
         ok = ok and lo <= est.value + 3 * est.std_error and est.value - 3 * est.std_error <= up
         details.append(f"L={L} sandwich [{lo:.2e}, {up:.2e}] vs MC {est.value:.2e}")
     for L in (2, 4):
@@ -214,7 +214,7 @@ def test_criterion_7_interference_floors():
         outs, ses, outs_ana, ses_ana = [], [], [], []
         for p_dbm in (20.0, 30.0, 40.0):
             p_mw = 10 ** (p_dbm / 10.0)
-            rho = sinr_budget(cfg.with_power(p_mw)).rho1
+            rho = sweep_rho(cfg, [p_mw])[0]
             [o] = mc.outage_from_gains(cfg, [p_mw], gains)
             [s] = mc.se_from_gains(cfg, [p_mw], _first(gains, 10**5))
             if L == 1:
@@ -258,7 +258,7 @@ def test_criterion_8_phase_error_exact_law():
         curve = _curve(mc.outage_from_gains, cfg, gains, grid)
         worst = 0.0
         for p_dbm, est in zip(grid, curve):
-            rho = sinr_budget(cfg.with_power(10 ** (p_dbm / 10.0))).rho1
+            rho = sweep_rho(cfg, [10 ** (p_dbm / 10.0)])[0]
             ana = float(an.outage_phase_error_uniform_pi(L, 1.0, rho))
             worst = max(worst, abs(est.value - ana) / max(_se_known(ana, est.trials), 1e-300))
         ok = ok and worst <= 3.0
@@ -376,7 +376,7 @@ def test_criterion_10_reciprocity_power_gap(L, target):
         lo, hi = -40.0, 60.0
         for _ in range(50):
             mid = 0.5 * (lo + hi)
-            rho = sinr_budget(cfg.with_power(10 ** (mid / 10.0))).rho1
+            rho = sweep_rho(cfg, [10 ** (mid / 10.0)])[0]
             if float(np.mean(np.log2(1 + rho * gain_values))) < 15.0:
                 lo = mid
             else:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from ris2way import analytic as an
-from ris2way.channel import Scheme, SystemConfig, sinr_budget
+from ris2way.channel import Scheme, SystemConfig, sweep_rho
 from ris2way.numerics import (NonConvergenceError, QuadratureSpec,
                               integrate_semi_infinite)
 
@@ -242,8 +242,8 @@ def _sweep_rhos():
     for p_dbm in range(-80, 41, 2):
         p_mw = 10.0 ** (p_dbm / 10.0)
         for over in ({"nu": 0.0}, {"nu": 1.0}, {"scheme": Scheme.TWO}):
-            cfg = SystemConfig(L=1, noise_mw=1e-7, omega=1e-4, **over).with_power(p_mw)
-            rhos.append(sinr_budget(cfg).rho1)
+            cfg = SystemConfig(L=1, noise_mw=1e-7, omega=1e-4, **over)
+            rhos.append(sweep_rho(cfg, [p_mw])[0])
     return np.array(rhos)
 
 

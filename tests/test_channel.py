@@ -14,8 +14,8 @@ from ris2way.channel import (NonReciprocalChannel, Reciprocity, Scheme,
                              SinrBudget, SystemConfig, UniformPhaseError,
                              VonMisesPhaseError, sample_channel_block,
                              sample_channels, sample_phase_errors,
-                             sinr_budget, sinr_nonreciprocal, sinr_reciprocal,
-                             sweep_rho, wrap_phases)
+                             sinr_nonreciprocal, sinr_reciprocal, sweep_rho,
+                             wrap_phases)
 from ris2way.mc import collect_gains
 from ris2way.optim import optimal_phase_reciprocal
 
@@ -44,15 +44,17 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value, reason", [
     ("sigma2", math.nan, "sigma2 must be finite and > 0, got nan"),
     ("sigma2", math.inf, "sigma2 must be finite and > 0, got inf"),
-    ("p1_mw", math.nan, "p1_mw must be >= 0, got nan"),
-    ("p2_mw", math.nan, "p2_mw must be >= 0, got nan"),
-    ("noise_mw", math.nan, "noise_mw must be >= 0, got nan"),
+    ("noise_mw", math.nan, "noise_mw must be finite and > 0, got nan"),
+    ("noise_mw", 0.0, "noise_mw must be finite and > 0, got 0.0"),
+    ("noise_mw", math.inf, "noise_mw must be finite and > 0, got inf"),
     ("omega", math.nan, "omega must be >= 0, got nan"),
+    ("omega", math.inf, "omega must be finite, got inf"),
     ("gamma_th", math.nan, "gamma_th must be >= 0, got nan"),
     ("nu", math.nan, r"nu must lie in \[0, 1\], got nan"),
 ])
 def test_config_rejects_non_finite_parameters(field, value, reason):
-    # each check used to be a comparison that NaN fails silently
+    # each check used to be a comparison that NaN fails silently; with zero or
+    # infinite noise, or infinite omega, rho has no finite positive value
     with pytest.raises(ValueError, match=reason):
         cfg_rec(**{field: value})
 
@@ -70,38 +72,34 @@ def test_von_mises_rejects_non_finite_parameters(mu, kappa, reason):
 
 
 def test_sinr_budget_scheme_one_values():
-    cfg = cfg_rec(p1_mw=1.0, p2_mw=1.0, omega=1e-4, nu=0.0, noise_mw=1e-7)
-    b = sinr_budget(cfg)
-    assert b.rho1 == pytest.approx(1.0 / 1.001e-4, rel=1e-12)
-    assert b.rho2 == pytest.approx(1.0 / 1.001e-4, rel=1e-12)
+    # the budget of both users at 1 mW is SinrBudget(rho, rho)
+    [rho] = sweep_rho(cfg_rec(omega=1e-4, nu=0.0, noise_mw=1e-7), [1.0])
+    assert rho == pytest.approx(1.0 / 1.001e-4, rel=1e-12)
 
 
 def test_sinr_budget_no_interference_matches_two_slot():
     cfg1 = cfg_rec(omega=0.0, scheme=Scheme.ONE)
     cfg2 = cfg_rec(omega=0.0, scheme=Scheme.TWO)
-    assert sinr_budget(cfg1) == sinr_budget(cfg2)
+    assert sweep_rho(cfg1, [1.0]) == sweep_rho(cfg2, [1.0])
 
 
 def test_sinr_budget_interference_limited():
-    cfg = cfg_rec(p1_mw=100.0, p2_mw=100.0, omega=1e-4, nu=1.0, noise_mw=1e-30)
-    b = sinr_budget(cfg)
-    assert b.rho1 == pytest.approx(1e4, rel=1e-10)
+    [rho] = sweep_rho(cfg_rec(omega=1e-4, nu=1.0, noise_mw=1e-30), [100.0])
+    assert rho == pytest.approx(1e4, rel=1e-10)
 
 
 @given(scheme=st.sampled_from(Scheme), nu=st.floats(0.0, 1.0),
        omega=st.floats(0.0, 1e3), noise=st.floats(1e-15, 1e3),
-       own=st.floats(0.0, 1e6),
        powers=st.lists(st.floats(0.0, 1e12), min_size=1, max_size=8))
-def test_sweep_rho_is_the_budget_of_each_power(scheme, nu, omega, noise, own, powers):
-    """Each entry is the bits of rho1 and rho2 of that power's own config, and
-    of the SINR coefficient written out; the config's powers do not enter."""
-    cfg = cfg_rec(scheme=scheme, nu=nu, omega=omega, noise_mw=noise, p1_mw=own, p2_mw=2 * own)
+def test_sweep_rho_is_the_budget_of_each_power(scheme, nu, omega, noise, powers):
+    """Each entry is the bits of the SINR coefficient of that power written
+    out, whatever the other powers of the sweep."""
+    cfg = cfg_rec(scheme=scheme, nu=nu, omega=omega, noise_mw=noise)
     rho = sweep_rho(cfg, powers)
     assert rho.shape == (len(powers),)
     for p, r in zip(powers, rho):
-        b = sinr_budget(cfg.with_power(p))
         written_out = p / noise if scheme is Scheme.TWO else p / (omega * p**nu + noise)
-        assert r == b.rho1 == b.rho2 == written_out
+        assert r == written_out == sweep_rho(cfg, [p])[0]
 
 
 @pytest.mark.parametrize("power", [-1.0, math.nan])
@@ -217,8 +215,9 @@ def test_scheme_two_snr_always_beats_scheme_one():
         cfg2 = cfg_rec(L=4, omega=1e-4, scheme=Scheme.TWO)
         ch = sample_channels(cfg1, np.random.default_rng(seed))
         phases = optimal_phase_reciprocal(ch)
-        g1 = sinr_reciprocal(ch, phases, sinr_budget(cfg1))[0]
-        g2 = sinr_reciprocal(ch, phases, sinr_budget(cfg2))[0]
+        [rho1], [rho2] = sweep_rho(cfg1, [1.0]), sweep_rho(cfg2, [1.0])
+        g1 = sinr_reciprocal(ch, phases, SinrBudget(rho1, rho1))[0]
+        g2 = sinr_reciprocal(ch, phases, SinrBudget(rho2, rho2))[0]
         assert g2 > g1
 
 

@@ -1,6 +1,7 @@
 """Experiment runner: spec parsing, CSV contracts, determinism, exit codes."""
 
 import csv
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -12,8 +13,8 @@ import pytest
 
 from ris2way import channel, cli, optim
 from ris2way import rng as rngmod
-from ris2way.channel import (UniformPhaseError, VonMisesPhaseError, sample_channels,
-                             sinr_budget, sinr_nonreciprocal)
+from ris2way.channel import (SinrBudget, UniformPhaseError, VonMisesPhaseError,
+                             sample_channels, sinr_nonreciprocal, sweep_rho)
 from ris2way.cli import (main, parse_args, parse_phase_error, parse_sweep,
                          spec_from_args)
 
@@ -156,8 +157,9 @@ def test_optimize_flags_reach_the_stacked_solvers(tmp_path):
     _, rows = read_csv(out)
     assert len(rows) == 4
     spec = spec_from_args(parse_args(argv))
-    cfg = spec.cfg.with_power(cli.db_to_linear(spec.p_dbm[0]))
-    budget = sinr_budget(cfg)
+    cfg = spec.cfg
+    rho = sweep_rho(cfg, [cli.db_to_linear(spec.p_dbm[0])])[0]
+    budget = SinrBudget(rho, rho)
     for t, row in enumerate(rows):
         ch = sample_channels(cfg, rngmod.trial_generator(3, rngmod.STREAM_CHANNEL, t))
         forms = optim.build_quadratic_forms(ch, budget)
@@ -247,6 +249,27 @@ def test_non_finite_config_flag_exit_code(tmp_path, capsys, flag, value):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert "invalid spec" in err and f"{flag}: " in err and f"got {value}" in err
+    assert not out.exists()
+
+
+_OPTIMIZE = ["optimize", "--L", "2", "--reciprocity", "non-reciprocal", "--trials", "2"]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["se", "--p-dbm", "0:10:5", "--methods", "mc", "--trials", "100",
+      "--noise-dbm=-inf", "--omega", "0"],
+     "--noise-dbm: noise_mw must be finite and > 0, got 0.0"),
+    (_OPTIMIZE + ["--noise-dbm=-inf", "--omega", "0"],
+     "--noise-dbm: noise_mw must be finite and > 0, got 0.0"),
+    (_OPTIMIZE + ["--noise-dbm", "inf"], "--noise-dbm: noise_mw must be finite and > 0, got inf"),
+    (_OPTIMIZE + ["--omega", "inf"], "--omega: omega must be finite, got inf"),
+])
+def test_zero_or_infinite_noise_or_interference_exit_code(tmp_path, capsys, argv, reason):
+    # a bad spec, not a crash (exit 1) or a solver failure (exit 3)
+    out = tmp_path / "x.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and reason in err
     assert not out.exists()
 
 
@@ -410,15 +433,14 @@ def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):
                 == (tmp_path / f"f5_{name}.csv").read_bytes())
 
 
-def test_sweeps_build_no_config_per_point(tmp_path, monkeypatch):
+def test_sweeps_build_no_config_per_point(tmp_path):
     """A power or element-count sweep carries one power-free config per column
-    and a power vector: no sweep point builds a config or a budget of its own."""
-    def per_point(*args):
-        raise AssertionError("a sweep point built its own config or budget")
-
-    monkeypatch.setattr(cli.SystemConfig, "with_power", per_point)
+    and a power vector: a config has no power to set per point, and rho has
+    the one path `sweep_rho`, with no per-config budget beside it."""
+    fields = {f.name for f in dataclasses.fields(cli.SystemConfig)}
+    assert not {"p1_mw", "p2_mw"} & fields and not hasattr(cli.SystemConfig, "with_power")
     for module in (channel, cli, cli.mc):
-        monkeypatch.setattr(module, "sinr_budget", per_point)
+        assert not hasattr(module, "sinr_budget")
     for argv in (["reproduce", "fig5", "--trials-se", "20"],
                  ["outage", "--l-list", "2,4", "--p-dbm", "10:10:1", "--trials", "500",
                   "--methods", "mc,gamma,clt,asymptotic"],

@@ -12,9 +12,9 @@ from ris2way import analytic as an
 from ris2way import mc, optim
 from ris2way import rng as rngmod
 from ris2way.channel import (NonReciprocalChannel, Reciprocity, Scheme,
-                             SystemConfig, UniformPhaseError, VonMisesPhaseError,
-                             sample_channel_block, sample_phase_errors,
-                             sinr_budget)
+                             SinrBudget, SystemConfig, UniformPhaseError,
+                             VonMisesPhaseError, sample_channel_block,
+                             sample_phase_errors, sweep_rho)
 from ris2way.mc import (NoCrossoverError, collect_gains, find_crossover,
                         outage_from_gains, se_from_gains)
 
@@ -26,10 +26,10 @@ def cfg_rec(**kw):
 
 
 def test_outage_matches_exact_single_element():
-    cfg = cfg_rec(L=1).with_power(1.0)
+    cfg = cfg_rec(L=1)
     [gains] = collect_gains([cfg], "optimal", 200_000, seed=1)
     [est] = outage_from_gains(cfg, [1.0], gains)
-    rho = sinr_budget(cfg).rho1
+    [rho] = sweep_rho(cfg, [1.0])
     exact = float(an.outage_exact_L1(cfg.gamma_th, rho))
     assert abs(est.value - exact) <= 3 * est.std_error
     assert est.trials == 200_000
@@ -50,10 +50,10 @@ def test_se_zero_power():
 
 
 def test_se_matches_quadrature_single_element():
-    cfg = cfg_rec(L=1).with_power(1.0)  # 0 dBm
+    cfg = cfg_rec(L=1)
     [gains] = collect_gains([cfg], "optimal", 100_000, seed=4)
-    [est] = se_from_gains(cfg, [1.0], gains)
-    rho = sinr_budget(cfg).rho1
+    [est] = se_from_gains(cfg, [1.0], gains)  # 0 dBm
+    [rho] = sweep_rho(cfg, [1.0])
     assert est.value == pytest.approx(an.se_exact_L1(rho), rel=0.01)
 
 
@@ -66,11 +66,11 @@ def test_se_scheme_two_half_rate():
     assert b.value == pytest.approx(a.value / 2.0, rel=1e-12)
 
 
-def _one_point(metric, cfg, gains, user):
+def _one_point(metric, cfg, p_mw, gains, user):
     """Reference: one power point's reduction on 1-D arrays, written out."""
-    b = sinr_budget(cfg)
-    sinr = {1: lambda: b.rho1 * gains.g1, 2: lambda: b.rho2 * gains.g2,
-            "min": lambda: np.minimum(b.rho1 * gains.g1, b.rho2 * gains.g2)}[user]()
+    [rho] = sweep_rho(cfg, [p_mw])
+    sinr = {1: lambda: rho * gains.g1, 2: lambda: rho * gains.g2,
+            "min": lambda: np.minimum(rho * gains.g1, rho * gains.g2)}[user]()
     n = sinr.size
     if metric == "outage":
         p = float(np.count_nonzero(sinr <= cfg.gamma_th)) / n
@@ -98,7 +98,7 @@ def test_power_grid_reduction_equals_one_point_reductions(metric):
     cases = [(nonrec, g_nonrec, user) for user in (1, 2, "min")]
     cases += [(two, g_two, 1), (one, g_one, 1)]
     for cfg, gains, user in cases:
-        want = [_one_point(metric, cfg.with_power(p), gains, user) for p in powers]
+        want = [_one_point(metric, cfg, p, gains, user) for p in powers]
         got = reduce(cfg, powers, gains, user)
         assert [(e.value, e.std_error, e.trials) for e in got] == want
         for p, w in zip(powers[::10], want[::10]):
@@ -257,8 +257,11 @@ def test_chunked_gain_block_equals_whole_block_draw(L):
         cophased = [np.sum(np.abs(z1), axis=1) ** 2, np.sum(np.abs(z2), axis=1) ** 2]
         rot = np.exp(1j * gen(rngmod.STREAM_BASELINE).uniform(0.0, 2.0 * math.pi,
                                                              size=z1.shape))
+        # u1's rotation is held in a variable, so every term is z2 * rot, the
+        # product of that trial alone in a block of any size
+        rot_u1 = np.exp(-1j * np.angle(z1))
         expected = {
-            "u1": [cophased[0], np.abs(np.sum(z2 * np.exp(-1j * np.angle(z1)), axis=1)) ** 2],
+            "u1": [cophased[0], np.abs(np.sum(z2 * rot_u1, axis=1)) ** 2],
             "random": [np.abs(np.sum(z1 * rot, axis=1)) ** 2,
                        np.abs(np.sum(z2 * rot, axis=1)) ** 2],
         }
@@ -275,15 +278,33 @@ def test_group_must_share_a_draw_key():
         collect_gains([cfg_rec(L=2), cfg_rec(L=3)], "optimal", 10, seed=0)
     with pytest.raises(ValueError, match="draw key"):
         collect_gains([cfg_rec(L=2), cfg_rec(L=2, sigma2=2.0)], "optimal", 10, seed=0)
-    non = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL)
-    with pytest.raises(ValueError, match="draw key"):
-        collect_gains([non, dataclasses.replace(non, nu=1.0)], "greedy", 10, seed=0)
     with pytest.raises(ValueError):
         collect_gains([], "optimal", 10, seed=0)
-    # identical non-reciprocal configs share a key and get the same gains
-    a, b = collect_gains([non, non], "u1", 10, seed=0)
-    [ref] = collect_gains([non], "u1", 10, seed=0)
-    assert np.array_equal(a.g1, ref.g1) and np.array_equal(b.g2, ref.g2)
+    non = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL)
+    # a non-reciprocal gain reads L, sigma2 and the scheme, and no other field
+    for other in (dict(L=3), dict(sigma2=2.0), dict(scheme=Scheme.TWO)):
+        with pytest.raises(ValueError, match="draw key"):
+            collect_gains([non, dataclasses.replace(non, **other)], "greedy", 10, seed=0)
+    group = [non, dataclasses.replace(non, nu=1.0),
+             dataclasses.replace(non, omega=1e-2, noise_mw=1e-9, gamma_th=4.0)]
+    for policy in ("greedy", "u1"):
+        for cfg, gains in zip(group, collect_gains(group, policy, 10, seed=0)):
+            [alone] = collect_gains([cfg], policy, 10, seed=0)
+            assert np.array_equal(gains.g1, alone.g1) and np.array_equal(gains.g2, alone.g2)
+    # the phase-error check covers every config of the group, not only the first
+    jittered = dataclasses.replace(non, nu=1.0, phase_error=UniformPhaseError(0.5))
+    with pytest.raises(ValueError, match="phase-error model"):
+        collect_gains([non, jittered], "greedy", 10, seed=0)
+
+
+def test_u1_trial_gains_do_not_depend_on_the_block_size():
+    """Trial i of a u1 collection is the same bits whatever the number of
+    trials its block holds, here 1000 (8000 terms) and 4096 (32768 terms)."""
+    cfg = cfg_rec(L=8, reciprocity=Reciprocity.NON_RECIPROCAL)
+    [few] = collect_gains([cfg], "u1", 1000, seed=0)
+    [full] = collect_gains([cfg], "u1", rngmod.BLOCK_SIZE, seed=0)
+    assert np.array_equal(few.g1, full.g1[:1000])
+    assert np.array_equal(few.g2, full.g2[:1000])
 
 
 def test_gains_prefix_property():
@@ -313,16 +334,16 @@ def test_scheme_two_outage_never_worse_per_seed():
 
 
 def test_outage_with_phase_error_matches_scrambled_law():
-    cfg = cfg_rec(L=4, phase_error=UniformPhaseError(math.pi)).with_power(0.1)
+    cfg = cfg_rec(L=4, phase_error=UniformPhaseError(math.pi))
     [gains] = collect_gains([cfg], "optimal", 400_000, seed=10)
     [est] = outage_from_gains(cfg, [0.1], gains)
-    rho = sinr_budget(cfg).rho1
+    [rho] = sweep_rho(cfg, [0.1])
     ana = an.outage_phase_error_uniform_pi(4, cfg.gamma_th, rho)
     assert abs(est.value - ana) <= 3 * max(est.std_error, 1e-9)
 
 
 def test_nonreciprocal_policies_ordering():
-    cfg = cfg_rec(L=4, reciprocity=Reciprocity.NON_RECIPROCAL).with_power(1.0)
+    cfg = cfg_rec(L=4, reciprocity=Reciprocity.NON_RECIPROCAL)
     [gains_u1] = collect_gains([cfg], "u1", 300, seed=11)
     [gains_rand] = collect_gains([cfg], "random", 300, seed=11)
     [gains_greedy] = collect_gains([cfg], "greedy", 300, seed=11)
@@ -350,7 +371,7 @@ def test_policy_validation():
 
 def test_phase_error_applies_to_both_schemes():
     import dataclasses
-    cfg1 = cfg_rec(L=4, phase_error=UniformPhaseError(math.pi / 2)).with_power(1.0)
+    cfg1 = cfg_rec(L=4, phase_error=UniformPhaseError(math.pi / 2))
     cfg2 = dataclasses.replace(cfg1, scheme=Scheme.TWO)
     [g1] = collect_gains([cfg1], "optimal", 2_000, seed=15)
     [g2] = collect_gains([cfg2], "optimal", 2_000, seed=15)
@@ -399,7 +420,7 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
                               rngmod.BLOCK_SIZE)
     rngs = [rngmod.trial_generator(31, rngmod.STREAM_OPTIM, i) for i in range(len(ch.h_t))]
     z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
-    phases, _ = optim.maxmin_block(z1, z2, mc._unit_ratio_budget(cfg), method, rngs)
+    phases, _ = optim.maxmin_block(z1, z2, SinrBudget(1.0, 1.0), method, rngs)
     rot = np.exp(1j * phases)
     for i in range(len(rot)):
         # each gain as one trial's numpy-scalar expression gives it
@@ -407,7 +428,7 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
         assert full.g2[i] == np.abs(np.sum(z2[i] * rot[i])) ** 2
     for i in range(37):
         trial = NonReciprocalChannel(ch.h_t[i], ch.h_r[i], ch.g_t[i], ch.g_r[i])
-        res = optim.solve_maxmin(trial, mc._unit_ratio_budget(cfg), method,
+        res = optim.solve_maxmin(trial, SinrBudget(1.0, 1.0), method,
                                  rng=rngmod.trial_generator(31, rngmod.STREAM_OPTIM, i))
         assert np.array_equal(res.phases, phases[i])
     monkeypatch.setattr(optim, "_STACK_ELEMENTS", 1)  # one row per sub-batch

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .channel import Scheme
-from .numerics import (NonConvergenceError, QuadratureSpec, digamma, erf,
-                       log_bessel_k, regularized_gamma_p)
+from .numerics import (NonConvergenceError, QuadratureSpec, bessel_k1_complement,
+                       digamma, erf, exp1, log_bessel_k, log_gamma_int,
+                       regularized_gamma_p, scaled_bessel_k01)
 
 EULER_GAMMA = float(np.euler_gamma)  # expansion constant, not the phase jitter
 LOG2 = math.log(2.0)
@@ -95,8 +95,10 @@ def outage_exact_L1(gamma_th, rho, sigma2: float = 1.0):
     """Exact single-element outage 1 - z K_1(z); clamped to [0, 1]."""
     _check_rho(rho)
     z = _cascade_argument(gamma_th, rho, sigma2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = np.where(z == 0.0, 0.0, 1.0 - z * special.kv(1, z))
+    out = np.zeros(z.shape)
+    nonzero = z != 0.0
+    with np.errstate(invalid="ignore"):  # z = inf gives inf * 0, NaN
+        out[nonzero] = bessel_k1_complement(z[nonzero])
     return np.clip(out, 0.0, 1.0)
 
 
@@ -123,7 +125,7 @@ def _log_cascade_ccdf_uniform_phase(L: int, z: float) -> float:
     cascade sum, stable for any order: the factors overflow long before the
     product (which lies in [0, 1]) does."""
     return (math.log(2.0) + L * math.log(z / 2.0) + log_bessel_k(L, z)
-            - special.gammaln(L))
+            - log_gamma_int(L))
 
 
 def outage_phase_error_uniform_pi(L: int, gamma_th, rho, sigma2: float = 1.0):
@@ -191,8 +193,8 @@ def _gamma_expectation(phi: Callable[[np.ndarray], np.ndarray], a: float,
     """
     if a < 1:
         raise ValueError("the Gamma-law rule needs shape a >= 1")
-    log_norm = special.gammaln(a)
-    lo = (special.gammaln(a + 1.0) + _LOG_LEFT_MASS) / a
+    log_norm = math.lgamma(a)
+    lo = (math.lgamma(a + 1.0) + _LOG_LEFT_MASS) / a
     # log t <= log(2a) + (t - 2a)/(2a) bounds the log weight by
     # a log(2a) - a - t/2 - lnGamma(a) at t = e^u
     hi = math.log(2.0 * (a * math.log(2.0 * a) - a - log_norm - _LOG_WEIGHT_FLOOR))
@@ -217,7 +219,7 @@ def _exp_e1(r: np.ndarray) -> np.ndarray:
     t = r[tail]
     out[tail] = t * (1.0 + t * (-1.0 + t * (2.0 + t * (-6.0 + t * (24.0 - 120.0 * t)))))
     x = 1.0 / r[~tail]
-    out[~tail] = np.exp(x) * special.exp1(x)
+    out[~tail] = np.exp(x) * exp1(x)
     return out
 
 
@@ -306,7 +308,7 @@ def asymptotic_outage(L: int, gamma_th: float, p_mw: float, omega: float,
         # the (tiny) product does
         log_gain = ((a / 2.0) * math.log(gamma_th * (noise_mw + omega))
                     - math.log(a) - a * math.log(params.theta)
-                    - special.gammaln(a))
+                    - math.lgamma(a))
         log_decay = L * (math.log(math.log(p_mw)) - math.log(p_mw))
         try:
             return math.exp(log_gain + log_decay)
@@ -421,7 +423,7 @@ def kl_divergence_gamma_fit(sigma2: float,
     lo, hi = _KL_LOG_RANGE
     j = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
     s = np.exp(h * j)
-    log_k0 = np.log(special.kve(0, s)) - s
+    log_k0 = np.log(scaled_bessel_k01(s)[0]) - s
     terms = s * s * np.exp(log_k0) * log_k0
     expect_log_k0 = float(_log_trapezoid(terms[None], h, j, spec, "Gamma-fit divergence")[0])
     params = gamma_approx_params(1.0)

@@ -115,12 +115,21 @@ def _rho(cfg: SystemConfig, p_mw: float) -> float:
 
 def sweep_rho(cfg: SystemConfig, p_mw: Iterable[float]) -> np.ndarray:
     """rho at each transmit power of `p_mw` with both users sending at it, so
-    that rho1 = rho2 = rho: `SinrBudget(rho, rho)` is that point's budget."""
+    that rho1 = rho2 = rho: `SinrBudget(rho, rho)` is that point's budget.
+
+    Raises ValueError for a negative or NaN power, and for a rho that is not
+    finite: a subnormal noise power (or an infinite transmit power) makes
+    P / (interference + noise) overflow, and no law is defined there."""
     p_mw = list(p_mw)
     for p in p_mw:
         if not p >= 0:
             raise ValueError(f"transmit powers must be >= 0, got {p}")
-    return np.array([_rho(cfg, p) for p in p_mw], dtype=float)
+    rho = np.array([_rho(cfg, p) for p in p_mw], dtype=float)
+    for p, r in zip(p_mw, rho):
+        if not math.isfinite(r):
+            raise ValueError(f"rho = P / (interference + noise) is {r} at P = {p:g} mW "
+                             f"with noise_mw = {cfg.noise_mw:g}: it must be finite")
+    return rho
 
 
 @dataclass(frozen=True)

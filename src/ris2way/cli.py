@@ -518,6 +518,7 @@ def run_sweep_command(spec: ExperimentSpec, metric: str) -> None:
         axis, xs, p_dbm = "p_dbm", spec.p_dbm, 0.0
     else:
         raise SpecError("empty power sweep")
+    sweep_rho(spec.cfg, [db_to_linear(p) for p in spec.p_dbm])  # a bad rho fails before any draw
     header, rows = _sweep_table(metric, axis, xs, columns,
                                 _RunGains(spec, [(axis, xs, columns)]), p_dbm)
     write_csv(spec.out, header, rows)
@@ -690,9 +691,9 @@ def _preset_fig2(spec: ExperimentSpec) -> dict:
         params = analytic.gamma_approx_params(s2)
         # P(|h g| > t) is one minus the single-element outage at threshold t^2, rho = 1
         outage = analytic.outage_exact_L1(np.array([t * t for t in ts]), 1.0, s2)
-        for t, o, row in zip(ts, outage, rows_b):
-            row.extend([fmt_prob(1.0 - o),
-                        fmt_prob(float(regularized_gamma_q(params.k, t / params.theta)))])
+        tail = regularized_gamma_q(params.k, np.array([t / params.theta for t in ts]))
+        for o, g, row in zip(outage, tail, rows_b):
+            row.extend([fmt_prob(1.0 - o), fmt_prob(float(g))])
     out["b_ccdf"] = (header, rows_b, True, "CCDF")
     return out
 

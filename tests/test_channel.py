@@ -108,6 +108,12 @@ def test_sweep_rho_rejects_negative_powers(power):
         sweep_rho(cfg_rec(), [1.0, power])
 
 
+@pytest.mark.parametrize("noise, power", [(1e-320, 1.0), (1e-7, math.inf)])
+def test_sweep_rho_rejects_a_non_finite_rho(noise, power):
+    with pytest.raises(ValueError, match="noise_mw .* must be finite"):
+        sweep_rho(cfg_rec(omega=0.0, noise_mw=noise), [1.0, power])
+
+
 def test_amplitude_second_moment():
     cfg = cfg_rec(L=4, sigma2=2.5)
     ch = sample_channel_block(cfg, np.random.default_rng(0), 250_000)

@@ -302,6 +302,27 @@ def test_bad_optimize_input_exit_code(tmp_path, capsys, monkeypatch, flags, reas
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["outage", "--L", "1", "--methods", "mc,exact,asymptotic", "--trials", "100"],
+    ["se", "--L", "2", "--methods", "mc,gamma", "--trials", "100"],
+    ["optimize", "--L", "2", "--reciprocity", "non-reciprocal", "--trials", "2"],
+])
+def test_non_finite_rho_exit_code(tmp_path, capsys, monkeypatch, argv):
+    """A subnormal noise power makes rho = P / (interference + noise) overflow:
+    each command exits 2 naming rho and the noise, before any draw."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a channel before checking rho")
+
+    monkeypatch.setattr(cli, "sample_channels", no_draw)
+    monkeypatch.setattr(cli.mc, "collect_gains", no_draw)
+    out = tmp_path / "x.csv"
+    flags = ["--noise-dbm=-3200", "--omega", "0", "--p-dbm", "0:0:1", "--out", str(out)]
+    assert run_cli(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and "rho" in err and "noise_mw" in err
+    assert not out.exists()
+
+
 def test_solver_failure_exit_code_names_the_trial(tmp_path, capsys, monkeypatch):
     def fail(z1, z2, budget, method, rngs=None, **kwargs):
         raise optim.SolverFailureError("interior point stalled", 2)
@@ -573,15 +594,36 @@ def test_non_integer_workers_environment_exit_code(monkeypatch, tmp_path, capsys
 
 @pytest.mark.parametrize("module", ["ris2way", "ris2way.cli"])
 def test_import_leaves_quadpack_unloaded(module):
-    """Adaptive quadrature is only a test reference; loading the package or
-    the CLI must not import scipy.integrate or scipy.optimize."""
+    """Adaptive quadrature is only a test reference, and the special functions
+    are numpy kernels; loading the package or the CLI must not import
+    scipy.integrate or scipy.optimize, nor any other scipy module."""
     code = (f"import sys, {module}; "
             "print(*sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))")
+            "if m in sys.modules)); "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
+    assert out.strip() == ""
+
+
+def test_reproduce_runs_load_no_scipy(tmp_path):
+    """No figure preset imports scipy while it runs, so no lazy import can land
+    in a run's wall time."""
+    code = (
+        "import sys\n"
+        "from ris2way import cli\n"
+        "for fig in sys.argv[2:]:\n"
+        "    argv = ['reproduce', fig, '--trials-outage', '1000', '--trials-se', '1000',\n"
+        "            '--trials-opt', '3', '--workers', '1', '--out', sys.argv[1] + fig]\n"
+        "    assert cli.main(argv) == 0, fig\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    figs = [f"fig{n}" for n in range(2, 9)]
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path) + os.sep, *figs],
+                         env=env, check=True, capture_output=True, text=True).stdout
     assert out.strip() == ""
 
 

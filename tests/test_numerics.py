@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ris2way import numerics as nm
 from ris2way.numerics import (NonConvergenceError, QuadratureSpec, digamma,
                               erf, integrate_semi_infinite, log_bessel_k,
                               regularized_gamma_p, regularized_gamma_q)
@@ -177,3 +178,101 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
 
+
+
+# ---------------------------------------------------------------------------
+# the numpy special-function kernels against scipy.special, on dense grids over
+# the domains the library reaches
+# ---------------------------------------------------------------------------
+
+K_SHAPE = math.pi**2 / (16.0 - math.pi**2)  # the Gamma fit's shape per element
+
+
+def test_scaled_bessel_k01_matches_scipy_from_tiny_z_past_underflow():
+    """z = (2/sigma^2) sqrt(gamma_th/rho) reaches 1e-160 at the largest
+    finite rho; to 4e-16 of mpmath over [1e-300, 1e4], so 1e-14 of scipy."""
+    sp = pytest.importorskip("scipy.special")
+    x = np.concatenate([np.logspace(-160, 0, 2001), np.linspace(0.5, 3.0, 501),
+                        np.logspace(0, math.log10(750.0), 2001)])
+    k0, k1 = nm.scaled_bessel_k01(x)
+    np.testing.assert_allclose(k0, sp.kve(0, x), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(k1, sp.kve(1, x), rtol=1e-14, atol=0)
+    # K_1 itself, where scipy's kv is up to 5.5e-14 from mpmath and returns 0
+    # from x ~ 697, although K_1 stays a normal double up to x ~ 700; this
+    # kernel is within 4.4e-16 of mpmath there and underflows to 0 past 745
+    kv1 = k1 * np.exp(-x)
+    ref = sp.kv(1, x)
+    np.testing.assert_allclose(kv1[ref > 0], ref[ref > 0], rtol=1e-13, atol=0)
+    assert np.all(kv1[(ref == 0) & (x < 745.0)] < 1e-300)
+    assert np.all(kv1[x > 746.0] == 0.0)
+    with pytest.raises(ValueError):
+        nm.scaled_bessel_k01(np.array([1.0, 0.0]))
+
+
+def test_bessel_k1_complement_has_no_cancellation():
+    sp = pytest.importorskip("scipy.special")
+    x = np.linspace(0.5, 700.0, 4001)
+    np.testing.assert_allclose(nm.bessel_k1_complement(x), 1.0 - x * sp.kv(1, x),
+                               rtol=1e-14, atol=0)
+    # small x: (x^2/2) (log(2/x) - gamma + 1/2) up to O(x^4 log x)
+    x = np.logspace(-150, -6, 200)
+    leading = 0.5 * x * x * (np.log(2.0 / x) - np.euler_gamma + 0.5)
+    np.testing.assert_allclose(nm.bessel_k1_complement(x), leading, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("L", [1, 2, 4, 16, 32, 64])
+def test_regularized_gamma_matches_scipy_at_the_library_shapes(L):
+    """a = L k; x near a and far from it.  Against 40-digit mpmath the
+    smaller tail is within 2.2e-13 for scipy and 2.1e-14 for these kernels;
+    values below 1e-300 are subnormal or flushed to 0, as scipy does."""
+    sp = pytest.importorskip("scipy.special")
+    a = L * K_SHAPE
+    x = np.concatenate([np.linspace(max(a - 6.0 * math.sqrt(a), 1e-3), a + 6.0 * math.sqrt(a), 801),
+                        np.logspace(-6, 3, 801)])
+    p, q = nm.regularized_gamma_p(a, x), nm.regularized_gamma_q(a, x)
+    np.testing.assert_allclose(p, sp.gammainc(a, x), rtol=3e-13, atol=1e-300)
+    np.testing.assert_allclose(q, sp.gammaincc(a, x), rtol=3e-13, atol=1e-300)
+    assert regularized_gamma_p(a, math.inf) == 1.0 and regularized_gamma_q(a, math.inf) == 0.0
+
+
+def test_exp1_matches_scipy_on_both_sides_of_its_split():
+    sp = pytest.importorskip("scipy.special")
+    x = np.concatenate([np.logspace(-300, 0, 1001), np.linspace(0.9, 1.1, 401),
+                        np.linspace(1.0, 500.0, 4001)])
+    np.testing.assert_allclose(nm.exp1(x), sp.exp1(x), rtol=1e-14, atol=0)
+    with pytest.raises(ValueError):
+        nm.exp1(0.0)
+
+
+def test_digamma_and_array_erf_match_scipy():
+    sp = pytest.importorskip("scipy.special")
+    x = np.concatenate([K_SHAPE * np.arange(1, 65), np.linspace(K_SHAPE, 12.0, 2001),
+                        np.logspace(1, 6, 501)])
+    np.testing.assert_allclose(digamma(x), sp.digamma(x), rtol=1e-14, atol=0)
+    u = np.linspace(-6.0, 6.0, 4001).reshape(-1, 1)
+    assert erf(u).shape == u.shape
+    np.testing.assert_allclose(erf(u), sp.erf(u), rtol=1e-15, atol=0)
+
+
+def test_log_gamma_int_has_scipy_gammaln_bits():
+    """The phase-scrambled outage's high-power digits follow the last bit of
+    log Gamma(L), so the integer log-gamma keeps scipy's bits for n < 1000."""
+    sp = pytest.importorskip("scipy.special")
+    n = np.arange(1, 1000)
+    assert [nm.log_gamma_int(int(v)) for v in n] == sp.gammaln(n).tolist()
+    for v in (1000, 4999, 10**6):
+        assert nm.log_gamma_int(v) == pytest.approx(math.lgamma(v), rel=1e-15, abs=0)
+    with pytest.raises(ValueError):
+        nm.log_gamma_int(2.5)
+
+
+def test_kernels_give_each_element_its_scalar_bits():
+    """An element's value does not depend on the rest of the array: the
+    series and continued fractions stop per element."""
+    rng = np.random.default_rng(7)
+    x = np.exp(rng.uniform(-8.0, 7.0, 300))
+    for f in (lambda v: nm.scaled_bessel_k01(v)[0], lambda v: nm.scaled_bessel_k01(v)[1],
+              nm.bessel_k1_complement, nm.exp1, digamma, erf,
+              lambda v: regularized_gamma_p(16 * K_SHAPE, v),
+              lambda v: regularized_gamma_q(K_SHAPE, v)):
+        assert np.asarray(f(x)).tolist() == [float(f(np.array([v]))[0]) for v in x]

@@ -8,9 +8,9 @@ from .analytic import (CltParams, GammaApproxParams, asymptotic_outage,
                        outage_phase_error_uniform_pi, scheme_crossover_power,
                        se_exact_L1, se_gamma, se_phase_error_uniform_pi)
 from .channel import (NonReciprocalChannel, Reciprocity, ReciprocalChannel,
-                      Scheme, SinrBudget, SystemConfig, UniformPhaseError,
-                      VonMisesPhaseError, sample_channels, sinr_nonreciprocal,
-                      sinr_reciprocal, sweep_rho)
+                      Scheme, SystemConfig, UniformPhaseError, VonMisesPhaseError,
+                      sample_channels, sinr_nonreciprocal, sinr_reciprocal,
+                      sweep_rho)
 from .mc import (McEstimate, NoCrossoverError, collect_gains, find_crossover,
                  outage_from_gains, se_from_gains)
 from .numerics import (NonConvergenceError, QuadratureSpec, digamma, erf,

@@ -291,8 +291,9 @@ def asymptotic_outage(L: int, gamma_th: float, p_mw: float, omega: float,
                       nu: float, noise_mw: float, sigma2: float = 1.0) -> float:
     """Large-power outage: (log rho / rho)^L decay for nu=0, floor at rho=1/omega
     for nu=1.  The L >= 2 array-gain constant is an approximation; only the decay
-    rate is contractual."""
-    if nu == 0.0:
+    rate is contractual.  With omega = 0 the interference omega * P^nu vanishes
+    for every nu, so the interference-free nu=0 law holds."""
+    if nu == 0.0 or omega == 0.0:
         rho = p_mw / (omega + noise_mw)
         if L == 1:
             if rho <= 1.0:  # log(rho) / rho is not a probability below rho = 1
@@ -325,8 +326,9 @@ def asymptotic_outage(L: int, gamma_th: float, p_mw: float, omega: float,
 def asymptotic_se(L: int, p_mw: float, omega: float, nu: float, noise_mw: float,
                   sigma2: float = 1.0, scheme: Scheme = Scheme.ONE,
                   spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Large-power spectral efficiency: log(P) growth (nu=0) or the rho=1/omega
-    floor (nu=1); the two-slot scheme is interference-free and half rate."""
+    """Large-power spectral efficiency: log(P) growth (nu=0, or omega=0 at any
+    nu) or the rho=1/omega floor (nu=1); the two-slot scheme is
+    interference-free and half rate."""
     params = gamma_approx_params(sigma2)
     if scheme is Scheme.TWO:
         if L == 1:
@@ -334,7 +336,7 @@ def asymptotic_se(L: int, p_mw: float, omega: float, nu: float, noise_mw: float,
                     - 2.0 * EULER_GAMMA) / (2.0 * LOG2)
         return (math.log(p_mw) + 2.0 * digamma(L * params.k)
                 - math.log(noise_mw / params.theta**2)) / (2.0 * LOG2)
-    if nu == 0.0:
+    if nu == 0.0 or omega == 0.0:
         if L == 1:
             return (math.log(p_mw) - math.log((omega + noise_mw) / sigma2**2)
                     - 2.0 * EULER_GAMMA) / LOG2
@@ -366,11 +368,11 @@ def scheme_crossover_power(L: int, omega: float, nu: float, noise_mw: float,
                            sigma2: float = 1.0,
                            spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Transmit power (mW) where the one-slot scheme starts to outperform the
-    two-slot scheme (nu=0), or the upper power bound below which it still does
-    (nu=1)."""
+    two-slot scheme (nu=0, or omega=0 at any nu), or the upper power bound below
+    which it still does (nu=1)."""
     params = gamma_approx_params(sigma2)
     sw = math.sqrt(noise_mw)
-    if nu == 0.0:
+    if nu == 0.0 or omega == 0.0:
         if L == 1:
             return ((omega + noise_mw) / (sw * sigma2)) ** 2 * math.exp(2.0 * EULER_GAMMA)
         return (((omega + noise_mw) / (sw * params.theta)) ** 2

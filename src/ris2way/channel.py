@@ -88,18 +88,6 @@ class SystemConfig:
             raise ValueError(f"nu must lie in [0, 1], got {self.nu}")
 
 
-@dataclass(frozen=True)
-class SinrBudget:
-    """Average SINR coefficients: gamma_p = rho_p * |coherent sum|^2."""
-
-    rho1: float
-    rho2: float
-
-    def __post_init__(self):
-        if self.rho1 < 0 or self.rho2 < 0:
-            raise ValueError("rho must be >= 0")
-
-
 def loop_interference_mw(p_mw: float, omega: float, nu: float) -> float:
     """Residual loop-interference variance omega * P^nu (P in mW)."""
     return omega * p_mw**nu
@@ -114,8 +102,8 @@ def _rho(cfg: SystemConfig, p_mw: float) -> float:
 
 
 def sweep_rho(cfg: SystemConfig, p_mw: Iterable[float]) -> np.ndarray:
-    """rho at each transmit power of `p_mw` with both users sending at it, so
-    that rho1 = rho2 = rho: `SinrBudget(rho, rho)` is that point's budget.
+    """rho at each transmit power of `p_mw`, with both users sending at it:
+    both users' SINRs are gamma_p = rho * |coherent sum_p|^2.
 
     Raises ValueError for a negative or NaN power, and for a rho that is not
     finite: a subnormal noise power (or an infinite transmit power) makes
@@ -232,26 +220,36 @@ def sample_phase_errors(model: Optional[PhaseErrorModel], rng: np.random.Generat
     return rng.vonmises(model.mu, model.kappa, size=shape)
 
 
+def scalar_square(x: np.ndarray) -> np.ndarray:
+    """x ** 2 elementwise, rounded as float scalar squares (C pow): np.square
+    differs in the last bit on about 0.1% of values."""
+    return np.array([v ** 2 for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
 def coherent_gain(terms: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """|sum_l terms_l * e^{j phi_l}|^2, batched over leading axes of `terms`."""
+    """|sum_l terms_l * e^{j phi_l}|^2, batched over leading axes of `terms`.
+
+    Each row of a stack gets the bits of its own one-row call: rot is a
+    variable, not a temporary numpy may reuse by reversing the (not bitwise
+    commutative) complex product's operands, and the square is a scalar's.
+    """
     if terms.shape[-1] != np.shape(phases)[-1]:
         raise ValueError(f"phase vector length {np.shape(phases)[-1]} does not match "
                          f"element count {terms.shape[-1]}")
-    return np.abs(np.sum(terms * np.exp(1j * np.asarray(phases)), axis=-1)) ** 2
+    rot = np.exp(1j * np.asarray(phases))
+    return scalar_square(np.abs(np.sum(terms * rot, axis=-1)))[()]
 
 
-def sinr_reciprocal(ch: ReciprocalChannel, phases: np.ndarray,
-                    budget: SinrBudget) -> tuple[float, float]:
-    """Instantaneous per-user SINRs; self-interference is perfectly cancelled."""
-    gain = coherent_gain(ch.h * ch.g, phases)
-    return budget.rho1 * gain, budget.rho2 * gain
+def sinr_reciprocal(ch: ReciprocalChannel, phases: np.ndarray, rho: float) -> float:
+    """The instantaneous SINR both users see; self-interference is perfectly
+    cancelled."""
+    return rho * coherent_gain(ch.h * ch.g, phases)
 
 
 def sinr_nonreciprocal(ch: NonReciprocalChannel, phases: np.ndarray,
-                       budget: SinrBudget) -> tuple[float, float]:
-    g1 = coherent_gain(ch.h_r * ch.g_t, phases)
-    g2 = coherent_gain(ch.g_r * ch.h_t, phases)
-    return budget.rho1 * g1, budget.rho2 * g2
+                       rho: float) -> tuple[float, float]:
+    """(gamma_1, gamma_2): user 1 combines h_r with g_t, user 2 g_r with h_t."""
+    return tuple(rho * coherent_gain(z, phases) for z in (ch.h_r * ch.g_t, ch.g_r * ch.h_t))
 
 
 def wrap_phases(phases: np.ndarray) -> np.ndarray:

@@ -25,9 +25,8 @@ import numpy as np
 
 from . import analytic, mc
 from . import rng as rngmod
-from .channel import (Reciprocity, Scheme, SinrBudget, SystemConfig,
-                      UniformPhaseError, VonMisesPhaseError, sample_channels,
-                      sinr_nonreciprocal, sweep_rho)
+from .channel import (Reciprocity, Scheme, SystemConfig, UniformPhaseError,
+                      VonMisesPhaseError, coherent_gain, sample_channels, sweep_rho)
 from .mc import NoCrossoverError
 from .numerics import NonConvergenceError, regularized_gamma_q
 from .optim import (GREEDY_GRID, RANDOMIZATION_K, SDP_TOL, OptimMethod,
@@ -72,6 +71,15 @@ class ExperimentSpec:
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
+
+
+def _linear_flag(flag: str, db: float) -> float:
+    """db_to_linear of a dB flag's value, which must stay below double range."""
+    try:
+        return db_to_linear(db)
+    except OverflowError:
+        raise SpecError(f"{flag}: {db:g} is too large, its linear value "
+                        "overflows a double") from None
 
 
 def parse_sweep(text: str) -> list[float]:
@@ -287,12 +295,12 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         cfg = SystemConfig(
             L=args.elements,
             sigma2=args.sigma2,
-            noise_mw=db_to_linear(args.noise_dbm),
+            noise_mw=_linear_flag("--noise-dbm", args.noise_dbm),
             omega=args.omega,
             nu=args.nu,
             scheme=Scheme(args.scheme),
             reciprocity=Reciprocity(args.reciprocity),
-            gamma_th=db_to_linear(args.gamma_th_db),
+            gamma_th=_linear_flag("--gamma-th-db", args.gamma_th_db),
             phase_error=phase_error,
         )
     except ValueError as exc:  # SystemConfig messages start with the field name
@@ -301,11 +309,14 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             raise
         raise SpecError(f"{_CONFIG_FLAGS[field]}: {exc}") from None
     given = vars(args)
+    p_dbm = parse_sweep(args.p_dbm) if "p_dbm" in given else []
+    if p_dbm:
+        _linear_flag("--p-dbm", p_dbm[-1])  # the sweep's largest power
     # flags whose parsed value is the spec field of the same name
     plain = {f.name for f in dataclasses.fields(ExperimentSpec)} - {
         "p_dbm", "l_list", "methods", "cfg", "user", "workers"}
     return ExperimentSpec(
-        p_dbm=parse_sweep(args.p_dbm) if "p_dbm" in given else [],
+        p_dbm=p_dbm,
         l_list=_parse_l_list(given.get("l_list", "")),
         methods=[m for m in given.get("methods", "").split(",") if m],
         cfg=cfg,
@@ -544,11 +555,9 @@ def run_optimize(spec: ExperimentSpec) -> None:
         raise SpecError(f"--greedy-grid: the grid needs at least 2 angles, "
                         f"got {spec.greedy_grid}")
     rho = float(sweep_rho(spec.cfg, [db_to_linear(spec.p_dbm[0])])[0])
-    budget = SinrBudget(rho, rho)
     chans = [sample_channels(spec.cfg, rngmod.trial_generator(spec.seed, rngmod.STREAM_CHANNEL, t))
              for t in range(spec.trials)]
-    z1 = np.array([ch.h_r * ch.g_t for ch in chans])
-    z2 = np.array([ch.g_r * ch.h_t for ch in chans])
+    terms = np.array([[ch.h_r * ch.g_t for ch in chans], [ch.g_r * ch.h_t for ch in chans]])
     # the baselines per trial; each max-min method on every trial in one stacked call
     phases, bounds = {}, {}
     for m in spec.methods:
@@ -560,28 +569,21 @@ def run_optimize(spec: ExperimentSpec) -> None:
         rngs = ([rngmod.trial_generator(spec.seed, rngmod.STREAM_OPTIM, t)
                  for t in range(spec.trials)] if m == "sdp" else None)
         try:
-            phases[m], bounds[m] = maxmin_block(z1, z2, budget, method, rngs,
+            phases[m], bounds[m] = maxmin_block(terms[0], terms[1], rho, method, rngs,
                                                 grid=spec.greedy_grid, tol=spec.sdp_tol,
                                                 k=spec.randomization_k)
         except SolverFailureError as exc:  # a stack row is a trial
             raise SolverFailureError(f"trial {exc.instance}: {exc}") from exc
 
-    header = ["trial"]
+    header, cells = ["trial"], [[str(t) for t in range(spec.trials)]]
     if "sdp" in spec.methods:
         header.append("t_star")
+        cells.append([fmt_val(t) for t in bounds["sdp"]])
     for m in spec.methods:
+        g1, g2 = rho * coherent_gain(terms, np.asarray(phases[m]))  # one call for all trials
         header.extend([f"gamma1_{m}", f"gamma2_{m}", f"min_{m}"])
-
-    rows = []
-    for trial, ch in enumerate(chans):
-        row = [str(trial)]
-        if "sdp" in spec.methods:
-            row.append(fmt_val(bounds["sdp"][trial]))
-        for m in spec.methods:
-            g1, g2 = sinr_nonreciprocal(ch, phases[m][trial], budget)
-            row.extend([fmt_val(g1), fmt_val(g2), fmt_val(min(g1, g2))])
-        rows.append(row)
-    write_csv(spec.out, header, rows)
+        cells.extend([fmt_val(v) for v in col] for col in (g1, g2, np.minimum(g1, g2)))
+    write_csv(spec.out, header, [list(row) for row in zip(*cells)])
 
 
 def _crossover_dbm(cfg: SystemConfig) -> str:

@@ -4,8 +4,8 @@ efficiency, and the scheme-crossover search.
 `collect_gains` draws each config's per-trial gains; `outage_from_gains` and
 `se_from_gains` take a config plus a vector of transmit powers and reduce them
 at every power in one call, returning one estimate per power.  A sweep point
-means both users sending at that power, so rho1 = rho2 at every point (a
-config carries no power).  Gains do not depend on the transmit power, so a
+means both users sending at that power, so they share one rho at every point
+(a config carries no power).  Gains do not depend on the transmit power, so a
 sweep collects once and reduces each column once.  They are a pure function of
 (seed, trial index), drawn in fixed-size blocks merged in block order, so they
 are bit-for-bit reproducible for any worker count, and trial i is the same
@@ -22,7 +22,7 @@ scheme, nu, omega, gamma_th, noise or jitter width share one channel draw per
 block, and `collect_gains` collects such a group in one pass (common random
 numbers across schemes, nu and delta).  A non-reciprocal gain also reads the
 scheme and the policy, and nothing else: max-min phases are solved at
-rho1 = rho2, as every sweep point has them, with `optim`'s defaults.
+rho = 1, valid at every sweep point, with `optim`'s defaults.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .channel import (PhaseErrorModel, Reciprocity, Scheme, SinrBudget,
-                      SystemConfig, UniformPhaseError, VonMisesPhaseError,
+from .channel import (PhaseErrorModel, Reciprocity, Scheme, SystemConfig,
+                      UniformPhaseError, VonMisesPhaseError, coherent_gain,
                       sample_channel_block, sample_phase_errors, sweep_rho)
-from .optim import OptimMethod, SolverFailureError, _scalar_square, maxmin_block
+from .optim import OptimMethod, SolverFailureError, maxmin_block
 
 
 class NoCrossoverError(RuntimeError):
@@ -133,7 +133,7 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: 
         for rows, ch in _channel_chunks(cfg, seed, block, count):
             terms[0, rows] = ch.h_r * ch.g_t
             terms[1, rows] = ch.g_r * ch.h_t
-        return _maxmin_gains(policy, seed, block, terms[0], terms[1])
+        return _maxmin_gains(policy, seed, block, terms)
     brng = None
     if cfg.scheme is Scheme.ONE and policy == "random":
         brng = rngmod.block_generator(seed, rngmod.STREAM_BASELINE, block)
@@ -143,12 +143,11 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: 
     return out
 
 
-def _maxmin_gains(policy: str, seed: int, block: int, z1: np.ndarray,
-                  z2: np.ndarray) -> np.ndarray:
-    """(g1, g2) of a block's terms under max-min phases of every trial at
-    rho1 = rho2 = 1, valid at every sweep power: both users send at it, so
-    rho1 = rho2, and scaling them together does not move the argmax."""
-    count = len(z1)
+def _maxmin_gains(policy: str, seed: int, block: int, terms: np.ndarray) -> np.ndarray:
+    """(g1, g2) of a block's (2, count, L) terms under max-min phases of every
+    trial at rho = 1, valid at every sweep power: both users send at it and
+    share its rho, and scaling both SINRs by one rho does not move the argmax."""
+    count = terms.shape[1]
     first = block * rngmod.BLOCK_SIZE
     rngs = None
     if policy == "sdp":
@@ -156,13 +155,10 @@ def _maxmin_gains(policy: str, seed: int, block: int, z1: np.ndarray,
                 for i in range(count)]
     method = OptimMethod.GREEDY_ITERATIVE if policy == "greedy" else OptimMethod.SDP_RELAX
     try:
-        phases, _ = maxmin_block(z1, z2, SinrBudget(1.0, 1.0), method, rngs)
+        phases, _ = maxmin_block(terms[0], terms[1], 1.0, method, rngs)
     except SolverFailureError as exc:
         raise SolverFailureError(f"trial {first + exc.instance}: {exc}") from exc
-    rot = np.exp(1j * phases)
-    # squared as a numpy scalar squares: a trial's gains are the same bits
-    # as |sum(z * rot)| ** 2 evaluated for that trial alone
-    return np.array([_scalar_square(np.abs(np.sum(z * rot, axis=1))) for z in (z1, z2)])
+    return coherent_gain(terms, phases)
 
 
 def _fixed_phase_gains(cfg: SystemConfig, policy: str, z1: np.ndarray, z2: np.ndarray,

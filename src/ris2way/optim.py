@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import (NonReciprocalChannel, ReciprocalChannel, SinrBudget,
+from .channel import (NonReciprocalChannel, ReciprocalChannel, scalar_square,
                       sinr_nonreciprocal, wrap_phases)
 
 # elements of the largest stacked array of a sub-batch: the (rows, 2, 2L, 2L)
@@ -119,28 +119,27 @@ def _lifted_vectors(z: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
     return c, d
 
 
-def _forms(z1: np.ndarray, z2: np.ndarray,
-           budget: SinrBudget) -> tuple[np.ndarray, np.ndarray]:
+def _forms(z1: np.ndarray, z2: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """(F_1, F_2) of the terms z1 = h_r g_t and z2 = g_r h_t, one pair of
     2L x 2L forms per leading index."""
     forms = []
-    for z, rho in ((z1, budget.rho1), (z2, budget.rho2)):
+    for z in (z1, z2):
         c, d = _lifted_vectors(z, rho)
         forms.append(c[..., :, None] * c[..., None, :] + d[..., :, None] * d[..., None, :])
     return forms[0], forms[1]
 
 
 def build_quadratic_forms(ch: NonReciprocalChannel,
-                          budget: SinrBudget) -> tuple[np.ndarray, np.ndarray]:
+                          rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Lift both user SINRs to quadratic forms in the stacked cos/sin variables.
 
     Returns the pair (F_1, F_2) of symmetric PSD 2L x 2L arrays, each of rank
     <= 2, with alpha^T F_p alpha = gamma_p.  User 1 combines h_r with g_t;
-    user 2 combines g_r with h_t, each under its own average-SINR scale.
+    user 2 combines g_r with h_t, both under the average SINR rho.
     """
     if not isinstance(ch, NonReciprocalChannel):
         raise ValueError("quadratic forms are defined for non-reciprocal realizations")
-    return _forms(ch.h_r * ch.g_t, ch.g_r * ch.h_t, budget)
+    return _forms(ch.h_r * ch.g_t, ch.g_r * ch.h_t, rho)
 
 
 def lifted_to_phases(alpha: np.ndarray) -> np.ndarray:
@@ -409,7 +408,7 @@ def _initial_interior(n: int) -> np.ndarray:
 def _scaled(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Form pairs divided by the smaller form value at the initial point, per
     row: the optimum then lies in [1, 2L] scaled units, so relative gap targets
-    stay relative even for lopsided budgets.  Returns (scaled forms, scale, a0)."""
+    stay relative even for lopsided users.  Returns (scaled forms, scale, a0)."""
     m, _, n, _ = f.shape
     a0 = np.broadcast_to(_initial_interior(n), (m, n, n))
     scale = _form_values(f, a0).min(axis=1)
@@ -559,13 +558,7 @@ def _scalar_cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scalar_square(x: np.ndarray) -> np.ndarray:
-    """x ** 2 elementwise, rounded as a float scalar squares (C pow): np.square
-    differs in the last bit on about 0.1% of values."""
-    return np.array([v ** 2 for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-
-
-def _greedy_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget, k: int):
+def _greedy_block(z1: np.ndarray, z2: np.ndarray, rho: float, k: int):
     """Greedy coordinate ascent on each row of the (m, L) terms z1, z2.
 
     Returns the (m, L) phases, each row's sweep count and, per sweep, the
@@ -578,12 +571,11 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget, k: int):
     """
     m, L = z1.shape
     grid = np.exp(1j * 2.0 * math.pi * np.arange(k) / k)  # grid[0] == 1
-    rho = np.array([[budget.rho1], [budget.rho2]])
     z = np.stack([z1, z2], axis=1)  # (m, user, L)
     index = np.zeros((m, L), dtype=int)  # each element's phase is grid[index]
     terms = _scalar_cmul(z, grid[0])
     sums = np.sum(z * grid[0], axis=2)
-    obj = np.min(rho[:, 0] * _scalar_square(np.hypot(sums.real, sums.imag)), axis=1)
+    obj = np.min(rho * scalar_square(np.hypot(sums.real, sums.imag)), axis=1)
     sweeps = np.zeros(m, dtype=int)
     history = []
     live = np.arange(m)
@@ -621,7 +613,7 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget, k: int):
     return wrap_phases(np.angle(grid[index])), sweeps, history
 
 
-def greedy_iterative(ch: NonReciprocalChannel, budget: SinrBudget,
+def greedy_iterative(ch: NonReciprocalChannel, rho: float,
                      k: int = GREEDY_GRID) -> MaxMinResult:
     """Coordinate ascent on a discretized phase grid of K angles per element.
 
@@ -633,20 +625,20 @@ def greedy_iterative(ch: NonReciprocalChannel, budget: SinrBudget,
     if k < 2:
         raise ValueError("grid must have at least 2 angles")
     phases, sweeps, history = _greedy_block(
-        (ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], budget, k)
-    return MaxMinResult(phases=phases[0], achieved=sinr_nonreciprocal(ch, phases[0], budget),
+        (ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], rho, k)
+    return MaxMinResult(phases=phases[0], achieved=sinr_nonreciprocal(ch, phases[0], rho),
                         method=OptimMethod.GREEDY_ITERATIVE, iterations=int(sweeps[0]),
                         sweep_objectives=[float(h[0]) for h in history])
 
 
-def maxmin_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget,
-                 method: OptimMethod,
+def maxmin_block(z1: np.ndarray, z2: np.ndarray, rho: float, method: OptimMethod,
                  rngs: Optional[Sequence[np.random.Generator]] = None, *,
                  grid: int = GREEDY_GRID, tol: float = SDP_TOL,
                  k: int = RANDOMIZATION_K) -> tuple[np.ndarray, np.ndarray]:
     """Max-min phases (m, L) of m instances, given as the rows of the terms
-    z1 = h_r g_t and z2 = g_r h_t, all under one budget, and each row's
-    relaxation bound t* (NaN for the greedy search).
+    z1 = h_r g_t and z2 = g_r h_t, both users at the average SINR rho, and
+    each row's relaxation bound t* (NaN for the greedy search).  Users at
+    different powers pass the terms sqrt(rho_1) z1 and sqrt(rho_2) z2 at rho = 1.
 
     GREEDY_ITERATIVE runs the greedy search of `greedy_iterative` on `grid`
     angles on every row at once.  SDP_RELAX solves every row's relaxation to
@@ -662,14 +654,14 @@ def maxmin_block(z1: np.ndarray, z2: np.ndarray, budget: SinrBudget,
     t_star = np.full(m, np.nan)
     if method is OptimMethod.GREEDY_ITERATIVE:
         for rows in _sub_batches(m, 2 * grid):
-            phases[rows] = _greedy_block(z1[rows], z2[rows], budget, grid)[0]
+            phases[rows] = _greedy_block(z1[rows], z2[rows], rho, grid)[0]
         return phases, t_star
     if method is not OptimMethod.SDP_RELAX:
         raise ValueError(f"not a max-min search: {method}")
     if rngs is None or len(rngs) != m:
         raise ValueError("gaussian randomization needs one RNG per instance")
     for rows in _sub_batches(m, 8 * L * L):
-        f = np.stack(_forms(z1[rows], z2[rows], budget), axis=1)
+        f = np.stack(_forms(z1[rows], z2[rows], rho), axis=1)
         row = rows.start
         try:
             sol = _sdp_joint(f, tol)
@@ -696,7 +688,7 @@ def baseline_phases(ch: NonReciprocalChannel, kind: OptimMethod,
     raise ValueError(f"not a baseline: {kind}")
 
 
-def solve_maxmin(ch: NonReciprocalChannel, budget: SinrBudget,
+def solve_maxmin(ch: NonReciprocalChannel, rho: float,
                  method: OptimMethod = OptimMethod.SDP_RELAX,
                  rng: Optional[np.random.Generator] = None) -> MaxMinResult:
     """Phases of one instance: `baseline_phases` for the baselines, a one-row
@@ -705,9 +697,9 @@ def solve_maxmin(ch: NonReciprocalChannel, budget: SinrBudget,
     if method in (OptimMethod.U1_PHASE, OptimMethod.RANDOM):
         phases, t_star = baseline_phases(ch, method, rng), None
     else:
-        rows, bounds = maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], budget,
+        rows, bounds = maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], rho,
                                     method, None if rng is None else [rng])
         phases = rows[0]
         t_star = float(bounds[0]) if method is OptimMethod.SDP_RELAX else None
-    return MaxMinResult(phases=phases, achieved=sinr_nonreciprocal(ch, phases, budget),
+    return MaxMinResult(phases=phases, achieved=sinr_nonreciprocal(ch, phases, rho),
                         method=method, t_star=t_star)

@@ -15,8 +15,8 @@ import pytest
 from ris2way import analytic as an
 from ris2way import mc
 from ris2way import rng as rngmod
-from ris2way.channel import (Reciprocity, SinrBudget, SystemConfig,
-                             UniformPhaseError, sample_channels, sweep_rho)
+from ris2way.channel import (Reciprocity, SystemConfig, UniformPhaseError,
+                             sample_channels, sweep_rho)
 from ris2way.cli import main as cli_main
 from ris2way.optim import (build_quadratic_forms, gaussian_randomization,
                            greedy_iterative, sdp_maxmin)
@@ -284,7 +284,6 @@ def test_criterion_9_maxmin_optimization():
     t0 = time.time()
     n_inst = 100
     cfg = base_cfg(L=8, reciprocity=Reciprocity.NON_RECIPROCAL)
-    budget = SinrBudget(1.0, 1.0)
     rho_eval = 1e4  # 0 dBm at omega=1e-4
     rel_viol = 0.0
     greedy_monotone = True
@@ -294,7 +293,7 @@ def test_criterion_9_maxmin_optimization():
     bisect_checked = 0
     for i in range(n_inst):
         ch = sample_channels(cfg, rngmod.trial_generator(900, rngmod.STREAM_CHANNEL, i))
-        forms = build_quadratic_forms(ch, budget)
+        forms = build_quadratic_forms(ch, 1.0)
         sol = sdp_maxmin(forms, tol=3e-7, method="joint")
         t_upper = sol.t_star + sol.feasibility_gap
         if i < 10:
@@ -303,7 +302,7 @@ def test_criterion_9_maxmin_optimization():
             bisect_checked += 1
         rng = rngmod.trial_generator(900, rngmod.STREAM_OPTIM, i)
         phases_sdp, _ = gaussian_randomization(sol.a_star, forms, 100, rng)
-        res_greedy = greedy_iterative(ch, budget, k=360)
+        res_greedy = greedy_iterative(ch, 1.0, k=360)
         greedy_monotone = greedy_monotone and all(
             b >= a - 1e-12 for a, b in zip(res_greedy.sweep_objectives,
                                            res_greedy.sweep_objectives[1:]))
@@ -354,14 +353,13 @@ def test_criterion_10_reciprocity_power_gap(L, target):
 
     trials = 1000
     cfg = base_cfg(L=L, reciprocity=Reciprocity.NON_RECIPROCAL)
-    budget = SinrBudget(1.0, 1.0)
     q_nr = np.empty(trials)
     q_rec = np.empty(trials)
     done = 0
     for block, count in rngmod.iter_blocks(trials):
         ch = sample_channel_block(
             cfg, rngmod.block_generator(123, rngmod.STREAM_CHANNEL, block), count)
-        phases, _ = maxmin_block(ch.h_r * ch.g_t, ch.g_r * ch.h_t, budget,
+        phases, _ = maxmin_block(ch.h_r * ch.g_t, ch.g_r * ch.h_t, 1.0,
                                  OptimMethod.GREEDY_ITERATIVE)
         for i in range(count):
             trial = NonReciprocalChannel(ch.h_t[i], ch.h_r[i], ch.g_t[i], ch.g_r[i])

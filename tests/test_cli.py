@@ -1,5 +1,6 @@
 """Experiment runner: spec parsing, CSV contracts, determinism, exit codes."""
 
+import ast
 import csv
 import dataclasses
 import math
@@ -13,8 +14,8 @@ import pytest
 
 from ris2way import channel, cli, optim
 from ris2way import rng as rngmod
-from ris2way.channel import (SinrBudget, UniformPhaseError, VonMisesPhaseError,
-                             sample_channels, sinr_nonreciprocal, sweep_rho)
+from ris2way.channel import (UniformPhaseError, VonMisesPhaseError, sample_channels,
+                             sinr_nonreciprocal, sweep_rho)
 from ris2way.cli import (main, parse_args, parse_phase_error, parse_sweep,
                          spec_from_args)
 
@@ -146,29 +147,34 @@ def test_optimize_respects_relaxation_bound(tmp_path):
 
 def test_optimize_flags_reach_the_stacked_solvers(tmp_path):
     """Every cell at non-default settings equals the one-instance reference at
-    those settings: the greedy search on 90 angles, and the joint-path
-    relaxation at tol 1e-3 rounded from 7 samples of the trial's STREAM_OPTIM
-    generator."""
+    those settings: the greedy search on 90 angles, the joint-path relaxation
+    at tol 1e-3 rounded from 7 samples of the trial's STREAM_OPTIM generator,
+    and the baselines; each SINR is its trial's one-row `sinr_nonreciprocal`
+    at the sweep's rho."""
     out = tmp_path / "opt.csv"
     argv = ["optimize", "--L", "4", "--reciprocity", "non-reciprocal", "--seed", "3",
-            "--methods", "sdp,greedy", "--trials", "4", "--greedy-grid", "90",
-            "--sdp-tol", "1e-3", "--randomization-k", "7", "--out", str(out)]
+            "--methods", "sdp,greedy,u1,random", "--trials", "4", "--greedy-grid", "90",
+            "--sdp-tol", "1e-3", "--randomization-k", "7", "--p-dbm", "20:20:1",
+            "--out", str(out)]
     assert run_cli(argv) == 0
     _, rows = read_csv(out)
     assert len(rows) == 4
     spec = spec_from_args(parse_args(argv))
     cfg = spec.cfg
-    rho = sweep_rho(cfg, [cli.db_to_linear(spec.p_dbm[0])])[0]
-    budget = SinrBudget(rho, rho)
+    rho = float(sweep_rho(cfg, [cli.db_to_linear(spec.p_dbm[0])])[0])
+    assert rho != 1.0
     for t, row in enumerate(rows):
         ch = sample_channels(cfg, rngmod.trial_generator(3, rngmod.STREAM_CHANNEL, t))
-        forms = optim.build_quadratic_forms(ch, budget)
+        forms = optim.build_quadratic_forms(ch, rho)
         sol = optim.sdp_maxmin(forms, tol=1e-3, method="joint")
         sdp, _ = optim.gaussian_randomization(
             sol.a_star, forms, 7, rngmod.trial_generator(3, rngmod.STREAM_OPTIM, t))
         expected = [str(t), cli.fmt_val(sol.t_star)]
-        for phases in (sdp, optim.greedy_iterative(ch, budget, k=90).phases):
-            g1, g2 = sinr_nonreciprocal(ch, phases, budget)
+        u1 = optim.baseline_phases(ch, optim.OptimMethod.U1_PHASE)
+        random = optim.baseline_phases(ch, optim.OptimMethod.RANDOM,
+                                       rngmod.trial_generator(3, rngmod.STREAM_BASELINE, t))
+        for phases in (sdp, optim.greedy_iterative(ch, rho, k=90).phases, u1, random):
+            g1, g2 = sinr_nonreciprocal(ch, phases, rho)
             expected += [cli.fmt_val(g1), cli.fmt_val(g2), cli.fmt_val(min(g1, g2))]
         assert row == expected
 
@@ -270,6 +276,21 @@ def test_zero_or_infinite_noise_or_interference_exit_code(tmp_path, capsys, argv
     assert run_cli(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "invalid spec" in err and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["outage", "--L", "2", "--methods", "gamma", "--p-dbm", "4000:4000:1"], "--p-dbm"),
+    (["crossover", "--methods", "mc", "--p-dbm", "0:4000:2000"], "--p-dbm"),
+    (["outage", "--noise-dbm", "4000"], "--noise-dbm"),
+    (["outage", "--gamma-th-db", "4000"], "--gamma-th-db"),
+])
+def test_db_overflow_exit_code(tmp_path, capsys, argv, flag):
+    # 10^(dB/10) used to end in an OverflowError traceback (exit 1)
+    out = tmp_path / "x.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and f"{flag}: 4000 is too large" in err
     assert not out.exists()
 
 
@@ -516,6 +537,19 @@ def test_asymptotic_outage_needs_power_above_1mw(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["outage", "--methods", "asymptotic"],
+    ["se", "--methods", "asymptotic"],
+    ["crossover", "--methods", "analytic"],
+])
+def test_asymptotics_without_interference_ignore_nu(tmp_path, argv):
+    # omega * P^nu vanishes at omega = 0 for every nu: nu = 1 used to divide by omega
+    for nu in ("0", "1"):
+        assert run_cli(argv + ["--nu", nu, "--omega", "0", "--out",
+                               str(tmp_path / f"nu{nu}.csv")]) == 0
+    assert (tmp_path / "nu1.csv").read_bytes() == (tmp_path / "nu0.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv, out, reason", [
     (["se", "--L", "2", "--methods", "gamma", "--p-dbm", "0:2:2"], "missing/x.csv",
      "does not exist"),
@@ -606,6 +640,23 @@ def test_import_leaves_quadpack_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == ""
+
+
+def test_no_module_imports_a_private_name():
+    """A private name is its module's own: no `from .x import _name` in the
+    package, so a helper two modules share is public where it is defined."""
+    package = os.path.dirname(cli.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        found += [f"{name}:{node.lineno} {alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").startswith("ris2way"))
+                  for alias in node.names if alias.name.startswith("_")]
+    assert found == []
 
 
 def test_reproduce_runs_load_no_scipy(tmp_path):

@@ -12,9 +12,8 @@ from ris2way import analytic as an
 from ris2way import mc, optim
 from ris2way import rng as rngmod
 from ris2way.channel import (NonReciprocalChannel, Reciprocity, Scheme,
-                             SinrBudget, SystemConfig, UniformPhaseError,
-                             VonMisesPhaseError, sample_channel_block,
-                             sample_phase_errors, sweep_rho)
+                             SystemConfig, UniformPhaseError, VonMisesPhaseError,
+                             sample_channel_block, sample_phase_errors, sweep_rho)
 from ris2way.mc import (NoCrossoverError, collect_gains, find_crossover,
                         outage_from_gains, se_from_gains)
 
@@ -420,7 +419,7 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
                               rngmod.BLOCK_SIZE)
     rngs = [rngmod.trial_generator(31, rngmod.STREAM_OPTIM, i) for i in range(len(ch.h_t))]
     z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
-    phases, _ = optim.maxmin_block(z1, z2, SinrBudget(1.0, 1.0), method, rngs)
+    phases, _ = optim.maxmin_block(z1, z2, 1.0, method, rngs)
     rot = np.exp(1j * phases)
     for i in range(len(rot)):
         # each gain as one trial's numpy-scalar expression gives it
@@ -428,7 +427,7 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
         assert full.g2[i] == np.abs(np.sum(z2[i] * rot[i])) ** 2
     for i in range(37):
         trial = NonReciprocalChannel(ch.h_t[i], ch.h_r[i], ch.g_t[i], ch.g_r[i])
-        res = optim.solve_maxmin(trial, SinrBudget(1.0, 1.0), method,
+        res = optim.solve_maxmin(trial, 1.0, method,
                                  rng=rngmod.trial_generator(31, rngmod.STREAM_OPTIM, i))
         assert np.array_equal(res.phases, phases[i])
     monkeypatch.setattr(optim, "_STACK_ELEMENTS", 1)  # one row per sub-batch
@@ -438,7 +437,7 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
 
 
 def test_solver_failure_names_the_trial(monkeypatch):
-    def fail_in_second_block(z1, z2, budget, method, rngs=None, **kwargs):
+    def fail_in_second_block(z1, z2, rho, method, rngs=None, **kwargs):
         if len(z1) == 10:
             raise optim.SolverFailureError("line search failed", 4)
         return np.zeros(z1.shape), np.full(len(z1), np.nan)

@@ -8,17 +8,14 @@ import numpy as np
 import pytest
 
 from ris2way import optim
-from ris2way.channel import (NonReciprocalChannel, Reciprocity, SinrBudget,
-                             SystemConfig, sample_channel_block, sample_channels,
+from ris2way.channel import (NonReciprocalChannel, Reciprocity, SystemConfig,
+                             sample_channel_block, sample_channels,
                              sinr_nonreciprocal, sinr_reciprocal, wrap_phases)
 from ris2way.optim import (OptimMethod, _greedy_block, _newton_step, _sdp_joint,
                            baseline_phases, build_quadratic_forms,
                            gaussian_randomization, greedy_iterative,
                            lifted_to_phases, maxmin_block,
                            optimal_phase_reciprocal, sdp_maxmin, solve_maxmin)
-
-BUDGET = SinrBudget(1.0, 1.0)
-
 
 def phases_to_lifted(phases):
     """alpha = (cos phi_1, sin phi_1, ..., cos phi_L, sin phi_L)."""
@@ -30,6 +27,13 @@ def nonrec(L, seed, sigma2=1.0):
     return sample_channels(cfg, np.random.default_rng(seed))
 
 
+def lopsided(ch, rho1, rho2):
+    """`ch` with users at average SINRs rho1 and rho2: at rho = 1 its terms are
+    sqrt(rho1) h_r g_t and sqrt(rho2) g_r h_t."""
+    return NonReciprocalChannel(h_t=ch.h_t, h_r=math.sqrt(rho1) * ch.h_r, g_t=ch.g_t,
+                                g_r=math.sqrt(rho2) * ch.g_r)
+
+
 def test_optimal_phase_zero_channel_phases():
     h = np.array([1.0 + 0j, 2.0 + 0j])
     ch_rec = sample_channels(SystemConfig(L=2), np.random.default_rng(0))
@@ -39,7 +43,7 @@ def test_optimal_phase_zero_channel_phases():
 
 def test_optimal_phase_beats_exhaustive_grid():
     ch = sample_channels(SystemConfig(L=2), np.random.default_rng(1))
-    best = sinr_reciprocal(ch, optimal_phase_reciprocal(ch), BUDGET)[0]
+    best = sinr_reciprocal(ch, optimal_phase_reciprocal(ch), 1.0)
     grid = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
     z = ch.h * ch.g
     vals = np.abs(z[0] * np.exp(1j * grid)[:, None]
@@ -49,33 +53,31 @@ def test_optimal_phase_beats_exhaustive_grid():
 
 def test_optimal_phase_closed_form_identity():
     ch = sample_channels(SystemConfig(L=6), np.random.default_rng(2))
-    got = sinr_reciprocal(ch, optimal_phase_reciprocal(ch), BUDGET)[0]
+    got = sinr_reciprocal(ch, optimal_phase_reciprocal(ch), 1.0)
     assert got == pytest.approx(float(np.sum(np.abs(ch.h) * np.abs(ch.g)) ** 2),
                                 rel=1e-12)
 
 
 def test_quadratic_forms_reproduce_sinr_many_instances():
     rng = np.random.default_rng(3)
-    budget = SinrBudget(3.0, 0.6)
     worst = 0.0
     for _ in range(200):
-        ch = nonrec(4, rng.integers(2**31))
-        forms = build_quadratic_forms(ch, budget)
+        ch = lopsided(nonrec(4, rng.integers(2**31)), 3.0, 0.6)
+        forms = build_quadratic_forms(ch, 1.0)
         assert all(np.array_equal(f, f.T) for f in forms)
         for _ in range(50):
             phases = rng.uniform(0, 2 * math.pi, 4)
             alpha = phases_to_lifted(phases)
             q1 = alpha @ forms[0] @ alpha
             q2 = alpha @ forms[1] @ alpha
-            g1, g2 = sinr_nonreciprocal(ch, phases, budget)
+            g1, g2 = sinr_nonreciprocal(ch, phases, 1.0)
             worst = max(worst, abs(q1 - g1) / g1, abs(q2 - g2) / g2)
     assert worst < 1e-9
 
 
 def test_quadratic_forms_single_element_constant():
     ch = nonrec(1, 5)
-    budget = SinrBudget(2.0, 5.0)
-    forms = build_quadratic_forms(ch, budget)
+    forms = build_quadratic_forms(lopsided(ch, 2.0, 5.0), 1.0)
     for p in (0.0, 1.0, 4.4):
         alpha = phases_to_lifted(np.array([p]))
         assert alpha @ forms[0] @ alpha == pytest.approx(
@@ -84,7 +86,7 @@ def test_quadratic_forms_single_element_constant():
 
 def test_quadratic_forms_rank_two():
     ch = nonrec(5, 6)
-    forms = build_quadratic_forms(ch, SinrBudget(1.0, 2.0))
+    forms = build_quadratic_forms(lopsided(ch, 1.0, 2.0), 1.0)
     for f in forms:
         w = np.linalg.eigvalsh(f)[::-1]  # descending
         assert w[0] > 0 and w[1] > 0
@@ -94,8 +96,7 @@ def test_quadratic_forms_rank_two():
 
 def test_sdp_single_element_value():
     ch = nonrec(1, 7)
-    budget = SinrBudget(2.0, 3.0)
-    forms = build_quadratic_forms(ch, budget)
+    forms = build_quadratic_forms(lopsided(ch, 2.0, 3.0), 1.0)
     expected = min(2.0 * (np.abs(ch.h_r[0]) * np.abs(ch.g_t[0])) ** 2,
                    3.0 * (np.abs(ch.g_r[0]) * np.abs(ch.h_t[0])) ** 2)
     sol = sdp_maxmin(forms, tol=1e-6)
@@ -105,8 +106,7 @@ def test_sdp_single_element_value():
 def test_sdp_upper_bounds_random_phase_search():
     rng = np.random.default_rng(8)
     ch = nonrec(3, 9)
-    budget = SinrBudget(1.0, 1.0)
-    forms = build_quadratic_forms(ch, budget)
+    forms = build_quadratic_forms(ch, 1.0)
     sol = sdp_maxmin(forms, tol=1e-4)
     phases = rng.uniform(0, 2 * math.pi, (100_000, 3))
     rot = np.exp(1j * phases)
@@ -123,7 +123,7 @@ def test_sdp_symmetric_forms_match_dense_grid():
     z = ch.h_r * ch.g_t
     ch_sym = NonReciprocalChannel(h_t=np.ones(2, dtype=complex), h_r=z,
                                   g_t=np.ones(2, dtype=complex), g_r=z)
-    sol = sdp_maxmin(build_quadratic_forms(ch_sym, BUDGET), tol=1e-6)
+    sol = sdp_maxmin(build_quadratic_forms(ch_sym, 1.0), tol=1e-6)
     grid = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
     vals = np.abs(z[0] * np.exp(1j * grid)[:, None]
                   + z[1] * np.exp(1j * grid)[None, :]) ** 2
@@ -133,14 +133,14 @@ def test_sdp_symmetric_forms_match_dense_grid():
 
 def test_sdp_joint_and_bisect_agree():
     for seed in (11, 12, 13):
-        forms = build_quadratic_forms(nonrec(4, seed), SinrBudget(1.5, 0.8))
+        forms = build_quadratic_forms(lopsided(nonrec(4, seed), 1.5, 0.8), 1.0)
         a = sdp_maxmin(forms, tol=1e-4, method="bisect")
         b = sdp_maxmin(forms, tol=1e-4, method="joint")
         assert a.t_star == pytest.approx(b.t_star, rel=3e-4)
 
 
 def test_sdp_solution_feasibility_certificates():
-    forms = build_quadratic_forms(nonrec(4, 14), SinrBudget(1.0, 1.0))
+    forms = build_quadratic_forms(nonrec(4, 14), 1.0)
     sol = sdp_maxmin(forms, tol=1e-4)
     a = sol.a_star
     assert np.array_equal(a, a.T)
@@ -161,7 +161,7 @@ def test_newton_step_satisfies_kkt_conditions(L):
     a = x @ x.T / n + 0.1 * np.eye(n)
     scale = 1.0 / np.sqrt(np.repeat(a.diagonal().reshape(L, 2).sum(axis=1), 2))
     a = a * np.outer(scale, scale)
-    f = build_quadratic_forms(nonrec(L, 50 + L), SinrBudget(1.7, 0.4))
+    f = build_quadratic_forms(lopsided(nonrec(L, 50 + L), 1.7, 0.4), 1.0)
     gains = np.array([np.sum(f[0] * a), np.sum(f[1] * a)])
     g = gains - (gains.min() - 0.3 * gains.min())
     grad_t = -10.0 + float(np.sum(1.0 / g))
@@ -199,7 +199,8 @@ def test_decrement_nonnegative_at_every_step(monkeypatch):
         return out
 
     monkeypatch.setattr(optim, "_newton_step", recording_step)
-    forms = [build_quadratic_forms(nonrec(L, 60 + L), SinrBudget(1.3, 0.7)) for L in (1, 6, 6)]
+    forms = [build_quadratic_forms(lopsided(nonrec(L, 60 + L), 1.3, 0.7), 1.0)
+             for L in (1, 6, 6)]
     optim._sdp_joint(np.stack([np.stack(f) for f in forms[1:]]), 1e-6)
     sdp_maxmin(forms[0], tol=1e-4, method="bisect")
     decrements = np.concatenate(seen)
@@ -208,7 +209,7 @@ def test_decrement_nonnegative_at_every_step(monkeypatch):
 
 def test_sdp_at_32_elements_bounds_greedy_and_randomization():
     ch = nonrec(32, 41)
-    forms = build_quadratic_forms(ch, BUDGET)
+    forms = build_quadratic_forms(ch, 1.0)
     tol = 1e-4
     sol = sdp_maxmin(forms, tol=tol, method="joint")
     assert 0.0 <= sol.feasibility_gap <= tol * sol.t_star
@@ -217,19 +218,19 @@ def test_sdp_at_32_elements_bounds_greedy_and_randomization():
     assert np.abs(a.diagonal().reshape(32, 2).sum(axis=1) - 1.0).max() <= 1e-7
     assert np.linalg.eigvalsh(a)[0] >= -1e-8
     _, rounded = gaussian_randomization(sol.a_star, forms, 100, np.random.default_rng(42))
-    greedy = min(greedy_iterative(ch, BUDGET).achieved)
+    greedy = min(greedy_iterative(ch, 1.0).achieved)
     assert max(rounded, greedy) <= sol.t_star * (1 + tol)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0, math.inf])
 def test_sdp_needs_positive_tolerance(tol):
     ch = nonrec(2, 42)
-    forms = build_quadratic_forms(ch, BUDGET)
+    forms = build_quadratic_forms(ch, 1.0)
     with pytest.raises(ValueError, match="tolerance must be > 0"):
         sdp_maxmin(forms, tol=tol)
     for method in (OptimMethod.SDP_RELAX, OptimMethod.GREEDY_ITERATIVE):
         with pytest.raises(ValueError, match="0 < tol < 1"):
-            maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], BUDGET, method,
+            maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], 1.0, method,
                          [np.random.default_rng(0)], tol=tol)
 
 
@@ -237,14 +238,14 @@ def test_sdp_needs_positive_tolerance(tol):
 def test_greedy_needs_two_grid_angles(grid):
     ch = nonrec(2, 42)
     with pytest.raises(ValueError, match="grid >= 2"):
-        maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], BUDGET,
+        maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], 1.0,
                      OptimMethod.GREEDY_ITERATIVE, grid=grid)
     with pytest.raises(ValueError, match="at least 2 angles"):
-        greedy_iterative(ch, BUDGET, k=grid)
+        greedy_iterative(ch, 1.0, k=grid)
 
 
 def test_malformed_forms_rejected():
-    f1, f2 = build_quadratic_forms(nonrec(3, 43), BUDGET)
+    f1, f2 = build_quadratic_forms(nonrec(3, 43), 1.0)
     rng = np.random.default_rng(44)
     for forms, reason in [((f1[:, :4], f2[:, :4]), "square"),
                           ((f1[0], f2[0]), "square"),
@@ -263,7 +264,7 @@ def test_randomization_rank_one_recovers_exactly():
     rng = np.random.default_rng(15)
     phases_true = rng.uniform(0, 2 * math.pi, 4)
     alpha = phases_to_lifted(phases_true)
-    forms = build_quadratic_forms(nonrec(4, 16), SinrBudget(1.0, 1.0))
+    forms = build_quadratic_forms(nonrec(4, 16), 1.0)
     got, val = gaussian_randomization(np.outer(alpha, alpha), forms, 5, rng)
     assert np.allclose(got, phases_true, atol=1e-7)
     q1 = alpha @ forms[0] @ alpha
@@ -273,12 +274,11 @@ def test_randomization_rank_one_recovers_exactly():
 
 def test_randomization_bounded_by_relaxation_and_consistent():
     rng = np.random.default_rng(17)
-    budget = SinrBudget(1.0, 1.0)
     ch = nonrec(8, 18)
-    forms = build_quadratic_forms(ch, budget)
+    forms = build_quadratic_forms(ch, 1.0)
     sol = sdp_maxmin(forms, tol=1e-5)
     phases, scored = gaussian_randomization(sol.a_star, forms, 100, rng)
-    g1, g2 = sinr_nonreciprocal(ch, phases, budget)
+    g1, g2 = sinr_nonreciprocal(ch, phases, 1.0)
     assert min(g1, g2) == pytest.approx(scored, rel=1e-9)
     assert scored <= sol.t_star * (1 + 1e-4)
     assert scored >= 0.5 * sol.t_star  # randomization is not far off on typical draws
@@ -289,7 +289,7 @@ def test_randomization_near_bound_on_median_instance():
     ratios = []
     for seed in range(10):
         ch = nonrec(8, 400 + seed)
-        forms = build_quadratic_forms(ch, BUDGET)
+        forms = build_quadratic_forms(ch, 1.0)
         sol = sdp_maxmin(forms, tol=1e-5, method="joint")
         _, val = gaussian_randomization(sol.a_star, forms, 200, rng)
         ratios.append(val / sol.t_star)
@@ -297,10 +297,10 @@ def test_randomization_near_bound_on_median_instance():
 
 
 def test_greedy_single_element_terminates_immediately():
-    ch = nonrec(1, 19)
-    res = greedy_iterative(ch, SinrBudget(1.0, 2.0))
+    ch = lopsided(nonrec(1, 19), 1.0, 2.0)
+    res = greedy_iterative(ch, 1.0)
     assert res.iterations == 1
-    g1, g2 = sinr_nonreciprocal(ch, res.phases, SinrBudget(1.0, 2.0))
+    g1, g2 = sinr_nonreciprocal(ch, res.phases, 1.0)
     assert min(g1, g2) == pytest.approx(min(res.achieved), rel=1e-12)
 
 
@@ -308,14 +308,14 @@ def test_greedy_on_degenerate_reciprocal_instance_hits_closed_form():
     cfg = SystemConfig(L=6)
     rec = sample_channels(cfg, np.random.default_rng(20))
     ch = NonReciprocalChannel(h_t=rec.h, h_r=rec.h, g_t=rec.g, g_r=rec.g)
-    res = greedy_iterative(ch, BUDGET, k=360)
+    res = greedy_iterative(ch, 1.0, k=360)
     target = float(np.sum(np.abs(rec.h) * np.abs(rec.g)) ** 2)
     assert min(res.achieved) >= target * (1 - 1e-3)
 
 
 def test_greedy_monotone_objective():
     ch = nonrec(8, 21)
-    res = greedy_iterative(ch, BUDGET)
+    res = greedy_iterative(ch, 1.0)
     hist = res.sweep_objectives
     assert all(b >= a - 1e-12 for a, b in zip(hist, hist[1:]))
     assert res.iterations == len(hist)
@@ -323,9 +323,9 @@ def test_greedy_monotone_objective():
 
 def test_greedy_respects_relaxation_bound():
     ch = nonrec(6, 22)
-    forms = build_quadratic_forms(ch, BUDGET)
+    forms = build_quadratic_forms(ch, 1.0)
     sol = sdp_maxmin(forms, tol=1e-5)
-    res = greedy_iterative(ch, BUDGET)
+    res = greedy_iterative(ch, 1.0)
     assert min(res.achieved) <= sol.t_star * (1 + 1e-4)
 
 
@@ -333,19 +333,18 @@ def test_baseline_u1_maximizes_user1():
     rng = np.random.default_rng(23)
     ch = nonrec(5, 24)
     u1 = baseline_phases(ch, OptimMethod.U1_PHASE)
-    g1_best, _ = sinr_nonreciprocal(ch, u1, BUDGET)
+    g1_best, _ = sinr_nonreciprocal(ch, u1, 1.0)
     assert g1_best == pytest.approx(float(np.sum(np.abs(ch.h_r * ch.g_t)) ** 2),
                                     rel=1e-12)
     for _ in range(50):
-        g1, _ = sinr_nonreciprocal(ch, rng.uniform(0, 2 * math.pi, 5), BUDGET)
+        g1, _ = sinr_nonreciprocal(ch, rng.uniform(0, 2 * math.pi, 5), 1.0)
         assert g1 <= g1_best * (1 + 1e-12)
 
 
 def test_single_element_all_methods_identical():
     ch = nonrec(1, 25)
-    budget = SinrBudget(1.0, 1.0)
     rng = np.random.default_rng(26)
-    achieved = [solve_maxmin(ch, budget, method=m, rng=rng).achieved
+    achieved = [solve_maxmin(ch, 1.0, method=m, rng=rng).achieved
                 for m in OptimMethod]
     for g in achieved[1:]:
         assert g[0] == pytest.approx(achieved[0][0], rel=1e-9)
@@ -353,16 +352,15 @@ def test_single_element_all_methods_identical():
 
 
 def test_quadratic_identity_holds_for_every_method_output():
-    ch = nonrec(5, 31)
-    budget = SinrBudget(2.0, 0.7)
-    forms = build_quadratic_forms(ch, budget)
+    ch = lopsided(nonrec(5, 31), 2.0, 0.7)
+    forms = build_quadratic_forms(ch, 1.0)
     rng = np.random.default_rng(32)
     for method in OptimMethod:
-        res = solve_maxmin(ch, budget, method=method, rng=rng)
+        res = solve_maxmin(ch, 1.0, method=method, rng=rng)
         alpha = phases_to_lifted(res.phases)
         q1 = alpha @ forms[0] @ alpha
         q2 = alpha @ forms[1] @ alpha
-        g1, g2 = sinr_nonreciprocal(ch, res.phases, budget)
+        g1, g2 = sinr_nonreciprocal(ch, res.phases, 1.0)
         assert q1 == pytest.approx(g1, rel=1e-9)
         assert q2 == pytest.approx(g2, rel=1e-9)
         assert res.achieved[0] == pytest.approx(g1, rel=1e-12)
@@ -378,9 +376,9 @@ def test_lifted_round_trip():
 
 def test_solve_maxmin_sdp_populates_result():
     ch = nonrec(4, 27)
-    res = solve_maxmin(ch, BUDGET, method=OptimMethod.SDP_RELAX,
+    res = solve_maxmin(ch, 1.0, method=OptimMethod.SDP_RELAX,
                        rng=np.random.default_rng(28))
-    assert res.t_star == sdp_maxmin(build_quadratic_forms(ch, BUDGET), method="joint").t_star
+    assert res.t_star == sdp_maxmin(build_quadratic_forms(ch, 1.0), method="joint").t_star
     assert res.method is OptimMethod.SDP_RELAX
     assert min(res.achieved) <= res.t_star * (1 + 1e-4)
 
@@ -389,24 +387,23 @@ def test_solve_maxmin_sdp_populates_result():
 # stacked solvers: every row as its instance alone
 # ---------------------------------------------------------------------------
 
-def scalar_greedy(z1, z2, budget, k=360, improvement_threshold=1e-6, max_sweeps=200):
+def scalar_greedy(z1, z2, rho, k=360, improvement_threshold=1e-6, max_sweeps=200):
     """Reference: the coordinate search on one instance in numpy/Python scalar
     arithmetic.  Returns the phases and the objective after each sweep."""
     L = z1.size
     grid = np.exp(1j * 2.0 * math.pi * np.arange(k) / k)
-    rho = np.array([budget.rho1, budget.rho2])
     phase_factors = np.ones(L, dtype=complex)
     s1 = complex(np.sum(z1 * phase_factors))
     s2 = complex(np.sum(z2 * phase_factors))
-    obj = min(rho[0] * abs(s1) ** 2, rho[1] * abs(s2) ** 2)
+    obj = min(rho * abs(s1) ** 2, rho * abs(s2) ** 2)
     history = []
     for _ in range(max_sweeps):
         previous = obj
         for l in range(L):
             b1 = s1 - z1[l] * phase_factors[l]
             b2 = s2 - z2[l] * phase_factors[l]
-            cand = np.minimum(rho[0] * np.abs(b1 + z1[l] * grid) ** 2,
-                              rho[1] * np.abs(b2 + z2[l] * grid) ** 2)
+            cand = np.minimum(rho * np.abs(b1 + z1[l] * grid) ** 2,
+                              rho * np.abs(b2 + z2[l] * grid) ** 2)
             best = int(np.argmax(cand))
             if cand[best] >= obj:
                 phase_factors[l] = grid[best]
@@ -436,14 +433,15 @@ def nonrec_terms(L, m, seed):
                                  (32, 200)])
 def test_greedy_block_matches_scalar_search(L, m):
     """10^4 trials in all: phases, sweep counts and sweep objectives equal the
-    scalar search bit for bit, rows with zero terms included."""
-    budget = SinrBudget(1.0, 0.45)
+    scalar search bit for bit, rows with zero terms included; user 2 is at
+    0.45 times user 1's average SINR."""
     z1, z2 = nonrec_terms(L, m, 70 + L)
-    phases, sweeps, history = _greedy_block(z1, z2, budget, 360)
-    block, _ = maxmin_block(z1, z2, budget, OptimMethod.GREEDY_ITERATIVE)  # in sub-batches
+    z2 = math.sqrt(0.45) * z2
+    phases, sweeps, history = _greedy_block(z1, z2, 1.0, 360)
+    block, _ = maxmin_block(z1, z2, 1.0, OptimMethod.GREEDY_ITERATIVE)  # in sub-batches
     assert np.array_equal(block, phases)
     for i in range(m):
-        ref_phases, ref_history = scalar_greedy(z1[i], z2[i], budget)
+        ref_phases, ref_history = scalar_greedy(z1[i], z2[i], 1.0)
         assert np.array_equal(phases[i], ref_phases)
         assert sweeps[i] == len(ref_history)
         assert [h[i] for h in history[:sweeps[i]]] == ref_history
@@ -451,17 +449,17 @@ def test_greedy_block_matches_scalar_search(L, m):
 
 @pytest.mark.parametrize("method", [OptimMethod.GREEDY_ITERATIVE, OptimMethod.SDP_RELAX])
 def test_block_rows_equal_solve_maxmin(method):
-    budget = SinrBudget(0.8, 1.0)
     z1, z2 = nonrec_terms(4, 40, 80)
+    z1 = math.sqrt(0.8) * z1  # user 1 at 0.8 times user 2's average SINR
     if method is OptimMethod.SDP_RELAX:
         # the relaxation needs both forms nonzero: no all-zero rows
         z1[:2], z2[:2] = z1[2], z2[2]
     rngs = [np.random.default_rng(900 + i) for i in range(40)]
-    block, bound = maxmin_block(z1, z2, budget, method, rngs)
+    block, bound = maxmin_block(z1, z2, 1.0, method, rngs)
     for i in range(40):
         ch = NonReciprocalChannel(h_t=z2[i], h_r=z1[i], g_t=np.ones(4, dtype=complex),
                                   g_r=np.ones(4, dtype=complex))
-        res = solve_maxmin(ch, budget, method, rng=np.random.default_rng(900 + i))
+        res = solve_maxmin(ch, 1.0, method, rng=np.random.default_rng(900 + i))
         assert np.array_equal(block[i], res.phases)
         if method is OptimMethod.SDP_RELAX:
             assert bound[i] == res.t_star
@@ -472,7 +470,7 @@ def test_block_rows_equal_solve_maxmin(method):
 @pytest.mark.parametrize("L", [1, 2, 4, 8, 16, 32])
 def test_stacked_joint_path_agrees_with_bisect(L):
     tol = 1e-3  # keeps the bisection reference affordable
-    forms = [build_quadratic_forms(nonrec(L, 1000 * L + i), SinrBudget(1.3, 0.7))
+    forms = [build_quadratic_forms(lopsided(nonrec(L, 1000 * L + i), 1.3, 0.7), 1.0)
              for i in range(20)]
     stacked = _sdp_joint(np.stack([np.stack(f) for f in forms]), tol)
     for i, f in enumerate(forms):
@@ -491,5 +489,5 @@ def test_stacked_failure_names_its_row(monkeypatch):
     z1[3] = 0.0  # user 1's form vanishes: no interior start
     rngs = [np.random.default_rng(i) for i in range(6)]
     with pytest.raises(optim.SolverFailureError, match="vanishes") as info:
-        maxmin_block(z1, z2, BUDGET, OptimMethod.SDP_RELAX, rngs)
+        maxmin_block(z1, z2, 1.0, OptimMethod.SDP_RELAX, rngs)
     assert info.value.instance == 3

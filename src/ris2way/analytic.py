@@ -287,40 +287,68 @@ def sandwich_bounds_Lge2(L: int, gamma_th: float, rho: float,
     return lower, upper
 
 
+def _log_growth_noise(omega: float, nu: float, noise_mw: float) -> Optional[float]:
+    """The large-power regime under the interference omega * P^nu: the effective
+    noise omega + N0 where rho = P / (omega + N0) grows with P (nu = 0, or
+    omega = 0 at any nu), None where rho saturates at the floor 1/omega (nu = 1)."""
+    if nu == 0.0 or omega == 0.0:
+        return omega + noise_mw
+    if nu == 1.0:
+        return None
+    raise ValueError(f"large-power laws are handled for nu in {{0, 1}} only, got {nu:g}")
+
+
+def _log_gain_constant(L: int, sigma2: float) -> float:
+    """c_L = E[ln(SINR / rho)], so that the large-power rate is (ln rho + c_L) / ln 2:
+    ln sigma^4 - 2 gamma from the exact single-element law, 2 psi(L k) + ln theta^2
+    from the Gamma fit for L >= 2."""
+    if L == 1:
+        return 2.0 * math.log(sigma2) - 2.0 * EULER_GAMMA
+    params = gamma_approx_params(sigma2)
+    return 2.0 * digamma(L * params.k) + 2.0 * math.log(params.theta)
+
+
+def _floor_se(L: int, omega: float, sigma2: float, spec: QuadratureSpec) -> float:
+    """The spectral efficiency at the interference floor rho = 1/omega."""
+    rho_floor = 1.0 / omega
+    if L == 1:
+        return se_exact_L1(rho_floor, sigma2, spec)
+    return se_gamma(L, rho_floor, gamma_approx_params(sigma2), spec)
+
+
 def asymptotic_outage(L: int, gamma_th: float, p_mw: float, omega: float,
                       nu: float, noise_mw: float, sigma2: float = 1.0) -> float:
     """Large-power outage: (log rho / rho)^L decay for nu=0, floor at rho=1/omega
     for nu=1.  The L >= 2 array-gain constant is an approximation; only the decay
     rate is contractual.  With omega = 0 the interference omega * P^nu vanishes
     for every nu, so the interference-free nu=0 law holds."""
-    if nu == 0.0 or omega == 0.0:
-        rho = p_mw / (omega + noise_mw)
-        if L == 1:
-            if rho <= 1.0:  # log(rho) / rho is not a probability below rho = 1
-                raise ValueError("asymptotic outage for L = 1 needs rho = P / (omega + N0) "
-                                 f"to exceed 1, got {rho:g}")
-            return (gamma_th / sigma2**2) * math.log(rho) / rho
-        if p_mw <= 1.0:  # the decay term below takes log(log P)
-            raise ValueError("asymptotic outage for L >= 2 needs P to exceed 0 dBm (1 mW), "
-                             f"got {p_mw:g} mW")
-        params = gamma_approx_params(sigma2)
-        a = params.k * L
-        # log domain: the gain's factors overflow double range long before
-        # the (tiny) product does
-        log_gain = ((a / 2.0) * math.log(gamma_th * (noise_mw + omega))
-                    - math.log(a) - a * math.log(params.theta)
-                    - math.lgamma(a))
-        log_decay = L * (math.log(math.log(p_mw)) - math.log(p_mw))
-        try:
-            return math.exp(log_gain + log_decay)
-        except OverflowError:
-            return math.inf
-    if nu == 1.0:
+    n_eff = _log_growth_noise(omega, nu, noise_mw)
+    if n_eff is None:
         rho_floor = 1.0 / omega
         if L == 1:
             return float(outage_exact_L1(gamma_th, rho_floor, sigma2))
         return float(outage_gamma_Lge2(L, gamma_th, rho_floor, gamma_approx_params(sigma2)))
-    raise ValueError("asymptotic outage handled for nu in {0, 1} only")
+    rho = p_mw / n_eff
+    if L == 1:
+        if rho <= 1.0:  # log(rho) / rho is not a probability below rho = 1
+            raise ValueError("asymptotic outage for L = 1 needs rho = P / (omega + N0) "
+                             f"to exceed 1, got {rho:g}")
+        return (gamma_th / sigma2**2) * math.log(rho) / rho
+    if p_mw <= 1.0:  # the decay term below takes log(log P)
+        raise ValueError("asymptotic outage for L >= 2 needs P to exceed 0 dBm (1 mW), "
+                         f"got {p_mw:g} mW")
+    params = gamma_approx_params(sigma2)
+    a = params.k * L
+    # log domain: the gain's factors overflow double range long before
+    # the (tiny) product does
+    log_gain = ((a / 2.0) * math.log(gamma_th * n_eff)
+                - math.log(a) - a * math.log(params.theta)
+                - math.lgamma(a))
+    log_decay = L * (math.log(math.log(p_mw)) - math.log(p_mw))
+    try:
+        return math.exp(log_gain + log_decay)
+    except OverflowError:
+        return math.inf
 
 
 def asymptotic_se(L: int, p_mw: float, omega: float, nu: float, noise_mw: float,
@@ -328,26 +356,17 @@ def asymptotic_se(L: int, p_mw: float, omega: float, nu: float, noise_mw: float,
                   spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Large-power spectral efficiency: log(P) growth (nu=0, or omega=0 at any
     nu) or the rho=1/omega floor (nu=1); the two-slot scheme is
-    interference-free and half rate."""
-    params = gamma_approx_params(sigma2)
-    if scheme is Scheme.TWO:
-        if L == 1:
-            return (math.log(p_mw) - math.log(noise_mw / sigma2**2)
-                    - 2.0 * EULER_GAMMA) / (2.0 * LOG2)
-        return (math.log(p_mw) + 2.0 * digamma(L * params.k)
-                - math.log(noise_mw / params.theta**2)) / (2.0 * LOG2)
-    if nu == 0.0 or omega == 0.0:
-        if L == 1:
-            return (math.log(p_mw) - math.log((omega + noise_mw) / sigma2**2)
-                    - 2.0 * EULER_GAMMA) / LOG2
-        return (math.log(p_mw) + 2.0 * digamma(L * params.k)
-                - math.log((noise_mw + omega) / params.theta**2)) / LOG2
-    if nu == 1.0:
-        rho_floor = 1.0 / omega
-        if L == 1:
-            return se_exact_L1(rho_floor, sigma2, spec)
-        return se_gamma(L, rho_floor, params, spec)
-    raise ValueError("asymptotic spectral efficiency handled for nu in {0, 1} only")
+    interference-free and half rate.  The growth law is a rate only where it
+    is positive: below that power it raises ValueError."""
+    two = scheme is Scheme.TWO
+    n_eff = _log_growth_noise(0.0 if two else omega, nu, noise_mw)
+    if n_eff is None:
+        return _floor_se(L, omega, sigma2, spec)
+    nats = math.log(p_mw) - math.log(n_eff) + _log_gain_constant(L, sigma2)
+    if nats <= 0.0:
+        raise ValueError("asymptotic spectral efficiency needs a positive log-growth "
+                         f"rate, got {nats / LOG2:g} bits/sec/Hz at P = {p_mw:g} mW")
+    return nats / LOG2 * (0.5 if two else 1.0)
 
 
 def delta_r(L1: int, L2: int, k: float) -> float:
@@ -369,24 +388,17 @@ def scheme_crossover_power(L: int, omega: float, nu: float, noise_mw: float,
                            spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Transmit power (mW) where the one-slot scheme starts to outperform the
     two-slot scheme (nu=0, or omega=0 at any nu), or the upper power bound below
-    which it still does (nu=1)."""
-    params = gamma_approx_params(sigma2)
-    sw = math.sqrt(noise_mw)
-    if nu == 0.0 or omega == 0.0:
-        if L == 1:
-            return ((omega + noise_mw) / (sw * sigma2)) ** 2 * math.exp(2.0 * EULER_GAMMA)
-        return (((omega + noise_mw) / (sw * params.theta)) ** 2
-                * math.exp(-2.0 * digamma(L * params.k)))
-    if nu == 1.0:
-        rho_floor = 1.0 / omega
-        if L == 1:
-            r_floor = se_exact_L1(rho_floor, sigma2, spec)
-            return math.exp(2.0 * LOG2 * r_floor + math.log(noise_mw / sigma2**2)
-                            + 2.0 * EULER_GAMMA)
-        r_floor = se_gamma(L, rho_floor, params, spec)
-        return math.exp(2.0 * LOG2 * r_floor + math.log(noise_mw / params.theta**2)
-                        - 2.0 * digamma(L * params.k))
-    raise ValueError("crossover power handled for nu in {0, 1} only")
+    which it still does (nu=1).
+
+    The two-slot rate is (ln P - ln N0 + c_L) / (2 ln 2).  It meets the one-slot
+    rate (ln P - ln N_eff + c_L) / ln 2 at N_eff^2 / N0 e^-c_L, and the floor
+    rate at ln P = 2 ln 2 R_floor + ln N0 - c_L."""
+    c = _log_gain_constant(L, sigma2)
+    n_eff = _log_growth_noise(omega, nu, noise_mw)
+    if n_eff is None:
+        return math.exp(2.0 * LOG2 * _floor_se(L, omega, sigma2, spec)
+                        + math.log(noise_mw) - c)
+    return n_eff**2 / noise_mw * math.exp(-c)
 
 
 # Fixed grid for E[log K_0(S)] in u = log s.  The every-other-node sum, at

@@ -33,8 +33,6 @@ from .optim import (GREEDY_GRID, RANDOMIZATION_K, SDP_TOL, OptimMethod,
                     SolverFailureError, baseline_phases, maxmin_block)
 from .svgplot import write_line_svg
 
-OUTAGE_METHODS = ("mc", "exact", "gamma", "clt", "asymptotic", "phase-error")
-SE_METHODS = ("mc", "exact", "gamma", "asymptotic", "phase-error")
 OPT_METHODS = ("sdp", "greedy", "u1", "random")
 CROSSOVER_METHODS = ("analytic", "mc")
 
@@ -217,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_x.add_argument("--method", "--methods", dest="methods", default="analytic,mc",
                      help=f"comma list from {','.join(CROSSOVER_METHODS)}")
     p_x.add_argument("--trials", type=int, default=4000)
-    p_x.add_argument("--user", default="1")
 
     p_rep = sub.add_parser("reproduce", help="bundled experiment presets")
     _add_config_flags(p_rep)
@@ -380,6 +377,42 @@ class _Column:
     user: object = 1
 
 
+# The closed-form columns: metric -> method -> law(power-free cfg, p_mw), the
+# column at each transmit power of p_mw.  Every law but the asymptotic ones
+# takes the whole rho vector in one call.  A law looks `analytic.<name>` up
+# when it is called, so a wrapper set on that module attribute sees the call.
+_LAWS = {
+    "outage": {
+        "exact": lambda cfg, p_mw: analytic.outage_exact_L1(
+            cfg.gamma_th, sweep_rho(cfg, p_mw), cfg.sigma2),
+        "gamma": lambda cfg, p_mw: analytic.outage_gamma_Lge2(
+            cfg.L, cfg.gamma_th, sweep_rho(cfg, p_mw), analytic.gamma_approx_params(cfg.sigma2)),
+        "clt": lambda cfg, p_mw: analytic.outage_clt(
+            cfg.L, cfg.gamma_th, sweep_rho(cfg, p_mw), analytic.clt_params(cfg.L, cfg.sigma2)),
+        "asymptotic": lambda cfg, p_mw: [analytic.asymptotic_outage(
+            cfg.L, cfg.gamma_th, p, cfg.omega, cfg.nu, cfg.noise_mw, cfg.sigma2) for p in p_mw],
+        "phase-error": lambda cfg, p_mw: analytic.outage_phase_error_uniform_pi(
+            cfg.L, cfg.gamma_th, sweep_rho(cfg, p_mw), cfg.sigma2),
+    },
+    "se": {
+        "exact": lambda cfg, p_mw: analytic.se_exact_L1(
+            sweep_rho(cfg, p_mw), cfg.sigma2, half_rate=cfg.scheme is Scheme.TWO),
+        "gamma": lambda cfg, p_mw: analytic.se_gamma(
+            cfg.L, sweep_rho(cfg, p_mw), analytic.gamma_approx_params(cfg.sigma2),
+            half_rate=cfg.scheme is Scheme.TWO),
+        "asymptotic": lambda cfg, p_mw: [analytic.asymptotic_se(
+            cfg.L, p, cfg.omega, cfg.nu, cfg.noise_mw, cfg.sigma2, cfg.scheme) for p in p_mw],
+        "phase-error": lambda cfg, p_mw: analytic.se_phase_error_uniform_pi(
+            cfg.L, sweep_rho(cfg, p_mw), cfg.sigma2, half_rate=cfg.scheme is Scheme.TWO),
+    },
+}
+OUTAGE_METHODS = ("mc", *_LAWS["outage"])
+SE_METHODS = ("mc", *_LAWS["se"])
+# the element counts of the closed forms not defined at every L
+_L_DOMAINS = {"exact": (lambda L: L == 1, "is the single-element law (L=1)"),
+              "gamma": (lambda L: L >= 2, "needs L >= 2")}
+
+
 def _validate_methods(spec: ExperimentSpec, allowed: tuple[str, ...]) -> None:
     if not spec.methods:
         raise SpecError("no methods requested")
@@ -389,53 +422,13 @@ def _validate_methods(spec: ExperimentSpec, allowed: tuple[str, ...]) -> None:
                             f"(allowed: {', '.join(allowed)})")
     if spec.cfg.reciprocity is Reciprocity.NON_RECIPROCAL:
         for m in spec.methods:
-            if m in ("exact", "gamma", "clt", "asymptotic", "phase-error"):
+            if any(m in laws for laws in _LAWS.values()):
                 raise SpecError(f"analytic method {m!r} applies to reciprocal channels")
     counts = spec.l_list or [spec.cfg.L]  # every L the sweep will use
     for m in spec.methods:
-        if m == "exact" and any(L != 1 for L in counts):
-            raise SpecError("method 'exact' is the single-element law (L=1)")
-        if m == "gamma" and any(L < 2 for L in counts):
-            raise SpecError("method 'gamma' needs L >= 2")
-
-
-def _metric_analytic(method: str, cfg: SystemConfig, p_mw: list[float],
-                     metric: str) -> list[float]:
-    """A closed-form column of power-free `cfg` at each transmit power of `p_mw`.
-
-    Every law but the asymptotic ones takes the whole rho vector in one call.
-    """
-    if method == "asymptotic":
-        if metric == "outage":
-            return [analytic.asymptotic_outage(cfg.L, cfg.gamma_th, p, cfg.omega, cfg.nu,
-                                               cfg.noise_mw, cfg.sigma2) for p in p_mw]
-        return [analytic.asymptotic_se(cfg.L, p, cfg.omega, cfg.nu, cfg.noise_mw,
-                                       cfg.sigma2, cfg.scheme) for p in p_mw]
-    rho = sweep_rho(cfg, p_mw)
-    half = cfg.scheme is Scheme.TWO
-    params = analytic.gamma_approx_params(cfg.sigma2)
-    if metric == "outage":
-        if method == "exact":
-            values = analytic.outage_exact_L1(cfg.gamma_th, rho, cfg.sigma2)
-        elif method == "gamma":
-            values = analytic.outage_gamma_Lge2(cfg.L, cfg.gamma_th, rho, params)
-        elif method == "clt":
-            values = analytic.outage_clt(cfg.L, cfg.gamma_th, rho,
-                                         analytic.clt_params(cfg.L, cfg.sigma2))
-        elif method == "phase-error":
-            values = analytic.outage_phase_error_uniform_pi(cfg.L, cfg.gamma_th, rho,
-                                                            cfg.sigma2)
-        else:
-            raise SpecError(f"method {method!r} not implemented for {metric}")
-    elif method == "exact":
-        values = analytic.se_exact_L1(rho, cfg.sigma2, half_rate=half)
-    elif method == "gamma":
-        values = analytic.se_gamma(cfg.L, rho, params, half_rate=half)
-    elif method == "phase-error":
-        values = analytic.se_phase_error_uniform_pi(cfg.L, rho, cfg.sigma2, half_rate=half)
-    else:
-        raise SpecError(f"method {method!r} not implemented for {metric}")
-    return np.atleast_1d(values).tolist()
+        valid, why = _L_DOMAINS.get(m, (lambda L: True, ""))
+        if not all(valid(L) for L in counts):
+            raise SpecError(f"method {m!r} {why}")
 
 
 def _power_free(col: _Column, axis: str, xs: list) -> list[SystemConfig]:
@@ -503,7 +496,7 @@ def _sweep_table(metric: str, axis: str, xs: list, columns: list[_Column],
         values, errors = [], []
         for cfg in _power_free(col, axis, xs):
             if col.method != "mc":
-                values.extend(fmt(v) for v in _metric_analytic(col.method, cfg, p_mw, metric))
+                values.extend(fmt(v) for v in _LAWS[metric][col.method](cfg, p_mw))
                 continue
             for e in reduce(cfg, p_mw, gains.take(col, cfg), col.user):
                 values.append(fmt(e.value))
@@ -516,7 +509,7 @@ def _sweep_table(metric: str, axis: str, xs: list, columns: list[_Column],
     return header, [list(row) for row in zip(*cells)]
 
 
-def run_sweep_command(spec: ExperimentSpec, metric: str) -> None:
+def run_sweep_command(spec: ExperimentSpec, metric: str) -> dict:
     _validate_methods(spec, OUTAGE_METHODS if metric == "outage" else SE_METHODS)
     policy = spec.policy or ("optimal" if spec.cfg.reciprocity is Reciprocity.RECIPROCAL
                              else "greedy")
@@ -532,11 +525,10 @@ def run_sweep_command(spec: ExperimentSpec, metric: str) -> None:
     sweep_rho(spec.cfg, [db_to_linear(p) for p in spec.p_dbm])  # a bad rho fails before any draw
     header, rows = _sweep_table(metric, axis, xs, columns,
                                 _RunGains(spec, [(axis, xs, columns)]), p_dbm)
-    write_csv(spec.out, header, rows)
-    _maybe_svg(spec, spec.out, header, rows, metric == "outage", _Y_LABELS[metric])
+    return {"": (header, rows, metric == "outage", _Y_LABELS[metric])}
 
 
-def run_optimize(spec: ExperimentSpec) -> None:
+def run_optimize(spec: ExperimentSpec) -> dict:
     _validate_methods(spec, OPT_METHODS)
     if spec.cfg.reciprocity is not Reciprocity.NON_RECIPROCAL:
         raise SpecError("optimize works on non-reciprocal channels "
@@ -583,7 +575,7 @@ def run_optimize(spec: ExperimentSpec) -> None:
         g1, g2 = rho * coherent_gain(terms, np.asarray(phases[m]))  # one call for all trials
         header.extend([f"gamma1_{m}", f"gamma2_{m}", f"min_{m}"])
         cells.extend([fmt_val(v) for v in col] for col in (g1, g2, np.minimum(g1, g2)))
-    write_csv(spec.out, header, [list(row) for row in zip(*cells)])
+    return {"": (header, [list(row) for row in zip(*cells)], False, "SINR")}
 
 
 def _crossover_dbm(cfg: SystemConfig) -> str:
@@ -593,25 +585,20 @@ def _crossover_dbm(cfg: SystemConfig) -> str:
     return f"{10.0 * math.log10(p_mw):.6f}"
 
 
-def run_crossover(spec: ExperimentSpec) -> None:
+def run_crossover(spec: ExperimentSpec) -> dict:
     if not spec.methods or any(m not in CROSSOVER_METHODS for m in spec.methods):
         raise SpecError(f"crossover methods must come from {', '.join(CROSSOVER_METHODS)}")
     if spec.cfg.reciprocity is not Reciprocity.RECIPROCAL:
         raise SpecError("the scheme-crossover comparison is defined on reciprocal channels")
+    finders = {"analytic": _crossover_dbm,
+               "mc": lambda cfg: "{:.6f}".format(mc.find_crossover(
+                   cfg, spec.p_dbm, spec.trials, spec.seed, workers=spec.workers))}
     header = ["L"] + [f"crossover_{m}_dbm" for m in spec.methods]
     rows = []
     for L in spec.l_list or [spec.cfg.L]:
         cfg = dataclasses.replace(spec.cfg, L=L)
-        row = [str(L)]
-        for m in spec.methods:
-            if m == "analytic":
-                row.append(_crossover_dbm(cfg))
-            else:
-                p_dbm = mc.find_crossover(cfg, spec.p_dbm, spec.trials, spec.seed,
-                                          spec.user, spec.workers)
-                row.append(f"{p_dbm:.6f}")
-        rows.append(row)
-    write_csv(spec.out, header, rows)
+        rows.append([str(L)] + [finders[m](cfg) for m in spec.methods])
+    return {"": (header, rows, False, "crossover power [dBm]")}
 
 
 # ---------------------------------------------------------------------------
@@ -717,24 +704,17 @@ def _preset_out(spec: ExperimentSpec, name: str) -> str:
     return f"{prefix}_{name}.csv"
 
 
-def run_reproduce(spec: ExperimentSpec) -> None:
+def run_reproduce(spec: ExperimentSpec) -> dict:
     if spec.preset == "fig2":
-        tables = _preset_fig2(spec)
-    elif spec.preset == "fig7":
-        tables = _preset_fig7(spec)
-    else:
-        panels = _power_panels(spec)[spec.preset]
-        # one collection per draw key across all of the preset's tables
-        gains = _RunGains(spec, [("p_dbm", grid, columns)
-                                 for _, grid, columns in panels.values()])
-        tables = {}
-        for name, (metric, grid, columns) in panels.items():
-            header, rows = _sweep_table(metric, "p_dbm", grid, columns, gains)
-            tables[name] = (header, rows, metric == "outage", _Y_LABELS[metric])
-    for name, (header, rows, log_y, y_label) in tables.items():
-        path = _preset_out(spec, name)
-        write_csv(path, header, rows)
-        _maybe_svg(spec, path, header, rows, log_y, y_label)
+        return _preset_fig2(spec)
+    if spec.preset == "fig7":
+        return _preset_fig7(spec)
+    panels = _power_panels(spec)[spec.preset]
+    # one collection per draw key across all of the preset's tables
+    gains = _RunGains(spec, [("p_dbm", grid, columns) for _, grid, columns in panels.values()])
+    return {name: (*_sweep_table(metric, "p_dbm", grid, columns, gains),
+                   metric == "outage", _Y_LABELS[metric])
+            for name, (metric, grid, columns) in panels.items()}
 
 
 def _check_out(spec: ExperimentSpec) -> None:
@@ -751,22 +731,23 @@ def _check_out(spec: ExperimentSpec) -> None:
         raise SpecError(f"--out {spec.out!r} is a directory")
 
 
+# Each command returns its tables, {name: (header, rows, log_y, y_label)}: the
+# name "" is --out itself, any other a file named after --out (_preset_out).
+_COMMANDS = {"outage": lambda spec: run_sweep_command(spec, "outage"),
+             "se": lambda spec: run_sweep_command(spec, "se"),
+             "optimize": run_optimize, "crossover": run_crossover, "reproduce": run_reproduce}
+
+
 def run(spec: ExperimentSpec) -> int:
     """Execute one experiment; returns a process exit code."""
     try:
         _check_out(spec)
-        if spec.command == "outage":
-            run_sweep_command(spec, "outage")
-        elif spec.command == "se":
-            run_sweep_command(spec, "se")
-        elif spec.command == "optimize":
-            run_optimize(spec)
-        elif spec.command == "crossover":
-            run_crossover(spec)
-        elif spec.command == "reproduce":
-            run_reproduce(spec)
-        else:
+        if spec.command not in _COMMANDS:
             raise SpecError(f"unknown command {spec.command!r}")
+        for name, (header, rows, log_y, y_label) in _COMMANDS[spec.command](spec).items():
+            path = _preset_out(spec, name) if name else spec.out
+            write_csv(path, header, rows)
+            _maybe_svg(spec, path, header, rows, log_y, y_label)
     except (SpecError, ValueError) as exc:
         print(f"ris2way: invalid spec: {exc}", file=sys.stderr)
         return 2

@@ -318,10 +318,11 @@ def se_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains, user=1) -> list[Mc
 
 
 def find_crossover(cfg: SystemConfig, p_dbm_grid, trials: int = 10**3, seed: int = 0,
-                   user=1, workers: int = 1) -> float:
+                   workers: int = 1) -> float:
     """Power (dBm) on a reciprocal channel where the one-slot scheme's spectral
     efficiency overtakes the two-slot scheme's, refined by bisection to
-    _CROSSOVER_TOL_DB under common random numbers."""
+    _CROSSOVER_TOL_DB under common random numbers.  Both users' gains are one
+    array on a reciprocal channel, so the rates compared are user 1's."""
     grid = np.asarray(list(p_dbm_grid), dtype=float)
     if grid.size < 2:
         raise ValueError("need at least two grid points")
@@ -331,8 +332,8 @@ def find_crossover(cfg: SystemConfig, p_dbm_grid, trials: int = 10**3, seed: int
 
     def diffs(p_dbm) -> list[float]:
         p_mw = [10.0 ** (p / 10.0) for p in p_dbm]
-        return [a.value - b.value for a, b in zip(se_from_gains(one, p_mw, gains, user),
-                                                  se_from_gains(two, p_mw, gains, user))]
+        return [a.value - b.value for a, b in zip(se_from_gains(one, p_mw, gains),
+                                                  se_from_gains(two, p_mw, gains))]
 
     values = diffs(grid)
     for i in range(len(grid) - 1):

@@ -328,6 +328,16 @@ def test_asymptotic_se_reference_value():
     assert abs(an.asymptotic_se(1, 1e6, 1e-4, 0.0, 1e-7) - quad) < 0.05
 
 
+@pytest.mark.parametrize("scheme", [Scheme.ONE, Scheme.TWO])
+def test_asymptotic_se_domain(scheme):
+    # the log-growth law is no rate where it is <= 0; the nu = 1 floor is one at any P
+    for p_mw in (1e-11, 1e-8):
+        with pytest.raises(ValueError, match=f"at P = {p_mw:g} mW"):
+            an.asymptotic_se(1, p_mw, 1e-4, 0.0, 1e-7, scheme=scheme)
+    assert an.asymptotic_se(4, 1e3, 1e-4, 0.0, 1e-7, scheme=scheme) > 0
+    assert an.asymptotic_se(1, 1e-11, 1e-4, 1.0, 1e-7) == an.se_exact_L1(1e4)
+
+
 def test_asymptotic_se_floor_equals_quadrature_floor():
     p = an.gamma_approx_params(1.0)
     assert (an.asymptotic_se(4, 1e5, 1e-4, 1.0, 1e-7)

@@ -518,6 +518,50 @@ def test_svg_skipped_when_nothing_plottable(tmp_path):
     assert not (tmp_path / "o.svg").exists()
 
 
+@pytest.mark.parametrize("argv, y_label", [
+    (["optimize", "--L", "4", "--reciprocity", "non-reciprocal", "--methods", "greedy,u1",
+      "--trials", "5"], "SINR"),
+    (["crossover", "--l-list", "1,2,4", "--methods", "analytic"], "crossover power [dBm]"),
+])
+def test_svg_next_to_optimize_and_crossover_csv(tmp_path, argv, y_label):
+    plain, plotted = tmp_path / "plain.csv", tmp_path / "plot.csv"
+    assert run_cli(argv + ["--out", str(plain)]) == 0
+    assert run_cli(argv + ["--svg", "--out", str(plotted)]) == 0
+    assert plotted.read_bytes() == plain.read_bytes()
+    assert not (tmp_path / "plain.svg").exists()
+    text = (tmp_path / "plot.svg").read_text()
+    assert text.startswith("<svg") and f">{y_label}</text>" in text
+
+
+def test_svg_skipped_for_a_single_row(tmp_path):
+    out = tmp_path / "x.csv"
+    assert run_cli(["crossover", "--L", "2", "--methods", "analytic", "--svg",
+                    "--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) == 1
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_crossover_has_no_user_flag(tmp_path, capsys):
+    # both users' gains are one array on the reciprocal channels crossover takes
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["crossover", "--methods", "analytic", "--user", "2",
+                 "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --user 2" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("scheme", ["one", "two"])
+def test_asymptotic_se_needs_positive_growth_rate(tmp_path, capsys, scheme):
+    out = tmp_path / "x.csv"
+    rc = run_cli(["se", "--L", "1", "--methods", "asymptotic,exact", "--p-dbm", "-80:10:30",
+                  "--scheme", scheme, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and "positive log-growth rate" in err and "P = 1e-08 mW" in err
+    assert not out.exists()
+
+
 def test_asymptotic_outage_single_element_needs_rho_above_one(tmp_path, capsys):
     rc = run_cli(["outage", "--L", "1", "--methods", "asymptotic", "--p-dbm", "-50:-40:5",
                   "--out", str(tmp_path / "x.csv")])
@@ -683,7 +727,9 @@ def test_benchmark_tracer_installs(tmp_path):
     `collect_gains`'s trials and workers by parameter name; deleting or
     renaming one must fail here, not when the benchmark starts.  The sweep's
     blocks are drawn in several row chunks, which together draw exactly the
-    4*L normals per trial of one whole-block draw."""
+    4*L normals per trial of one whole-block draw.  A closed-form column must
+    look its law up on the `analytic` module when called: a function object
+    bound at import escapes the wrapper, and `se_gamma` would read 0 calls."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(os.path.join(root, d) for d in ("src", "perfbench"))
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
@@ -693,7 +739,11 @@ def test_benchmark_tracer_installs(tmp_path):
             "'0:10:5', '--trials', '300', '--out', sys.argv[1]]) == 0; "
             "m = tracer.summary()['metrics']; "
             "assert (m['mc.trials'], m['mc.reduce.calls']) == (300, 1), m; "
-            "assert m['channel.normals'] == 4 * 64 * 300, m")
+            "assert m['channel.normals'] == 4 * 64 * 300, m; "
+            "assert cli.main(['se', '--L', '4', '--methods', 'gamma', '--p-dbm', "
+            "'0:10:5', '--out', sys.argv[1]]) == 0; "
+            "m = tracer.summary()['metrics']; "
+            "assert m['analytic.se_gamma.calls'] == 1, m")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o.csv")], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

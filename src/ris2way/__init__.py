@@ -16,8 +16,8 @@ from .mc import (McEstimate, NoCrossoverError, collect_gains, find_crossover,
 from .numerics import (NonConvergenceError, QuadratureSpec, digamma, erf,
                        regularized_gamma_p)
 from .optim import (MaxMinResult, OptimMethod, SolverFailureError,
-                    baseline_phases, build_quadratic_forms,
-                    gaussian_randomization, greedy_iterative,
-                    optimal_phase_reciprocal, sdp_maxmin, solve_maxmin)
+                    build_quadratic_forms, gaussian_randomization,
+                    greedy_iterative, optimal_phase_reciprocal, sdp_maxmin,
+                    solve_maxmin)
 
 __version__ = "0.1.0"

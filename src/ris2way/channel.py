@@ -220,24 +220,19 @@ def sample_phase_errors(model: Optional[PhaseErrorModel], rng: np.random.Generat
     return rng.vonmises(model.mu, model.kappa, size=shape)
 
 
-def scalar_square(x: np.ndarray) -> np.ndarray:
-    """x ** 2 elementwise, rounded as float scalar squares (C pow): np.square
-    differs in the last bit on about 0.1% of values."""
-    return np.array([v ** 2 for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-
-
 def coherent_gain(terms: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """|sum_l terms_l * e^{j phi_l}|^2, batched over leading axes of `terms`.
 
     Each row of a stack gets the bits of its own one-row call: rot is a
     variable, not a temporary numpy may reuse by reversing the (not bitwise
-    commutative) complex product's operands, and the square is a scalar's.
+    commutative) complex product's operands, and the square is np.square,
+    correctly rounded for one row and for a stack alike.
     """
     if terms.shape[-1] != np.shape(phases)[-1]:
         raise ValueError(f"phase vector length {np.shape(phases)[-1]} does not match "
                          f"element count {terms.shape[-1]}")
     rot = np.exp(1j * np.asarray(phases))
-    return scalar_square(np.abs(np.sum(terms * rot, axis=-1)))[()]
+    return np.square(np.abs(np.sum(terms * rot, axis=-1)))[()]
 
 
 def sinr_reciprocal(ch: ReciprocalChannel, phases: np.ndarray, rho: float) -> float:

@@ -24,13 +24,11 @@ from typing import Optional
 import numpy as np
 
 from . import analytic, mc
-from . import rng as rngmod
 from .channel import (Reciprocity, Scheme, SystemConfig, UniformPhaseError,
-                      VonMisesPhaseError, coherent_gain, sample_channels, sweep_rho)
+                      VonMisesPhaseError, sweep_rho)
 from .mc import NoCrossoverError
 from .numerics import NonConvergenceError, regularized_gamma_q
-from .optim import (GREEDY_GRID, RANDOMIZATION_K, SDP_TOL, OptimMethod,
-                    SolverFailureError, baseline_phases, maxmin_block)
+from .optim import GREEDY_GRID, RANDOMIZATION_K, SDP_TOL, SolverFailureError
 from .svgplot import write_line_svg
 
 OPT_METHODS = ("sdp", "greedy", "u1", "random")
@@ -546,33 +544,20 @@ def run_optimize(spec: ExperimentSpec) -> dict:
     if spec.greedy_grid < 2:
         raise SpecError(f"--greedy-grid: the grid needs at least 2 angles, "
                         f"got {spec.greedy_grid}")
+    if spec.cfg.scheme is Scheme.TWO:
+        raise SpecError("optimize designs the one-slot scheme's shared phases; the "
+                        "two-slot scheme co-phases each slot (see se --scheme two)")
     rho = float(sweep_rho(spec.cfg, [db_to_linear(spec.p_dbm[0])])[0])
-    chans = [sample_channels(spec.cfg, rngmod.trial_generator(spec.seed, rngmod.STREAM_CHANNEL, t))
-             for t in range(spec.trials)]
-    terms = np.array([[ch.h_r * ch.g_t for ch in chans], [ch.g_r * ch.h_t for ch in chans]])
-    # the baselines per trial; each max-min method on every trial in one stacked call
-    phases, bounds = {}, {}
-    for m in spec.methods:
-        method = OptimMethod(m)
-        if m in ("u1", "random"):
-            phases[m] = [baseline_phases(ch, method, rngmod.trial_generator(
-                spec.seed, rngmod.STREAM_BASELINE, t)) for t, ch in enumerate(chans)]
-            continue
-        rngs = ([rngmod.trial_generator(spec.seed, rngmod.STREAM_OPTIM, t)
-                 for t in range(spec.trials)] if m == "sdp" else None)
-        try:
-            phases[m], bounds[m] = maxmin_block(terms[0], terms[1], rho, method, rngs,
-                                                grid=spec.greedy_grid, tol=spec.sdp_tol,
-                                                k=spec.randomization_k)
-        except SolverFailureError as exc:  # a stack row is a trial
-            raise SolverFailureError(f"trial {exc.instance}: {exc}") from exc
-
+    # trial t is trial t of each method's Monte Carlo collection, solved at rho = 1
+    gains = {m: mc.collect_gains([spec.cfg], m, spec.trials, spec.seed, spec.workers,
+                                 grid=spec.greedy_grid, tol=spec.sdp_tol,
+                                 k=spec.randomization_k)[0] for m in spec.methods}
     header, cells = ["trial"], [[str(t) for t in range(spec.trials)]]
     if "sdp" in spec.methods:
         header.append("t_star")
-        cells.append([fmt_val(t) for t in bounds["sdp"]])
+        cells.append([fmt_val(t) for t in rho * gains["sdp"].t_star])
     for m in spec.methods:
-        g1, g2 = rho * coherent_gain(terms, np.asarray(phases[m]))  # one call for all trials
+        g1, g2 = rho * gains[m].g1, rho * gains[m].g2
         header.extend([f"gamma1_{m}", f"gamma2_{m}", f"min_{m}"])
         cells.extend([fmt_val(v) for v in col] for col in (g1, g2, np.minimum(g1, g2)))
     return {"": (header, [list(row) for row in zip(*cells)], False, "SINR")}

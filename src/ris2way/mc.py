@@ -21,8 +21,9 @@ sigma2, the trial count and the phase-error model, so configs differing in
 scheme, nu, omega, gamma_th, noise or jitter width share one channel draw per
 block, and `collect_gains` collects such a group in one pass (common random
 numbers across schemes, nu and delta).  A non-reciprocal gain also reads the
-scheme and the policy, and nothing else: max-min phases are solved at
-rho = 1, valid at every sweep point, with `optim`'s defaults.
+scheme, the policy and `collect_gains`'s max-min solver settings (`optim`'s
+defaults unless given): max-min phases are solved at rho = 1, valid at every
+sweep point.  The u1 and random baselines live here.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +41,8 @@ from . import rng as rngmod
 from .channel import (PhaseErrorModel, Reciprocity, Scheme, SystemConfig,
                       UniformPhaseError, VonMisesPhaseError, coherent_gain,
                       sample_channel_block, sample_phase_errors, sweep_rho)
-from .optim import OptimMethod, SolverFailureError, maxmin_block
+from .optim import (GREEDY_GRID, RANDOMIZATION_K, SDP_TOL, OptimMethod,
+                    SolverFailureError, maxmin_block)
 
 
 class NoCrossoverError(RuntimeError):
@@ -59,10 +62,13 @@ _CROSSOVER_TOL_DB = 0.01
 
 @dataclass(frozen=True)
 class TrialGains:
-    """Power-independent per-trial channel gains g_p: gamma_p = rho_p * g_p."""
+    """Power-independent per-trial channel gains g_p: gamma_p = rho_p * g_p, and
+    on a non-reciprocal channel the sdp policy's relaxation bounds t* at rho = 1
+    (NaN under other policies)."""
 
     g1: np.ndarray
     g2: np.ndarray
+    t_star: Optional[np.ndarray] = None
 
 
 # the most standard normals one chunk of a gain block draws (256 KB): a block
@@ -122,43 +128,39 @@ def _reciprocal_gain_block(cfg: SystemConfig, models: tuple[PhaseErrorModel | No
 
 
 def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: int,
-                              count: int) -> np.ndarray:
-    """The rows (g1, g2) of one block.
+                              count: int, settings: dict) -> np.ndarray:
+    """The rows (g1, g2, t*) of one block; t* is NaN but under the sdp policy.
 
     Fixed-phase policies reduce each channel chunk as it is drawn; the max-min
-    policies gather the block's terms and solve them in one `maxmin_block` call.
+    policies gather the block's terms and solve them in one `maxmin_block` call
+    with the solver `settings` (its grid, tol and k), every trial at rho = 1.
+    That is valid at every sweep power: both users send at it and share its
+    rho, and scaling both SINRs by one rho does not move the argmax.
     """
+    out = np.full((3, count), np.nan)
     if cfg.scheme is Scheme.ONE and policy in ("greedy", "sdp"):
         terms = np.empty((2, count, cfg.L), dtype=complex)
         for rows, ch in _channel_chunks(cfg, seed, block, count):
             terms[0, rows] = ch.h_r * ch.g_t
             terms[1, rows] = ch.g_r * ch.h_t
-        return _maxmin_gains(policy, seed, block, terms)
+        first = block * rngmod.BLOCK_SIZE
+        rngs = None
+        if policy == "sdp":
+            rngs = [rngmod.trial_generator(seed, rngmod.STREAM_OPTIM, first + i)
+                    for i in range(count)]
+        method = OptimMethod.GREEDY_ITERATIVE if policy == "greedy" else OptimMethod.SDP_RELAX
+        try:
+            phases, out[2] = maxmin_block(terms[0], terms[1], 1.0, method, rngs, **settings)
+        except SolverFailureError as exc:
+            raise SolverFailureError(f"trial {first + exc.instance}: {exc}") from exc
+        out[:2] = coherent_gain(terms, phases)
+        return out
     brng = None
     if cfg.scheme is Scheme.ONE and policy == "random":
         brng = rngmod.block_generator(seed, rngmod.STREAM_BASELINE, block)
-    out = np.empty((2, count))
     for rows, ch in _channel_chunks(cfg, seed, block, count):
-        out[:, rows] = _fixed_phase_gains(cfg, policy, ch.h_r * ch.g_t, ch.g_r * ch.h_t, brng)
+        out[:2, rows] = _fixed_phase_gains(cfg, policy, ch.h_r * ch.g_t, ch.g_r * ch.h_t, brng)
     return out
-
-
-def _maxmin_gains(policy: str, seed: int, block: int, terms: np.ndarray) -> np.ndarray:
-    """(g1, g2) of a block's (2, count, L) terms under max-min phases of every
-    trial at rho = 1, valid at every sweep power: both users send at it and
-    share its rho, and scaling both SINRs by one rho does not move the argmax."""
-    count = terms.shape[1]
-    first = block * rngmod.BLOCK_SIZE
-    rngs = None
-    if policy == "sdp":
-        rngs = [rngmod.trial_generator(seed, rngmod.STREAM_OPTIM, first + i)
-                for i in range(count)]
-    method = OptimMethod.GREEDY_ITERATIVE if policy == "greedy" else OptimMethod.SDP_RELAX
-    try:
-        phases, _ = maxmin_block(terms[0], terms[1], 1.0, method, rngs)
-    except SolverFailureError as exc:
-        raise SolverFailureError(f"trial {first + exc.instance}: {exc}") from exc
-    return coherent_gain(terms, phases)
 
 
 def _fixed_phase_gains(cfg: SystemConfig, policy: str, z1: np.ndarray, z2: np.ndarray,
@@ -168,20 +170,16 @@ def _fixed_phase_gains(cfg: SystemConfig, policy: str, z1: np.ndarray, z2: np.nd
         # each slot gets its own co-phasing, independent of the policy
         return np.sum(np.abs(z1), axis=1) ** 2, np.sum(np.abs(z2), axis=1) ** 2
     if policy == "u1":
-        # rot is a variable, not a temporary numpy may reuse by reversing this
-        # product's (not bitwise commutative) operands: a trial's gains are
-        # the same bits in a block of any size
-        rot = np.exp(-1j * np.angle(z1))
-        return np.sum(np.abs(z1), axis=1) ** 2, np.abs(np.sum(z2 * rot, axis=1)) ** 2
-    rot = np.exp(1j * brng.uniform(0.0, 2.0 * math.pi, size=z1.shape))
-    return np.abs(np.sum(z1 * rot, axis=1)) ** 2, np.abs(np.sum(z2 * rot, axis=1)) ** 2
+        return np.sum(np.abs(z1), axis=1) ** 2, coherent_gain(z2, -np.angle(z1))
+    # one stacked call forms the rotations once for both users
+    return coherent_gain(np.stack((z1, z2)), brng.uniform(0.0, 2.0 * math.pi, size=z1.shape))
 
 
 def _gain_block_task(args):
-    cfg, variants, policy, seed, block, count = args
+    cfg, variants, policy, seed, block, count, settings = args
     if cfg.reciprocity is Reciprocity.RECIPROCAL:
         return _reciprocal_gain_block(cfg, variants, seed, block, count)
-    return _nonreciprocal_gain_block(cfg, policy, seed, block, count)
+    return _nonreciprocal_gain_block(cfg, policy, seed, block, count, settings)
 
 
 def draw_key(cfg: SystemConfig, policy: str, trials: int) -> tuple:
@@ -197,12 +195,14 @@ def draw_key(cfg: SystemConfig, policy: str, trials: int) -> tuple:
 
 
 def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
-                  workers: int = 1) -> list[TrialGains]:
+                  workers: int = 1, *, grid: int = GREEDY_GRID, tol: float = SDP_TOL,
+                  k: int = RANDOMIZATION_K) -> list[TrialGains]:
     """Per-trial gains of each config in `cfgs`, identical for any worker count.
 
     The configs must share one `draw_key`.  Each block's channel is drawn once
     for the whole group, so every config gets exactly the gains it would get
-    on its own.
+    on its own.  `grid`, `tol` and `k` are the max-min solver settings of
+    `optim.maxmin_block`; no other policy reads them.
     """
     if not cfgs:
         raise ValueError("need at least one config")
@@ -223,11 +223,12 @@ def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
     if not reciprocal and any(c.phase_error is not None for c in cfgs):
         raise ValueError("the phase-error model applies to reciprocal channels")
     # a reciprocal block has one gain row per distinct phase-error model,
-    # a non-reciprocal one the rows g1 and g2
+    # a non-reciprocal one the rows g1, g2 and t*
     variants = tuple(dict.fromkeys(c.phase_error for c in cfgs))
-    tasks = [(cfg, variants, policy, seed, block, count)
+    settings = {"grid": grid, "tol": tol, "k": k}
+    tasks = [(cfg, variants, policy, seed, block, count, settings)
              for block, count in rngmod.iter_blocks(trials)]
-    rows = np.empty((len(variants) if reciprocal else 2, trials))
+    rows = np.empty((len(variants) if reciprocal else 3, trials))
     # the fork context starts every worker up front, so start no idle ones, and
     # none beyond the CPUs: on one CPU a pool only adds its start-up and pickling
     size = min(workers, len(tasks), _usable_cpus())
@@ -237,7 +238,7 @@ def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
         with ProcessPoolExecutor(max_workers=size) as pool:
             _fill_blocks(rows, pool.map(_gain_block_task, tasks, chunksize=1))
     if not reciprocal:
-        return [TrialGains(rows[0], rows[1]) for _ in cfgs]
+        return [TrialGains(*rows) for _ in cfgs]
     by_model = dict(zip(variants, rows))
     return [TrialGains(by_model[c.phase_error], by_model[c.phase_error]) for c in cfgs]
 

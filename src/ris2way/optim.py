@@ -22,7 +22,8 @@ search is the low-complexity alternative.
 
 Both solvers run on stacks of instances, and `maxmin_block` is the one
 driver of the design pipeline: it solves the m instances of a Monte Carlo
-block, or every trial of the optimize command, together.  One barrier
+block together (the optimize command reads its trials from those blocks;
+the u1 and random baselines live in `mc`).  One barrier
 iteration, or one greedy element update, serves every row at once, and each
 row keeps its own step length, barrier parameter and stopping state.  Rows
 are solved in sub-batches of at most _STACK_ELEMENTS elements per stacked
@@ -39,8 +40,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import (NonReciprocalChannel, ReciprocalChannel, scalar_square,
-                      sinr_nonreciprocal, wrap_phases)
+from .channel import (NonReciprocalChannel, ReciprocalChannel, sinr_nonreciprocal,
+                      wrap_phases)
 
 # elements of the largest stacked array of a sub-batch: the (rows, 2, 2L, 2L)
 # form pairs of the relaxation, the (rows, 2, grid) candidates of the greedy
@@ -68,8 +69,6 @@ class SolverFailureError(RuntimeError):
 class OptimMethod(enum.Enum):
     SDP_RELAX = "sdp"
     GREEDY_ITERATIVE = "greedy"
-    U1_PHASE = "u1"
-    RANDOM = "random"
 
 
 @dataclass
@@ -549,9 +548,11 @@ def gaussian_randomization(a_star: np.ndarray, forms: tuple[np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 
 def _scalar_cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise for complex arrays, rounded as a complex scalar
-    product: numpy's array multiply fuses into multiply-adds and differs in
-    the last bit."""
+    """a * b elementwise for complex arrays, by the textbook formula that
+    Python and numpy complex scalars use.  numpy's array multiply rounds
+    otherwise (in the last bit of about 44% of products on an AVX-512 host,
+    for arrays of any length or stride), and the one-instance search this
+    must follow multiplies scalars."""
     out = np.empty(np.broadcast(a, b).shape, dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
@@ -563,11 +564,10 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, rho: float, k: int):
 
     Returns the (m, L) phases, each row's sweep count and, per sweep, the
     (m,) objectives after it (a row that stopped keeps its last value).  Rows
-    that converge leave the active set after each sweep.  The running sums,
-    their terms z_l e^{j phi_l} and the starting objective are rounded as
-    scalar arithmetic rounds them, and the candidates as the array
-    expression |b + z_l grid|^2, so each row follows the one-instance search
-    bit for bit.
+    that converge leave the active set after each sweep.  The terms
+    z_l e^{j phi_l} are rounded as scalar arithmetic rounds them, the running
+    sums' magnitudes by hypot, and the candidates as the array expression
+    |b + z_l grid|^2, so each row follows the one-instance search bit for bit.
     """
     m, L = z1.shape
     grid = np.exp(1j * 2.0 * math.pi * np.arange(k) / k)  # grid[0] == 1
@@ -575,7 +575,7 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, rho: float, k: int):
     index = np.zeros((m, L), dtype=int)  # each element's phase is grid[index]
     terms = _scalar_cmul(z, grid[0])
     sums = np.sum(z * grid[0], axis=2)
-    obj = np.min(rho * scalar_square(np.hypot(sums.real, sums.imag)), axis=1)
+    obj = np.min(rho * np.square(np.hypot(sums.real, sums.imag)), axis=1)
     sweeps = np.zeros(m, dtype=int)
     history = []
     live = np.arange(m)
@@ -676,30 +676,13 @@ def maxmin_block(z1: np.ndarray, z2: np.ndarray, rho: float, method: OptimMethod
     return phases, t_star
 
 
-def baseline_phases(ch: NonReciprocalChannel, kind: OptimMethod,
-                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Reference policies: co-phase for user 1, or uniform random phases."""
-    if kind is OptimMethod.U1_PHASE:
-        return wrap_phases(-np.angle(ch.h_r * ch.g_t))
-    if kind is OptimMethod.RANDOM:
-        if rng is None:
-            raise ValueError("random baseline needs an RNG")
-        return rng.uniform(0.0, 2.0 * math.pi, size=ch.L)
-    raise ValueError(f"not a baseline: {kind}")
-
-
 def solve_maxmin(ch: NonReciprocalChannel, rho: float,
                  method: OptimMethod = OptimMethod.SDP_RELAX,
                  rng: Optional[np.random.Generator] = None) -> MaxMinResult:
-    """Phases of one instance: `baseline_phases` for the baselines, a one-row
-    `maxmin_block` at its default settings for SDP_RELAX (with the relaxation
-    bound in `t_star`) and GREEDY_ITERATIVE."""
-    if method in (OptimMethod.U1_PHASE, OptimMethod.RANDOM):
-        phases, t_star = baseline_phases(ch, method, rng), None
-    else:
-        rows, bounds = maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], rho,
-                                    method, None if rng is None else [rng])
-        phases = rows[0]
-        t_star = float(bounds[0]) if method is OptimMethod.SDP_RELAX else None
-    return MaxMinResult(phases=phases, achieved=sinr_nonreciprocal(ch, phases, rho),
+    """Phases of one instance: a one-row `maxmin_block` at its default
+    settings, with the relaxation bound in `t_star` for SDP_RELAX."""
+    rows, bounds = maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], rho,
+                                method, None if rng is None else [rng])
+    t_star = float(bounds[0]) if method is OptimMethod.SDP_RELAX else None
+    return MaxMinResult(phases=rows[0], achieved=sinr_nonreciprocal(ch, rows[0], rho),
                         method=method, t_star=t_star)

@@ -295,8 +295,9 @@ def test_dimension_mismatch_raises():
 @pytest.mark.parametrize("n, L", [(20000, 8), (3000, 64)])
 def test_coherent_gain_rows_equal_one_row_calls(n, L):
     # above 256 KB numpy reuses an exp temporary by reversing the complex
-    # product's operands, and squares an array as np.square: the kernel
-    # avoids both, so a stack's rows are the bits of their own calls
+    # product's operands: the kernel avoids that, and squares a row and a
+    # stack alike with np.square, so a stack's rows are the bits of their own
+    # calls
     rng = np.random.default_rng(14)
     terms = rng.standard_normal((n, L)) + 1j * rng.standard_normal((n, L))
     phases = rng.uniform(0.0, 2.0 * math.pi, (n, L))

@@ -10,12 +10,13 @@ import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
-from ris2way import channel, cli, optim
+from ris2way import channel, cli, mc, optim
 from ris2way import rng as rngmod
-from ris2way.channel import (UniformPhaseError, VonMisesPhaseError, sample_channels,
-                             sinr_nonreciprocal, sweep_rho)
+from ris2way.channel import (NonReciprocalChannel, UniformPhaseError, VonMisesPhaseError,
+                             sample_channel_block, sinr_nonreciprocal, sweep_rho)
 from ris2way.cli import (main, parse_args, parse_phase_error, parse_sweep,
                          spec_from_args)
 
@@ -147,10 +148,12 @@ def test_optimize_respects_relaxation_bound(tmp_path):
 
 def test_optimize_flags_reach_the_stacked_solvers(tmp_path):
     """Every cell at non-default settings equals the one-instance reference at
-    those settings: the greedy search on 90 angles, the joint-path relaxation
-    at tol 1e-3 rounded from 7 samples of the trial's STREAM_OPTIM generator,
-    and the baselines; each SINR is its trial's one-row `sinr_nonreciprocal`
-    at the sweep's rho."""
+    those settings on Monte Carlo trial t, row t of block 0: the greedy search
+    on 90 angles, the joint-path relaxation at tol 1e-3 rounded from 7 samples
+    of the trial's STREAM_OPTIM generator, both at rho = 1, and the baselines,
+    random from the block's STREAM_BASELINE generator; each SINR is its
+    trial's one-row `sinr_nonreciprocal` at the sweep's rho, and t_star is
+    rho times the bound at rho = 1."""
     out = tmp_path / "opt.csv"
     argv = ["optimize", "--L", "4", "--reciprocity", "non-reciprocal", "--seed", "3",
             "--methods", "sdp,greedy,u1,random", "--trials", "4", "--greedy-grid", "90",
@@ -163,20 +166,58 @@ def test_optimize_flags_reach_the_stacked_solvers(tmp_path):
     cfg = spec.cfg
     rho = float(sweep_rho(cfg, [cli.db_to_linear(spec.p_dbm[0])])[0])
     assert rho != 1.0
+    block = sample_channel_block(cfg, rngmod.block_generator(3, rngmod.STREAM_CHANNEL, 0), 4)
+    randoms = rngmod.block_generator(3, rngmod.STREAM_BASELINE, 0).uniform(
+        0.0, 2.0 * math.pi, size=(4, cfg.L))
     for t, row in enumerate(rows):
-        ch = sample_channels(cfg, rngmod.trial_generator(3, rngmod.STREAM_CHANNEL, t))
-        forms = optim.build_quadratic_forms(ch, rho)
+        ch = NonReciprocalChannel(block.h_t[t], block.h_r[t], block.g_t[t], block.g_r[t])
+        forms = optim.build_quadratic_forms(ch, 1.0)
         sol = optim.sdp_maxmin(forms, tol=1e-3, method="joint")
         sdp, _ = optim.gaussian_randomization(
             sol.a_star, forms, 7, rngmod.trial_generator(3, rngmod.STREAM_OPTIM, t))
-        expected = [str(t), cli.fmt_val(sol.t_star)]
-        u1 = optim.baseline_phases(ch, optim.OptimMethod.U1_PHASE)
-        random = optim.baseline_phases(ch, optim.OptimMethod.RANDOM,
-                                       rngmod.trial_generator(3, rngmod.STREAM_BASELINE, t))
-        for phases in (sdp, optim.greedy_iterative(ch, rho, k=90).phases, u1, random):
+        expected = [str(t), cli.fmt_val(rho * sol.t_star)]
+        u1 = -np.angle(ch.h_r * ch.g_t)
+        for phases in (sdp, optim.greedy_iterative(ch, 1.0, k=90).phases, u1, randoms[t]):
             g1, g2 = sinr_nonreciprocal(ch, phases, rho)
             expected += [cli.fmt_val(g1), cli.fmt_val(g2), cli.fmt_val(min(g1, g2))]
         assert row == expected
+
+
+def test_optimize_rows_are_monte_carlo_trials(tmp_path):
+    """optimize's row t is trial t of `mc.collect_gains` at the same seed and
+    solver settings: gamma_p = rho * g_p under every policy, min_p their
+    minimum, and t_star = rho * t*, the relaxation bound at rho = 1."""
+    out = tmp_path / "opt.csv"
+    argv = ["optimize", "--L", "3", "--reciprocity", "non-reciprocal", "--seed", "9",
+            "--methods", "sdp,greedy,u1,random", "--trials", "6", "--greedy-grid", "120",
+            "--sdp-tol", "1e-3", "--randomization-k", "11", "--p-dbm", "15:15:1",
+            "--nu", "0.5", "--out", str(out)]
+    assert run_cli(argv) == 0
+    header, rows = read_csv(out)
+    spec = spec_from_args(parse_args(argv))
+    rho = float(sweep_rho(spec.cfg, [cli.db_to_linear(15.0)])[0])
+    assert rho != 1.0
+    names, cells = ["trial", "t_star"], [[str(t) for t in range(6)], None]
+    for m in spec.methods:
+        [g] = mc.collect_gains([spec.cfg], m, 6, 9, grid=120, tol=1e-3, k=11)
+        if m == "sdp":
+            cells[1] = [cli.fmt_val(t) for t in rho * g.t_star]
+        else:
+            assert np.isnan(g.t_star).all()
+        g1, g2 = rho * g.g1, rho * g.g2
+        names += [f"gamma1_{m}", f"gamma2_{m}", f"min_{m}"]
+        cells += [[cli.fmt_val(v) for v in col] for col in (g1, g2, np.minimum(g1, g2))]
+    assert header == names
+    assert rows == [list(row) for row in zip(*cells)]
+
+
+def test_optimize_bytes_do_not_depend_on_workers(tmp_path):
+    """4100 trials are two Monte Carlo blocks, so two workers run them in a pool."""
+    argv = ["optimize", "--L", "2", "--reciprocity", "non-reciprocal",
+            "--methods", "greedy,u1,random", "--trials", "4100"]
+    for w in ("1", "2"):
+        assert run_cli(argv + ["--workers", w, "--out", str(tmp_path / f"w{w}.csv")]) == 0
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
 
 def test_element_sweep(tmp_path):
@@ -308,12 +349,14 @@ def test_db_overflow_exit_code(tmp_path, capsys, argv, flag):
     (["--methods", "greedy", "--randomization-k", "-5"], "--randomization-k: need at least one"),
     (["--methods", "sdp", "--randomization-k", "0"], "--randomization-k: need at least one"),
     (["--greedy-grid", "1"], "--greedy-grid: the grid needs at least 2 angles"),
+    # the two-slot scheme co-phases each slot: there are no shared phases to design
+    (["--scheme", "two"], "optimize designs the one-slot scheme's shared phases"),
 ])
 def test_bad_optimize_input_exit_code(tmp_path, capsys, monkeypatch, flags, reason):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a channel before checking the flags")
 
-    monkeypatch.setattr(cli, "sample_channels", no_draw)
+    monkeypatch.setattr(cli.mc, "collect_gains", no_draw)
     out = tmp_path / "x.csv"
     argv = ["optimize", "--L", "2", "--reciprocity", "non-reciprocal",
             "--methods", "sdp", "--trials", "2"]
@@ -334,7 +377,6 @@ def test_non_finite_rho_exit_code(tmp_path, capsys, monkeypatch, argv):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a channel before checking rho")
 
-    monkeypatch.setattr(cli, "sample_channels", no_draw)
     monkeypatch.setattr(cli.mc, "collect_gains", no_draw)
     out = tmp_path / "x.csv"
     flags = ["--noise-dbm=-3200", "--omega", "0", "--p-dbm", "0:0:1", "--out", str(out)]
@@ -361,7 +403,7 @@ def test_optimize_solver_failure_names_the_trial(tmp_path, capsys, monkeypatch):
     def fail(z1, z2, budget, method, rngs=None, **kwargs):
         raise optim.SolverFailureError("interior point stalled", 2)
 
-    monkeypatch.setattr(cli, "maxmin_block", fail)
+    monkeypatch.setattr(cli.mc, "maxmin_block", fail)
     out = tmp_path / "x.csv"
     argv = ["optimize", "--L", "2", "--reciprocity", "non-reciprocal", "--trials", "5",
             "--out", str(out)]

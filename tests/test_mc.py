@@ -259,17 +259,18 @@ def test_chunked_gain_block_equals_whole_block_draw(L):
         # u1's rotation is held in a variable, so every term is z2 * rot, the
         # product of that trial alone in a block of any size
         rot_u1 = np.exp(-1j * np.angle(z1))
+        no_bound = np.full(count, np.nan)  # the t* row of a fixed-phase policy
         expected = {
-            "u1": [cophased[0], np.abs(np.sum(z2 * rot_u1, axis=1)) ** 2],
+            "u1": [cophased[0], np.abs(np.sum(z2 * rot_u1, axis=1)) ** 2, no_bound],
             "random": [np.abs(np.sum(z1 * rot, axis=1)) ** 2,
-                       np.abs(np.sum(z2 * rot, axis=1)) ** 2],
+                       np.abs(np.sum(z2 * rot, axis=1)) ** 2, no_bound],
         }
         for policy, rows in expected.items():
-            got = mc._nonreciprocal_gain_block(non, policy, seed, block, count)
-            assert (got == np.array(rows)).all(), policy
+            got = mc._nonreciprocal_gain_block(non, policy, seed, block, count, {})
+            assert np.array_equal(got, np.array(rows), equal_nan=True), policy
         two = dataclasses.replace(non, scheme=Scheme.TWO)
-        got = mc._nonreciprocal_gain_block(two, "random", seed, block, count)
-        assert (got == np.array(cophased)).all()
+        got = mc._nonreciprocal_gain_block(two, "random", seed, block, count, {})
+        assert np.array_equal(got, np.array(cophased + [no_bound]), equal_nan=True)
 
 
 def test_group_must_share_a_draw_key():
@@ -410,21 +411,25 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
     [full] = collect_gains([cfg], policy, trials, seed=31)
     [pooled] = collect_gains([cfg], policy, trials, seed=31, workers=3)
     assert np.array_equal(pooled.g1, full.g1) and np.array_equal(pooled.g2, full.g2)
+    assert np.array_equal(pooled.t_star, full.t_star, equal_nan=True)
     for few in (1, 37):
         [part] = collect_gains([cfg], policy, few, seed=31)
         assert np.array_equal(part.g1, full.g1[:few])
         assert np.array_equal(part.g2, full.g2[:few])
+        assert np.array_equal(part.t_star, full.t_star[:few], equal_nan=True)
     method = optim.OptimMethod(policy)
     ch = sample_channel_block(cfg, rngmod.block_generator(31, rngmod.STREAM_CHANNEL, 0),
                               rngmod.BLOCK_SIZE)
     rngs = [rngmod.trial_generator(31, rngmod.STREAM_OPTIM, i) for i in range(len(ch.h_t))]
     z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
-    phases, _ = optim.maxmin_block(z1, z2, 1.0, method, rngs)
+    phases, bounds = optim.maxmin_block(z1, z2, 1.0, method, rngs)
+    assert np.array_equal(full.t_star[:len(bounds)], bounds, equal_nan=True)
     rot = np.exp(1j * phases)
     for i in range(len(rot)):
         # each gain as one trial's numpy-scalar expression gives it
-        assert full.g1[i] == np.abs(np.sum(z1[i] * rot[i])) ** 2
-        assert full.g2[i] == np.abs(np.sum(z2[i] * rot[i])) ** 2
+        a1, a2 = np.abs(np.sum(z1[i] * rot[i])), np.abs(np.sum(z2[i] * rot[i]))
+        assert full.g1[i] == a1 * a1
+        assert full.g2[i] == a2 * a2
     for i in range(37):
         trial = NonReciprocalChannel(ch.h_t[i], ch.h_r[i], ch.g_t[i], ch.g_r[i])
         res = optim.solve_maxmin(trial, 1.0, method,

@@ -1,6 +1,6 @@
 """Phase design: closed-form optimum, quadratic-form lifting, the relaxation
 solver with both search paths, randomized rank-one recovery, greedy search,
-and baselines."""
+and the u1/random baselines that `mc` computes."""
 
 import math
 
@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from ris2way import optim
+from ris2way import rng as rngmod
 from ris2way.channel import (NonReciprocalChannel, Reciprocity, SystemConfig,
-                             sample_channel_block, sample_channels,
+                             coherent_gain, sample_channel_block, sample_channels,
                              sinr_nonreciprocal, sinr_reciprocal, wrap_phases)
+from ris2way.mc import collect_gains
 from ris2way.optim import (OptimMethod, _greedy_block, _newton_step, _sdp_joint,
-                           baseline_phases, build_quadratic_forms,
-                           gaussian_randomization, greedy_iterative,
-                           lifted_to_phases, maxmin_block,
+                           build_quadratic_forms, gaussian_randomization,
+                           greedy_iterative, lifted_to_phases, maxmin_block,
                            optimal_phase_reciprocal, sdp_maxmin, solve_maxmin)
 
 def phases_to_lifted(phases):
@@ -330,18 +331,26 @@ def test_greedy_respects_relaxation_bound():
 
 
 def test_baseline_u1_maximizes_user1():
+    """The u1 baseline of a collection co-phases user 1: its phases -arg z1
+    give user 1 the gain g1 and user 2 the gain g2, and no phases give user 1
+    more, neither the random baseline's nor 50 other draws per trial."""
+    cfg = SystemConfig(L=5, reciprocity=Reciprocity.NON_RECIPROCAL)
+    [u1] = collect_gains([cfg], "u1", 20, seed=24)
+    [random] = collect_gains([cfg], "random", 20, seed=24)
+    ch = sample_channel_block(cfg, rngmod.block_generator(24, rngmod.STREAM_CHANNEL, 0), 20)
+    z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
+    assert u1.g1 == pytest.approx(coherent_gain(z1, -np.angle(z1)), rel=1e-12)
+    assert np.array_equal(u1.g2, coherent_gain(z2, -np.angle(z1)))
+    assert np.all(random.g1 <= u1.g1 * (1 + 1e-12))
     rng = np.random.default_rng(23)
-    ch = nonrec(5, 24)
-    u1 = baseline_phases(ch, OptimMethod.U1_PHASE)
-    g1_best, _ = sinr_nonreciprocal(ch, u1, 1.0)
-    assert g1_best == pytest.approx(float(np.sum(np.abs(ch.h_r * ch.g_t)) ** 2),
-                                    rel=1e-12)
     for _ in range(50):
-        g1, _ = sinr_nonreciprocal(ch, rng.uniform(0, 2 * math.pi, 5), 1.0)
-        assert g1 <= g1_best * (1 + 1e-12)
+        g1 = coherent_gain(z1, rng.uniform(0, 2 * math.pi, z1.shape))
+        assert np.all(g1 <= u1.g1 * (1 + 1e-12))
 
 
 def test_single_element_all_methods_identical():
+    """At L=1 every phase gives the same gains: both max-min searches on one
+    instance, and every policy of a collection on each of its trials."""
     ch = nonrec(1, 25)
     rng = np.random.default_rng(26)
     achieved = [solve_maxmin(ch, 1.0, method=m, rng=rng).achieved
@@ -349,21 +358,30 @@ def test_single_element_all_methods_identical():
     for g in achieved[1:]:
         assert g[0] == pytest.approx(achieved[0][0], rel=1e-9)
         assert g[1] == pytest.approx(achieved[0][1], rel=1e-9)
+    cfg = SystemConfig(L=1, reciprocity=Reciprocity.NON_RECIPROCAL)
+    gains = [collect_gains([cfg], p, 20, seed=25)[0] for p in ("sdp", "greedy", "u1", "random")]
+    for g in gains[1:]:
+        assert g.g1 == pytest.approx(gains[0].g1, rel=1e-9)
+        assert g.g2 == pytest.approx(gains[0].g2, rel=1e-9)
 
 
 def test_quadratic_identity_holds_for_every_method_output():
     ch = lopsided(nonrec(5, 31), 2.0, 0.7)
     forms = build_quadratic_forms(ch, 1.0)
     rng = np.random.default_rng(32)
-    for method in OptimMethod:
-        res = solve_maxmin(ch, 1.0, method=method, rng=rng)
-        alpha = phases_to_lifted(res.phases)
+    results = [solve_maxmin(ch, 1.0, method=method, rng=rng) for method in OptimMethod]
+    # and the phases of mc's baselines: u1's co-phasing of user 1, uniform draws
+    baselines = [-np.angle(ch.h_r * ch.g_t), rng.uniform(0.0, 2 * math.pi, 5)]
+    for phases in [res.phases for res in results] + baselines:
+        alpha = phases_to_lifted(phases)
         q1 = alpha @ forms[0] @ alpha
         q2 = alpha @ forms[1] @ alpha
-        g1, g2 = sinr_nonreciprocal(ch, res.phases, 1.0)
+        g1, g2 = sinr_nonreciprocal(ch, phases, 1.0)
         assert q1 == pytest.approx(g1, rel=1e-9)
         assert q2 == pytest.approx(g2, rel=1e-9)
-        assert res.achieved[0] == pytest.approx(g1, rel=1e-12)
+    for res in results:
+        assert res.achieved[0] == pytest.approx(sinr_nonreciprocal(ch, res.phases, 1.0)[0],
+                                                rel=1e-12)
 
 
 def test_lifted_round_trip():
@@ -395,15 +413,16 @@ def scalar_greedy(z1, z2, rho, k=360, improvement_threshold=1e-6, max_sweeps=200
     phase_factors = np.ones(L, dtype=complex)
     s1 = complex(np.sum(z1 * phase_factors))
     s2 = complex(np.sum(z2 * phase_factors))
-    obj = min(rho * abs(s1) ** 2, rho * abs(s2) ** 2)
+    a1, a2 = abs(s1), abs(s2)
+    obj = min(rho * (a1 * a1), rho * (a2 * a2))
     history = []
     for _ in range(max_sweeps):
         previous = obj
         for l in range(L):
             b1 = s1 - z1[l] * phase_factors[l]
             b2 = s2 - z2[l] * phase_factors[l]
-            cand = np.minimum(rho * np.abs(b1 + z1[l] * grid) ** 2,
-                              rho * np.abs(b2 + z2[l] * grid) ** 2)
+            c1, c2 = np.abs(b1 + z1[l] * grid), np.abs(b2 + z2[l] * grid)
+            cand = np.minimum(rho * (c1 * c1), rho * (c2 * c2))
             best = int(np.argmax(cand))
             if cand[best] >= obj:
                 phase_factors[l] = grid[best]

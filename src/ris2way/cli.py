@@ -132,9 +132,12 @@ def parse_phase_error(text: str):
 def _env_workers() -> int:
     value = os.environ.get("RIS2WAY_WORKERS", "1")
     try:
-        return int(value)
+        workers = int(value)
     except ValueError:
         raise SpecError(f"RIS2WAY_WORKERS must be an integer, got {value!r}") from None
+    if workers < 1:
+        raise SpecError(f"RIS2WAY_WORKERS must be >= 1, got {value!r}")
+    return workers
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -285,6 +288,8 @@ _CONFIG_FLAGS = {"L": "--L", "sigma2": "--sigma2", "noise_mw": "--noise-dbm",
 
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    if args.workers < 1:
+        raise SpecError(f"--workers: need at least one worker, got {args.workers}")
     phase_error = parse_phase_error(args.phase_error)
     try:
         cfg = SystemConfig(
@@ -316,7 +321,7 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         methods=[m for m in given.get("methods", "").split(",") if m],
         cfg=cfg,
         user=_parse_user(given.get("user", "1")),
-        workers=max(1, args.workers),
+        workers=args.workers,
         **{k: v for k, v in given.items() if k in plain},
     )
 

@@ -11,11 +11,11 @@ sweep collects once and reduces each column once.  They are a pure function of
 are bit-for-bit reproducible for any worker count, and trial i is the same
 bits whatever the trial count.  Blocks go to a process pool of at most
 min(workers, blocks, CPUs this process may run on) workers, joined before the
-call returns, or run serially when that is one.  A block is drawn and reduced
-in cache-sized row chunks; its generators run on from chunk to chunk, so the
-chunks' rows are the bits of one whole-block draw.  A phase-jitter term
-amp * e^(i eps) is formed as (amp cos eps, amp sin eps), the same bits as the
-complex exponential.
+call returns, or run serially when that is one; the pool machinery is imported
+only when a pool starts.  A block is drawn and reduced in cache-sized row
+chunks; its generators run on from chunk to chunk, so the chunks' rows are the
+bits of one whole-block draw.  A phase-jitter term amp * e^(i eps) is formed
+as (amp cos eps, amp sin eps), the same bits as the complex exponential.
 `draw_key` names what else they depend on: on a reciprocal channel only L,
 sigma2, the trial count and the phase-error model, so configs differing in
 scheme, nu, omega, gamma_th, noise or jitter width share one channel draw per
@@ -31,7 +31,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -235,12 +234,21 @@ def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
     if size <= 1:
         _fill_blocks(rows, map(_gain_block_task, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=size) as pool:
+        with _start_pool(size) as pool:
             _fill_blocks(rows, pool.map(_gain_block_task, tasks, chunksize=1))
     if not reciprocal:
         return [TrialGains(*rows) for _ in cfgs]
     by_model = dict(zip(variants, rows))
     return [TrialGains(by_model[c.phase_error], by_model[c.phase_error]) for c in cfgs]
+
+
+def _start_pool(size: int):
+    """A process pool of `size` workers.  The pool machinery (concurrent.futures,
+    multiprocessing) is imported here, not at module level: most calls never
+    start a pool, and the import costs every process about 30 modules and
+    2 MB of memory."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=size)
 
 
 def _usable_cpus() -> int:

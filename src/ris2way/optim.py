@@ -547,33 +547,21 @@ def gaussian_randomization(a_star: np.ndarray, forms: tuple[np.ndarray, np.ndarr
 # greedy coordinate search on a stack of instances
 # ---------------------------------------------------------------------------
 
-def _scalar_cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise for complex arrays, by the textbook formula that
-    Python and numpy complex scalars use.  numpy's array multiply rounds
-    otherwise (in the last bit of about 44% of products on an AVX-512 host,
-    for arrays of any length or stride), and the one-instance search this
-    must follow multiplies scalars."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def _greedy_block(z1: np.ndarray, z2: np.ndarray, rho: float, k: int):
     """Greedy coordinate ascent on each row of the (m, L) terms z1, z2.
 
     Returns the (m, L) phases, each row's sweep count and, per sweep, the
     (m,) objectives after it (a row that stopped keeps its last value).  Rows
     that converge leave the active set after each sweep.  The terms
-    z_l e^{j phi_l} are rounded as scalar arithmetic rounds them, the running
-    sums' magnitudes by hypot, and the candidates as the array expression
+    z_l e^{j phi_l} are numpy array products, the running sums' magnitudes
+    come from hypot and the candidates from the array expression
     |b + z_l grid|^2, so each row follows the one-instance search bit for bit.
     """
     m, L = z1.shape
     grid = np.exp(1j * 2.0 * math.pi * np.arange(k) / k)  # grid[0] == 1
     z = np.stack([z1, z2], axis=1)  # (m, user, L)
     index = np.zeros((m, L), dtype=int)  # each element's phase is grid[index]
-    terms = _scalar_cmul(z, grid[0])
+    terms = z * grid[0]
     sums = np.sum(z * grid[0], axis=2)
     obj = np.min(rho * np.square(np.hypot(sums.real, sums.imag)), axis=1)
     sweeps = np.zeros(m, dtype=int)
@@ -598,7 +586,7 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, rho: float, k: int):
             best = np.argmax(cand, axis=1)  # first maximizer wins on ties
             value = cand[rows, best]
             accept = value >= o
-            new = _scalar_cmul(y[:, :, l], grid[best, None])
+            new = y[:, :, l] * grid[best, None]
             if accept.all():
                 at[:, l], p[:, :, l], t, o = best, new, b + new, value
             elif accept.any():

@@ -712,6 +712,18 @@ def test_non_integer_workers_environment_exit_code(monkeypatch, tmp_path, capsys
     assert "RIS2WAY_WORKERS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, env", [(["--workers", "-3"], "1"),
+                                        (["--workers", "0"], "1"), ([], "0"), ([], "-2")])
+def test_workers_below_one_exit_code(flags, env, monkeypatch, tmp_path, capsys):
+    """A worker count below one is an error, not silently one worker."""
+    monkeypatch.setenv("RIS2WAY_WORKERS", env)
+    rc = run_cli(["outage", "--L", "1", *flags, "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    flag = flags[0] if flags else "RIS2WAY_WORKERS"
+    assert capsys.readouterr().err.startswith(f"ris2way: invalid spec: {flag}")
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("module", ["ris2way", "ris2way.cli"])
 def test_import_leaves_quadpack_unloaded(module):
     """Adaptive quadrature is only a test reference, and the special functions
@@ -721,6 +733,21 @@ def test_import_leaves_quadpack_unloaded(module):
             "print(*sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
             "if m in sys.modules)); "
             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
+
+
+@pytest.mark.parametrize("module", ["ris2way", "ris2way.cli"])
+def test_import_leaves_pool_machinery_unloaded(module):
+    """Most calls never start a worker pool, so loading the package or the CLI
+    must not import concurrent.futures or multiprocessing; a pool imports them
+    when it starts."""
+    code = (f"import sys, {module}; "
+            "print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

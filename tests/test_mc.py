@@ -146,8 +146,8 @@ def test_worker_pool_capped_at_block_count(monkeypatch):
     requested = []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+        def __init__(self, size):
+            requested.append(size)
 
         def __enter__(self):
             return self
@@ -158,7 +158,7 @@ def test_worker_pool_capped_at_block_count(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(mc, "_start_pool", SerialPool)
     cfg = cfg_rec(L=2)
     trials = 2 * rngmod.BLOCK_SIZE + 10  # three blocks
     [serial] = collect_gains([cfg], "optimal", trials, seed=3)

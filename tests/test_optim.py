@@ -407,7 +407,9 @@ def test_solve_maxmin_sdp_populates_result():
 
 def scalar_greedy(z1, z2, rho, k=360, improvement_threshold=1e-6, max_sweeps=200):
     """Reference: the coordinate search on one instance in numpy/Python scalar
-    arithmetic.  Returns the phases and the objective after each sweep."""
+    arithmetic, with each complex term z_l e^{j phi_l} a length-1 array product
+    (numpy's array multiply, which can round differently from a scalar
+    product).  Returns the phases and the objective after each sweep."""
     L = z1.size
     grid = np.exp(1j * 2.0 * math.pi * np.arange(k) / k)
     phase_factors = np.ones(L, dtype=complex)
@@ -419,15 +421,15 @@ def scalar_greedy(z1, z2, rho, k=360, improvement_threshold=1e-6, max_sweeps=200
     for _ in range(max_sweeps):
         previous = obj
         for l in range(L):
-            b1 = s1 - z1[l] * phase_factors[l]
-            b2 = s2 - z2[l] * phase_factors[l]
+            b1 = s1 - (z1[l:l + 1] * phase_factors[l:l + 1])[0]
+            b2 = s2 - (z2[l:l + 1] * phase_factors[l:l + 1])[0]
             c1, c2 = np.abs(b1 + z1[l] * grid), np.abs(b2 + z2[l] * grid)
             cand = np.minimum(rho * (c1 * c1), rho * (c2 * c2))
             best = int(np.argmax(cand))
             if cand[best] >= obj:
                 phase_factors[l] = grid[best]
-                s1 = b1 + z1[l] * grid[best]
-                s2 = b2 + z2[l] * grid[best]
+                s1 = b1 + (z1[l:l + 1] * grid[best:best + 1])[0]
+                s2 = b2 + (z2[l:l + 1] * grid[best:best + 1])[0]
                 obj = float(cand[best])
         history.append(obj)
         if obj - previous <= improvement_threshold * max(obj, 1e-300):

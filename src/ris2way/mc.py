@@ -22,8 +22,7 @@ scheme, nu, omega, gamma_th, noise or jitter width share one channel draw per
 block, and `collect_gains` collects such a group in one pass (common random
 numbers across schemes, nu and delta).  A non-reciprocal gain also reads the
 scheme, the policy and `collect_gains`'s max-min solver settings (`optim`'s
-defaults unless given): max-min phases are solved at rho = 1, valid at every
-sweep point.  The u1 and random baselines live here.
+defaults unless given).  The u1 and random baselines live here.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ _CROSSOVER_TOL_DB = 0.01
 @dataclass(frozen=True)
 class TrialGains:
     """Power-independent per-trial channel gains g_p: gamma_p = rho_p * g_p, and
-    on a non-reciprocal channel the sdp policy's relaxation bounds t* at rho = 1
-    (NaN under other policies)."""
+    on a non-reciprocal channel the sdp policy's relaxation bounds t* on
+    min(g1, g2) (NaN under other policies)."""
 
     g1: np.ndarray
     g2: np.ndarray
@@ -132,9 +131,9 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: 
 
     Fixed-phase policies reduce each channel chunk as it is drawn; the max-min
     policies gather the block's terms and solve them in one `maxmin_block` call
-    with the solver `settings` (its grid, tol and k), every trial at rho = 1.
-    That is valid at every sweep power: both users send at it and share its
-    rho, and scaling both SINRs by one rho does not move the argmax.
+    with the solver `settings` (its grid, tol and k).  The phases hold at
+    every sweep power: both users share its rho, and scaling both SINRs by one
+    rho does not move the argmax.
     """
     out = np.full((3, count), np.nan)
     if cfg.scheme is Scheme.ONE and policy in ("greedy", "sdp"):
@@ -149,7 +148,7 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: 
                     for i in range(count)]
         method = OptimMethod.GREEDY_ITERATIVE if policy == "greedy" else OptimMethod.SDP_RELAX
         try:
-            phases, out[2] = maxmin_block(terms[0], terms[1], 1.0, method, rngs, **settings)
+            phases, out[2] = maxmin_block(terms[0], terms[1], method, rngs, **settings)
         except SolverFailureError as exc:
             raise SolverFailureError(f"trial {first + exc.instance}: {exc}") from exc
         out[:2] = coherent_gain(terms, phases)
@@ -207,6 +206,8 @@ def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
         raise ValueError("need at least one config")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     cfg = cfgs[0]
     if any(draw_key(c, policy, trials) != draw_key(cfg, policy, trials) for c in cfgs):
         raise ValueError("the configs of one collection must share a draw key")

@@ -49,6 +49,7 @@ from .channel import (NonReciprocalChannel, ReciprocalChannel, sinr_nonreciproca
 _STACK_ELEMENTS = 1 << 18
 _GREEDY_THRESHOLD = 1e-6
 _GREEDY_MAX_SWEEPS = 200
+_MAX_NEWTON = 400  # per barrier row; a row that needs more has stalled
 # default settings of `maxmin_block`
 RANDOMIZATION_K = 100
 GREEDY_GRID = 360
@@ -107,38 +108,37 @@ def _interleave(cos_part: np.ndarray, sin_part: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lifted_vectors(z: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors c, d with (alpha . c)^2 + (alpha . d)^2 = rho |sum z_l e^{j phi_l}|^2
+def _lifted_vectors(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors c, d with (alpha . c)^2 + (alpha . d)^2 = |sum z_l e^{j phi_l}|^2
     for alpha = (cos phi_1, sin phi_1, ..., cos phi_L, sin phi_L), along the
     last axis of z."""
-    amp = np.sqrt(rho) * np.abs(z)
+    amp = np.abs(z)
     theta = -np.angle(z)  # z_l = |z_l| e^{-j theta_l}
     c = _interleave(amp * np.cos(theta), amp * np.sin(theta))
     d = _interleave(-amp * np.sin(theta), amp * np.cos(theta))
     return c, d
 
 
-def _forms(z1: np.ndarray, z2: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+def _forms(z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(F_1, F_2) of the terms z1 = h_r g_t and z2 = g_r h_t, one pair of
     2L x 2L forms per leading index."""
     forms = []
     for z in (z1, z2):
-        c, d = _lifted_vectors(z, rho)
+        c, d = _lifted_vectors(z)
         forms.append(c[..., :, None] * c[..., None, :] + d[..., :, None] * d[..., None, :])
     return forms[0], forms[1]
 
 
-def build_quadratic_forms(ch: NonReciprocalChannel,
-                          rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lift both user SINRs to quadratic forms in the stacked cos/sin variables.
+def build_quadratic_forms(ch: NonReciprocalChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Lift both users' gains g_p (their SINRs at rho = 1) to quadratic forms.
 
-    Returns the pair (F_1, F_2) of symmetric PSD 2L x 2L arrays, each of rank
-    <= 2, with alpha^T F_p alpha = gamma_p.  User 1 combines h_r with g_t;
-    user 2 combines g_r with h_t, both under the average SINR rho.
+    Returns the pair (F_1, F_2) of symmetric PSD 2L x 2L arrays in the stacked
+    cos/sin variables, each of rank <= 2, with alpha^T F_p alpha = g_p.  User 1
+    combines h_r with g_t; user 2 combines g_r with h_t.
     """
     if not isinstance(ch, NonReciprocalChannel):
         raise ValueError("quadratic forms are defined for non-reciprocal realizations")
-    return _forms(ch.h_r * ch.g_t, ch.g_r * ch.h_t, rho)
+    return _forms(ch.h_r * ch.g_t, ch.g_r * ch.h_t)
 
 
 def lifted_to_phases(alpha: np.ndarray) -> np.ndarray:
@@ -309,8 +309,7 @@ class _BarrierOutcome:
 
 
 def _maximize_linear_over_cone(f: np.ndarray, levels: np.ndarray, a0: np.ndarray,
-                               gap_tol: float, sign_exit: bool = False,
-                               max_newton: int = 400) -> _BarrierOutcome:
+                               gap_tol: float, sign_exit: bool = False) -> _BarrierOutcome:
     """Per row: max theta  s.t. <F_p, A> - levels_p - theta >= 0, pair traces = 1, A > 0.
 
     f is the (m, 2, n, n) stack of form pairs, a0 the (m, n, n) start and
@@ -337,8 +336,8 @@ def _maximize_linear_over_cone(f: np.ndarray, levels: np.ndarray, a0: np.ndarray
     steps = np.zeros(m, dtype=int)
     inner = np.zeros(m, dtype=int)
     while live.size:
-        if (steps >= max_newton).any():
-            i = int(np.argmax(steps >= max_newton))
+        if (steps >= _MAX_NEWTON).any():
+            i = int(np.argmax(steps >= _MAX_NEWTON))
             raise SolverFailureError(
                 f"interior point stalled: tau={tau[i]!r}, theta={theta[i]!r}, "
                 f"gap<={complexity / tau[i]!r}, newton_steps={steps[i]}", int(live[i]))
@@ -547,15 +546,16 @@ def gaussian_randomization(a_star: np.ndarray, forms: tuple[np.ndarray, np.ndarr
 # greedy coordinate search on a stack of instances
 # ---------------------------------------------------------------------------
 
-def _greedy_block(z1: np.ndarray, z2: np.ndarray, rho: float, k: int):
+def _greedy_block(z1: np.ndarray, z2: np.ndarray, k: int):
     """Greedy coordinate ascent on each row of the (m, L) terms z1, z2.
 
     Returns the (m, L) phases, each row's sweep count and, per sweep, the
-    (m,) objectives after it (a row that stopped keeps its last value).  Rows
-    that converge leave the active set after each sweep.  The terms
-    z_l e^{j phi_l} are numpy array products, the running sums' magnitudes
-    come from hypot and the candidates from the array expression
-    |b + z_l grid|^2, so each row follows the one-instance search bit for bit.
+    (m,) objectives min_p |sum_l z_{p,l} e^{j phi_l}|^2 after it (a row that
+    stopped keeps its last value).  Rows that converge leave the active set
+    after each sweep.  The terms z_l e^{j phi_l} are numpy array products and
+    the magnitudes come from hypot, so each row follows the one-instance
+    search bit for bit; rounding a square is monotone, so squaring the smaller
+    magnitude gives the bits of the smaller square.
     """
     m, L = z1.shape
     grid = np.exp(1j * 2.0 * math.pi * np.arange(k) / k)  # grid[0] == 1
@@ -563,7 +563,7 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, rho: float, k: int):
     index = np.zeros((m, L), dtype=int)  # each element's phase is grid[index]
     terms = z * grid[0]
     sums = np.sum(z * grid[0], axis=2)
-    obj = np.min(rho * np.square(np.hypot(sums.real, sums.imag)), axis=1)
+    obj = np.square(np.min(np.hypot(sums.real, sums.imag), axis=1))
     sweeps = np.zeros(m, dtype=int)
     history = []
     live = np.arange(m)
@@ -580,9 +580,8 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, rho: float, k: int):
             np.multiply(y[:, :, l, None], grid, out=q)
             q += b[:, :, None]
             np.abs(q, out=c)
-            np.square(c, out=c)
-            c *= rho
             cand = np.minimum(c[:, 0], c[:, 1])
+            np.square(cand, out=cand)
             best = np.argmax(cand, axis=1)  # first maximizer wins on ties
             value = cand[rows, best]
             accept = value >= o
@@ -601,32 +600,32 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, rho: float, k: int):
     return wrap_phases(np.angle(grid[index])), sweeps, history
 
 
-def greedy_iterative(ch: NonReciprocalChannel, rho: float,
-                     k: int = GREEDY_GRID) -> MaxMinResult:
+def greedy_iterative(ch: NonReciprocalChannel, k: int = GREEDY_GRID) -> MaxMinResult:
     """Coordinate ascent on a discretized phase grid of K angles per element.
 
-    Sweeps the elements in order, setting each phase to the grid angle that
-    maximizes the min-SINR with the others held fixed (first maximizer wins on
-    ties); stops when a full sweep improves the objective by at most 1e-6 of
-    it, or after 200 sweeps.
+    Sweeps the elements in order, setting each phase, the others held fixed,
+    to the grid angle that maximizes the smaller of the gains (g_1, g_2) that
+    `achieved` holds (first maximizer wins on ties); stops when a full sweep
+    improves the objective by at most 1e-6 of it, or after 200 sweeps.
     """
     if k < 2:
         raise ValueError("grid must have at least 2 angles")
     phases, sweeps, history = _greedy_block(
-        (ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], rho, k)
-    return MaxMinResult(phases=phases[0], achieved=sinr_nonreciprocal(ch, phases[0], rho),
+        (ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], k)
+    return MaxMinResult(phases=phases[0], achieved=sinr_nonreciprocal(ch, phases[0], 1.0),
                         method=OptimMethod.GREEDY_ITERATIVE, iterations=int(sweeps[0]),
                         sweep_objectives=[float(h[0]) for h in history])
 
 
-def maxmin_block(z1: np.ndarray, z2: np.ndarray, rho: float, method: OptimMethod,
+def maxmin_block(z1: np.ndarray, z2: np.ndarray, method: OptimMethod,
                  rngs: Optional[Sequence[np.random.Generator]] = None, *,
                  grid: int = GREEDY_GRID, tol: float = SDP_TOL,
                  k: int = RANDOMIZATION_K) -> tuple[np.ndarray, np.ndarray]:
     """Max-min phases (m, L) of m instances, given as the rows of the terms
-    z1 = h_r g_t and z2 = g_r h_t, both users at the average SINR rho, and
-    each row's relaxation bound t* (NaN for the greedy search).  Users at
-    different powers pass the terms sqrt(rho_1) z1 and sqrt(rho_2) z2 at rho = 1.
+    z1 = h_r g_t and z2 = g_r h_t, and each row's relaxation bound t* on
+    min_p |sum_l z_{p,l} e^{j phi_l}|^2 (NaN for the greedy search).  Users
+    who share one average SINR rho get these phases and the bound rho t*;
+    users at different powers pass the terms sqrt(rho_1) z1 and sqrt(rho_2) z2.
 
     GREEDY_ITERATIVE runs the greedy search of `greedy_iterative` on `grid`
     angles on every row at once.  SDP_RELAX solves every row's relaxation to
@@ -642,14 +641,14 @@ def maxmin_block(z1: np.ndarray, z2: np.ndarray, rho: float, method: OptimMethod
     t_star = np.full(m, np.nan)
     if method is OptimMethod.GREEDY_ITERATIVE:
         for rows in _sub_batches(m, 2 * grid):
-            phases[rows] = _greedy_block(z1[rows], z2[rows], rho, grid)[0]
+            phases[rows] = _greedy_block(z1[rows], z2[rows], grid)[0]
         return phases, t_star
     if method is not OptimMethod.SDP_RELAX:
         raise ValueError(f"not a max-min search: {method}")
     if rngs is None or len(rngs) != m:
         raise ValueError("gaussian randomization needs one RNG per instance")
     for rows in _sub_batches(m, 8 * L * L):
-        f = np.stack(_forms(z1[rows], z2[rows], rho), axis=1)
+        f = np.stack(_forms(z1[rows], z2[rows]), axis=1)
         row = rows.start
         try:
             sol = _sdp_joint(f, tol)
@@ -664,13 +663,12 @@ def maxmin_block(z1: np.ndarray, z2: np.ndarray, rho: float, method: OptimMethod
     return phases, t_star
 
 
-def solve_maxmin(ch: NonReciprocalChannel, rho: float,
-                 method: OptimMethod = OptimMethod.SDP_RELAX,
+def solve_maxmin(ch: NonReciprocalChannel, method: OptimMethod = OptimMethod.SDP_RELAX,
                  rng: Optional[np.random.Generator] = None) -> MaxMinResult:
-    """Phases of one instance: a one-row `maxmin_block` at its default
-    settings, with the relaxation bound in `t_star` for SDP_RELAX."""
-    rows, bounds = maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], rho,
+    """A one-row `maxmin_block` at its default settings: the phases, the gains
+    (g_1, g_2) in `achieved` and, for SDP_RELAX, the bound in `t_star`."""
+    rows, bounds = maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None],
                                 method, None if rng is None else [rng])
     t_star = float(bounds[0]) if method is OptimMethod.SDP_RELAX else None
-    return MaxMinResult(phases=rows[0], achieved=sinr_nonreciprocal(ch, rows[0], rho),
+    return MaxMinResult(phases=rows[0], achieved=sinr_nonreciprocal(ch, rows[0], 1.0),
                         method=method, t_star=t_star)

@@ -296,7 +296,7 @@ def test_criterion_9_maxmin_optimization():
     bisect_checked = 0
     for i in range(n_inst):
         ch = sample_channels(cfg, rngmod.trial_generator(900, rngmod.STREAM_CHANNEL, i))
-        forms = build_quadratic_forms(ch, 1.0)
+        forms = build_quadratic_forms(ch)
         sol = sdp_maxmin(forms, tol=3e-7, method="joint")
         t_upper = sol.t_star + sol.feasibility_gap
         if i < 10:
@@ -305,7 +305,7 @@ def test_criterion_9_maxmin_optimization():
             bisect_checked += 1
         rng = rngmod.trial_generator(900, rngmod.STREAM_OPTIM, i)
         phases_sdp, _ = gaussian_randomization(sol.a_star, forms, 100, rng)
-        res_greedy = greedy_iterative(ch, 1.0, k=360)
+        res_greedy = greedy_iterative(ch, k=360)
         greedy_monotone = greedy_monotone and all(
             b >= a - 1e-12 for a, b in zip(res_greedy.sweep_objectives,
                                            res_greedy.sweep_objectives[1:]))
@@ -362,7 +362,7 @@ def test_criterion_10_reciprocity_power_gap(L, target):
     for block, count in rngmod.iter_blocks(trials):
         ch = sample_channel_block(
             cfg, rngmod.block_generator(123, rngmod.STREAM_CHANNEL, block), count)
-        phases, _ = maxmin_block(ch.h_r * ch.g_t, ch.g_r * ch.h_t, 1.0,
+        phases, _ = maxmin_block(ch.h_r * ch.g_t, ch.g_r * ch.h_t,
                                  OptimMethod.GREEDY_ITERATIVE)
         for i in range(count):
             trial = NonReciprocalChannel(ch.h_t[i], ch.h_r[i], ch.g_t[i], ch.g_r[i])

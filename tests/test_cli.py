@@ -171,13 +171,13 @@ def test_optimize_flags_reach_the_stacked_solvers(tmp_path):
         0.0, 2.0 * math.pi, size=(4, cfg.L))
     for t, row in enumerate(rows):
         ch = NonReciprocalChannel(block.h_t[t], block.h_r[t], block.g_t[t], block.g_r[t])
-        forms = optim.build_quadratic_forms(ch, 1.0)
+        forms = optim.build_quadratic_forms(ch)
         sol = optim.sdp_maxmin(forms, tol=1e-3, method="joint")
         sdp, _ = optim.gaussian_randomization(
             sol.a_star, forms, 7, rngmod.trial_generator(3, rngmod.STREAM_OPTIM, t))
         expected = [str(t), cli.fmt_val(rho * sol.t_star)]
         u1 = -np.angle(ch.h_r * ch.g_t)
-        for phases in (sdp, optim.greedy_iterative(ch, 1.0, k=90).phases, u1, randoms[t]):
+        for phases in (sdp, optim.greedy_iterative(ch, k=90).phases, u1, randoms[t]):
             g1, g2 = sinr_nonreciprocal(ch, phases, rho)
             expected += [cli.fmt_val(g1), cli.fmt_val(g2), cli.fmt_val(min(g1, g2))]
         assert row == expected
@@ -387,7 +387,7 @@ def test_non_finite_rho_exit_code(tmp_path, capsys, monkeypatch, argv):
 
 
 def test_solver_failure_exit_code_names_the_trial(tmp_path, capsys, monkeypatch):
-    def fail(z1, z2, budget, method, rngs=None, **kwargs):
+    def fail(z1, z2, method, rngs=None, **kwargs):
         raise optim.SolverFailureError("interior point stalled", 2)
 
     monkeypatch.setattr(cli.mc, "maxmin_block", fail)
@@ -400,7 +400,7 @@ def test_solver_failure_exit_code_names_the_trial(tmp_path, capsys, monkeypatch)
 
 
 def test_optimize_solver_failure_names_the_trial(tmp_path, capsys, monkeypatch):
-    def fail(z1, z2, budget, method, rngs=None, **kwargs):
+    def fail(z1, z2, method, rngs=None, **kwargs):
         raise optim.SolverFailureError("interior point stalled", 2)
 
     monkeypatch.setattr(cli.mc, "maxmin_block", fail)

@@ -179,6 +179,14 @@ def test_worker_pool_capped_at_block_count(monkeypatch):
     assert requested == []
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_worker_count_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        collect_gains([cfg_rec(L=2)], "optimal", 10, seed=0, workers=workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        find_crossover(cfg_rec(L=2), [0.0, 10.0], trials=10, seed=0, workers=workers)
+
+
 JITTER_MODELS = (None, UniformPhaseError(math.pi / 8), UniformPhaseError(math.pi),
                  VonMisesPhaseError(0.0, 2.0))
 
@@ -422,7 +430,7 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
                               rngmod.BLOCK_SIZE)
     rngs = [rngmod.trial_generator(31, rngmod.STREAM_OPTIM, i) for i in range(len(ch.h_t))]
     z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
-    phases, bounds = optim.maxmin_block(z1, z2, 1.0, method, rngs)
+    phases, bounds = optim.maxmin_block(z1, z2, method, rngs)
     assert np.array_equal(full.t_star[:len(bounds)], bounds, equal_nan=True)
     rot = np.exp(1j * phases)
     for i in range(len(rot)):
@@ -432,7 +440,7 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
         assert full.g2[i] == a2 * a2
     for i in range(37):
         trial = NonReciprocalChannel(ch.h_t[i], ch.h_r[i], ch.g_t[i], ch.g_r[i])
-        res = optim.solve_maxmin(trial, 1.0, method,
+        res = optim.solve_maxmin(trial, method,
                                  rng=rngmod.trial_generator(31, rngmod.STREAM_OPTIM, i))
         assert np.array_equal(res.phases, phases[i])
     monkeypatch.setattr(optim, "_STACK_ELEMENTS", 1)  # one row per sub-batch
@@ -442,7 +450,7 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
 
 
 def test_solver_failure_names_the_trial(monkeypatch):
-    def fail_in_second_block(z1, z2, rho, method, rngs=None, **kwargs):
+    def fail_in_second_block(z1, z2, method, rngs=None, **kwargs):
         if len(z1) == 10:
             raise optim.SolverFailureError("line search failed", 4)
         return np.zeros(z1.shape), np.full(len(z1), np.nan)

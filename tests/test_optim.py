@@ -64,7 +64,7 @@ def test_quadratic_forms_reproduce_sinr_many_instances():
     worst = 0.0
     for _ in range(200):
         ch = lopsided(nonrec(4, rng.integers(2**31)), 3.0, 0.6)
-        forms = build_quadratic_forms(ch, 1.0)
+        forms = build_quadratic_forms(ch)
         assert all(np.array_equal(f, f.T) for f in forms)
         for _ in range(50):
             phases = rng.uniform(0, 2 * math.pi, 4)
@@ -78,7 +78,7 @@ def test_quadratic_forms_reproduce_sinr_many_instances():
 
 def test_quadratic_forms_single_element_constant():
     ch = nonrec(1, 5)
-    forms = build_quadratic_forms(lopsided(ch, 2.0, 5.0), 1.0)
+    forms = build_quadratic_forms(lopsided(ch, 2.0, 5.0))
     for p in (0.0, 1.0, 4.4):
         alpha = phases_to_lifted(np.array([p]))
         assert alpha @ forms[0] @ alpha == pytest.approx(
@@ -87,7 +87,7 @@ def test_quadratic_forms_single_element_constant():
 
 def test_quadratic_forms_rank_two():
     ch = nonrec(5, 6)
-    forms = build_quadratic_forms(lopsided(ch, 1.0, 2.0), 1.0)
+    forms = build_quadratic_forms(lopsided(ch, 1.0, 2.0))
     for f in forms:
         w = np.linalg.eigvalsh(f)[::-1]  # descending
         assert w[0] > 0 and w[1] > 0
@@ -97,7 +97,7 @@ def test_quadratic_forms_rank_two():
 
 def test_sdp_single_element_value():
     ch = nonrec(1, 7)
-    forms = build_quadratic_forms(lopsided(ch, 2.0, 3.0), 1.0)
+    forms = build_quadratic_forms(lopsided(ch, 2.0, 3.0))
     expected = min(2.0 * (np.abs(ch.h_r[0]) * np.abs(ch.g_t[0])) ** 2,
                    3.0 * (np.abs(ch.g_r[0]) * np.abs(ch.h_t[0])) ** 2)
     sol = sdp_maxmin(forms, tol=1e-6)
@@ -107,7 +107,7 @@ def test_sdp_single_element_value():
 def test_sdp_upper_bounds_random_phase_search():
     rng = np.random.default_rng(8)
     ch = nonrec(3, 9)
-    forms = build_quadratic_forms(ch, 1.0)
+    forms = build_quadratic_forms(ch)
     sol = sdp_maxmin(forms, tol=1e-4)
     phases = rng.uniform(0, 2 * math.pi, (100_000, 3))
     rot = np.exp(1j * phases)
@@ -124,7 +124,7 @@ def test_sdp_symmetric_forms_match_dense_grid():
     z = ch.h_r * ch.g_t
     ch_sym = NonReciprocalChannel(h_t=np.ones(2, dtype=complex), h_r=z,
                                   g_t=np.ones(2, dtype=complex), g_r=z)
-    sol = sdp_maxmin(build_quadratic_forms(ch_sym, 1.0), tol=1e-6)
+    sol = sdp_maxmin(build_quadratic_forms(ch_sym), tol=1e-6)
     grid = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
     vals = np.abs(z[0] * np.exp(1j * grid)[:, None]
                   + z[1] * np.exp(1j * grid)[None, :]) ** 2
@@ -134,14 +134,14 @@ def test_sdp_symmetric_forms_match_dense_grid():
 
 def test_sdp_joint_and_bisect_agree():
     for seed in (11, 12, 13):
-        forms = build_quadratic_forms(lopsided(nonrec(4, seed), 1.5, 0.8), 1.0)
+        forms = build_quadratic_forms(lopsided(nonrec(4, seed), 1.5, 0.8))
         a = sdp_maxmin(forms, tol=1e-4, method="bisect")
         b = sdp_maxmin(forms, tol=1e-4, method="joint")
         assert a.t_star == pytest.approx(b.t_star, rel=3e-4)
 
 
 def test_sdp_solution_feasibility_certificates():
-    forms = build_quadratic_forms(nonrec(4, 14), 1.0)
+    forms = build_quadratic_forms(nonrec(4, 14))
     sol = sdp_maxmin(forms, tol=1e-4)
     a = sol.a_star
     assert np.array_equal(a, a.T)
@@ -162,7 +162,7 @@ def test_newton_step_satisfies_kkt_conditions(L):
     a = x @ x.T / n + 0.1 * np.eye(n)
     scale = 1.0 / np.sqrt(np.repeat(a.diagonal().reshape(L, 2).sum(axis=1), 2))
     a = a * np.outer(scale, scale)
-    f = build_quadratic_forms(lopsided(nonrec(L, 50 + L), 1.7, 0.4), 1.0)
+    f = build_quadratic_forms(lopsided(nonrec(L, 50 + L), 1.7, 0.4))
     gains = np.array([np.sum(f[0] * a), np.sum(f[1] * a)])
     g = gains - (gains.min() - 0.3 * gains.min())
     grad_t = -10.0 + float(np.sum(1.0 / g))
@@ -200,7 +200,7 @@ def test_decrement_nonnegative_at_every_step(monkeypatch):
         return out
 
     monkeypatch.setattr(optim, "_newton_step", recording_step)
-    forms = [build_quadratic_forms(lopsided(nonrec(L, 60 + L), 1.3, 0.7), 1.0)
+    forms = [build_quadratic_forms(lopsided(nonrec(L, 60 + L), 1.3, 0.7))
              for L in (1, 6, 6)]
     optim._sdp_joint(np.stack([np.stack(f) for f in forms[1:]]), 1e-6)
     sdp_maxmin(forms[0], tol=1e-4, method="bisect")
@@ -210,7 +210,7 @@ def test_decrement_nonnegative_at_every_step(monkeypatch):
 
 def test_sdp_at_32_elements_bounds_greedy_and_randomization():
     ch = nonrec(32, 41)
-    forms = build_quadratic_forms(ch, 1.0)
+    forms = build_quadratic_forms(ch)
     tol = 1e-4
     sol = sdp_maxmin(forms, tol=tol, method="joint")
     assert 0.0 <= sol.feasibility_gap <= tol * sol.t_star
@@ -219,19 +219,19 @@ def test_sdp_at_32_elements_bounds_greedy_and_randomization():
     assert np.abs(a.diagonal().reshape(32, 2).sum(axis=1) - 1.0).max() <= 1e-7
     assert np.linalg.eigvalsh(a)[0] >= -1e-8
     _, rounded = gaussian_randomization(sol.a_star, forms, 100, np.random.default_rng(42))
-    greedy = min(greedy_iterative(ch, 1.0).achieved)
+    greedy = min(greedy_iterative(ch).achieved)
     assert max(rounded, greedy) <= sol.t_star * (1 + tol)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0, math.inf])
 def test_sdp_needs_positive_tolerance(tol):
     ch = nonrec(2, 42)
-    forms = build_quadratic_forms(ch, 1.0)
+    forms = build_quadratic_forms(ch)
     with pytest.raises(ValueError, match="tolerance must be > 0"):
         sdp_maxmin(forms, tol=tol)
     for method in (OptimMethod.SDP_RELAX, OptimMethod.GREEDY_ITERATIVE):
         with pytest.raises(ValueError, match="0 < tol < 1"):
-            maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], 1.0, method,
+            maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], method,
                          [np.random.default_rng(0)], tol=tol)
 
 
@@ -239,14 +239,14 @@ def test_sdp_needs_positive_tolerance(tol):
 def test_greedy_needs_two_grid_angles(grid):
     ch = nonrec(2, 42)
     with pytest.raises(ValueError, match="grid >= 2"):
-        maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], 1.0,
+        maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None],
                      OptimMethod.GREEDY_ITERATIVE, grid=grid)
     with pytest.raises(ValueError, match="at least 2 angles"):
-        greedy_iterative(ch, 1.0, k=grid)
+        greedy_iterative(ch, k=grid)
 
 
 def test_malformed_forms_rejected():
-    f1, f2 = build_quadratic_forms(nonrec(3, 43), 1.0)
+    f1, f2 = build_quadratic_forms(nonrec(3, 43))
     rng = np.random.default_rng(44)
     for forms, reason in [((f1[:, :4], f2[:, :4]), "square"),
                           ((f1[0], f2[0]), "square"),
@@ -265,7 +265,7 @@ def test_randomization_rank_one_recovers_exactly():
     rng = np.random.default_rng(15)
     phases_true = rng.uniform(0, 2 * math.pi, 4)
     alpha = phases_to_lifted(phases_true)
-    forms = build_quadratic_forms(nonrec(4, 16), 1.0)
+    forms = build_quadratic_forms(nonrec(4, 16))
     got, val = gaussian_randomization(np.outer(alpha, alpha), forms, 5, rng)
     assert np.allclose(got, phases_true, atol=1e-7)
     q1 = alpha @ forms[0] @ alpha
@@ -276,7 +276,7 @@ def test_randomization_rank_one_recovers_exactly():
 def test_randomization_bounded_by_relaxation_and_consistent():
     rng = np.random.default_rng(17)
     ch = nonrec(8, 18)
-    forms = build_quadratic_forms(ch, 1.0)
+    forms = build_quadratic_forms(ch)
     sol = sdp_maxmin(forms, tol=1e-5)
     phases, scored = gaussian_randomization(sol.a_star, forms, 100, rng)
     g1, g2 = sinr_nonreciprocal(ch, phases, 1.0)
@@ -290,7 +290,7 @@ def test_randomization_near_bound_on_median_instance():
     ratios = []
     for seed in range(10):
         ch = nonrec(8, 400 + seed)
-        forms = build_quadratic_forms(ch, 1.0)
+        forms = build_quadratic_forms(ch)
         sol = sdp_maxmin(forms, tol=1e-5, method="joint")
         _, val = gaussian_randomization(sol.a_star, forms, 200, rng)
         ratios.append(val / sol.t_star)
@@ -299,7 +299,7 @@ def test_randomization_near_bound_on_median_instance():
 
 def test_greedy_single_element_terminates_immediately():
     ch = lopsided(nonrec(1, 19), 1.0, 2.0)
-    res = greedy_iterative(ch, 1.0)
+    res = greedy_iterative(ch)
     assert res.iterations == 1
     g1, g2 = sinr_nonreciprocal(ch, res.phases, 1.0)
     assert min(g1, g2) == pytest.approx(min(res.achieved), rel=1e-12)
@@ -309,14 +309,14 @@ def test_greedy_on_degenerate_reciprocal_instance_hits_closed_form():
     cfg = SystemConfig(L=6)
     rec = sample_channels(cfg, np.random.default_rng(20))
     ch = NonReciprocalChannel(h_t=rec.h, h_r=rec.h, g_t=rec.g, g_r=rec.g)
-    res = greedy_iterative(ch, 1.0, k=360)
+    res = greedy_iterative(ch, k=360)
     target = float(np.sum(np.abs(rec.h) * np.abs(rec.g)) ** 2)
     assert min(res.achieved) >= target * (1 - 1e-3)
 
 
 def test_greedy_monotone_objective():
     ch = nonrec(8, 21)
-    res = greedy_iterative(ch, 1.0)
+    res = greedy_iterative(ch)
     hist = res.sweep_objectives
     assert all(b >= a - 1e-12 for a, b in zip(hist, hist[1:]))
     assert res.iterations == len(hist)
@@ -324,9 +324,9 @@ def test_greedy_monotone_objective():
 
 def test_greedy_respects_relaxation_bound():
     ch = nonrec(6, 22)
-    forms = build_quadratic_forms(ch, 1.0)
+    forms = build_quadratic_forms(ch)
     sol = sdp_maxmin(forms, tol=1e-5)
-    res = greedy_iterative(ch, 1.0)
+    res = greedy_iterative(ch)
     assert min(res.achieved) <= sol.t_star * (1 + 1e-4)
 
 
@@ -353,7 +353,7 @@ def test_single_element_all_methods_identical():
     instance, and every policy of a collection on each of its trials."""
     ch = nonrec(1, 25)
     rng = np.random.default_rng(26)
-    achieved = [solve_maxmin(ch, 1.0, method=m, rng=rng).achieved
+    achieved = [solve_maxmin(ch, method=m, rng=rng).achieved
                 for m in OptimMethod]
     for g in achieved[1:]:
         assert g[0] == pytest.approx(achieved[0][0], rel=1e-9)
@@ -367,9 +367,9 @@ def test_single_element_all_methods_identical():
 
 def test_quadratic_identity_holds_for_every_method_output():
     ch = lopsided(nonrec(5, 31), 2.0, 0.7)
-    forms = build_quadratic_forms(ch, 1.0)
+    forms = build_quadratic_forms(ch)
     rng = np.random.default_rng(32)
-    results = [solve_maxmin(ch, 1.0, method=method, rng=rng) for method in OptimMethod]
+    results = [solve_maxmin(ch, method=method, rng=rng) for method in OptimMethod]
     # and the phases of mc's baselines: u1's co-phasing of user 1, uniform draws
     baselines = [-np.angle(ch.h_r * ch.g_t), rng.uniform(0.0, 2 * math.pi, 5)]
     for phases in [res.phases for res in results] + baselines:
@@ -394,9 +394,9 @@ def test_lifted_round_trip():
 
 def test_solve_maxmin_sdp_populates_result():
     ch = nonrec(4, 27)
-    res = solve_maxmin(ch, 1.0, method=OptimMethod.SDP_RELAX,
+    res = solve_maxmin(ch, method=OptimMethod.SDP_RELAX,
                        rng=np.random.default_rng(28))
-    assert res.t_star == sdp_maxmin(build_quadratic_forms(ch, 1.0), method="joint").t_star
+    assert res.t_star == sdp_maxmin(build_quadratic_forms(ch), method="joint").t_star
     assert res.method is OptimMethod.SDP_RELAX
     assert min(res.achieved) <= res.t_star * (1 + 1e-4)
 
@@ -405,18 +405,19 @@ def test_solve_maxmin_sdp_populates_result():
 # stacked solvers: every row as its instance alone
 # ---------------------------------------------------------------------------
 
-def scalar_greedy(z1, z2, rho, k=360, improvement_threshold=1e-6, max_sweeps=200):
+def scalar_greedy(z1, z2, k=360, improvement_threshold=1e-6, max_sweeps=200):
     """Reference: the coordinate search on one instance in numpy/Python scalar
     arithmetic, with each complex term z_l e^{j phi_l} a length-1 array product
     (numpy's array multiply, which can round differently from a scalar
-    product).  Returns the phases and the objective after each sweep."""
+    product), and each user's magnitude squared before the min.  Returns the
+    phases and the objective after each sweep."""
     L = z1.size
     grid = np.exp(1j * 2.0 * math.pi * np.arange(k) / k)
     phase_factors = np.ones(L, dtype=complex)
     s1 = complex(np.sum(z1 * phase_factors))
     s2 = complex(np.sum(z2 * phase_factors))
     a1, a2 = abs(s1), abs(s2)
-    obj = min(rho * (a1 * a1), rho * (a2 * a2))
+    obj = min(a1 * a1, a2 * a2)
     history = []
     for _ in range(max_sweeps):
         previous = obj
@@ -424,7 +425,7 @@ def scalar_greedy(z1, z2, rho, k=360, improvement_threshold=1e-6, max_sweeps=200
             b1 = s1 - (z1[l:l + 1] * phase_factors[l:l + 1])[0]
             b2 = s2 - (z2[l:l + 1] * phase_factors[l:l + 1])[0]
             c1, c2 = np.abs(b1 + z1[l] * grid), np.abs(b2 + z2[l] * grid)
-            cand = np.minimum(rho * (c1 * c1), rho * (c2 * c2))
+            cand = np.minimum(c1 * c1, c2 * c2)
             best = int(np.argmax(cand))
             if cand[best] >= obj:
                 phase_factors[l] = grid[best]
@@ -458,11 +459,11 @@ def test_greedy_block_matches_scalar_search(L, m):
     0.45 times user 1's average SINR."""
     z1, z2 = nonrec_terms(L, m, 70 + L)
     z2 = math.sqrt(0.45) * z2
-    phases, sweeps, history = _greedy_block(z1, z2, 1.0, 360)
-    block, _ = maxmin_block(z1, z2, 1.0, OptimMethod.GREEDY_ITERATIVE)  # in sub-batches
+    phases, sweeps, history = _greedy_block(z1, z2, 360)
+    block, _ = maxmin_block(z1, z2, OptimMethod.GREEDY_ITERATIVE)  # in sub-batches
     assert np.array_equal(block, phases)
     for i in range(m):
-        ref_phases, ref_history = scalar_greedy(z1[i], z2[i], 1.0)
+        ref_phases, ref_history = scalar_greedy(z1[i], z2[i])
         assert np.array_equal(phases[i], ref_phases)
         assert sweeps[i] == len(ref_history)
         assert [h[i] for h in history[:sweeps[i]]] == ref_history
@@ -476,11 +477,11 @@ def test_block_rows_equal_solve_maxmin(method):
         # the relaxation needs both forms nonzero: no all-zero rows
         z1[:2], z2[:2] = z1[2], z2[2]
     rngs = [np.random.default_rng(900 + i) for i in range(40)]
-    block, bound = maxmin_block(z1, z2, 1.0, method, rngs)
+    block, bound = maxmin_block(z1, z2, method, rngs)
     for i in range(40):
         ch = NonReciprocalChannel(h_t=z2[i], h_r=z1[i], g_t=np.ones(4, dtype=complex),
                                   g_r=np.ones(4, dtype=complex))
-        res = solve_maxmin(ch, 1.0, method, rng=np.random.default_rng(900 + i))
+        res = solve_maxmin(ch, method, rng=np.random.default_rng(900 + i))
         assert np.array_equal(block[i], res.phases)
         if method is OptimMethod.SDP_RELAX:
             assert bound[i] == res.t_star
@@ -491,7 +492,7 @@ def test_block_rows_equal_solve_maxmin(method):
 @pytest.mark.parametrize("L", [1, 2, 4, 8, 16, 32])
 def test_stacked_joint_path_agrees_with_bisect(L):
     tol = 1e-3  # keeps the bisection reference affordable
-    forms = [build_quadratic_forms(lopsided(nonrec(L, 1000 * L + i), 1.3, 0.7), 1.0)
+    forms = [build_quadratic_forms(lopsided(nonrec(L, 1000 * L + i), 1.3, 0.7))
              for i in range(20)]
     stacked = _sdp_joint(np.stack([np.stack(f) for f in forms]), tol)
     for i, f in enumerate(forms):
@@ -510,5 +511,5 @@ def test_stacked_failure_names_its_row(monkeypatch):
     z1[3] = 0.0  # user 1's form vanishes: no interior start
     rngs = [np.random.default_rng(i) for i in range(6)]
     with pytest.raises(optim.SolverFailureError, match="vanishes") as info:
-        maxmin_block(z1, z2, 1.0, OptimMethod.SDP_RELAX, rngs)
+        maxmin_block(z1, z2, OptimMethod.SDP_RELAX, rngs)
     assert info.value.instance == 3

@@ -55,11 +55,15 @@ class VonMisesPhaseError:
 
 PhaseErrorModel = Union[UniformPhaseError, VonMisesPhaseError]
 
+# co-phasing on a reciprocal channel; baselines or a max-min design on a non-reciprocal one
+PHASE_POLICIES = ("optimal", "u1", "random", "greedy", "sdp")
+
 
 @dataclass(frozen=True)
 class SystemConfig:
     """Full experiment description.  The transmit power is not part of it: a
-    sweep passes the powers, both users sending at each, to `sweep_rho`."""
+    sweep passes the powers, both users sending at each, to `sweep_rho`.  Only
+    Monte Carlo gains read the phase policy, and only the one-slot scheme's."""
 
     L: int
     sigma2: float = 1.0
@@ -70,6 +74,7 @@ class SystemConfig:
     reciprocity: Reciprocity = Reciprocity.RECIPROCAL
     gamma_th: float = 1.0
     phase_error: Optional[PhaseErrorModel] = None
+    policy: str = "optimal"
 
     def __post_init__(self):
         # every message starts with the field's name; the checks are written
@@ -86,19 +91,12 @@ class SystemConfig:
             raise ValueError("omega must be finite, got inf")
         if not 0 <= self.nu <= 1:
             raise ValueError(f"nu must lie in [0, 1], got {self.nu}")
-
-
-def loop_interference_mw(p_mw: float, omega: float, nu: float) -> float:
-    """Residual loop-interference variance omega * P^nu (P in mW)."""
-    return omega * p_mw**nu
-
-
-def _rho(cfg: SystemConfig, p_mw: float) -> float:
-    """SINR coefficient of either user when both send at p_mw."""
-    if cfg.scheme is Scheme.TWO:
-        # orthogonal slots: no loop interference, plain SNR
-        return p_mw / cfg.noise_mw
-    return p_mw / (loop_interference_mw(p_mw, cfg.omega, cfg.nu) + cfg.noise_mw)
+        if self.policy not in PHASE_POLICIES:
+            raise ValueError(f"policy {self.policy!r} is unknown: use one of "
+                             f"{', '.join(PHASE_POLICIES)}")
+        if self.reciprocity is Reciprocity.RECIPROCAL and self.policy != "optimal":
+            raise ValueError(f"policy {self.policy!r} is a non-reciprocal one: "
+                             "reciprocal channels support the 'optimal' policy only")
 
 
 def sweep_rho(cfg: SystemConfig, p_mw: Iterable[float]) -> np.ndarray:
@@ -112,7 +110,11 @@ def sweep_rho(cfg: SystemConfig, p_mw: Iterable[float]) -> np.ndarray:
     for p in p_mw:
         if not p >= 0:
             raise ValueError(f"transmit powers must be >= 0, got {p}")
-    rho = np.array([_rho(cfg, p) for p in p_mw], dtype=float)
+    # P / (omega * P^nu + N0) with the residual loop interference omega * P^nu mW;
+    # the two-slot scheme's orthogonal slots have none, so there rho is the SNR
+    two = cfg.scheme is Scheme.TWO
+    rho = np.array([p / (cfg.noise_mw if two else cfg.omega * p**cfg.nu + cfg.noise_mw)
+                    for p in p_mw], dtype=float)
     for p, r in zip(p_mw, rho):
         if not math.isfinite(r):
             raise ValueError(f"rho = P / (interference + noise) is {r} at P = {p:g} mW "

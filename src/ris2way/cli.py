@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from . import analytic, mc
-from .channel import (Reciprocity, Scheme, SystemConfig, UniformPhaseError,
-                      VonMisesPhaseError, sweep_rho)
+from .channel import (PHASE_POLICIES, Reciprocity, Scheme, SystemConfig,
+                      UniformPhaseError, VonMisesPhaseError, sweep_rho)
 from .mc import NoCrossoverError
 from .numerics import NonConvergenceError, regularized_gamma_q
 from .optim import GREEDY_GRID, RANDOMIZATION_K, SDP_TOL, SolverFailureError
@@ -59,7 +59,6 @@ class ExperimentSpec:
     trials_outage: int = 10**5
     trials_se: int = 10**3
     trials_opt: int = 50
-    policy: Optional[str] = None
     randomization_k: int = RANDOMIZATION_K
     greedy_grid: int = GREEDY_GRID
     sdp_tol: float = SDP_TOL
@@ -177,27 +176,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "efficiency, max-min phase optimization, scheme crossover.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_out = sub.add_parser("outage", help="outage probability sweep")
-    _add_config_flags(p_out)
-    p_out.add_argument("--p-dbm", default="-10:30:2", help="power sweep START:STOP:STEP [dBm]")
-    p_out.add_argument("--l-list", default="", help="sweep element counts instead (comma list)")
-    p_out.add_argument("--method", "--methods", dest="methods", default="mc,exact",
-                       help=f"comma list from {','.join(OUTAGE_METHODS)}")
-    p_out.add_argument("--trials", type=int, default=10**5)
-    p_out.add_argument("--user", default="1", help="1, 2, or min")
-    p_out.add_argument("--policy", default=None,
-                       help="phase policy for MC (default: optimal, or sdp/greedy/u1/random "
-                            "for non-reciprocal channels)")
-
-    p_se = sub.add_parser("se", help="average spectral efficiency sweep")
-    _add_config_flags(p_se)
-    p_se.add_argument("--p-dbm", default="-10:30:2")
-    p_se.add_argument("--l-list", default="")
-    p_se.add_argument("--method", "--methods", dest="methods", default="mc,exact",
-                      help=f"comma list from {','.join(SE_METHODS)}")
-    p_se.add_argument("--trials", type=int, default=10**3)
-    p_se.add_argument("--user", default="1")
-    p_se.add_argument("--policy", default=None)
+    for name, about, methods, trials in (
+            ("outage", "outage probability sweep", OUTAGE_METHODS, 10**5),
+            ("se", "average spectral efficiency sweep", SE_METHODS, 10**3)):
+        p = sub.add_parser(name, help=about)
+        _add_config_flags(p)
+        p.add_argument("--p-dbm", default="-10:30:2", help="power sweep START:STOP:STEP [dBm]")
+        p.add_argument("--l-list", default="", help="sweep element counts instead (comma list)")
+        p.add_argument("--method", "--methods", dest="methods", default=None,
+                       help=f"comma list from {','.join(methods)} (default: mc, plus on a "
+                       "reciprocal channel exact if every swept L is 1, gamma if every one "
+                       "is >= 2)")
+        p.add_argument("--trials", type=int, default=trials)
+        p.add_argument("--user", default="1", help="1, 2, or min")
+        p.add_argument("--policy", default=None,
+                       help=f"phase policy of the mc column, from {','.join(PHASE_POLICIES)}: "
+                       "optimal (the default) on a reciprocal channel; greedy (the default), sdp, "
+                       "u1 or random on a non-reciprocal one, ignored by its two-slot scheme")
 
     p_opt = sub.add_parser("optimize", help="per-instance max-min phase design")
     _add_config_flags(p_opt)
@@ -284,13 +279,16 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 # the flag that sets each SystemConfig field, to name it in error messages
 _CONFIG_FLAGS = {"L": "--L", "sigma2": "--sigma2", "noise_mw": "--noise-dbm",
-                 "omega": "--omega", "nu": "--nu", "gamma_th": "--gamma-th-db"}
+                 "omega": "--omega", "nu": "--nu", "gamma_th": "--gamma-th-db",
+                 "policy": "--policy"}
 
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     if args.workers < 1:
         raise SpecError(f"--workers: need at least one worker, got {args.workers}")
-    phase_error = parse_phase_error(args.phase_error)
+    given = vars(args)  # only outage and se take --policy; the others get its default
+    reciprocity = Reciprocity(args.reciprocity)
+    default = "optimal" if reciprocity is Reciprocity.RECIPROCAL else "greedy"
     try:
         cfg = SystemConfig(
             L=args.elements,
@@ -299,26 +297,29 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             omega=args.omega,
             nu=args.nu,
             scheme=Scheme(args.scheme),
-            reciprocity=Reciprocity(args.reciprocity),
+            reciprocity=reciprocity,
             gamma_th=_linear_flag("--gamma-th-db", args.gamma_th_db),
-            phase_error=phase_error,
+            phase_error=parse_phase_error(args.phase_error),
+            policy=given.get("policy") or default,
         )
     except ValueError as exc:  # SystemConfig messages start with the field name
         field = str(exc).split(" ", 1)[0]
         if field not in _CONFIG_FLAGS:
             raise
         raise SpecError(f"{_CONFIG_FLAGS[field]}: {exc}") from None
-    given = vars(args)
     p_dbm = parse_sweep(args.p_dbm) if "p_dbm" in given else []
     if p_dbm:
         _linear_flag("--p-dbm", p_dbm[-1])  # the sweep's largest power
     # flags whose parsed value is the spec field of the same name
     plain = {f.name for f in dataclasses.fields(ExperimentSpec)} - {
         "p_dbm", "l_list", "methods", "cfg", "user", "workers"}
+    l_list = _parse_l_list(given.get("l_list", ""))
+    methods = given.get("methods", "")
     return ExperimentSpec(
         p_dbm=p_dbm,
-        l_list=_parse_l_list(given.get("l_list", "")),
-        methods=[m for m in given.get("methods", "").split(",") if m],
+        l_list=l_list,
+        methods=(_default_methods(cfg, l_list) if methods is None
+                 else [m for m in methods.split(",") if m]),
         cfg=cfg,
         user=_parse_user(given.get("user", "1")),
         workers=args.workers,
@@ -370,12 +371,11 @@ _Y_LABELS = {"outage": "outage probability", "se": "bits/sec/Hz"}
 @dataclass(frozen=True)
 class _Column:
     """One outage/SE column: a closed-form law, or a Monte Carlo estimate
-    ("mc") with its policy, trial count and user."""
+    ("mc") with its trial count and user, under its config's policy."""
 
     label: str  # header name after the metric prefix
     cfg: SystemConfig  # without transmit power
     method: str
-    policy: str = "optimal"
     trials: int = 0
     user: object = 1
 
@@ -414,6 +414,14 @@ SE_METHODS = ("mc", *_LAWS["se"])
 # the element counts of the closed forms not defined at every L
 _L_DOMAINS = {"exact": (lambda L: L == 1, "is the single-element law (L=1)"),
               "gamma": (lambda L: L >= 2, "needs L >= 2")}
+
+
+def _default_methods(cfg: SystemConfig, l_list: list[int]) -> list[str]:
+    """outage's and se's default columns: mc, plus on a reciprocal channel the
+    closed form whose element-count rule holds at every swept L."""
+    fits = cfg.reciprocity is Reciprocity.RECIPROCAL
+    return ["mc"] + [m for m, (valid, _) in _L_DOMAINS.items()
+                     if fits and all(map(valid, l_list or [cfg.L]))]
 
 
 def _validate_methods(spec: ExperimentSpec, allowed: tuple[str, ...]) -> None:
@@ -462,17 +470,17 @@ class _RunGains:
                 if col.method != "mc":
                     continue
                 for cfg in _power_free(col, axis, xs):
-                    key = mc.draw_key(cfg, col.policy, col.trials)
+                    key = mc.draw_key(cfg, col.trials)
                     self._members.setdefault(key, {})[cfg] = None
                     self._uses[key] += 1
 
     def take(self, col: _Column, cfg: SystemConfig) -> mc.TrialGains:
         """The gains of power-free `cfg` for one reduction of column `col`."""
-        key = mc.draw_key(cfg, col.policy, col.trials)
+        key = mc.draw_key(cfg, col.trials)
         if key not in self._held:
             group = list(self._members[key])
             self._held[key] = dict(zip(group, mc.collect_gains(
-                group, col.policy, col.trials, self._seed, self._workers)))
+                group, col.trials, self._seed, self._workers)))
         gains = self._held[key][cfg]
         self._uses[key] -= 1
         if not self._uses[key]:
@@ -514,9 +522,7 @@ def _sweep_table(metric: str, axis: str, xs: list, columns: list[_Column],
 
 def run_sweep_command(spec: ExperimentSpec, metric: str) -> dict:
     _validate_methods(spec, OUTAGE_METHODS if metric == "outage" else SE_METHODS)
-    policy = spec.policy or ("optimal" if spec.cfg.reciprocity is Reciprocity.RECIPROCAL
-                             else "greedy")
-    columns = [_Column(m, spec.cfg, m, policy, spec.trials, spec.user) for m in spec.methods]
+    columns = [_Column(m, spec.cfg, m, spec.trials, spec.user) for m in spec.methods]
     if spec.l_list:
         if len(spec.p_dbm) != 1:
             raise SpecError("an element-count sweep needs a single power point")
@@ -553,10 +559,11 @@ def run_optimize(spec: ExperimentSpec) -> dict:
         raise SpecError("optimize designs the one-slot scheme's shared phases; the "
                         "two-slot scheme co-phases each slot (see se --scheme two)")
     rho = float(sweep_rho(spec.cfg, [db_to_linear(spec.p_dbm[0])])[0])
-    # trial t is trial t of each method's Monte Carlo collection, solved at rho = 1
-    gains = {m: mc.collect_gains([spec.cfg], m, spec.trials, spec.seed, spec.workers,
-                                 grid=spec.greedy_grid, tol=spec.sdp_tol,
-                                 k=spec.randomization_k)[0] for m in spec.methods}
+    # trial t is trial t of the methods' one Monte Carlo collection, solved at rho = 1
+    gains = dict(zip(spec.methods, mc.collect_gains(
+        [dataclasses.replace(spec.cfg, policy=m) for m in spec.methods], spec.trials,
+        spec.seed, spec.workers, grid=spec.greedy_grid, tol=spec.sdp_tol,
+        k=spec.randomization_k)))
     header, cells = ["trial"], [[str(t) for t in range(spec.trials)]]
     if "sdp" in spec.methods:
         header.append("t_star")
@@ -606,8 +613,9 @@ def _power_panels(spec: ExperimentSpec) -> dict[str, dict[str, tuple]]:
     Every column is on a reciprocal channel unless it says otherwise.
     """
     def col(label, method, trials=0, policy="optimal", user=1, **over):
-        cfg = dataclasses.replace(spec.cfg, **{"reciprocity": Reciprocity.RECIPROCAL, **over})
-        return _Column(label, cfg, method, policy, trials, user)
+        cfg = dataclasses.replace(spec.cfg, **{"reciprocity": Reciprocity.RECIPROCAL,
+                                               "policy": policy, **over})
+        return _Column(label, cfg, method, trials, user)
 
     trials = {"outage": spec.trials_outage, "se": spec.trials_se}
     deltas = (math.pi / 8, math.pi / 4, math.pi / 2, math.pi)

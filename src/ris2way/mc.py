@@ -16,13 +16,16 @@ only when a pool starts.  A block is drawn and reduced in cache-sized row
 chunks; its generators run on from chunk to chunk, so the chunks' rows are the
 bits of one whole-block draw.  A phase-jitter term amp * e^(i eps) is formed
 as (amp cos eps, amp sin eps), the same bits as the complex exponential.
-`draw_key` names what else they depend on: on a reciprocal channel only L,
-sigma2, the trial count and the phase-error model, so configs differing in
-scheme, nu, omega, gamma_th, noise or jitter width share one channel draw per
-block, and `collect_gains` collects such a group in one pass (common random
-numbers across schemes, nu and delta).  A non-reciprocal gain also reads the
-scheme, the policy and `collect_gains`'s max-min solver settings (`optim`'s
-defaults unless given).  The u1 and random baselines live here.
+`draw_key` names what else they depend on: the reciprocity, L, sigma2 and the
+trial count.  Configs with one key share one channel draw per block, and
+`collect_gains` collects such a group in one pass (common random numbers).
+On a reciprocal channel each phase-error model gets a gain row, so scheme, nu,
+omega, gamma_th, noise and jitter width all share the draw; on a
+non-reciprocal one each one-slot policy and the two-slot scheme's per-slot
+co-phasing get (g1, g2, t*), so `optimize`'s methods and fig8's policies
+share it.  A non-reciprocal gain also reads `collect_gains`'s max-min solver
+settings (`optim`'s defaults unless given).  The u1 and random baselines live
+here.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ class McEstimate:
     trials: int
 
 
-PHASE_POLICIES = ("optimal", "u1", "random", "greedy", "sdp")
 _CROSSOVER_TOL_DB = 0.01
 
 
@@ -62,7 +64,7 @@ _CROSSOVER_TOL_DB = 0.01
 class TrialGains:
     """Power-independent per-trial channel gains g_p: gamma_p = rho_p * g_p, and
     on a non-reciprocal channel the sdp policy's relaxation bounds t* on
-    min(g1, g2) (NaN under other policies)."""
+    min(g1, g2) (NaN under other policies and the two-slot scheme)."""
 
     g1: np.ndarray
     g2: np.ndarray
@@ -125,75 +127,66 @@ def _reciprocal_gain_block(cfg: SystemConfig, models: tuple[PhaseErrorModel | No
     return out
 
 
-def _nonreciprocal_gain_block(cfg: SystemConfig, policy: str, seed: int, block: int,
-                              count: int, settings: dict) -> np.ndarray:
-    """The rows (g1, g2, t*) of one block; t* is NaN but under the sdp policy.
-
-    Fixed-phase policies reduce each channel chunk as it is drawn; the max-min
-    policies gather the block's terms and solve them in one `maxmin_block` call
-    with the solver `settings` (its grid, tol and k).  The phases hold at
-    every sweep power: both users share its rho, and scaling both SINRs by one
-    rho does not move the argmax.
-    """
-    out = np.full((3, count), np.nan)
-    if cfg.scheme is Scheme.ONE and policy in ("greedy", "sdp"):
+def _nonreciprocal_gain_block(cfg: SystemConfig, variants: tuple[str | None, ...],
+                              seed: int, block: int, count: int, settings: dict) -> np.ndarray:
+    """Rows (g1, g2, t*) per variant, a one-slot policy or None for the two-slot
+    scheme's per-slot co-phasing, all from one channel draw; t* is NaN but under
+    sdp.  Fixed phases reduce each chunk as it is drawn; the max-min policies
+    gather the block's terms and solve them, each in one `maxmin_block` call
+    with the solver `settings` (its grid, tol and k).  A variant reads only the
+    channel and its own streams.  The phases hold at every sweep power: both
+    users share its rho, and scaling both SINRs by one rho keeps the argmax."""
+    out = np.full((len(variants), 3, count), np.nan)
+    brng = None
+    if "random" in variants:
+        brng = rngmod.block_generator(seed, rngmod.STREAM_BASELINE, block)
+    designed = [(row, v) for row, v in zip(out, variants) if v in ("greedy", "sdp")]
+    if designed:
         terms = np.empty((2, count, cfg.L), dtype=complex)
-        for rows, ch in _channel_chunks(cfg, seed, block, count):
-            terms[0, rows] = ch.h_r * ch.g_t
-            terms[1, rows] = ch.g_r * ch.h_t
-        first = block * rngmod.BLOCK_SIZE
+    for rows, ch in _channel_chunks(cfg, seed, block, count):
+        z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
+        if designed:
+            terms[0, rows], terms[1, rows] = z1, z2
+        for gains, policy in zip(out[:, :2, rows], variants):
+            if policy is None:  # each slot gets its own co-phasing
+                gains[:] = np.sum(np.abs(z1), axis=1) ** 2, np.sum(np.abs(z2), axis=1) ** 2
+            elif policy == "u1":
+                gains[:] = np.sum(np.abs(z1), axis=1) ** 2, coherent_gain(z2, -np.angle(z1))
+            elif policy == "random":  # one stacked call forms the rotations for both users
+                gains[:] = coherent_gain(np.stack((z1, z2)),
+                                         brng.uniform(0.0, 2.0 * math.pi, size=z1.shape))
+    first = block * rngmod.BLOCK_SIZE
+    for row, policy in designed:
         rngs = None
         if policy == "sdp":
             rngs = [rngmod.trial_generator(seed, rngmod.STREAM_OPTIM, first + i)
                     for i in range(count)]
-        method = OptimMethod.GREEDY_ITERATIVE if policy == "greedy" else OptimMethod.SDP_RELAX
         try:
-            phases, out[2] = maxmin_block(terms[0], terms[1], method, rngs, **settings)
+            phases, row[2] = maxmin_block(terms[0], terms[1], OptimMethod(policy), rngs,
+                                          **settings)
         except SolverFailureError as exc:
             raise SolverFailureError(f"trial {first + exc.instance}: {exc}") from exc
-        out[:2] = coherent_gain(terms, phases)
-        return out
-    brng = None
-    if cfg.scheme is Scheme.ONE and policy == "random":
-        brng = rngmod.block_generator(seed, rngmod.STREAM_BASELINE, block)
-    for rows, ch in _channel_chunks(cfg, seed, block, count):
-        out[:2, rows] = _fixed_phase_gains(cfg, policy, ch.h_r * ch.g_t, ch.g_r * ch.h_t, brng)
+        row[:2] = coherent_gain(terms, phases)
     return out
 
 
-def _fixed_phase_gains(cfg: SystemConfig, policy: str, z1: np.ndarray, z2: np.ndarray,
-                       brng) -> tuple[np.ndarray, np.ndarray]:
-    """(g1, g2) of one chunk under the two-slot co-phasing, u1 or random phases."""
-    if cfg.scheme is Scheme.TWO:
-        # each slot gets its own co-phasing, independent of the policy
-        return np.sum(np.abs(z1), axis=1) ** 2, np.sum(np.abs(z2), axis=1) ** 2
-    if policy == "u1":
-        return np.sum(np.abs(z1), axis=1) ** 2, coherent_gain(z2, -np.angle(z1))
-    # one stacked call forms the rotations once for both users
-    return coherent_gain(np.stack((z1, z2)), brng.uniform(0.0, 2.0 * math.pi, size=z1.shape))
-
-
 def _gain_block_task(args):
-    cfg, variants, policy, seed, block, count, settings = args
+    cfg, variants, seed, block, count, settings = args
     if cfg.reciprocity is Reciprocity.RECIPROCAL:
         return _reciprocal_gain_block(cfg, variants, seed, block, count)
-    return _nonreciprocal_gain_block(cfg, policy, seed, block, count, settings)
+    return _nonreciprocal_gain_block(cfg, variants, seed, block, count, settings)
 
 
-def draw_key(cfg: SystemConfig, policy: str, trials: int) -> tuple:
-    """What a collection's gains depend on, besides the seed and the phase-error
-    model: configs with equal keys can be collected together.
-
-    A reciprocal gain reads only L, sigma2, the phase-error model, the trials
-    and the seed; a non-reciprocal one (which has no phase-error model) reads
-    the scheme as well.  nu, omega, gamma_th and noise enter neither.
-    """
-    key = (cfg.reciprocity, cfg.L, cfg.sigma2, policy, trials)
-    return key if cfg.reciprocity is Reciprocity.RECIPROCAL else key + (cfg.scheme,)
+def draw_key(cfg: SystemConfig, trials: int) -> tuple:
+    """What a collection's gains depend on besides the seed and each config's
+    variant (a reciprocal one's phase-error model, a non-reciprocal one's scheme
+    and one-slot policy): configs with equal keys can share one draw.  nu,
+    omega, gamma_th and noise enter no gain."""
+    return (cfg.reciprocity, cfg.L, cfg.sigma2, trials)
 
 
-def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
-                  workers: int = 1, *, grid: int = GREEDY_GRID, tol: float = SDP_TOL,
+def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int = 1, *,
+                  grid: int = GREEDY_GRID, tol: float = SDP_TOL,
                   k: int = RANDOMIZATION_K) -> list[TrialGains]:
     """Per-trial gains of each config in `cfgs`, identical for any worker count.
 
@@ -209,26 +202,22 @@ def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     cfg = cfgs[0]
-    if any(draw_key(c, policy, trials) != draw_key(cfg, policy, trials) for c in cfgs):
+    if any(draw_key(c, trials) != draw_key(cfg, trials) for c in cfgs):
         raise ValueError("the configs of one collection must share a draw key")
-    # equal keys mean one reciprocity, L and sigma2, and on a non-reciprocal
-    # channel one scheme
-    if policy not in PHASE_POLICIES:
-        raise ValueError(f"unknown phase policy {policy!r}")
+    # a config checks its policy name itself, and 'optimal' on a reciprocal channel
     reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
-    if reciprocal and policy != "optimal":
-        raise ValueError("reciprocal channels support the 'optimal' policy only")
-    if not reciprocal and policy == "optimal":
+    if not reciprocal and any(c.policy == "optimal" for c in cfgs):
         raise ValueError("non-reciprocal channels need a max-min or baseline policy")
     if not reciprocal and any(c.phase_error is not None for c in cfgs):
         raise ValueError("the phase-error model applies to reciprocal channels")
-    # a reciprocal block has one gain row per distinct phase-error model,
-    # a non-reciprocal one the rows g1, g2 and t*
-    variants = tuple(dict.fromkeys(c.phase_error for c in cfgs))
+    # a reciprocal variant gets a gain row, a non-reciprocal one the rows g1, g2, t*
+    variant = {c: c.phase_error if reciprocal else c.policy if c.scheme is Scheme.ONE else None
+               for c in cfgs}
+    variants = tuple(dict.fromkeys(variant.values()))
     settings = {"grid": grid, "tol": tol, "k": k}
-    tasks = [(cfg, variants, policy, seed, block, count, settings)
+    tasks = [(cfg, variants, seed, block, count, settings)
              for block, count in rngmod.iter_blocks(trials)]
-    rows = np.empty((len(variants) if reciprocal else 3, trials))
+    rows = np.empty((len(variants),) + (() if reciprocal else (3,)) + (trials,))
     # the fork context starts every worker up front, so start no idle ones, and
     # none beyond the CPUs: on one CPU a pool only adds its start-up and pickling
     size = min(workers, len(tasks), _usable_cpus())
@@ -237,10 +226,9 @@ def collect_gains(cfgs: list[SystemConfig], policy: str, trials: int, seed: int,
     else:
         with _start_pool(size) as pool:
             _fill_blocks(rows, pool.map(_gain_block_task, tasks, chunksize=1))
-    if not reciprocal:
-        return [TrialGains(*rows) for _ in cfgs]
-    by_model = dict(zip(variants, rows))
-    return [TrialGains(by_model[c.phase_error], by_model[c.phase_error]) for c in cfgs]
+    by_variant = dict(zip(variants, rows))
+    return [TrialGains(g, g) if reciprocal else TrialGains(*g)
+            for g in (by_variant[variant[c]] for c in cfgs)]
 
 
 def _start_pool(size: int):
@@ -261,11 +249,12 @@ def _usable_cpus() -> int:
 
 
 def _fill_blocks(rows: np.ndarray, parts) -> None:
-    """Write each block's (rows, count) gains, taken in block order, into `rows`."""
+    """Write each block's gains, trials on the last axis and taken in block
+    order, into `rows`."""
     lo = 0
     for part in parts:
-        rows[:, lo:lo + part.shape[1]] = part
-        lo += part.shape[1]
+        rows[..., lo:lo + part.shape[-1]] = part
+        lo += part.shape[-1]
 
 
 # the most doubles a (points, trials) temporary of a reduction holds (128 KB),
@@ -336,7 +325,7 @@ def find_crossover(cfg: SystemConfig, p_dbm_grid, trials: int = 10**3, seed: int
     grid = np.asarray(list(p_dbm_grid), dtype=float)
     if grid.size < 2:
         raise ValueError("need at least two grid points")
-    [gains] = collect_gains([cfg], "optimal", trials, seed, workers)
+    [gains] = collect_gains([cfg], trials, seed, workers)
     one = dataclasses.replace(cfg, scheme=Scheme.ONE)
     two = dataclasses.replace(cfg, scheme=Scheme.TWO)
 

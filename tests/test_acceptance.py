@@ -57,7 +57,7 @@ def test_criterion_1_exact_single_element_agreement():
     grid = list(range(-40, 41, 2))
     # gains are the same bits for any worker count (criterion 11), so the
     # 10^6-trial collections use every CPU; collect_gains caps the pool there
-    [gains] = mc.collect_gains([cfg], "optimal", 10**6, seed=101, workers=os.cpu_count())
+    [gains] = mc.collect_gains([cfg], 10**6, seed=101, workers=os.cpu_count())
     curve = _curve(mc.outage_from_gains, cfg, gains, grid)
     worst = 0.0
     for p_dbm, est in zip(grid, curve):
@@ -86,7 +86,7 @@ def _criterion_2_curve(L):
     center_rho = 1.0 / (L * math.pi / 4.0) ** 2
     center_dbm = 10.0 * math.log10(center_rho * (cfg.omega + cfg.noise_mw))
     grid = [center_dbm + d for d in range(-10, 17, 2)]
-    [gains] = mc.collect_gains([cfg], "optimal", 10**6, seed=202, workers=os.cpu_count())
+    [gains] = mc.collect_gains([cfg], 10**6, seed=202, workers=os.cpu_count())
     return cfg, grid, _curve(mc.outage_from_gains, cfg, gains, grid)
 
 
@@ -194,7 +194,7 @@ def test_criterion_6_asymptotic_rates_and_sandwich():
     for L, rho, trials in ((2, 100.0, 10**6), (4, 3.0, 10**6)):
         cfg = base_cfg(L=L)
         p_dbm = 10 * math.log10(rho * (cfg.omega + cfg.noise_mw))
-        [gains] = mc.collect_gains([cfg], "optimal", trials, seed=606, workers=os.cpu_count())
+        [gains] = mc.collect_gains([cfg], trials, seed=606, workers=os.cpu_count())
         p_mw = 10 ** (p_dbm / 10)
         [est] = mc.outage_from_gains(cfg, [p_mw], gains)
         lo, up = an.sandwich_bounds_Lge2(L, 1.0, sweep_rho(cfg, [p_mw])[0])
@@ -213,7 +213,7 @@ def test_criterion_7_interference_floors():
     ok = True
     for L in (1, 4):
         cfg = base_cfg(L=L, nu=1.0)
-        [gains] = mc.collect_gains([cfg], "optimal", 10**6, seed=5, workers=os.cpu_count())
+        [gains] = mc.collect_gains([cfg], 10**6, seed=5, workers=os.cpu_count())
         outs, ses, outs_ana, ses_ana = [], [], [], []
         for p_dbm in (20.0, 30.0, 40.0):
             p_mw = 10 ** (p_dbm / 10.0)
@@ -257,7 +257,7 @@ def test_criterion_8_phase_error_exact_law():
         center_rho = max(1.0 / max(L * 0.25, 1.0), 1.0) * 10.0
         p_center = 10 * math.log10(center_rho * (cfg.omega + cfg.noise_mw))
         grid = [p_center + d for d in (-5.0, 0.0, 5.0, 10.0)]
-        [gains] = mc.collect_gains([cfg], "optimal", 10**6, seed=808, workers=os.cpu_count())
+        [gains] = mc.collect_gains([cfg], 10**6, seed=808, workers=os.cpu_count())
         curve = _curve(mc.outage_from_gains, cfg, gains, grid)
         worst = 0.0
         for p_dbm, est in zip(grid, curve):
@@ -271,8 +271,7 @@ def test_criterion_8_phase_error_exact_law():
         cfg_err = base_cfg(L=L, phase_error=UniformPhaseError(math.pi / 8.0))
         cfg_free = base_cfg(L=L)
         # one channel draw serves both: the jitter only rotates the terms
-        gains_err, gains_free = mc.collect_gains([cfg_err, cfg_free], "optimal", 10**5,
-                                                 seed=809)
+        gains_err, gains_free = mc.collect_gains([cfg_err, cfg_free], 10**5, seed=809)
         powers = [10 ** (p_dbm / 10) for p_dbm in (10.0, 20.0, 30.0)]
         for se_err, se_free in zip(mc.se_from_gains(cfg_err, powers, gains_err),
                                    mc.se_from_gains(cfg_free, powers, gains_free)):

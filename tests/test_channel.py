@@ -222,9 +222,9 @@ def test_scheme_two_snr_always_beats_scheme_one():
 def test_phase_error_single_element_invariant():
     # one element: the jitter rotates the only term, so every gain is unchanged
     cfg = cfg_rec(L=1)
-    [free] = collect_gains([cfg], "optimal", 5000, seed=10)
+    [free] = collect_gains([cfg], 5000, seed=10)
     for model in (UniformPhaseError(2.2), VonMisesPhaseError(0.3, 1.0)):
-        [jittered] = collect_gains([cfg_rec(L=1, phase_error=model)], "optimal", 5000, seed=10)
+        [jittered] = collect_gains([cfg_rec(L=1, phase_error=model)], 5000, seed=10)
         np.testing.assert_allclose(jittered.g1, free.g1, rtol=1e-12)
         np.testing.assert_allclose(jittered.g2, free.g2, rtol=1e-12)
 

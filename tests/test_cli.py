@@ -199,7 +199,8 @@ def test_optimize_rows_are_monte_carlo_trials(tmp_path):
     assert rho != 1.0
     names, cells = ["trial", "t_star"], [[str(t) for t in range(6)], None]
     for m in spec.methods:
-        [g] = mc.collect_gains([spec.cfg], m, 6, 9, grid=120, tol=1e-3, k=11)
+        [g] = mc.collect_gains([dataclasses.replace(spec.cfg, policy=m)], 6, 9,
+                               grid=120, tol=1e-3, k=11)
         if m == "sdp":
             cells[1] = [cli.fmt_val(t) for t in rho * g.t_star]
         else:
@@ -209,6 +210,49 @@ def test_optimize_rows_are_monte_carlo_trials(tmp_path):
         cells += [[cli.fmt_val(v) for v in col] for col in (g1, g2, np.minimum(g1, g2))]
     assert header == names
     assert rows == [list(row) for row in zip(*cells)]
+
+
+def test_optimize_draws_each_block_once(tmp_path, monkeypatch):
+    """optimize's methods share one Monte Carlo collection: each chunk of both
+    blocks is drawn once, not once per method, and each method's columns are
+    the bits of its own one-method run."""
+    drawn = []
+    sample = mc.sample_channel_block
+
+    def spy(cfg, rng, n):
+        drawn.append(n)
+        return sample(cfg, rng, n)
+
+    monkeypatch.setattr(mc, "sample_channel_block", spy)
+    argv = ["optimize", "--L", "3", "--reciprocity", "non-reciprocal", "--trials", "4100",
+            "--workers", "1", "--seed", "5"]
+    out = tmp_path / "all.csv"
+    assert run_cli(argv + ["--methods", "greedy,u1,random", "--out", str(out)]) == 0
+    step = mc._DRAW_CHUNK // (8 * 3)  # the rows of one chunk at L=3
+    block = [min(step, rngmod.BLOCK_SIZE - lo) for lo in range(0, rngmod.BLOCK_SIZE, step)]
+    assert drawn == block + [4100 - rngmod.BLOCK_SIZE]
+    header, rows = read_csv(out)
+    for m in ("greedy", "u1", "random"):
+        out = tmp_path / f"{m}.csv"
+        assert run_cli(argv + ["--methods", m, "--out", str(out)]) == 0
+        alone_header, alone_rows = read_csv(out)
+        cols = [header.index(name) for name in alone_header]
+        assert [[row[j] for j in cols] for row in rows] == alone_rows
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["se", "--L", "16"], ["p_dbm", "se_mc", "stderr_mc", "se_gamma"]),
+    (["outage", "--L", "4", "--reciprocity", "non-reciprocal"],
+     ["p_dbm", "outage_mc", "stderr_mc"]),
+    (["outage", "--L", "1"], ["p_dbm", "outage_mc", "stderr_mc", "outage_exact"]),
+    (["se", "--l-list", "1,2"], ["L", "se_mc", "stderr_mc"]),
+])
+def test_default_methods_fit_the_config(tmp_path, argv, header):
+    """Without --methods, outage and se run mc and, on a reciprocal channel,
+    the closed form defined at every swept L."""
+    out = tmp_path / "x.csv"
+    assert run_cli(argv + ["--trials", "50", "--p-dbm", "0:0:1", "--out", str(out)]) == 0
+    assert read_csv(out)[0] == header
 
 
 def test_optimize_bytes_do_not_depend_on_workers(tmp_path):
@@ -252,6 +296,15 @@ def test_single_value_l_list_is_an_element_sweep(tmp_path, capsys):
     (["se", "--user", "foo", "--methods", "exact"], "--user"),
     (["outage", "--l-list", "2,x", "--p-dbm", "0:0:1", "--methods", "gamma"], "--l-list"),
     (["crossover", "--l-list", "0", "--methods", "analytic"], "--l-list"),
+    # the policy is on the config, so it is checked whatever the methods
+    (["outage", "--L", "1", "--methods", "exact", "--policy", "bogus"],
+     "--policy: policy 'bogus' is unknown"),
+    (["outage", "--L", "1", "--methods", "exact", "--policy", "u1"],
+     "--policy: policy 'u1' is a non-reciprocal one"),
+    (["se", "--L", "2", "--methods", "gamma", "--policy", "sdp"],
+     "--policy: policy 'sdp' is a non-reciprocal one"),
+    (["se", "--L", "2", "--reciprocity", "non-reciprocal", "--methods", "mc",
+      "--policy", "Greedy"], "--policy: policy 'Greedy' is unknown"),
 ])
 def test_bad_user_or_l_list_exit_code(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"
@@ -475,8 +528,9 @@ def test_reproduce_preset_writes_csvs(tmp_path, preset):
 
 
 def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):
-    """fig6's jitter widths share one channel draw per L and panel; fig5's
-    schemes and nu share one per L across both of its tables."""
+    """fig6's jitter widths share one channel draw per L and panel, fig8's
+    policies one at L=8; fig5's schemes and nu share one per L across both of
+    its tables."""
     group_sizes = []
     collect = cli.mc.collect_gains
 
@@ -497,6 +551,11 @@ def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):
     for panel in ("outage", "se"):
         assert ((tmp_path / f"w1_{panel}.csv").read_bytes()
                 == (tmp_path / f"w3_{panel}.csv").read_bytes())
+    group_sizes.clear()
+    # fig8's four L=8 policies share one draw; panel b has one per L and reciprocity
+    assert run_cli(["reproduce", "fig8", *flags, "--trials-opt", "5",
+                    "--out", str(tmp_path / "f8.csv")]) == 0
+    assert group_sizes == [4] + [1] * 8
     group_sizes.clear()
     assert run_cli(["reproduce", "fig5", *flags, "--out", str(tmp_path / "f5.csv")]) == 0
     # one call per L for both panels: both schemes at nu=0, and the nu=1 panel's

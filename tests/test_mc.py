@@ -26,7 +26,7 @@ def cfg_rec(**kw):
 
 def test_outage_matches_exact_single_element():
     cfg = cfg_rec(L=1)
-    [gains] = collect_gains([cfg], "optimal", 200_000, seed=1)
+    [gains] = collect_gains([cfg], 200_000, seed=1)
     [est] = outage_from_gains(cfg, [1.0], gains)
     [rho] = sweep_rho(cfg, [1.0])
     exact = float(an.outage_exact_L1(cfg.gamma_th, rho))
@@ -38,19 +38,19 @@ def test_outage_matches_exact_single_element():
 
 def test_outage_high_power_is_zero():
     cfg = cfg_rec(L=4)
-    [gains] = collect_gains([cfg], "optimal", 20_000, seed=2)
+    [gains] = collect_gains([cfg], 20_000, seed=2)
     assert outage_from_gains(cfg, [1e9], gains)[0].value == 0.0
 
 
 def test_se_zero_power():
     cfg = cfg_rec(L=2)
-    [gains] = collect_gains([cfg], "optimal", 5_000, seed=3)
+    [gains] = collect_gains([cfg], 5_000, seed=3)
     assert se_from_gains(cfg, [0.0], gains)[0].value == 0.0
 
 
 def test_se_matches_quadrature_single_element():
     cfg = cfg_rec(L=1)
-    [gains] = collect_gains([cfg], "optimal", 100_000, seed=4)
+    [gains] = collect_gains([cfg], 100_000, seed=4)
     [est] = se_from_gains(cfg, [1.0], gains)  # 0 dBm
     [rho] = sweep_rho(cfg, [1.0])
     assert est.value == pytest.approx(an.se_exact_L1(rho), rel=0.01)
@@ -59,7 +59,7 @@ def test_se_matches_quadrature_single_element():
 def test_se_scheme_two_half_rate():
     cfg1 = cfg_rec(L=2, omega=0.0)
     cfg2 = cfg_rec(L=2, omega=0.0, scheme=Scheme.TWO)
-    gains1, gains2 = collect_gains([cfg1, cfg2], "optimal", 4_000, seed=5)
+    gains1, gains2 = collect_gains([cfg1, cfg2], 4_000, seed=5)
     [a] = se_from_gains(cfg1, [1.0], gains1)
     [b] = se_from_gains(cfg2, [1.0], gains2)
     assert b.value == pytest.approx(a.value / 2.0, rel=1e-12)
@@ -89,11 +89,12 @@ def test_power_grid_reduction_equals_one_point_reductions(metric):
     powers = [10.0 ** (p / 10.0) for p in range(-80, 41, 2)]  # the fig3-fig6 grids
     trials = 5000
     assert len(powers) * trials > 2 * mc._REDUCE_CHUNK  # at least three chunks of points
-    nonrec = cfg_rec(L=4, reciprocity=Reciprocity.NON_RECIPROCAL, nu=0.5, omega=1e-3)
-    [g_nonrec] = collect_gains([nonrec], "u1", trials, seed=41)
+    nonrec = cfg_rec(L=4, reciprocity=Reciprocity.NON_RECIPROCAL, nu=0.5, omega=1e-3,
+                     policy="u1")
+    [g_nonrec] = collect_gains([nonrec], trials, seed=41)
     assert not np.array_equal(g_nonrec.g1, g_nonrec.g2)
     two, one = cfg_rec(L=4, scheme=Scheme.TWO), cfg_rec(L=4, nu=1.0, gamma_th=2.0)
-    g_two, g_one = collect_gains([two, one], "optimal", trials, seed=41)
+    g_two, g_one = collect_gains([two, one], trials, seed=41)
     cases = [(nonrec, g_nonrec, user) for user in (1, 2, "min")]
     cases += [(two, g_two, 1), (one, g_one, 1)]
     for cfg, gains, user in cases:
@@ -115,8 +116,8 @@ def test_reduction_bits_do_not_depend_on_the_chunk(metric, monkeypatch):
     powers = [10.0 ** (p / 10.0) for p in range(-50, 41, 2)]  # fig5's grid
     assert len(powers) == 46
     one, two = cfg_rec(L=2), cfg_rec(L=2, scheme=Scheme.TWO)
-    cases = list(zip((one, two), collect_gains([one, two], "optimal", 1000, seed=5)))
-    cases += zip((one, two), collect_gains([one, two], "optimal", 80_000, seed=5))
+    cases = list(zip((one, two), collect_gains([one, two], 1000, seed=5)))
+    cases += zip((one, two), collect_gains([one, two], 80_000, seed=5))
     got = {}
     for chunk in (2**17, 2**14, 7):
         monkeypatch.setattr(mc, "_REDUCE_CHUNK", chunk)
@@ -130,7 +131,7 @@ def test_reduction_bits_do_not_depend_on_the_chunk(metric, monkeypatch):
 def test_estimates_identical_across_worker_counts(monkeypatch):
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)  # a real pool on any host
     cfg = cfg_rec(L=3)
-    gains = [collect_gains([cfg], "optimal", 9_000, seed=6, workers=w)[0] for w in (1, 3)]
+    gains = [collect_gains([cfg], 9_000, seed=6, workers=w)[0] for w in (1, 3)]
     # each call joins its pool before it returns
     assert multiprocessing.active_children() == []
     vals = [outage_from_gains(cfg, [10.0], g)[0].value for g in gains]
@@ -161,11 +162,11 @@ def test_worker_pool_capped_at_block_count(monkeypatch):
     monkeypatch.setattr(mc, "_start_pool", SerialPool)
     cfg = cfg_rec(L=2)
     trials = 2 * rngmod.BLOCK_SIZE + 10  # three blocks
-    [serial] = collect_gains([cfg], "optimal", trials, seed=3)
+    [serial] = collect_gains([cfg], trials, seed=3)
 
     def collect(workers, cpus):
         monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
-        [gains] = collect_gains([cfg], "optimal", trials, seed=3, workers=workers)
+        [gains] = collect_gains([cfg], trials, seed=3, workers=workers)
         assert np.array_equal(gains.g1, serial.g1)
         assert np.array_equal(gains.g2, serial.g2)
 
@@ -182,7 +183,7 @@ def test_worker_pool_capped_at_block_count(monkeypatch):
 @pytest.mark.parametrize("workers", [0, -5])
 def test_worker_count_below_one_rejected(workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        collect_gains([cfg_rec(L=2)], "optimal", 10, seed=0, workers=workers)
+        collect_gains([cfg_rec(L=2)], 10, seed=0, workers=workers)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         find_crossover(cfg_rec(L=2), [0.0, 10.0], trials=10, seed=0, workers=workers)
 
@@ -216,12 +217,12 @@ def test_grouped_gains_equal_one_config_gains(L):
     cfgs += [dataclasses.replace(cfgs[1], scheme=Scheme.TWO),
              dataclasses.replace(cfgs[3], nu=1.0),
              dataclasses.replace(cfgs[0], scheme=Scheme.TWO, nu=0.5)]
-    alone = [collect_gains([c], "optimal", trials, seed=21)[0] for c in cfgs]
+    alone = [collect_gains([c], trials, seed=21)[0] for c in cfgs]
     for cfg, gains in zip(cfgs, alone):
         assert np.array_equal(gains.g1, _one_config_gains(cfg, trials, 21))
         assert np.array_equal(gains.g2, gains.g1)
     for workers in (1, 3):
-        grouped = collect_gains(cfgs, "optimal", trials, seed=21, workers=workers)
+        grouped = collect_gains(cfgs, trials, seed=21, workers=workers)
         assert len(grouped) == len(cfgs)
         for gains, ref in zip(grouped, alone):
             assert np.array_equal(gains.g1, ref.g1)
@@ -267,64 +268,78 @@ def test_chunked_gain_block_equals_whole_block_draw(L):
         # u1's rotation is held in a variable, so every term is z2 * rot, the
         # product of that trial alone in a block of any size
         rot_u1 = np.exp(-1j * np.angle(z1))
-        no_bound = np.full(count, np.nan)  # the t* row of a fixed-phase policy
+        no_bound = np.full(count, np.nan)  # the t* row of fixed phases
         expected = {
             "u1": [cophased[0], np.abs(np.sum(z2 * rot_u1, axis=1)) ** 2, no_bound],
             "random": [np.abs(np.sum(z1 * rot, axis=1)) ** 2,
                        np.abs(np.sum(z2 * rot, axis=1)) ** 2, no_bound],
+            None: cophased + [no_bound],  # the two-slot scheme's per-slot co-phasing
         }
-        for policy, rows in expected.items():
-            got = mc._nonreciprocal_gain_block(non, policy, seed, block, count, {})
-            assert np.array_equal(got, np.array(rows), equal_nan=True), policy
-        two = dataclasses.replace(non, scheme=Scheme.TWO)
-        got = mc._nonreciprocal_gain_block(two, "random", seed, block, count, {})
-        assert np.array_equal(got, np.array(cophased + [no_bound]), equal_nan=True)
+        for variant, rows in expected.items():
+            [got] = mc._nonreciprocal_gain_block(non, (variant,), seed, block, count, {})
+            assert np.array_equal(got, np.array(rows), equal_nan=True), variant
+        # a variant's rows do not depend on which others share the block
+        got = mc._nonreciprocal_gain_block(non, tuple(expected), seed, block, count, {})
+        assert np.array_equal(got, np.array(list(expected.values())), equal_nan=True)
 
 
-def test_group_must_share_a_draw_key():
+def test_group_must_share_a_draw_key(monkeypatch):
+    """A draw key is the reciprocity, L, sigma2 and trial count.  A
+    non-reciprocal group may mix every policy, both schemes and any nu, omega,
+    noise and threshold, and each config gets the bits of its own collection,
+    t* included, pooled or not."""
     with pytest.raises(ValueError, match="draw key"):
-        collect_gains([cfg_rec(L=2), cfg_rec(L=3)], "optimal", 10, seed=0)
+        collect_gains([cfg_rec(L=2), cfg_rec(L=3)], 10, seed=0)
     with pytest.raises(ValueError, match="draw key"):
-        collect_gains([cfg_rec(L=2), cfg_rec(L=2, sigma2=2.0)], "optimal", 10, seed=0)
+        collect_gains([cfg_rec(L=2), cfg_rec(L=2, sigma2=2.0)], 10, seed=0)
     with pytest.raises(ValueError):
-        collect_gains([], "optimal", 10, seed=0)
-    non = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL)
-    # a non-reciprocal gain reads L, sigma2 and the scheme, and no other field
-    for other in (dict(L=3), dict(sigma2=2.0), dict(scheme=Scheme.TWO)):
+        collect_gains([], 10, seed=0)
+    non = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL, policy="greedy")
+    for other in (dict(L=3), dict(sigma2=2.0), dict(reciprocity=Reciprocity.RECIPROCAL,
+                                                   policy="optimal")):
         with pytest.raises(ValueError, match="draw key"):
-            collect_gains([non, dataclasses.replace(non, **other)], "greedy", 10, seed=0)
-    group = [non, dataclasses.replace(non, nu=1.0),
-             dataclasses.replace(non, omega=1e-2, noise_mw=1e-9, gamma_th=4.0)]
-    for policy in ("greedy", "u1"):
-        for cfg, gains in zip(group, collect_gains(group, policy, 10, seed=0)):
-            [alone] = collect_gains([cfg], policy, 10, seed=0)
-            assert np.array_equal(gains.g1, alone.g1) and np.array_equal(gains.g2, alone.g2)
+            collect_gains([non, dataclasses.replace(non, **other)], 10, seed=0)
+    group = [dataclasses.replace(non, policy=policy, scheme=scheme, **other)
+             for policy in ("sdp", "greedy", "u1", "random") for scheme in Scheme
+             for other in ({}, dict(nu=1.0, omega=1e-2, noise_mw=1e-9, gamma_th=4.0))]
+    trials = rngmod.BLOCK_SIZE + 10  # two blocks, so three workers start a pool
+    alone = [collect_gains([cfg], trials, seed=0)[0] for cfg in group]
+    assert np.isfinite(alone[0].t_star).all()  # sdp on the one-slot scheme
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+    for workers in (1, 3):
+        grouped = collect_gains(group, trials, seed=0, workers=workers)
+        for cfg, gains, ref in zip(group, grouped, alone):
+            for row in ("g1", "g2", "t_star"):
+                assert np.array_equal(getattr(gains, row), getattr(ref, row),
+                                      equal_nan=True), (cfg, row)
+    # the two-slot scheme co-phases each slot whatever the policy
+    assert np.array_equal(alone[2].g1, alone[-1].g1)
     # the phase-error check covers every config of the group, not only the first
     jittered = dataclasses.replace(non, nu=1.0, phase_error=UniformPhaseError(0.5))
     with pytest.raises(ValueError, match="phase-error model"):
-        collect_gains([non, jittered], "greedy", 10, seed=0)
+        collect_gains([non, jittered], 10, seed=0)
 
 
 def test_u1_trial_gains_do_not_depend_on_the_block_size():
     """Trial i of a u1 collection is the same bits whatever the number of
     trials its block holds, here 1000 (8000 terms) and 4096 (32768 terms)."""
-    cfg = cfg_rec(L=8, reciprocity=Reciprocity.NON_RECIPROCAL)
-    [few] = collect_gains([cfg], "u1", 1000, seed=0)
-    [full] = collect_gains([cfg], "u1", rngmod.BLOCK_SIZE, seed=0)
+    cfg = cfg_rec(L=8, reciprocity=Reciprocity.NON_RECIPROCAL, policy="u1")
+    [few] = collect_gains([cfg], 1000, seed=0)
+    [full] = collect_gains([cfg], rngmod.BLOCK_SIZE, seed=0)
     assert np.array_equal(few.g1, full.g1[:1000])
     assert np.array_equal(few.g2, full.g2[:1000])
 
 
 def test_gains_prefix_property():
     cfg = cfg_rec(L=2)
-    [small] = collect_gains([cfg], "optimal", 3_000, seed=7)
-    [big] = collect_gains([cfg], "optimal", 9_000, seed=7)
+    [small] = collect_gains([cfg], 3_000, seed=7)
+    [big] = collect_gains([cfg], 9_000, seed=7)
     assert np.array_equal(small.g1, big.g1[:3_000])
 
 
 def test_common_random_numbers_monotone_in_power():
     cfg = cfg_rec(L=2)
-    [gains] = collect_gains([cfg], "optimal", 50_000, seed=8)
+    [gains] = collect_gains([cfg], 50_000, seed=8)
     values = [e.value for e in outage_from_gains(
         cfg, [10 ** (p / 10) for p in (0.0, 5.0, 10.0, 15.0)], gains)]
     assert all(b <= a for a, b in zip(values, values[1:]))
@@ -334,7 +349,7 @@ def test_scheme_two_outage_never_worse_per_seed():
     import dataclasses
     cfg1 = cfg_rec(L=2, omega=1e-2)
     cfg2 = dataclasses.replace(cfg1, scheme=Scheme.TWO)
-    gains1, gains2 = collect_gains([cfg1, cfg2], "optimal", 30_000, seed=9)
+    gains1, gains2 = collect_gains([cfg1, cfg2], 30_000, seed=9)
     powers = [10 ** (p / 10) for p in (0.0, 10.0)]
     for o1, o2 in zip(outage_from_gains(cfg1, powers, gains1),
                       outage_from_gains(cfg2, powers, gains2)):
@@ -343,7 +358,7 @@ def test_scheme_two_outage_never_worse_per_seed():
 
 def test_outage_with_phase_error_matches_scrambled_law():
     cfg = cfg_rec(L=4, phase_error=UniformPhaseError(math.pi))
-    [gains] = collect_gains([cfg], "optimal", 400_000, seed=10)
+    [gains] = collect_gains([cfg], 400_000, seed=10)
     [est] = outage_from_gains(cfg, [0.1], gains)
     [rho] = sweep_rho(cfg, [0.1])
     ana = an.outage_phase_error_uniform_pi(4, cfg.gamma_th, rho)
@@ -352,9 +367,8 @@ def test_outage_with_phase_error_matches_scrambled_law():
 
 def test_nonreciprocal_policies_ordering():
     cfg = cfg_rec(L=4, reciprocity=Reciprocity.NON_RECIPROCAL)
-    [gains_u1] = collect_gains([cfg], "u1", 300, seed=11)
-    [gains_rand] = collect_gains([cfg], "random", 300, seed=11)
-    [gains_greedy] = collect_gains([cfg], "greedy", 300, seed=11)
+    gains_u1, gains_rand, gains_greedy = collect_gains(
+        [dataclasses.replace(cfg, policy=p) for p in ("u1", "random", "greedy")], 300, seed=11)
     # co-phasing for user 1 dominates every other policy's user-1 gain
     assert np.all(gains_u1.g1 >= gains_greedy.g1 * (1 - 1e-9))
     assert np.all(gains_u1.g1 >= gains_rand.g1 * (1 - 1e-9))
@@ -364,25 +378,26 @@ def test_nonreciprocal_policies_ordering():
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        collect_gains([cfg_rec(L=2)], "greedy", 10, seed=0)
-    with pytest.raises(ValueError):
-        collect_gains([cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL)],
-                      "optimal", 10, seed=0)
-    with pytest.raises(ValueError):
-        collect_gains([cfg_rec(L=2)], "bogus", 10, seed=0)
-    with pytest.raises(ValueError):
-        collect_gains([cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL,
-                               phase_error=UniformPhaseError(0.5))],
-                      "greedy", 10, seed=0)
+    # a config checks its own policy name, and 'optimal' on a reciprocal channel
+    with pytest.raises(ValueError, match="support the 'optimal' policy only"):
+        cfg_rec(L=2, policy="greedy")
+    with pytest.raises(ValueError, match="policy 'bogus' is unknown"):
+        cfg_rec(L=2, policy="bogus")
+    # the default 'optimal' is a valid non-reciprocal config, but not collectable
+    non = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL)
+    with pytest.raises(ValueError, match="max-min or baseline policy"):
+        collect_gains([dataclasses.replace(non, policy="u1"), non], 10, seed=0)
+    with pytest.raises(ValueError, match="phase-error model"):
+        collect_gains([dataclasses.replace(non, policy="greedy",
+                                           phase_error=UniformPhaseError(0.5))], 10, seed=0)
 
 
 def test_phase_error_applies_to_both_schemes():
     import dataclasses
     cfg1 = cfg_rec(L=4, phase_error=UniformPhaseError(math.pi / 2))
     cfg2 = dataclasses.replace(cfg1, scheme=Scheme.TWO)
-    [g1] = collect_gains([cfg1], "optimal", 2_000, seed=15)
-    [g2] = collect_gains([cfg2], "optimal", 2_000, seed=15)
+    [g1] = collect_gains([cfg1], 2_000, seed=15)
+    [g2] = collect_gains([cfg2], 2_000, seed=15)
     assert np.array_equal(g1.g1, g2.g1)  # same jittered gains, only rho differs
 
 
@@ -414,14 +429,14 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
     """A trial's gains are the same bits whether its block holds 1, 37 or 4096
     trials, for any worker count and sub-batch size, and equal the gains of
     its instance solved alone."""
-    cfg = cfg_rec(L=L, reciprocity=Reciprocity.NON_RECIPROCAL)
+    cfg = cfg_rec(L=L, reciprocity=Reciprocity.NON_RECIPROCAL, policy=policy)
     trials = rngmod.BLOCK_SIZE + 37
-    [full] = collect_gains([cfg], policy, trials, seed=31)
-    [pooled] = collect_gains([cfg], policy, trials, seed=31, workers=3)
+    [full] = collect_gains([cfg], trials, seed=31)
+    [pooled] = collect_gains([cfg], trials, seed=31, workers=3)
     assert np.array_equal(pooled.g1, full.g1) and np.array_equal(pooled.g2, full.g2)
     assert np.array_equal(pooled.t_star, full.t_star, equal_nan=True)
     for few in (1, 37):
-        [part] = collect_gains([cfg], policy, few, seed=31)
+        [part] = collect_gains([cfg], few, seed=31)
         assert np.array_equal(part.g1, full.g1[:few])
         assert np.array_equal(part.g2, full.g2[:few])
         assert np.array_equal(part.t_star, full.t_star[:few], equal_nan=True)
@@ -444,7 +459,7 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
                                  rng=rngmod.trial_generator(31, rngmod.STREAM_OPTIM, i))
         assert np.array_equal(res.phases, phases[i])
     monkeypatch.setattr(optim, "_STACK_ELEMENTS", 1)  # one row per sub-batch
-    [single_rows] = collect_gains([cfg], policy, 37, seed=31)
+    [single_rows] = collect_gains([cfg], 37, seed=31)
     assert np.array_equal(single_rows.g1, full.g1[:37])
     assert np.array_equal(single_rows.g2, full.g2[:37])
 
@@ -456,7 +471,7 @@ def test_solver_failure_names_the_trial(monkeypatch):
         return np.zeros(z1.shape), np.full(len(z1), np.nan)
 
     monkeypatch.setattr(mc, "maxmin_block", fail_in_second_block)
-    cfg = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL)
+    cfg = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL, policy="sdp")
     with pytest.raises(optim.SolverFailureError,
                        match=f"trial {rngmod.BLOCK_SIZE + 4}: line search failed"):
-        collect_gains([cfg], "sdp", rngmod.BLOCK_SIZE + 10, seed=0)
+        collect_gains([cfg], rngmod.BLOCK_SIZE + 10, seed=0)

@@ -2,6 +2,7 @@
 solver with both search paths, randomized rank-one recovery, greedy search,
 and the u1/random baselines that `mc` computes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -334,9 +335,9 @@ def test_baseline_u1_maximizes_user1():
     """The u1 baseline of a collection co-phases user 1: its phases -arg z1
     give user 1 the gain g1 and user 2 the gain g2, and no phases give user 1
     more, neither the random baseline's nor 50 other draws per trial."""
-    cfg = SystemConfig(L=5, reciprocity=Reciprocity.NON_RECIPROCAL)
-    [u1] = collect_gains([cfg], "u1", 20, seed=24)
-    [random] = collect_gains([cfg], "random", 20, seed=24)
+    cfg = SystemConfig(L=5, reciprocity=Reciprocity.NON_RECIPROCAL, policy="u1")
+    [u1] = collect_gains([cfg], 20, seed=24)
+    [random] = collect_gains([dataclasses.replace(cfg, policy="random")], 20, seed=24)
     ch = sample_channel_block(cfg, rngmod.block_generator(24, rngmod.STREAM_CHANNEL, 0), 20)
     z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
     assert u1.g1 == pytest.approx(coherent_gain(z1, -np.angle(z1)), rel=1e-12)
@@ -359,7 +360,8 @@ def test_single_element_all_methods_identical():
         assert g[0] == pytest.approx(achieved[0][0], rel=1e-9)
         assert g[1] == pytest.approx(achieved[0][1], rel=1e-9)
     cfg = SystemConfig(L=1, reciprocity=Reciprocity.NON_RECIPROCAL)
-    gains = [collect_gains([cfg], p, 20, seed=25)[0] for p in ("sdp", "greedy", "u1", "random")]
+    gains = collect_gains([dataclasses.replace(cfg, policy=p)
+                           for p in ("sdp", "greedy", "u1", "random")], 20, seed=25)
     for g in gains[1:]:
         assert g.g1 == pytest.approx(gains[0].g1, rel=1e-9)
         assert g.g2 == pytest.approx(gains[0].g2, rel=1e-9)

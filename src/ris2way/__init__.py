@@ -1,9 +1,8 @@
 """Two-way reflecting-surface links: simulation, closed-form analysis, and
 max-min phase optimization."""
 
-from .analytic import (CltParams, GammaApproxParams, asymptotic_outage,
-                       asymptotic_se, clt_params, delta_p, delta_r,
-                       gamma_approx_params, kl_divergence_gamma_fit,
+from .analytic import (GammaApproxParams, asymptotic_outage, asymptotic_se,
+                       delta_p, delta_r, gamma_approx_params, kl_divergence_gamma_fit,
                        outage_clt, outage_exact_L1, outage_gamma_Lge2,
                        outage_phase_error_uniform_pi, scheme_crossover_power,
                        se_exact_L1, se_gamma, se_phase_error_uniform_pi)

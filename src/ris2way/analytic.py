@@ -4,6 +4,8 @@ reciprocal two-way link with optimal surface phases.
 The per-element cascade amplitude is a product of two independent Rayleigh
 variables; its exact CDF carries a Bessel-K kernel, and sums over elements are
 handled through a moment-matched Gamma approximation (shape k, scale theta).
+Every law takes the paper's inputs (L, gamma_th, rho, sigma^2) and fits its
+own parameters.
 
 The spectral-efficiency closed forms (quoted in terms of Meijer-G /
 generalized hypergeometric functions) are evaluated as expectations over a
@@ -22,8 +24,8 @@ a step shrinking like 1/sqrt(a + 1).  The Gamma-fit divergence needs
 E[log K_0(S)] with S of density s K_0(s), which is taken by the same rule in
 u = log s on a fixed grid.  Both error estimates are the difference between
 the full sum and the sum over every other node; NonConvergenceError is raised
-when that exceeds the QuadratureSpec tolerance.  Nothing here calls adaptive
-quadrature.
+when that exceeds the rule's fixed tolerance, a check that never moves the
+value.  Nothing here calls adaptive quadrature.
 
 The outage laws and the spectral efficiencies take rho as a scalar or as an
 array: a power sweep is one call, with the node grid built once, and each
@@ -39,9 +41,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .channel import Scheme
-from .numerics import (NonConvergenceError, QuadratureSpec, bessel_k1_complement,
-                       digamma, erf, exp1, log_bessel_k, log_gamma_int,
-                       regularized_gamma_p, scaled_bessel_k01)
+from .numerics import (NonConvergenceError, bessel_k1_complement, digamma, erf,
+                       exp1, log_bessel_k, log_gamma_int, regularized_gamma_p,
+                       scaled_bessel_k01)
 
 EULER_GAMMA = float(np.euler_gamma)  # expansion constant, not the phase jitter
 LOG2 = math.log(2.0)
@@ -55,18 +57,6 @@ class GammaApproxParams:
     theta: float
 
 
-@dataclass(frozen=True)
-class CltParams:
-    """Gaussian-limit mean/variance of the summed cascade amplitude."""
-
-    mu: float
-    eta: float
-
-    def __post_init__(self):
-        if self.mu <= 0 or self.eta <= 0:
-            raise ValueError("mu and eta must be > 0")
-
-
 def gamma_approx_params(sigma2: float) -> GammaApproxParams:
     """k = pi^2/(16 - pi^2), theta = (16 - pi^2) sigma^2 / (4 pi)."""
     if sigma2 <= 0:
@@ -74,11 +64,6 @@ def gamma_approx_params(sigma2: float) -> GammaApproxParams:
     pi2 = math.pi**2
     return GammaApproxParams(k=pi2 / (16.0 - pi2),
                              theta=(16.0 - pi2) * sigma2 / (4.0 * math.pi))
-
-
-def clt_params(L: int, sigma2: float) -> CltParams:
-    return CltParams(mu=L * math.pi * sigma2 / 4.0,
-                     eta=L * (16.0 - math.pi**2) * sigma2**2 / 16.0)
 
 
 def _cascade_argument(gamma_th, rho, sigma2):
@@ -102,21 +87,29 @@ def outage_exact_L1(gamma_th, rho, sigma2: float = 1.0):
     return np.clip(out, 0.0, 1.0)
 
 
-def outage_gamma_Lge2(L: int, gamma_th, rho, params: GammaApproxParams):
-    """Gamma-approximation outage P(L k, sqrt(gamma_th/rho) / theta)."""
+def outage_gamma_Lge2(L: int, gamma_th, rho, sigma2: float = 1.0):
+    """Gamma-approximation outage P(L k, sqrt(gamma_th/rho) / theta), with
+    (k, theta) the fit `gamma_approx_params(sigma2)`."""
     if L < 2:
         raise ValueError("gamma-approximation outage is for L >= 2")
     _check_rho(rho)
+    params = gamma_approx_params(sigma2)
     x = np.sqrt(np.asarray(gamma_th, dtype=float) / rho) / params.theta
     return regularized_gamma_p(L * params.k, x)
 
 
-def outage_clt(L: int, gamma_th, rho, params: CltParams):
-    """Gaussian-limit outage in its error-function form."""
+def outage_clt(L: int, gamma_th, rho, sigma2: float = 1.0):
+    """Gaussian-limit outage in its error-function form: the summed cascade
+    amplitude has mean mu = L pi sigma^2 / 4 and variance
+    eta = L (16 - pi^2) sigma^4 / 16."""
+    if L < 1 or sigma2 <= 0:
+        raise ValueError(f"L must be >= 1 and sigma2 must be > 0, got {L} and {sigma2}")
     _check_rho(rho)
+    mu = L * math.pi * sigma2 / 4.0
+    eta = L * (16.0 - math.pi**2) * sigma2**2 / 16.0
     u = np.sqrt(np.asarray(gamma_th, dtype=float) / rho)
-    s = math.sqrt(2.0 * params.eta)
-    out = 0.5 * (erf((u - params.mu) / s) + erf((u + params.mu) / s))
+    s = math.sqrt(2.0 * eta)
+    out = 0.5 * (erf((u - mu) / s) + erf((u + mu) / s))
     return np.clip(out, 0.0, 1.0)
 
 
@@ -146,25 +139,30 @@ def outage_phase_error_uniform_pi(L: int, gamma_th, rho, sigma2: float = 1.0):
 _GAMMA_RULE_STEP = 0.23
 _LOG_LEFT_MASS = -40.0      # left cut: P(Y below it) <= e^-40
 _LOG_WEIGHT_FLOOR = -700.0  # right cut: the weight beyond it is below e^-700
+# (relative, absolute) tolerance of each rule's error estimate, read at each call:
+# the nodes are fixed, so it decides whether NonConvergenceError is raised, not the value
+_GAMMA_RULE_TOL = (1e-9, 1e-12)
+_KL_RULE_TOL = (1e-10, 1e-13)
 
 
 def _log_trapezoid(terms: np.ndarray, h: float, j: np.ndarray,
-                   spec: QuadratureSpec, what: str) -> np.ndarray:
+                   tolerance: tuple[float, float], what: str) -> np.ndarray:
     """Trapezoid sums S_h = h sum(terms) of each row of `terms`, over the
     nodes u = u0 + h j.
 
     |S_h - S_2h|, with S_2h the sum over the nodes of even j, estimates the
     error of S_2h and so overstates that of S_h; NonConvergenceError is
-    raised for the first row where it exceeds the tolerance of `spec`.  Each
-    row is summed on its own, so a row's value and error are the same bits
-    in a stack of any height.
+    raised for the first row where it exceeds the (relative, absolute)
+    `tolerance`.  Each row is summed on its own, so a row's value and error
+    are the same bits in a stack of any height.
     """
     value = h * np.sum(terms, axis=1)
     # numpy sums each contiguous row pairwise, as it sums a 1-D array; the
     # masked copy is column-major, and its rows would be summed in another order
     coarse = 2.0 * h * np.sum(np.ascontiguousarray(terms[:, j % 2 == 0]), axis=1)
     error = np.abs(value - coarse)
-    tol = np.fmax(spec.absolute_tolerance, spec.relative_tolerance * np.abs(value))
+    relative, absolute = tolerance
+    tol = np.fmax(absolute, relative * np.abs(value))
     failed = ~(np.isfinite(value) & (error <= tol))
     if failed.any():
         i = int(np.argmax(failed))
@@ -175,8 +173,7 @@ def _log_trapezoid(terms: np.ndarray, h: float, j: np.ndarray,
     return value
 
 
-def _gamma_expectation(phi: Callable[[np.ndarray], np.ndarray], a: float,
-                       spec: QuadratureSpec) -> np.ndarray:
+def _gamma_expectation(phi: Callable[[np.ndarray], np.ndarray], a: float) -> np.ndarray:
     """E[phi(Y)] for Y ~ Gamma(a, 1), a >= 1, by the trapezoid rule in u = log y.
 
     phi maps the nodes y to a (points, nodes) array, one row per integrand,
@@ -189,7 +186,8 @@ def _gamma_expectation(phi: Callable[[np.ndarray], np.ndarray], a: float,
     mode u = log a.  On the left they stop where P(Y < e^u) <= e^{a u} /
     Gamma(a + 1) reaches e^-40, which for such phi bounds the relative
     truncation error by about e^-40; on the right, where the weight falls
-    below e^-700.  The error check is that of `_log_trapezoid`.
+    below e^-700.  The error check is that of `_log_trapezoid`, at
+    _GAMMA_RULE_TOL.
     """
     if a < 1:
         raise ValueError("the Gamma-law rule needs shape a >= 1")
@@ -204,7 +202,7 @@ def _gamma_expectation(phi: Callable[[np.ndarray], np.ndarray], a: float,
     u = mode + h * j
     y = np.exp(u)
     terms = phi(y) * np.exp(a * u - y - log_norm)
-    return _log_trapezoid(terms, h, j, spec, f"Gamma-law expectation (shape {a:g})")
+    return _log_trapezoid(terms, h, j, _GAMMA_RULE_TOL, f"Gamma-law expectation (shape {a:g})")
 
 
 def _exp_e1(r: np.ndarray) -> np.ndarray:
@@ -236,8 +234,7 @@ def _rate(nats: np.ndarray, rho, half_rate: bool):
     return float(rate[0]) if np.ndim(rho) == 0 else rate
 
 
-def _se_cascade_law(L: int, rho, sigma2: float, spec: QuadratureSpec,
-                    half_rate: bool):
+def _se_cascade_law(L: int, rho, sigma2: float, half_rate: bool):
     """E[log2(1 + X)] where X has the tail 2 (z/2)^L K_L(z) / Gamma(L),
     z = (2/sigma^2) sqrt(x/rho), at each rho.
 
@@ -246,34 +243,29 @@ def _se_cascade_law(L: int, rho, sigma2: float, spec: QuadratureSpec,
     x = 1/(c G).
     """
     c = _column(rho) * sigma2**2
-    return _rate(_gamma_expectation(lambda g: _exp_e1(c * g), L, spec), rho, half_rate)
+    return _rate(_gamma_expectation(lambda g: _exp_e1(c * g), L), rho, half_rate)
 
 
-def se_exact_L1(rho, sigma2: float = 1.0,
-                spec: QuadratureSpec = QuadratureSpec(),
-                half_rate: bool = False):
+def se_exact_L1(rho, sigma2: float = 1.0, half_rate: bool = False):
     """Single-element spectral efficiency (the Bessel-kernel rate integral)."""
-    return _se_cascade_law(1, rho, sigma2, spec, half_rate)
+    return _se_cascade_law(1, rho, sigma2, half_rate)
 
 
-def se_gamma(L: int, rho, params: GammaApproxParams,
-             spec: QuadratureSpec = QuadratureSpec(),
-             half_rate: bool = False):
+def se_gamma(L: int, rho, sigma2: float = 1.0, half_rate: bool = False):
     """Gamma-approximation spectral efficiency for L >= 2, at each rho.
 
     The outage P(L k, sqrt(x/rho)/theta) is the CDF of rho theta^2 Y^2 with
     Y ~ Gamma(L k, 1), so the rate is E[log2(1 + rho theta^2 Y^2)].
     """
+    params = gamma_approx_params(sigma2)
     scale = _column(rho) * params.theta**2
-    nats = _gamma_expectation(lambda y: np.log1p(scale * y * y), L * params.k, spec)
+    nats = _gamma_expectation(lambda y: np.log1p(scale * y * y), L * params.k)
     return _rate(nats, rho, half_rate)
 
 
-def se_phase_error_uniform_pi(L: int, rho, sigma2: float = 1.0,
-                              spec: QuadratureSpec = QuadratureSpec(),
-                              half_rate: bool = False):
+def se_phase_error_uniform_pi(L: int, rho, sigma2: float = 1.0, half_rate: bool = False):
     """Spectral efficiency under fully scrambled phases (exact law)."""
-    return _se_cascade_law(L, rho, sigma2, spec, half_rate)
+    return _se_cascade_law(L, rho, sigma2, half_rate)
 
 
 def sandwich_bounds_Lge2(L: int, gamma_th: float, rho: float,
@@ -308,12 +300,12 @@ def _log_gain_constant(L: int, sigma2: float) -> float:
     return 2.0 * digamma(L * params.k) + 2.0 * math.log(params.theta)
 
 
-def _floor_se(L: int, omega: float, sigma2: float, spec: QuadratureSpec) -> float:
+def _floor_se(L: int, omega: float, sigma2: float) -> float:
     """The spectral efficiency at the interference floor rho = 1/omega."""
     rho_floor = 1.0 / omega
     if L == 1:
-        return se_exact_L1(rho_floor, sigma2, spec)
-    return se_gamma(L, rho_floor, gamma_approx_params(sigma2), spec)
+        return se_exact_L1(rho_floor, sigma2)
+    return se_gamma(L, rho_floor, sigma2)
 
 
 def asymptotic_outage(L: int, gamma_th: float, p_mw: float, omega: float,
@@ -327,7 +319,7 @@ def asymptotic_outage(L: int, gamma_th: float, p_mw: float, omega: float,
         rho_floor = 1.0 / omega
         if L == 1:
             return float(outage_exact_L1(gamma_th, rho_floor, sigma2))
-        return float(outage_gamma_Lge2(L, gamma_th, rho_floor, gamma_approx_params(sigma2)))
+        return float(outage_gamma_Lge2(L, gamma_th, rho_floor, sigma2))
     rho = p_mw / n_eff
     if L == 1:
         if rho <= 1.0:  # log(rho) / rho is not a probability below rho = 1
@@ -352,8 +344,7 @@ def asymptotic_outage(L: int, gamma_th: float, p_mw: float, omega: float,
 
 
 def asymptotic_se(L: int, p_mw: float, omega: float, nu: float, noise_mw: float,
-                  sigma2: float = 1.0, scheme: Scheme = Scheme.ONE,
-                  spec: QuadratureSpec = QuadratureSpec()) -> float:
+                  sigma2: float = 1.0, scheme: Scheme = Scheme.ONE) -> float:
     """Large-power spectral efficiency: log(P) growth (nu=0, or omega=0 at any
     nu) or the rho=1/omega floor (nu=1); the two-slot scheme is
     interference-free and half rate.  The growth law is a rate only where it
@@ -361,7 +352,7 @@ def asymptotic_se(L: int, p_mw: float, omega: float, nu: float, noise_mw: float,
     two = scheme is Scheme.TWO
     n_eff = _log_growth_noise(0.0 if two else omega, nu, noise_mw)
     if n_eff is None:
-        return _floor_se(L, omega, sigma2, spec)
+        return _floor_se(L, omega, sigma2)
     nats = math.log(p_mw) - math.log(n_eff) + _log_gain_constant(L, sigma2)
     if nats <= 0.0:
         raise ValueError("asymptotic spectral efficiency needs a positive log-growth "
@@ -384,8 +375,7 @@ def delta_p(L1: int, L2: int, k: float) -> float:
 
 
 def scheme_crossover_power(L: int, omega: float, nu: float, noise_mw: float,
-                           sigma2: float = 1.0,
-                           spec: QuadratureSpec = QuadratureSpec()) -> float:
+                           sigma2: float = 1.0) -> float:
     """Transmit power (mW) where the one-slot scheme starts to outperform the
     two-slot scheme (nu=0, or omega=0 at any nu), or the upper power bound below
     which it still does (nu=1).
@@ -396,7 +386,7 @@ def scheme_crossover_power(L: int, omega: float, nu: float, noise_mw: float,
     c = _log_gain_constant(L, sigma2)
     n_eff = _log_growth_noise(omega, nu, noise_mw)
     if n_eff is None:
-        return math.exp(2.0 * LOG2 * _floor_se(L, omega, sigma2, spec)
+        return math.exp(2.0 * LOG2 * _floor_se(L, omega, sigma2)
                         + math.log(noise_mw) - c)
     return n_eff**2 / noise_mw * math.exp(-c)
 
@@ -408,8 +398,7 @@ _KL_RULE_STEP = 0.15
 _KL_LOG_RANGE = (-20.0, 4.0)
 
 
-def kl_divergence_gamma_fit(sigma2: float,
-                            spec: Optional[QuadratureSpec] = None) -> float:
+def kl_divergence_gamma_fit(sigma2: float) -> float:
     """Divergence between the exact cascade-amplitude density and its Gamma fit.
 
     The exact density is f(t) = 4 t K_0(2 t / sigma^2) / sigma^4, and against
@@ -420,10 +409,10 @@ def kl_divergence_gamma_fit(sigma2: float,
     sigma^2 = 1.
 
     The expectation is the trapezoid rule in u = log s on a fixed grid of step
-    0.15 over [-20, 4], with the error check of `_log_trapezoid`.  log K_0
-    changes sign at s ~ 0.46, so the truncation argument of
-    `_gamma_expectation` does not carry over; the cut tails are bounded
-    directly.  Below eps = e^-20, 1 < K_0(s) < log(2/s), and
+    0.15 over [-20, 4], with the error check of `_log_trapezoid` at
+    _KL_RULE_TOL.  log K_0 changes sign at s ~ 0.46, so the truncation
+    argument of `_gamma_expectation` does not carry over; the cut tails are
+    bounded directly.  Below eps = e^-20, 1 < K_0(s) < log(2/s), and
     s log(2/s) log log(2/s) increases, so that tail is at most
     eps^2 log(2/eps) log log(2/eps) < 3e-16.  Above S = e^4,
     K_0(s) < sqrt(pi/(2s)) e^-s and |log K_0(s)| < 1.1 s, so that tail is at
@@ -431,15 +420,14 @@ def kl_divergence_gamma_fit(sigma2: float,
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
-    if spec is None:
-        spec = QuadratureSpec(relative_tolerance=1e-10, absolute_tolerance=1e-13)
     h = _KL_RULE_STEP
     lo, hi = _KL_LOG_RANGE
     j = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
     s = np.exp(h * j)
     log_k0 = np.log(scaled_bessel_k01(s)[0]) - s
     terms = s * s * np.exp(log_k0) * log_k0
-    expect_log_k0 = float(_log_trapezoid(terms[None], h, j, spec, "Gamma-fit divergence")[0])
+    expect_log_k0 = float(_log_trapezoid(terms[None], h, j, _KL_RULE_TOL,
+                                         "Gamma-fit divergence")[0])
     params = gamma_approx_params(1.0)
     k, theta = params.k, params.theta
     return (math.pi / (4.0 * theta) + k * math.log(theta)

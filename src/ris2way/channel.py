@@ -97,6 +97,9 @@ class SystemConfig:
         if self.reciprocity is Reciprocity.RECIPROCAL and self.policy != "optimal":
             raise ValueError(f"policy {self.policy!r} is a non-reciprocal one: "
                              "reciprocal channels support the 'optimal' policy only")
+        if self.reciprocity is Reciprocity.NON_RECIPROCAL and self.phase_error is not None:
+            raise ValueError("phase_error is set on a non-reciprocal channel: "
+                             "the phase-error model applies to reciprocal channels")
 
 
 def sweep_rho(cfg: SystemConfig, p_mw: Iterable[float]) -> np.ndarray:

@@ -280,7 +280,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 # the flag that sets each SystemConfig field, to name it in error messages
 _CONFIG_FLAGS = {"L": "--L", "sigma2": "--sigma2", "noise_mw": "--noise-dbm",
                  "omega": "--omega", "nu": "--nu", "gamma_th": "--gamma-th-db",
-                 "policy": "--policy"}
+                 "policy": "--policy", "phase_error": "--phase-error"}
 
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
@@ -389,9 +389,9 @@ _LAWS = {
         "exact": lambda cfg, p_mw: analytic.outage_exact_L1(
             cfg.gamma_th, sweep_rho(cfg, p_mw), cfg.sigma2),
         "gamma": lambda cfg, p_mw: analytic.outage_gamma_Lge2(
-            cfg.L, cfg.gamma_th, sweep_rho(cfg, p_mw), analytic.gamma_approx_params(cfg.sigma2)),
+            cfg.L, cfg.gamma_th, sweep_rho(cfg, p_mw), cfg.sigma2),
         "clt": lambda cfg, p_mw: analytic.outage_clt(
-            cfg.L, cfg.gamma_th, sweep_rho(cfg, p_mw), analytic.clt_params(cfg.L, cfg.sigma2)),
+            cfg.L, cfg.gamma_th, sweep_rho(cfg, p_mw), cfg.sigma2),
         "asymptotic": lambda cfg, p_mw: [analytic.asymptotic_outage(
             cfg.L, cfg.gamma_th, p, cfg.omega, cfg.nu, cfg.noise_mw, cfg.sigma2) for p in p_mw],
         "phase-error": lambda cfg, p_mw: analytic.outage_phase_error_uniform_pi(
@@ -401,8 +401,7 @@ _LAWS = {
         "exact": lambda cfg, p_mw: analytic.se_exact_L1(
             sweep_rho(cfg, p_mw), cfg.sigma2, half_rate=cfg.scheme is Scheme.TWO),
         "gamma": lambda cfg, p_mw: analytic.se_gamma(
-            cfg.L, sweep_rho(cfg, p_mw), analytic.gamma_approx_params(cfg.sigma2),
-            half_rate=cfg.scheme is Scheme.TWO),
+            cfg.L, sweep_rho(cfg, p_mw), cfg.sigma2, half_rate=cfg.scheme is Scheme.TWO),
         "asymptotic": lambda cfg, p_mw: [analytic.asymptotic_se(
             cfg.L, p, cfg.omega, cfg.nu, cfg.noise_mw, cfg.sigma2, cfg.scheme) for p in p_mw],
         "phase-error": lambda cfg, p_mw: analytic.se_phase_error_uniform_pi(
@@ -610,11 +609,13 @@ def _grid(lo: int, hi: int) -> list[float]:
 def _power_panels(spec: ExperimentSpec) -> dict[str, dict[str, tuple]]:
     """The power-sweep presets: preset -> panel -> (metric, dBm grid, columns).
 
-    Every column is on a reciprocal channel unless it says otherwise.
+    Every column is on a reciprocal channel, one-slot and free of phase error
+    unless it says otherwise: --scheme and --phase-error set no column.
     """
     def col(label, method, trials=0, policy="optimal", user=1, **over):
         cfg = dataclasses.replace(spec.cfg, **{"reciprocity": Reciprocity.RECIPROCAL,
-                                               "policy": policy, **over})
+                                               "policy": policy, "scheme": Scheme.ONE,
+                                               "phase_error": None, **over})
         return _Column(label, cfg, method, trials, user)
 
     trials = {"outage": spec.trials_outage, "se": spec.trials_se}

@@ -204,12 +204,11 @@ def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int
     cfg = cfgs[0]
     if any(draw_key(c, trials) != draw_key(cfg, trials) for c in cfgs):
         raise ValueError("the configs of one collection must share a draw key")
-    # a config checks its policy name itself, and 'optimal' on a reciprocal channel
+    # a config checks its policy and phase-error model itself; a non-reciprocal
+    # one keeps the default 'optimal' to sample channels, but has no gains
     reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
     if not reciprocal and any(c.policy == "optimal" for c in cfgs):
         raise ValueError("non-reciprocal channels need a max-min or baseline policy")
-    if not reciprocal and any(c.phase_error is not None for c in cfgs):
-        raise ValueError("the phase-error model applies to reciprocal channels")
     # a reciprocal variant gets a gain row, a non-reciprocal one the rows g1, g2, t*
     variant = {c: c.phase_error if reciprocal else c.policy if c.scheme is Scheme.ONE else None
                for c in cfgs}

@@ -18,10 +18,11 @@ callback.  The library's closed forms do not use it: the spectral
 efficiencies and the Gamma-fit divergence are expectations taken on fixed
 trapezoid nodes in a log variable (`analytic._gamma_expectation` and
 `analytic.kl_divergence_gamma_fit`), whose error estimate compares the full
-node sum with the sum over every other node.  Both report failure through
-NonConvergenceError with the same QuadratureSpec tolerances; the adaptive
-route stays only as the independent reference the rules are tested against.
-It is the one function here that needs scipy, which it imports on first call.
+node sum with the sum over every other node against a fixed tolerance, and
+reports failure through NonConvergenceError.  The adaptive route stays only
+as the independent reference the rules are tested against, and QuadratureSpec
+configures it alone.  It is the one function here that needs scipy, which it
+imports on first call.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Tolerances and budget of `integrate_semi_infinite`, the adaptive reference."""
+
     relative_tolerance: float = 1e-9
     absolute_tolerance: float = 1e-12
     max_subdivisions: int = 200

@@ -22,7 +22,7 @@ from ris2way.cli import main as cli_main
 from ris2way.optim import (build_quadratic_forms, gaussian_randomization,
                            greedy_iterative, sdp_maxmin)
 
-GAMMA_PARAMS = an.gamma_approx_params(1.0)
+GAMMA_K = an.gamma_approx_params(1.0).k
 
 
 def _report(criterion, ok, detail=""):
@@ -99,7 +99,7 @@ def test_criterion_2_gamma_approximation_quality(L):
         if est.value < 1e-4:
             continue
         rho = sweep_rho(cfg, [10 ** (p_dbm / 10.0)])[0]
-        gamma = float(an.outage_gamma_Lge2(L, 1.0, rho, GAMMA_PARAMS))
+        gamma = float(an.outage_gamma_Lge2(L, 1.0, rho))
         # the estimator's own std error degenerates at saturated cells; fall
         # back to the binomial error at the analytic value
         se = max(est.std_error, _se_known(gamma, est.trials), 1e-300)
@@ -113,14 +113,12 @@ def test_criterion_2_gamma_approximation_quality(L):
 @pytest.mark.parametrize("L", [32, 64])
 def test_criterion_2_gamma_beats_clt(L):
     cfg, grid, curve = _criterion_2_curve(L)
-    clt = an.clt_params(L, 1.0)
     dev_gamma = dev_clt = 0.0
     for p_dbm, est in zip(grid, curve):
         rho = sweep_rho(cfg, [10 ** (p_dbm / 10.0)])[0]
         dev_gamma = max(dev_gamma,
-                        abs(est.value - float(an.outage_gamma_Lge2(L, 1.0, rho, GAMMA_PARAMS))))
-        dev_clt = max(dev_clt,
-                      abs(est.value - float(an.outage_clt(L, 1.0, rho, clt))))
+                        abs(est.value - float(an.outage_gamma_Lge2(L, 1.0, rho))))
+        dev_clt = max(dev_clt, abs(est.value - float(an.outage_clt(L, 1.0, rho))))
     _report(f"2 [gamma more accurate than CLT, L={L}]", dev_gamma < dev_clt,
             f"max|gamma-mc| {dev_gamma:.2e} < max|clt-mc| {dev_clt:.2e}")
 
@@ -155,8 +153,8 @@ def test_criterion_4_scheme_crossover_powers():
 
 # -------------------------------------------------------------------- 5
 def test_criterion_5_power_saving_deltas():
-    d1 = an.delta_p(2, 16, GAMMA_PARAMS.k)
-    d2 = an.delta_p(16, 64, GAMMA_PARAMS.k)
+    d1 = an.delta_p(2, 16, GAMMA_K)
+    d2 = an.delta_p(16, 64, GAMMA_K)
     ok = abs(d1 - 19.3) <= 0.2 and abs(d2 - 12.2) <= 0.2
     _report("5 [power-saving deltas]", ok,
             f"delta_p(2,16)={d1:.2f} dB (19.3±0.2), delta_p(16,64)={d2:.2f} dB (12.2±0.2)")
@@ -185,8 +183,7 @@ def test_criterion_6_asymptotic_rates_and_sandwich():
         if L == 1:
             gap = an.se_exact_L1(1e8) - an.se_exact_L1(1e6)
         else:
-            gap = (an.se_gamma(L, 1e8, GAMMA_PARAMS)
-                   - an.se_gamma(L, 1e6, GAMMA_PARAMS))
+            gap = an.se_gamma(L, 1e8) - an.se_gamma(L, 1e6)
         ok = ok and abs(gap / math.log2(100.0) - 1.0) <= 0.02
         details.append(f"L={L} SE gap {gap:.3f}")
     # sandwich inequality against the exact (simulated) law where measurable,
@@ -224,8 +221,8 @@ def test_criterion_7_interference_floors():
                 o_ana = float(an.outage_exact_L1(1.0, rho))
                 s_ana = an.se_exact_L1(rho)
             else:
-                o_ana = float(an.outage_gamma_Lge2(L, 1.0, rho, GAMMA_PARAMS))
-                s_ana = an.se_gamma(L, rho, GAMMA_PARAMS)
+                o_ana = float(an.outage_gamma_Lge2(L, 1.0, rho))
+                s_ana = an.se_gamma(L, rho)
             outs.append(o)
             ses.append(s)
             outs_ana.append(o_ana)

@@ -69,53 +69,48 @@ def test_outage_gamma_reduces_to_elementwise_gamma_cdf():
     p = an.gamma_approx_params(1.0)
     # same formula evaluated through an independent scipy path
     for l, gth, rho in [(2, 1.0, 50.0), (4, 0.3, 10.0), (16, 2.0, 1e3)]:
-        mine = an.outage_gamma_Lge2(l, gth, rho, p)
+        mine = an.outage_gamma_Lge2(l, gth, rho)
         ref = special.gammainc(l * p.k, math.sqrt(gth / rho) / p.theta)
         assert mine == pytest.approx(ref, rel=1e-12, abs=0)
-    assert an.outage_gamma_Lge2(4, 0.0, 10.0, p) == 0.0
+    assert an.outage_gamma_Lge2(4, 0.0, 10.0) == 0.0
 
 
 def test_outage_gamma_matches_simulation_at_spec_point():
     # deep-tail point: both the formula and the empirical rate are ~0 at this rho
-    p = an.gamma_approx_params(1.0)
     gamma = cascade_sums(4, 1e4, 10_000_000, seed=42)
     mc = np.mean(gamma <= 1.0)
-    ana = an.outage_gamma_Lge2(4, 1.0, 1e4, p)
+    ana = an.outage_gamma_Lge2(4, 1.0, 1e4)
     se = math.sqrt(max(ana * (1 - ana), 1e-12 / 3) / gamma.size)
     assert abs(mc - ana) <= 3 * se
 
 
 def test_outage_gamma_matches_simulation_waterfall_region():
-    p = an.gamma_approx_params(1.0)
     gamma = cascade_sums(16, 100.0, 400_000, seed=7)
     for gth in (10.0, 40.0, 100.0):
         mc = np.mean(gamma <= gth)
-        ana = an.outage_gamma_Lge2(16, gth, 100.0, p)
+        ana = an.outage_gamma_Lge2(16, gth, 100.0)
         # moment-matched fit: accurate to a few 1e-3 absolute in the waterfall
         assert ana == pytest.approx(mc, abs=max(5e-3, 0.1 * mc))
 
 
 @given(st.floats(min_value=1.0, max_value=100.0))
 def test_outage_gamma_monotone_in_rho(rho):
-    p = an.gamma_approx_params(1.0)
-    assert (an.outage_gamma_Lge2(4, 1.0, rho * 2.0, p)
-            <= an.outage_gamma_Lge2(4, 1.0, rho, p))
+    assert (an.outage_gamma_Lge2(4, 1.0, rho * 2.0)
+            <= an.outage_gamma_Lge2(4, 1.0, rho))
 
 
 def test_outage_clt_zero_threshold():
-    c = an.clt_params(16, 1.0)
-    assert an.outage_clt(16, 0.0, 10.0, c) == pytest.approx(0.0, abs=1e-15)
+    assert an.outage_clt(16, 0.0, 10.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_outage_clt_tracks_simulation_large_l():
     # the Gaussian limit carries ~1.3e-2 absolute error at the waterfall center
     # for 64 elements (and less on the flanks); assert the measured truth
-    c = an.clt_params(64, 1.0)
     gamma = cascade_sums(64, 1.0, 200_000, seed=11)
     for gth, tol in ((1600.0, 0.01), (2500.0, 0.015), (3600.0, 0.01)):
         mc = np.mean(gamma <= gth)
         if mc >= 1e-3:
-            assert an.outage_clt(64, gth, 1.0, c) == pytest.approx(mc, abs=tol)
+            assert an.outage_clt(64, gth, 1.0) == pytest.approx(mc, abs=tol)
 
 
 def test_phase_error_law_reduces_to_single_element():
@@ -148,8 +143,7 @@ def test_spectral_efficiency_exact_l1_matches_simulation():
 
 def test_spectral_efficiency_gamma_matches_simulation():
     rho = 1e3
-    p = an.gamma_approx_params(1.0)
-    se_quad = an.se_gamma(16, rho, p)
+    se_quad = an.se_gamma(16, rho)
     gamma = cascade_sums(16, rho, 200_000, seed=19)
     se_mc = np.mean(np.log2(1.0 + gamma))
     assert se_quad == pytest.approx(se_mc, rel=0.01, abs=0)
@@ -177,8 +171,8 @@ def test_spectral_efficiency_equals_generic_cdf_route():
 
     mean = rho * p.theta**2 * a * (a + 1)
     via_cdf = quadpack_se(ccdf, mean, False)
-    assert via_cdf == pytest.approx(an.se_gamma(2, rho, p), rel=1e-8, abs=0)
-    assert (an.se_gamma(2, rho, p, half_rate=True)
+    assert via_cdf == pytest.approx(an.se_gamma(2, rho), rel=1e-8, abs=0)
+    assert (an.se_gamma(2, rho, half_rate=True)
             == pytest.approx(quadpack_se(ccdf, mean, True), rel=1e-8, abs=0))
 
 
@@ -198,7 +192,8 @@ def test_se_rule_matches_adaptive_quadrature(L):
                 return min(math.exp(an._log_cascade_ccdf_uniform_phase(L, z)), 1.0)
 
             ref = quadpack_se(gamma_ccdf, rho * p.theta**2 * a * (a + 1), half)
-            assert an.se_gamma(L, rho, p, half_rate=half) == pytest.approx(ref, rel=1e-9, abs=0)
+            assert (an.se_gamma(L, rho, sigma2, half_rate=half)
+                    == pytest.approx(ref, rel=1e-9, abs=0))
             ref = quadpack_se(scrambled_ccdf, rho * sigma2**2 * L, half)
             assert (an.se_phase_error_uniform_pi(L, rho, sigma2, half_rate=half)
                     == pytest.approx(ref, rel=1e-9, abs=0))
@@ -210,26 +205,31 @@ def test_se_exact_l1_is_the_scrambled_law_at_one_element():
             assert an.se_exact_L1(rho, sigma2) == an.se_phase_error_uniform_pi(1, rho, sigma2)
 
 
-def test_se_rule_reports_unreachable_tolerance():
-    spec = QuadratureSpec(relative_tolerance=1e-16, absolute_tolerance=1e-300)
+def test_se_rule_reports_unreachable_tolerance(monkeypatch):
+    monkeypatch.setattr(an, "_GAMMA_RULE_TOL", (1e-16, 1e-300))
     with pytest.raises(NonConvergenceError) as info:
-        an.se_exact_L1(1e3, 1.0, spec)
+        an.se_exact_L1(1e3, 1.0)
     assert info.value.value > 0
     assert info.value.error_estimate > 0
 
 
 @pytest.mark.parametrize("rho", [0.0, -1.0])
 def test_se_closed_forms_reject_nonpositive_rho(rho):
-    p = an.gamma_approx_params(1.0)
-    for se in (lambda: an.se_gamma(2, rho, p), lambda: an.se_exact_L1(rho),
+    for se in (lambda: an.se_gamma(2, rho), lambda: an.se_exact_L1(rho),
                lambda: an.se_phase_error_uniform_pi(4, rho)):
         with pytest.raises(ValueError, match="rho must be > 0"):
             se()
+    # the same values as sigma^2: the laws that fit their own parameters reject them
+    sigma2 = rho
+    for law in (lambda: an.se_gamma(2, 1.0, sigma2),
+                lambda: an.outage_gamma_Lge2(2, 1.0, 1.0, sigma2),
+                lambda: an.outage_clt(2, 1.0, 1.0, sigma2)):
+        with pytest.raises(ValueError, match="sigma2 must be > 0"):
+            law()
 
 
 def test_se_closed_forms_return_python_floats():
-    p = an.gamma_approx_params(1.0)
-    assert type(an.se_gamma(2, 10.0, p)) is float
+    assert type(an.se_gamma(2, 10.0)) is float
     assert type(an.se_exact_L1(10.0)) is float
     assert type(an.se_phase_error_uniform_pi(4, 10.0)) is float
 
@@ -250,13 +250,12 @@ def _sweep_rhos():
 def test_closed_forms_over_a_rho_vector_equal_scalar_calls():
     """One call over a whole power grid gives each point's bits exactly."""
     rhos = _sweep_rhos()
-    p = an.gamma_approx_params(1.0)
     laws = [(lambda r, h=h: an.se_exact_L1(r, 1.0, half_rate=h)) for h in (False, True)]
     laws += [lambda r: an.outage_exact_L1(1.0, r), lambda r: an.outage_exact_L1(2.0, r, 0.5)]
     for L in (2, 4, 16, 32, 64):
-        laws += [(lambda r, L=L, h=h: an.se_gamma(L, r, p, half_rate=h)) for h in (False, True)]
-        laws += [lambda r, L=L: an.outage_gamma_Lge2(L, 1.0, r, p),
-                 lambda r, L=L: an.outage_clt(L, 1.0, r, an.clt_params(L, 1.0))]
+        laws += [(lambda r, L=L, h=h: an.se_gamma(L, r, half_rate=h)) for h in (False, True)]
+        laws += [lambda r, L=L: an.outage_gamma_Lge2(L, 1.0, r),
+                 lambda r, L=L: an.outage_clt(L, 1.0, r)]
     for L in (4, 16, 32):
         laws += [(lambda r, L=L, h=h: an.se_phase_error_uniform_pi(L, r, 1.0, half_rate=h))
                  for h in (False, True)]
@@ -265,19 +264,18 @@ def test_closed_forms_over_a_rho_vector_equal_scalar_calls():
         assert np.asarray(law(rhos)).tolist() == [float(law(r)) for r in rhos]
 
 
-def test_vector_se_raises_the_scalar_error_of_its_first_failing_point():
+def test_vector_se_raises_the_scalar_error_of_its_first_failing_point(monkeypatch):
     """A tolerance that only rho = 1e-2 misses (at L=2 its error estimate is
     7e-14 relative, the others' 1e-15 to 3.2e-14): the vector call raises what
     the scalar call at that point raises."""
-    spec = QuadratureSpec(relative_tolerance=5e-14, absolute_tolerance=1e-300)
-    p = an.gamma_approx_params(1.0)
+    monkeypatch.setattr(an, "_GAMMA_RULE_TOL", (5e-14, 1e-300))
     rhos = [1e-3, 1e-1, 1e-2, 1.0, 1e-2]
     for r in (1e-3, 1e-1, 1.0):
-        an.se_gamma(2, r, p, spec)
+        an.se_gamma(2, r)
     with pytest.raises(NonConvergenceError) as scalar:
-        an.se_gamma(2, 1e-2, p, spec)
+        an.se_gamma(2, 1e-2)
     with pytest.raises(NonConvergenceError) as vector:
-        an.se_gamma(2, np.array(rhos), p, spec)
+        an.se_gamma(2, np.array(rhos))
     assert str(vector.value) == str(scalar.value)
     assert type(vector.value.value) is float
     assert vector.value.value == scalar.value.value
@@ -287,9 +285,8 @@ def test_vector_se_raises_the_scalar_error_of_its_first_failing_point():
 def test_asymptotic_outage_floor_is_exact_value_at_interference_limit():
     assert (an.asymptotic_outage(1, 1.0, 1e5, 1e-4, 1.0, 1e-7)
             == pytest.approx(float(an.outage_exact_L1(1.0, 1e4)), rel=1e-12, abs=0))
-    p = an.gamma_approx_params(1.0)
     assert (an.asymptotic_outage(4, 1.0, 1e5, 1e-4, 1.0, 1e-7)
-            == pytest.approx(float(an.outage_gamma_Lge2(4, 1.0, 1e4, p)), rel=1e-12, abs=0))
+            == pytest.approx(float(an.outage_gamma_Lge2(4, 1.0, 1e4)), rel=1e-12, abs=0))
 
 
 def test_asymptotic_outage_ratio_stabilizes():
@@ -339,9 +336,8 @@ def test_asymptotic_se_domain(scheme):
 
 
 def test_asymptotic_se_floor_equals_quadrature_floor():
-    p = an.gamma_approx_params(1.0)
     assert (an.asymptotic_se(4, 1e5, 1e-4, 1.0, 1e-7)
-            == pytest.approx(an.se_gamma(4, 1e4, p), rel=1e-12, abs=0))
+            == pytest.approx(an.se_gamma(4, 1e4), rel=1e-12, abs=0))
 
 
 def test_se_asymptote_gap_shrinks_with_power():
@@ -354,12 +350,11 @@ def test_se_asymptote_gap_shrinks_with_power():
 
 
 def test_se_grows_one_log2_decade_per_power_decade():
-    p = an.gamma_approx_params(1.0)
     for L in (1, 2, 4):
         if L == 1:
             gap = an.se_exact_L1(1e8) - an.se_exact_L1(1e6)
         else:
-            gap = an.se_gamma(L, 1e8, p) - an.se_gamma(L, 1e6, p)
+            gap = an.se_gamma(L, 1e8) - an.se_gamma(L, 1e6)
         assert gap == pytest.approx(math.log2(100.0), rel=0.02, abs=0)
 
 
@@ -436,10 +431,10 @@ def test_kl_rule_matches_adaptive_quadrature(sigma2):
     assert kl == pytest.approx(KL_30_DIGITS, rel=1e-10, abs=0)
 
 
-def test_kl_rule_reports_unreachable_tolerance():
-    spec = QuadratureSpec(relative_tolerance=1e-16, absolute_tolerance=1e-300)
+def test_kl_rule_reports_unreachable_tolerance(monkeypatch):
+    monkeypatch.setattr(an, "_KL_RULE_TOL", (1e-16, 1e-300))
     with pytest.raises(NonConvergenceError) as info:
-        an.kl_divergence_gamma_fit(1.0, spec)
+        an.kl_divergence_gamma_fit(1.0)
     assert info.value.value < 0  # E[log K_0(S)] ~ -1.504
     assert info.value.error_estimate > 0
 

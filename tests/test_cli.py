@@ -305,6 +305,9 @@ def test_single_value_l_list_is_an_element_sweep(tmp_path, capsys):
      "--policy: policy 'sdp' is a non-reciprocal one"),
     (["se", "--L", "2", "--reciprocity", "non-reciprocal", "--methods", "mc",
       "--policy", "Greedy"], "--policy: policy 'Greedy' is unknown"),
+    # so is the phase-error model, which a non-reciprocal channel cannot take
+    (["outage", "--L", "4", "--reciprocity", "non-reciprocal", "--phase-error", "uniform:0.5",
+      "--trials", "10"], "--phase-error: phase_error is set on a non-reciprocal channel"),
 ])
 def test_bad_user_or_l_list_exit_code(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"
@@ -525,6 +528,23 @@ def test_reproduce_preset_writes_csvs(tmp_path, preset):
         assert header == expected_header
         assert len(rows) == n_rows
         assert all(len(row) == len(header) for row in rows)
+
+
+def test_presets_pin_their_scheme_and_phase_error(tmp_path):
+    """A preset column sets its own scheme and phase-error model, so --scheme
+    and --phase-error leave fig3 and fig4 as they are without the flag, and
+    fig8's non-reciprocal columns take no phase-error model."""
+    flags = ["--trials-outage", "200", "--trials-se", "20", "--trials-opt", "1"]
+    for preset, flag, panels in (("fig3", ["--scheme", "two"], ("outage", "se")),
+                                 ("fig4", ["--phase-error", "uniform:3.0"], ("outage",))):
+        assert run_cli(["reproduce", preset, *flags, "--out", str(tmp_path / "plain")]) == 0
+        assert run_cli(["reproduce", preset, *flags, *flag,
+                        "--out", str(tmp_path / "flag")]) == 0
+        for panel in panels:
+            assert ((tmp_path / f"flag_{panel}.csv").read_bytes()
+                    == (tmp_path / f"plain_{panel}.csv").read_bytes()), (preset, panel)
+    assert run_cli(["reproduce", "fig8", *flags, "--phase-error", "uniform:0.5",
+                    "--out", str(tmp_path / "f8")]) == 0
 
 
 def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):

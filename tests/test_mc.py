@@ -314,10 +314,9 @@ def test_group_must_share_a_draw_key(monkeypatch):
                                       equal_nan=True), (cfg, row)
     # the two-slot scheme co-phases each slot whatever the policy
     assert np.array_equal(alone[2].g1, alone[-1].g1)
-    # the phase-error check covers every config of the group, not only the first
-    jittered = dataclasses.replace(non, nu=1.0, phase_error=UniformPhaseError(0.5))
+    # a non-reciprocal config with a phase-error model is not built at all
     with pytest.raises(ValueError, match="phase-error model"):
-        collect_gains([non, jittered], 10, seed=0)
+        dataclasses.replace(non, nu=1.0, phase_error=UniformPhaseError(0.5))
 
 
 def test_u1_trial_gains_do_not_depend_on_the_block_size():
@@ -388,8 +387,7 @@ def test_policy_validation():
     with pytest.raises(ValueError, match="max-min or baseline policy"):
         collect_gains([dataclasses.replace(non, policy="u1"), non], 10, seed=0)
     with pytest.raises(ValueError, match="phase-error model"):
-        collect_gains([dataclasses.replace(non, policy="greedy",
-                                           phase_error=UniformPhaseError(0.5))], 10, seed=0)
+        dataclasses.replace(non, policy="greedy", phase_error=UniformPhaseError(0.5))
 
 
 def test_phase_error_applies_to_both_schemes():

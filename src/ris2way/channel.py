@@ -55,7 +55,6 @@ class VonMisesPhaseError:
 
 PhaseErrorModel = Union[UniformPhaseError, VonMisesPhaseError]
 
-# co-phasing on a reciprocal channel; baselines or a max-min design on a non-reciprocal one
 PHASE_POLICIES = ("optimal", "u1", "random", "greedy", "sdp")
 
 
@@ -63,7 +62,10 @@ PHASE_POLICIES = ("optimal", "u1", "random", "greedy", "sdp")
 class SystemConfig:
     """Full experiment description.  The transmit power is not part of it: a
     sweep passes the powers, both users sending at each, to `sweep_rho`.  Only
-    Monte Carlo gains read the phase policy, and only the one-slot scheme's."""
+    Monte Carlo gains read the phase policy, and only the one-slot scheme's:
+    'optimal' (co-phasing) is a reciprocal channel's only policy, and a
+    non-reciprocal one takes a baseline or a max-min design, 'greedy' unless
+    set."""
 
     L: int
     sigma2: float = 1.0
@@ -74,9 +76,12 @@ class SystemConfig:
     reciprocity: Reciprocity = Reciprocity.RECIPROCAL
     gamma_th: float = 1.0
     phase_error: Optional[PhaseErrorModel] = None
-    policy: str = "optimal"
+    policy: Optional[str] = None
 
     def __post_init__(self):
+        reciprocal = self.reciprocity is Reciprocity.RECIPROCAL
+        if self.policy is None:  # a built config always holds its real policy
+            object.__setattr__(self, "policy", "optimal" if reciprocal else "greedy")
         # every message starts with the field's name; the checks are written
         # so that NaN fails them
         if self.L < 1:
@@ -94,10 +99,13 @@ class SystemConfig:
         if self.policy not in PHASE_POLICIES:
             raise ValueError(f"policy {self.policy!r} is unknown: use one of "
                              f"{', '.join(PHASE_POLICIES)}")
-        if self.reciprocity is Reciprocity.RECIPROCAL and self.policy != "optimal":
+        if reciprocal and self.policy != "optimal":
             raise ValueError(f"policy {self.policy!r} is a non-reciprocal one: "
                              "reciprocal channels support the 'optimal' policy only")
-        if self.reciprocity is Reciprocity.NON_RECIPROCAL and self.phase_error is not None:
+        if not reciprocal and self.policy == "optimal":
+            raise ValueError("policy 'optimal' is a reciprocal one: "
+                             "non-reciprocal channels need a max-min or baseline policy")
+        if not reciprocal and self.phase_error is not None:
             raise ValueError("phase_error is set on a non-reciprocal channel: "
                              "the phase-error model applies to reciprocal channels")
 

@@ -286,9 +286,7 @@ _CONFIG_FLAGS = {"L": "--L", "sigma2": "--sigma2", "noise_mw": "--noise-dbm",
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     if args.workers < 1:
         raise SpecError(f"--workers: need at least one worker, got {args.workers}")
-    given = vars(args)  # only outage and se take --policy; the others get its default
-    reciprocity = Reciprocity(args.reciprocity)
-    default = "optimal" if reciprocity is Reciprocity.RECIPROCAL else "greedy"
+    given = vars(args)  # only outage and se take --policy; the others get the config's default
     try:
         cfg = SystemConfig(
             L=args.elements,
@@ -297,10 +295,10 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             omega=args.omega,
             nu=args.nu,
             scheme=Scheme(args.scheme),
-            reciprocity=reciprocity,
+            reciprocity=Reciprocity(args.reciprocity),
             gamma_th=_linear_flag("--gamma-th-db", args.gamma_th_db),
             phase_error=parse_phase_error(args.phase_error),
-            policy=given.get("policy") or default,
+            policy=given.get("policy"),
         )
     except ValueError as exc:  # SystemConfig messages start with the field name
         field = str(exc).split(" ", 1)[0]
@@ -424,21 +422,19 @@ def _default_methods(cfg: SystemConfig, l_list: list[int]) -> list[str]:
 
 
 def _validate_methods(spec: ExperimentSpec, allowed: tuple[str, ...]) -> None:
+    """Check --methods against the command's `allowed` names, the channel and every swept L."""
     if not spec.methods:
-        raise SpecError("no methods requested")
-    for m in spec.methods:
-        if m not in allowed:
-            raise SpecError(f"method {m!r} not valid for {spec.command!r} "
-                            f"(allowed: {', '.join(allowed)})")
-    if spec.cfg.reciprocity is Reciprocity.NON_RECIPROCAL:
-        for m in spec.methods:
-            if any(m in laws for laws in _LAWS.values()):
-                raise SpecError(f"analytic method {m!r} applies to reciprocal channels")
-    counts = spec.l_list or [spec.cfg.L]  # every L the sweep will use
+        raise SpecError("--methods: no methods requested")
+    reciprocal = spec.cfg.reciprocity is Reciprocity.RECIPROCAL
     for m in spec.methods:
         valid, why = _L_DOMAINS.get(m, (lambda L: True, ""))
-        if not all(valid(L) for L in counts):
-            raise SpecError(f"method {m!r} {why}")
+        if m not in allowed:
+            raise SpecError(f"--methods: method {m!r} not valid for {spec.command!r} "
+                            f"(allowed: {', '.join(allowed)})")
+        if not reciprocal and any(m in laws for laws in _LAWS.values()):
+            raise SpecError(f"--methods: analytic method {m!r} applies to reciprocal channels")
+        if not all(map(valid, spec.l_list or [spec.cfg.L])):
+            raise SpecError(f"--methods: method {m!r} {why}")
 
 
 def _power_free(col: _Column, axis: str, xs: list) -> list[SystemConfig]:
@@ -582,8 +578,7 @@ def _crossover_dbm(cfg: SystemConfig) -> str:
 
 
 def run_crossover(spec: ExperimentSpec) -> dict:
-    if not spec.methods or any(m not in CROSSOVER_METHODS for m in spec.methods):
-        raise SpecError(f"crossover methods must come from {', '.join(CROSSOVER_METHODS)}")
+    _validate_methods(spec, CROSSOVER_METHODS)
     if spec.cfg.reciprocity is not Reciprocity.RECIPROCAL:
         raise SpecError("the scheme-crossover comparison is defined on reciprocal channels")
     finders = {"analytic": _crossover_dbm,
@@ -609,13 +604,14 @@ def _grid(lo: int, hi: int) -> list[float]:
 def _power_panels(spec: ExperimentSpec) -> dict[str, dict[str, tuple]]:
     """The power-sweep presets: preset -> panel -> (metric, dBm grid, columns).
 
-    Every column is on a reciprocal channel, one-slot and free of phase error
-    unless it says otherwise: --scheme and --phase-error set no column.
+    Every column fixes L, reciprocity, policy, scheme, phase-error model and nu
+    (reciprocal under its default policy, one-slot, error-free and nu = 0 unless
+    it says otherwise); only sigma2, noise_mw, omega and gamma_th come from flags.
     """
-    def col(label, method, trials=0, policy="optimal", user=1, **over):
+    def col(label, method, trials=0, policy=None, user=1, **over):
         cfg = dataclasses.replace(spec.cfg, **{"reciprocity": Reciprocity.RECIPROCAL,
                                                "policy": policy, "scheme": Scheme.ONE,
-                                               "phase_error": None, **over})
+                                               "phase_error": None, "nu": 0.0, **over})
         return _Column(label, cfg, method, trials, user)
 
     trials = {"outage": spec.trials_outage, "se": spec.trials_se}
@@ -630,7 +626,7 @@ def _power_panels(spec: ExperimentSpec) -> dict[str, dict[str, tuple]]:
             for m in ("outage", "se")},
         # each doubling of L shifts the outage waterfall ~12 dB down; span them all
         "fig4": {"outage": ("outage", _grid(-80, 30), [
-            col(f"{m}_L{L}", m, spec.trials_outage, L=L, nu=0.0)
+            col(f"{m}_L{L}", m, spec.trials_outage, L=L)
             for L in (2, 4, 16, 32, 64) for m in ("mc", "gamma", "clt")])},
         # low enough to show every scheme-crossover at the default noise level;
         # two-slot curves are identical across nu, so the nu=1 panel keeps one
@@ -643,23 +639,21 @@ def _power_panels(spec: ExperimentSpec) -> dict[str, dict[str, tuple]]:
         # phase jitter, between the fully scrambled and the error-free laws
         "fig6": {m: (m, _grid(-20, 30), [
             c for L in l_values for c in (
-                [col(f"mc_L{L}_d{d:.3f}", "mc", trials[m], L=L, nu=0.0,
+                [col(f"mc_L{L}_d{d:.3f}", "mc", trials[m], L=L,
                      phase_error=UniformPhaseError(d)) for d in deltas]
-                + [col(f"scrambled_L{L}", "phase-error", L=L, nu=0.0),
-                   col(f"errorfree_L{L}", "gamma", L=L, nu=0.0)])])
+                + [col(f"scrambled_L{L}", "phase-error", L=L),
+                   col(f"errorfree_L{L}", "gamma", L=L)])])
             for m, l_values in (("outage", (4, 16)), ("se", (4, 32)))},
         # (a) per-user rates of the max-min methods and baselines at L=8;
         # (b) reciprocal optimum vs non-reciprocal max-min across element counts
         "fig8": {
             "a_methods": ("se", _grid(-10, 10), [
-                col(f"mc_{p}_u{u}", "mc", spec.trials_opt, p, u, L=8, nu=0.0,
-                    reciprocity=nonrec)
+                col(f"mc_{p}_u{u}", "mc", spec.trials_opt, p, u, L=8, reciprocity=nonrec)
                 for p in ("sdp", "greedy", "u1", "random") for u in (1, 2)]),
             "b_reciprocity_gap": ("se", _grid(-10, 10), [
                 c for L in (1, 2, 4, 16) for c in (
                     col(f"mc_rec_L{L}", "mc", spec.trials_se, L=L),
-                    col(f"mc_nonrec_L{L}", "mc", spec.trials_opt, "greedy", L=L,
-                        reciprocity=nonrec))]),
+                    col(f"mc_nonrec_L{L}", "mc", spec.trials_opt, L=L, reciprocity=nonrec))]),
         },
     }
 

@@ -23,9 +23,10 @@ On a reciprocal channel each phase-error model gets a gain row, so scheme, nu,
 omega, gamma_th, noise and jitter width all share the draw; on a
 non-reciprocal one each one-slot policy and the two-slot scheme's per-slot
 co-phasing get (g1, g2, t*), so `optimize`'s methods and fig8's policies
-share it.  A non-reciprocal gain also reads `collect_gains`'s max-min solver
-settings (`optim`'s defaults unless given).  The u1 and random baselines live
-here.
+share it.  `SystemConfig` checks each config's policy and phase-error model
+when it is built.  A non-reciprocal gain also reads `collect_gains`'s max-min
+solver settings (`optim`'s defaults unless given).  The u1 and random
+baselines live here.
 """
 
 from __future__ import annotations
@@ -204,11 +205,7 @@ def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int
     cfg = cfgs[0]
     if any(draw_key(c, trials) != draw_key(cfg, trials) for c in cfgs):
         raise ValueError("the configs of one collection must share a draw key")
-    # a config checks its policy and phase-error model itself; a non-reciprocal
-    # one keeps the default 'optimal' to sample channels, but has no gains
     reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
-    if not reciprocal and any(c.policy == "optimal" for c in cfgs):
-        raise ValueError("non-reciprocal channels need a max-min or baseline policy")
     # a reciprocal variant gets a gain row, a non-reciprocal one the rows g1, g2, t*
     variant = {c: c.phase_error if reciprocal else c.policy if c.scheme is Scheme.ONE else None
                for c in cfgs}

@@ -308,6 +308,19 @@ def test_single_value_l_list_is_an_element_sweep(tmp_path, capsys):
     # so is the phase-error model, which a non-reciprocal channel cannot take
     (["outage", "--L", "4", "--reciprocity", "non-reciprocal", "--phase-error", "uniform:0.5",
       "--trials", "10"], "--phase-error: phase_error is set on a non-reciprocal channel"),
+    # the config owns the policy rule: 'optimal' is reciprocal co-phasing only
+    (["se", "--L", "2", "--reciprocity", "non-reciprocal", "--policy", "optimal",
+      "--trials", "10"], "invalid spec: --policy: policy 'optimal' is a reciprocal one"),
+    # every method error names --methods, in each command that takes it
+    (["outage", "--L", "4", "--reciprocity", "non-reciprocal", "--methods", "mc,gamma"],
+     "invalid spec: --methods: analytic method 'gamma' applies to reciprocal channels"),
+    (["outage", "--L", "4", "--methods", "mc,bogus"],
+     "invalid spec: --methods: method 'bogus' not valid for 'outage'"),
+    (["se", "--L", "4", "--methods", ""], "invalid spec: --methods: no methods requested"),
+    (["se", "--L", "4", "--methods", "exact"],
+     "invalid spec: --methods: method 'exact' is the single-element law (L=1)"),
+    (["crossover", "--L", "2", "--methods", "analytic,gamma"],
+     "invalid spec: --methods: method 'gamma' not valid for 'crossover'"),
 ])
 def test_bad_user_or_l_list_exit_code(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"
@@ -530,21 +543,44 @@ def test_reproduce_preset_writes_csvs(tmp_path, preset):
         assert all(len(row) == len(header) for row in rows)
 
 
-def test_presets_pin_their_scheme_and_phase_error(tmp_path):
-    """A preset column sets its own scheme and phase-error model, so --scheme
-    and --phase-error leave fig3 and fig4 as they are without the flag, and
-    fig8's non-reciprocal columns take no phase-error model."""
-    flags = ["--trials-outage", "200", "--trials-se", "20", "--trials-opt", "1"]
-    for preset, flag, panels in (("fig3", ["--scheme", "two"], ("outage", "se")),
-                                 ("fig4", ["--phase-error", "uniform:3.0"], ("outage",))):
-        assert run_cli(["reproduce", preset, *flags, "--out", str(tmp_path / "plain")]) == 0
-        assert run_cli(["reproduce", preset, *flags, *flag,
-                        "--out", str(tmp_path / "flag")]) == 0
-        for panel in panels:
-            assert ((tmp_path / f"flag_{panel}.csv").read_bytes()
-                    == (tmp_path / f"plain_{panel}.csv").read_bytes()), (preset, panel)
-    assert run_cli(["reproduce", "fig8", *flags, "--phase-error", "uniform:0.5",
-                    "--out", str(tmp_path / "f8")]) == 0
+# a value of each config flag that moves every table that reads its field
+_PRESET_FLAGS = {"--L": "3", "--sigma2": "2", "--noise-dbm": "-60", "--omega": "1e-3",
+                 "--nu": "1", "--scheme": "two", "--reciprocity": "non-reciprocal",
+                 "--gamma-th-db": "3", "--phase-error": "uniform:0.5"}
+
+
+def _readme_flag_table() -> dict:
+    """README's preset x config-flag table: {flag: {preset: "honoured" | "pinned"}}."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = [[c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+                for line in fh if line.startswith("|")]
+    header = next(r for r in rows if r[0] == "flag")
+    return {r[0]: dict(zip(header[1:], r[1:])) for r in rows
+            if r[0].startswith("--") and r[0].strip("-")}
+
+
+@pytest.mark.parametrize("preset", cli.PRESETS)
+def test_presets_honour_the_readme_flag_table(tmp_path, preset):
+    """A flag README marks pinned leaves every file of the preset byte-identical,
+    and one marked honoured moves some file.  Every SystemConfig field a
+    reproduce flag sets has a row."""
+    table = _readme_flag_table()
+    fields = {f.name for f in dataclasses.fields(channel.SystemConfig)} - {"policy"}
+    assert set(table) == set(_PRESET_FLAGS) == {cli._CONFIG_FLAGS.get(f, "--" + f)
+                                                 for f in fields}
+    trials = ["--trials-outage", "200", "--trials-se", "20", "--trials-opt", "2"]
+
+    def files(name, flags):
+        out = tmp_path / name
+        out.mkdir()
+        assert run_cli(["reproduce", preset, *trials, *flags, "--out", str(out / "x")]) == 0
+        return {p: (out / p).read_bytes() for p in sorted(os.listdir(out))}
+
+    plain = files("plain", [])
+    for flag, value in _PRESET_FLAGS.items():
+        moved = files(flag.strip("-"), [flag, value]) != plain
+        assert moved == (table[flag][preset] == "honoured"), (preset, flag, table[flag][preset])
 
 
 def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):

@@ -1,0 +1,91 @@
+"""The byte contract: identical spec + seed reproduces the CLI's files.
+
+The seven presets (seeds 0 and 42) and a set of command-line sweeps run at
+small trial counts, and the SHA-256 of every CSV and SVG they write must equal
+the digest in `golden.json`.  Each file also has a short digest per line, so a
+mismatch names its first differing line.  numpy's SIMD loops may round
+differently on another CPU, so the file records the python and numpy versions
+and the machine it was made on.  A digest changes only with a declared change
+of the contract; `python tests/make_golden.py` rewrites the file.
+"""
+
+import hashlib
+import json
+import platform
+from pathlib import Path
+
+import numpy as np
+
+from ris2way import cli
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+_PRESET_TRIALS = ["--trials-outage", "2000", "--trials-se", "200", "--trials-opt", "4"]
+_NONREC = ["--reciprocity", "non-reciprocal"]
+
+# output name -> argv; every run also writes its SVG plots
+RUNS = {
+    **{f"seed{seed}/{preset}": ["reproduce", preset, "--seed", str(seed), *_PRESET_TRIALS]
+       for seed in (0, 42) for preset in cli.PRESETS},
+    "optimize_nonrec_L8": ["optimize", "--L", "8", *_NONREC,
+                           "--methods", "sdp,greedy,u1,random", "--trials", "4"],
+    **{f"se_nonrec_L3_{scheme}": ["se", "--L", "3", *_NONREC, "--scheme", scheme,
+                                  "--p-dbm", "-10:30:5", "--trials", "200"]
+       for scheme in ("one", "two")},
+    "outage_L1": ["outage", "--L", "1", "--methods", "exact,asymptotic,phase-error",
+                  "--p-dbm", "10:40:5"],
+    "outage_L8": ["outage", "--L", "8", "--sigma2", "0.3", "--p-dbm", "10:40:5",
+                  "--methods", "gamma,clt,asymptotic,phase-error"],
+    "se_L1": ["se", "--L", "1", "--methods", "exact,asymptotic,phase-error",
+              "--p-dbm", "10:40:5"],
+    "se_L4_two": ["se", "--L", "4", "--scheme", "two", "--p-dbm", "10:40:5",
+                  "--methods", "gamma,asymptotic,phase-error"],
+    "crossover": ["crossover", "--l-list", "1,2,16", "--methods", "analytic,mc",
+                  "--trials", "400"],
+}
+
+
+def produce(directory: Path) -> None:
+    """Run every entry of RUNS, writing its files under `directory`."""
+    for name, argv in RUNS.items():
+        out = directory / f"{name}.csv"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        rc = cli.main(argv + ["--svg", "--out", str(out)])
+        if rc != 0:
+            raise RuntimeError(f"{' '.join(argv)} exited {rc}")
+
+
+def _platform() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine()}
+
+
+def record(directory: Path) -> dict:
+    """{platform, files}: each file's SHA-256 and a short digest per line."""
+    files = {}
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        lines = data.split(b"\n")
+        files[path.relative_to(directory).as_posix()] = {
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "lines": " ".join(hashlib.sha256(line).hexdigest()[:8] for line in lines)}
+    return {"platform": _platform(), "files": files}
+
+
+def _first_difference(got: dict, want: dict) -> str:
+    for name in sorted(set(got) | set(want)):
+        if name not in got or name not in want:
+            return f"{name} is {'missing' if name in want else 'not in golden.json'}"
+        if got[name]["sha256"] != want[name]["sha256"]:
+            a, b = got[name]["lines"].split(), want[name]["lines"].split()
+            line = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            return f"{name} differs first at line {line + 1} (of {len(a)}, golden {len(b)})"
+    return ""
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    produce(tmp_path)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    diff = _first_difference(record(tmp_path)["files"], golden["files"])
+    assert not diff, (f"{diff}; the produced files are under {tmp_path}. Digests were "
+                      f"made on {golden['platform']}, this run is on {_platform()}")

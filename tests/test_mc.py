@@ -382,10 +382,12 @@ def test_policy_validation():
         cfg_rec(L=2, policy="greedy")
     with pytest.raises(ValueError, match="policy 'bogus' is unknown"):
         cfg_rec(L=2, policy="bogus")
-    # the default 'optimal' is a valid non-reciprocal config, but not collectable
+    assert cfg_rec(L=2).policy == "optimal"
+    # a non-reciprocal config defaults to greedy, and is not built with 'optimal'
     non = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL)
+    assert non.policy == "greedy" and non == dataclasses.replace(non, policy="greedy")
     with pytest.raises(ValueError, match="max-min or baseline policy"):
-        collect_gains([dataclasses.replace(non, policy="u1"), non], 10, seed=0)
+        dataclasses.replace(non, policy="optimal")
     with pytest.raises(ValueError, match="phase-error model"):
         dataclasses.replace(non, policy="greedy", phase_error=UniformPhaseError(0.5))
 

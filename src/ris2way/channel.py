@@ -147,10 +147,6 @@ class ReciprocalChannel:
         if self.h.shape != self.g.shape or self.h.ndim not in (1, 2):
             raise ValueError("h and g must be matching (L,) or (n, L) arrays")
 
-    @property
-    def L(self) -> int:
-        return self.h.shape[-1]
-
 
 @dataclass(frozen=True)
 class NonReciprocalChannel:
@@ -165,10 +161,6 @@ class NonReciprocalChannel:
         shapes = {v.shape for v in (self.h_t, self.h_r, self.g_t, self.g_r)}
         if len(shapes) != 1 or self.h_t.ndim not in (1, 2):
             raise ValueError("all four vectors must be matching (L,) or (n, L) arrays")
-
-    @property
-    def L(self) -> int:
-        return self.h_t.shape[-1]
 
 
 ChannelRealization = Union[ReciprocalChannel, NonReciprocalChannel]

@@ -5,8 +5,9 @@ analytic / Monte Carlo / optimization layers, and write RFC-4180-style CSV
 (plus optional SVG line plots).  Powers are dBm and thresholds dB at this
 boundary only; everything inside is linear milliwatts.
 
-A flat key=value config file can pre-set any long flag of the chosen
-subcommand; explicit flags override the file.
+Each subcommand takes the config flags that can change its output (see
+`_CONFIG_FLAGS`), and a flat key=value config file can pre-set any long flag
+it takes; explicit flags override the file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -68,13 +69,20 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def _linear_flag(flag: str, db: float) -> float:
+def _linear_flag(db: float) -> float:
     """db_to_linear of a dB flag's value, which must stay below double range."""
     try:
         return db_to_linear(db)
     except OverflowError:
-        raise SpecError(f"{flag}: {db:g} is too large, its linear value "
-                        "overflows a double") from None
+        raise SpecError(f"{db:g} is too large, its linear value overflows a double") from None
+
+
+def _flag_value(flag: str, convert: Callable, value):
+    """convert(value), with an error message that names the flag."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise SpecError(f"{flag}: {exc}") from None
 
 
 def parse_sweep(text: str) -> list[float]:
@@ -139,27 +147,56 @@ def _env_workers() -> int:
     return workers
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+class _Flag(NamedTuple):
+    names: tuple  # the first one names the flag in messages
+    commands: str  # the subcommands that take it: those whose output it can change
+    kwargs: dict  # argparse keywords
+    convert: Callable = lambda value: value  # parsed value -> field value
+
+
+# The flag of each SystemConfig field; a subcommand that does not take it keeps
+# the field's default.  optimize designs the one-slot phases of non-reciprocal
+# channels, crossover compares both schemes on reciprocal ones, and every
+# preset column sets its own L, reciprocity, scheme, phase-error model and nu.
+_CONFIG_FLAGS = {
+    "L": _Flag(("--L", "-L", "--elements"), "outage se optimize crossover", dict(
+        type=int, default=1, metavar="L", help="number of reflecting elements (count)")),
+    "sigma2": _Flag(("--sigma2",), "outage se optimize crossover reproduce", dict(
+        type=float, default=1.0, help="per-coefficient channel variance, linear")),
+    "noise_mw": _Flag(("--noise-dbm",), "outage se optimize crossover reproduce", dict(
+        type=float, default=-70.0, metavar="DBM", help="receiver noise power [dBm]"),
+        _linear_flag),
+    "omega": _Flag(("--omega",), "outage se optimize crossover reproduce", dict(
+        type=float, default=1e-4,
+        help="loop-interference coefficient (linear, interference = omega * P^nu mW)")),
+    "nu": _Flag(("--nu",), "outage se optimize crossover", dict(
+        type=float, default=0.0, help="loop-interference power exponent, in [0, 1]")),
+    "scheme": _Flag(("--scheme",), "outage se", dict(
+        choices=[s.value for s in Scheme], default="one",
+        help="one: single-slot bidirectional; two: two one-way slots (half rate)"), Scheme),
+    "reciprocity": _Flag(("--reciprocity",), "outage se", dict(
+        choices=[r.value for r in Reciprocity], default="reciprocal"), Reciprocity),
+    "gamma_th": _Flag(("--gamma-th-db",), "outage reproduce", dict(
+        type=float, default=0.0, metavar="DB", help="SINR outage threshold [dB]"),
+        _linear_flag),
+    "phase_error": _Flag(("--phase-error",), "outage se crossover", dict(
+        default="none", help="none | uniform:DELTA | vonmises:MU,KAPPA (radians)"),
+        parse_phase_error),
+    "policy": _Flag(("--policy",), "outage se", dict(
+        default=None, help=f"phase policy of the mc column, from {','.join(PHASE_POLICIES)}: "
+        "optimal (the default) on a reciprocal channel; greedy (the default), sdp, u1 or "
+        "random on a non-reciprocal one, ignored by its two-slot scheme")),
+}
+
+
+def _add_subcommand(sub, command: str, about: str) -> argparse.ArgumentParser:
+    """The subcommand's parser with the flags every subcommand takes and its config flags."""
+    p = sub.add_parser(command, help=about)
     p.add_argument("--config", default=None, metavar="FILE",
                    help="flat key=value file pre-setting any long flag; flags override")
-    p.add_argument("-L", "--L", "--elements", dest="elements", type=int, default=1,
-                   metavar="L", help="number of reflecting elements (count)")
-    p.add_argument("--sigma2", type=float, default=1.0,
-                   help="per-coefficient channel variance, linear")
-    p.add_argument("--noise-dbm", type=float, default=-70.0,
-                   help="receiver noise power [dBm]")
-    p.add_argument("--omega", type=float, default=1e-4,
-                   help="loop-interference coefficient (linear, interference = omega * P^nu mW)")
-    p.add_argument("--nu", type=float, default=0.0,
-                   help="loop-interference power exponent, in [0, 1]")
-    p.add_argument("--scheme", choices=[s.value for s in Scheme], default="one",
-                   help="one: single-slot bidirectional; two: two one-way slots (half rate)")
-    p.add_argument("--reciprocity", choices=[r.value for r in Reciprocity],
-                   default="reciprocal")
-    p.add_argument("--gamma-th-db", type=float, default=0.0,
-                   help="SINR outage threshold [dB]")
-    p.add_argument("--phase-error", default="none",
-                   help="none | uniform:DELTA | vonmises:MU,KAPPA (radians)")
+    for name, flag in _CONFIG_FLAGS.items():
+        if command in flag.commands.split():
+            p.add_argument(*flag.names, dest=name, **flag.kwargs)
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--workers", type=int, default=_env_workers(),
                    help="Monte Carlo worker processes, at most the CPUs this process "
@@ -167,6 +204,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out.csv", help="output CSV path (or prefix)")
     p.add_argument("--svg", action="store_true",
                    help="also write an SVG line plot next to each CSV")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, about, methods, trials in (
             ("outage", "outage probability sweep", OUTAGE_METHODS, 10**5),
             ("se", "average spectral efficiency sweep", SE_METHODS, 10**3)):
-        p = sub.add_parser(name, help=about)
-        _add_config_flags(p)
+        p = _add_subcommand(sub, name, about)
         p.add_argument("--p-dbm", default="-10:30:2", help="power sweep START:STOP:STEP [dBm]")
         p.add_argument("--l-list", default="", help="sweep element counts instead (comma list)")
         p.add_argument("--method", "--methods", dest="methods", default=None,
@@ -189,13 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "is >= 2)")
         p.add_argument("--trials", type=int, default=trials)
         p.add_argument("--user", default="1", help="1, 2, or min")
-        p.add_argument("--policy", default=None,
-                       help=f"phase policy of the mc column, from {','.join(PHASE_POLICIES)}: "
-                       "optimal (the default) on a reciprocal channel; greedy (the default), sdp, "
-                       "u1 or random on a non-reciprocal one, ignored by its two-slot scheme")
 
-    p_opt = sub.add_parser("optimize", help="per-instance max-min phase design")
-    _add_config_flags(p_opt)
+    p_opt = _add_subcommand(sub, "optimize", "per-instance max-min phase design of the "
+                            "one-slot scheme on non-reciprocal channels")
     p_opt.add_argument("--p-dbm", default="0:0:1", help="single power point [dBm]")
     p_opt.add_argument("--method", "--methods", dest="methods", default="sdp,greedy",
                        help=f"comma list from {','.join(OPT_METHODS)}")
@@ -204,16 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--greedy-grid", type=int, default=GREEDY_GRID)
     p_opt.add_argument("--sdp-tol", type=float, default=SDP_TOL)
 
-    p_x = sub.add_parser("crossover", help="power where the one-slot scheme overtakes")
-    _add_config_flags(p_x)
+    p_x = _add_subcommand(sub, "crossover", "power where the one-slot scheme overtakes "
+                          "the two-slot scheme on reciprocal channels")
     p_x.add_argument("--p-dbm", default="-40:40:2", help="search grid [dBm]")
     p_x.add_argument("--l-list", default="", help="element counts to report (default: -L)")
     p_x.add_argument("--method", "--methods", dest="methods", default="analytic,mc",
                      help=f"comma list from {','.join(CROSSOVER_METHODS)}")
     p_x.add_argument("--trials", type=int, default=4000)
 
-    p_rep = sub.add_parser("reproduce", help="bundled experiment presets")
-    _add_config_flags(p_rep)
+    p_rep = _add_subcommand(sub, "reproduce", "bundled experiment presets; each column "
+                            "sets its own L, reciprocity, scheme, phase-error model and nu")
     p_rep.add_argument("preset", choices=PRESETS)
     p_rep.add_argument("--trials-outage", type=int, default=10**5)
     p_rep.add_argument("--trials-se", type=int, default=10**3)
@@ -277,37 +310,20 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args([command] + _merge_negative_values(rest))
 
 
-# the flag that sets each SystemConfig field, to name it in error messages
-_CONFIG_FLAGS = {"L": "--L", "sigma2": "--sigma2", "noise_mw": "--noise-dbm",
-                 "omega": "--omega", "nu": "--nu", "gamma_th": "--gamma-th-db",
-                 "policy": "--policy", "phase_error": "--phase-error"}
-
-
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     if args.workers < 1:
         raise SpecError(f"--workers: need at least one worker, got {args.workers}")
-    given = vars(args)  # only outage and se take --policy; the others get the config's default
+    given = vars(args)
+    values = {name: _flag_value(flag.names[0], flag.convert, given[name])
+              for name, flag in _CONFIG_FLAGS.items() if name in given}
     try:
-        cfg = SystemConfig(
-            L=args.elements,
-            sigma2=args.sigma2,
-            noise_mw=_linear_flag("--noise-dbm", args.noise_dbm),
-            omega=args.omega,
-            nu=args.nu,
-            scheme=Scheme(args.scheme),
-            reciprocity=Reciprocity(args.reciprocity),
-            gamma_th=_linear_flag("--gamma-th-db", args.gamma_th_db),
-            phase_error=parse_phase_error(args.phase_error),
-            policy=given.get("policy"),
-        )
+        cfg = SystemConfig(**{"L": 1, **values})  # reproduce's columns set their own L
     except ValueError as exc:  # SystemConfig messages start with the field name
-        field = str(exc).split(" ", 1)[0]
-        if field not in _CONFIG_FLAGS:
-            raise
-        raise SpecError(f"{_CONFIG_FLAGS[field]}: {exc}") from None
+        flag = _CONFIG_FLAGS[str(exc).split(" ", 1)[0]]
+        raise SpecError(f"{flag.names[0]}: {exc}") from None
     p_dbm = parse_sweep(args.p_dbm) if "p_dbm" in given else []
     if p_dbm:
-        _linear_flag("--p-dbm", p_dbm[-1])  # the sweep's largest power
+        _flag_value("--p-dbm", _linear_flag, p_dbm[-1])  # the sweep's largest power
     # flags whose parsed value is the spec field of the same name
     plain = {f.name for f in dataclasses.fields(ExperimentSpec)} - {
         "p_dbm", "l_list", "methods", "cfg", "user", "workers"}
@@ -534,13 +550,8 @@ def run_sweep_command(spec: ExperimentSpec, metric: str) -> dict:
 
 def run_optimize(spec: ExperimentSpec) -> dict:
     _validate_methods(spec, OPT_METHODS)
-    if spec.cfg.reciprocity is not Reciprocity.NON_RECIPROCAL:
-        raise SpecError("optimize works on non-reciprocal channels "
-                        "(pass --reciprocity non-reciprocal)")
     if len(spec.p_dbm) != 1:
         raise SpecError("optimize needs a single power point")
-    if spec.trials < 1:
-        raise SpecError("trials must be >= 1")
     if not 0 < spec.sdp_tol < 1:
         raise SpecError(f"--sdp-tol: relaxation tolerance must be > 0 and < 1, "
                         f"got {spec.sdp_tol!r}")
@@ -550,14 +561,12 @@ def run_optimize(spec: ExperimentSpec) -> dict:
     if spec.greedy_grid < 2:
         raise SpecError(f"--greedy-grid: the grid needs at least 2 angles, "
                         f"got {spec.greedy_grid}")
-    if spec.cfg.scheme is Scheme.TWO:
-        raise SpecError("optimize designs the one-slot scheme's shared phases; the "
-                        "two-slot scheme co-phases each slot (see se --scheme two)")
     rho = float(sweep_rho(spec.cfg, [db_to_linear(spec.p_dbm[0])])[0])
     # trial t is trial t of the methods' one Monte Carlo collection, solved at rho = 1
+    cfgs = [dataclasses.replace(spec.cfg, reciprocity=Reciprocity.NON_RECIPROCAL, policy=m)
+            for m in spec.methods]
     gains = dict(zip(spec.methods, mc.collect_gains(
-        [dataclasses.replace(spec.cfg, policy=m) for m in spec.methods], spec.trials,
-        spec.seed, spec.workers, grid=spec.greedy_grid, tol=spec.sdp_tol,
+        cfgs, spec.trials, spec.seed, spec.workers, grid=spec.greedy_grid, tol=spec.sdp_tol,
         k=spec.randomization_k)))
     header, cells = ["trial"], [[str(t) for t in range(spec.trials)]]
     if "sdp" in spec.methods:
@@ -579,8 +588,6 @@ def _crossover_dbm(cfg: SystemConfig) -> str:
 
 def run_crossover(spec: ExperimentSpec) -> dict:
     _validate_methods(spec, CROSSOVER_METHODS)
-    if spec.cfg.reciprocity is not Reciprocity.RECIPROCAL:
-        raise SpecError("the scheme-crossover comparison is defined on reciprocal channels")
     finders = {"analytic": _crossover_dbm,
                "mc": lambda cfg: "{:.6f}".format(mc.find_crossover(
                    cfg, spec.p_dbm, spec.trials, spec.seed, workers=spec.workers))}
@@ -604,15 +611,13 @@ def _grid(lo: int, hi: int) -> list[float]:
 def _power_panels(spec: ExperimentSpec) -> dict[str, dict[str, tuple]]:
     """The power-sweep presets: preset -> panel -> (metric, dBm grid, columns).
 
-    Every column fixes L, reciprocity, policy, scheme, phase-error model and nu
-    (reciprocal under its default policy, one-slot, error-free and nu = 0 unless
-    it says otherwise); only sigma2, noise_mw, omega and gamma_th come from flags.
+    Every column sets its L and policy (the config's default unless it says
+    otherwise), and has SystemConfig's reciprocal, one-slot, error-free, nu = 0
+    channel unless it says otherwise: reproduce takes no flag for those fields.
     """
     def col(label, method, trials=0, policy=None, user=1, **over):
-        cfg = dataclasses.replace(spec.cfg, **{"reciprocity": Reciprocity.RECIPROCAL,
-                                               "policy": policy, "scheme": Scheme.ONE,
-                                               "phase_error": None, "nu": 0.0, **over})
-        return _Column(label, cfg, method, trials, user)
+        return _Column(label, dataclasses.replace(spec.cfg, policy=policy, **over),
+                       method, trials, user)
 
     trials = {"outage": spec.trials_outage, "se": spec.trials_se}
     deltas = (math.pi / 8, math.pi / 4, math.pi / 2, math.pi)

@@ -453,3 +453,19 @@ def test_gamma_formula_internal_consistency_at_l1():
     direct = regularized_gamma_p(p.k, math.sqrt(0.7 / 30.0) / p.theta)
     # formula extended to a single element (internal consistency only)
     assert special.gammainc(1 * p.k, math.sqrt(0.7 / 30.0) / p.theta) == pytest.approx(direct)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: an.outage_gamma_Lge2(1, 1.0, 1.0), "gamma-approximation outage is for L >= 2"),
+    (lambda: an.sandwich_bounds_Lge2(1, 1.0, 1.0), "bounds apply for L >= 2"),
+    (lambda: an.asymptotic_outage(4, 1.0, 10.0, 1e-4, 0.5, 1e-7),
+     r"large-power laws are handled for nu in \{0, 1\} only, got 0.5"),
+    (lambda: an.asymptotic_se(4, 10.0, 1e-4, 0.5, 1e-7),
+     r"large-power laws are handled for nu in \{0, 1\} only, got 0.5"),
+    (lambda: an.delta_r(4, 2, K_REF), "need L2 >= L1 >= 1"),
+    (lambda: an.delta_p(4, 2, K_REF), "need L2 >= L1 >= 1"),
+    (lambda: an.kl_divergence_gamma_fit(0.0), "sigma2 must be > 0"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ris2way import rng as rngmod
-from ris2way.channel import (NonReciprocalChannel, Reciprocity, Scheme,
+from ris2way.channel import (NonReciprocalChannel, ReciprocalChannel, Reciprocity, Scheme,
                              SystemConfig, UniformPhaseError, VonMisesPhaseError,
                              coherent_gain, sample_channel_block, sample_channels,
                              sample_phase_errors, sinr_nonreciprocal,
@@ -303,3 +303,16 @@ def test_coherent_gain_rows_equal_one_row_calls(n, L):
     phases = rng.uniform(0.0, 2.0 * math.pi, (n, L))
     stacked = coherent_gain(terms, phases)
     assert np.array_equal(stacked, [coherent_gain(t, p) for t, p in zip(terms, phases)])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ReciprocalChannel(np.ones(3, complex), np.ones(4, complex)),
+     r"h and g must be matching \(L,\) or \(n, L\) arrays"),
+    (lambda: ReciprocalChannel(np.ones((2, 2, 2), complex), np.ones((2, 2, 2), complex)),
+     r"h and g must be matching \(L,\) or \(n, L\) arrays"),
+    (lambda: NonReciprocalChannel(*[np.ones(3, complex)] * 3, np.ones(4, complex)),
+     r"all four vectors must be matching \(L,\) or \(n, L\) arrays"),
+])
+def test_realizations_check_their_shapes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

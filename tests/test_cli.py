@@ -1,11 +1,13 @@
 """Experiment runner: spec parsing, CSV contracts, determinism, exit codes."""
 
+import argparse
 import ast
 import csv
 import dataclasses
 import math
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 import weakref
@@ -15,8 +17,9 @@ import pytest
 
 from ris2way import channel, cli, mc, optim
 from ris2way import rng as rngmod
-from ris2way.channel import (NonReciprocalChannel, UniformPhaseError, VonMisesPhaseError,
-                             sample_channel_block, sinr_nonreciprocal, sweep_rho)
+from ris2way.channel import (NonReciprocalChannel, Reciprocity, UniformPhaseError,
+                             VonMisesPhaseError, sample_channel_block, sinr_nonreciprocal,
+                             sweep_rho)
 from ris2way.cli import (main, parse_args, parse_phase_error, parse_sweep,
                          spec_from_args)
 
@@ -115,10 +118,14 @@ def test_analytic_methods_rejected_for_nonreciprocal(tmp_path):
     assert rc == 2
 
 
-def test_crossover_rejects_nonreciprocal(tmp_path):
-    rc = run_cli(["crossover", "--L", "2", "--reciprocity", "non-reciprocal",
-                  "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
+def test_crossover_rejects_nonreciprocal(tmp_path, capsys):
+    # the scheme crossover is defined on reciprocal channels: crossover takes no --reciprocity
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["crossover", "--L", "2", "--reciprocity", "non-reciprocal",
+                 "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --reciprocity non-reciprocal" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_crossover_no_sign_change_exit_code(tmp_path):
@@ -130,9 +137,8 @@ def test_crossover_no_sign_change_exit_code(tmp_path):
 
 def test_optimize_respects_relaxation_bound(tmp_path):
     out = tmp_path / "opt.csv"
-    rc = run_cli(["optimize", "--L", "4", "--reciprocity", "non-reciprocal",
-                  "--methods", "sdp,greedy,u1,random", "--trials", "5",
-                  "--out", str(out)])
+    rc = run_cli(["optimize", "--L", "4", "--methods", "sdp,greedy,u1,random",
+                  "--trials", "5", "--out", str(out)])
     assert rc == 0
     header, rows = read_csv(out)
     i_t = header.index("t_star")
@@ -155,7 +161,7 @@ def test_optimize_flags_reach_the_stacked_solvers(tmp_path):
     trial's one-row `sinr_nonreciprocal` at the sweep's rho, and t_star is
     rho times the bound at rho = 1."""
     out = tmp_path / "opt.csv"
-    argv = ["optimize", "--L", "4", "--reciprocity", "non-reciprocal", "--seed", "3",
+    argv = ["optimize", "--L", "4", "--seed", "3",
             "--methods", "sdp,greedy,u1,random", "--trials", "4", "--greedy-grid", "90",
             "--sdp-tol", "1e-3", "--randomization-k", "7", "--p-dbm", "20:20:1",
             "--out", str(out)]
@@ -163,7 +169,7 @@ def test_optimize_flags_reach_the_stacked_solvers(tmp_path):
     _, rows = read_csv(out)
     assert len(rows) == 4
     spec = spec_from_args(parse_args(argv))
-    cfg = spec.cfg
+    cfg = dataclasses.replace(spec.cfg, reciprocity=Reciprocity.NON_RECIPROCAL, policy=None)
     rho = float(sweep_rho(cfg, [cli.db_to_linear(spec.p_dbm[0])])[0])
     assert rho != 1.0
     block = sample_channel_block(cfg, rngmod.block_generator(3, rngmod.STREAM_CHANNEL, 0), 4)
@@ -188,7 +194,7 @@ def test_optimize_rows_are_monte_carlo_trials(tmp_path):
     solver settings: gamma_p = rho * g_p under every policy, min_p their
     minimum, and t_star = rho * t*, the relaxation bound at rho = 1."""
     out = tmp_path / "opt.csv"
-    argv = ["optimize", "--L", "3", "--reciprocity", "non-reciprocal", "--seed", "9",
+    argv = ["optimize", "--L", "3", "--seed", "9",
             "--methods", "sdp,greedy,u1,random", "--trials", "6", "--greedy-grid", "120",
             "--sdp-tol", "1e-3", "--randomization-k", "11", "--p-dbm", "15:15:1",
             "--nu", "0.5", "--out", str(out)]
@@ -199,8 +205,8 @@ def test_optimize_rows_are_monte_carlo_trials(tmp_path):
     assert rho != 1.0
     names, cells = ["trial", "t_star"], [[str(t) for t in range(6)], None]
     for m in spec.methods:
-        [g] = mc.collect_gains([dataclasses.replace(spec.cfg, policy=m)], 6, 9,
-                               grid=120, tol=1e-3, k=11)
+        cfg = dataclasses.replace(spec.cfg, reciprocity=Reciprocity.NON_RECIPROCAL, policy=m)
+        [g] = mc.collect_gains([cfg], 6, 9, grid=120, tol=1e-3, k=11)
         if m == "sdp":
             cells[1] = [cli.fmt_val(t) for t in rho * g.t_star]
         else:
@@ -224,8 +230,7 @@ def test_optimize_draws_each_block_once(tmp_path, monkeypatch):
         return sample(cfg, rng, n)
 
     monkeypatch.setattr(mc, "sample_channel_block", spy)
-    argv = ["optimize", "--L", "3", "--reciprocity", "non-reciprocal", "--trials", "4100",
-            "--workers", "1", "--seed", "5"]
+    argv = ["optimize", "--L", "3", "--trials", "4100", "--workers", "1", "--seed", "5"]
     out = tmp_path / "all.csv"
     assert run_cli(argv + ["--methods", "greedy,u1,random", "--out", str(out)]) == 0
     step = mc._DRAW_CHUNK // (8 * 3)  # the rows of one chunk at L=3
@@ -257,8 +262,7 @@ def test_default_methods_fit_the_config(tmp_path, argv, header):
 
 def test_optimize_bytes_do_not_depend_on_workers(tmp_path):
     """4100 trials are two Monte Carlo blocks, so two workers run them in a pool."""
-    argv = ["optimize", "--L", "2", "--reciprocity", "non-reciprocal",
-            "--methods", "greedy,u1,random", "--trials", "4100"]
+    argv = ["optimize", "--L", "2", "--methods", "greedy,u1,random", "--trials", "4100"]
     for w in ("1", "2"):
         assert run_cli(argv + ["--workers", w, "--out", str(tmp_path / f"w{w}.csv")]) == 0
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
@@ -368,7 +372,7 @@ def test_non_finite_config_flag_exit_code(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-_OPTIMIZE = ["optimize", "--L", "2", "--reciprocity", "non-reciprocal", "--trials", "2"]
+_OPTIMIZE = ["optimize", "--L", "2", "--trials", "2"]
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -418,17 +422,15 @@ def test_db_overflow_exit_code(tmp_path, capsys, argv, flag):
     (["--methods", "greedy", "--randomization-k", "-5"], "--randomization-k: need at least one"),
     (["--methods", "sdp", "--randomization-k", "0"], "--randomization-k: need at least one"),
     (["--greedy-grid", "1"], "--greedy-grid: the grid needs at least 2 angles"),
-    # the two-slot scheme co-phases each slot: there are no shared phases to design
-    (["--scheme", "two"], "optimize designs the one-slot scheme's shared phases"),
 ])
 def test_bad_optimize_input_exit_code(tmp_path, capsys, monkeypatch, flags, reason):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a channel before checking the flags")
 
-    monkeypatch.setattr(cli.mc, "collect_gains", no_draw)
+    # the trial count is the Monte Carlo collection's own check
+    monkeypatch.setattr(cli.mc, "sample_channel_block", no_draw)
     out = tmp_path / "x.csv"
-    argv = ["optimize", "--L", "2", "--reciprocity", "non-reciprocal",
-            "--methods", "sdp", "--trials", "2"]
+    argv = ["optimize", "--L", "2", "--methods", "sdp", "--trials", "2"]
     assert run_cli(argv + flags + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "invalid spec" in err and reason in err
@@ -438,7 +440,7 @@ def test_bad_optimize_input_exit_code(tmp_path, capsys, monkeypatch, flags, reas
 @pytest.mark.parametrize("argv", [
     ["outage", "--L", "1", "--methods", "mc,exact,asymptotic", "--trials", "100"],
     ["se", "--L", "2", "--methods", "mc,gamma", "--trials", "100"],
-    ["optimize", "--L", "2", "--reciprocity", "non-reciprocal", "--trials", "2"],
+    ["optimize", "--L", "2", "--trials", "2"],
 ])
 def test_non_finite_rho_exit_code(tmp_path, capsys, monkeypatch, argv):
     """A subnormal noise power makes rho = P / (interference + noise) overflow:
@@ -474,8 +476,7 @@ def test_optimize_solver_failure_names_the_trial(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli.mc, "maxmin_block", fail)
     out = tmp_path / "x.csv"
-    argv = ["optimize", "--L", "2", "--reciprocity", "non-reciprocal", "--trials", "5",
-            "--out", str(out)]
+    argv = ["optimize", "--L", "2", "--trials", "5", "--out", str(out)]
     assert run_cli(argv) == 3
     assert "solver failure: trial 2: interior point stalled" in capsys.readouterr().err
     assert not out.exists()
@@ -543,32 +544,127 @@ def test_reproduce_preset_writes_csvs(tmp_path, preset):
         assert all(len(row) == len(header) for row in rows)
 
 
-# a value of each config flag that moves every table that reads its field
-_PRESET_FLAGS = {"--L": "3", "--sigma2": "2", "--noise-dbm": "-60", "--omega": "1e-3",
-                 "--nu": "1", "--scheme": "two", "--reciprocity": "non-reciprocal",
-                 "--gamma-th-db": "3", "--phase-error": "uniform:0.5"}
+# a valid non-default value of each config flag, which moves every table that reads its field
+_FLAG_VALUES = {"--L": "3", "--sigma2": "2", "--noise-dbm": "-60", "--omega": "1e-3",
+                "--nu": "1", "--scheme": "two", "--reciprocity": "non-reciprocal",
+                "--gamma-th-db": "3", "--phase-error": "uniform:0.5", "--policy": "u1"}
+
+# the config flags each subcommand takes: those that can change its output
+_SWEEP_FLAGS = set(_FLAG_VALUES)
+_COMMAND_FLAGS = {
+    "outage": _SWEEP_FLAGS,
+    "se": _SWEEP_FLAGS - {"--gamma-th-db"},
+    "optimize": {"--L", "--sigma2", "--noise-dbm", "--omega", "--nu"},
+    "crossover": {"--L", "--sigma2", "--noise-dbm", "--omega", "--nu", "--phase-error"},
+    "reproduce": {"--sigma2", "--noise-dbm", "--omega", "--gamma-th-db"},
+}
+# (subcommand, flag) pairs whose flag could not change the output, or had one valid value
+_REMOVED_PAIRS = [(command, flag) for command, flags in _COMMAND_FLAGS.items()
+                  for flag in sorted(_SWEEP_FLAGS - {"--policy"} - flags)]
 
 
-def _readme_flag_table() -> dict:
-    """README's preset x config-flag table: {flag: {preset: "honoured" | "pinned"}}."""
+def _table_flags(command: str) -> set:
+    """The config flags `cli`'s table gives `command`, by their message names."""
+    return {flag.names[0] for flag in cli._CONFIG_FLAGS.values()
+            if command in flag.commands.split()}
+
+
+def _readme_table(corner: str) -> dict:
+    """The README table whose header row starts with `corner`: {row: {column: cell}}."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        rows = [[c.strip().strip("`") for c in line.strip().strip("|").split("|")]
-                for line in fh if line.startswith("|")]
-    header = next(r for r in rows if r[0] == "flag")
-    return {r[0]: dict(zip(header[1:], r[1:])) for r in rows
-            if r[0].startswith("--") and r[0].strip("-")}
+        lines = [line.strip() for line in fh]
+    start = lines.index(next(line for line in lines if line.startswith(f"| {corner} |")))
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([c.strip().strip("`") for c in line.strip().strip("|").split("|")])
+    return {r[0]: dict(zip(rows[0][1:], r[1:])) for r in rows[2:]}
+
+
+def test_each_subcommand_takes_the_config_flags_of_its_table_row():
+    """One table entry per SystemConfig field; each subcommand's parser takes
+    the names of its fields' flags and no other config flag, as README's
+    subcommand table says."""
+    assert set(cli._CONFIG_FLAGS) == {f.name for f in dataclasses.fields(channel.SystemConfig)}
+    every_name = {n for flag in cli._CONFIG_FLAGS.values() for n in flag.names}
+    readme = _readme_table("config flag")
+    assert set(readme) == _SWEEP_FLAGS
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_COMMAND_FLAGS)
+    for command, parser in sub.choices.items():
+        assert _table_flags(command) == _COMMAND_FLAGS[command]
+        assert every_name & set(parser._option_string_actions) == {
+            n for flag in cli._CONFIG_FLAGS.values() if flag.names[0] in _COMMAND_FLAGS[command]
+            for n in flag.names}
+        assert {flag for flag, row in readme.items() if row[command] == "yes"} == (
+            _COMMAND_FLAGS[command])
+    assert len(_REMOVED_PAIRS) == 13
+
+
+_FLAG_RUNS = {
+    "outage": ["outage", "--L", "2", "--p-dbm", "-50:-20:10", "--trials", "300"],
+    "se": ["se", "--L", "2", "--p-dbm", "-50:-20:10", "--trials", "300"],
+    "optimize": ["optimize", "--L", "2", "--p-dbm", "10:10:1", "--trials", "3",
+                 "--methods", "greedy"],
+    "crossover": ["crossover", "--L", "2", "--trials", "400"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c in _FLAG_RUNS
+                                           for f in sorted(_COMMAND_FLAGS[c])])
+def test_each_config_flag_moves_its_subcommand(tmp_path, command, flag):
+    """A valid non-default value of each flag a subcommand takes changes some
+    byte it writes (reproduce: test_presets_honour_the_readme_flag_table).  A
+    non-reciprocal policy is compared on non-reciprocal channels."""
+    argv = _FLAG_RUNS[command] + (["--reciprocity", "non-reciprocal"]
+                                  if flag == "--policy" else [])
+    plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+    assert run_cli(argv + ["--out", str(plain)]) == 0
+    assert run_cli(argv + [flag, _FLAG_VALUES[flag], "--out", str(flagged)]) == 0
+    assert flagged.read_bytes() != plain.read_bytes()
+
+
+@pytest.mark.parametrize("command, flag", _REMOVED_PAIRS)
+def test_flags_that_cannot_move_a_subcommand_are_not_accepted(tmp_path, capsys, command, flag):
+    argv = [command] + (["fig3"] if command == "reproduce" else [])
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + [flag, _FLAG_VALUES[flag], "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {_FLAG_VALUES[flag]}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_readme_cli_examples_parse():
+    """Every `ris2way` line of README's CLI block (continuations joined) is a
+    valid spec; nothing runs."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("\n## CLI\n"):]
+    start = section.index("```sh\n") + len("```sh\n")
+    block = section[start:section.index("```", start)]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("ris2way ")]
+    commands = set()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        spec_from_args(parse_args(argv))
+        commands.add(argv[0])
+    assert commands == set(_COMMAND_FLAGS)
 
 
 @pytest.mark.parametrize("preset", cli.PRESETS)
 def test_presets_honour_the_readme_flag_table(tmp_path, preset):
     """A flag README marks pinned leaves every file of the preset byte-identical,
-    and one marked honoured moves some file.  Every SystemConfig field a
-    reproduce flag sets has a row."""
-    table = _readme_flag_table()
-    fields = {f.name for f in dataclasses.fields(channel.SystemConfig)} - {"policy"}
-    assert set(table) == set(_PRESET_FLAGS) == {cli._CONFIG_FLAGS.get(f, "--" + f)
-                                                 for f in fields}
+    and one marked honoured moves some file.  Every config flag reproduce takes
+    has a row."""
+    table = _readme_table("flag")
+    flags = _table_flags("reproduce")
+    assert set(table) == flags
     trials = ["--trials-outage", "200", "--trials-se", "20", "--trials-opt", "2"]
 
     def files(name, flags):
@@ -578,8 +674,8 @@ def test_presets_honour_the_readme_flag_table(tmp_path, preset):
         return {p: (out / p).read_bytes() for p in sorted(os.listdir(out))}
 
     plain = files("plain", [])
-    for flag, value in _PRESET_FLAGS.items():
-        moved = files(flag.strip("-"), [flag, value]) != plain
+    for flag in sorted(flags):
+        moved = files(flag.strip("-"), [flag, _FLAG_VALUES[flag]]) != plain
         assert moved == (table[flag][preset] == "honoured"), (preset, flag, table[flag][preset])
 
 
@@ -676,8 +772,7 @@ def test_svg_skipped_when_nothing_plottable(tmp_path):
 
 
 @pytest.mark.parametrize("argv, y_label", [
-    (["optimize", "--L", "4", "--reciprocity", "non-reciprocal", "--methods", "greedy,u1",
-      "--trials", "5"], "SINR"),
+    (["optimize", "--L", "4", "--methods", "greedy,u1", "--trials", "5"], "SINR"),
     (["crossover", "--l-list", "1,2,4", "--methods", "analytic"], "crossover power [dBm]"),
 ])
 def test_svg_next_to_optimize_and_crossover_csv(tmp_path, argv, y_label):

@@ -27,8 +27,8 @@ _NONREC = ["--reciprocity", "non-reciprocal"]
 RUNS = {
     **{f"seed{seed}/{preset}": ["reproduce", preset, "--seed", str(seed), *_PRESET_TRIALS]
        for seed in (0, 42) for preset in cli.PRESETS},
-    "optimize_nonrec_L8": ["optimize", "--L", "8", *_NONREC,
-                           "--methods", "sdp,greedy,u1,random", "--trials", "4"],
+    "optimize_nonrec_L8": ["optimize", "--L", "8", "--methods", "sdp,greedy,u1,random",
+                           "--trials", "4"],
     **{f"se_nonrec_L3_{scheme}": ["se", "--L", "3", *_NONREC, "--scheme", scheme,
                                   "--p-dbm", "-10:30:5", "--trials", "200"]
        for scheme in ("one", "two")},

@@ -475,3 +475,10 @@ def test_solver_failure_names_the_trial(monkeypatch):
     with pytest.raises(optim.SolverFailureError,
                        match=f"trial {rngmod.BLOCK_SIZE + 4}: line search failed"):
         collect_gains([cfg], rngmod.BLOCK_SIZE + 10, seed=0)
+
+
+@pytest.mark.parametrize("reduce", [mc.outage_from_gains, mc.se_from_gains])
+def test_reductions_reject_an_unknown_user(reduce):
+    gains = mc.TrialGains(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="user must be 1, 2, or 'min'"):
+        reduce(cfg_rec(), [1.0], gains, user=3)

@@ -276,3 +276,13 @@ def test_kernels_give_each_element_its_scalar_bits():
               lambda v: regularized_gamma_p(16 * K_SHAPE, v),
               lambda v: regularized_gamma_q(K_SHAPE, v)):
         assert np.asarray(f(x)).tolist() == [float(f(np.array([v]))[0]) for v in x]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: log_bessel_k(1.5, 1.0), "order must be a nonnegative integer"),
+    (lambda: log_bessel_k(0, 0.0), "log_bessel_k requires x > 0"),
+    (lambda: nm.log_gamma_int(2.5), "log_gamma_int needs an integer n >= 1"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -10,9 +10,10 @@ import pytest
 
 from ris2way import optim
 from ris2way import rng as rngmod
-from ris2way.channel import (NonReciprocalChannel, Reciprocity, SystemConfig,
-                             coherent_gain, sample_channel_block, sample_channels,
-                             sinr_nonreciprocal, sinr_reciprocal, wrap_phases)
+from ris2way.channel import (NonReciprocalChannel, ReciprocalChannel, Reciprocity,
+                             SystemConfig, coherent_gain, sample_channel_block,
+                             sample_channels, sinr_nonreciprocal, sinr_reciprocal,
+                             wrap_phases)
 from ris2way.mc import collect_gains
 from ris2way.optim import (OptimMethod, _greedy_block, _newton_step, _sdp_joint,
                            build_quadratic_forms, gaussian_randomization,
@@ -515,3 +516,26 @@ def test_stacked_failure_names_its_row(monkeypatch):
     with pytest.raises(optim.SolverFailureError, match="vanishes") as info:
         maxmin_block(z1, z2, OptimMethod.SDP_RELAX, rngs)
     assert info.value.instance == 3
+
+
+def _one_instance():
+    cfg = SystemConfig(L=2, reciprocity=Reciprocity.NON_RECIPROCAL)
+    return sample_channels(cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ch: sdp_maxmin(build_quadratic_forms(ch), method="x"), "unknown method 'x'"),
+    (lambda ch: gaussian_randomization(np.eye(4), build_quadratic_forms(ch), 0,
+                                       np.random.default_rng(0)),
+     "need at least one randomization sample"),
+    (lambda ch: maxmin_block(np.ones((2, 2)), np.ones((2, 2)), OptimMethod.SDP_RELAX,
+                             [np.random.default_rng(0)]),
+     "gaussian randomization needs one RNG per instance"),
+    (lambda ch: maxmin_block(np.ones((2, 2)), np.ones((2, 2)), "u1"),
+     "not a max-min search: u1"),
+    (lambda ch: build_quadratic_forms(ReciprocalChannel(ch.h_t, ch.g_t)),
+     "quadratic forms are defined for non-reciprocal realizations"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(_one_instance())

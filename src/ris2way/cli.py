@@ -29,7 +29,7 @@ from .channel import (PHASE_POLICIES, Reciprocity, Scheme, SystemConfig,
                       UniformPhaseError, VonMisesPhaseError, sweep_rho)
 from .mc import NoCrossoverError
 from .numerics import NonConvergenceError, regularized_gamma_q
-from .optim import GREEDY_GRID, RANDOMIZATION_K, SDP_TOL, SolverFailureError
+from .optim import SolverFailureError
 from .svgplot import write_line_svg
 
 OPT_METHODS = ("sdp", "greedy", "u1", "random")
@@ -60,9 +60,6 @@ class ExperimentSpec:
     trials_outage: int = 10**5
     trials_se: int = 10**3
     trials_opt: int = 50
-    randomization_k: int = RANDOMIZATION_K
-    greedy_grid: int = GREEDY_GRID
-    sdp_tol: float = SDP_TOL
 
 
 def db_to_linear(db: float) -> float:
@@ -192,7 +189,7 @@ _CONFIG_FLAGS = {
 def _add_subcommand(sub, command: str, about: str) -> argparse.ArgumentParser:
     """The subcommand's parser with the flags every subcommand takes and its config flags."""
     p = sub.add_parser(command, help=about)
-    p.add_argument("--config", default=None, metavar="FILE",
+    p.add_argument("--config", action="append", metavar="FILE",
                    help="flat key=value file pre-setting any long flag; flags override")
     for name, flag in _CONFIG_FLAGS.items():
         if command in flag.commands.split():
@@ -233,16 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--method", "--methods", dest="methods", default="sdp,greedy",
                        help=f"comma list from {','.join(OPT_METHODS)}")
     p_opt.add_argument("--trials", type=int, default=50, help="independent instances")
-    p_opt.add_argument("--randomization-k", type=int, default=RANDOMIZATION_K)
-    p_opt.add_argument("--greedy-grid", type=int, default=GREEDY_GRID)
-    p_opt.add_argument("--sdp-tol", type=float, default=SDP_TOL)
 
     p_x = _add_subcommand(sub, "crossover", "power where the one-slot scheme overtakes "
                           "the two-slot scheme on reciprocal channels")
     p_x.add_argument("--p-dbm", default="-40:40:2", help="search grid [dBm]")
     p_x.add_argument("--l-list", default="", help="element counts to report (default: -L)")
-    p_x.add_argument("--method", "--methods", dest="methods", default="analytic,mc",
-                     help=f"comma list from {','.join(CROSSOVER_METHODS)}")
+    p_x.add_argument("--method", "--methods", dest="methods", default=None,
+                     help=f"comma list from {','.join(CROSSOVER_METHODS)} (default: both, "
+                     "mc alone with a phase-error model)")
     p_x.add_argument("--trials", type=int, default=4000)
 
     p_rep = _add_subcommand(sub, "reproduce", "bundled experiment presets; each column "
@@ -267,10 +262,9 @@ def _load_config_args(path: str) -> list[str]:
                     raise SpecError(f"config line without '=': {line!r}")
                 flag = "--" + key.strip().replace("_", "-")
                 value = value.strip()
-                if value.lower() in ("true", "false"):  # boolean flags
-                    if value.lower() == "true":
-                        out.append(flag)
-                else:
+                if value.lower() == "true":  # a boolean flag, set
+                    out.append(flag)
+                elif value.lower() != "false":
                     out.extend([flag, value])
     except OSError as exc:
         raise SpecError(f"cannot read config file {path!r}: {exc}") from exc
@@ -281,33 +275,26 @@ def _merge_negative_values(tokens: list[str]) -> list[str]:
     """Turn ["--p-dbm", "-40:40:2"] into ["--p-dbm=-40:40:2"] so argparse does
     not mistake negative values for flags."""
     out = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-        if (tok.startswith("--") and "=" not in tok and nxt is not None
-                and len(nxt) > 1 and nxt[0] == "-" and nxt[1].isdigit()):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in tokens:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and len(tok) > 1 and tok[0] == "-" and tok[1].isdigit()):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    if not argv:
-        build_parser().parse_args(argv)  # raises with usage
-    command, rest = argv[0], list(argv[1:])
-    if "--config" in rest:
-        i = rest.index("--config")
-        try:
-            path = rest[i + 1]
-        except IndexError:
-            raise SpecError("--config needs a file path") from None
-        file_args = _load_config_args(path)
-        rest = file_args + rest  # flags after the file override it
-    return build_parser().parse_args([command] + _merge_negative_values(rest))
+    """argv parsed; with --config, parsed again with the file's flags right
+    after the subcommand, so that argv's flags override them."""
+    parser = build_parser()
+    args = parser.parse_args(_merge_negative_values(argv))
+    if args.config is not None:
+        file_args = _load_config_args(args.config[-1])
+        args = parser.parse_args(_merge_negative_values(argv[:1] + file_args + argv[1:]))
+        if len(args.config) > 1:
+            raise SpecError("--config: given twice, on the command line or in the file")
+    return args
 
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
@@ -332,7 +319,7 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return ExperimentSpec(
         p_dbm=p_dbm,
         l_list=l_list,
-        methods=(_default_methods(cfg, l_list) if methods is None
+        methods=(_default_methods(args.command, cfg, l_list) if methods is None
                  else [m for m in methods.split(",") if m]),
         cfg=cfg,
         user=_parse_user(given.get("user", "1")),
@@ -424,33 +411,45 @@ _LAWS = {
 }
 OUTAGE_METHODS = ("mc", *_LAWS["outage"])
 SE_METHODS = ("mc", *_LAWS["se"])
-# the element counts of the closed forms not defined at every L
-_L_DOMAINS = {"exact": (lambda L: L == 1, "is the single-element law (L=1)"),
-              "gamma": (lambda L: L >= 2, "needs L >= 2")}
+_METHODS = {"outage": OUTAGE_METHODS, "se": SE_METHODS, "optimize": OPT_METHODS,
+            "crossover": CROSSOVER_METHODS}
+# the closed forms not defined on every reciprocal config: method -> (rule on
+# the config at each swept L, what the message says when it fails)
+_DOMAINS = {"exact": (lambda cfg, L: L == 1, "is the single-element law (L=1)"),
+            "gamma": (lambda cfg, L: L >= 2, "needs L >= 2"),
+            "analytic": (lambda cfg, L: cfg.phase_error is None, "has no phase-error term")}
 
 
-def _default_methods(cfg: SystemConfig, l_list: list[int]) -> list[str]:
-    """outage's and se's default columns: mc, plus on a reciprocal channel the
-    closed form whose element-count rule holds at every swept L."""
-    fits = cfg.reciprocity is Reciprocity.RECIPROCAL
-    return ["mc"] + [m for m, (valid, _) in _L_DOMAINS.items()
-                     if fits and all(map(valid, l_list or [cfg.L]))]
+def _misfit(m: str, cfg: SystemConfig, l_list: list[int]) -> str:
+    """Why method `m` does not apply to the channel or to some swept L, or ""."""
+    if (cfg.reciprocity is not Reciprocity.RECIPROCAL
+            and any(m in laws for laws in _LAWS.values())):
+        return f"analytic method {m!r} applies to reciprocal channels"
+    valid, why = _DOMAINS.get(m, (lambda cfg, L: True, ""))
+    return "" if all(valid(cfg, L) for L in l_list or [cfg.L]) else f"method {m!r} {why}"
 
 
-def _validate_methods(spec: ExperimentSpec, allowed: tuple[str, ...]) -> None:
-    """Check --methods against the command's `allowed` names, the channel and every swept L."""
+def _default_methods(command: str, cfg: SystemConfig, l_list: list[int]) -> list[str]:
+    """outage's, se's and crossover's default columns: mc, plus each closed
+    form of `_DOMAINS` that applies to the channel and every swept L."""
+    return [m for m in _METHODS[command]
+            if m == "mc" or (m in _DOMAINS and not _misfit(m, cfg, l_list))]
+
+
+def _validate_methods(spec: ExperimentSpec) -> None:
+    """Check --methods against the command's names, the channel and every swept L."""
+    allowed = _METHODS[spec.command]
     if not spec.methods:
         raise SpecError("--methods: no methods requested")
-    reciprocal = spec.cfg.reciprocity is Reciprocity.RECIPROCAL
     for m in spec.methods:
-        valid, why = _L_DOMAINS.get(m, (lambda L: True, ""))
         if m not in allowed:
             raise SpecError(f"--methods: method {m!r} not valid for {spec.command!r} "
                             f"(allowed: {', '.join(allowed)})")
-        if not reciprocal and any(m in laws for laws in _LAWS.values()):
-            raise SpecError(f"--methods: analytic method {m!r} applies to reciprocal channels")
-        if not all(map(valid, spec.l_list or [spec.cfg.L])):
-            raise SpecError(f"--methods: method {m!r} {why}")
+        if spec.methods.count(m) > 1:
+            raise SpecError(f"--methods: method {m!r} given twice")
+        misfit = _misfit(m, spec.cfg, spec.l_list)
+        if misfit:
+            raise SpecError(f"--methods: {misfit}")
 
 
 def _power_free(col: _Column, axis: str, xs: list) -> list[SystemConfig]:
@@ -532,7 +531,7 @@ def _sweep_table(metric: str, axis: str, xs: list, columns: list[_Column],
 
 
 def run_sweep_command(spec: ExperimentSpec, metric: str) -> dict:
-    _validate_methods(spec, OUTAGE_METHODS if metric == "outage" else SE_METHODS)
+    _validate_methods(spec)
     columns = [_Column(m, spec.cfg, m, spec.trials, spec.user) for m in spec.methods]
     if spec.l_list:
         if len(spec.p_dbm) != 1:
@@ -549,25 +548,14 @@ def run_sweep_command(spec: ExperimentSpec, metric: str) -> dict:
 
 
 def run_optimize(spec: ExperimentSpec) -> dict:
-    _validate_methods(spec, OPT_METHODS)
+    _validate_methods(spec)
     if len(spec.p_dbm) != 1:
         raise SpecError("optimize needs a single power point")
-    if not 0 < spec.sdp_tol < 1:
-        raise SpecError(f"--sdp-tol: relaxation tolerance must be > 0 and < 1, "
-                        f"got {spec.sdp_tol!r}")
-    if spec.randomization_k < 1:
-        raise SpecError(f"--randomization-k: need at least one randomization sample, "
-                        f"got {spec.randomization_k}")
-    if spec.greedy_grid < 2:
-        raise SpecError(f"--greedy-grid: the grid needs at least 2 angles, "
-                        f"got {spec.greedy_grid}")
     rho = float(sweep_rho(spec.cfg, [db_to_linear(spec.p_dbm[0])])[0])
     # trial t is trial t of the methods' one Monte Carlo collection, solved at rho = 1
     cfgs = [dataclasses.replace(spec.cfg, reciprocity=Reciprocity.NON_RECIPROCAL, policy=m)
             for m in spec.methods]
-    gains = dict(zip(spec.methods, mc.collect_gains(
-        cfgs, spec.trials, spec.seed, spec.workers, grid=spec.greedy_grid, tol=spec.sdp_tol,
-        k=spec.randomization_k)))
+    gains = dict(zip(spec.methods, mc.collect_gains(cfgs, spec.trials, spec.seed, spec.workers)))
     header, cells = ["trial"], [[str(t) for t in range(spec.trials)]]
     if "sdp" in spec.methods:
         header.append("t_star")
@@ -587,7 +575,7 @@ def _crossover_dbm(cfg: SystemConfig) -> str:
 
 
 def run_crossover(spec: ExperimentSpec) -> dict:
-    _validate_methods(spec, CROSSOVER_METHODS)
+    _validate_methods(spec)
     finders = {"analytic": _crossover_dbm,
                "mc": lambda cfg: "{:.6f}".format(mc.find_crossover(
                    cfg, spec.p_dbm, spec.trials, spec.seed, workers=spec.workers))}

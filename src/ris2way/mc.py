@@ -24,9 +24,7 @@ omega, gamma_th, noise and jitter width all share the draw; on a
 non-reciprocal one each one-slot policy and the two-slot scheme's per-slot
 co-phasing get (g1, g2, t*), so `optimize`'s methods and fig8's policies
 share it.  `SystemConfig` checks each config's policy and phase-error model
-when it is built.  A non-reciprocal gain also reads `collect_gains`'s max-min
-solver settings (`optim`'s defaults unless given).  The u1 and random
-baselines live here.
+when it is built.  The u1 and random baselines live here.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ from . import rng as rngmod
 from .channel import (PhaseErrorModel, Reciprocity, Scheme, SystemConfig,
                       UniformPhaseError, VonMisesPhaseError, coherent_gain,
                       sample_channel_block, sample_phase_errors, sweep_rho)
-from .optim import (GREEDY_GRID, RANDOMIZATION_K, SDP_TOL, OptimMethod,
-                    SolverFailureError, maxmin_block)
+from .optim import OptimMethod, SolverFailureError, maxmin_block
 
 
 class NoCrossoverError(RuntimeError):
@@ -129,14 +126,14 @@ def _reciprocal_gain_block(cfg: SystemConfig, models: tuple[PhaseErrorModel | No
 
 
 def _nonreciprocal_gain_block(cfg: SystemConfig, variants: tuple[str | None, ...],
-                              seed: int, block: int, count: int, settings: dict) -> np.ndarray:
+                              seed: int, block: int, count: int) -> np.ndarray:
     """Rows (g1, g2, t*) per variant, a one-slot policy or None for the two-slot
     scheme's per-slot co-phasing, all from one channel draw; t* is NaN but under
     sdp.  Fixed phases reduce each chunk as it is drawn; the max-min policies
-    gather the block's terms and solve them, each in one `maxmin_block` call
-    with the solver `settings` (its grid, tol and k).  A variant reads only the
-    channel and its own streams.  The phases hold at every sweep power: both
-    users share its rho, and scaling both SINRs by one rho keeps the argmax."""
+    gather the block's terms and solve them, each in one `maxmin_block` call.
+    A variant reads only the channel and its own streams.  The phases hold at
+    every sweep power: both users share its rho, and scaling both SINRs by one
+    rho keeps the argmax."""
     out = np.full((len(variants), 3, count), np.nan)
     brng = None
     if "random" in variants:
@@ -163,8 +160,7 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, variants: tuple[str | None, ...
             rngs = [rngmod.trial_generator(seed, rngmod.STREAM_OPTIM, first + i)
                     for i in range(count)]
         try:
-            phases, row[2] = maxmin_block(terms[0], terms[1], OptimMethod(policy), rngs,
-                                          **settings)
+            phases, row[2] = maxmin_block(terms[0], terms[1], OptimMethod(policy), rngs)
         except SolverFailureError as exc:
             raise SolverFailureError(f"trial {first + exc.instance}: {exc}") from exc
         row[:2] = coherent_gain(terms, phases)
@@ -172,10 +168,8 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, variants: tuple[str | None, ...
 
 
 def _gain_block_task(args):
-    cfg, variants, seed, block, count, settings = args
-    if cfg.reciprocity is Reciprocity.RECIPROCAL:
-        return _reciprocal_gain_block(cfg, variants, seed, block, count)
-    return _nonreciprocal_gain_block(cfg, variants, seed, block, count, settings)
+    reciprocal = args[0].reciprocity is Reciprocity.RECIPROCAL
+    return (_reciprocal_gain_block if reciprocal else _nonreciprocal_gain_block)(*args)
 
 
 def draw_key(cfg: SystemConfig, trials: int) -> tuple:
@@ -186,15 +180,13 @@ def draw_key(cfg: SystemConfig, trials: int) -> tuple:
     return (cfg.reciprocity, cfg.L, cfg.sigma2, trials)
 
 
-def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int = 1, *,
-                  grid: int = GREEDY_GRID, tol: float = SDP_TOL,
-                  k: int = RANDOMIZATION_K) -> list[TrialGains]:
+def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int,
+                  workers: int = 1) -> list[TrialGains]:
     """Per-trial gains of each config in `cfgs`, identical for any worker count.
 
     The configs must share one `draw_key`.  Each block's channel is drawn once
     for the whole group, so every config gets exactly the gains it would get
-    on its own.  `grid`, `tol` and `k` are the max-min solver settings of
-    `optim.maxmin_block`; no other policy reads them.
+    on its own.
     """
     if not cfgs:
         raise ValueError("need at least one config")
@@ -210,8 +202,7 @@ def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int
     variant = {c: c.phase_error if reciprocal else c.policy if c.scheme is Scheme.ONE else None
                for c in cfgs}
     variants = tuple(dict.fromkeys(variant.values()))
-    settings = {"grid": grid, "tol": tol, "k": k}
-    tasks = [(cfg, variants, seed, block, count, settings)
+    tasks = [(cfg, variants, seed, block, count)
              for block, count in rngmod.iter_blocks(trials)]
     rows = np.empty((len(variants),) + (() if reciprocal else (3,)) + (trials,))
     # the fork context starts every worker up front, so start no idle ones, and

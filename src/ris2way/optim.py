@@ -50,7 +50,7 @@ _STACK_ELEMENTS = 1 << 18
 _GREEDY_THRESHOLD = 1e-6
 _GREEDY_MAX_SWEEPS = 200
 _MAX_NEWTON = 400  # per barrier row; a row that needs more has stalled
-# default settings of `maxmin_block`
+# the settings of `maxmin_block`, and the defaults of the one-instance solvers
 RANDOMIZATION_K = 100
 GREEDY_GRID = 360
 SDP_TOL = 1e-4
@@ -618,30 +618,27 @@ def greedy_iterative(ch: NonReciprocalChannel, k: int = GREEDY_GRID) -> MaxMinRe
 
 
 def maxmin_block(z1: np.ndarray, z2: np.ndarray, method: OptimMethod,
-                 rngs: Optional[Sequence[np.random.Generator]] = None, *,
-                 grid: int = GREEDY_GRID, tol: float = SDP_TOL,
-                 k: int = RANDOMIZATION_K) -> tuple[np.ndarray, np.ndarray]:
+                 rngs: Optional[Sequence[np.random.Generator]] = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Max-min phases (m, L) of m instances, given as the rows of the terms
     z1 = h_r g_t and z2 = g_r h_t, and each row's relaxation bound t* on
     min_p |sum_l z_{p,l} e^{j phi_l}|^2 (NaN for the greedy search).  Users
     who share one average SINR rho get these phases and the bound rho t*;
     users at different powers pass the terms sqrt(rho_1) z1 and sqrt(rho_2) z2.
 
-    GREEDY_ITERATIVE runs the greedy search of `greedy_iterative` on `grid`
-    angles on every row at once.  SDP_RELAX solves every row's relaxation to
-    relative tolerance 0 < `tol` < 1 on one stacked joint central path, then
-    rounds each row by `gaussian_randomization` with `k` samples from
-    rngs[i].  Row i gets the phases its instance gets alone.
-    A SolverFailureError names the failing row in its `instance`.
+    GREEDY_ITERATIVE runs the greedy search of `greedy_iterative` on
+    GREEDY_GRID angles on every row at once.  SDP_RELAX solves every row's
+    relaxation to relative tolerance SDP_TOL on one stacked joint central
+    path, then rounds each row by `gaussian_randomization` with
+    RANDOMIZATION_K samples from rngs[i].  Row i gets the phases its instance
+    gets alone.  A SolverFailureError names the failing row in its `instance`.
     """
-    if not (0 < tol < 1 and grid >= 2):
-        raise ValueError(f"need 0 < tol < 1 and grid >= 2, got tol={tol!r}, grid={grid!r}")
     m, L = z1.shape
     phases = np.empty((m, L))
     t_star = np.full(m, np.nan)
     if method is OptimMethod.GREEDY_ITERATIVE:
-        for rows in _sub_batches(m, 2 * grid):
-            phases[rows] = _greedy_block(z1[rows], z2[rows], grid)[0]
+        for rows in _sub_batches(m, 2 * GREEDY_GRID):
+            phases[rows] = _greedy_block(z1[rows], z2[rows], GREEDY_GRID)[0]
         return phases, t_star
     if method is not OptimMethod.SDP_RELAX:
         raise ValueError(f"not a max-min search: {method}")
@@ -651,12 +648,12 @@ def maxmin_block(z1: np.ndarray, z2: np.ndarray, method: OptimMethod,
         f = np.stack(_forms(z1[rows], z2[rows]), axis=1)
         row = rows.start
         try:
-            sol = _sdp_joint(f, tol)
+            sol = _sdp_joint(f, SDP_TOL)
             t_star[rows] = sol.t_star
             for row in range(rows.start, rows.stop):
                 i = row - rows.start
                 phases[row], _ = gaussian_randomization(sol.a_star[i], (f[i, 0], f[i, 1]),
-                                                        k, rngs[row])
+                                                        RANDOMIZATION_K, rngs[row])
         except SolverFailureError as exc:
             exc.instance = row if exc.instance is None else rows.start + exc.instance
             raise
@@ -665,7 +662,7 @@ def maxmin_block(z1: np.ndarray, z2: np.ndarray, method: OptimMethod,
 
 def solve_maxmin(ch: NonReciprocalChannel, method: OptimMethod = OptimMethod.SDP_RELAX,
                  rng: Optional[np.random.Generator] = None) -> MaxMinResult:
-    """A one-row `maxmin_block` at its default settings: the phases, the gains
+    """A one-row `maxmin_block`: the phases, the gains
     (g_1, g_2) in `achieved` and, for SDP_RELAX, the bound in `t_star`."""
     rows, bounds = maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None],
                                 method, None if rng is None else [rng])

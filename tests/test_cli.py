@@ -86,7 +86,7 @@ def test_csv_byte_identical_across_runs_and_workers(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_config_file_flags_override(tmp_path):
+def test_config_file_flags_override(tmp_path, capsys):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text("elements=4\ntrials=500\nmethods=gamma\np-dbm=0:10:5\n")
     out = tmp_path / "o.csv"
@@ -97,6 +97,16 @@ def test_config_file_flags_override(tmp_path):
     # file set L=4 and the sweep; the flag overrode the method list
     assert header == ["p_dbm", "outage_gamma", "outage_clt"]
     assert len(rows) == 3
+    # argparse finds --config in each of its forms, the prefix too
+    cfgfile.write_text("L=2\ntrials=7\n")
+    for flags in (["--config", str(cfgfile)], [f"--config={cfgfile}"], ["--conf", str(cfgfile)]):
+        spec = spec_from_args(parse_args(["se", *flags]))
+        assert (spec.cfg.L, spec.trials) == (2, 7), flags
+    # a file that names another file is an error, not a line dropped
+    nested = tmp_path / "nested.cfg"
+    nested.write_text(f"config={cfgfile}\n")
+    assert run_cli(["se", "--config", str(nested), "--out", str(out)]) == 2
+    assert "invalid spec: --config: given twice" in capsys.readouterr().err
 
 
 def test_invalid_method_exit_code(tmp_path, capsys):
@@ -153,17 +163,16 @@ def test_optimize_respects_relaxation_bound(tmp_path):
 
 
 def test_optimize_flags_reach_the_stacked_solvers(tmp_path):
-    """Every cell at non-default settings equals the one-instance reference at
-    those settings on Monte Carlo trial t, row t of block 0: the greedy search
-    on 90 angles, the joint-path relaxation at tol 1e-3 rounded from 7 samples
-    of the trial's STREAM_OPTIM generator, both at rho = 1, and the baselines,
+    """Every cell equals the one-instance reference on Monte Carlo trial t,
+    row t of block 0: the greedy search on GREEDY_GRID angles, the joint-path
+    relaxation at SDP_TOL rounded from RANDOMIZATION_K samples of the trial's
+    STREAM_OPTIM generator, both at rho = 1, and the baselines,
     random from the block's STREAM_BASELINE generator; each SINR is its
     trial's one-row `sinr_nonreciprocal` at the sweep's rho, and t_star is
     rho times the bound at rho = 1."""
     out = tmp_path / "opt.csv"
     argv = ["optimize", "--L", "4", "--seed", "3",
-            "--methods", "sdp,greedy,u1,random", "--trials", "4", "--greedy-grid", "90",
-            "--sdp-tol", "1e-3", "--randomization-k", "7", "--p-dbm", "20:20:1",
+            "--methods", "sdp,greedy,u1,random", "--trials", "4", "--p-dbm", "20:20:1",
             "--out", str(out)]
     assert run_cli(argv) == 0
     _, rows = read_csv(out)
@@ -178,25 +187,24 @@ def test_optimize_flags_reach_the_stacked_solvers(tmp_path):
     for t, row in enumerate(rows):
         ch = NonReciprocalChannel(block.h_t[t], block.h_r[t], block.g_t[t], block.g_r[t])
         forms = optim.build_quadratic_forms(ch)
-        sol = optim.sdp_maxmin(forms, tol=1e-3, method="joint")
-        sdp, _ = optim.gaussian_randomization(
-            sol.a_star, forms, 7, rngmod.trial_generator(3, rngmod.STREAM_OPTIM, t))
+        sol = optim.sdp_maxmin(forms, tol=optim.SDP_TOL, method="joint")
+        sdp, _ = optim.gaussian_randomization(sol.a_star, forms, optim.RANDOMIZATION_K,
+                                              rngmod.trial_generator(3, rngmod.STREAM_OPTIM, t))
         expected = [str(t), cli.fmt_val(rho * sol.t_star)]
         u1 = -np.angle(ch.h_r * ch.g_t)
-        for phases in (sdp, optim.greedy_iterative(ch, k=90).phases, u1, randoms[t]):
+        for phases in (sdp, optim.greedy_iterative(ch).phases, u1, randoms[t]):
             g1, g2 = sinr_nonreciprocal(ch, phases, rho)
             expected += [cli.fmt_val(g1), cli.fmt_val(g2), cli.fmt_val(min(g1, g2))]
         assert row == expected
 
 
 def test_optimize_rows_are_monte_carlo_trials(tmp_path):
-    """optimize's row t is trial t of `mc.collect_gains` at the same seed and
-    solver settings: gamma_p = rho * g_p under every policy, min_p their
+    """optimize's row t is trial t of `mc.collect_gains` at the same seed:
+    gamma_p = rho * g_p under every policy, min_p their
     minimum, and t_star = rho * t*, the relaxation bound at rho = 1."""
     out = tmp_path / "opt.csv"
     argv = ["optimize", "--L", "3", "--seed", "9",
-            "--methods", "sdp,greedy,u1,random", "--trials", "6", "--greedy-grid", "120",
-            "--sdp-tol", "1e-3", "--randomization-k", "11", "--p-dbm", "15:15:1",
+            "--methods", "sdp,greedy,u1,random", "--trials", "6", "--p-dbm", "15:15:1",
             "--nu", "0.5", "--out", str(out)]
     assert run_cli(argv) == 0
     header, rows = read_csv(out)
@@ -206,7 +214,7 @@ def test_optimize_rows_are_monte_carlo_trials(tmp_path):
     names, cells = ["trial", "t_star"], [[str(t) for t in range(6)], None]
     for m in spec.methods:
         cfg = dataclasses.replace(spec.cfg, reciprocity=Reciprocity.NON_RECIPROCAL, policy=m)
-        [g] = mc.collect_gains([cfg], 6, 9, grid=120, tol=1e-3, k=11)
+        [g] = mc.collect_gains([cfg], 6, 9)
         if m == "sdp":
             cells[1] = [cli.fmt_val(t) for t in rho * g.t_star]
         else:
@@ -325,6 +333,14 @@ def test_single_value_l_list_is_an_element_sweep(tmp_path, capsys):
      "invalid spec: --methods: method 'exact' is the single-element law (L=1)"),
     (["crossover", "--L", "2", "--methods", "analytic,gamma"],
      "invalid spec: --methods: method 'gamma' not valid for 'crossover'"),
+    # a repeated method would write its columns twice
+    (["outage", "--L", "2", "--methods", "mc,gamma,mc"],
+     "invalid spec: --methods: method 'mc' given twice"),
+    (["optimize", "--L", "2", "--methods", "greedy,greedy"],
+     "invalid spec: --methods: method 'greedy' given twice"),
+    # the closed-form crossover has no jitter term
+    (["crossover", "--L", "2", "--methods", "analytic,mc", "--phase-error", "uniform:1.5"],
+     "invalid spec: --methods: method 'analytic' has no phase-error term"),
 ])
 def test_bad_user_or_l_list_exit_code(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"
@@ -411,17 +427,6 @@ def test_db_overflow_exit_code(tmp_path, capsys, argv, flag):
 @pytest.mark.parametrize("flags, reason", [
     (["--trials", "0"], "trials must be >= 1"),
     (["--trials", "-3"], "trials must be >= 1"),
-    (["--sdp-tol", "0"], "tolerance must be > 0"),
-    (["--sdp-tol", "-1"], "tolerance must be > 0"),
-    (["--sdp-tol", "nan"], "tolerance must be > 0"),
-    (["--sdp-tol", "1"], "tolerance must be > 0"),
-    (["--sdp-tol", "100"], "tolerance must be > 0"),
-    (["--sdp-tol", "inf"], "tolerance must be > 0"),
-    # checked whatever the methods, before any draw
-    (["--methods", "greedy", "--sdp-tol", "100"], "--sdp-tol: relaxation tolerance must be > 0"),
-    (["--methods", "greedy", "--randomization-k", "-5"], "--randomization-k: need at least one"),
-    (["--methods", "sdp", "--randomization-k", "0"], "--randomization-k: need at least one"),
-    (["--greedy-grid", "1"], "--greedy-grid: the grid needs at least 2 angles"),
 ])
 def test_bad_optimize_input_exit_code(tmp_path, capsys, monkeypatch, flags, reason):
     def no_draw(*args, **kwargs):
@@ -458,7 +463,7 @@ def test_non_finite_rho_exit_code(tmp_path, capsys, monkeypatch, argv):
 
 
 def test_solver_failure_exit_code_names_the_trial(tmp_path, capsys, monkeypatch):
-    def fail(z1, z2, method, rngs=None, **kwargs):
+    def fail(z1, z2, method, rngs=None):
         raise optim.SolverFailureError("interior point stalled", 2)
 
     monkeypatch.setattr(cli.mc, "maxmin_block", fail)
@@ -471,7 +476,7 @@ def test_solver_failure_exit_code_names_the_trial(tmp_path, capsys, monkeypatch)
 
 
 def test_optimize_solver_failure_names_the_trial(tmp_path, capsys, monkeypatch):
-    def fail(z1, z2, method, rngs=None, **kwargs):
+    def fail(z1, z2, method, rngs=None):
         raise optim.SolverFailureError("interior point stalled", 2)
 
     monkeypatch.setattr(cli.mc, "maxmin_block", fail)
@@ -561,6 +566,8 @@ _COMMAND_FLAGS = {
 # (subcommand, flag) pairs whose flag could not change the output, or had one valid value
 _REMOVED_PAIRS = [(command, flag) for command, flags in _COMMAND_FLAGS.items()
                   for flag in sorted(_SWEEP_FLAGS - {"--policy"} - flags)]
+# optimize's max-min solver settings, now the constants of `optim.maxmin_block`
+_SOLVER_FLAG_VALUES = {"--greedy-grid": "90", "--sdp-tol": "1e-3", "--randomization-k": "7"}
 
 
 def _table_flags(command: str) -> set:
@@ -627,14 +634,16 @@ def test_each_config_flag_moves_its_subcommand(tmp_path, command, flag):
     assert flagged.read_bytes() != plain.read_bytes()
 
 
-@pytest.mark.parametrize("command, flag", _REMOVED_PAIRS)
+@pytest.mark.parametrize("command, flag", _REMOVED_PAIRS
+                         + [("optimize", flag) for flag in _SOLVER_FLAG_VALUES])
 def test_flags_that_cannot_move_a_subcommand_are_not_accepted(tmp_path, capsys, command, flag):
     argv = [command] + (["fig3"] if command == "reproduce" else [])
+    value = {**_FLAG_VALUES, **_SOLVER_FLAG_VALUES}[flag]
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
-        run_cli(argv + [flag, _FLAG_VALUES[flag], "--out", str(out)])
+        run_cli(argv + [flag, value, "--out", str(out)])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} {_FLAG_VALUES[flag]}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -276,10 +276,10 @@ def test_chunked_gain_block_equals_whole_block_draw(L):
             None: cophased + [no_bound],  # the two-slot scheme's per-slot co-phasing
         }
         for variant, rows in expected.items():
-            [got] = mc._nonreciprocal_gain_block(non, (variant,), seed, block, count, {})
+            [got] = mc._nonreciprocal_gain_block(non, (variant,), seed, block, count)
             assert np.array_equal(got, np.array(rows), equal_nan=True), variant
         # a variant's rows do not depend on which others share the block
-        got = mc._nonreciprocal_gain_block(non, tuple(expected), seed, block, count, {})
+        got = mc._nonreciprocal_gain_block(non, tuple(expected), seed, block, count)
         assert np.array_equal(got, np.array(list(expected.values())), equal_nan=True)
 
 

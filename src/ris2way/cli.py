@@ -430,10 +430,10 @@ def _misfit(m: str, cfg: SystemConfig, l_list: list[int]) -> str:
 
 
 def _default_methods(command: str, cfg: SystemConfig, l_list: list[int]) -> list[str]:
-    """outage's, se's and crossover's default columns: mc, plus each closed
-    form of `_DOMAINS` that applies to the channel and every swept L."""
-    return [m for m in _METHODS[command]
-            if m == "mc" or (m in _DOMAINS and not _misfit(m, cfg, l_list))]
+    """outage's, se's and crossover's default columns: mc, plus each closed form
+    of `_DOMAINS` that fits the channel and every swept L, if no phase error."""
+    return [m for m in _METHODS[command] if m == "mc" or (
+        cfg.phase_error is None and m in _DOMAINS and not _misfit(m, cfg, l_list))]
 
 
 def _validate_methods(spec: ExperimentSpec) -> None:

@@ -5,11 +5,12 @@ max-min SINR treatment: the unit-modulus phase problem is lifted to a PSD
 matrix variable with per-element trace constraints, the rank constraint is
 dropped, and the resulting small dense SDP is solved with a log-barrier
 interior-point method (no external solver): along one central path that
-maximizes the SINR level, or by bisection over the level with a feasibility
-test at each.  The relaxation has only L+2 constraints (L pair traces, two
-form levels), so each Newton step solves an (L+3)x(L+3) system in the
-constraint multipliers and the level step, and recovers the matrix step
-from them at O(L^3) cost (the Schur-complement reduction of Helmberg, Rendl,
+maximizes the SINR level, or, as the reference, by bisection over the level
+from the bracket [1, 2L] of the scaled forms with a feasibility test at
+each.  The relaxation has only L+2 constraints (L pair traces, two form
+levels), so each Newton step solves an (L+3)x(L+3) system in the constraint
+multipliers and the level step, and recovers the matrix step from them at
+O(L^3) cost (the Schur-complement reduction of Helmberg, Rendl,
 Vanderbei and Wolkowicz, 1996).  The step is measured in whitened
 coordinates: with A = R R^T, Y = R^{-1} dA R^{-T} needs no inverse, the
 Newton decrement is the sum of squares |Y|_F^2 + sum_p g_p^2 delta_p^2, and
@@ -20,15 +21,16 @@ sections 9.5 and 11.3).  Rank-one solutions are recovered by Gaussian randomizat
 (Sidiropoulos, Davidson and Luo, 2006); a greedy discretized coordinate
 search is the low-complexity alternative.
 
-Both solvers run on stacks of instances, and `maxmin_block` is the one
-driver of the design pipeline: it solves the m instances of a Monte Carlo
-block together (the optimize command reads its trials from those blocks;
-the u1 and random baselines live in `mc`).  One barrier
-iteration, or one greedy element update, serves every row at once, and each
-row keeps its own step length, barrier parameter and stopping state.  Rows
-are solved in sub-batches of at most _STACK_ELEMENTS elements per stacked
-array.  A row depends only on its own instance, so it gets the same bits
-alone, in a partial block or in a full one.
+Both relaxation paths and the greedy search run on stacks of instances;
+`sdp_maxmin` and `greedy_iterative` are one-row views of them, and
+`maxmin_block` is the one driver of the design pipeline: it solves the m
+instances of a Monte Carlo block together (the optimize command reads its
+trials from those blocks; the u1 and random baselines live in `mc`).  One
+barrier iteration, or one greedy element update, serves every row at once,
+and each row keeps its own step length, barrier parameter and stopping
+state.  Rows are solved in sub-batches of at most _STACK_ELEMENTS elements
+per stacked array.  A row depends only on its own instance, so it gets the
+same bits alone, in a partial block or in a full one.
 """
 
 from __future__ import annotations
@@ -425,6 +427,33 @@ def _sdp_joint(f: np.ndarray, tol: float) -> SdpSolution:
                        iterations=out.newton_steps, feasibility_gap=out.gap * scale)
 
 
+def _sdp_bisect(f: np.ndarray, tol: float) -> SdpSolution:
+    """`_sdp_joint`'s relaxation by bisection over the level, each level decided
+    by a phase-I sign test.  Every row starts from the `_scaled` bracket [1, 2L]
+    (level 1 holds at a0; lambda_max(F_p) <= tr F_p bounds the forms by 2L),
+    the live rows bisect in lockstep, one stacked test per step, and a row
+    leaves once hi - lo <= tol lo; feasibility_gap is hi - lo, scaled."""
+    fs, scale, a0 = _scaled(f)
+    lo, hi = np.ones(len(f)), np.full(len(f), float(f.shape[-1]))
+    best, warm = np.array(a0), np.array(a0)
+    steps = np.zeros(len(f), dtype=int)
+    live = np.arange(len(f))
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        out = _maximize_linear_over_cone(fs[live], np.stack([mid, mid], axis=1), warm[live],
+                                         gap_tol=tol / 8.0, sign_exit=True)
+        steps[live] += out.newton_steps
+        ok = out.feasible
+        lo[live[ok]], best[live[ok]] = mid[ok], out.a[ok]
+        hi[live[~ok]] = mid[~ok]
+        # pull the next start back toward the analytic center: iterates near the
+        # cone boundary make poor Newton starts for a different level
+        warm[live] = 0.8 * out.a + 0.2 * a0[live]
+        live = live[hi[live] - lo[live] > tol * lo[live]]
+    return SdpSolution(t_star=lo * scale, a_star=best, iterations=steps,
+                       feasibility_gap=(hi - lo) * scale)
+
+
 def _form_arrays(forms: tuple[np.ndarray, np.ndarray],
                  *others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pair (F_1, F_2) as float arrays, once both forms and `others` are
@@ -442,73 +471,20 @@ def _form_arrays(forms: tuple[np.ndarray, np.ndarray],
 def sdp_maxmin(forms: tuple[np.ndarray, np.ndarray], tol: float = SDP_TOL,
                method: str = "bisect") -> SdpSolution:
     """Solve the lifted max-min relaxation of the forms (F_1, F_2) to relative
-    tolerance 0 < `tol` < 1.
-
-    method="bisect" runs the level search: a doubling/halving bracket around a
-    trial level followed by bisection, each level decided by a phase-I slack
-    maximization.  method="joint" maximizes the level directly along a single
-    central path; both agree within tol.  a_star is a symmetric 2L x 2L
-    array; the joint path's feasibility_gap is nominal (see `SdpSolution`).
+    tolerance 0 < `tol` < 1: a one-row `_sdp_bisect` (method="bisect") or
+    `_sdp_joint` (method="joint", one central path); both agree within tol.
+    a_star is a symmetric 2L x 2L array; the joint path's feasibility_gap is
+    nominal (see `SdpSolution`).
     """
     if not 0 < tol < 1:
         raise ValueError(f"relaxation tolerance must be > 0 and < 1, got {tol!r}")
     if method not in ("joint", "bisect"):
         raise ValueError(f"unknown method {method!r}")
-    f = np.stack(_form_arrays(forms))[None]
-    if method == "joint":
-        sol = _sdp_joint(f, tol)
-        return SdpSolution(t_star=float(sol.t_star[0]), a_star=sol.a_star[0],
-                           iterations=int(sol.iterations[0]),
-                           feasibility_gap=float(sol.feasibility_gap[0]))
-
-    fs, scale_row, a0 = _scaled(f)
-    scale = float(scale_row[0])
-    sign_tol = tol / 8.0
-    newton_total = 0
-    warm = a0
-
-    def feasible_at(level: float) -> tuple[bool, np.ndarray]:
-        nonlocal newton_total, warm
-        out = _maximize_linear_over_cone(fs, np.array([[level, level]]), warm,
-                                         gap_tol=sign_tol, sign_exit=True)
-        newton_total += int(out.newton_steps[0])
-        # pull the next start back toward the analytic center: iterates near the
-        # cone boundary make poor Newton starts for a different level
-        warm = 0.8 * out.a + 0.2 * a0
-        return bool(out.feasible[0]), out.a[0]
-
-    # bracket search: doubling / halving with an exponentially growing factor
-    t_trial = float(_form_values(fs, a0)[0, 0])
-    t_low: Optional[float] = None
-    t_high: Optional[float] = None
-    best_a = a0[0]
-    i = 1
-    while t_low is None or t_high is None:
-        ok, a_seen = feasible_at(t_trial)
-        if ok:
-            t_low, best_a = t_trial, a_seen
-            t_trial = t_trial * 2.0**i
-        else:
-            t_high = t_trial
-            t_trial = t_trial / 2.0**i
-        i += 1
-        if t_trial < 1e-14:
-            # level 0 is always feasible for PSD forms
-            t_low, best_a = 0.0, a0[0]
-        if i > 60:
-            raise SolverFailureError("bracket search did not terminate")
-
-    while (t_high - t_low) > tol * max(t_low, 1e-12):
-        mid = 0.5 * (t_low + t_high)
-        ok, a_seen = feasible_at(mid)
-        if ok:
-            t_low, best_a = mid, a_seen
-        else:
-            t_high = mid
-    return SdpSolution(t_star=t_low * scale,
-                       a_star=np.array(best_a),
-                       iterations=newton_total,
-                       feasibility_gap=(t_high - t_low) * scale)
+    solve = _sdp_joint if method == "joint" else _sdp_bisect
+    sol = solve(np.stack(_form_arrays(forms))[None], tol)
+    return SdpSolution(t_star=float(sol.t_star[0]), a_star=sol.a_star[0],
+                       iterations=int(sol.iterations[0]),
+                       feasibility_gap=float(sol.feasibility_gap[0]))
 
 
 def gaussian_randomization(a_star: np.ndarray, forms: tuple[np.ndarray, np.ndarray],
@@ -562,7 +538,7 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, k: int):
     z = np.stack([z1, z2], axis=1)  # (m, user, L)
     index = np.zeros((m, L), dtype=int)  # each element's phase is grid[index]
     terms = z * grid[0]
-    sums = np.sum(z * grid[0], axis=2)
+    sums = np.sum(terms, axis=2)
     obj = np.square(np.min(np.hypot(sums.real, sums.imag), axis=1))
     sweeps = np.zeros(m, dtype=int)
     history = []

@@ -259,10 +259,17 @@ def test_optimize_draws_each_block_once(tmp_path, monkeypatch):
      ["p_dbm", "outage_mc", "stderr_mc"]),
     (["outage", "--L", "1"], ["p_dbm", "outage_mc", "stderr_mc", "outage_exact"]),
     (["se", "--l-list", "1,2"], ["L", "se_mc", "stderr_mc"]),
+    # the closed forms have no jitter term
+    (["se", "--L", "2", "--phase-error", "uniform:1.5"], ["p_dbm", "se_mc", "stderr_mc"]),
+    (["outage", "--L", "1", "--phase-error", "uniform:1.5"],
+     ["p_dbm", "outage_mc", "stderr_mc"]),
+    (["se", "--L", "2", "--phase-error", "uniform:1.5", "--methods", "mc,gamma"],
+     ["p_dbm", "se_mc", "stderr_mc", "se_gamma"]),
 ])
 def test_default_methods_fit_the_config(tmp_path, argv, header):
-    """Without --methods, outage and se run mc and, on a reciprocal channel,
-    the closed form defined at every swept L."""
+    """Without --methods, outage and se run mc and, on a reciprocal channel
+    without a phase-error model, the closed form defined at every swept L; an
+    explicit error-free closed form is still allowed under a phase-error model."""
     out = tmp_path / "x.csv"
     assert run_cli(argv + ["--trials", "50", "--p-dbm", "0:0:1", "--out", str(out)]) == 0
     assert read_csv(out)[0] == header

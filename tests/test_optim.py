@@ -15,8 +15,8 @@ from ris2way.channel import (NonReciprocalChannel, ReciprocalChannel, Reciprocit
                              sample_channels, sinr_nonreciprocal, sinr_reciprocal,
                              wrap_phases)
 from ris2way.mc import collect_gains
-from ris2way.optim import (OptimMethod, _greedy_block, _newton_step, _sdp_joint,
-                           build_quadratic_forms, gaussian_randomization,
+from ris2way.optim import (OptimMethod, _greedy_block, _newton_step, _sdp_bisect,
+                           _sdp_joint, build_quadratic_forms, gaussian_randomization,
                            greedy_iterative, lifted_to_phases, maxmin_block,
                            optimal_phase_reciprocal, sdp_maxmin, solve_maxmin)
 
@@ -490,14 +490,41 @@ def test_stacked_joint_path_agrees_with_bisect(L):
     tol = 1e-3  # keeps the bisection reference affordable
     forms = [build_quadratic_forms(lopsided(nonrec(L, 1000 * L + i), 1.3, 0.7))
              for i in range(20)]
-    stacked = _sdp_joint(np.stack([np.stack(f) for f in forms]), tol)
+    stack = np.stack([np.stack(f) for f in forms])
+    stacked = _sdp_joint(stack, tol)
+    bisected = _sdp_bisect(stack, tol)
     for i, f in enumerate(forms):
         alone = sdp_maxmin(f, tol=tol, method="joint")
         assert alone.t_star == stacked.t_star[i]
         assert np.array_equal(alone.a_star, stacked.a_star[i])
         assert alone.iterations == stacked.iterations[i]
-        reference = sdp_maxmin(f, tol=tol, method="bisect").t_star
+        reference = bisected.t_star[i]
         assert abs(stacked.t_star[i] - reference) <= tol * reference
+    for i in (0, 7, 19):  # the one-row bisection is row i of the stack
+        alone = sdp_maxmin(forms[i], tol=tol, method="bisect")
+        assert alone.t_star == bisected.t_star[i]
+        assert np.array_equal(alone.a_star, bisected.a_star[i])
+        assert alone.iterations == bisected.iterations[i]
+        assert alone.feasibility_gap == bisected.feasibility_gap[i]
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 8, 16, 32])
+def test_scaled_optimum_lies_in_the_bisection_bracket(L):
+    # in units of the smaller form value at A = I/2, min_p sum_l |z_{p,l}|^2,
+    # the relaxation's optimum lies in [1, 2L], the bracket `_sdp_bisect` starts from
+    tol = 1e-4
+    chans = [lopsided(nonrec(L, 3000 + 10 * L + i), *rhos)
+             for i, rhos in enumerate([(1.0, 1.0), (1.0, 50.0), (0.02, 1.0), (3.0, 0.1)])]
+    forms = np.stack([np.stack(build_quadratic_forms(ch)) for ch in chans])
+    scale = np.array([min(np.sum(np.abs(ch.h_r * ch.g_t) ** 2),
+                          np.sum(np.abs(ch.g_r * ch.h_t) ** 2)) for ch in chans])
+    scaled = _sdp_joint(forms, tol).t_star / scale
+    assert np.all(scaled >= 1.0 - tol) and np.all(scaled <= 2 * L)
+    if L == 1:  # the single-element max-min closed form min(|z_1|^2, |z_2|^2)
+        for f, expected in zip(forms, scale):
+            for method in ("joint", "bisect"):
+                t_star = sdp_maxmin((f[0], f[1]), tol=tol, method=method).t_star
+                assert t_star == pytest.approx(expected, rel=tol)
 
 
 def test_stacked_failure_names_its_row(monkeypatch):

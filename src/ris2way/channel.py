@@ -162,6 +162,11 @@ class NonReciprocalChannel:
         if len(shapes) != 1 or self.h_t.ndim not in (1, 2):
             raise ValueError("all four vectors must be matching (L,) or (n, L) arrays")
 
+    @property
+    def terms(self) -> np.ndarray:
+        """Both users' cascade terms (h_r g_t, g_r h_t), stacked: (2, L) or (2, n, L)."""
+        return np.stack((self.h_r * self.g_t, self.g_r * self.h_t))
+
 
 ChannelRealization = Union[ReciprocalChannel, NonReciprocalChannel]
 
@@ -248,8 +253,8 @@ def sinr_reciprocal(ch: ReciprocalChannel, phases: np.ndarray, rho: float) -> fl
 
 def sinr_nonreciprocal(ch: NonReciprocalChannel, phases: np.ndarray,
                        rho: float) -> tuple[float, float]:
-    """(gamma_1, gamma_2): user 1 combines h_r with g_t, user 2 g_r with h_t."""
-    return tuple(rho * coherent_gain(z, phases) for z in (ch.h_r * ch.g_t, ch.g_r * ch.h_t))
+    """(gamma_1, gamma_2) of the two users' `terms`."""
+    return tuple(rho * coherent_gain(ch.terms, phases))
 
 
 def wrap_phases(phases: np.ndarray) -> np.ndarray:

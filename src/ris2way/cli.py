@@ -133,17 +133,6 @@ def parse_phase_error(text: str):
                     "use none, uniform:DELTA, or vonmises:MU,KAPPA")
 
 
-def _env_workers() -> int:
-    value = os.environ.get("RIS2WAY_WORKERS", "1")
-    try:
-        workers = int(value)
-    except ValueError:
-        raise SpecError(f"RIS2WAY_WORKERS must be an integer, got {value!r}") from None
-    if workers < 1:
-        raise SpecError(f"RIS2WAY_WORKERS must be >= 1, got {value!r}")
-    return workers
-
-
 class _Flag(NamedTuple):
     names: tuple  # the first one names the flag in messages
     commands: str  # the subcommands that take it: those whose output it can change
@@ -195,9 +184,9 @@ def _add_subcommand(sub, command: str, about: str) -> argparse.ArgumentParser:
         if command in flag.commands.split():
             p.add_argument(*flag.names, dest=name, **flag.kwargs)
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--workers", type=int, default=_env_workers(),
+    p.add_argument("--workers", type=int, default=None,
                    help="Monte Carlo worker processes, at most the CPUs this process "
-                   "may run on (default $RIS2WAY_WORKERS or 1)")
+                   "may run on (default: $RIS2WAY_WORKERS if set, else 1)")
     p.add_argument("--out", default="out.csv", help="output CSV path (or prefix)")
     p.add_argument("--svg", action="store_true",
                    help="also write an SVG line plot next to each CSV")
@@ -298,9 +287,16 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    if args.workers < 1:
-        raise SpecError(f"--workers: need at least one worker, got {args.workers}")
     given = vars(args)
+    source, workers = "--workers", args.workers  # the flag overrides the environment
+    if workers is None:
+        source, workers = "RIS2WAY_WORKERS", os.environ.get("RIS2WAY_WORKERS", "1")
+    workers = _flag_value(source, int, workers)
+    if workers < 1:
+        raise SpecError(f"{source}: need at least one worker, got {workers}")
+    for name in ("trials", "trials_outage", "trials_se", "trials_opt"):
+        if given.get(name, 1) < 1:
+            raise SpecError(f"--{name.replace('_', '-')}: trials must be >= 1, got {given[name]}")
     values = {name: _flag_value(flag.names[0], flag.convert, given[name])
               for name, flag in _CONFIG_FLAGS.items() if name in given}
     try:
@@ -323,7 +319,7 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
                  else [m for m in methods.split(",") if m]),
         cfg=cfg,
         user=_parse_user(given.get("user", "1")),
-        workers=args.workers,
+        workers=workers,
         **{k: v for k, v in given.items() if k in plain},
     )
 

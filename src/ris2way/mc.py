@@ -142,17 +142,16 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, variants: tuple[str | None, ...
     if designed:
         terms = np.empty((2, count, cfg.L), dtype=complex)
     for rows, ch in _channel_chunks(cfg, seed, block, count):
-        z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
+        z = ch.terms
         if designed:
-            terms[0, rows], terms[1, rows] = z1, z2
+            terms[:, rows] = z
         for gains, policy in zip(out[:, :2, rows], variants):
             if policy is None:  # each slot gets its own co-phasing
-                gains[:] = np.sum(np.abs(z1), axis=1) ** 2, np.sum(np.abs(z2), axis=1) ** 2
+                gains[:] = np.sum(np.abs(z), axis=2) ** 2
             elif policy == "u1":
-                gains[:] = np.sum(np.abs(z1), axis=1) ** 2, coherent_gain(z2, -np.angle(z1))
+                gains[:] = np.sum(np.abs(z[0]), axis=1) ** 2, coherent_gain(z[1], -np.angle(z[0]))
             elif policy == "random":  # one stacked call forms the rotations for both users
-                gains[:] = coherent_gain(np.stack((z1, z2)),
-                                         brng.uniform(0.0, 2.0 * math.pi, size=z1.shape))
+                gains[:] = coherent_gain(z, brng.uniform(0.0, 2.0 * math.pi, size=z[0].shape))
     first = block * rngmod.BLOCK_SIZE
     for row, policy in designed:
         rngs = None
@@ -160,7 +159,7 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, variants: tuple[str | None, ...
             rngs = [rngmod.trial_generator(seed, rngmod.STREAM_OPTIM, first + i)
                     for i in range(count)]
         try:
-            phases, row[2] = maxmin_block(terms[0], terms[1], OptimMethod(policy), rngs)
+            phases, row[2] = maxmin_block(terms, OptimMethod(policy), rngs)
         except SolverFailureError as exc:
             raise SolverFailureError(f"trial {first + exc.instance}: {exc}") from exc
         row[:2] = coherent_gain(terms, phases)

@@ -21,13 +21,15 @@ sections 9.5 and 11.3).  Rank-one solutions are recovered by Gaussian randomizat
 (Sidiropoulos, Davidson and Luo, 2006); a greedy discretized coordinate
 search is the low-complexity alternative.
 
-Both relaxation paths and the greedy search run on stacks of instances;
-`sdp_maxmin` and `greedy_iterative` are one-row views of them, and
-`maxmin_block` is the one driver of the design pipeline: it solves the m
-instances of a Monte Carlo block together (the optimize command reads its
-trials from those blocks; the u1 and random baselines live in `mc`).  One
-barrier iteration, or one greedy element update, serves every row at once,
-and each row keeps its own step length, barrier parameter and stopping
+Every stage runs on stacks of instances in one layout: the (2, m, L) terms
+of m instances (a channel block's `terms`), their (m, 2, 2L, 2L) forms, and
+one relaxed solution and RNG per row for the rounding.  `maxmin_block` is
+the one driver of the design pipeline: it solves the m instances of a Monte
+Carlo block together (the optimize command reads its trials from those
+blocks; the u1 and random baselines live in `mc`).  `sdp_maxmin`,
+`greedy_iterative` and `solve_maxmin` are one-row views.  One barrier
+iteration, one greedy element update or one rounding serves every row at
+once, and each row keeps its own step length, barrier parameter and stopping
 state.  Rows are solved in sub-batches of at most _STACK_ELEMENTS elements
 per stacked array.  A row depends only on its own instance, so it gets the
 same bits alone, in a partial block or in a full one.
@@ -46,8 +48,8 @@ from .channel import (NonReciprocalChannel, ReciprocalChannel, sinr_nonreciproca
                       wrap_phases)
 
 # elements of the largest stacked array of a sub-batch: the (rows, 2, 2L, 2L)
-# form pairs of the relaxation, the (rows, 2, grid) candidates of the greedy
-# search; 2 MiB of float64
+# form pairs of the relaxation, the (rows, K, 2L) draws of the rounding, the
+# (rows, 2, grid) candidates of the greedy search; 2 MiB of float64
 _STACK_ELEMENTS = 1 << 18
 _GREEDY_THRESHOLD = 1e-6
 _GREEDY_MAX_SWEEPS = 200
@@ -121,30 +123,26 @@ def _lifted_vectors(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, d
 
 
-def _forms(z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F_1, F_2) of the terms z1 = h_r g_t and z2 = g_r h_t, one pair of
-    2L x 2L forms per leading index."""
-    forms = []
-    for z in (z1, z2):
-        c, d = _lifted_vectors(z)
-        forms.append(c[..., :, None] * c[..., None, :] + d[..., :, None] * d[..., None, :])
-    return forms[0], forms[1]
+def _forms(terms: np.ndarray) -> np.ndarray:
+    """(F_1, F_2) of each instance of the (2, m, L) terms: (m, 2, 2L, 2L)."""
+    c, d = _lifted_vectors(np.ascontiguousarray(terms.swapaxes(0, 1)))
+    return c[..., :, None] * c[..., None, :] + d[..., :, None] * d[..., None, :]
 
 
-def build_quadratic_forms(ch: NonReciprocalChannel) -> tuple[np.ndarray, np.ndarray]:
+def build_quadratic_forms(ch: NonReciprocalChannel) -> np.ndarray:
     """Lift both users' gains g_p (their SINRs at rho = 1) to quadratic forms.
 
-    Returns the pair (F_1, F_2) of symmetric PSD 2L x 2L arrays in the stacked
-    cos/sin variables, each of rank <= 2, with alpha^T F_p alpha = g_p.  User 1
-    combines h_r with g_t; user 2 combines g_r with h_t.
+    Returns (F_1, F_2) of the channel's `terms`, a (2, 2L, 2L) array of
+    symmetric PSD forms in the stacked cos/sin variables, each of rank <= 2,
+    with alpha^T F_p alpha = g_p.
     """
     if not isinstance(ch, NonReciprocalChannel):
         raise ValueError("quadratic forms are defined for non-reciprocal realizations")
-    return _forms(ch.h_r * ch.g_t, ch.g_r * ch.h_t)
+    return _forms(ch.terms[:, None])[0]
 
 
 def lifted_to_phases(alpha: np.ndarray) -> np.ndarray:
-    return wrap_phases(np.arctan2(alpha[1::2], alpha[0::2]))
+    return wrap_phases(np.arctan2(alpha[..., 1::2], alpha[..., 0::2]))
 
 
 def _sub_batches(m: int, per_row: int) -> list[slice]:
@@ -454,76 +452,84 @@ def _sdp_bisect(f: np.ndarray, tol: float) -> SdpSolution:
                        feasibility_gap=(hi - lo) * scale)
 
 
-def _form_arrays(forms: tuple[np.ndarray, np.ndarray],
-                 *others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (F_1, F_2) as float arrays, once both forms and `others` are
-    checked to be square of one shape 2L x 2L."""
-    f1, f2 = (np.asarray(f, dtype=float) for f in forms)
-    shapes = [np.shape(m) for m in (f1, f2, *others)]
-    if len(shapes[0]) != 2 or any(s != (shapes[0][0],) * 2 for s in shapes):
-        raise ValueError(f"forms{' and a_star' if others else ''} must be square "
+def _form_arrays(forms, a_star: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (m, 2, n, n) forms as one float array, once they and the (m, n, n)
+    a_star are checked to be square of one shape, n = 2L."""
+    try:
+        f = np.asarray(forms, dtype=float)
+    except ValueError as exc:  # F_1 and F_2 of different shapes
+        raise ValueError(f"forms must be square arrays of one shape: {exc}") from None
+    m, n = f.shape[:1], f.shape[-1:]
+    shapes = [f.shape] + ([] if a_star is None else [np.shape(a_star)])
+    if shapes != [m + (2,) + 2 * n, m + 2 * n][:len(shapes)]:
+        raise ValueError(f"forms{'' if a_star is None else ' and a_star'} must be square "
                          f"arrays of one shape, got shapes {shapes}")
-    if shapes[0][0] % 2 or shapes[0][0] < 2:
+    if n[0] % 2 or n[0] < 2:
         raise ValueError("forms must have even dimension 2L")
-    return f1, f2
+    return f
 
 
-def sdp_maxmin(forms: tuple[np.ndarray, np.ndarray], tol: float = SDP_TOL,
-               method: str = "bisect") -> SdpSolution:
-    """Solve the lifted max-min relaxation of the forms (F_1, F_2) to relative
-    tolerance 0 < `tol` < 1: a one-row `_sdp_bisect` (method="bisect") or
-    `_sdp_joint` (method="joint", one central path); both agree within tol.
-    a_star is a symmetric 2L x 2L array; the joint path's feasibility_gap is
-    nominal (see `SdpSolution`).
+def sdp_maxmin(forms, tol: float = SDP_TOL, method: str = "bisect") -> SdpSolution:
+    """Solve the lifted max-min relaxation of the forms (F_1, F_2), a pair or a
+    (2, 2L, 2L) array, to relative tolerance 0 < `tol` < 1: a one-row
+    `_sdp_bisect` (method="bisect") or `_sdp_joint` (method="joint", one
+    central path); both agree within tol.  a_star is a symmetric 2L x 2L
+    array; the joint path's feasibility_gap is nominal (see `SdpSolution`).
     """
     if not 0 < tol < 1:
         raise ValueError(f"relaxation tolerance must be > 0 and < 1, got {tol!r}")
     if method not in ("joint", "bisect"):
         raise ValueError(f"unknown method {method!r}")
     solve = _sdp_joint if method == "joint" else _sdp_bisect
-    sol = solve(np.stack(_form_arrays(forms))[None], tol)
+    sol = solve(_form_arrays([forms]), tol)
     return SdpSolution(t_star=float(sol.t_star[0]), a_star=sol.a_star[0],
                        iterations=int(sol.iterations[0]),
                        feasibility_gap=float(sol.feasibility_gap[0]))
 
 
-def gaussian_randomization(a_star: np.ndarray, forms: tuple[np.ndarray, np.ndarray],
-                           k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Recover phases from the relaxed solution: draw K Gaussian vectors with
-    covariance A* (a symmetric array shaped like the forms (F_1, F_2)) in one
-    call, normalize each cos/sin pair onto the unit circle (a numerically zero
-    pair is resampled uniformly), keep the first candidate with the best
-    min-SINR quadratic form value."""
+def gaussian_randomization(a_star: np.ndarray, forms: np.ndarray, k: int,
+                           rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Phases (m, L) and their values (m,) from the relaxed solutions of the
+    (m, 2L, 2L) a_star and the (m, 2, 2L, 2L) forms: per row, draw K Gaussian
+    vectors with covariance A* from rngs[i] in one call, normalize each cos/sin
+    pair onto the unit circle (a numerically zero pair is resampled uniformly),
+    keep the first candidate with the best min-SINR quadratic form value.  Row
+    i gets the bits it gets alone; a non-PSD A* raises naming its `instance`."""
     if k < 1:
         raise ValueError("need at least one randomization sample")
-    f1, f2 = _form_arrays(forms, a_star)
-    n = f1.shape[0]
+    f = _form_arrays(forms, a_star)
+    m, _, n, _ = f.shape
+    if len(rngs) != m:
+        raise ValueError("gaussian randomization needs one RNG per instance")
     w, v = np.linalg.eigh(a_star)
-    lam_max = max(float(w[-1]), 0.0)
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
-    if np.any(w < -1e-9 * lam_max):
-        raise SolverFailureError(f"relaxed solution is not PSD within tolerance: {w.min()!r}")
+    bad = (w < -1e-9 * np.maximum(w[:, -1:], 0.0)).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SolverFailureError(f"relaxed solution is not PSD within tolerance: {w[i].min()!r}", i)
+    factor = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
 
-    pairs = (rng.standard_normal((k, n)) @ factor.T).reshape(k, n // 2, 2)
-    norms = np.linalg.norm(pairs, axis=2)
+    pairs = (np.stack([rng.standard_normal((k, n)) for rng in rngs])
+             @ factor.swapaxes(1, 2)).reshape(m, k, n // 2, 2)
+    norms = np.linalg.norm(pairs, axis=3)
     degenerate = norms < 1e-150
-    if np.any(degenerate):
-        ang = rng.uniform(0.0, 2.0 * math.pi, size=int(np.sum(degenerate)))
-        pairs[degenerate] = np.column_stack([np.cos(ang), np.sin(ang)])
-        norms[degenerate] = 1.0
-    tilde = (pairs / norms[..., None]).reshape(k, n)
-    values = np.minimum(np.sum((tilde @ f1) * tilde, axis=1),
-                        np.sum((tilde @ f2) * tilde, axis=1))
-    best = int(np.argmax(values))
-    return lifted_to_phases(tilde[best]), float(values[best])
+    for i in np.flatnonzero(degenerate.any(axis=(1, 2))):
+        ang = rngs[i].uniform(0.0, 2.0 * math.pi, size=int(np.sum(degenerate[i])))
+        pairs[i][degenerate[i]] = np.column_stack([np.cos(ang), np.sin(ang)])
+        norms[i][degenerate[i]] = 1.0
+    pairs /= norms[..., None]
+    tilde = pairs.reshape(m, k, n)
+    values = np.minimum(np.sum((tilde @ f[:, 0]) * tilde, axis=2),
+                        np.sum((tilde @ f[:, 1]) * tilde, axis=2))
+    best = np.arange(m), np.argmax(values, axis=1)
+    return lifted_to_phases(tilde[best]), values[best]
 
 
 # ---------------------------------------------------------------------------
 # greedy coordinate search on a stack of instances
 # ---------------------------------------------------------------------------
 
-def _greedy_block(z1: np.ndarray, z2: np.ndarray, k: int):
-    """Greedy coordinate ascent on each row of the (m, L) terms z1, z2.
+def _greedy_block(terms: np.ndarray, k: int):
+    """Greedy coordinate ascent on each instance of the (2, m, L) terms.
 
     Returns the (m, L) phases, each row's sweep count and, per sweep, the
     (m,) objectives min_p |sum_l z_{p,l} e^{j phi_l}|^2 after it (a row that
@@ -533,9 +539,9 @@ def _greedy_block(z1: np.ndarray, z2: np.ndarray, k: int):
     search bit for bit; rounding a square is monotone, so squaring the smaller
     magnitude gives the bits of the smaller square.
     """
-    m, L = z1.shape
+    _, m, L = terms.shape
     grid = np.exp(1j * 2.0 * math.pi * np.arange(k) / k)  # grid[0] == 1
-    z = np.stack([z1, z2], axis=1)  # (m, user, L)
+    z = np.ascontiguousarray(terms.swapaxes(0, 1))  # (m, user, L)
     index = np.zeros((m, L), dtype=int)  # each element's phase is grid[index]
     terms = z * grid[0]
     sums = np.sum(terms, axis=2)
@@ -586,53 +592,48 @@ def greedy_iterative(ch: NonReciprocalChannel, k: int = GREEDY_GRID) -> MaxMinRe
     """
     if k < 2:
         raise ValueError("grid must have at least 2 angles")
-    phases, sweeps, history = _greedy_block(
-        (ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None], k)
+    phases, sweeps, history = _greedy_block(ch.terms[:, None], k)
     return MaxMinResult(phases=phases[0], achieved=sinr_nonreciprocal(ch, phases[0], 1.0),
                         method=OptimMethod.GREEDY_ITERATIVE, iterations=int(sweeps[0]),
                         sweep_objectives=[float(h[0]) for h in history])
 
 
-def maxmin_block(z1: np.ndarray, z2: np.ndarray, method: OptimMethod,
+def maxmin_block(terms: np.ndarray, method: OptimMethod,
                  rngs: Optional[Sequence[np.random.Generator]] = None
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Max-min phases (m, L) of m instances, given as the rows of the terms
-    z1 = h_r g_t and z2 = g_r h_t, and each row's relaxation bound t* on
+    """Max-min phases (m, L) of the m instances of the (2, m, L) terms z_p, a
+    channel block's `terms`, and each row's relaxation bound t* on
     min_p |sum_l z_{p,l} e^{j phi_l}|^2 (NaN for the greedy search).  Users
     who share one average SINR rho get these phases and the bound rho t*;
-    users at different powers pass the terms sqrt(rho_1) z1 and sqrt(rho_2) z2.
+    users at different powers pass the terms sqrt(rho_p) z_p.
 
     GREEDY_ITERATIVE runs the greedy search of `greedy_iterative` on
     GREEDY_GRID angles on every row at once.  SDP_RELAX solves every row's
     relaxation to relative tolerance SDP_TOL on one stacked joint central
-    path, then rounds each row by `gaussian_randomization` with
+    path, then rounds the rows by `gaussian_randomization` with
     RANDOMIZATION_K samples from rngs[i].  Row i gets the phases its instance
     gets alone.  A SolverFailureError names the failing row in its `instance`.
     """
-    m, L = z1.shape
+    _, m, L = terms.shape
     phases = np.empty((m, L))
     t_star = np.full(m, np.nan)
     if method is OptimMethod.GREEDY_ITERATIVE:
         for rows in _sub_batches(m, 2 * GREEDY_GRID):
-            phases[rows] = _greedy_block(z1[rows], z2[rows], GREEDY_GRID)[0]
+            phases[rows] = _greedy_block(terms[:, rows], GREEDY_GRID)[0]
         return phases, t_star
     if method is not OptimMethod.SDP_RELAX:
         raise ValueError(f"not a max-min search: {method}")
     if rngs is None or len(rngs) != m:
         raise ValueError("gaussian randomization needs one RNG per instance")
-    for rows in _sub_batches(m, 8 * L * L):
-        f = np.stack(_forms(z1[rows], z2[rows]), axis=1)
-        row = rows.start
+    for rows in _sub_batches(m, max(8 * L * L, 2 * L * RANDOMIZATION_K)):
+        f = _forms(terms[:, rows])
         try:
             sol = _sdp_joint(f, SDP_TOL)
-            t_star[rows] = sol.t_star
-            for row in range(rows.start, rows.stop):
-                i = row - rows.start
-                phases[row], _ = gaussian_randomization(sol.a_star[i], (f[i, 0], f[i, 1]),
-                                                        RANDOMIZATION_K, rngs[row])
+            phases[rows], _ = gaussian_randomization(sol.a_star, f, RANDOMIZATION_K, rngs[rows])
         except SolverFailureError as exc:
-            exc.instance = row if exc.instance is None else rows.start + exc.instance
+            exc.instance += rows.start
             raise
+        t_star[rows] = sol.t_star
     return phases, t_star
 
 
@@ -640,8 +641,7 @@ def solve_maxmin(ch: NonReciprocalChannel, method: OptimMethod = OptimMethod.SDP
                  rng: Optional[np.random.Generator] = None) -> MaxMinResult:
     """A one-row `maxmin_block`: the phases, the gains
     (g_1, g_2) in `achieved` and, for SDP_RELAX, the bound in `t_star`."""
-    rows, bounds = maxmin_block((ch.h_r * ch.g_t)[None], (ch.g_r * ch.h_t)[None],
-                                method, None if rng is None else [rng])
+    rows, bounds = maxmin_block(ch.terms[:, None], method, None if rng is None else [rng])
     t_star = float(bounds[0]) if method is OptimMethod.SDP_RELAX else None
     return MaxMinResult(phases=rows[0], achieved=sinr_nonreciprocal(ch, rows[0], 1.0),
                         method=method, t_star=t_star)

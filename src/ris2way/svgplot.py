@@ -11,6 +11,7 @@ import math
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
 
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # text -> XML character data
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 
@@ -45,8 +46,6 @@ def write_line_svg(path: str, x: list[float], series: dict[str, list[float]],
     xs = [float(v) for v in x]
     ys_all = [ty(v) for vals in series.values() for v in vals
               if math.isfinite(ty(v))]
-    if not ys_all or not xs:
-        raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
@@ -65,7 +64,7 @@ def write_line_svg(path: str, x: list[float], series: dict[str, list[float]],
              f'viewBox="0 0 {_W} {_H}">',
              f'<rect width="{_W}" height="{_H}" fill="white"/>',
              f'<text x="{_W/2:.1f}" y="18" text-anchor="middle" font-size="14" '
-             f'font-family="sans-serif">{title}</text>']
+             f'font-family="sans-serif">{title.translate(_XML_TEXT)}</text>']
     # axes box
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                  f'fill="none" stroke="black"/>')
@@ -81,10 +80,10 @@ def write_line_svg(path: str, x: list[float], series: dict[str, list[float]],
         parts.append(f'<text x="{_ML-7}" y="{py(t)+3:.1f}" text-anchor="end" '
                      f'font-size="10" font-family="sans-serif">{label}</text>')
     parts.append(f'<text x="{_ML+pw/2:.1f}" y="{_H-12}" text-anchor="middle" '
-                 f'font-size="12" font-family="sans-serif">{x_label}</text>')
+                 f'font-size="12" font-family="sans-serif">{x_label.translate(_XML_TEXT)}</text>')
     parts.append(f'<text x="16" y="{_MT+ph/2:.1f}" text-anchor="middle" font-size="12" '
                  f'font-family="sans-serif" transform="rotate(-90 16 {_MT+ph/2:.1f})">'
-                 f'{y_label}</text>')
+                 f'{y_label.translate(_XML_TEXT)}</text>')
 
     for i, (name, vals) in enumerate(series.items()):
         color = _COLORS[i % len(_COLORS)]
@@ -98,7 +97,7 @@ def write_line_svg(path: str, x: list[float], series: dict[str, list[float]],
         parts.append(f'<line x1="{_ML+pw-130}" y1="{ly-4}" x2="{_ML+pw-110}" '
                      f'y2="{ly-4}" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{_ML+pw-105}" y="{ly}" font-size="10" '
-                     f'font-family="sans-serif">{name}</text>')
+                     f'font-family="sans-serif">{name.translate(_XML_TEXT)}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -19,8 +19,8 @@ from ris2way import rng as rngmod
 from ris2way.channel import (Reciprocity, SystemConfig, UniformPhaseError,
                              sample_channels, sweep_rho)
 from ris2way.cli import main as cli_main
-from ris2way.optim import (build_quadratic_forms, gaussian_randomization,
-                           greedy_iterative, sdp_maxmin)
+from ris2way.optim import (_forms, _greedy_block, _sdp_bisect, _sdp_joint,
+                           gaussian_randomization)
 
 GAMMA_K = an.gamma_approx_params(1.0).k
 
@@ -285,38 +285,39 @@ def test_criterion_9_maxmin_optimization():
     cfg = base_cfg(L=8, reciprocity=Reciprocity.NON_RECIPROCAL)
     rho_eval = 1e4  # 0 dBm at omega=1e-4
     rel_viol = 0.0
-    greedy_monotone = True
     u1_dominates = True
     agree = []
     se_users = {m: [[], []] for m in ("sdp", "greedy")}
-    bisect_checked = 0
+    # every instance's own draw, solved in stacks: row i of each stacked call
+    # is its instance solved alone
+    terms = np.stack([sample_channels(cfg, rngmod.trial_generator(
+        900, rngmod.STREAM_CHANNEL, i)).terms for i in range(n_inst)], axis=1)
+    forms = _forms(terms)
+    sol = _sdp_joint(forms, 3e-7)
+    t_upper = sol.t_star + sol.feasibility_gap
+    t_b = _sdp_bisect(forms[:10], 1e-4).t_star
+    assert t_b == pytest.approx(sol.t_star[:10], rel=3e-4)
+    bisect_checked = len(t_b)
+    phases_sdp, _ = gaussian_randomization(
+        sol.a_star, forms, 100,
+        [rngmod.trial_generator(900, rngmod.STREAM_OPTIM, i) for i in range(n_inst)])
+    phases_greedy, sweeps, history = _greedy_block(terms, 360)
+    greedy_monotone = True
     for i in range(n_inst):
-        ch = sample_channels(cfg, rngmod.trial_generator(900, rngmod.STREAM_CHANNEL, i))
-        forms = build_quadratic_forms(ch)
-        sol = sdp_maxmin(forms, tol=3e-7, method="joint")
-        t_upper = sol.t_star + sol.feasibility_gap
-        if i < 10:
-            t_b = sdp_maxmin(forms, tol=1e-4, method="bisect").t_star
-            assert t_b == pytest.approx(sol.t_star, rel=3e-4)
-            bisect_checked += 1
-        rng = rngmod.trial_generator(900, rngmod.STREAM_OPTIM, i)
-        phases_sdp, _ = gaussian_randomization(sol.a_star, forms, 100, rng)
-        res_greedy = greedy_iterative(ch, k=360)
+        sweep_objectives = [h[i] for h in history[:sweeps[i]]]
         greedy_monotone = greedy_monotone and all(
-            b >= a - 1e-12 for a, b in zip(res_greedy.sweep_objectives,
-                                           res_greedy.sweep_objectives[1:]))
-        z1 = ch.h_r * ch.g_t
-        z2 = ch.g_r * ch.h_t
+            b >= a - 1e-12 for a, b in zip(sweep_objectives, sweep_objectives[1:]))
+        z1, z2 = terms[:, i]
         gains = {}
         for name, phases in (
-                ("sdp", phases_sdp),
-                ("greedy", res_greedy.phases),
+                ("sdp", phases_sdp[i]),
+                ("greedy", phases_greedy[i]),
                 ("u1", np.mod(-np.angle(z1), 2 * math.pi)),
                 ("random", rngmod.trial_generator(900, rngmod.STREAM_BASELINE, i)
                  .uniform(0, 2 * math.pi, 8))):
             rot = np.exp(1j * phases)
             gains[name] = (abs(np.sum(z1 * rot)) ** 2, abs(np.sum(z2 * rot)) ** 2)
-            rel_viol = max(rel_viol, (min(gains[name]) - t_upper) / t_upper)
+            rel_viol = max(rel_viol, (min(gains[name]) - t_upper[i]) / t_upper[i])
         u1_dominates = u1_dominates and all(
             gains["u1"][0] > gains[m][0] for m in ("sdp", "greedy", "random"))
         se_pair = {}
@@ -358,8 +359,7 @@ def test_criterion_10_reciprocity_power_gap(L, target):
     for block, count in rngmod.iter_blocks(trials):
         ch = sample_channel_block(
             cfg, rngmod.block_generator(123, rngmod.STREAM_CHANNEL, block), count)
-        phases, _ = maxmin_block(ch.h_r * ch.g_t, ch.g_r * ch.h_t,
-                                 OptimMethod.GREEDY_ITERATIVE)
+        phases, _ = maxmin_block(ch.terms, OptimMethod.GREEDY_ITERATIVE)
         for i in range(count):
             trial = NonReciprocalChannel(ch.h_t[i], ch.h_r[i], ch.g_t[i], ch.g_r[i])
             rot = np.exp(1j * phases[i])

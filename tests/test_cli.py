@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import weakref
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -188,8 +189,9 @@ def test_optimize_flags_reach_the_stacked_solvers(tmp_path):
         ch = NonReciprocalChannel(block.h_t[t], block.h_r[t], block.g_t[t], block.g_r[t])
         forms = optim.build_quadratic_forms(ch)
         sol = optim.sdp_maxmin(forms, tol=optim.SDP_TOL, method="joint")
-        sdp, _ = optim.gaussian_randomization(sol.a_star, forms, optim.RANDOMIZATION_K,
-                                              rngmod.trial_generator(3, rngmod.STREAM_OPTIM, t))
+        [sdp], _ = optim.gaussian_randomization(
+            sol.a_star[None], forms[None], optim.RANDOMIZATION_K,
+            [rngmod.trial_generator(3, rngmod.STREAM_OPTIM, t)])
         expected = [str(t), cli.fmt_val(rho * sol.t_star)]
         u1 = -np.angle(ch.h_r * ch.g_t)
         for phases in (sdp, optim.greedy_iterative(ch).phases, u1, randoms[t]):
@@ -439,13 +441,37 @@ def test_bad_optimize_input_exit_code(tmp_path, capsys, monkeypatch, flags, reas
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a channel before checking the flags")
 
-    # the trial count is the Monte Carlo collection's own check
+    # spec_from_args checks the trial count before any draw
     monkeypatch.setattr(cli.mc, "sample_channel_block", no_draw)
     out = tmp_path / "x.csv"
     argv = ["optimize", "--L", "2", "--methods", "sdp", "--trials", "2"]
     assert run_cli(argv + flags + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "invalid spec" in err and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["outage", "--L", "2", "--methods", "gamma", "--trials", "-4"],
+    ["crossover", "--methods", "analytic", "--trials", "0"],
+    ["reproduce", "fig2", "--trials-outage", "-5"],
+    ["reproduce", "fig4", "--trials-outage", "0"],
+    ["reproduce", "fig8", "--trials-se", "0"],
+    ["reproduce", "fig8", "--trials-opt", "-1"],
+    ["optimize", "--trials", "0"],
+])
+def test_every_trial_count_flag_checked_first(tmp_path, capsys, monkeypatch, argv):
+    """A trial count below one exits 2 naming its flag, also where the run
+    would not use it, before any work."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran a command before checking its trial counts")
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], no_work)
+    out = tmp_path / "x.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    flag = next(f for f in argv if f.startswith("--trials"))
+    assert capsys.readouterr().err.startswith(
+        f"ris2way: invalid spec: {flag}: trials must be >= 1, got {argv[argv.index(flag) + 1]}")
     assert not out.exists()
 
 
@@ -470,7 +496,7 @@ def test_non_finite_rho_exit_code(tmp_path, capsys, monkeypatch, argv):
 
 
 def test_solver_failure_exit_code_names_the_trial(tmp_path, capsys, monkeypatch):
-    def fail(z1, z2, method, rngs=None):
+    def fail(terms, method, rngs=None):
         raise optim.SolverFailureError("interior point stalled", 2)
 
     monkeypatch.setattr(cli.mc, "maxmin_block", fail)
@@ -483,7 +509,7 @@ def test_solver_failure_exit_code_names_the_trial(tmp_path, capsys, monkeypatch)
 
 
 def test_optimize_solver_failure_names_the_trial(tmp_path, capsys, monkeypatch):
-    def fail(z1, z2, method, rngs=None):
+    def fail(terms, method, rngs=None):
         raise optim.SolverFailureError("interior point stalled", 2)
 
     monkeypatch.setattr(cli.mc, "maxmin_block", fail)
@@ -801,6 +827,15 @@ def test_svg_next_to_optimize_and_crossover_csv(tmp_path, argv, y_label):
     assert text.startswith("<svg") and f">{y_label}</text>" in text
 
 
+def test_svg_escapes_its_text(tmp_path):
+    """The title is the CSV's file name, which may hold XML's special characters."""
+    out = tmp_path / "a&b<c.csv"
+    assert run_cli(["se", "--L", "2", "--methods", "gamma", "--p-dbm", "0:10:5", "--svg",
+                    "--out", str(out)]) == 0
+    root = ET.parse(tmp_path / "a&b<c.svg").getroot()
+    assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")][0] == "a&b<c.csv"
+
+
 def test_svg_skipped_for_a_single_row(tmp_path):
     out = tmp_path / "x.csv"
     assert run_cli(["crossover", "--L", "2", "--methods", "analytic", "--svg",
@@ -925,10 +960,23 @@ def test_se_command_with_phase_error(tmp_path):
 
 def test_workers_default_from_environment(monkeypatch):
     monkeypatch.setenv("RIS2WAY_WORKERS", "6")
-    args = parse_args(["outage", "--L", "1"])
-    assert args.workers == 6
-    args = parse_args(["outage", "--L", "1", "--workers", "2"])
-    assert args.workers == 2
+    spec = spec_from_args(parse_args(["outage", "--L", "1"]))
+    assert spec.workers == 6
+    spec = spec_from_args(parse_args(["outage", "--L", "1", "--workers", "2"]))
+    assert spec.workers == 2
+
+
+def test_workers_flag_overrides_a_bad_environment(monkeypatch, tmp_path, capsys):
+    """RIS2WAY_WORKERS is read only when --workers is absent, so a bad value
+    stops neither an explicit --workers nor --help."""
+    monkeypatch.setenv("RIS2WAY_WORKERS", "abc")
+    assert run_cli(["outage", "--L", "2", "--methods", "gamma", "--p-dbm", "0:10:5",
+                    "--workers", "1", "--out", str(tmp_path / "o.csv")]) == 0
+    for argv in (["--help"], ["outage", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv)
+        assert info.value.code == 0
+    assert "$RIS2WAY_WORKERS" in capsys.readouterr().out
 
 
 def test_non_integer_workers_environment_exit_code(monkeypatch, tmp_path, capsys):

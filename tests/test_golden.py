@@ -42,6 +42,12 @@ RUNS = {
                   "--methods", "gamma,asymptotic,phase-error"],
     "crossover": ["crossover", "--l-list", "1,2,16", "--methods", "analytic,mc",
                   "--trials", "400"],
+    "se_L4_vonmises": ["se", "--L", "4", "--phase-error", "vonmises:0.1,4",
+                       "--p-dbm", "0:20:10", "--trials", "300"],
+    "outage_l_list": ["outage", "--l-list", "1,2,4", "--p-dbm=-50:-50:1", "--trials", "300"],
+    "se_l_list": ["se", "--l-list", "2,4", "--p-dbm", "0:0:1", "--trials", "300"],
+    "se_nonrec_L3_sdp_min": ["se", "--L", "3", *_NONREC, "--policy", "sdp", "--user", "min",
+                             "--p-dbm", "0:20:10", "--trials", "20"],
 }
 
 

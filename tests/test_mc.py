@@ -445,7 +445,7 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
                               rngmod.BLOCK_SIZE)
     rngs = [rngmod.trial_generator(31, rngmod.STREAM_OPTIM, i) for i in range(len(ch.h_t))]
     z1, z2 = ch.h_r * ch.g_t, ch.g_r * ch.h_t
-    phases, bounds = optim.maxmin_block(z1, z2, method, rngs)
+    phases, bounds = optim.maxmin_block(np.stack([z1, z2]), method, rngs)
     assert np.array_equal(full.t_star[:len(bounds)], bounds, equal_nan=True)
     rot = np.exp(1j * phases)
     for i in range(len(rot)):
@@ -465,10 +465,10 @@ def test_maxmin_gains_independent_of_block_and_workers(policy, L, monkeypatch):
 
 
 def test_solver_failure_names_the_trial(monkeypatch):
-    def fail_in_second_block(z1, z2, method, rngs=None, **kwargs):
-        if len(z1) == 10:
+    def fail_in_second_block(terms, method, rngs=None, **kwargs):
+        if terms.shape[1] == 10:
             raise optim.SolverFailureError("line search failed", 4)
-        return np.zeros(z1.shape), np.full(len(z1), np.nan)
+        return np.zeros(terms.shape[1:]), np.full(terms.shape[1], np.nan)
 
     monkeypatch.setattr(mc, "maxmin_block", fail_in_second_block)
     cfg = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL, policy="sdp")

@@ -25,6 +25,12 @@ def phases_to_lifted(phases):
     return optim._interleave(np.cos(phases), np.sin(phases))
 
 
+def round_one(a_star, forms, k, rng):
+    """`gaussian_randomization` on a stack of one instance: (phases, value)."""
+    phases, values = gaussian_randomization(a_star[None], np.asarray(forms)[None], k, [rng])
+    return phases[0], values[0]
+
+
 def nonrec(L, seed, sigma2=1.0):
     cfg = SystemConfig(L=L, sigma2=sigma2, reciprocity=Reciprocity.NON_RECIPROCAL)
     return sample_channels(cfg, np.random.default_rng(seed))
@@ -220,7 +226,7 @@ def test_sdp_at_32_elements_bounds_greedy_and_randomization():
     assert np.array_equal(a, a.T)
     assert np.abs(a.diagonal().reshape(32, 2).sum(axis=1) - 1.0).max() <= 1e-7
     assert np.linalg.eigvalsh(a)[0] >= -1e-8
-    _, rounded = gaussian_randomization(sol.a_star, forms, 100, np.random.default_rng(42))
+    _, rounded = round_one(sol.a_star, forms, 100, np.random.default_rng(42))
     greedy = min(greedy_iterative(ch).achieved)
     assert max(rounded, greedy) <= sol.t_star * (1 + tol)
 
@@ -251,9 +257,9 @@ def test_malformed_forms_rejected():
             sdp_maxmin(forms)
         a_star = 0.5 * np.eye(forms[0].shape[-1])
         with pytest.raises(ValueError, match=reason):
-            gaussian_randomization(a_star, forms, 5, rng)
+            gaussian_randomization(a_star[None], [forms], 5, [rng])
     with pytest.raises(ValueError, match="a_star"):
-        gaussian_randomization(0.5 * np.eye(4), (f1, f2), 5, rng)
+        gaussian_randomization(0.5 * np.eye(4)[None], [(f1, f2)], 5, [rng])
 
 
 def test_randomization_rank_one_recovers_exactly():
@@ -261,7 +267,7 @@ def test_randomization_rank_one_recovers_exactly():
     phases_true = rng.uniform(0, 2 * math.pi, 4)
     alpha = phases_to_lifted(phases_true)
     forms = build_quadratic_forms(nonrec(4, 16))
-    got, val = gaussian_randomization(np.outer(alpha, alpha), forms, 5, rng)
+    got, val = round_one(np.outer(alpha, alpha), forms, 5, rng)
     assert np.allclose(got, phases_true, atol=1e-7)
     q1 = alpha @ forms[0] @ alpha
     q2 = alpha @ forms[1] @ alpha
@@ -273,7 +279,7 @@ def test_randomization_bounded_by_relaxation_and_consistent():
     ch = nonrec(8, 18)
     forms = build_quadratic_forms(ch)
     sol = sdp_maxmin(forms, tol=1e-5)
-    phases, scored = gaussian_randomization(sol.a_star, forms, 100, rng)
+    phases, scored = round_one(sol.a_star, forms, 100, rng)
     g1, g2 = sinr_nonreciprocal(ch, phases, 1.0)
     assert min(g1, g2) == pytest.approx(scored, rel=1e-9)
     assert scored <= sol.t_star * (1 + 1e-4)
@@ -287,9 +293,48 @@ def test_randomization_near_bound_on_median_instance():
         ch = nonrec(8, 400 + seed)
         forms = build_quadratic_forms(ch)
         sol = sdp_maxmin(forms, tol=1e-5, method="joint")
-        _, val = gaussian_randomization(sol.a_star, forms, 200, rng)
+        _, val = round_one(sol.a_star, forms, 200, rng)
         ratios.append(val / sol.t_star)
     assert float(np.median(ratios)) >= 0.9
+
+
+@pytest.mark.parametrize("L,m", [(1, 300), (2, 250), (3, 200), (8, 150), (16, 80), (32, 40)])
+def test_stacked_randomization_rows_equal_stacks_of_one(L, m):
+    """1020 instances in all: row i of one stacked call gets the phases and the
+    value of row i rounded alone, bit for bit.  User 1 is at 40 times, or user
+    2 at 0.02 times, the other's average SINR on two thirds of the rows; the
+    covariances have every rank, and a tenth of them a zero pair, which the
+    rounding resamples uniformly."""
+    rng = np.random.default_rng(90 + L)
+    z1, z2 = nonrec_terms(L, m, 90 + L)
+    z1[:m // 3] *= math.sqrt(40.0)
+    z2[m // 3:2 * m // 3] *= math.sqrt(0.02)
+    forms = optim._forms(np.stack([z1, z2]))
+    n = 2 * L
+    x = rng.standard_normal((m, n, n)) * (rng.integers(1, n + 1, (m, 1, 1)) > np.arange(n))
+    a = x @ x.swapaxes(1, 2)
+    a[:m // 10, :2], a[:m // 10, :, :2] = 0.0, 0.0
+    traces = np.repeat(a.diagonal(axis1=1, axis2=2).reshape(m, L, 2).sum(axis=2), 2, axis=1)
+    scale = np.where(traces > 0.0, 1.0 / np.sqrt(np.where(traces > 0.0, traces, 1.0)), 0.0)
+    a = a * scale[:, :, None] * scale[:, None, :]
+
+    def rngs():
+        return [np.random.default_rng(7000 + i) for i in range(m)]
+
+    phases, values = gaussian_randomization(a, forms, 100, rngs())
+    assert phases.shape == (m, L) and np.all(np.isfinite(values))
+    for i, one in enumerate(rngs()):
+        alone, value = gaussian_randomization(a[i:i + 1], forms[i:i + 1], 100, [one])
+        assert np.array_equal(alone[0], phases[i]) and value[0] == values[i]
+
+
+def test_randomization_failure_names_its_row():
+    forms = optim._forms(np.stack(nonrec_terms(2, 6, 95)))
+    a = np.broadcast_to(0.5 * np.eye(4), (6, 4, 4)).copy()
+    a[4] = np.diag([1.0, 0.0, 1.5, -0.5])
+    with pytest.raises(optim.SolverFailureError, match="not PSD") as info:
+        gaussian_randomization(a, forms, 10, [np.random.default_rng(i) for i in range(6)])
+    assert info.value.instance == 4
 
 
 def test_greedy_single_element_terminates_immediately():
@@ -455,8 +500,8 @@ def test_greedy_block_matches_scalar_search(L, m):
     0.45 times user 1's average SINR."""
     z1, z2 = nonrec_terms(L, m, 70 + L)
     z2 = math.sqrt(0.45) * z2
-    phases, sweeps, history = _greedy_block(z1, z2, 360)
-    block, _ = maxmin_block(z1, z2, OptimMethod.GREEDY_ITERATIVE)  # in sub-batches
+    phases, sweeps, history = _greedy_block(np.stack([z1, z2]), 360)
+    block, _ = maxmin_block(np.stack([z1, z2]), OptimMethod.GREEDY_ITERATIVE)  # in sub-batches
     assert np.array_equal(block, phases)
     for i in range(m):
         ref_phases, ref_history = scalar_greedy(z1[i], z2[i])
@@ -473,7 +518,7 @@ def test_block_rows_equal_solve_maxmin(method):
         # the relaxation needs both forms nonzero: no all-zero rows
         z1[:2], z2[:2] = z1[2], z2[2]
     rngs = [np.random.default_rng(900 + i) for i in range(40)]
-    block, bound = maxmin_block(z1, z2, method, rngs)
+    block, bound = maxmin_block(np.stack([z1, z2]), method, rngs)
     for i in range(40):
         ch = NonReciprocalChannel(h_t=z2[i], h_r=z1[i], g_t=np.ones(4, dtype=complex),
                                   g_r=np.ones(4, dtype=complex))
@@ -528,13 +573,15 @@ def test_scaled_optimum_lies_in_the_bisection_bracket(L):
 
 
 def test_stacked_failure_names_its_row(monkeypatch):
-    monkeypatch.setattr(optim, "_STACK_ELEMENTS", 2 * 32)  # two rows per sub-batch at L=2
+    # two rows per sub-batch at L=2, where a row's largest array is the
+    # rounding's K draws of 2L values
+    monkeypatch.setattr(optim, "_STACK_ELEMENTS", 2 * 4 * optim.RANDOMIZATION_K)
     z1, z2 = nonrec_terms(2, 40, 81)
     z1, z2 = z1[-6:], z2[-6:]
     z1[3] = 0.0  # user 1's form vanishes: no interior start
     rngs = [np.random.default_rng(i) for i in range(6)]
     with pytest.raises(optim.SolverFailureError, match="vanishes") as info:
-        maxmin_block(z1, z2, OptimMethod.SDP_RELAX, rngs)
+        maxmin_block(np.stack([z1, z2]), OptimMethod.SDP_RELAX, rngs)
     assert info.value.instance == 3
 
 
@@ -545,13 +592,13 @@ def _one_instance():
 
 @pytest.mark.parametrize("call, message", [
     (lambda ch: sdp_maxmin(build_quadratic_forms(ch), method="x"), "unknown method 'x'"),
-    (lambda ch: gaussian_randomization(np.eye(4), build_quadratic_forms(ch), 0,
-                                       np.random.default_rng(0)),
+    (lambda ch: gaussian_randomization(np.eye(4)[None], build_quadratic_forms(ch)[None], 0,
+                                       [np.random.default_rng(0)]),
      "need at least one randomization sample"),
-    (lambda ch: maxmin_block(np.ones((2, 2)), np.ones((2, 2)), OptimMethod.SDP_RELAX,
+    (lambda ch: maxmin_block(np.ones((2, 2, 2)), OptimMethod.SDP_RELAX,
                              [np.random.default_rng(0)]),
      "gaussian randomization needs one RNG per instance"),
-    (lambda ch: maxmin_block(np.ones((2, 2)), np.ones((2, 2)), "u1"),
+    (lambda ch: maxmin_block(np.ones((2, 2, 2)), "u1"),
      "not a max-min search: u1"),
     (lambda ch: build_quadratic_forms(ReciprocalChannel(ch.h_t, ch.g_t)),
      "quadratic forms are defined for non-reciprocal realizations"),

@@ -87,6 +87,18 @@ def outage_exact_L1(gamma_th, rho, sigma2: float = 1.0):
     return np.clip(out, 0.0, 1.0)
 
 
+def ccdf_exact_L1(gamma_th, rho, sigma2: float = 1.0):
+    """Exact single-element P(SINR > gamma_th) = z K_1(z), the complement of
+    `outage_exact_L1` from the scaled Bessel kernel: one minus the outage
+    loses every digit of the tail, which falls below 1e-16 at z = 40."""
+    _check_rho(rho)
+    z = _cascade_argument(gamma_th, rho, sigma2)
+    out = np.ones(z.shape)
+    nonzero = z != 0.0
+    out[nonzero] = z[nonzero] * scaled_bessel_k01(z[nonzero])[1] * np.exp(-z[nonzero])
+    return out
+
+
 def outage_gamma_Lge2(L: int, gamma_th, rho, sigma2: float = 1.0):
     """Gamma-approximation outage P(L k, sqrt(gamma_th/rho) / theta), with
     (k, theta) the fit `gamma_approx_params(sigma2)`."""
@@ -127,7 +139,8 @@ def outage_phase_error_uniform_pi(L: int, gamma_th, rho, sigma2: float = 1.0):
     z = _cascade_argument(gamma_th, rho, sigma2)
     out = np.empty(z.shape)
     for i, zi in np.ndenumerate(z):
-        out[i] = 0.0 if zi == 0.0 else -math.expm1(
+        # 0.0 - x rather than -x: a ccdf that rounds to 1 gives +0.0, not -0.0
+        out[i] = 0.0 if zi == 0.0 else 0.0 - math.expm1(
             min(_log_cascade_ccdf_uniform_phase(L, zi), 0.0))
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out

@@ -660,11 +660,11 @@ def _preset_fig2(spec: ExperimentSpec) -> dict:
     for s2 in (0.1, 1.0, 10.0):
         header.extend([f"ccdf_exact_s{s2:g}", f"ccdf_gamma_s{s2:g}"])
         params = analytic.gamma_approx_params(s2)
-        # P(|h g| > t) is one minus the single-element outage at threshold t^2, rho = 1
-        outage = analytic.outage_exact_L1(np.array([t * t for t in ts]), 1.0, s2)
+        # P(|h g| > t) is the single-element P(SINR > t^2) at rho = 1
+        exact = analytic.ccdf_exact_L1(np.array([t * t for t in ts]), 1.0, s2)
         tail = regularized_gamma_q(params.k, np.array([t / params.theta for t in ts]))
-        for o, g, row in zip(outage, tail, rows_b):
-            row.extend([fmt_prob(1.0 - o), fmt_prob(float(g))])
+        for e, g, row in zip(exact, tail, rows_b):
+            row.extend([fmt_prob(float(e)), fmt_prob(float(g))])
     out["b_ccdf"] = (header, rows_b, True, "CCDF")
     return out
 

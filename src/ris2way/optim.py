@@ -6,33 +6,33 @@ matrix variable with per-element trace constraints, the rank constraint is
 dropped, and the resulting small dense SDP is solved with a log-barrier
 interior-point method (no external solver): along one central path that
 maximizes the SINR level, or, as the reference, by bisection over the level
-from the bracket [1, 2L] of the scaled forms with a feasibility test at
-each.  The relaxation has only L+2 constraints (L pair traces, two form
-levels), so each Newton step solves an (L+3)x(L+3) system in the constraint
-multipliers and the level step, and recovers the matrix step from them at
-O(L^3) cost (the Schur-complement reduction of Helmberg, Rendl,
-Vanderbei and Wolkowicz, 1996).  The step is measured in whitened
+from the bracket [1, 2L] of the scaled forms, each level decided on that
+path stopped at the level.  The relaxation has only L+2 constraints (L pair
+traces, two form levels), so each Newton step solves an (L+3)x(L+3) system
+in the constraint multipliers and the level step, and recovers the matrix
+step from them at O(L^3) cost (the Schur-complement reduction of Helmberg,
+Rendl, Vanderbei and Wolkowicz, 1996).  The step is measured in whitened
 coordinates: with A = R R^T, Y = R^{-1} dA R^{-T} needs no inverse, the
 Newton decrement is the sum of squares |Y|_F^2 + sum_p g_p^2 delta_p^2, and
 the eigenvalues of Y (or, once the decrement is below 1/2, a Cholesky factor
 of I + s Y) give log det(A + s dA) for a step length s, so the backtracking
 line search needs no factorization of A + s dA (Boyd and Vandenberghe, 2004,
-sections 9.5 and 11.3).  Rank-one solutions are recovered by Gaussian randomization
-(Sidiropoulos, Davidson and Luo, 2006); a greedy discretized coordinate
-search is the low-complexity alternative.
+sections 9.5 and 11.3).  Rank-one solutions are recovered by Gaussian
+randomization (Sidiropoulos, Davidson and Luo, 2006); a greedy discretized
+coordinate search is the low-complexity alternative.
 
 Every stage runs on stacks of instances in one layout: the (2, m, L) terms
 of m instances (a channel block's `terms`), their (m, 2, 2L, 2L) forms, and
-one relaxed solution and RNG per row for the rounding.  `maxmin_block` is
-the one driver of the design pipeline: it solves the m instances of a Monte
+one relaxed solution and RNG per row for the rounding.  `maxmin_block` is the
+one driver of the design pipeline: it solves the m instances of a Monte
 Carlo block together (the optimize command reads its trials from those
 blocks; the u1 and random baselines live in `mc`).  `sdp_maxmin`,
-`greedy_iterative` and `solve_maxmin` are one-row views.  One barrier
-iteration, one greedy element update or one rounding serves every row at
-once, and each row keeps its own step length, barrier parameter and stopping
-state.  Rows are solved in sub-batches of at most _STACK_ELEMENTS elements
-per stacked array.  A row depends only on its own instance, so it gets the
-same bits alone, in a partial block or in a full one.
+`greedy_iterative` and `solve_maxmin` are one-row views at its settings.  One
+barrier iteration, one greedy element update or one rounding serves every
+row at once, and each row keeps its own step length, barrier parameter and
+stopping state.  Rows are solved in sub-batches of at most _STACK_ELEMENTS
+elements per stacked array.  A row depends only on its own instance, so it
+gets the same bits alone, in a partial block or in a full one.
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ class OptimMethod(enum.Enum):
 @dataclass
 class SdpSolution:
     """feasibility_gap: the final bracket width on the bisection path; on the
-    joint path the nominal barrier bound (2L+2)/tau, scaled, which is not
-    certified once tau passes ~1e6 (roundoff of the (L+3) Newton system keeps
-    the last stages from centring; at L=8, tol 3e-7 a rounded solution can
-    exceed t_star + feasibility_gap by ~3e-8 relative)."""
+    joint path the nominal barrier bound (2L+2)/tau in the forms' units, which
+    is not certified once tau passes ~1e6 (roundoff of the (L+3) Newton system
+    keeps the last stages from centring; at L=8, tol 3e-7 a rounded solution
+    can exceed t_star + feasibility_gap by ~3e-8 relative)."""
 
     t_star: float
     a_star: np.ndarray
@@ -299,39 +299,29 @@ def _failing_row(fn, *stacks: np.ndarray) -> int:
     return 0
 
 
-@dataclass
-class _BarrierOutcome:
-    theta: np.ndarray         # best certified objective value (primal), per row
-    gap: np.ndarray           # duality gap bound at exit
-    a: np.ndarray             # interior matrix iterates, (m, n, n)
-    newton_steps: np.ndarray
-    feasible: np.ndarray      # sign certificate, phase-I use only
+def _maximize_linear_over_cone(f: np.ndarray, a0: np.ndarray, gap_tol: float,
+                               level: Optional[np.ndarray] = None) -> SdpSolution:
+    """Per row: max theta  s.t. <F_p, A> - theta >= 0, pair traces = 1, A > 0.
 
-
-def _maximize_linear_over_cone(f: np.ndarray, levels: np.ndarray, a0: np.ndarray,
-                               gap_tol: float, sign_exit: bool = False) -> _BarrierOutcome:
-    """Per row: max theta  s.t. <F_p, A> - levels_p - theta >= 0, pair traces = 1, A > 0.
-
-    f is the (m, 2, n, n) stack of form pairs, a0 the (m, n, n) start and
-    levels (m, 2).  Central-path following with barrier -log det A -
-    sum_p log g_p; the barrier parameter grows by 10 per stage.  A stage ends
-    after 60 steps, or when the decrement falls to 2e-9 (Boyd and
-    Vandenberghe, algorithm 9.5), or when the step no longer descends as the
-    decrement predicts (slope > -decrement / 2): the roundoff of the (L+3)
-    system grows like tau^2, and once it is as large as the decrement further
-    steps cannot center the row better.  With sign_exit a row stops as soon as
-    the sign of its optimum is certified (phase-I feasibility test).  Rows
-    that finish drop out of the stack.
+    f is the (m, 2, n, n) stack of form pairs and a0 the (m, n, n) start.
+    Central-path following with barrier -log det A - sum_p log g_p; the
+    barrier parameter grows by 10 per stage.  A stage ends after 60 steps, or
+    when the decrement falls to 2e-9 (Boyd and Vandenberghe, algorithm 9.5),
+    or when the step no longer descends as the decrement predicts (slope >
+    -decrement / 2): the roundoff of the (L+3) system grows like tau^2, and
+    once it is as large as the decrement further steps cannot center the row
+    better.  A row ends at a stage end with gap <= gap_tol max(1, |theta|),
+    or, given its `level`, once theta > level or, at a stage end, theta + gap
+    < level or gap <= gap_tol: the phase-I test of the level (section 11.4).
+    Rows that finish drop out of the stack; the result is in the forms' units.
     """
     m, _, n, _ = f.shape
     complexity = n + 2.0
-    out = _BarrierOutcome(np.empty(m), np.empty(m), np.empty((m, n, n)),
-                          np.empty(m, dtype=int), np.zeros(m, dtype=bool))
+    out = SdpSolution(np.empty(m), np.empty((m, n, n)), np.empty(m, dtype=int), np.empty(m))
     live = np.arange(m)
     a = np.array(a0, dtype=float, order="C")
-    lev = np.asarray(levels, dtype=float)
     gains = _form_values(f, a)
-    theta = (gains - lev).min(axis=1) - 1.0
+    theta = gains.min(axis=1) - 1.0
     tau = np.ones(m)
     steps = np.zeros(m, dtype=int)
     inner = np.zeros(m, dtype=int)
@@ -341,7 +331,7 @@ def _maximize_linear_over_cone(f: np.ndarray, levels: np.ndarray, a0: np.ndarray
             raise SolverFailureError(
                 f"interior point stalled: tau={tau[i]!r}, theta={theta[i]!r}, "
                 f"gap<={complexity / tau[i]!r}, newton_steps={steps[i]}", int(live[i]))
-        g = gains - lev - theta[:, None]
+        g = gains - theta[:, None]
         if (g <= 0.0).any():  # drifted out by roundoff; should not happen
             i = int(np.argmax((g <= 0.0).any(axis=1)))
             raise SolverFailureError(
@@ -378,22 +368,21 @@ def _maximize_linear_over_cone(f: np.ndarray, levels: np.ndarray, a0: np.ndarray
         gains = _form_values(f, a)
 
         gap = complexity / tau
-        feasible = (theta > 0.0) if sign_exit else np.zeros(len(a), dtype=bool)
-        stage_end = ~feasible & (~moving | (inner >= 60))
-        if sign_exit:
-            # optimum pinned inside [-gap_tol, gap_tol]: treat as infeasible
-            done = feasible | (stage_end & ((theta + gap < 0.0) | (gap <= gap_tol)))
-        else:
+        stage_end = ~moving | (inner >= 60)
+        if level is None:
             done = stage_end & (gap <= gap_tol * np.maximum(1.0, np.abs(theta)))
+        else:  # an optimum within gap_tol of the level counts as below it
+            below = (theta + gap < level[live]) | (gap <= gap_tol)
+            done = (theta > level[live]) | (stage_end & below)
         next_stage = stage_end & ~done
         tau = np.where(next_stage, tau * 10.0, tau)
         inner = np.where(next_stage, 0, inner)
         if done.any():
             rows = live[done]
-            out.theta[rows], out.gap[rows], out.a[rows] = theta[done], gap[done], a[done]
-            out.newton_steps[rows], out.feasible[rows] = steps[done], feasible[done]
+            out.t_star[rows], out.a_star[rows] = theta[done], a[done]
+            out.iterations[rows], out.feasibility_gap[rows] = steps[done], gap[done]
             keep = ~done
-            live, a, f, lev = live[keep], a[keep], f[keep], lev[keep]
+            live, a, f = live[keep], a[keep], f[keep]
             gains, theta, tau, steps, inner = (gains[keep], theta[keep], tau[keep],
                                                steps[keep], inner[keep])
     return out
@@ -420,17 +409,18 @@ def _sdp_joint(f: np.ndarray, tol: float) -> SdpSolution:
     """The relaxation of each row of the (m, 2, n, n) form pairs on the joint
     central path; the solution's fields hold one entry (or matrix) per row."""
     fs, scale, a0 = _scaled(f)
-    out = _maximize_linear_over_cone(fs, np.zeros((len(f), 2)), a0, gap_tol=tol / 4.0)
-    return SdpSolution(t_star=out.theta * scale, a_star=out.a,
-                       iterations=out.newton_steps, feasibility_gap=out.gap * scale)
+    out = _maximize_linear_over_cone(fs, a0, gap_tol=tol / 4.0)
+    out.t_star *= scale
+    out.feasibility_gap *= scale
+    return out
 
 
 def _sdp_bisect(f: np.ndarray, tol: float) -> SdpSolution:
     """`_sdp_joint`'s relaxation by bisection over the level, each level decided
-    by a phase-I sign test.  Every row starts from the `_scaled` bracket [1, 2L]
-    (level 1 holds at a0; lambda_max(F_p) <= tr F_p bounds the forms by 2L),
-    the live rows bisect in lockstep, one stacked test per step, and a row
-    leaves once hi - lo <= tol lo; feasibility_gap is hi - lo, scaled."""
+    by the same barrier stopped at it.  Every row starts from the `_scaled`
+    bracket [1, 2L] (level 1 holds at a0; lambda_max(F_p) <= tr F_p bounds the
+    forms by 2L), the live rows bisect in lockstep, one stacked test per step,
+    and a row leaves once hi - lo <= tol lo; feasibility_gap is hi - lo, scaled."""
     fs, scale, a0 = _scaled(f)
     lo, hi = np.ones(len(f)), np.full(len(f), float(f.shape[-1]))
     best, warm = np.array(a0), np.array(a0)
@@ -438,15 +428,14 @@ def _sdp_bisect(f: np.ndarray, tol: float) -> SdpSolution:
     live = np.arange(len(f))
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        out = _maximize_linear_over_cone(fs[live], np.stack([mid, mid], axis=1), warm[live],
-                                         gap_tol=tol / 8.0, sign_exit=True)
-        steps[live] += out.newton_steps
-        ok = out.feasible
-        lo[live[ok]], best[live[ok]] = mid[ok], out.a[ok]
+        out = _maximize_linear_over_cone(fs[live], warm[live], gap_tol=tol / 8.0, level=mid)
+        steps[live] += out.iterations
+        ok = out.t_star > mid
+        lo[live[ok]], best[live[ok]] = mid[ok], out.a_star[ok]
         hi[live[~ok]] = mid[~ok]
         # pull the next start back toward the analytic center: iterates near the
         # cone boundary make poor Newton starts for a different level
-        warm[live] = 0.8 * out.a + 0.2 * a0[live]
+        warm[live] = 0.8 * out.a_star + 0.2 * a0[live]
         live = live[hi[live] - lo[live] > tol * lo[live]]
     return SdpSolution(t_star=lo * scale, a_star=best, iterations=steps,
                        feasibility_gap=(hi - lo) * scale)
@@ -469,19 +458,15 @@ def _form_arrays(forms, a_star: Optional[np.ndarray] = None) -> np.ndarray:
     return f
 
 
-def sdp_maxmin(forms, tol: float = SDP_TOL, method: str = "bisect") -> SdpSolution:
+def sdp_maxmin(forms, tol: float = SDP_TOL) -> SdpSolution:
     """Solve the lifted max-min relaxation of the forms (F_1, F_2), a pair or a
     (2, 2L, 2L) array, to relative tolerance 0 < `tol` < 1: a one-row
-    `_sdp_bisect` (method="bisect") or `_sdp_joint` (method="joint", one
-    central path); both agree within tol.  a_star is a symmetric 2L x 2L
-    array; the joint path's feasibility_gap is nominal (see `SdpSolution`).
+    `_sdp_joint`, the path `maxmin_block` runs.  a_star is a symmetric 2L x 2L
+    array; feasibility_gap is nominal (see `SdpSolution`).
     """
     if not 0 < tol < 1:
         raise ValueError(f"relaxation tolerance must be > 0 and < 1, got {tol!r}")
-    if method not in ("joint", "bisect"):
-        raise ValueError(f"unknown method {method!r}")
-    solve = _sdp_joint if method == "joint" else _sdp_bisect
-    sol = solve(_form_arrays([forms]), tol)
+    sol = _sdp_joint(_form_arrays([forms]), tol)
     return SdpSolution(t_star=float(sol.t_star[0]), a_star=sol.a_star[0],
                        iterations=int(sol.iterations[0]),
                        feasibility_gap=float(sol.feasibility_gap[0]))
@@ -528,8 +513,9 @@ def gaussian_randomization(a_star: np.ndarray, forms: np.ndarray, k: int,
 # greedy coordinate search on a stack of instances
 # ---------------------------------------------------------------------------
 
-def _greedy_block(terms: np.ndarray, k: int):
-    """Greedy coordinate ascent on each instance of the (2, m, L) terms.
+def _greedy_block(terms: np.ndarray):
+    """Greedy coordinate ascent on each instance of the (2, m, L) terms, on
+    GREEDY_GRID angles per element.
 
     Returns the (m, L) phases, each row's sweep count and, per sweep, the
     (m,) objectives min_p |sum_l z_{p,l} e^{j phi_l}|^2 after it (a row that
@@ -540,7 +526,7 @@ def _greedy_block(terms: np.ndarray, k: int):
     magnitude gives the bits of the smaller square.
     """
     _, m, L = terms.shape
-    grid = np.exp(1j * 2.0 * math.pi * np.arange(k) / k)  # grid[0] == 1
+    grid = np.exp(1j * 2.0 * math.pi * np.arange(GREEDY_GRID) / GREEDY_GRID)  # grid[0] == 1
     z = np.ascontiguousarray(terms.swapaxes(0, 1))  # (m, user, L)
     index = np.zeros((m, L), dtype=int)  # each element's phase is grid[index]
     terms = z * grid[0]
@@ -555,8 +541,8 @@ def _greedy_block(terms: np.ndarray, k: int):
         y, p, at, t, o = z[live], terms[live], index[live], sums[live], obj[live]
         previous = o
         rows = np.arange(live.size)
-        q = np.empty((live.size, 2, k), dtype=complex)
-        c = np.empty((live.size, 2, k))
+        q = np.empty((live.size, 2, grid.size), dtype=complex)
+        c = np.empty((live.size, 2, grid.size))
         for l in range(L):
             b = t - p[:, :, l]
             np.multiply(y[:, :, l, None], grid, out=q)
@@ -582,17 +568,16 @@ def _greedy_block(terms: np.ndarray, k: int):
     return wrap_phases(np.angle(grid[index])), sweeps, history
 
 
-def greedy_iterative(ch: NonReciprocalChannel, k: int = GREEDY_GRID) -> MaxMinResult:
-    """Coordinate ascent on a discretized phase grid of K angles per element.
+def greedy_iterative(ch: NonReciprocalChannel) -> MaxMinResult:
+    """Coordinate ascent on a discretized phase grid of GREEDY_GRID angles per
+    element.
 
     Sweeps the elements in order, setting each phase, the others held fixed,
     to the grid angle that maximizes the smaller of the gains (g_1, g_2) that
     `achieved` holds (first maximizer wins on ties); stops when a full sweep
     improves the objective by at most 1e-6 of it, or after 200 sweeps.
     """
-    if k < 2:
-        raise ValueError("grid must have at least 2 angles")
-    phases, sweeps, history = _greedy_block(ch.terms[:, None], k)
+    phases, sweeps, history = _greedy_block(ch.terms[:, None])
     return MaxMinResult(phases=phases[0], achieved=sinr_nonreciprocal(ch, phases[0], 1.0),
                         method=OptimMethod.GREEDY_ITERATIVE, iterations=int(sweeps[0]),
                         sweep_objectives=[float(h[0]) for h in history])
@@ -619,7 +604,7 @@ def maxmin_block(terms: np.ndarray, method: OptimMethod,
     t_star = np.full(m, np.nan)
     if method is OptimMethod.GREEDY_ITERATIVE:
         for rows in _sub_batches(m, 2 * GREEDY_GRID):
-            phases[rows] = _greedy_block(terms[:, rows], GREEDY_GRID)[0]
+            phases[rows] = _greedy_block(terms[:, rows])[0]
         return phases, t_star
     if method is not OptimMethod.SDP_RELAX:
         raise ValueError(f"not a max-min search: {method}")

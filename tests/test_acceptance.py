@@ -301,7 +301,7 @@ def test_criterion_9_maxmin_optimization():
     phases_sdp, _ = gaussian_randomization(
         sol.a_star, forms, 100,
         [rngmod.trial_generator(900, rngmod.STREAM_OPTIM, i) for i in range(n_inst)])
-    phases_greedy, sweeps, history = _greedy_block(terms, 360)
+    phases_greedy, sweeps, history = _greedy_block(terms)
     greedy_monotone = True
     for i in range(n_inst):
         sweep_objectives = [h[i] for h in history[:sweeps[i]]]

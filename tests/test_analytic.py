@@ -120,6 +120,14 @@ def test_phase_error_law_reduces_to_single_element():
     assert an.outage_phase_error_uniform_pi(4, 0.0, 10.0) == 0.0
 
 
+def test_phase_error_law_writes_no_negative_zero():
+    # at L = 5000 and z ~ 6e-5 the log tail rounds to 0, so the outage is a zero,
+    # and a CSV cell must read 0.0, not -0.0
+    for out in (an.outage_phase_error_uniform_pi(5000, 1e-9, 1.0),
+                *an.outage_phase_error_uniform_pi(5000, np.array([1e-9, 1e-10]), 1.0)):
+        assert out == 0.0 and math.copysign(1.0, out) == 1.0
+
+
 def test_phase_error_law_matches_scrambled_simulation():
     rng = np.random.default_rng(13)
     L, rho, trials = 4, 1e3, 400_000

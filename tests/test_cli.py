@@ -188,7 +188,7 @@ def test_optimize_flags_reach_the_stacked_solvers(tmp_path):
     for t, row in enumerate(rows):
         ch = NonReciprocalChannel(block.h_t[t], block.h_r[t], block.g_t[t], block.g_r[t])
         forms = optim.build_quadratic_forms(ch)
-        sol = optim.sdp_maxmin(forms, tol=optim.SDP_TOL, method="joint")
+        sol = optim.sdp_maxmin(forms, tol=optim.SDP_TOL)
         [sdp], _ = optim.gaussian_randomization(
             sol.a_star[None], forms[None], optim.RANDOMIZATION_K,
             [rngmod.trial_generator(3, rngmod.STREAM_OPTIM, t)])
@@ -946,6 +946,21 @@ def test_reproduce_fig2_kl_column_scale_free(tmp_path):
             assert abs(float(row[j]) - float(row[j + 1])) < 1.5e-2
 
 
+def test_reproduce_fig2_exact_ccdf_keeps_its_tail(tmp_path):
+    """Every exact cell of the per-element CCDF is z K_1(z), z = 2t/sigma^2, to
+    1e-9 relative, down to the 1e-34 of its tail."""
+    special = pytest.importorskip("scipy.special")
+    assert run_cli(["reproduce", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+    header, rows = read_csv(tmp_path / "fig2_b_ccdf.csv")
+    exact = [j for j, name in enumerate(header) if name.startswith("ccdf_exact_s")]
+    assert len(exact) == 3
+    for j in exact:
+        sigma2 = float(header[j].removeprefix("ccdf_exact_s"))
+        for row in rows:
+            z = 2.0 * float(row[0]) / sigma2
+            assert float(row[j]) == pytest.approx(z * special.k1(z), rel=1e-9, abs=0)
+
+
 def test_se_command_with_phase_error(tmp_path):
     out = tmp_path / "s.csv"
     rc = run_cli(["se", "--L", "4", "--phase-error", f"uniform:{math.pi}",
@@ -1072,7 +1087,8 @@ def test_benchmark_tracer_installs(tmp_path):
     blocks are drawn in several row chunks, which together draw exactly the
     4*L normals per trial of one whole-block draw.  A closed-form column must
     look its law up on the `analytic` module when called: a function object
-    bound at import escapes the wrapper, and `se_gamma` would read 0 calls."""
+    bound at import escapes the wrapper, and `se_gamma` would read 0 calls.
+    A traced max-min design records the rounding that `maxmin_block` runs."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(os.path.join(root, d) for d in ("src", "perfbench"))
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
@@ -1086,7 +1102,11 @@ def test_benchmark_tracer_installs(tmp_path):
             "assert cli.main(['se', '--L', '4', '--methods', 'gamma', '--p-dbm', "
             "'0:10:5', '--out', sys.argv[1]]) == 0; "
             "m = tracer.summary()['metrics']; "
-            "assert m['analytic.se_gamma.calls'] == 1, m")
+            "assert m['analytic.se_gamma.calls'] == 1, m; "
+            "assert cli.main(['optimize', '--L', '4', '--methods', 'sdp,greedy', "
+            "'--trials', '4', '--out', sys.argv[1]]) == 0; "
+            "m = tracer.summary()['metrics']; "
+            "assert m['optim.rounding.s'] > 0, m")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o.csv")], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

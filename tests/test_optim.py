@@ -143,9 +143,9 @@ def test_sdp_symmetric_forms_match_dense_grid():
 def test_sdp_joint_and_bisect_agree():
     for seed in (11, 12, 13):
         forms = build_quadratic_forms(lopsided(nonrec(4, seed), 1.5, 0.8))
-        a = sdp_maxmin(forms, tol=1e-4, method="bisect")
-        b = sdp_maxmin(forms, tol=1e-4, method="joint")
-        assert a.t_star == pytest.approx(b.t_star, rel=3e-4)
+        a = _sdp_bisect(forms[None], 1e-4)
+        b = sdp_maxmin(forms, tol=1e-4)
+        assert a.t_star[0] == pytest.approx(b.t_star, rel=3e-4)
 
 
 def test_sdp_solution_feasibility_certificates():
@@ -211,7 +211,7 @@ def test_decrement_nonnegative_at_every_step(monkeypatch):
     forms = [build_quadratic_forms(lopsided(nonrec(L, 60 + L), 1.3, 0.7))
              for L in (1, 6, 6)]
     optim._sdp_joint(np.stack([np.stack(f) for f in forms[1:]]), 1e-6)
-    sdp_maxmin(forms[0], tol=1e-4, method="bisect")
+    _sdp_bisect(forms[0][None], 1e-4)
     decrements = np.concatenate(seen)
     assert decrements.size > 100 and np.all(decrements >= 0.0)
 
@@ -220,7 +220,7 @@ def test_sdp_at_32_elements_bounds_greedy_and_randomization():
     ch = nonrec(32, 41)
     forms = build_quadratic_forms(ch)
     tol = 1e-4
-    sol = sdp_maxmin(forms, tol=tol, method="joint")
+    sol = sdp_maxmin(forms, tol=tol)
     assert 0.0 <= sol.feasibility_gap <= tol * sol.t_star
     a = sol.a_star
     assert np.array_equal(a, a.T)
@@ -237,13 +237,6 @@ def test_sdp_needs_positive_tolerance(tol):
     forms = build_quadratic_forms(ch)
     with pytest.raises(ValueError, match="tolerance must be > 0"):
         sdp_maxmin(forms, tol=tol)
-
-
-@pytest.mark.parametrize("grid", [1, 0, -3])
-def test_greedy_needs_two_grid_angles(grid):
-    ch = nonrec(2, 42)
-    with pytest.raises(ValueError, match="at least 2 angles"):
-        greedy_iterative(ch, k=grid)
 
 
 def test_malformed_forms_rejected():
@@ -292,7 +285,7 @@ def test_randomization_near_bound_on_median_instance():
     for seed in range(10):
         ch = nonrec(8, 400 + seed)
         forms = build_quadratic_forms(ch)
-        sol = sdp_maxmin(forms, tol=1e-5, method="joint")
+        sol = sdp_maxmin(forms, tol=1e-5)
         _, val = round_one(sol.a_star, forms, 200, rng)
         ratios.append(val / sol.t_star)
     assert float(np.median(ratios)) >= 0.9
@@ -349,7 +342,7 @@ def test_greedy_on_degenerate_reciprocal_instance_hits_closed_form():
     cfg = SystemConfig(L=6)
     rec = sample_channels(cfg, np.random.default_rng(20))
     ch = NonReciprocalChannel(h_t=rec.h, h_r=rec.h, g_t=rec.g, g_r=rec.g)
-    res = greedy_iterative(ch, k=360)
+    res = greedy_iterative(ch)
     target = float(np.sum(np.abs(rec.h) * np.abs(rec.g)) ** 2)
     assert min(res.achieved) >= target * (1 - 1e-3)
 
@@ -437,7 +430,7 @@ def test_solve_maxmin_sdp_populates_result():
     ch = nonrec(4, 27)
     res = solve_maxmin(ch, method=OptimMethod.SDP_RELAX,
                        rng=np.random.default_rng(28))
-    assert res.t_star == sdp_maxmin(build_quadratic_forms(ch), method="joint").t_star
+    assert res.t_star == sdp_maxmin(build_quadratic_forms(ch)).t_star
     assert res.method is OptimMethod.SDP_RELAX
     assert min(res.achieved) <= res.t_star * (1 + 1e-4)
 
@@ -500,7 +493,7 @@ def test_greedy_block_matches_scalar_search(L, m):
     0.45 times user 1's average SINR."""
     z1, z2 = nonrec_terms(L, m, 70 + L)
     z2 = math.sqrt(0.45) * z2
-    phases, sweeps, history = _greedy_block(np.stack([z1, z2]), 360)
+    phases, sweeps, history = _greedy_block(np.stack([z1, z2]))
     block, _ = maxmin_block(np.stack([z1, z2]), OptimMethod.GREEDY_ITERATIVE)  # in sub-batches
     assert np.array_equal(block, phases)
     for i in range(m):
@@ -539,18 +532,18 @@ def test_stacked_joint_path_agrees_with_bisect(L):
     stacked = _sdp_joint(stack, tol)
     bisected = _sdp_bisect(stack, tol)
     for i, f in enumerate(forms):
-        alone = sdp_maxmin(f, tol=tol, method="joint")
+        alone = sdp_maxmin(f, tol=tol)
         assert alone.t_star == stacked.t_star[i]
         assert np.array_equal(alone.a_star, stacked.a_star[i])
         assert alone.iterations == stacked.iterations[i]
         reference = bisected.t_star[i]
         assert abs(stacked.t_star[i] - reference) <= tol * reference
     for i in (0, 7, 19):  # the one-row bisection is row i of the stack
-        alone = sdp_maxmin(forms[i], tol=tol, method="bisect")
-        assert alone.t_star == bisected.t_star[i]
-        assert np.array_equal(alone.a_star, bisected.a_star[i])
-        assert alone.iterations == bisected.iterations[i]
-        assert alone.feasibility_gap == bisected.feasibility_gap[i]
+        alone = _sdp_bisect(forms[i][None], tol)
+        assert alone.t_star[0] == bisected.t_star[i]
+        assert np.array_equal(alone.a_star[0], bisected.a_star[i])
+        assert alone.iterations[0] == bisected.iterations[i]
+        assert alone.feasibility_gap[0] == bisected.feasibility_gap[i]
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 8, 16, 32])
@@ -567,8 +560,8 @@ def test_scaled_optimum_lies_in_the_bisection_bracket(L):
     assert np.all(scaled >= 1.0 - tol) and np.all(scaled <= 2 * L)
     if L == 1:  # the single-element max-min closed form min(|z_1|^2, |z_2|^2)
         for f, expected in zip(forms, scale):
-            for method in ("joint", "bisect"):
-                t_star = sdp_maxmin((f[0], f[1]), tol=tol, method=method).t_star
+            for t_star in (sdp_maxmin((f[0], f[1]), tol=tol).t_star,
+                           _sdp_bisect(f[None], tol).t_star[0]):
                 assert t_star == pytest.approx(expected, rel=tol)
 
 
@@ -591,7 +584,6 @@ def _one_instance():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda ch: sdp_maxmin(build_quadratic_forms(ch), method="x"), "unknown method 'x'"),
     (lambda ch: gaussian_randomization(np.eye(4)[None], build_quadratic_forms(ch)[None], 0,
                                        [np.random.default_rng(0)]),
      "need at least one randomization sample"),

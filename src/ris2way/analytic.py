@@ -41,9 +41,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .channel import Scheme
-from .numerics import (NonConvergenceError, bessel_k1_complement, digamma, erf,
-                       exp1, log_bessel_k, log_gamma_int, regularized_gamma_p,
-                       scaled_bessel_k01)
+from .numerics import (NonConvergenceError, digamma, erf, log_bessel_k,
+                       log_gamma_int, regularized_gamma_p, scaled_bessel_k01,
+                       scaled_exp1, xk1_pair)
 
 EULER_GAMMA = float(np.euler_gamma)  # expansion constant, not the phase jitter
 LOG2 = math.log(2.0)
@@ -77,26 +77,17 @@ def _check_rho(rho) -> None:
 
 
 def outage_exact_L1(gamma_th, rho, sigma2: float = 1.0):
-    """Exact single-element outage 1 - z K_1(z); clamped to [0, 1]."""
+    """Exact single-element outage 1 - z K_1(z)."""
     _check_rho(rho)
-    z = _cascade_argument(gamma_th, rho, sigma2)
-    out = np.zeros(z.shape)
-    nonzero = z != 0.0
-    with np.errstate(invalid="ignore"):  # z = inf gives inf * 0, NaN
-        out[nonzero] = bessel_k1_complement(z[nonzero])
-    return np.clip(out, 0.0, 1.0)
+    return xk1_pair(_cascade_argument(gamma_th, rho, sigma2))[0]
 
 
 def ccdf_exact_L1(gamma_th, rho, sigma2: float = 1.0):
-    """Exact single-element P(SINR > gamma_th) = z K_1(z), the complement of
-    `outage_exact_L1` from the scaled Bessel kernel: one minus the outage
-    loses every digit of the tail, which falls below 1e-16 at z = 40."""
+    """Exact single-element P(SINR > gamma_th) = z K_1(z), the other half of
+    `outage_exact_L1`'s pair: one minus the outage loses every digit of the
+    tail, which falls below 1e-16 at z = 40."""
     _check_rho(rho)
-    z = _cascade_argument(gamma_th, rho, sigma2)
-    out = np.ones(z.shape)
-    nonzero = z != 0.0
-    out[nonzero] = z[nonzero] * scaled_bessel_k01(z[nonzero])[1] * np.exp(-z[nonzero])
-    return out
+    return xk1_pair(_cascade_argument(gamma_th, rho, sigma2))[1]
 
 
 def outage_gamma_Lge2(L: int, gamma_th, rho, sigma2: float = 1.0):
@@ -218,22 +209,6 @@ def _gamma_expectation(phi: Callable[[np.ndarray], np.ndarray], a: float) -> np.
     return _log_trapezoid(terms, h, j, _GAMMA_RULE_TOL, f"Gamma-law expectation (shape {a:g})")
 
 
-def _exp_e1(r: np.ndarray) -> np.ndarray:
-    """e^x E1(x) at x = 1/r, which is E[ln(1 + r E)] for E ~ Exp(1).
-
-    Finite for every r > 0: E1 alone underflows past x ~ 700, so above
-    x = 500 the asymptotic series (1/x) sum (-1)^n n!/x^n is used, truncated
-    after n = 5 (relative error below 720/500^6 = 5e-14).
-    """
-    out = np.empty_like(r)
-    tail = r < 1.0 / 500.0
-    t = r[tail]
-    out[tail] = t * (1.0 + t * (-1.0 + t * (2.0 + t * (-6.0 + t * (24.0 - 120.0 * t)))))
-    x = 1.0 / r[~tail]
-    out[~tail] = np.exp(x) * exp1(x)
-    return out
-
-
 def _column(rho) -> np.ndarray:
     """rho as a (points, 1) column, checked; a scalar is one point."""
     rho = np.asarray(rho, dtype=float).reshape(-1, 1)
@@ -256,7 +231,7 @@ def _se_cascade_law(L: int, rho, sigma2: float, half_rate: bool):
     x = 1/(c G).
     """
     c = _column(rho) * sigma2**2
-    return _rate(_gamma_expectation(lambda g: _exp_e1(c * g), L), rho, half_rate)
+    return _rate(_gamma_expectation(lambda g: scaled_exp1(1.0 / (c * g)), L), rho, half_rate)
 
 
 def se_exact_L1(rho, sigma2: float = 1.0, half_rate: bool = False):

@@ -1,10 +1,10 @@
 """Special functions and an adaptive semi-infinite reference quadrature.
 
 Everything here is pure and reentrant.  The special functions the closed
-forms need (the scaled Bessel K_0 and K_1 and 1 - x K_1(x), the regularized
-incomplete gamma, the exponential integral E1, digamma, erf and log Gamma at
-integers) are computed with numpy and math alone, so loading the package
-imports no scipy.  Each is a series or
+forms need (the scaled Bessel K_0 and K_1, the pair 1 - x K_1(x) and
+x K_1(x), the regularized incomplete gamma, the scaled exponential integral
+e^x E1(x), digamma, erf and log Gamma at integers) are computed with numpy
+and math alone, so loading the package imports no scipy.  Each is a series or
 continued fraction from Abramowitz & Stegun or Numerical Recipes (2nd ed.,
 section 6.2 and 6.3), or a trapezoid rule on a rapidly decaying integrand
 (Trefethen & Weideman, SIAM Review 56, 2014).  Every array kernel computes
@@ -129,22 +129,27 @@ def scaled_bessel_k01(x):
     return k0, k1
 
 
-def bessel_k1_complement(x):
-    """1 - x K_1(x), elementwise for x > 0.
-
-    x K_1(x) tends to 1 as x -> 0, so forming it and subtracting leaves only
-    the rounding error of a number near 1 when the difference is small.  Below
-    x = 1 the series gives the difference directly, -(x^2/2) times the
-    bracket of K_1's series, to a few ulps.
+def xk1_pair(x):
+    """(1 - x K_1(x), x K_1(x)) elementwise for x >= 0, (0, 1) at x = 0 and
+    (1, 0) at x = inf.  x K_1(x) tends to 1 as x -> 0, so below x = 1 the
+    series gives the difference directly, -(x^2/2) times the bracket of K_1's
+    series, to a few ulps; from x = 1 up the scaled kernel gives x K_1(x),
+    tail digits included, and the difference is one minus it.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    small = x < 1.0
+    if (x < 0).any():
+        raise ValueError("xk1_pair requires x >= 0")
+    infinite = x == math.inf
+    p, q = np.where(infinite, 1.0, 0.0), np.where(infinite, 0.0, 1.0)
+    small = (x > 0.0) & (x < 1.0)
     xs = x[small]
-    out[small] = -0.5 * xs * xs * _k01_series(xs)[1]
-    xl = x[~small]
-    out[~small] = 1.0 - xl * (scaled_bessel_k01(xl)[1] * np.exp(-xl))
-    return out
+    p[small] = -0.5 * xs * xs * _k01_series(xs)[1]
+    q[small] = 1.0 - p[small]
+    large = ~(x < 1.0) & ~infinite  # NaN stays NaN
+    xl = x[large]
+    q[large] = xl * (scaled_bessel_k01(xl)[1] * np.exp(-xl))
+    p[large] = 1.0 - q[large]
+    return p[()], q[()]
 
 
 # Stirling-series coefficients of cephes' lgam (S. L. Moshier), highest power
@@ -345,30 +350,31 @@ def regularized_gamma_q(a: float, x: float) -> float:
 
 
 # E1(x) = -gamma - log x - sum_{n>=1} (-x)^n / (n n!) below x = 1 (18 terms
-# leave 1e-17); from x = 1 up, e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
+# leave 1e-17); from x = 1 up, e^x E1(x) = 1/(x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
 # evaluated bottom up from a fixed depth of 100 levels, which reaches full
 # precision at x = 1 and more than that above it.
 _E1_SERIES = [(-1) ** n / (n * math.factorial(n)) for n in range(18, 0, -1)]
 _E1_DEPTH = 100
 
 
-def exp1(x):
-    """Exponential integral E1(x) = int_x^inf e^-t / t dt, elementwise for x > 0."""
+def scaled_exp1(x):
+    """e^x E1(x), E1(x) = int_x^inf e^-t / t dt, elementwise for x > 0: finite
+    where E1 alone underflows (x > 700), and 0 at x = inf."""
     x = np.asarray(x, dtype=float)
     if (x <= 0).any():
-        raise ValueError("exp1 requires x > 0")
+        raise ValueError("scaled_exp1 requires x > 0")
     out = np.empty(x.shape)
     small = x < 1.0
     xs = x[small]
     poly = np.zeros(xs.shape)
     for coefficient in _E1_SERIES:
         poly = poly * xs + coefficient
-    out[small] = -_EULER_GAMMA - np.log(xs) - xs * poly
+    out[small] = np.exp(xs) * (-_EULER_GAMMA - np.log(xs) - xs * poly)
     xl = x[~small]
     t = xl + (2 * _E1_DEPTH + 1)
     for i in range(_E1_DEPTH, 0, -1):
         t = (xl + (2 * i - 1)) - (i * i) / t
-    out[~small] = np.exp(-xl) / t
+    out[~small] = 1.0 / t
     return out[()]
 
 

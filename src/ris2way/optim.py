@@ -529,8 +529,7 @@ def _greedy_block(terms: np.ndarray):
     grid = np.exp(1j * 2.0 * math.pi * np.arange(GREEDY_GRID) / GREEDY_GRID)  # grid[0] == 1
     z = np.ascontiguousarray(terms.swapaxes(0, 1))  # (m, user, L)
     index = np.zeros((m, L), dtype=int)  # each element's phase is grid[index]
-    terms = z * grid[0]
-    sums = np.sum(terms, axis=2)
+    sums = np.sum(z * grid[0], axis=2)
     obj = np.square(np.min(np.hypot(sums.real, sums.imag), axis=1))
     sweeps = np.zeros(m, dtype=int)
     history = []
@@ -538,13 +537,13 @@ def _greedy_block(terms: np.ndarray):
     for _ in range(_GREEDY_MAX_SWEEPS):
         if not live.size:
             break
-        y, p, at, t, o = z[live], terms[live], index[live], sums[live], obj[live]
+        y, at, t, o = z[live], index[live], sums[live], obj[live]
         previous = o
         rows = np.arange(live.size)
         q = np.empty((live.size, 2, grid.size), dtype=complex)
         c = np.empty((live.size, 2, grid.size))
         for l in range(L):
-            b = t - p[:, :, l]
+            b = t - y[:, :, l] * grid[at[:, l], None]  # the sum without element l
             np.multiply(y[:, :, l, None], grid, out=q)
             q += b[:, :, None]
             np.abs(q, out=c)
@@ -555,13 +554,12 @@ def _greedy_block(terms: np.ndarray):
             accept = value >= o
             new = y[:, :, l] * grid[best, None]
             if accept.all():
-                at[:, l], p[:, :, l], t, o = best, new, b + new, value
-            elif accept.any():
+                at[:, l], t, o = best, b + new, value
+            else:
                 at[:, l] = np.where(accept, best, at[:, l])
-                p[:, :, l] = np.where(accept[:, None], new, p[:, :, l])
                 t = np.where(accept[:, None], b + new, t)
                 o = np.where(accept, value, o)
-        terms[live], index[live], sums[live], obj[live] = p, at, t, o
+        index[live], sums[live], obj[live] = at, t, o
         sweeps[live] += 1
         history.append(obj.copy())
         live = live[~(o - previous <= _GREEDY_THRESHOLD * np.maximum(o, 1e-300))]

@@ -2,6 +2,7 @@
 self-consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ def test_outage_exact_l1_reference_points():
     assert an.outage_exact_L1(1.0, 1.0, 1.0) == pytest.approx(OUT_L1_REF, rel=1e-12, abs=0)
     assert an.outage_exact_L1(0.0, 5.0, 1.0) == 0.0
     assert an.outage_exact_L1(1e9, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_l1_pair_ends_at_zero_and_infinite_thresholds():
+    """z = inf gives outage 1 and tail 0, z = 0 gives 0 and 1, with no warning."""
+    gamma_th = np.array([np.inf, 1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outage = an.outage_exact_L1(gamma_th, 1.0)
+        ccdf = an.ccdf_exact_L1(gamma_th, 1.0)
+    assert outage[[0, 2]].tolist() == [1.0, 0.0] and ccdf[[0, 2]].tolist() == [0.0, 1.0]
+    assert outage[1] == pytest.approx(OUT_L1_REF, rel=1e-12, abs=0)
+    assert ccdf[1] == pytest.approx(1.0 - OUT_L1_REF, rel=1e-12, abs=0)
 
 
 @given(st.floats(min_value=1e-4, max_value=1e4),

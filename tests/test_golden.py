@@ -9,6 +9,7 @@ and the machine it was made on.  A digest changes only with a declared change
 of the contract; `python tests/make_golden.py` rewrites the file.
 """
 
+import csv
 import hashlib
 import json
 import platform
@@ -19,6 +20,14 @@ import numpy as np
 from ris2way import cli
 
 GOLDEN = Path(__file__).with_name("golden.json")
+BENCHMARK_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference"
+
+# seed-0 preset outputs whose closed-form columns the benchmark stores
+STORED_AS = {"seed0/fig4_outage.csv": "mc_outage/outage.csv",
+             "seed0/fig5_a_nu0.csv": "closed_form_se/a_nu0.csv",
+             "seed0/fig5_b_nu1.csv": "closed_form_se/b_nu1.csv",
+             "seed0/fig6_outage.csv": "phase_jitter/outage.csv",
+             "seed0/fig6_se.csv": "phase_jitter/se.csv"}
 
 _PRESET_TRIALS = ["--trials-outage", "2000", "--trials-se", "200", "--trials-opt", "4"]
 _NONREC = ["--reciprocity", "non-reciprocal"]
@@ -89,9 +98,37 @@ def _first_difference(got: dict, want: dict) -> str:
     return ""
 
 
+def _closed_form_differences(directory: Path) -> tuple[int, list[str]]:
+    """(cells checked, cells off by more than 1e-9 relative) of the closed-form
+    columns of each STORED_AS file against the benchmark's reference.  A column
+    is closed-form when it has no stderr_ sibling, the benchmark's own rule."""
+    checked, errors = 0, []
+    for name, stored in STORED_AS.items():
+        rows = list(csv.reader((directory / name).open(encoding="utf-8")))
+        ref = list(csv.reader((BENCHMARK_REFERENCE / stored).open(encoding="utf-8")))
+        if rows[0] != ref[0] or len(rows) != len(ref):
+            errors.append(f"{name}: header or row count differs from {stored}")
+            continue
+        header = rows[0]
+        closed = [j for j, h in enumerate(header) if j and not h.startswith("stderr_")
+                  and "stderr_mc_" + h.partition("_mc_")[2] not in header]
+        for row, ref_row in zip(rows[1:], ref[1:]):
+            if row[0] != ref_row[0]:
+                errors.append(f"{name}: {header[0]} {row[0]} where {stored} has {ref_row[0]}")
+            for j in closed:
+                a, b = float(row[j]), float(ref_row[j])
+                checked += 1
+                if abs(a - b) > 1e-9 * max(abs(a), abs(b)):
+                    errors.append(f"{name} {header[j]} at {row[0]}: {row[j]} vs {ref_row[j]}")
+    return checked, errors
+
+
 def test_outputs_match_golden_digests(tmp_path):
     produce(tmp_path)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     diff = _first_difference(record(tmp_path)["files"], golden["files"])
     assert not diff, (f"{diff}; the produced files are under {tmp_path}. Digests were "
                       f"made on {golden['platform']}, this run is on {_platform()}")
+    # the benchmark's stored digits, which only a change to the benchmark may move
+    checked, errors = _closed_form_differences(tmp_path)
+    assert checked and not errors, errors[:5]

@@ -210,14 +210,22 @@ def test_scaled_bessel_k01_matches_scipy_from_tiny_z_past_underflow():
 
 
 def test_bessel_k1_complement_has_no_cancellation():
+    """Both halves of the pair (1 - x K_1(x), x K_1(x)), and its two ends.
+    The tail's reference is scipy's scaled kve: its kv is 5.5e-14 off in the
+    far tail and returns 0 from x ~ 697."""
     sp = pytest.importorskip("scipy.special")
     x = np.linspace(0.5, 700.0, 4001)
-    np.testing.assert_allclose(nm.bessel_k1_complement(x), 1.0 - x * sp.kv(1, x),
-                               rtol=1e-14, atol=0)
+    p, q = nm.xk1_pair(x)
+    np.testing.assert_allclose(p, 1.0 - x * sp.kv(1, x), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(q, x * sp.kve(1, x) * np.exp(-x), rtol=1e-14, atol=0)
     # small x: (x^2/2) (log(2/x) - gamma + 1/2) up to O(x^4 log x)
     x = np.logspace(-150, -6, 200)
     leading = 0.5 * x * x * (np.log(2.0 / x) - np.euler_gamma + 0.5)
-    np.testing.assert_allclose(nm.bessel_k1_complement(x), leading, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(nm.xk1_pair(x)[0], leading, rtol=1e-10, atol=0)
+    p, q = nm.xk1_pair(np.array([0.0, np.inf]))
+    assert p.tolist() == [0.0, 1.0] and q.tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError):
+        nm.xk1_pair(-1.0)
 
 
 @pytest.mark.parametrize("L", [1, 2, 4, 16, 32, 64])
@@ -236,12 +244,19 @@ def test_regularized_gamma_matches_scipy_at_the_library_shapes(L):
 
 
 def test_exp1_matches_scipy_on_both_sides_of_its_split():
+    """e^x E1(x) against scipy up to x = 700; past it, where E1 alone
+    underflows, against the asymptotic series (1/x) sum_{n<=5} (-1)^n n!/x^n,
+    whose relative error is below 720/x^6 < 6.2e-15."""
     sp = pytest.importorskip("scipy.special")
     x = np.concatenate([np.logspace(-300, 0, 1001), np.linspace(0.9, 1.1, 401),
-                        np.linspace(1.0, 500.0, 4001)])
-    np.testing.assert_allclose(nm.exp1(x), sp.exp1(x), rtol=1e-14, atol=0)
+                        np.linspace(1.0, 700.0, 4001)])
+    np.testing.assert_allclose(nm.scaled_exp1(x), np.exp(x) * sp.exp1(x), rtol=1e-14, atol=0)
+    t = 1.0 / np.logspace(math.log10(700.0), 300, 1001)
+    series = t * (1.0 + t * (-1.0 + t * (2.0 + t * (-6.0 + t * (24.0 - 120.0 * t)))))
+    np.testing.assert_allclose(nm.scaled_exp1(1.0 / t), series, rtol=1e-14, atol=0)
+    assert nm.scaled_exp1(np.inf) == 0.0
     with pytest.raises(ValueError):
-        nm.exp1(0.0)
+        nm.scaled_exp1(0.0)
 
 
 def test_digamma_and_array_erf_match_scipy():
@@ -272,7 +287,8 @@ def test_kernels_give_each_element_its_scalar_bits():
     rng = np.random.default_rng(7)
     x = np.exp(rng.uniform(-8.0, 7.0, 300))
     for f in (lambda v: nm.scaled_bessel_k01(v)[0], lambda v: nm.scaled_bessel_k01(v)[1],
-              nm.bessel_k1_complement, nm.exp1, digamma, erf,
+              lambda v: nm.xk1_pair(v)[0], lambda v: nm.xk1_pair(v)[1],
+              nm.scaled_exp1, digamma, erf,
               lambda v: regularized_gamma_p(16 * K_SHAPE, v),
               lambda v: regularized_gamma_q(K_SHAPE, v)):
         assert np.asarray(f(x)).tolist() == [float(f(np.array([v]))[0]) for v in x]

@@ -370,6 +370,7 @@ class _Column:
     """One outage/SE column: a closed-form law, or a Monte Carlo estimate
     ("mc") with its trial count and user, under its config's policy."""
 
+    metric: str  # "outage" or "se"
     label: str  # header name after the metric prefix
     cfg: SystemConfig  # without transmit power
     method: str
@@ -464,6 +465,8 @@ class _RunGains:
     the run with that key in one `mc.collect_gains` call (on a reciprocal
     channel: every scheme, nu and phase-error model at one L and trial count, in
     any of the tables), and the group is held only until its last reduction.
+    A config that only outage columns read is collected as the counts of those
+    columns' users and powers, not as per-trial gains.
     """
 
     def __init__(self, spec: ExperimentSpec, tables: list[tuple]):
@@ -471,7 +474,10 @@ class _RunGains:
         self._members = {}  # draw key -> its configs, in order of first use
         self._uses = Counter()  # draw key -> reductions left
         self._held = {}  # draw key -> {config: gains}, while the group is in use
+        self._outages = {}  # draw key -> its outage columns' (config, user, p_mw)
+        self._stored = set()  # (draw key, config) of every SE column's reads
         for axis, xs, columns in tables:
+            p_mw = [db_to_linear(x) for x in (xs if axis == "p_dbm" else spec.p_dbm)]
             for col in columns:
                 if col.method != "mc":
                     continue
@@ -479,14 +485,19 @@ class _RunGains:
                     key = mc.draw_key(cfg, col.trials)
                     self._members.setdefault(key, {})[cfg] = None
                     self._uses[key] += 1
+                    if col.metric == "outage":
+                        self._outages.setdefault(key, []).append((cfg, col.user, p_mw))
+                    else:
+                        self._stored.add((key, cfg))
 
-    def take(self, col: _Column, cfg: SystemConfig) -> mc.TrialGains:
+    def take(self, col: _Column, cfg: SystemConfig) -> mc.TrialGains | mc.OutageCounts:
         """The gains of power-free `cfg` for one reduction of column `col`."""
         key = mc.draw_key(cfg, col.trials)
         if key not in self._held:
             group = list(self._members[key])
+            outages = [r for r in self._outages.get(key, []) if (key, r[0]) not in self._stored]
             self._held[key] = dict(zip(group, mc.collect_gains(
-                group, col.trials, self._seed, self._workers)))
+                group, col.trials, self._seed, self._workers, outages)))
         gains = self._held[key][cfg]
         self._uses[key] -= 1
         if not self._uses[key]:
@@ -528,7 +539,7 @@ def _sweep_table(metric: str, axis: str, xs: list, columns: list[_Column],
 
 def run_sweep_command(spec: ExperimentSpec, metric: str) -> dict:
     _validate_methods(spec)
-    columns = [_Column(m, spec.cfg, m, spec.trials, spec.user) for m in spec.methods]
+    columns = [_Column(metric, m, spec.cfg, m, spec.trials, spec.user) for m in spec.methods]
     if spec.l_list:
         if len(spec.p_dbm) != 1:
             raise SpecError("an element-count sweep needs a single power point")
@@ -599,8 +610,8 @@ def _power_panels(spec: ExperimentSpec) -> dict[str, dict[str, tuple]]:
     otherwise), and has SystemConfig's reciprocal, one-slot, error-free, nu = 0
     channel unless it says otherwise: reproduce takes no flag for those fields.
     """
-    def col(label, method, trials=0, policy=None, user=1, **over):
-        return _Column(label, dataclasses.replace(spec.cfg, policy=policy, **over),
+    def col(metric, label, method, trials=0, policy=None, user=1, **over):
+        return _Column(metric, label, dataclasses.replace(spec.cfg, policy=policy, **over),
                        method, trials, user)
 
     trials = {"outage": spec.trials_outage, "se": spec.trials_se}
@@ -609,18 +620,18 @@ def _power_panels(spec: ExperimentSpec) -> dict[str, dict[str, tuple]]:
     return {
         # single element across interference exponents, and the two-slot reference
         "fig3": {m: (m, _grid(-10, 40), [
-            col(f"{k}_nu{nu:g}", k, trials[m], L=1, nu=nu)
+            col(m, f"{k}_nu{nu:g}", k, trials[m], L=1, nu=nu)
             for nu in (0.0, 1.0) for k in ("mc", "exact")]
-            + [col("exact_twoslot", "exact", L=1, scheme=Scheme.TWO)])
+            + [col(m, "exact_twoslot", "exact", L=1, scheme=Scheme.TWO)])
             for m in ("outage", "se")},
         # each doubling of L shifts the outage waterfall ~12 dB down; span them all
         "fig4": {"outage": ("outage", _grid(-80, 30), [
-            col(f"{m}_L{L}", m, spec.trials_outage, L=L)
+            col("outage", f"{m}_L{L}", m, spec.trials_outage, L=L)
             for L in (2, 4, 16, 32, 64) for m in ("mc", "gamma", "clt")])},
         # low enough to show every scheme-crossover at the default noise level;
         # two-slot curves are identical across nu, so the nu=1 panel keeps one
         "fig5": {name: ("se", _grid(-50, 40), [
-            col(f"{m}_L{L}_{scheme.value}", m, spec.trials_se, L=L, nu=nu, scheme=scheme)
+            col("se", f"{m}_L{L}_{scheme.value}", m, spec.trials_se, L=L, nu=nu, scheme=scheme)
             for L in (2, 16, 64) for scheme in (Scheme.ONE, Scheme.TWO)
             if not (scheme is Scheme.TWO and nu == 1.0 and L != 2)
             for m in ("mc", "gamma")])
@@ -628,21 +639,22 @@ def _power_panels(spec: ExperimentSpec) -> dict[str, dict[str, tuple]]:
         # phase jitter, between the fully scrambled and the error-free laws
         "fig6": {m: (m, _grid(-20, 30), [
             c for L in l_values for c in (
-                [col(f"mc_L{L}_d{d:.3f}", "mc", trials[m], L=L,
+                [col(m, f"mc_L{L}_d{d:.3f}", "mc", trials[m], L=L,
                      phase_error=UniformPhaseError(d)) for d in deltas]
-                + [col(f"scrambled_L{L}", "phase-error", L=L),
-                   col(f"errorfree_L{L}", "gamma", L=L)])])
+                + [col(m, f"scrambled_L{L}", "phase-error", L=L),
+                   col(m, f"errorfree_L{L}", "gamma", L=L)])])
             for m, l_values in (("outage", (4, 16)), ("se", (4, 32)))},
         # (a) per-user rates of the max-min methods and baselines at L=8;
         # (b) reciprocal optimum vs non-reciprocal max-min across element counts
         "fig8": {
             "a_methods": ("se", _grid(-10, 10), [
-                col(f"mc_{p}_u{u}", "mc", spec.trials_opt, p, u, L=8, reciprocity=nonrec)
+                col("se", f"mc_{p}_u{u}", "mc", spec.trials_opt, p, u, L=8, reciprocity=nonrec)
                 for p in ("sdp", "greedy", "u1", "random") for u in (1, 2)]),
             "b_reciprocity_gap": ("se", _grid(-10, 10), [
                 c for L in (1, 2, 4, 16) for c in (
-                    col(f"mc_rec_L{L}", "mc", spec.trials_se, L=L),
-                    col(f"mc_nonrec_L{L}", "mc", spec.trials_opt, L=L, reciprocity=nonrec))]),
+                    col("se", f"mc_rec_L{L}", "mc", spec.trials_se, L=L),
+                    col("se", f"mc_nonrec_L{L}", "mc", spec.trials_opt, L=L,
+                        reciprocity=nonrec))]),
         },
     }
 

@@ -3,7 +3,9 @@ efficiency, and the scheme-crossover search.
 
 `collect_gains` draws each config's per-trial gains; `outage_from_gains` and
 `se_from_gains` take a config plus a vector of transmit powers and reduce them
-at every power in one call, returning one estimate per power.  A sweep point
+at every power in one call, returning one estimate per power.  A config that
+only outage columns read is counted as each block is drawn (`outage_counts`),
+and its per-trial gains are never kept; SE sums over every trial.  A sweep point
 means both users sending at that power, so they share one rho at every point
 (a config carries no power).  Gains do not depend on the transmit power, so a
 sweep collects once and reduces each column once.  They are a pure function of
@@ -33,7 +35,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +69,15 @@ class TrialGains:
     g1: np.ndarray
     g2: np.ndarray
     t_star: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
+class OutageCounts:
+    """Outage counts kept instead of per-trial gains: (config, user, powers) ->
+    the number of the config's trials in outage at each power."""
+
+    trials: int
+    counts: dict
 
 
 # the most standard normals one chunk of a gain block draws (256 KB): a block
@@ -166,9 +177,20 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, variants: tuple[str | None, ...
     return out
 
 
+def _trial_gains(rows: np.ndarray, reciprocal: bool) -> TrialGains:
+    """A variant's gains from its row (reciprocal) or rows g1, g2, t*."""
+    return TrialGains(rows, rows) if reciprocal else TrialGains(*rows)
+
+
 def _gain_block_task(args):
-    reciprocal = args[0].reciprocity is Reciprocity.RECIPROCAL
-    return (_reciprocal_gain_block if reciprocal else _nonreciprocal_gain_block)(*args)
+    """A block's rows of its first `kept` variants, and its outage requests' counts."""
+    cfg, variants, kept, requests, seed, block, count = args
+    reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
+    rows = (_reciprocal_gain_block if reciprocal else _nonreciprocal_gain_block)(
+        cfg, variants, seed, block, count)
+    counts = [outage_counts(_user_gain(_trial_gains(rows[v], reciprocal), user), rho, gamma_th)
+              for v, user, rho, gamma_th in requests]
+    return rows[:kept], counts
 
 
 def draw_key(cfg: SystemConfig, trials: int) -> tuple:
@@ -179,13 +201,14 @@ def draw_key(cfg: SystemConfig, trials: int) -> tuple:
     return (cfg.reciprocity, cfg.L, cfg.sigma2, trials)
 
 
-def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int,
-                  workers: int = 1) -> list[TrialGains]:
+def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int = 1,
+                  outages: Sequence[tuple] = ()) -> list[TrialGains | OutageCounts]:
     """Per-trial gains of each config in `cfgs`, identical for any worker count.
 
     The configs must share one `draw_key`.  Each block's channel is drawn once
     for the whole group, so every config gets exactly the gains it would get
-    on its own.
+    on its own.  A config with (cfg, user, p_mw) requests in `outages` gets
+    their `OutageCounts`, tallied as each block is drawn, instead of its gains.
     """
     if not cfgs:
         raise ValueError("need at least one config")
@@ -196,25 +219,32 @@ def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int,
     cfg = cfgs[0]
     if any(draw_key(c, trials) != draw_key(cfg, trials) for c in cfgs):
         raise ValueError("the configs of one collection must share a draw key")
+    counted = {c for c, _, _ in outages}
     reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
-    # a reciprocal variant gets a gain row, a non-reciprocal one the rows g1, g2, t*
+    # a reciprocal variant gets a gain row, a non-reciprocal one g1, g2, t*; kept ones first
     variant = {c: c.phase_error if reciprocal else c.policy if c.scheme is Scheme.ONE else None
                for c in cfgs}
-    variants = tuple(dict.fromkeys(variant.values()))
-    tasks = [(cfg, variants, seed, block, count)
+    kept = tuple(dict.fromkeys(variant[c] for c in cfgs if c not in counted))
+    variants = tuple(dict.fromkeys(kept + tuple(variant[c] for c in counted)))
+    requests = [(variants.index(variant[c]), user, sweep_rho(c, p_mw), c.gamma_th)
+                for c, user, p_mw in outages]
+    tasks = [(cfg, variants, len(kept), requests, seed, block, count)
              for block, count in rngmod.iter_blocks(trials)]
-    rows = np.empty((len(variants),) + (() if reciprocal else (3,)) + (trials,))
+    rows = np.empty((len(kept),) + (() if reciprocal else (3,)) + (trials,))
+    counts = [np.zeros(len(rho), dtype=np.intp) for _, _, rho, _ in requests]
     # the fork context starts every worker up front, so start no idle ones, and
     # none beyond the CPUs: on one CPU a pool only adds its start-up and pickling
     size = min(workers, len(tasks), _usable_cpus())
     if size <= 1:
-        _fill_blocks(rows, map(_gain_block_task, tasks))
+        _fill_blocks(rows, counts, map(_gain_block_task, tasks))
     else:
         with _start_pool(size) as pool:
-            _fill_blocks(rows, pool.map(_gain_block_task, tasks, chunksize=1))
-    by_variant = dict(zip(variants, rows))
-    return [TrialGains(g, g) if reciprocal else TrialGains(*g)
-            for g in (by_variant[variant[c]] for c in cfgs)]
+            _fill_blocks(rows, counts, pool.map(_gain_block_task, tasks, chunksize=1))
+    by_variant = dict(zip(kept, rows))
+    tallies = OutageCounts(trials, {(c, user, tuple(p_mw)): total
+                                    for (c, user, p_mw), total in zip(outages, counts)})
+    return [tallies if c in counted else _trial_gains(by_variant[variant[c]], reciprocal)
+            for c in cfgs]
 
 
 def _start_pool(size: int):
@@ -234,72 +264,90 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_blocks(rows: np.ndarray, parts) -> None:
-    """Write each block's gains, trials on the last axis and taken in block
-    order, into `rows`."""
+def _fill_blocks(rows: np.ndarray, counts: list[np.ndarray], parts) -> None:
+    """Write each block's kept gains, trials on the last axis and taken in block
+    order, into `rows`, and add its outage counts to `counts`."""
     lo = 0
-    for part in parts:
+    for part, block_counts in parts:
         rows[..., lo:lo + part.shape[-1]] = part
         lo += part.shape[-1]
+        for total, c in zip(counts, block_counts):
+            total += c
 
 
-# the most doubles a (points, trials) temporary of a reduction holds (128 KB),
-# unless one point alone has more trials.  Each row is reduced on its own, so
-# the size moves no bits, only cost: at 2**17 the temporaries of a fig5 run
-# (46 points x 1000 trials) faulted in about 2370 fresh pages, at 2**14 none
-_REDUCE_CHUNK = 2**14
+def outage_counts(g: np.ndarray, rho: np.ndarray, gamma_th: float) -> np.ndarray:
+    """The number of trials with rho * g <= gamma_th at each rho >= 0.
+
+    Rounding a product is monotone, so the trials in outage are a prefix of the
+    sorted gains, and its length is bisected bit by bit with that predicate.
+    NaN pads the gains, so the predicate is false past the last one."""
+    s = np.concatenate([np.sort(g), np.full(g.size, np.nan)])
+    count = np.zeros(len(rho), dtype=np.intp)
+    step = 1 << g.size.bit_length() >> 1
+    while step:
+        count += step * (rho * s[count + (step - 1)] <= gamma_th)
+        step >>= 1
+    return count
 
 
-def _reduce(cfg: SystemConfig, p_mw, gains: TrialGains, user, stat) -> list[McEstimate]:
-    """Estimates at each transmit power of `p_mw` (both users at that power)
-    from stat(sinr, cfg) -> (values, std errors), which reduces each row of a
-    (points, trials) SINR array.
-
-    The points go through in chunks of at most _REDUCE_CHUNK doubles.  Every
-    row is reduced on its own, so an estimate is the same bits whatever the
-    chunk or the number of powers.
-    """
+def _user_gain(gains: TrialGains, user) -> np.ndarray:
+    """The gain whose SINR is rho times it: user 1's, user 2's or the smaller."""
     if user == "min":
         # both users share one rho >= 0, and rounding a product is monotone,
         # so rho * min(g1, g2) is the bits of min(rho * g1, rho * g2)
-        g = np.minimum(gains.g1, gains.g2)
-    elif user in (1, 2):
-        g = gains.g1 if user == 1 else gains.g2
-    else:
-        raise ValueError("user must be 1, 2, or 'min'")
-    rho = sweep_rho(cfg, p_mw)[:, None]
-    step = max(1, _REDUCE_CHUNK // g.size)
-    out = []
-    for lo in range(0, len(rho), step):
-        # passed straight to stat, so no chunk's SINR outlives its reduction
-        values, errors = stat(rho[lo:lo + step] * g, cfg)
-        out.extend(McEstimate(float(v), float(e), g.size) for v, e in zip(values, errors))
-    return out
+        return np.minimum(gains.g1, gains.g2)
+    if user in (1, 2):
+        return gains.g1 if user == 1 else gains.g2
+    raise ValueError("user must be 1, 2, or 'min'")
 
 
-def outage_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains, user=1) -> list[McEstimate]:
+def outage_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains | OutageCounts,
+                      user=1) -> list[McEstimate]:
     """Outage probability at each power of `p_mw`, both users sending at it:
-    the share of trials with SINR <= gamma_th."""
-    def stat(sinr, cfg):
-        n = sinr.shape[1]
-        p = np.count_nonzero(sinr <= cfg.gamma_th, axis=1) / n
-        return p, np.sqrt(p * (1.0 - p) / n)
+    the share of trials with SINR <= gamma_th, counted a block of stored gains
+    at a time, or read from the `OutageCounts` collected for them."""
+    if isinstance(gains, OutageCounts):
+        n, counts = gains.trials, gains.counts[cfg, user, tuple(p_mw)]
+    else:
+        g, rho = _user_gain(gains, user), sweep_rho(cfg, p_mw)
+        n = g.size
+        counts = sum(outage_counts(g[lo:lo + rngmod.BLOCK_SIZE], rho, cfg.gamma_th)
+                     for lo in range(0, n, rngmod.BLOCK_SIZE))
+    p = counts / n
+    return [McEstimate(float(v), float(e), n) for v, e in zip(p, np.sqrt(p * (1.0 - p) / n))]
 
-    return _reduce(cfg, p_mw, gains, user, stat)
+
+# the most doubles a (points, trials) temporary of an SE reduction holds
+# (128 KB), unless one point alone has more trials.  Each row is reduced on its
+# own, so the size moves no bits, only cost: at 2**17 the temporaries of a fig5
+# run (46 points x 1000 trials) faulted in about 2370 fresh pages, at 2**14 none
+_REDUCE_CHUNK = 2**14
 
 
 def se_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains, user=1) -> list[McEstimate]:
     """Mean spectral efficiency at each power of `p_mw`, both users sending at
-    it, halved for the two-slot scheme."""
-    def stat(sinr, cfg):
-        n = sinr.shape[1]
-        rate = np.log2(1.0 + sinr)
+    it, halved for the two-slot scheme.  The points go through in chunks of at
+    most _REDUCE_CHUNK doubles; each point's trial sum is taken once, for the
+    mean and the ddof=1 std, in numpy's own order, so an estimate is the bits
+    of np.mean and np.std on its row alone, whatever the chunk."""
+    g = _user_gain(gains, user)
+    n = g.size
+    rho = sweep_rho(cfg, p_mw)[:, None]
+    step = max(1, _REDUCE_CHUNK // n)
+    out = []
+    for lo in range(0, len(rho), step):
+        rate = np.log2(1.0 + rho[lo:lo + step] * g)
         if cfg.scheme is Scheme.TWO:
-            rate = rate / 2.0
-        std = np.std(rate, axis=1, ddof=1) if n > 1 else np.zeros(len(rate))
-        return np.mean(rate, axis=1), std / math.sqrt(n)
-
-    return _reduce(cfg, p_mw, gains, user, stat)
+            rate /= 2.0
+        mean = np.add.reduce(rate, axis=1, keepdims=True) / n
+        std = np.zeros(len(rate))
+        if n > 1:
+            rate -= mean
+            rate *= rate
+            std = np.sqrt(np.add.reduce(rate, axis=1) / (n - 1))
+        out.extend(McEstimate(float(m), float(e), n)
+                   for m, e in zip(mean[:, 0], std / math.sqrt(n)))
+    return out
 
 
 def find_crossover(cfg: SystemConfig, p_dbm_grid, trials: int = 10**3, seed: int = 0,

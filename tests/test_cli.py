@@ -10,6 +10,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
 
@@ -800,6 +801,37 @@ def test_run_gains_drop_each_group_after_its_last_reduction():
         assert {L: [r() is not None for r in rs] for L, rs in refs.items()} == {
             L: [L in later] * len(rs) for L, rs in refs.items()}
     assert [c.cfg.L for c in uses[-3:]] == [2, 16, 64]  # table b uses every group
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_outage_sweep_holds_no_per_trial_gains(tmp_path, monkeypatch, workers):
+    """An outage-only run counts each block as it is drawn, serially or in a
+    pool: 10**6 trials (8 MB of gains) peak below 4 MiB of traced allocations."""
+    monkeypatch.setattr(cli.mc, "_usable_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        assert run_cli(["outage", "--L", "2", "--methods", "mc", "--trials", "1000000",
+                        "--workers", workers, "--out", str(tmp_path / "o.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def test_run_gains_count_the_configs_only_outage_columns_read():
+    """fig6's outage columns get counts, though its SE panel reads the same
+    configs at another trial count; fig3's configs at one trial count are read
+    by both panels, so they keep their per-trial gains."""
+    for preset, trials_se, kind in (("fig6", 20, mc.OutageCounts), ("fig3", 300, mc.TrialGains)):
+        spec = cli.ExperimentSpec("reproduce", trials_outage=300, trials_se=trials_se, seed=3)
+        panels = cli._power_panels(spec)[preset]
+        gains = cli._RunGains(spec, [("p_dbm", grid, columns)
+                                     for _, grid, columns in panels.values()])
+        for metric, _, columns in panels.values():
+            for col in columns:
+                if col.method == "mc":
+                    want = kind if metric == "outage" else mc.TrialGains
+                    assert type(gains.take(col, col.cfg)) is want, (preset, col.label)
 
 
 def test_svg_skipped_when_nothing_plottable(tmp_path):

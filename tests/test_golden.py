@@ -57,6 +57,19 @@ RUNS = {
     "se_l_list": ["se", "--l-list", "2,4", "--p-dbm", "0:0:1", "--trials", "300"],
     "se_nonrec_L3_sdp_min": ["se", "--L", "3", *_NONREC, "--policy", "sdp", "--user", "min",
                              "--p-dbm", "0:20:10", "--trials", "20"],
+    # outage columns counted as their blocks are drawn, at powers where every
+    # estimate lies strictly between 0 and 1
+    "outage_nonrec_L3_sdp_min": ["outage", "--L", "3", *_NONREC, "--policy", "sdp",
+                                 "--user", "min", "--p-dbm=-48:-36:4", "--trials", "40"],
+    "outage_nonrec_L4_greedy_u2": ["outage", "--L", "4", *_NONREC, "--policy", "greedy",
+                                   "--user", "2", "--p-dbm=-52:-40:3", "--trials", "300"],
+    "outage_nonrec_L3_two_min": ["outage", "--L", "3", *_NONREC, "--scheme", "two",
+                                 "--user", "min", "--p-dbm=-78:-60:3", "--trials", "300"],
+    # two blocks, in a pool of two workers where two CPUs are usable
+    "outage_L4_vonmises": ["outage", "--L", "4", "--phase-error", "vonmises:0.1,4",
+                           "--p-dbm=-55:-30:5", "--trials", "5000", "--workers", "2"],
+    # one draw key for both panels: SE reads each config, so outage counts stored gains
+    "fig3_shared_draw": ["reproduce", "fig3", "--trials-outage", "200", "--trials-se", "200"],
 }
 
 

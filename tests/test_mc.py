@@ -7,6 +7,8 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ris2way import analytic as an
 from ris2way import mc, optim
@@ -482,3 +484,57 @@ def test_reductions_reject_an_unknown_user(reduce):
     gains = mc.TrialGains(np.ones(3), np.ones(3))
     with pytest.raises(ValueError, match="user must be 1, 2, or 'min'"):
         reduce(cfg_rec(), [1.0], gains, user=3)
+
+
+@given(st.data())
+def test_outage_counts_equal_the_dense_compare(data):
+    """The count kernel counts what rho[:, None] * g <= gamma_th counts, on gains
+    heaped at each rho's boundary gamma_th / rho and its nextafter neighbours,
+    zeros, gamma_th = 0, rho = 0 and rho from 1e-300 to 1e300."""
+    value = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+    gamma_th = data.draw(value)
+    rho = np.array(data.draw(st.lists(value, min_size=1, max_size=6)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        edges = gamma_th / rho
+    edges = edges[np.isfinite(edges)]
+    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                           np.nextafter(np.nextafter(edges, np.inf), np.inf), [0.0]])
+    gain = st.one_of(st.sampled_from(sorted(set(near.tolist()))), st.floats(0.0, 1e300))
+    g = np.array(data.draw(st.lists(gain, max_size=300)), dtype=float)
+    with np.errstate(over="ignore"):
+        want = np.count_nonzero(rho[:, None] * g <= gamma_th, axis=1)
+        assert np.array_equal(mc.outage_counts(g, rho, gamma_th), want)
+
+
+def test_streamed_outage_counts_equal_stored_gain_estimates(monkeypatch):
+    """A config collected as outage counts gets the estimates that
+    `outage_from_gains` gives on a stored twin's gains from the same collection
+    (the twin differs only in gamma_th, which enters no gain): every reciprocal
+    phase-error model, every non-reciprocal variant, users 1, 2 and min, over
+    two blocks, serial and in a pool."""
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+    trials = rngmod.BLOCK_SIZE + 10
+    powers = [10.0 ** (p / 10.0) for p in range(-80, 21, 4)]
+    nonrec = Reciprocity.NON_RECIPROCAL
+    groups = (
+        [cfg_rec(L=3, gamma_th=2.0, phase_error=m) for m in JITTER_MODELS],
+        [cfg_rec(L=2, gamma_th=2.0, reciprocity=nonrec, policy=p)
+         for p in ("u1", "random", "greedy", "sdp")]
+        + [cfg_rec(L=2, gamma_th=2.0, reciprocity=nonrec, scheme=Scheme.TWO)])
+    users = (1, 2, "min")
+    for workers in (1, 3):
+        for group in groups:
+            twins = [dataclasses.replace(c, gamma_th=1.0) for c in group]
+            requests = [(c, user, powers) for c in group for user in users]
+            got = collect_gains(group + twins, trials, seed=13, workers=workers,
+                                outages=requests)
+            assert multiprocessing.active_children() == []
+            for cfg, counts, gains in zip(group, got, got[len(group):]):
+                assert isinstance(counts, mc.OutageCounts)
+                assert isinstance(gains, mc.TrialGains)
+                for user in users:
+                    streamed = outage_from_gains(cfg, powers, counts, user)
+                    assert streamed == outage_from_gains(cfg, powers, gains, user)
+                    assert any(0.0 < e.value < 1.0 for e in streamed)
+                with pytest.raises(KeyError):  # no counts at these powers
+                    outage_from_gains(cfg, powers[:3], counts, 1)

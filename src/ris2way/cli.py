@@ -18,7 +18,6 @@ import dataclasses
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -458,51 +457,36 @@ def _power_free(col: _Column, axis: str, xs: list) -> list[SystemConfig]:
 
 
 class _RunGains:
-    """The Monte Carlo gains of one run's tables, collected once per `mc.draw_key`.
+    """The Monte Carlo tallies of one run's tables, collected once per `mc.draw_key`.
 
     It is built from every (axis, xs, columns) table of the run before any of
     them is evaluated.  The first reduction with a key collects every config of
     the run with that key in one `mc.collect_gains` call (on a reciprocal
     channel: every scheme, nu and phase-error model at one L and trial count, in
     any of the tables), and the group is held only until its last reduction.
-    A config that only outage columns read is collected as the counts of those
-    columns' users and powers, not as per-trial gains.
+    Every column is a request of that call, so each config gets an `mc.Tally`.
     """
 
     def __init__(self, spec: ExperimentSpec, tables: list[tuple]):
         self._seed, self._workers = spec.seed, spec.workers
-        self._members = {}  # draw key -> its configs, in order of first use
-        self._uses = Counter()  # draw key -> reductions left
-        self._held = {}  # draw key -> {config: gains}, while the group is in use
-        self._outages = {}  # draw key -> its outage columns' (config, user, p_mw)
-        self._stored = set()  # (draw key, config) of every SE column's reads
+        self._requests = {}  # draw key -> (config, metric, user, p_mw) per reduction left
+        self._held = {}  # draw key -> its group's tally, while the group is in use
         for axis, xs, columns in tables:
             p_mw = [db_to_linear(x) for x in (xs if axis == "p_dbm" else spec.p_dbm)]
             for col in columns:
-                if col.method != "mc":
-                    continue
-                for cfg in _power_free(col, axis, xs):
+                for cfg in _power_free(col, axis, xs) if col.method == "mc" else ():
                     key = mc.draw_key(cfg, col.trials)
-                    self._members.setdefault(key, {})[cfg] = None
-                    self._uses[key] += 1
-                    if col.metric == "outage":
-                        self._outages.setdefault(key, []).append((cfg, col.user, p_mw))
-                    else:
-                        self._stored.add((key, cfg))
+                    self._requests.setdefault(key, []).append((cfg, col.metric, col.user, p_mw))
 
-    def take(self, col: _Column, cfg: SystemConfig) -> mc.TrialGains | mc.OutageCounts:
-        """The gains of power-free `cfg` for one reduction of column `col`."""
+    def take(self, col: _Column, cfg: SystemConfig) -> mc.Tally:
+        """The tally of power-free `cfg` for one reduction of column `col`."""
         key = mc.draw_key(cfg, col.trials)
         if key not in self._held:
-            group = list(self._members[key])
-            outages = [r for r in self._outages.get(key, []) if (key, r[0]) not in self._stored]
-            self._held[key] = dict(zip(group, mc.collect_gains(
-                group, col.trials, self._seed, self._workers, outages)))
-        gains = self._held[key][cfg]
-        self._uses[key] -= 1
-        if not self._uses[key]:
-            del self._held[key]  # its last reduction: drop the group
-        return gains
+            requests = self._requests[key]
+            self._held[key] = mc.collect_gains(list(dict.fromkeys(c for c, *_ in requests)),
+                                               col.trials, self._seed, self._workers, requests)[0]
+        self._requests[key].pop()  # one reduction fewer; the last one drops the group
+        return self._held[key] if self._requests[key] else self._held.pop(key)
 
 
 def _sweep_table(metric: str, axis: str, xs: list, columns: list[_Column],
@@ -512,9 +496,8 @@ def _sweep_table(metric: str, axis: str, xs: list, columns: list[_Column],
     axis "p_dbm" sweeps the transmit power: each column is one call of its
     closed form, or of its Monte Carlo reduction, over the whole power grid.
     axis "L" sweeps the element count at the single power `p_dbm`, one call
-    per point.  Both users send at each power.  Monte Carlo gains do not depend
-    on the power, so they come from the run's `gains`, collected once per draw
-    key, and are reduced at every point.
+    per point.  Both users send at each power.  A Monte Carlo column reads its
+    tally from the run's `gains`, collected once per draw key.
     """
     fmt = fmt_prob if metric == "outage" else fmt_val
     reduce = mc.outage_from_gains if metric == "outage" else mc.se_from_gains

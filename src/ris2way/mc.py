@@ -3,34 +3,36 @@ efficiency, and the scheme-crossover search.
 
 `collect_gains` draws each config's per-trial gains; `outage_from_gains` and
 `se_from_gains` take a config plus a vector of transmit powers and reduce them
-at every power in one call, returning one estimate per power.  A config that
-only outage columns read is counted as each block is drawn (`outage_counts`),
-and its per-trial gains are never kept; SE sums over every trial.  A sweep point
-means both users sending at that power, so they share one rho at every point
-(a config carries no power).  Gains do not depend on the transmit power, so a
-sweep collects once and reduces each column once.  They are a pure function of
-(seed, trial index), drawn in fixed-size blocks merged in block order, so they
-are bit-for-bit reproducible for any worker count, and trial i is the same
-bits whatever the trial count.  Blocks go to a process pool of at most
-min(workers, blocks, CPUs this process may run on) workers, joined before the
-call returns, or run serially when that is one; the pool machinery is imported
-only when a pool starts.  A block is drawn and reduced in cache-sized row
-chunks; its generators run on from chunk to chunk, so the chunks' rows are the
-bits of one whole-block draw.  A phase-jitter term amp * e^(i eps) is formed
-as (amp cos eps, amp sin eps), the same bits as the complex exponential.
-`draw_key` names what else they depend on: the reciprocity, L, sigma2 and the
-trial count.  Configs with one key share one channel draw per block, and
-`collect_gains` collects such a group in one pass (common random numbers).
-On a reciprocal channel each phase-error model gets a gain row, so scheme, nu,
-omega, gamma_th, noise and jitter width all share the draw; on a
-non-reciprocal one each one-slot policy and the two-slot scheme's per-slot
-co-phasing get (g1, g2, t*), so `optimize`'s methods and fig8's policies
-share it.  `SystemConfig` checks each config's policy and phase-error model
-when it is built.  The u1 and random baselines live here.
+at every power in one call, returning one estimate per power.  Each metric has
+one per-block statistic (outage counts, or the rates' mean and sum of squared
+deviations), merged in block order.  A config that (config, metric, user,
+powers) requests name is tallied as each block is drawn and its gains are never
+kept; stored gains fold block-sized slices through the same statistic.  A sweep
+point means both users sending at that power, so they share one rho at every
+point (a config carries no power).  Gains do not depend on the transmit power,
+so a sweep collects once.  They are a pure function of (seed, trial index),
+drawn in fixed-size blocks merged in block order, so they are bit-for-bit
+reproducible for any worker count, and trial i is the same bits whatever the
+trial count.  Blocks go to a process pool of at most min(workers, blocks, CPUs
+this process may run on) workers, joined before the call returns, or run
+serially when that is one; the pool machinery is imported only when a pool
+starts.  A block is drawn and reduced in cache-sized row chunks; its generators
+run on from chunk to chunk, so the chunks' rows are the bits of one whole-block
+draw.  A phase-jitter term amp * e^(i eps) is formed as (amp cos eps, amp sin
+eps), the same bits as the complex exponential.  `draw_key` names what else they
+depend on: the reciprocity, L, sigma2 and the trial count.  Configs with one
+key share one channel draw per block, and `collect_gains` collects such a group
+in one pass (common random numbers).  On a reciprocal channel each phase-error
+model gets a gain row, so scheme, nu, omega, gamma_th, noise and jitter width
+all share the draw; on a non-reciprocal one each one-slot policy and the
+two-slot scheme's per-slot co-phasing get (g1, g2, t*), so `optimize`'s methods
+and fig8's policies share it.  `SystemConfig` checks each config's policy and
+phase-error model when it is built.  The u1 and random baselines live here.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -72,12 +74,13 @@ class TrialGains:
 
 
 @dataclass(frozen=True)
-class OutageCounts:
-    """Outage counts kept instead of per-trial gains: (config, user, powers) ->
-    the number of the config's trials in outage at each power."""
+class Tally:
+    """Statistics kept instead of per-trial gains: (config, metric, user, powers)
+    -> at each power, the trials in outage, or the rate's mean and M2 (rows 0, 1),
+    its sum of squared deviations."""
 
     trials: int
-    counts: dict
+    stats: dict
 
 
 # the most standard normals one chunk of a gain block draws (256 KB): a block
@@ -183,14 +186,14 @@ def _trial_gains(rows: np.ndarray, reciprocal: bool) -> TrialGains:
 
 
 def _gain_block_task(args):
-    """A block's rows of its first `kept` variants, and its outage requests' counts."""
-    cfg, variants, kept, requests, seed, block, count = args
+    """A block's rows of its first `kept` variants, and its requests' statistics."""
+    cfg, variants, kept, jobs, seed, block, count = args
     reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
     rows = (_reciprocal_gain_block if reciprocal else _nonreciprocal_gain_block)(
         cfg, variants, seed, block, count)
-    counts = [outage_counts(_user_gain(_trial_gains(rows[v], reciprocal), user), rho, gamma_th)
-              for v, user, rho, gamma_th in requests]
-    return rows[:kept], counts
+    stats = [_block_stat(c, metric, _user_gain(_trial_gains(rows[v], reciprocal), user), rho)
+             for c, metric, v, user, rho in jobs]
+    return rows[:kept], stats
 
 
 def draw_key(cfg: SystemConfig, trials: int) -> tuple:
@@ -202,13 +205,13 @@ def draw_key(cfg: SystemConfig, trials: int) -> tuple:
 
 
 def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int = 1,
-                  outages: Sequence[tuple] = ()) -> list[TrialGains | OutageCounts]:
+                  requests: Sequence[tuple] = ()) -> list[TrialGains | Tally]:
     """Per-trial gains of each config in `cfgs`, identical for any worker count.
 
     The configs must share one `draw_key`.  Each block's channel is drawn once
     for the whole group, so every config gets exactly the gains it would get
-    on its own.  A config with (cfg, user, p_mw) requests in `outages` gets
-    their `OutageCounts`, tallied as each block is drawn, instead of its gains.
+    on its own.  A config that (cfg, metric, user, p_mw) `requests` name gets
+    their `Tally`, taken as each block is drawn, instead of its gains.
     """
     if not cfgs:
         raise ValueError("need at least one config")
@@ -219,31 +222,34 @@ def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int
     cfg = cfgs[0]
     if any(draw_key(c, trials) != draw_key(cfg, trials) for c in cfgs):
         raise ValueError("the configs of one collection must share a draw key")
-    counted = {c for c, _, _ in outages}
+    tallied = dict.fromkeys(c for c, *_ in requests)
     reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
     # a reciprocal variant gets a gain row, a non-reciprocal one g1, g2, t*; kept ones first
     variant = {c: c.phase_error if reciprocal else c.policy if c.scheme is Scheme.ONE else None
                for c in cfgs}
-    kept = tuple(dict.fromkeys(variant[c] for c in cfgs if c not in counted))
-    variants = tuple(dict.fromkeys(kept + tuple(variant[c] for c in counted)))
-    requests = [(variants.index(variant[c]), user, sweep_rho(c, p_mw), c.gamma_th)
-                for c, user, p_mw in outages]
-    tasks = [(cfg, variants, len(kept), requests, seed, block, count)
+    kept = tuple(dict.fromkeys(variant[c] for c in cfgs if c not in tallied))
+    variants = tuple(dict.fromkeys(kept + tuple(variant[c] for c in tallied)))
+    jobs = [(c, metric, variants.index(variant[c]), user, sweep_rho(c, p_mw))
+            for c, metric, user, p_mw in requests]
+    tasks = [(cfg, variants, len(kept), jobs, seed, block, count)
              for block, count in rngmod.iter_blocks(trials)]
     rows = np.empty((len(kept),) + (() if reciprocal else (3,)) + (trials,))
-    counts = [np.zeros(len(rho), dtype=np.intp) for _, _, rho, _ in requests]
+    totals, lo = [None] * len(jobs), 0
     # the fork context starts every worker up front, so start no idle ones, and
     # none beyond the CPUs: on one CPU a pool only adds its start-up and pickling
     size = min(workers, len(tasks), _usable_cpus())
-    if size <= 1:
-        _fill_blocks(rows, counts, map(_gain_block_task, tasks))
-    else:
-        with _start_pool(size) as pool:
-            _fill_blocks(rows, counts, pool.map(_gain_block_task, tasks, chunksize=1))
+    with (_start_pool(size) if size > 1 else contextlib.nullcontext()) as pool:
+        # in block order: each block's kept gains, and its statistics merged in
+        for part, stats in (pool.map if pool else map)(_gain_block_task, tasks):
+            hi = lo + part.shape[-1]
+            rows[..., lo:hi] = part
+            totals = [_merge(metric, total, lo, hi, stat)
+                      for (_, metric, *_), total, stat in zip(jobs, totals, stats)]
+            lo = hi
     by_variant = dict(zip(kept, rows))
-    tallies = OutageCounts(trials, {(c, user, tuple(p_mw)): total
-                                    for (c, user, p_mw), total in zip(outages, counts)})
-    return [tallies if c in counted else _trial_gains(by_variant[variant[c]], reciprocal)
+    tally = Tally(trials, {(c, metric, user, tuple(p_mw)): total
+                           for (c, metric, user, p_mw), total in zip(requests, totals)})
+    return [tally if c in tallied else _trial_gains(by_variant[variant[c]], reciprocal)
             for c in cfgs]
 
 
@@ -264,30 +270,72 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_blocks(rows: np.ndarray, counts: list[np.ndarray], parts) -> None:
-    """Write each block's kept gains, trials on the last axis and taken in block
-    order, into `rows`, and add its outage counts to `counts`."""
-    lo = 0
-    for part, block_counts in parts:
-        rows[..., lo:lo + part.shape[-1]] = part
-        lo += part.shape[-1]
-        for total, c in zip(counts, block_counts):
-            total += c
-
-
 def outage_counts(g: np.ndarray, rho: np.ndarray, gamma_th: float) -> np.ndarray:
     """The number of trials with rho * g <= gamma_th at each rho >= 0.
 
     Rounding a product is monotone, so the trials in outage are a prefix of the
-    sorted gains, and its length is bisected bit by bit with that predicate.
-    NaN pads the gains, so the predicate is false past the last one."""
-    s = np.concatenate([np.sort(g), np.full(g.size, np.nan)])
-    count = np.zeros(len(rho), dtype=np.intp)
-    step = 1 << g.size.bit_length() >> 1
-    while step:
-        count += step * (rho * s[count + (step - 1)] <= gamma_th)
-        step >>= 1
+    sorted gains (padded with NaN, where the predicate is false).  Its length is
+    guessed by `searchsorted` at gamma_th / rho, kept where the predicate holds
+    at the last gain counted and fails at the next, and else bisected with it."""
+    s = np.concatenate([np.sort(g), np.full(g.size + 1, np.nan)])
+    with np.errstate(all="ignore"):
+        count = np.searchsorted(s[:g.size], gamma_th / rho, side="right")
+    wrong = ((count > 0) & ~(rho * s[count - 1] <= gamma_th)) | (rho * s[count] <= gamma_th)
+    if wrong.any():
+        rho, fixed = rho[wrong], np.zeros(np.count_nonzero(wrong), dtype=np.intp)
+        step = 1 << g.size.bit_length() >> 1
+        while step:
+            fixed += step * (rho * s[fixed + (step - 1)] <= gamma_th)
+            step >>= 1
+        count[wrong] = fixed
     return count
+
+
+# the most doubles a (points, trials) temporary of an SE statistic holds
+# (128 KB).  Each row is reduced on its own, so the size moves no bits, only
+# cost: at 2**17 the temporaries of a fig5 run (46 points x 1000 trials)
+# faulted in about 2370 fresh pages, at 2**14 none
+_REDUCE_CHUNK = 2**14
+
+
+def _block_stat(cfg: SystemConfig, metric: str, g: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """A block's outage counts at each rho, or its rates' mean and M2 (rows 0, 1),
+    each summed over a row of rates in numpy's own order, as np.std sums them."""
+    if metric == "outage":
+        return outage_counts(g, rho, cfg.gamma_th)
+    out = np.empty((2, len(rho)))
+    step = max(1, _REDUCE_CHUNK // g.size)
+    for lo in range(0, len(rho), step):
+        rate = np.log2(1.0 + rho[lo:lo + step, None] * g)
+        if cfg.scheme is Scheme.TWO:
+            rate /= 2.0
+        mean = np.add.reduce(rate, axis=1, keepdims=True) / g.size
+        out[:, lo:lo + step] = mean[:, 0], np.add.reduce(np.square(rate - mean), axis=1)
+    return out
+
+
+def _merge(metric: str, total, lo: int, hi: int, stat: np.ndarray) -> np.ndarray:
+    """`total` of trials [0, lo) (None if none) with `stat` of trials [lo, hi)
+    merged in: counts add, mean and M2 by the pairwise update of Chan, Golub &
+    LeVeque (1979), weighted by (hi - lo) / hi, exactly 1 for a first block."""
+    total = np.zeros_like(stat) if total is None else total
+    if metric == "outage":
+        return total + stat
+    delta, w = stat[0] - total[0], (hi - lo) / hi
+    return np.array([total[0] + delta * w, total[1] + stat[1] + delta * delta * (lo * w)])
+
+
+def _statistic(cfg: SystemConfig, metric: str, p_mw, gains: TrialGains | Tally,
+               user) -> tuple[int, np.ndarray]:
+    """(trials, statistic) of `cfg`'s `user` at each power of `p_mw`: read from a
+    `Tally`, or stored gains folded one block-sized slice at a time, like blocks."""
+    if isinstance(gains, Tally):
+        return gains.trials, gains.stats[cfg, metric, user, tuple(p_mw)]
+    g, rho, total = _user_gain(gains, user), sweep_rho(cfg, p_mw), None
+    for lo in range(0, g.size, rngmod.BLOCK_SIZE):
+        hi = min(lo + rngmod.BLOCK_SIZE, g.size)
+        total = _merge(metric, total, lo, hi, _block_stat(cfg, metric, g[lo:hi], rho))
+    return g.size, total
 
 
 def _user_gain(gains: TrialGains, user) -> np.ndarray:
@@ -301,53 +349,22 @@ def _user_gain(gains: TrialGains, user) -> np.ndarray:
     raise ValueError("user must be 1, 2, or 'min'")
 
 
-def outage_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains | OutageCounts,
+def outage_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains | Tally,
                       user=1) -> list[McEstimate]:
     """Outage probability at each power of `p_mw`, both users sending at it:
-    the share of trials with SINR <= gamma_th, counted a block of stored gains
-    at a time, or read from the `OutageCounts` collected for them."""
-    if isinstance(gains, OutageCounts):
-        n, counts = gains.trials, gains.counts[cfg, user, tuple(p_mw)]
-    else:
-        g, rho = _user_gain(gains, user), sweep_rho(cfg, p_mw)
-        n = g.size
-        counts = sum(outage_counts(g[lo:lo + rngmod.BLOCK_SIZE], rho, cfg.gamma_th)
-                     for lo in range(0, n, rngmod.BLOCK_SIZE))
+    the share of trials with SINR <= gamma_th."""
+    n, counts = _statistic(cfg, "outage", p_mw, gains, user)
     p = counts / n
     return [McEstimate(float(v), float(e), n) for v, e in zip(p, np.sqrt(p * (1.0 - p) / n))]
 
 
-# the most doubles a (points, trials) temporary of an SE reduction holds
-# (128 KB), unless one point alone has more trials.  Each row is reduced on its
-# own, so the size moves no bits, only cost: at 2**17 the temporaries of a fig5
-# run (46 points x 1000 trials) faulted in about 2370 fresh pages, at 2**14 none
-_REDUCE_CHUNK = 2**14
-
-
-def se_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains, user=1) -> list[McEstimate]:
+def se_from_gains(cfg: SystemConfig, p_mw, gains: TrialGains | Tally,
+                  user=1) -> list[McEstimate]:
     """Mean spectral efficiency at each power of `p_mw`, both users sending at
-    it, halved for the two-slot scheme.  The points go through in chunks of at
-    most _REDUCE_CHUNK doubles; each point's trial sum is taken once, for the
-    mean and the ddof=1 std, in numpy's own order, so an estimate is the bits
-    of np.mean and np.std on its row alone, whatever the chunk."""
-    g = _user_gain(gains, user)
-    n = g.size
-    rho = sweep_rho(cfg, p_mw)[:, None]
-    step = max(1, _REDUCE_CHUNK // n)
-    out = []
-    for lo in range(0, len(rho), step):
-        rate = np.log2(1.0 + rho[lo:lo + step] * g)
-        if cfg.scheme is Scheme.TWO:
-            rate /= 2.0
-        mean = np.add.reduce(rate, axis=1, keepdims=True) / n
-        std = np.zeros(len(rate))
-        if n > 1:
-            rate -= mean
-            rate *= rate
-            std = np.sqrt(np.add.reduce(rate, axis=1) / (n - 1))
-        out.extend(McEstimate(float(m), float(e), n)
-                   for m, e in zip(mean[:, 0], std / math.sqrt(n)))
-    return out
+    it, halved for the two-slot scheme; its standard error is the ddof=1 std's."""
+    n, (mean, m2) = _statistic(cfg, "se", p_mw, gains, user)
+    std = np.sqrt(m2 / (n - 1)) if n > 1 else np.zeros(len(mean))
+    return [McEstimate(float(m), float(e), n) for m, e in zip(mean, std / math.sqrt(n))]
 
 
 def find_crossover(cfg: SystemConfig, p_dbm_grid, trials: int = 10**3, seed: int = 0,

@@ -818,11 +818,27 @@ def test_outage_sweep_holds_no_per_trial_gains(tmp_path, monkeypatch, workers):
     assert peak < 4 * 2**20, peak
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_se_sweep_holds_no_per_trial_gains(tmp_path, monkeypatch, workers):
+    """An SE run tallies each block as it is drawn, serially or in a pool:
+    10**6 trials (8 MB of gains) peak below 4 MiB of traced allocations."""
+    monkeypatch.setattr(cli.mc, "_usable_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        assert run_cli(["se", "--L", "2", "--methods", "mc", "--trials", "1000000",
+                        "--workers", workers, "--out", str(tmp_path / "s.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
 def test_run_gains_count_the_configs_only_outage_columns_read():
-    """fig6's outage columns get counts, though its SE panel reads the same
-    configs at another trial count; fig3's configs at one trial count are read
-    by both panels, so they keep their per-trial gains."""
-    for preset, trials_se, kind in (("fig6", 20, mc.OutageCounts), ("fig3", 300, mc.TrialGains)):
+    """Every Monte Carlo column is a request of its draw key's collection, so
+    each config is collected as a tally: fig6's outage and SE panels read the
+    same configs at two trial counts, and fig3's configs at one trial count are
+    read by both panels."""
+    for preset, trials_se in (("fig6", 20), ("fig3", 300)):
         spec = cli.ExperimentSpec("reproduce", trials_outage=300, trials_se=trials_se, seed=3)
         panels = cli._power_panels(spec)[preset]
         gains = cli._RunGains(spec, [("p_dbm", grid, columns)
@@ -830,8 +846,7 @@ def test_run_gains_count_the_configs_only_outage_columns_read():
         for metric, _, columns in panels.values():
             for col in columns:
                 if col.method == "mc":
-                    want = kind if metric == "outage" else mc.TrialGains
-                    assert type(gains.take(col, col.cfg)) is want, (preset, col.label)
+                    assert type(gains.take(col, col.cfg)) is mc.Tally, (preset, col.label)
 
 
 def test_svg_skipped_when_nothing_plottable(tmp_path):

@@ -68,8 +68,14 @@ RUNS = {
     # two blocks, in a pool of two workers where two CPUs are usable
     "outage_L4_vonmises": ["outage", "--L", "4", "--phase-error", "vonmises:0.1,4",
                            "--p-dbm=-55:-30:5", "--trials", "5000", "--workers", "2"],
-    # one draw key for both panels: SE reads each config, so outage counts stored gains
+    # one draw key for both panels, each config read by an outage and an SE column
     "fig3_shared_draw": ["reproduce", "fig3", "--trials-outage", "200", "--trials-se", "200"],
+    # SE tallied over three blocks, merged in block order, serially and in a pool
+    "se_L4_uniform_3blocks": ["se", "--L", "4", "--phase-error", "uniform:1.0",
+                              "--p-dbm", "0:20:10", "--trials", "10000"],
+    "se_nonrec_L3_u1_min_3blocks": ["se", "--L", "3", *_NONREC, "--policy", "u1", "--user",
+                                    "min", "--p-dbm", "0:20:10", "--trials", "9000",
+                                    "--workers", "2"],
 }
 
 

@@ -68,7 +68,9 @@ def test_se_scheme_two_half_rate():
 
 
 def _one_point(metric, cfg, p_mw, gains, user):
-    """Reference: one power point's reduction on 1-D arrays, written out."""
+    """Reference: one power point's reduction on 1-D arrays, written out.  The
+    rate's mean and squared deviations are np.mean's and np.std's on each
+    block of trials, merged in block order by Chan, Golub & LeVeque's update."""
     [rho] = sweep_rho(cfg, [p_mw])
     sinr = {1: lambda: rho * gains.g1, 2: lambda: rho * gains.g2,
             "min": lambda: np.minimum(rho * gains.g1, rho * gains.g2)}[user]()
@@ -79,14 +81,22 @@ def _one_point(metric, cfg, p_mw, gains, user):
     rate = np.log2(1.0 + sinr)
     if cfg.scheme is Scheme.TWO:
         rate = rate / 2.0
-    return float(np.mean(rate)), float(np.std(rate, ddof=1)) / math.sqrt(n), n
+    mean = m2 = 0.0
+    for lo in range(0, n, rngmod.BLOCK_SIZE):
+        block = rate[lo:lo + rngmod.BLOCK_SIZE]
+        w = block.size / (lo + block.size)
+        delta = np.mean(block) - mean
+        mean += delta * w
+        m2 = m2 + np.sum((block - np.mean(block)) ** 2) + delta * delta * (lo * w)
+    return float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n), n
 
 
 @pytest.mark.parametrize("metric", ["outage", "se"])
 def test_power_grid_reduction_equals_one_point_reductions(metric):
     """One reduction over a power grid gives each point's bits exactly: users
     1, 2 and min of a non-reciprocal channel with g1 != g2, the two-slot
-    half rate, and more points than one chunk holds."""
+    half rate, more points than one chunk holds, and a one-block collection,
+    whose reference is np.mean and np.std on the whole row."""
     reduce = outage_from_gains if metric == "outage" else se_from_gains
     powers = [10.0 ** (p / 10.0) for p in range(-80, 41, 2)]  # the fig3-fig6 grids
     trials = 5000
@@ -97,8 +107,9 @@ def test_power_grid_reduction_equals_one_point_reductions(metric):
     assert not np.array_equal(g_nonrec.g1, g_nonrec.g2)
     two, one = cfg_rec(L=4, scheme=Scheme.TWO), cfg_rec(L=4, nu=1.0, gamma_th=2.0)
     g_two, g_one = collect_gains([two, one], trials, seed=41)
+    [g_block] = collect_gains([one], 300, seed=41)
     cases = [(nonrec, g_nonrec, user) for user in (1, 2, "min")]
-    cases += [(two, g_two, 1), (one, g_one, 1)]
+    cases += [(two, g_two, 1), (one, g_one, 1), (one, g_block, 1)]
     for cfg, gains, user in cases:
         want = [_one_point(metric, cfg, p, gains, user) for p in powers]
         got = reduce(cfg, powers, gains, user)
@@ -506,12 +517,23 @@ def test_outage_counts_equal_the_dense_compare(data):
         assert np.array_equal(mc.outage_counts(g, rho, gamma_th), want)
 
 
+def test_first_block_keeps_its_statistic_bits():
+    """The tally of one block is that block's mean and M2, bit for bit: the
+    merge weight n_b / (n + n_b) is exactly 1 at n = 0, where the mean formed
+    as (mean * n_b) / n_b would round for some of these means."""
+    n_b = 3
+    mean = np.linspace(0.1, 30.0, 200)
+    assert np.any((mean * n_b) / n_b != mean)
+    stat = np.array([mean, mean / 7.0])
+    assert np.array_equal(mc._merge("se", None, 0, n_b, stat), stat)
+
+
 def test_streamed_outage_counts_equal_stored_gain_estimates(monkeypatch):
-    """A config collected as outage counts gets the estimates that
-    `outage_from_gains` gives on a stored twin's gains from the same collection
-    (the twin differs only in gamma_th, which enters no gain): every reciprocal
-    phase-error model, every non-reciprocal variant, users 1, 2 and min, over
-    two blocks, serial and in a pool."""
+    """A config collected as a tally gets the outage and SE estimates that
+    `outage_from_gains` and `se_from_gains` give on a stored twin's gains from
+    the same collection (the twin differs only in gamma_th, which enters no
+    gain): every reciprocal phase-error model, every non-reciprocal variant,
+    users 1, 2 and min, over two blocks, serial and in a pool."""
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
     trials = rngmod.BLOCK_SIZE + 10
     powers = [10.0 ** (p / 10.0) for p in range(-80, 21, 4)]
@@ -522,19 +544,24 @@ def test_streamed_outage_counts_equal_stored_gain_estimates(monkeypatch):
          for p in ("u1", "random", "greedy", "sdp")]
         + [cfg_rec(L=2, gamma_th=2.0, reciprocity=nonrec, scheme=Scheme.TWO)])
     users = (1, 2, "min")
+    reductions = {"outage": outage_from_gains, "se": se_from_gains}
     for workers in (1, 3):
         for group in groups:
             twins = [dataclasses.replace(c, gamma_th=1.0) for c in group]
-            requests = [(c, user, powers) for c in group for user in users]
+            requests = [(c, metric, user, powers)
+                        for c in group for metric in reductions for user in users]
             got = collect_gains(group + twins, trials, seed=13, workers=workers,
-                                outages=requests)
+                                requests=requests)
             assert multiprocessing.active_children() == []
-            for cfg, counts, gains in zip(group, got, got[len(group):]):
-                assert isinstance(counts, mc.OutageCounts)
+            for cfg, tally, gains in zip(group, got, got[len(group):]):
+                assert isinstance(tally, mc.Tally)
                 assert isinstance(gains, mc.TrialGains)
                 for user in users:
-                    streamed = outage_from_gains(cfg, powers, counts, user)
-                    assert streamed == outage_from_gains(cfg, powers, gains, user)
-                    assert any(0.0 < e.value < 1.0 for e in streamed)
-                with pytest.raises(KeyError):  # no counts at these powers
-                    outage_from_gains(cfg, powers[:3], counts, 1)
+                    for metric, reduce in reductions.items():
+                        streamed = reduce(cfg, powers, tally, user)
+                        assert streamed == reduce(cfg, powers, gains, user), (metric, user)
+                    assert any(0.0 < e.value < 1.0
+                               for e in outage_from_gains(cfg, powers, tally, user))
+                for reduce in reductions.values():
+                    with pytest.raises(KeyError):  # no tally at these powers
+                        reduce(cfg, powers[:3], tally, 1)

@@ -19,7 +19,9 @@ of I + s Y) give log det(A + s dA) for a step length s, so the backtracking
 line search needs no factorization of A + s dA (Boyd and Vandenberghe, 2004,
 sections 9.5 and 11.3).  Rank-one solutions are recovered by Gaussian
 randomization (Sidiropoulos, Davidson and Luo, 2006); a greedy discretized
-coordinate search is the low-complexity alternative.
+coordinate search is the low-complexity alternative.  It picks each element's
+grid angle by a real proxy of the candidate values, certified against their
+rounding error, and scans the whole grid only where the certificate fails.
 
 Every stage runs on stacks of instances in one layout: the (2, m, L) terms
 of m instances (a channel block's `terms`), their (m, 2, 2L, 2L) forms, and
@@ -53,6 +55,8 @@ from .channel import (NonReciprocalChannel, ReciprocalChannel, sinr_nonreciproca
 _STACK_ELEMENTS = 1 << 18
 _GREEDY_THRESHOLD = 1e-6
 _GREEDY_MAX_SWEEPS = 200
+_GREEDY_MIN_ROWS = 6  # fewer live rows scan the grid: the proxy's calls cost more
+_CERTIFY = 128.0 * 2.0 ** -52  # the greedy proxy's gap margin per unit S: 128 eps
 _MAX_NEWTON = 400  # per barrier row; a row that needs more has stalled
 # the settings of `maxmin_block`, and the defaults of the one-instance solvers
 RANDOMIZATION_K = 100
@@ -513,6 +517,15 @@ def gaussian_randomization(a_star: np.ndarray, forms: np.ndarray, k: int,
 # greedy coordinate search on a stack of instances
 # ---------------------------------------------------------------------------
 
+def _scan_angles(y: np.ndarray, b: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per row of the (r, 2) element terms y and rest sums b, the first k that
+    maximizes np.square(min_p np.abs(b_p + y_p grid[k])) over the whole grid."""
+    q = y[:, :, None] * grid
+    q += b[:, :, None]
+    c = np.abs(q)
+    return np.square(np.minimum(c[:, 0], c[:, 1])).argmax(axis=1)
+
+
 def _greedy_block(terms: np.ndarray):
     """Greedy coordinate ascent on each instance of the (2, m, L) terms, on
     GREEDY_GRID angles per element.
@@ -520,14 +533,28 @@ def _greedy_block(terms: np.ndarray):
     Returns the (m, L) phases, each row's sweep count and, per sweep, the
     (m,) objectives min_p |sum_l z_{p,l} e^{j phi_l}|^2 after it (a row that
     stopped keeps its last value).  Rows that converge leave the active set
-    after each sweep.  The terms z_l e^{j phi_l} are numpy array products and
-    the magnitudes come from hypot, so each row follows the one-instance
-    search bit for bit; rounding a square is monotone, so squaring the smaller
-    magnitude gives the bits of the smaller square.
+    after each sweep.  The start's objective squares the smaller np.hypot of
+    the users' sums; every later value is np.square(min_p np.abs(b_p + new_p)),
+    with b_p the sum without element l and new_p = z_{p,l} grid[k] a numpy
+    array product, so each row follows the one-instance search bit for bit
+    (rounding a square is monotone: the smaller magnitude squares to the
+    smaller square).
+
+    k is the first maximizer of that value over the grid, picked by the real
+    proxy |b_p|^2 + |z_{p,l}|^2 + 2 Re(conj(b_p) z_{p,l} grid[k]), one
+    (2r, 3) @ (3, GREEDY_GRID) product for r live rows.  The proxy and the kept
+    value each lie within 32 eps S of the exact |b_p + z_{p,l} grid[k]|^2, with
+    S = max_p (|b_p|^2 + |z_{p,l}|^2).  So a proxy best that beats its second
+    best by more than 128 eps S + 1e-280 (the floor covers subnormal squares)
+    is the unique maximizer of the kept values.  A row whose gap fails that test
+    or is not finite, and every row while fewer than _GREEDY_MIN_ROWS are live,
+    takes the full scan `_scan_angles`.
     """
     _, m, L = terms.shape
     grid = np.exp(1j * 2.0 * math.pi * np.arange(GREEDY_GRID) / GREEDY_GRID)  # grid[0] == 1
+    basis = np.stack([grid.real, grid.imag, np.ones(GREEDY_GRID)])
     z = np.ascontiguousarray(terms.swapaxes(0, 1))  # (m, user, L)
+    z2, zz = 2.0 * z.conj(), np.abs(z) ** 2  # the proxy's 2 conj(z_p) and |z_p|^2
     index = np.zeros((m, L), dtype=int)  # each element's phase is grid[index]
     sums = np.sum(z * grid[0], axis=2)
     obj = np.square(np.min(np.hypot(sums.real, sums.imag), axis=1))
@@ -537,27 +564,37 @@ def _greedy_block(terms: np.ndarray):
     for _ in range(_GREEDY_MAX_SWEEPS):
         if not live.size:
             break
-        y, at, t, o = z[live], index[live], sums[live], obj[live]
+        y, y2, yy = z[live], z2[live], zz[live]
+        at, t, o = index[live], sums[live], obj[live]
         previous = o
         rows = np.arange(live.size)
-        q = np.empty((live.size, 2, grid.size), dtype=complex)
-        c = np.empty((live.size, 2, grid.size))
+        coef = np.empty((live.size, 2, 3))
         for l in range(L):
-            b = t - y[:, :, l] * grid[at[:, l], None]  # the sum without element l
-            np.multiply(y[:, :, l, None], grid, out=q)
-            q += b[:, :, None]
-            np.abs(q, out=c)
-            cand = np.minimum(c[:, 0], c[:, 1])
-            np.square(cand, out=cand)
-            best = np.argmax(cand, axis=1)  # first maximizer wins on ties
-            value = cand[rows, best]
+            yl = y[:, :, l]
+            b = t - yl * grid[at[:, l]][:, None]  # the sum without element l
+            if live.size < _GREEDY_MIN_ROWS:
+                best = _scan_angles(yl, b, grid)
+            else:  # the proxy's minimum over users, its best and second best
+                coef[..., :2] = (b * y2[:, :, l]).view(float).reshape(-1, 2, 2)
+                coef[..., 2] = np.abs(b) ** 2 + yy[:, :, l]
+                low = (coef.reshape(-1, 3) @ basis).reshape(-1, 2, GREEDY_GRID)
+                low = np.minimum(low[:, 0], low[:, 1])
+                best = low.argmax(axis=1)
+                top = low[rows, best]
+                low[rows, best] = -np.inf  # the maximum left is the second best
+                gap = top - low.max(axis=1)
+                sure = (gap > _CERTIFY * coef[..., 2].max(axis=1) + 1e-280) & (gap < np.inf)
+                if not sure.all():
+                    best[~sure] = _scan_angles(yl[~sure], b[~sure], grid)
+            kept = b + yl * grid[best][:, None]
+            c = np.abs(kept)
+            value = np.square(np.minimum(c[:, 0], c[:, 1]))
             accept = value >= o
-            new = y[:, :, l] * grid[best, None]
             if accept.all():
-                at[:, l], t, o = best, b + new, value
+                at[:, l], t, o = best, kept, value
             else:
                 at[:, l] = np.where(accept, best, at[:, l])
-                t = np.where(accept[:, None], b + new, t)
+                t = np.where(accept[:, None], kept, t)
                 o = np.where(accept, value, o)
         index[live], sums[live], obj[live] = at, t, o
         sweeps[live] += 1

@@ -503,6 +503,56 @@ def test_greedy_block_matches_scalar_search(L, m):
         assert [h[i] for h in history[:sweeps[i]]] == ref_history
 
 
+def adversarial_terms(case):
+    """(z1, z2) stacks of 24 rows or more on which the greedy search's real
+    proxy cannot certify every element step."""
+    z1, z2 = nonrec_terms(4, 24, 90)
+    if case.startswith("scale"):  # squares that underflow, go subnormal or overflow
+        scale = float(case[5:])
+        return scale * z1, scale * z2
+    if case == "lopsided":  # user 2's squares underflow beside user 1's
+        return z1, 1e-200 * z2
+    if case == "nonfinite":  # NaN in user 1's terms only: the reference's Python
+        # min(a, b) returns a finite a beside a NaN b, where np.min gives NaN
+        z1[3, 1], z1[4, 0], z2[4, 2] = np.nan, np.inf, np.inf
+        z1[5, 2], z2[6, 3] = complex(0.0, -np.inf), complex(np.inf, 1.0)
+        return z1, z2
+    if case == "flat":  # L=1: the sum without the element is 0, the proxy is flat
+        return nonrec_terms(1, 24, 91)
+    # L=2 rows whose first element step has both users' optimum exactly halfway
+    # between grid angles k and k+1, so the two values are equal up to roundoff
+    rng = np.random.default_rng(92)
+    rest = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
+    k = rng.integers(0, 360, 200)
+    halfway = np.exp(-1j * math.pi * (2 * k + 1) / 360)
+    z1, z2 = np.stack([rest * rng.uniform(0.2, 3.0, (2, 200)) * halfway, rest], axis=2)
+    b1 = (z1[:, 0] + z1[:, 1]) - z1[:, 0]
+    b2 = (z2[:, 0] + z2[:, 1]) - z2[:, 0]
+    grid = np.exp(1j * 2.0 * math.pi * np.arange(360) / 360)
+    cand = np.minimum(np.abs(b1[:, None] + z1[:, :1] * grid) ** 2,
+                      np.abs(b2[:, None] + z2[:, :1] * grid) ** 2)
+    rows = np.arange(200)
+    assert np.sum(cand[rows, k] == cand[rows, (k + 1) % 360]) >= 50  # rounded ties
+    return z1, z2
+
+
+@pytest.mark.parametrize("case", ["scale1e-300", "scale1e-170", "scale1e-160", "scale1e155",
+                                  "scale1e160", "lopsided", "nonfinite", "flat", "halfway"])
+def test_greedy_block_matches_scalar_search_on_adversarial_stacks(case):
+    """Phases, sweep counts and sweep objectives equal the scalar search bit
+    for bit (NaN equal to NaN) where the squares underflow, go subnormal or
+    overflow, on NaN and infinite terms, on flat proxies and on rounded ties."""
+    z1, z2 = adversarial_terms(case)
+    with np.errstate(all="ignore"):
+        phases, sweeps, history = _greedy_block(np.stack([z1, z2]))
+        for i in range(len(z1)):
+            ref_phases, ref_history = scalar_greedy(z1[i], z2[i])
+            assert np.array_equal(phases[i], ref_phases, equal_nan=True)
+            assert sweeps[i] == len(ref_history)
+            assert np.array_equal([h[i] for h in history[:sweeps[i]]], ref_history,
+                                  equal_nan=True)
+
+
 @pytest.mark.parametrize("method", [OptimMethod.GREEDY_ITERATIVE, OptimMethod.SDP_RELAX])
 def test_block_rows_equal_solve_maxmin(method):
     z1, z2 = nonrec_terms(4, 40, 80)

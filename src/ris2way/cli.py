@@ -457,36 +457,42 @@ def _power_free(col: _Column, axis: str, xs: list) -> list[SystemConfig]:
 
 
 class _RunGains:
-    """The Monte Carlo tallies of one run's tables, collected once per `mc.draw_key`.
+    """The Monte Carlo tallies of one run's tables, collected once per trial count.
 
     It is built from every (axis, xs, columns) table of the run before any of
-    them is evaluated.  The first reduction with a key collects every config of
-    the run with that key in one `mc.collect_gains` call (on a reciprocal
-    channel: every scheme, nu and phase-error model at one L and trial count, in
-    any of the tables), and the group is held only until its last reduction.
+    them is evaluated.  The first reduction at a trial count collects every
+    config of the run at that count in one `mc.collect_gains` call (every L,
+    reciprocity, scheme, nu, policy and phase-error model, in any of the
+    tables), which draws each block's channel stream once for all of them.
     Every column is a request of that call, so each config gets an `mc.Tally`.
+    The tallies of one `mc.draw_key` are held only until its last reduction.
     """
 
     def __init__(self, spec: ExperimentSpec, tables: list[tuple]):
         self._seed, self._workers = spec.seed, spec.workers
-        self._requests = {}  # draw key -> (config, metric, user, p_mw) per reduction left
-        self._held = {}  # draw key -> its group's tally, while the group is in use
+        self._requests = {}  # trial count -> (config, metric, user, p_mw) per reduction
+        self._left = {}  # (trial count, draw key) -> its reductions left
+        self._held = {}  # (trial count, draw key) -> {config: tally}, while in use
         for axis, xs, columns in tables:
             p_mw = [db_to_linear(x) for x in (xs if axis == "p_dbm" else spec.p_dbm)]
             for col in columns:
                 for cfg in _power_free(col, axis, xs) if col.method == "mc" else ():
-                    key = mc.draw_key(cfg, col.trials)
-                    self._requests.setdefault(key, []).append((cfg, col.metric, col.user, p_mw))
+                    self._requests.setdefault(col.trials, []).append(
+                        (cfg, col.metric, col.user, p_mw))
+                    key = col.trials, mc.draw_key(cfg)
+                    self._left[key] = self._left.get(key, 0) + 1
 
     def take(self, col: _Column, cfg: SystemConfig) -> mc.Tally:
         """The tally of power-free `cfg` for one reduction of column `col`."""
-        key = mc.draw_key(cfg, col.trials)
+        key = col.trials, mc.draw_key(cfg)
         if key not in self._held:
-            requests = self._requests[key]
-            self._held[key] = mc.collect_gains(list(dict.fromkeys(c for c, *_ in requests)),
-                                               col.trials, self._seed, self._workers, requests)[0]
-        self._requests[key].pop()  # one reduction fewer; the last one drops the group
-        return self._held[key] if self._requests[key] else self._held.pop(key)
+            requests = self._requests.pop(col.trials)
+            cfgs = list(dict.fromkeys(c for c, *_ in requests))
+            for c, tally in zip(cfgs, mc.collect_gains(cfgs, col.trials, self._seed,
+                                                       self._workers, requests)):
+                self._held.setdefault((col.trials, mc.draw_key(c)), {})[c] = tally
+        self._left[key] -= 1  # one reduction fewer; the last one drops the key's tallies
+        return (self._held[key] if self._left[key] else self._held.pop(key))[cfg]
 
 
 def _sweep_table(metric: str, axis: str, xs: list, columns: list[_Column],
@@ -497,7 +503,7 @@ def _sweep_table(metric: str, axis: str, xs: list, columns: list[_Column],
     closed form, or of its Monte Carlo reduction, over the whole power grid.
     axis "L" sweeps the element count at the single power `p_dbm`, one call
     per point.  Both users send at each power.  A Monte Carlo column reads its
-    tally from the run's `gains`, collected once per draw key.
+    tally from the run's `gains`, collected once per trial count.
     """
     fmt = fmt_prob if metric == "outage" else fmt_val
     reduce = mc.outage_from_gains if metric == "outage" else mc.se_from_gains
@@ -687,7 +693,7 @@ def run_reproduce(spec: ExperimentSpec) -> dict:
     if spec.preset == "fig7":
         return _preset_fig7(spec)
     panels = _power_panels(spec)[spec.preset]
-    # one collection per draw key across all of the preset's tables
+    # one collection per trial count across all of the preset's tables
     gains = _RunGains(spec, [("p_dbm", grid, columns) for _, grid, columns in panels.values()])
     return {name: (*_sweep_table(metric, "p_dbm", grid, columns, gains),
                    metric == "outage", _Y_LABELS[metric])

@@ -19,15 +19,19 @@ serially when that is one; the pool machinery is imported only when a pool
 starts.  A block is drawn and reduced in cache-sized row chunks; its generators
 run on from chunk to chunk, so the chunks' rows are the bits of one whole-block
 draw.  A phase-jitter term amp * e^(i eps) is formed as (amp cos eps, amp sin
-eps), the same bits as the complex exponential.  `draw_key` names what else they
-depend on: the reciprocity, L, sigma2 and the trial count.  Configs with one
-key share one channel draw per block, and `collect_gains` collects such a group
-in one pass (common random numbers).  On a reciprocal channel each phase-error
-model gets a gain row, so scheme, nu, omega, gamma_th, noise and jitter width
-all share the draw; on a non-reciprocal one each one-slot policy and the
-two-slot scheme's per-slot co-phasing get (g1, g2, t*), so `optimize`'s methods
-and fig8's policies share it.  `SystemConfig` checks each config's policy and
-phase-error model when it is built.  The u1 and random baselines live here.
+eps), the same bits as the complex exponential.  A block's channel stream
+does not depend on L, sigma2 or the reciprocity: every config's channel rows
+are a prefix of it.  So one collection takes configs of any L, sigma2 and
+reciprocity at its one trial count, and draws each block's stream once, up to
+the longest prefix a config reads (common random numbers).  `draw_key` (the
+reciprocity, L and sigma2) says which configs read the same rows; they form a
+group that one kernel per block serves.  On a reciprocal channel each
+phase-error model gets a gain row, so scheme, nu, omega, gamma_th, noise and
+jitter width share a group's rows; on a non-reciprocal one each one-slot
+policy and the two-slot scheme's per-slot co-phasing get (g1, g2, t*), so
+`optimize`'s methods and fig8's policies share them.  `SystemConfig` checks
+each config's policy and phase-error model when it is built.  The u1 and
+random baselines live here.
 """
 
 from __future__ import annotations
@@ -88,23 +92,98 @@ class Tally:
 _DRAW_CHUNK = 2**15
 
 
-def _channel_chunks(cfg: SystemConfig, seed: int, block: int, count: int):
-    """(rows, channel) for consecutive row chunks of one block's channel.
+class _SharedNormals:
+    """The standard normals of one block's channel stream, read by every group
+    of a collection through a cursor of its own.
 
-    Every chunk continues the block's one generator, so together they are the
-    rows of one whole-block `sample_channel_block` call, bit for bit.
+    The stream of (seed, STREAM_CHANNEL, block) does not depend on L, sigma2 or
+    the reciprocity, and `sample_channel_block` fills a group's rows in order
+    from it, so each group reads a prefix of this one stream.  Readers take
+    turns lowest cursor first, so none is ever behind the one reading: the
+    buffer keeps the normals from the reader's cursor on, one read's worth,
+    and each normal is drawn once, up to the longest prefix a group reads.
+    Once every reader has passed the buffer it is dropped, so the chunk's
+    arrays reuse its memory, as they reuse a generator's own draw.
     """
-    rng = rngmod.block_generator(seed, rngmod.STREAM_CHANNEL, block)
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self._buf, self._start = rng, np.empty(0), 0
+        self.readers = []  # the cursors of the groups still drawing
+
+    def cursor(self) -> "_Cursor":
+        reader = _Cursor(self)
+        self.readers.append(reader)
+        return reader
+
+    def read(self, reader: "_Cursor", n: int) -> np.ndarray:
+        """The next n normals at `reader`'s cursor, which moves past them."""
+        at = reader.at - self._start
+        if at + n > self._buf.size:
+            buf = np.empty(n)
+            keep = self._buf.size - at
+            buf[:keep] = self._buf[at:]
+            self._rng.standard_normal(out=buf[keep:])
+            self._buf, self._start, at = buf, reader.at, 0
+        z = self._buf[at:at + n]
+        reader.at += n
+        end = self._start + self._buf.size
+        if all(r.at >= end for r in self.readers):
+            self._buf, self._start = np.empty(0), end
+        return z
+
+
+class _Cursor:
+    """One group's place in a block's `_SharedNormals`: `sample_channel_block`
+    draws from it as from the block's channel generator."""
+
+    def __init__(self, stream: _SharedNormals):
+        self.stream, self.at = stream, 0
+
+    def standard_normal(self, shape) -> np.ndarray:
+        return self.stream.read(self, math.prod(shape)).reshape(shape)
+
+
+def _chunk_rows(cfg: SystemConfig, count: int):
+    """Consecutive row slices of one block, each of about _DRAW_CHUNK of the
+    channel's normals.  A kernel draws each from the block's one stream, so
+    together they are the rows of one whole-block `sample_channel_block`
+    call, bit for bit."""
     per_row = (4 if cfg.reciprocity is Reciprocity.RECIPROCAL else 8) * cfg.L
     step = max(1, _DRAW_CHUNK // per_row)
     for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        yield slice(lo, hi), sample_channel_block(cfg, rng, hi - lo)
+        yield slice(lo, min(lo + step, count))
+
+
+def _reciprocal_chunk(gains: np.ndarray, ch, models: tuple[PhaseErrorModel | None, ...],
+                      uni_rng, err_rngs) -> None:
+    """Each phase-error model's gains on one chunk of a reciprocal channel."""
+    amp = np.abs(ch.h) * np.abs(ch.g)
+    if uni_rng is not None:
+        u = uni_rng.uniform(-1.0, 1.0, size=amp.shape)
+    if any(m is not None for m in models):
+        terms = np.empty(amp.shape, dtype=complex)
+    for gain, model, err_rng in zip(gains, models, err_rngs):
+        if model is None:
+            # optimal phases co-phase every term (per slot for the two-slot scheme)
+            gain[:] = np.sum(amp, axis=1) ** 2
+            continue
+        # adjustment jitter hits the applied phases in either scheme
+        if isinstance(model, UniformPhaseError):
+            eps = model.delta * u
+        else:
+            eps = sample_phase_errors(model, err_rng, amp.shape)
+        # the bits of amp * np.exp(1j * eps): exp(i eps) is (cos eps, sin eps),
+        # and a real times a complex scales each part
+        np.multiply(amp, np.cos(eps), out=terms.real)
+        np.multiply(amp, np.sin(eps), out=terms.imag)
+        gain[:] = np.abs(np.sum(terms, axis=1)) ** 2
 
 
 def _reciprocal_gain_block(cfg: SystemConfig, models: tuple[PhaseErrorModel | None, ...],
-                           seed: int, block: int, count: int) -> np.ndarray:
-    """One row of gains per phase-error model, all from one channel draw."""
+                           seed: int, block: int, count: int, normals: _Cursor):
+    """One row of gains per phase-error model, all from one channel draw.  A
+    generator, like `_nonreciprocal_gain_block`: it yields after each chunk,
+    holding none of the chunk's arrays, and returns the rows."""
     # every uniform width scales one shared draw, as sample_phase_errors does;
     # each von Mises model has a generator of its own.  Like the channel's,
     # they run on from chunk to chunk.
@@ -113,34 +192,32 @@ def _reciprocal_gain_block(cfg: SystemConfig, models: tuple[PhaseErrorModel | No
         uni_rng = rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
     err_rngs = [rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
                 if isinstance(m, VonMisesPhaseError) else None for m in models]
-    jitter = any(m is not None for m in models)
     out = np.empty((len(models), count))
-    for rows, ch in _channel_chunks(cfg, seed, block, count):
-        amp = np.abs(ch.h) * np.abs(ch.g)
-        if uni_rng is not None:
-            u = uni_rng.uniform(-1.0, 1.0, size=amp.shape)
-        if jitter:
-            terms = np.empty(amp.shape, dtype=complex)
-        for gain, model, err_rng in zip(out[:, rows], models, err_rngs):
-            if model is None:
-                # optimal phases co-phase every term (per slot for the two-slot scheme)
-                gain[:] = np.sum(amp, axis=1) ** 2
-                continue
-            # adjustment jitter hits the applied phases in either scheme
-            if isinstance(model, UniformPhaseError):
-                eps = model.delta * u
-            else:
-                eps = sample_phase_errors(model, err_rng, amp.shape)
-            # the bits of amp * np.exp(1j * eps): exp(i eps) is (cos eps, sin eps),
-            # and a real times a complex scales each part
-            np.multiply(amp, np.cos(eps), out=terms.real)
-            np.multiply(amp, np.sin(eps), out=terms.imag)
-            gain[:] = np.abs(np.sum(terms, axis=1)) ** 2
+    for rows in _chunk_rows(cfg, count):
+        _reciprocal_chunk(out[:, rows], sample_channel_block(cfg, normals, rows.stop - rows.start),
+                          models, uni_rng, err_rngs)
+        yield
     return out
 
 
+def _nonreciprocal_chunk(gains: np.ndarray, ch, variants: tuple[str | None, ...], brng,
+                         kept: Optional[np.ndarray]) -> None:
+    """Each fixed-phase variant's (g1, g2) on one chunk of a non-reciprocal
+    channel; the chunk's terms go to `kept` unless it is None."""
+    z = ch.terms
+    if kept is not None:
+        kept[:] = z
+    for g, policy in zip(gains, variants):
+        if policy is None:  # each slot gets its own co-phasing
+            g[:] = np.sum(np.abs(z), axis=2) ** 2
+        elif policy == "u1":
+            g[:] = np.sum(np.abs(z[0]), axis=1) ** 2, coherent_gain(z[1], -np.angle(z[0]))
+        elif policy == "random":  # one stacked call forms the rotations for both users
+            g[:] = coherent_gain(z, brng.uniform(0.0, 2.0 * math.pi, size=z[0].shape))
+
+
 def _nonreciprocal_gain_block(cfg: SystemConfig, variants: tuple[str | None, ...],
-                              seed: int, block: int, count: int) -> np.ndarray:
+                              seed: int, block: int, count: int, normals: _Cursor):
     """Rows (g1, g2, t*) per variant, a one-slot policy or None for the two-slot
     scheme's per-slot co-phasing, all from one channel draw; t* is NaN but under
     sdp.  Fixed phases reduce each chunk as it is drawn; the max-min policies
@@ -153,19 +230,12 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, variants: tuple[str | None, ...
     if "random" in variants:
         brng = rngmod.block_generator(seed, rngmod.STREAM_BASELINE, block)
     designed = [(row, v) for row, v in zip(out, variants) if v in ("greedy", "sdp")]
-    if designed:
-        terms = np.empty((2, count, cfg.L), dtype=complex)
-    for rows, ch in _channel_chunks(cfg, seed, block, count):
-        z = ch.terms
-        if designed:
-            terms[:, rows] = z
-        for gains, policy in zip(out[:, :2, rows], variants):
-            if policy is None:  # each slot gets its own co-phasing
-                gains[:] = np.sum(np.abs(z), axis=2) ** 2
-            elif policy == "u1":
-                gains[:] = np.sum(np.abs(z[0]), axis=1) ** 2, coherent_gain(z[1], -np.angle(z[0]))
-            elif policy == "random":  # one stacked call forms the rotations for both users
-                gains[:] = coherent_gain(z, brng.uniform(0.0, 2.0 * math.pi, size=z[0].shape))
+    terms = np.empty((2, count, cfg.L), dtype=complex) if designed else None
+    for rows in _chunk_rows(cfg, count):
+        _nonreciprocal_chunk(out[:, :2, rows],
+                             sample_channel_block(cfg, normals, rows.stop - rows.start),
+                             variants, brng, None if terms is None else terms[:, rows])
+        yield
     first = block * rngmod.BLOCK_SIZE
     for row, policy in designed:
         rngs = None
@@ -180,38 +250,58 @@ def _nonreciprocal_gain_block(cfg: SystemConfig, variants: tuple[str | None, ...
     return out
 
 
-def _trial_gains(rows: np.ndarray, reciprocal: bool) -> TrialGains:
+def _trial_gains(rows: np.ndarray, cfg: SystemConfig) -> TrialGains:
     """A variant's gains from its row (reciprocal) or rows g1, g2, t*."""
+    reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
     return TrialGains(rows, rows) if reciprocal else TrialGains(*rows)
 
 
 def _gain_block_task(args):
-    """A block's rows of its first `kept` variants, and its requests' statistics."""
-    cfg, variants, kept, jobs, seed, block, count = args
-    reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
-    rows = (_reciprocal_gain_block if reciprocal else _nonreciprocal_gain_block)(
-        cfg, variants, seed, block, count)
-    stats = [_block_stat(c, metric, _user_gain(_trial_gains(rows[v], reciprocal), user), rho)
-             for c, metric, v, user, rho in jobs]
-    return rows[:kept], stats
+    """Each group's rows of its first `kept` variants in one block, and the
+    requests' statistics.  Every group reads the block's one channel stream;
+    its kernel draws one chunk per turn, and the turn goes to the group with
+    the lowest cursor."""
+    groups, jobs, seed, block, count = args
+    stream = _SharedNormals(rngmod.block_generator(seed, rngmod.STREAM_CHANNEL, block))
+    live = {}  # cursor -> (group, its kernel)
+    for g, (cfg, variants, _) in enumerate(groups):
+        kernel = (_reciprocal_gain_block if cfg.reciprocity is Reciprocity.RECIPROCAL
+                  else _nonreciprocal_gain_block)
+        normals = stream.cursor()
+        live[normals] = g, kernel(cfg, variants, seed, block, count, normals)
+    rows = [None] * len(groups)
+    while live:
+        normals = min(live, key=lambda c: c.at)
+        g, run = live[normals]
+        try:
+            next(run)
+        except StopIteration as done:
+            rows[g] = done.value
+            del live[normals]
+            stream.readers.remove(normals)
+    stats = [_block_stat(c, metric, _user_gain(_trial_gains(rows[g][v], c), user), rho)
+             for c, metric, g, v, user, rho in jobs]
+    return [part[:kept] for part, (_, _, kept) in zip(rows, groups)], stats
 
 
-def draw_key(cfg: SystemConfig, trials: int) -> tuple:
-    """What a collection's gains depend on besides the seed and each config's
-    variant (a reciprocal one's phase-error model, a non-reciprocal one's scheme
-    and one-slot policy): configs with equal keys can share one draw.  nu,
-    omega, gamma_th and noise enter no gain."""
-    return (cfg.reciprocity, cfg.L, cfg.sigma2, trials)
+def draw_key(cfg: SystemConfig) -> tuple:
+    """The channel rows a config's gains read besides the seed: configs with
+    equal keys read the same rows and differ only in their variant (a
+    reciprocal one's phase-error model, a non-reciprocal one's scheme and
+    one-slot policy), so one kernel per block serves them.  nu, omega,
+    gamma_th and noise enter no gain."""
+    return (cfg.reciprocity, cfg.L, cfg.sigma2)
 
 
 def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int = 1,
                   requests: Sequence[tuple] = ()) -> list[TrialGains | Tally]:
     """Per-trial gains of each config in `cfgs`, identical for any worker count.
 
-    The configs must share one `draw_key`.  Each block's channel is drawn once
-    for the whole group, so every config gets exactly the gains it would get
-    on its own.  A config that (cfg, metric, user, p_mw) `requests` name gets
-    their `Tally`, taken as each block is drawn, instead of its gains.
+    The configs with one `draw_key` are a group, served by one kernel per
+    block, and every group reads a prefix of the block's one channel stream,
+    drawn once.  So every config gets exactly the gains it would get on its
+    own.  A config that (cfg, metric, user, p_mw) `requests` name gets a `Tally`
+    of its requests, taken as each block is drawn, instead of its gains.
     """
     if not cfgs:
         raise ValueError("need at least one config")
@@ -219,38 +309,46 @@ def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    cfg = cfgs[0]
-    if any(draw_key(c, trials) != draw_key(cfg, trials) for c in cfgs):
-        raise ValueError("the configs of one collection must share a draw key")
     tallied = dict.fromkeys(c for c, *_ in requests)
-    reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
+    members = {}
+    for c in dict.fromkeys(cfgs):
+        members.setdefault(draw_key(c), []).append(c)
     # a reciprocal variant gets a gain row, a non-reciprocal one g1, g2, t*; kept ones first
-    variant = {c: c.phase_error if reciprocal else c.policy if c.scheme is Scheme.ONE else None
-               for c in cfgs}
-    kept = tuple(dict.fromkeys(variant[c] for c in cfgs if c not in tallied))
-    variants = tuple(dict.fromkeys(kept + tuple(variant[c] for c in tallied)))
-    jobs = [(c, metric, variants.index(variant[c]), user, sweep_rho(c, p_mw))
+    groups, where, rows = [], {}, []
+    for g, group in enumerate(members.values()):
+        cfg = group[0]
+        reciprocal = cfg.reciprocity is Reciprocity.RECIPROCAL
+        variant = {c: c.phase_error if reciprocal else c.policy if c.scheme is Scheme.ONE else None
+                   for c in group}
+        kept = tuple(dict.fromkeys(variant[c] for c in group if c not in tallied))
+        variants = tuple(dict.fromkeys(kept + tuple(variant[c] for c in group)))
+        groups.append((cfg, variants, len(kept)))
+        where.update((c, (g, variants.index(variant[c]))) for c in group)
+        rows.append(np.empty((len(kept),) + (() if reciprocal else (3,)) + (trials,)))
+    jobs = [(c, metric, *where[c], user, sweep_rho(c, p_mw))
             for c, metric, user, p_mw in requests]
-    tasks = [(cfg, variants, len(kept), jobs, seed, block, count)
-             for block, count in rngmod.iter_blocks(trials)]
-    rows = np.empty((len(kept),) + (() if reciprocal else (3,)) + (trials,))
+    tasks = [(groups, jobs, seed, block, count) for block, count in rngmod.iter_blocks(trials)]
     totals, lo = [None] * len(jobs), 0
     # the fork context starts every worker up front, so start no idle ones, and
     # none beyond the CPUs: on one CPU a pool only adds its start-up and pickling
     size = min(workers, len(tasks), _usable_cpus())
     with (_start_pool(size) if size > 1 else contextlib.nullcontext()) as pool:
         # in block order: each block's kept gains, and its statistics merged in
-        for part, stats in (pool.map if pool else map)(_gain_block_task, tasks):
-            hi = lo + part.shape[-1]
-            rows[..., lo:hi] = part
+        for parts, stats in (pool.map if pool else map)(_gain_block_task, tasks):
+            hi = lo + parts[0].shape[-1]
+            for held, part in zip(rows, parts):
+                held[..., lo:hi] = part
             totals = [_merge(metric, total, lo, hi, stat)
                       for (_, metric, *_), total, stat in zip(jobs, totals, stats)]
             lo = hi
-    by_variant = dict(zip(kept, rows))
-    tally = Tally(trials, {(c, metric, user, tuple(p_mw)): total
-                           for (c, metric, user, p_mw), total in zip(requests, totals)})
-    return [tally if c in tallied else _trial_gains(by_variant[variant[c]], reciprocal)
-            for c in cfgs]
+    tallies = {c: Tally(trials, {}) for c in tallied}
+    for (c, metric, user, p_mw), total in zip(requests, totals):
+        tallies[c].stats[c, metric, user, tuple(p_mw)] = total
+    out = []
+    for c in cfgs:
+        g, v = where[c]
+        out.append(tallies[c] if c in tallied else _trial_gains(rows[g][v], c))
+    return out
 
 
 def _start_pool(size: int):

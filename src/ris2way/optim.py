@@ -533,7 +533,7 @@ def _greedy_block(terms: np.ndarray):
     Returns the (m, L) phases, each row's sweep count and, per sweep, the
     (m,) objectives min_p |sum_l z_{p,l} e^{j phi_l}|^2 after it (a row that
     stopped keeps its last value).  Rows that converge leave the active set
-    after each sweep.  The start's objective squares the smaller np.hypot of
+    after each sweep, and so does a row whose objective is NaN or inf.  The start's objective squares the smaller np.hypot of
     the users' sums; every later value is np.square(min_p np.abs(b_p + new_p)),
     with b_p the sum without element l and new_p = z_{p,l} grid[k] a numpy
     array product, so each row follows the one-instance search bit for bit
@@ -599,7 +599,7 @@ def _greedy_block(terms: np.ndarray):
         index[live], sums[live], obj[live] = at, t, o
         sweeps[live] += 1
         history.append(obj.copy())
-        live = live[~(o - previous <= _GREEDY_THRESHOLD * np.maximum(o, 1e-300))]
+        live = live[o - previous > _GREEDY_THRESHOLD * np.maximum(o, 1e-300)]
     return wrap_phases(np.angle(grid[index])), sweeps, history
 
 

@@ -521,6 +521,26 @@ def test_optimize_solver_failure_names_the_trial(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_reproduce_solver_failure_is_the_failing_groups(tmp_path, capsys, monkeypatch):
+    """fig8's sdp policy fails inside the run's shared collection with the
+    exit code and message of its own collection, `optimize --methods sdp`."""
+    solve = cli.mc.maxmin_block
+
+    def fail_sdp(terms, method, rngs=None):
+        if method is optim.OptimMethod.SDP_RELAX:
+            raise optim.SolverFailureError("interior point stalled", 2)
+        return solve(terms, method, rngs)
+
+    monkeypatch.setattr(cli.mc, "maxmin_block", fail_sdp)
+    errors = []
+    for argv in (["reproduce", "fig8", "--trials-opt", "5", "--trials-se", "20"],
+                 ["optimize", "--L", "8", "--methods", "sdp", "--trials", "5"]):
+        assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors == ["ris2way: solver failure: trial 2: interior point stalled\n"] * 2
+    assert not os.listdir(tmp_path)
+
+
 def test_svg_emitted(tmp_path):
     out = tmp_path / "o.csv"
     rc = run_cli(["outage", "--L", "1", "--method", "exact", "--p-dbm", "-10:10:5",
@@ -722,10 +742,11 @@ def test_presets_honour_the_readme_flag_table(tmp_path, preset):
         assert moved == (table[flag][preset] == "honoured"), (preset, flag, table[flag][preset])
 
 
-def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):
-    """fig6's jitter widths share one channel draw per L and panel, fig8's
-    policies one at L=8; fig5's schemes and nu share one per L across both of
-    its tables."""
+def test_reproduce_collects_each_trial_count_once(tmp_path, monkeypatch):
+    """A run makes one collection per trial count, across all of its tables:
+    fig6's jitter widths at both of a panel's L, fig8's L=8 policies with
+    panel b's non-reciprocal columns (both at --trials-opt) and panel b's
+    reciprocal ones; fig5's L, schemes and nu in one for both of its tables."""
     group_sizes = []
     collect = cli.mc.collect_gains
 
@@ -741,24 +762,25 @@ def test_reproduce_collects_each_draw_key_once(tmp_path, monkeypatch):
         assert run_cli(["reproduce", "fig6", "--workers", workers, *flags,
                         "--out", str(tmp_path / f"w{workers}.csv")]) == 0
         assert multiprocessing.active_children() == []  # no worker outlives the run
-    # one call per L and panel, each for the four widths
-    assert group_sizes == [4] * 8
+    # one call per panel, each for the four widths at two L
+    assert group_sizes == [8, 8] * 2
     for panel in ("outage", "se"):
         assert ((tmp_path / f"w1_{panel}.csv").read_bytes()
                 == (tmp_path / f"w3_{panel}.csv").read_bytes())
     group_sizes.clear()
-    # fig8's four L=8 policies share one draw; panel b has one per L and reciprocity
+    # fig8's four L=8 policies and panel b's four greedy L at --trials-opt, then
+    # panel b's four reciprocal L at --trials-se
     assert run_cli(["reproduce", "fig8", *flags, "--trials-opt", "5",
                     "--out", str(tmp_path / "f8.csv")]) == 0
-    assert group_sizes == [4] + [1] * 8
+    assert group_sizes == [8, 4]
     group_sizes.clear()
     assert run_cli(["reproduce", "fig5", *flags, "--out", str(tmp_path / "f5.csv")]) == 0
-    # one call per L for both panels: both schemes at nu=0, and the nu=1 panel's
-    # schemes (one-slot only at L=16, 64)
-    assert group_sizes == [4, 3, 3]
+    # one call for both panels: both schemes at nu=0, and the nu=1 panel's
+    # schemes (one-slot only at L=16, 64), at every L
+    assert group_sizes == [10]
     # each table is the bits it has as the preset's only table
     panels = cli._power_panels
-    for name, alone in (("a_nu0", [2, 2, 2]), ("b_nu1", [2, 1, 1])):
+    for name, alone in (("a_nu0", [6]), ("b_nu1", [4])):
         def one_table(spec, name=name):
             every = panels(spec)
             return {**every, "fig5": {name: every["fig5"][name]}}

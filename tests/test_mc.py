@@ -4,6 +4,7 @@ reproducibility across worker counts, and variance-reduced comparisons."""
 import dataclasses
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,13 @@ def test_grouped_gains_equal_one_config_gains(L):
         assert np.array_equal(alone[extra].g1, alone[base].g1)
 
 
+def block_rows(cfg, variants, seed, block, count):
+    """The rows of every variant of one group in one block, from the block task."""
+    [rows], _ = mc._gain_block_task(([(cfg, tuple(variants), len(variants))], [], seed,
+                                     block, count))
+    return rows
+
+
 @pytest.mark.parametrize("L", [1, 3, 64, 100])
 def test_chunked_gain_block_equals_whole_block_draw(L):
     """Every gain kernel draws and reduces its block in row chunks; its rows
@@ -270,7 +278,7 @@ def test_chunked_gain_block_equals_whole_block_draw(L):
         # the kernel forms (amp cos eps, amp sin eps); on a platform whose cos
         # or sin differs from the complex exponential this fails
         expected += [np.abs(np.sum(amp * np.exp(1j * eps), axis=1)) ** 2 for eps in jitter]
-        got = mc._reciprocal_gain_block(rec, models, seed, block, count)
+        got = block_rows(rec, models, seed, block, count)
         assert (got == np.array(expected)).all()
 
         ch = sample_channel_block(non, gen(rngmod.STREAM_CHANNEL), count)
@@ -289,47 +297,140 @@ def test_chunked_gain_block_equals_whole_block_draw(L):
             None: cophased + [no_bound],  # the two-slot scheme's per-slot co-phasing
         }
         for variant, rows in expected.items():
-            [got] = mc._nonreciprocal_gain_block(non, (variant,), seed, block, count)
+            [got] = block_rows(non, (variant,), seed, block, count)
             assert np.array_equal(got, np.array(rows), equal_nan=True), variant
         # a variant's rows do not depend on which others share the block
-        got = mc._nonreciprocal_gain_block(non, tuple(expected), seed, block, count)
+        got = block_rows(non, tuple(expected), seed, block, count)
         assert np.array_equal(got, np.array(list(expected.values())), equal_nan=True)
 
 
-def test_group_must_share_a_draw_key(monkeypatch):
-    """A draw key is the reciprocity, L, sigma2 and trial count.  A
-    non-reciprocal group may mix every policy, both schemes and any nu, omega,
-    noise and threshold, and each config gets the bits of its own collection,
-    t* included, pooled or not."""
-    with pytest.raises(ValueError, match="draw key"):
-        collect_gains([cfg_rec(L=2), cfg_rec(L=3)], 10, seed=0)
-    with pytest.raises(ValueError, match="draw key"):
-        collect_gains([cfg_rec(L=2), cfg_rec(L=2, sigma2=2.0)], 10, seed=0)
+def _same_result(got, ref):
+    """Whether a collection's entry is the bits of a reference entry: equal
+    gain rows (NaN equal to NaN), or equal tallies."""
+    if isinstance(ref, mc.Tally):
+        return (isinstance(got, mc.Tally) and got.trials == ref.trials
+                and got.stats.keys() == ref.stats.keys()
+                and all(np.array_equal(got.stats[k], v) for k, v in ref.stats.items()))
+    same_bound = got.t_star is ref.t_star is None or np.array_equal(
+        got.t_star, ref.t_star, equal_nan=True)
+    return same_bound and np.array_equal(got.g1, ref.g1) and np.array_equal(got.g2, ref.g2)
+
+
+def test_group_may_mix_draw_keys(monkeypatch):
+    """A draw key is the reciprocity, L and sigma2, and one collection may mix
+    them: L in {1, 2, 3, 16, 100}, so chunk edges fall mid-row, sigma2 in
+    {1, 2}, both reciprocities, uniform and von Mises jitter, and the sdp,
+    greedy, u1 and random policies.  Each config gets the gains or tallies of
+    its own one-group collection, serially and in a pool, and a non-reciprocal
+    group may mix every policy, both schemes and any nu, omega, noise and
+    threshold, each config with the bits of its own one-config collection, t*
+    included.
+    Each block's channel generator draws the longest prefix a group reads,
+    the block's trial count times the widest row, and no more."""
     with pytest.raises(ValueError):
         collect_gains([], 10, seed=0)
-    non = cfg_rec(L=2, reciprocity=Reciprocity.NON_RECIPROCAL, policy="greedy")
-    for other in (dict(L=3), dict(sigma2=2.0), dict(reciprocity=Reciprocity.RECIPROCAL,
-                                                   policy="optimal")):
-        with pytest.raises(ValueError, match="draw key"):
-            collect_gains([non, dataclasses.replace(non, **other)], 10, seed=0)
-    group = [dataclasses.replace(non, policy=policy, scheme=scheme, **other)
-             for policy in ("sdp", "greedy", "u1", "random") for scheme in Scheme
-             for other in ({}, dict(nu=1.0, omega=1e-2, noise_mw=1e-9, gamma_th=4.0))]
+    nonrec = Reciprocity.NON_RECIPROCAL
+    non = cfg_rec(L=2, reciprocity=nonrec, policy="greedy")
+    policies = [dataclasses.replace(non, policy=policy, scheme=scheme, **other)
+                for policy in ("sdp", "greedy", "u1", "random") for scheme in Scheme
+                for other in ({}, dict(nu=1.0, omega=1e-2, noise_mw=1e-9, gamma_th=4.0))]
+    models = (None, UniformPhaseError(math.pi / 4), VonMisesPhaseError(0.3, 2.0))
+    cfgs = list(policies)
+    for L in (1, 3, 16, 100):
+        for sigma2 in (1.0, 2.0):
+            cfgs += [cfg_rec(L=L, sigma2=sigma2, phase_error=m) for m in models]
+            cfgs += [cfg_rec(L=L, sigma2=sigma2, reciprocity=nonrec, policy=p)
+                     for p in ("u1", "random")]
+            cfgs.append(cfg_rec(L=L, sigma2=sigma2, reciprocity=nonrec, scheme=Scheme.TWO))
+    cfgs += [cfg_rec(L=L, reciprocity=nonrec, policy="greedy") for L in (1, 3)]
     trials = rngmod.BLOCK_SIZE + 10  # two blocks, so three workers start a pool
-    alone = [collect_gains([cfg], trials, seed=0)[0] for cfg in group]
-    assert np.isfinite(alone[0].t_star).all()  # sdp on the one-slot scheme
+    powers = [10.0 ** (p / 10.0) for p in range(-40, 21, 10)]
+    # every other config beside the policy group is tallied, the rest keep their gains
+    requests = [(c, metric, user, powers) for c in cfgs[len(policies)::2]
+                for metric in ("outage", "se") for user in (1, "min")]
+    groups = {}
+    for c in cfgs:
+        groups.setdefault(mc.draw_key(c), []).append(c)
+    assert len(groups) == 17
+    # the policy group's configs each alone, every other group on its own
+    alone = {cfg: collect_gains([cfg], trials, seed=0)[0] for cfg in policies}
+    for group in groups.values():
+        if group[0] not in alone:
+            mine = [r for r in requests if r[0] in group]
+            alone.update(zip(group, collect_gains(group, trials, seed=0, requests=mine)))
+    assert np.isfinite(alone[policies[0]].t_star).all()  # sdp on the one-slot scheme
+    # the two-slot scheme co-phases each slot whatever the policy
+    assert np.array_equal(alone[policies[2]].g1, alone[policies[15]].g1)
+
+    drawn = []  # normals drawn from each block's channel generator
+    make = rngmod.block_generator
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, out):
+            drawn[-1] += out.size
+            return self.rng.standard_normal(out=out)
+
+    def spy(seed, stream, block):
+        if stream != rngmod.STREAM_CHANNEL:
+            return make(seed, stream, block)
+        drawn.append(0)
+        return Counted(make(seed, stream, block))
+
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
     for workers in (1, 3):
-        grouped = collect_gains(group, trials, seed=0, workers=workers)
-        for cfg, gains, ref in zip(group, grouped, alone):
-            for row in ("g1", "g2", "t_star"):
-                assert np.array_equal(getattr(gains, row), getattr(ref, row),
-                                      equal_nan=True), (cfg, row)
-    # the two-slot scheme co-phases each slot whatever the policy
-    assert np.array_equal(alone[2].g1, alone[-1].g1)
+        with monkeypatch.context() as m:
+            if workers == 1:
+                m.setattr(rngmod, "block_generator", spy)
+            got = collect_gains(cfgs, trials, seed=0, workers=workers, requests=requests)
+        for cfg, result in zip(cfgs, got):
+            assert _same_result(result, alone[cfg]), (workers, cfg)
+    assert drawn == [rngmod.BLOCK_SIZE * 8 * 100, 10 * 8 * 100]
     # a non-reciprocal config with a phase-error model is not built at all
     with pytest.raises(ValueError, match="phase-error model"):
         dataclasses.replace(non, nu=1.0, phase_error=UniformPhaseError(0.5))
+
+
+def test_mixed_outage_collection_holds_no_per_trial_gains():
+    """A fig4-like outage collection, five element counts tallied at 23
+    powers, peaks below 4 MiB of traced allocations at 2e5 trials, where
+    the five configs' gains alone would take 8 MB."""
+    cfgs = [cfg_rec(L=L) for L in (2, 4, 16, 32, 64)]
+    powers = [10.0 ** (p / 10.0) for p in range(-80, 31, 5)]
+    requests = [(c, "outage", 1, powers) for c in cfgs]
+    tracemalloc.start()
+    try:
+        got = collect_gains(cfgs, 200_000, seed=2, requests=requests)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(t, mc.Tally) for t in got)
+    assert peak < 4 * 2**20, peak
+
+
+def test_solver_failure_in_a_mixed_collection(monkeypatch):
+    """A failing group raises the error of its own collection beside others:
+    the trial named is the failing group's."""
+    def fail_at_three_elements(terms, method, rngs=None, **kwargs):
+        if terms.shape[2] == 3 and terms.shape[1] == 10:
+            raise optim.SolverFailureError("line search failed", 4)
+        return np.zeros(terms.shape[1:]), np.full(terms.shape[1], np.nan)
+
+    monkeypatch.setattr(mc, "maxmin_block", fail_at_three_elements)
+    nonrec = Reciprocity.NON_RECIPROCAL
+    failing = cfg_rec(L=3, reciprocity=nonrec, policy="sdp")
+    others = [cfg_rec(L=2, reciprocity=nonrec, policy="sdp"), cfg_rec(L=16),
+              cfg_rec(L=3, reciprocity=nonrec, policy="u1")]
+    trials = rngmod.BLOCK_SIZE + 10
+    messages = []
+    for cfgs in ([failing], others + [failing]):
+        with pytest.raises(optim.SolverFailureError) as err:
+            collect_gains(cfgs, trials, seed=0)
+        messages.append(str(err.value))
+    assert messages == [f"trial {rngmod.BLOCK_SIZE + 4}: line search failed"] * 2
+    collect_gains(others, trials, seed=0)  # the others alone do not fail
 
 
 def test_u1_trial_gains_do_not_depend_on_the_block_size():

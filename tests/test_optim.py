@@ -467,7 +467,7 @@ def scalar_greedy(z1, z2, k=360, improvement_threshold=1e-6, max_sweeps=200):
                 s2 = b2 + (z2[l:l + 1] * grid[best:best + 1])[0]
                 obj = float(cand[best])
         history.append(obj)
-        if obj - previous <= improvement_threshold * max(obj, 1e-300):
+        if not obj - previous > improvement_threshold * max(obj, 1e-300):
             break
     return wrap_phases(np.angle(phase_factors)), history
 
@@ -551,6 +551,25 @@ def test_greedy_block_matches_scalar_search_on_adversarial_stacks(case):
             assert sweeps[i] == len(ref_history)
             assert np.array_equal([h[i] for h in history[:sweeps[i]]], ref_history,
                                   equal_nan=True)
+
+
+def test_greedy_block_stops_nonfinite_rows_after_one_sweep():
+    """A row whose objective is NaN, or overflows to inf, leaves the search
+    after its first sweep, and the stack's other rows keep the bits they have
+    without those two rows beside them."""
+    z1, z2 = nonrec_terms(4, 24, 93)
+    z1[3, 1] = np.nan
+    z1[7], z2[7] = 1e160 * z1[7], 1e160 * z2[7]  # squares overflow
+    rest = np.setdiff1d(np.arange(24), [3, 7])
+    with np.errstate(all="ignore"):
+        phases, sweeps, history = _greedy_block(np.stack([z1, z2]))
+        ref_phases, ref_sweeps, ref_history = _greedy_block(np.stack([z1[rest], z2[rest]]))
+    assert sweeps[3] == sweeps[7] == 1
+    assert np.isnan(history[0][3]) and history[0][7] == np.inf
+    assert np.array_equal(phases[rest], ref_phases)
+    assert np.array_equal(sweeps[rest], ref_sweeps)
+    assert len(history) == len(ref_history)
+    assert all(np.array_equal(h[rest], r) for h, r in zip(history, ref_history))
 
 
 @pytest.mark.parametrize("method", [OptimMethod.GREEDY_ITERATIVE, OptimMethod.SDP_RELAX])

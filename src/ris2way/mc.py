@@ -29,9 +29,12 @@ group that one kernel per block serves.  On a reciprocal channel each
 phase-error model gets a gain row, so scheme, nu, omega, gamma_th, noise and
 jitter width share a group's rows; on a non-reciprocal one each one-slot
 policy and the two-slot scheme's per-slot co-phasing get (g1, g2, t*), so
-`optimize`'s methods and fig8's policies share them.  `SystemConfig` checks
-each config's policy and phase-error model when it is built.  The u1 and
-random baselines live here.
+`optimize`'s methods and fig8's policies share them; the block's U(-1, 1)
+phase-error stream is read once by every group.  A phase-jitter variant that
+only outage requests read is counted from a float32 proxy of its gains
+(`_counted_jitter_gain`), whose rows near a threshold take the exact gain, so
+every count, like every returned gain and SE tally, keeps its bits.  The u1
+and random baselines live here.
 """
 
 from __future__ import annotations
@@ -92,22 +95,21 @@ class Tally:
 _DRAW_CHUNK = 2**15
 
 
-class _SharedNormals:
-    """The standard normals of one block's channel stream, read by every group
-    of a collection through a cursor of its own.
+class _SharedStream:
+    """One block's channel normals or U(-1, 1) phase errors, which `draw(out=)`
+    draws, read by every group of a collection through a cursor of its own.
 
-    The stream of (seed, STREAM_CHANNEL, block) does not depend on L, sigma2 or
-    the reciprocity, and `sample_channel_block` fills a group's rows in order
-    from it, so each group reads a prefix of this one stream.  Readers take
-    turns lowest cursor first, so none is ever behind the one reading: the
-    buffer keeps the normals from the reader's cursor on, one read's worth,
-    and each normal is drawn once, up to the longest prefix a group reads.
-    Once every reader has passed the buffer it is dropped, so the chunk's
-    arrays reuse its memory, as they reuse a generator's own draw.
+    Neither stream depends on L, sigma2 or the reciprocity, and a group reads
+    its rows in order from it, so each group reads a prefix of this one
+    stream.  Readers take turns lowest cursor first, so none is ever behind
+    the one reading: the buffer keeps the values from the reader's cursor on,
+    one read's worth, and each value is drawn once, up to the longest prefix a
+    group reads.  Once every reader has passed the buffer it is dropped, so
+    the chunk's arrays reuse its memory, as they reuse a generator's own draw.
     """
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng, self._buf, self._start = rng, np.empty(0), 0
+    def __init__(self, draw):
+        self._draw, self._buf, self._start = draw, np.empty(0), 0
         self.readers = []  # the cursors of the groups still drawing
 
     def cursor(self) -> "_Cursor":
@@ -116,13 +118,13 @@ class _SharedNormals:
         return reader
 
     def read(self, reader: "_Cursor", n: int) -> np.ndarray:
-        """The next n normals at `reader`'s cursor, which moves past them."""
+        """The next n values at `reader`'s cursor, which moves past them."""
         at = reader.at - self._start
         if at + n > self._buf.size:
             buf = np.empty(n)
             keep = self._buf.size - at
             buf[:keep] = self._buf[at:]
-            self._rng.standard_normal(out=buf[keep:])
+            self._draw(out=buf[keep:])
             self._buf, self._start, at = buf, reader.at, 0
         z = self._buf[at:at + n]
         reader.at += n
@@ -133,14 +135,16 @@ class _SharedNormals:
 
 
 class _Cursor:
-    """One group's place in a block's `_SharedNormals`: `sample_channel_block`
+    """One group's place in a block's `_SharedStream`: `sample_channel_block`
     draws from it as from the block's channel generator."""
 
-    def __init__(self, stream: _SharedNormals):
+    def __init__(self, stream: _SharedStream):
         self.stream, self.at = stream, 0
 
-    def standard_normal(self, shape) -> np.ndarray:
+    def take(self, shape) -> np.ndarray:
         return self.stream.read(self, math.prod(shape)).reshape(shape)
+
+    standard_normal = take
 
 
 def _chunk_rows(cfg: SystemConfig, count: int):
@@ -154,48 +158,90 @@ def _chunk_rows(cfg: SystemConfig, count: int):
         yield slice(lo, min(lo + step, count))
 
 
+def _jitter_gain(amp: np.ndarray, eps: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """|sum_l amp_l e^(i eps_l)|^2 of each row, its terms formed in the complex
+    `terms` as (amp cos eps, amp sin eps), the bits of amp * np.exp(1j * eps).
+    A row has these bits in any set of rows."""
+    np.multiply(amp, np.cos(eps), out=terms.real)
+    np.multiply(amp, np.sin(eps), out=terms.imag)
+    return np.abs(np.sum(terms, axis=1)) ** 2
+
+
+# the absolute error of numpy's float32 cos and sin on [-fl32(pi), fl32(pi)],
+# several times the 1.19 * 2**-24 measured there (tests/test_mc.py checks it)
+_E32 = 2.0**-21
+
+
+def _counted_jitter_gain(amp: np.ndarray, size: np.ndarray, eps: np.ndarray,
+                         eps_max: float, cuts: np.ndarray) -> np.ndarray:
+    """Gains with the counts of `_jitter_gain`'s at every outage cutoff in
+    `cuts` (sorted, ending in inf): a float32 proxy g~, and the exact gain g
+    of each row whose interval [g~ - b, g~ + b) holds a cutoff.
+
+    Per unit amplitude, the proxy's term (cos, sin of fl32(eps)) is within
+    sqrt(2) _E32 of e^(i fl32(eps)), and so within 2**-24 eps_max more of
+    e^(i eps) (|eps| <= eps_max <= pi), which the exact term's trig is within
+    sqrt(2) 2**-50 of; (L + 1) 2**-50 covers the products' and row sums'
+    roundings.  So the sums differ by at most e = size * kappa, and with
+    r = sqrt(g~), |g~ - g| <= b, where 2**-48 covers the squares', b's and the
+    interval's roundings, and the floors subnormal scales."""
+    e32 = eps.astype(np.float32)
+    re = np.einsum("ij,ij->i", amp, np.cos(e32).astype(float))
+    im = np.einsum("ij,ij->i", amp, np.sin(e32).astype(float))
+    g = re * re + im * im
+    L = amp.shape[1]
+    kappa = math.sqrt(2.0) * (_E32 + 2.0**-50) + 2.0**-24 * eps_max + (L + 1) * 2.0**-50
+    e = size * kappa + L * 2.0**-1070
+    r = np.sqrt(g)
+    b = e * (2.0 * r + e) + 2.0**-48 * (r + e) ** 2 + 2.0**-1060
+    lo, hi = g - b, g + b
+    # the least cutoff >= lo; not finite hi (or NaN) takes the exact gain
+    near = cuts[np.searchsorted(cuts[:-1], lo)]
+    fix = np.flatnonzero(~((near >= hi) & (hi < math.inf)))
+    if fix.size:
+        g[fix] = _jitter_gain(amp[fix], eps[fix], np.empty((fix.size, L), dtype=complex))
+    return g
+
+
 def _reciprocal_chunk(gains: np.ndarray, ch, models: tuple[PhaseErrorModel | None, ...],
-                      uni_rng, err_rngs) -> None:
-    """Each phase-error model's gains on one chunk of a reciprocal channel."""
+                      cuts: tuple, u: Optional[np.ndarray], err_rngs) -> None:
+    """Each phase-error model's gains on one chunk of a reciprocal channel;
+    a model with outage cutoffs gets `_counted_jitter_gain`'s."""
     amp = np.abs(ch.h) * np.abs(ch.g)
-    if uni_rng is not None:
-        u = uni_rng.uniform(-1.0, 1.0, size=amp.shape)
-    if any(m is not None for m in models):
+    size = np.einsum("ij->i", amp) if any(c is not None for c in cuts) else None
+    if any(m is not None and c is None for m, c in zip(models, cuts)):
         terms = np.empty(amp.shape, dtype=complex)
-    for gain, model, err_rng in zip(gains, models, err_rngs):
+    for gain, model, cut, err_rng in zip(gains, models, cuts, err_rngs):
         if model is None:
             # optimal phases co-phase every term (per slot for the two-slot scheme)
             gain[:] = np.sum(amp, axis=1) ** 2
             continue
         # adjustment jitter hits the applied phases in either scheme
         if isinstance(model, UniformPhaseError):
-            eps = model.delta * u
+            eps, eps_max = model.delta * u, model.delta
         else:
-            eps = sample_phase_errors(model, err_rng, amp.shape)
-        # the bits of amp * np.exp(1j * eps): exp(i eps) is (cos eps, sin eps),
-        # and a real times a complex scales each part
-        np.multiply(amp, np.cos(eps), out=terms.real)
-        np.multiply(amp, np.sin(eps), out=terms.imag)
-        gain[:] = np.abs(np.sum(terms, axis=1)) ** 2
+            eps, eps_max = sample_phase_errors(model, err_rng, amp.shape), math.pi
+        if cut is None:
+            gain[:] = _jitter_gain(amp, eps, terms)
+        else:
+            gain[:] = _counted_jitter_gain(amp, size, eps, eps_max, cut)
 
 
 def _reciprocal_gain_block(cfg: SystemConfig, models: tuple[PhaseErrorModel | None, ...],
-                           seed: int, block: int, count: int, normals: _Cursor):
+                           cuts: tuple, seed: int, block: int, count: int, normals: _Cursor,
+                           uniforms: Optional[_Cursor] = None):
     """One row of gains per phase-error model, all from one channel draw.  A
     generator, like `_nonreciprocal_gain_block`: it yields after each chunk,
     holding none of the chunk's arrays, and returns the rows."""
-    # every uniform width scales one shared draw, as sample_phase_errors does;
-    # each von Mises model has a generator of its own.  Like the channel's,
-    # they run on from chunk to chunk.
-    uni_rng = None
-    if any(isinstance(m, UniformPhaseError) for m in models):
-        uni_rng = rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
+    # uniform widths read the block's shared phase-error stream, and each von
+    # Mises model a generator of its own, run on from chunk to chunk
     err_rngs = [rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
                 if isinstance(m, VonMisesPhaseError) else None for m in models]
     out = np.empty((len(models), count))
     for rows in _chunk_rows(cfg, count):
-        _reciprocal_chunk(out[:, rows], sample_channel_block(cfg, normals, rows.stop - rows.start),
-                          models, uni_rng, err_rngs)
+        n = rows.stop - rows.start
+        _reciprocal_chunk(out[:, rows], sample_channel_block(cfg, normals, n), models, cuts,
+                          None if uniforms is None else uniforms.take((n, cfg.L)), err_rngs)
         yield
     return out
 
@@ -258,29 +304,43 @@ def _trial_gains(rows: np.ndarray, cfg: SystemConfig) -> TrialGains:
 
 def _gain_block_task(args):
     """Each group's rows of its first `kept` variants in one block, and the
-    requests' statistics.  Every group reads the block's one channel stream;
-    its kernel draws one chunk per turn, and the turn goes to the group with
-    the lowest cursor."""
+    requests' statistics.  Every group reads the block's one channel stream,
+    and each reciprocal group with a uniform width the block's one phase-error
+    stream; its kernel draws one chunk per turn, and the turn goes to the group
+    with the lowest channel cursor, which is also the lowest on the
+    phase-error stream, both being row counts times a multiple of L."""
     groups, jobs, seed, block, count = args
-    stream = _SharedNormals(rngmod.block_generator(seed, rngmod.STREAM_CHANNEL, block))
-    live = {}  # cursor -> (group, its kernel)
+    channel = _SharedStream(rngmod.block_generator(seed, rngmod.STREAM_CHANNEL,
+                                                   block).standard_normal)
+    if any(isinstance(m, UniformPhaseError) for _, variants, _ in groups for m in variants):
+        rng = rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
+        # the U(-1, 1) draws that every width scales, as sample_phase_errors does
+        errors = _SharedStream(lambda out: np.copyto(out, rng.uniform(-1.0, 1.0, out.size)))
+    cuts = {job[2:4]: job[-1] for job in jobs}
+    live = {}  # channel cursor -> (group, its kernel, its cursors)
     for g, (cfg, variants, _) in enumerate(groups):
-        kernel = (_reciprocal_gain_block if cfg.reciprocity is Reciprocity.RECIPROCAL
-                  else _nonreciprocal_gain_block)
-        normals = stream.cursor()
-        live[normals] = g, kernel(cfg, variants, seed, block, count, normals)
+        cursors = [channel.cursor()]
+        if cfg.reciprocity is Reciprocity.RECIPROCAL:
+            if any(isinstance(m, UniformPhaseError) for m in variants):
+                cursors.append(errors.cursor())
+            run = _reciprocal_gain_block(cfg, variants, tuple(cuts.get((g, v)) for v in
+                                         range(len(variants))), seed, block, count, *cursors)
+        else:
+            run = _nonreciprocal_gain_block(cfg, variants, seed, block, count, *cursors)
+        live[cursors[0]] = g, run, cursors
     rows = [None] * len(groups)
     while live:
         normals = min(live, key=lambda c: c.at)
-        g, run = live[normals]
+        g, run, cursors = live[normals]
         try:
             next(run)
         except StopIteration as done:
             rows[g] = done.value
             del live[normals]
-            stream.readers.remove(normals)
+            for cursor in cursors:
+                cursor.stream.readers.remove(cursor)
     stats = [_block_stat(c, metric, _user_gain(_trial_gains(rows[g][v], c), user), rho)
-             for c, metric, g, v, user, rho in jobs]
+             for c, metric, g, v, user, rho, _ in jobs]
     return [part[:kept] for part, (_, _, kept) in zip(rows, groups)], stats
 
 
@@ -302,6 +362,8 @@ def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int
     drawn once.  So every config gets exactly the gains it would get on its
     own.  A config that (cfg, metric, user, p_mw) `requests` name gets a `Tally`
     of its requests, taken as each block is drawn, instead of its gains.
+    Raises ValueError for a request whose config is not in `cfgs`, whose
+    metric is not 'outage' or 'se', or whose user is not 1, 2 or 'min'.
     """
     if not cfgs:
         raise ValueError("need at least one config")
@@ -325,8 +387,17 @@ def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int
         groups.append((cfg, variants, len(kept)))
         where.update((c, (g, variants.index(variant[c]))) for c in group)
         rows.append(np.empty((len(kept),) + (() if reciprocal else (3,)) + (trials,)))
+    for c, metric, user, _ in requests:
+        if c not in where:
+            raise ValueError(f"request config is not one of cfgs: {c}")
+        if metric not in ("outage", "se"):
+            raise ValueError(f"request metric must be 'outage' or 'se', got {metric!r}")
+        if user not in (1, 2, "min"):
+            raise ValueError(f"request user must be 1, 2, or 'min', got {user!r}")
     jobs = [(c, metric, *where[c], user, sweep_rho(c, p_mw))
             for c, metric, user, p_mw in requests]
+    cuts = _count_cutoffs(groups, jobs)
+    jobs = [job + (cuts.get(job[2:4]),) for job in jobs]
     tasks = [(groups, jobs, seed, block, count) for block, count in rngmod.iter_blocks(trials)]
     totals, lo = [None] * len(jobs), 0
     # the fork context starts every worker up front, so start no idle ones, and
@@ -349,6 +420,35 @@ def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int
         g, v = where[c]
         out.append(tallies[c] if c in tallied else _trial_gains(rows[g][v], c))
     return out
+
+
+def _count_cutoffs(groups: list, jobs: list) -> dict:
+    """(group, variant) -> the sorted outage cutoffs of every request on it,
+    ending in inf, for each reciprocal phase-jitter variant whose gains only
+    outage requests read: no config keeps them and no SE request reads them."""
+    read = {}
+    for job in jobs:
+        read.setdefault(job[2:4], []).append(job)
+    return {(g, v): np.sort(np.concatenate(
+                [_outage_cutoffs(rho, c.gamma_th) for c, *_, rho in on] + [[math.inf]]))
+            for (g, v), on in read.items()
+            if groups[g][0].reciprocity is Reciprocity.RECIPROCAL and v >= groups[g][2]
+            and groups[g][1][v] is not None and all(job[1] == "outage" for job in on)}
+
+
+def _outage_cutoffs(rho: np.ndarray, gamma_th: float) -> np.ndarray:
+    """The largest double x with rho * x <= gamma_th at each rho >= 0: rounding
+    a product is monotone, so the predicate holds at g >= 0 exactly when g is at
+    most it.  Nonnegative doubles' bits are ordered, so it is found bit by bit."""
+    top = np.array(math.inf).view(np.int64)
+    bits = np.zeros(rho.shape, dtype=np.int64)  # 0, where it holds
+    step = 1 << 62
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step:
+            up = np.minimum(bits, top - step) + step  # at most inf's bits
+            bits = np.where(rho * up.view(float) <= gamma_th, up, bits)
+            step >>= 1
+    return bits.view(float)
 
 
 def _start_pool(size: int):

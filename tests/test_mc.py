@@ -666,3 +666,147 @@ def test_streamed_outage_counts_equal_stored_gain_estimates(monkeypatch):
                 for reduce in reductions.values():
                     with pytest.raises(KeyError):  # no tally at these powers
                         reduce(cfg, powers[:3], tally, 1)
+
+
+@pytest.mark.parametrize("field, request_", [
+    ("metric", lambda c, other: (c, "outgae", 1, [1.0])),
+    ("config", lambda c, other: (other, "outage", 1, [1.0])),
+    ("user", lambda c, other: (c, "se", 3, [1.0])),
+])
+def test_requests_checked_before_any_draw(field, request_, monkeypatch):
+    """A misspelled metric, a config outside `cfgs` and an unknown user each
+    raise ValueError naming the field, before any block is drawn."""
+    drawn = []
+
+    def no_draw(*args):
+        drawn.append(args)
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(rngmod, "block_generator", no_draw)
+    cfg = cfg_rec(L=2)
+    with pytest.raises(ValueError, match=f"request {field} "):
+        collect_gains([cfg], 10, seed=0, requests=[request_(cfg, cfg_rec(L=3))])
+    assert drawn == []
+
+
+def test_float32_trig_within_the_proxy_bound():
+    """The counted outage proxy assumes numpy's float32 cos and sin lie within
+    mc._E32 of the exact values on [-fl32(pi), fl32(pi)]; measured against
+    float64 (within 2**-50) on a dense grid and the 2000 float32 neighbours
+    of 0, +-pi/2 and +-pi on each side."""
+    pi32 = np.float32(math.pi)
+    near = [np.arange(2000, dtype=np.int32).view(np.float32)]
+    for c in (math.pi / 2, math.pi):
+        bits = np.array([c], dtype=np.float32).view(np.int32) + np.arange(-2000, 2001,
+                                                                          dtype=np.int32)
+        near.append(bits.view(np.float32))
+    x = np.concatenate([np.linspace(0.0, pi32, 1_000_001, dtype=np.float32)] + near)
+    x = np.concatenate([x, -x])
+    x = x[np.abs(x) <= pi32]
+    assert x.max() == pi32
+    for f in (np.cos, np.sin):
+        err = np.abs(f(x).astype(float) - f(x.astype(float)))
+        assert err.max() <= mc._E32 - 2.0**-50, (f.__name__, err.max() / 2.0**-24)
+
+
+def test_fig6_reads_one_uniform_phase_error_stream_per_block(tmp_path, monkeypatch):
+    """Every reciprocal group reads the block's one U(-1, 1) phase-error
+    stream, up to the longest prefix a group reads: at default flags fig6
+    draws 1e5 trials x 16 elements for its outage panel and 1e3 x 32 for
+    its SE panel, not a stream per L."""
+    drawn = [0]
+    make = rngmod.block_generator
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def uniform(self, low, high, size):
+            drawn[0] += math.prod(np.atleast_1d(size))
+            return self.rng.uniform(low, high, size)
+
+    def spy(seed, stream, block):
+        rng = make(seed, stream, block)
+        return Counted(rng) if stream == rngmod.STREAM_PHASE_ERROR else rng
+
+    monkeypatch.setattr(rngmod, "block_generator", spy)
+    from ris2way import cli
+    assert cli.main(["reproduce", "fig6", "--workers", "1", "--out",
+                     str(tmp_path / "f6.csv")]) == 0
+    assert drawn == [1_632_000]
+
+
+def test_counted_jitter_outage_equals_exact_twin(monkeypatch):
+    """Outage tallies of phase-jitter variants that only outage requests read,
+    counted from the float32 proxy, are the bits of an exact twin's collected
+    apart: fig6's four widths and a von Mises model, L in {1, 3, 16, 64},
+    sigma2 in {1e-120, 1, 1e120}, serial and in a pool.  On the two-slot
+    scheme with noise 1 rho is the power itself, so the powers 1/g (and
+    their neighbours) of 200 rows' exact gains g put a cutoff on each, and
+    so do thresholds on exact gains and on their nextafter neighbours: all
+    those rows are undecided and take their exact gains."""
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+    trials, seed = rngmod.BLOCK_SIZE + 10, 5
+    models = [UniformPhaseError(math.pi / k) for k in (8, 4, 2, 1)] + [VonMisesPhaseError(3.0, 0.5)]
+    base = [cfg_rec(L=L, sigma2=s2, phase_error=m, scheme=Scheme.TWO, noise_mw=1.0)
+            for L in (1, 3, 16, 64) for s2 in (1e-120, 1.0, 1e120) for m in models]
+    # the first 200 trials' exact gains; trial i has these bits at any trial count
+    exact = collect_gains(base, 200, seed)
+    requests = []
+    for cfg, gains in zip(base, exact):
+        g = gains.g1
+        one = np.nextafter(1.0 / g, [[0.0], [1.0], [np.inf]]).ravel()
+        grid = np.geomspace(g.min() / 2, g.max() * 2, 30)
+        requests.append((cfg, "outage", 1, list(1.0 / grid) + list(one)))
+        for gamma_th in (g[0], np.nextafter(g[1], 0.0), np.nextafter(g[2], np.inf)):
+            requests.append((dataclasses.replace(cfg, gamma_th=float(gamma_th)), "outage",
+                             "min", [1.0, float(np.nextafter(1.0, 2.0))]))
+    cfgs = list(dict.fromkeys(c for c, *_ in requests))
+    # a kept twin of each model makes its variant's gains exact, and so its tallies
+    twins = list(dict.fromkeys(dataclasses.replace(c, gamma_th=1.0, nu=0.5) for c in cfgs))
+    want = collect_gains(cfgs + twins, trials, seed, requests=requests)
+    counted, repaired = mc._counted_jitter_gain, []
+
+    def spy(amp, size, eps, eps_max, cuts):
+        exact_rows = mc._jitter_gain
+
+        def count(a, e, terms):
+            repaired.append(a.shape[0])
+            return exact_rows(a, e, terms)
+
+        monkeypatch.setattr(mc, "_jitter_gain", count)
+        try:
+            return counted(amp, size, eps, eps_max, cuts)
+        finally:
+            monkeypatch.setattr(mc, "_jitter_gain", exact_rows)
+
+    for workers in (1, 3):
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_counted_jitter_gain", spy)
+            got = collect_gains(cfgs, trials, seed, workers=workers, requests=requests)
+        for cfg, tally, ref in zip(cfgs, got, want):
+            assert _same_result(tally, ref), (workers, cfg)
+    # serially, the 200 rows of each of the 60 variants were repaired
+    assert sum(repaired) >= 60 * 200, sum(repaired)
+
+
+def test_fig6_outage_variants_read_by_se_stay_exact(tmp_path, monkeypatch):
+    """With --trials-outage equal to --trials-se, fig6's L=4 widths carry SE
+    requests too, so only the L=16 ones are counted from the proxy; the CSVs
+    are the bits of a run with no proxy at all."""
+    from ris2way import cli
+    counted, widths = mc._counted_jitter_gain, set()
+
+    def spy(amp, *args):
+        widths.add(amp.shape[1])
+        return counted(amp, *args)
+
+    flags = ["reproduce", "fig6", "--trials-outage", "3000", "--trials-se", "3000"]
+    monkeypatch.setattr(mc, "_counted_jitter_gain", spy)
+    assert cli.main(flags + ["--out", str(tmp_path / "proxy.csv")]) == 0
+    assert widths == {16}
+    monkeypatch.setattr(mc, "_count_cutoffs", lambda groups, jobs: {})
+    assert cli.main(flags + ["--out", str(tmp_path / "exact.csv")]) == 0
+    for panel in ("outage", "se"):
+        assert ((tmp_path / f"proxy_{panel}.csv").read_bytes()
+                == (tmp_path / f"exact_{panel}.csv").read_bytes())

@@ -72,8 +72,10 @@ def _cascade_argument(gamma_th, rho, sigma2):
 
 
 def _check_rho(rho) -> None:
-    if np.any(np.asarray(rho) <= 0):
-        raise ValueError("rho must be > 0")
+    bad = np.asarray(rho, dtype=float)
+    bad = bad[~((bad > 0) & (bad < math.inf))]
+    if bad.size:
+        raise ValueError(f"rho must be > 0 and finite, got {bad[0]}")
 
 
 def outage_exact_L1(gamma_th, rho, sigma2: float = 1.0):
@@ -112,7 +114,8 @@ def outage_clt(L: int, gamma_th, rho, sigma2: float = 1.0):
     eta = L * (16.0 - math.pi**2) * sigma2**2 / 16.0
     u = np.sqrt(np.asarray(gamma_th, dtype=float) / rho)
     s = math.sqrt(2.0 * eta)
-    out = 0.5 * (erf((u - mu) / s) + erf((u + mu) / s))
+    with np.errstate(divide="ignore"):  # s = 0 (eta underflows) is the step erf(+-inf)
+        out = 0.5 * (erf((u - mu) / s) + erf((u + mu) / s))
     return np.clip(out, 0.0, 1.0)
 
 

@@ -464,35 +464,29 @@ class _RunGains:
     config of the run at that count in one `mc.collect_gains` call (every L,
     reciprocity, scheme, nu, policy and phase-error model, in any of the
     tables), which draws each block's channel stream once for all of them.
-    Every column is a request of that call, so each config gets an `mc.Tally`.
-    The tallies of one `mc.draw_key` are held only until its last reduction.
+    Every column is a request of that call, so each config gets an `mc.Tally`,
+    a few numbers per power, kept for the rest of the run.
     """
 
     def __init__(self, spec: ExperimentSpec, tables: list[tuple]):
         self._seed, self._workers = spec.seed, spec.workers
         self._requests = {}  # trial count -> (config, metric, user, p_mw) per reduction
-        self._left = {}  # (trial count, draw key) -> its reductions left
-        self._held = {}  # (trial count, draw key) -> {config: tally}, while in use
+        self._tallies = {}  # trial count -> {config: tally}, once collected
         for axis, xs, columns in tables:
             p_mw = [db_to_linear(x) for x in (xs if axis == "p_dbm" else spec.p_dbm)]
             for col in columns:
                 for cfg in _power_free(col, axis, xs) if col.method == "mc" else ():
                     self._requests.setdefault(col.trials, []).append(
                         (cfg, col.metric, col.user, p_mw))
-                    key = col.trials, mc.draw_key(cfg)
-                    self._left[key] = self._left.get(key, 0) + 1
 
     def take(self, col: _Column, cfg: SystemConfig) -> mc.Tally:
         """The tally of power-free `cfg` for one reduction of column `col`."""
-        key = col.trials, mc.draw_key(cfg)
-        if key not in self._held:
-            requests = self._requests.pop(col.trials)
+        if col.trials not in self._tallies:
+            requests = self._requests[col.trials]
             cfgs = list(dict.fromkeys(c for c, *_ in requests))
-            for c, tally in zip(cfgs, mc.collect_gains(cfgs, col.trials, self._seed,
-                                                       self._workers, requests)):
-                self._held.setdefault((col.trials, mc.draw_key(c)), {})[c] = tally
-        self._left[key] -= 1  # one reduction fewer; the last one drops the key's tallies
-        return (self._held[key] if self._left[key] else self._held.pop(key))[cfg]
+            self._tallies[col.trials] = dict(zip(cfgs, mc.collect_gains(
+                cfgs, col.trials, self._seed, self._workers, requests)))
+        return self._tallies[col.trials][cfg]
 
 
 def _sweep_table(metric: str, axis: str, xs: list, columns: list[_Column],

@@ -5,7 +5,10 @@ efficiency, and the scheme-crossover search.
 `se_from_gains` take a config plus a vector of transmit powers and reduce them
 at every power in one call, returning one estimate per power.  Each metric has
 one per-block statistic (outage counts, or the rates' mean and sum of squared
-deviations), merged in block order.  A config that (config, metric, user,
+deviations), merged in block order.  An outage request's powers become
+cutoffs once (`_outage_cutoffs`, the largest gain in outage at each power, the
+one evaluation of rho * g <= gamma_th), and a block's count at each is one
+`searchsorted` of its sorted gains.  A config that (config, metric, user,
 powers) requests name is tallied as each block is drawn and its gains are never
 kept; stored gains fold block-sized slices through the same statistic.  A sweep
 point means both users sending at that power, so they share one rho at every
@@ -304,19 +307,18 @@ def _trial_gains(rows: np.ndarray, cfg: SystemConfig) -> TrialGains:
 
 def _gain_block_task(args):
     """Each group's rows of its first `kept` variants in one block, and the
-    requests' statistics.  Every group reads the block's one channel stream,
-    and each reciprocal group with a uniform width the block's one phase-error
-    stream; its kernel draws one chunk per turn, and the turn goes to the group
-    with the lowest channel cursor, which is also the lowest on the
-    phase-error stream, both being row counts times a multiple of L."""
-    groups, jobs, seed, block, count = args
+    requests' statistics, the proxy's `cuts` from `_count_cutoffs`.  Every
+    group reads the block's one channel stream, and each reciprocal group with
+    a uniform width the block's one phase-error stream; its kernel draws one
+    chunk per turn, and the turn goes to the group with the lowest channel
+    cursor, also the lowest on the phase-error stream (row counts times L)."""
+    groups, jobs, cuts, seed, block, count = args
     channel = _SharedStream(rngmod.block_generator(seed, rngmod.STREAM_CHANNEL,
                                                    block).standard_normal)
     if any(isinstance(m, UniformPhaseError) for _, variants, _ in groups for m in variants):
         rng = rngmod.block_generator(seed, rngmod.STREAM_PHASE_ERROR, block)
         # the U(-1, 1) draws that every width scales, as sample_phase_errors does
         errors = _SharedStream(lambda out: np.copyto(out, rng.uniform(-1.0, 1.0, out.size)))
-    cuts = {job[2:4]: job[-1] for job in jobs}
     live = {}  # channel cursor -> (group, its kernel, its cursors)
     for g, (cfg, variants, _) in enumerate(groups):
         cursors = [channel.cursor()]
@@ -339,8 +341,8 @@ def _gain_block_task(args):
             del live[normals]
             for cursor in cursors:
                 cursor.stream.readers.remove(cursor)
-    stats = [_block_stat(c, metric, _user_gain(_trial_gains(rows[g][v], c), user), rho)
-             for c, metric, g, v, user, rho, _ in jobs]
+    stats = [_block_stat(c, metric, _user_gain(_trial_gains(rows[g][v], c), user), at)
+             for c, metric, g, v, user, at in jobs]
     return [part[:kept] for part, (_, _, kept) in zip(rows, groups)], stats
 
 
@@ -394,11 +396,11 @@ def collect_gains(cfgs: list[SystemConfig], trials: int, seed: int, workers: int
             raise ValueError(f"request metric must be 'outage' or 'se', got {metric!r}")
         if user not in (1, 2, "min"):
             raise ValueError(f"request user must be 1, 2, or 'min', got {user!r}")
-    jobs = [(c, metric, *where[c], user, sweep_rho(c, p_mw))
+    jobs = [(c, metric, *where[c], user, _points(c, metric, p_mw))
             for c, metric, user, p_mw in requests]
     cuts = _count_cutoffs(groups, jobs)
-    jobs = [job + (cuts.get(job[2:4]),) for job in jobs]
-    tasks = [(groups, jobs, seed, block, count) for block, count in rngmod.iter_blocks(trials)]
+    tasks = [(groups, jobs, cuts, seed, block, count)
+             for block, count in rngmod.iter_blocks(trials)]
     totals, lo = [None] * len(jobs), 0
     # the fork context starts every worker up front, so start no idle ones, and
     # none beyond the CPUs: on one CPU a pool only adds its start-up and pickling
@@ -429,17 +431,22 @@ def _count_cutoffs(groups: list, jobs: list) -> dict:
     read = {}
     for job in jobs:
         read.setdefault(job[2:4], []).append(job)
-    return {(g, v): np.sort(np.concatenate(
-                [_outage_cutoffs(rho, c.gamma_th) for c, *_, rho in on] + [[math.inf]]))
+    return {(g, v): np.sort(np.concatenate([job[-1] for job in on] + [[math.inf]]))
             for (g, v), on in read.items()
             if groups[g][0].reciprocity is Reciprocity.RECIPROCAL and v >= groups[g][2]
             and groups[g][1][v] is not None and all(job[1] == "outage" for job in on)}
 
 
+def _points(cfg: SystemConfig, metric: str, p_mw) -> np.ndarray:
+    """What `_block_stat` reads at each power: the outage cutoffs, or rho."""
+    rho = sweep_rho(cfg, p_mw)
+    return _outage_cutoffs(rho, cfg.gamma_th) if metric == "outage" else rho
+
+
 def _outage_cutoffs(rho: np.ndarray, gamma_th: float) -> np.ndarray:
-    """The largest double x with rho * x <= gamma_th at each rho >= 0: rounding
-    a product is monotone, so the predicate holds at g >= 0 exactly when g is at
-    most it.  Nonnegative doubles' bits are ordered, so it is found bit by bit."""
+    """The largest double x with rho * x <= gamma_th at each rho >= 0, the one
+    test of the outage predicate: rounding a product is monotone, so it holds
+    at g >= 0 exactly when g <= x, found bit by bit (doubles >= 0 sort as bits)."""
     top = np.array(math.inf).view(np.int64)
     bits = np.zeros(rho.shape, dtype=np.int64)  # 0, where it holds
     step = 1 << 62
@@ -468,25 +475,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def outage_counts(g: np.ndarray, rho: np.ndarray, gamma_th: float) -> np.ndarray:
-    """The number of trials with rho * g <= gamma_th at each rho >= 0.
-
-    Rounding a product is monotone, so the trials in outage are a prefix of the
-    sorted gains (padded with NaN, where the predicate is false).  Its length is
-    guessed by `searchsorted` at gamma_th / rho, kept where the predicate holds
-    at the last gain counted and fails at the next, and else bisected with it."""
-    s = np.concatenate([np.sort(g), np.full(g.size + 1, np.nan)])
-    with np.errstate(all="ignore"):
-        count = np.searchsorted(s[:g.size], gamma_th / rho, side="right")
-    wrong = ((count > 0) & ~(rho * s[count - 1] <= gamma_th)) | (rho * s[count] <= gamma_th)
-    if wrong.any():
-        rho, fixed = rho[wrong], np.zeros(np.count_nonzero(wrong), dtype=np.intp)
-        step = 1 << g.size.bit_length() >> 1
-        while step:
-            fixed += step * (rho * s[fixed + (step - 1)] <= gamma_th)
-            step >>= 1
-        count[wrong] = fixed
-    return count
+def outage_counts(g: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The number of gains at most each outage cutoff of `_outage_cutoffs`: the
+    trials in outage.  NaN sorts last and is never counted."""
+    return np.searchsorted(np.sort(g), cuts, side="right")
 
 
 # the most doubles a (points, trials) temporary of an SE statistic holds
@@ -496,11 +488,12 @@ def outage_counts(g: np.ndarray, rho: np.ndarray, gamma_th: float) -> np.ndarray
 _REDUCE_CHUNK = 2**14
 
 
-def _block_stat(cfg: SystemConfig, metric: str, g: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """A block's outage counts at each rho, or its rates' mean and M2 (rows 0, 1),
-    each summed over a row of rates in numpy's own order, as np.std sums them."""
+def _block_stat(cfg: SystemConfig, metric: str, g: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """A block's outage counts at each cutoff, or its rates' mean and M2 (rows
+    0, 1) at each rho, each summed in numpy's own order, as np.std sums them."""
     if metric == "outage":
-        return outage_counts(g, rho, cfg.gamma_th)
+        return outage_counts(g, at)
+    rho = at
     out = np.empty((2, len(rho)))
     step = max(1, _REDUCE_CHUNK // g.size)
     for lo in range(0, len(rho), step):
@@ -529,10 +522,10 @@ def _statistic(cfg: SystemConfig, metric: str, p_mw, gains: TrialGains | Tally,
     `Tally`, or stored gains folded one block-sized slice at a time, like blocks."""
     if isinstance(gains, Tally):
         return gains.trials, gains.stats[cfg, metric, user, tuple(p_mw)]
-    g, rho, total = _user_gain(gains, user), sweep_rho(cfg, p_mw), None
+    g, at, total = _user_gain(gains, user), _points(cfg, metric, p_mw), None
     for lo in range(0, g.size, rngmod.BLOCK_SIZE):
         hi = min(lo + rngmod.BLOCK_SIZE, g.size)
-        total = _merge(metric, total, lo, hi, _block_stat(cfg, metric, g[lo:hi], rho))
+        total = _merge(metric, total, lo, hi, _block_stat(cfg, metric, g[lo:hi], at))
     return g.size, total
 
 

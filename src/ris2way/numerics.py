@@ -238,15 +238,9 @@ def _gamma_density(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     a log a and lgamma(a) would cancel.  Below e^-709.78, the reciprocal of
     the largest double, the density is returned as 0, as cephes (and so
     scipy) returns it: P and Q there would be subnormals of few significant
-    bits.
+    bits.  Where y overflows (x above a times the largest double, so a < 1)
+    the density is below that too, and is 0.
     """
-    y = x / a
-    near = np.abs(x - a) < 0.5 * a
-    r = np.log(y)
-    np.log1p((x - a) / a, out=r, where=near)
-    product, product_error = _two_product(a, r)
-    shift, shift_error = _two_sum(a, -x)
-    hi, sum_error = _two_sum(product, shift)
     inv = 1.0 / a
     inv2 = inv * inv
     stirling = 0.5 * np.log(a / (2.0 * math.pi)) - inv * (
@@ -254,9 +248,20 @@ def _gamma_density(a: np.ndarray, x: np.ndarray) -> np.ndarray:
             1 / 1188 - inv2 * (691 / 360360 - inv2 / 156))))))
     lgamma = np.fromiter(map(math.lgamma, a.flat), float, a.size).reshape(a.shape)
     offset = np.where(a >= 10.0, stirling, a * np.log(a) - a - lgamma)
-    correction = np.where(near, 0.0, (y - np.exp(r)) / y)
-    lo = (product_error + shift_error + sum_error + a * correction) + offset
-    return np.where(hi + lo < _LOG_UNDERFLOW, 0.0, np.exp(hi) * np.exp(lo))
+    # the masked limits: y = inf makes hi and lo NaN, and far below the
+    # underflow e^hi is 0 while e^lo may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x / a
+        near = np.abs(x - a) < 0.5 * a
+        r = np.log(y)
+        np.log1p((x - a) / a, out=r, where=near)
+        product, product_error = _two_product(a, r)
+        shift, shift_error = _two_sum(a, -x)
+        hi, sum_error = _two_sum(product, shift)
+        correction = np.where(near, 0.0, (y - np.exp(r)) / y)
+        lo = (product_error + shift_error + sum_error + a * correction) + offset
+        return np.where((hi + lo < _LOG_UNDERFLOW) | (y == math.inf), 0.0,
+                        np.exp(hi) * np.exp(lo))
 
 
 _SERIES_CHUNK = 32
@@ -297,7 +302,8 @@ def _regularized_gamma(a, x) -> tuple[np.ndarray, np.ndarray]:
     q = np.where(x == math.inf, 0.0, 1.0)
 
     # x/a = 0 (x subnormal) leaves P = 0: it is below x there
-    series = (x / a > 0) & (x < a + 1.0)
+    with np.errstate(over="ignore"):  # x/a = inf is above a + 1 too
+        series = (x / a > 0) & (x < a + 1.0)
     if series.any():
         aa, xx = a[series], x[series]
         p[series] = _lower_gamma_series(aa, xx) * _gamma_density(aa, xx)

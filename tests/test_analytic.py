@@ -234,6 +234,27 @@ def test_se_rule_reports_unreachable_tolerance(monkeypatch):
     assert info.value.error_estimate > 0
 
 
+RHO_LAWS = {
+    "outage_exact_L1": lambda rho: an.outage_exact_L1(1.0, rho),
+    "ccdf_exact_L1": lambda rho: an.ccdf_exact_L1(1.0, rho),
+    "outage_gamma_Lge2": lambda rho: an.outage_gamma_Lge2(2, 1.0, rho),
+    "outage_clt": lambda rho: an.outage_clt(2, 1.0, rho),
+    "outage_phase_error_uniform_pi": lambda rho: an.outage_phase_error_uniform_pi(3, 1.0, rho),
+    "se_exact_L1": an.se_exact_L1,
+    "se_gamma": lambda rho: an.se_gamma(2, rho),
+    "se_phase_error_uniform_pi": lambda rho: an.se_phase_error_uniform_pi(3, rho),
+}
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+@pytest.mark.parametrize("law", RHO_LAWS)
+def test_closed_forms_reject_a_rho_that_is_not_finite(law, rho):
+    """A NaN or infinite rho fails the one rho check, scalar or in an array."""
+    for value in (rho, np.array([1.0, rho])):
+        with pytest.raises(ValueError, match=f"rho must be > 0 and finite, got {rho}"):
+            RHO_LAWS[law](value)
+
+
 @pytest.mark.parametrize("rho", [0.0, -1.0])
 def test_se_closed_forms_reject_nonpositive_rho(rho):
     for se in (lambda: an.se_gamma(2, rho), lambda: an.se_exact_L1(rho),

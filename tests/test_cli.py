@@ -11,7 +11,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
-import weakref
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -808,21 +808,16 @@ def test_sweeps_build_no_config_per_point(tmp_path):
         assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 0
 
 
-def test_run_gains_drop_each_group_after_its_last_reduction():
-    """A run holds a draw key's gains from its first reduction to its last and
-    no longer: fig5's groups live across both tables, then go one by one."""
-    spec = cli.ExperimentSpec("reproduce", trials_se=20, seed=3)
-    tables = [("p_dbm", grid, columns)
-              for _, grid, columns in cli._power_panels(spec)["fig5"].values()]
-    gains = cli._RunGains(spec, tables)
-    uses = [col for _, _, columns in tables for col in columns if col.method == "mc"]
-    refs = {}  # L -> weak references to the gains handed out for it
-    for i, col in enumerate(uses):
-        refs.setdefault(col.cfg.L, []).append(weakref.ref(gains.take(col, col.cfg)))
-        later = {c.cfg.L for c in uses[i + 1:]}
-        assert {L: [r() is not None for r in rs] for L, rs in refs.items()} == {
-            L: [L in later] * len(rs) for L, rs in refs.items()}
-    assert [c.cfg.L for c in uses[-3:]] == [2, 16, 64]  # table b uses every group
+def test_outage_limits_at_a_tiny_sigma2_print_no_warning(tmp_path):
+    """At sigma2 = 1e-200 the gamma law's density underflows far below e^-709
+    and the CLT law's spread is 0; both limits give outage 1 with no warning."""
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["outage", "--L", "2", "--sigma2", "1e-200", "--p-dbm", "0:0:1",
+                        "--methods", "mc,gamma,clt", "--trials", "10", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [float(v) for v in rows[0][1:]] == [1.0, 0.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

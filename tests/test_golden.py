@@ -123,8 +123,9 @@ def _closed_form_differences(directory: Path) -> tuple[int, list[str]]:
     is closed-form when it has no stderr_ sibling, the benchmark's own rule."""
     checked, errors = 0, []
     for name, stored in STORED_AS.items():
-        rows = list(csv.reader((directory / name).open(encoding="utf-8")))
-        ref = list(csv.reader((BENCHMARK_REFERENCE / stored).open(encoding="utf-8")))
+        rows = list(csv.reader((directory / name).read_text(encoding="utf-8").splitlines()))
+        ref = list(csv.reader((BENCHMARK_REFERENCE / stored).read_text(
+            encoding="utf-8").splitlines()))
         if rows[0] != ref[0] or len(rows) != len(ref):
             errors.append(f"{name}: header or row count differs from {stored}")
             continue

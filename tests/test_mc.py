@@ -247,7 +247,7 @@ def test_grouped_gains_equal_one_config_gains(L):
 
 def block_rows(cfg, variants, seed, block, count):
     """The rows of every variant of one group in one block, from the block task."""
-    [rows], _ = mc._gain_block_task(([(cfg, tuple(variants), len(variants))], [], seed,
+    [rows], _ = mc._gain_block_task(([(cfg, tuple(variants), len(variants))], [], {}, seed,
                                      block, count))
     return rows
 
@@ -600,9 +600,10 @@ def test_reductions_reject_an_unknown_user(reduce):
 
 @given(st.data())
 def test_outage_counts_equal_the_dense_compare(data):
-    """The count kernel counts what rho[:, None] * g <= gamma_th counts, on gains
-    heaped at each rho's boundary gamma_th / rho and its nextafter neighbours,
-    zeros, gamma_th = 0, rho = 0 and rho from 1e-300 to 1e300."""
+    """The count kernel, at each rho's cutoff, counts what
+    rho[:, None] * g <= gamma_th counts, on gains heaped at each rho's boundary
+    gamma_th / rho and its nextafter neighbours, zeros, gamma_th = 0, rho = 0
+    and rho from 1e-300 to 1e300."""
     value = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
     gamma_th = data.draw(value)
     rho = np.array(data.draw(st.lists(value, min_size=1, max_size=6)))
@@ -615,7 +616,25 @@ def test_outage_counts_equal_the_dense_compare(data):
     g = np.array(data.draw(st.lists(gain, max_size=300)), dtype=float)
     with np.errstate(over="ignore"):
         want = np.count_nonzero(rho[:, None] * g <= gamma_th, axis=1)
-        assert np.array_equal(mc.outage_counts(g, rho, gamma_th), want)
+        assert np.array_equal(mc.outage_counts(g, mc._outage_cutoffs(rho, gamma_th)), want)
+
+
+# zero, subnormals and normal doubles from 1e-300 to 1e300
+CUTOFF_INPUTS = st.one_of(st.just(0.0), st.floats(5e-324, 2.0**-1022, exclude_max=True),
+                          st.floats(1e-300, 1e300))
+
+
+@given(st.lists(CUTOFF_INPUTS, min_size=1, max_size=6), CUTOFF_INPUTS)
+def test_outage_cutoffs_are_the_largest_doubles_in_outage(rho, gamma_th):
+    """Each cutoff c is in outage, rho * c <= gamma_th, and its next double is
+    not, unless c is the largest finite double: rho = 0, subnormal rho and
+    rho from 1e-300 to 1e300, gamma_th = 0, subnormal and up to 1e300."""
+    rho = np.array(rho)
+    cut = mc._outage_cutoffs(rho, gamma_th)
+    big = np.finfo(float).max
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(rho * cut <= gamma_th), (rho, cut)
+        assert np.all((cut == big) | (rho * np.nextafter(cut, np.inf) > gamma_th)), (rho, cut)
 
 
 def test_first_block_keeps_its_statistic_bits():

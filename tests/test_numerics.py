@@ -2,6 +2,7 @@
 plus quadrature contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,19 @@ def test_regularized_gamma_matches_scipy_at_the_library_shapes(L):
     np.testing.assert_allclose(p, sp.gammainc(a, x), rtol=3e-13, atol=1e-300)
     np.testing.assert_allclose(q, sp.gammaincc(a, x), rtol=3e-13, atol=1e-300)
     assert regularized_gamma_p(a, math.inf) == 1.0 and regularized_gamma_q(a, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+def test_regularized_gamma_at_the_largest_doubles(a):
+    """Below a = 1, x/a overflows for x near the largest double; the density
+    there is 0, so P is 1 and Q is 0, as scipy gives, with no warning."""
+    sp = pytest.importorskip("scipy.special")
+    x = np.array([1e300, 1e308, np.finfo(float).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, q = nm.regularized_gamma_p(a, x), nm.regularized_gamma_q(a, x)
+    np.testing.assert_array_equal(p, sp.gammainc(a, x))
+    np.testing.assert_array_equal(q, sp.gammaincc(a, x))
 
 
 def test_exp1_matches_scipy_on_both_sides_of_its_split():

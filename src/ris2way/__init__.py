@@ -4,7 +4,7 @@ max-min phase optimization."""
 from .analytic import (GammaApproxParams, asymptotic_outage, asymptotic_se,
                        delta_p, delta_r, gamma_approx_params, kl_divergence_gamma_fit,
                        outage_clt, outage_exact_L1, outage_gamma_Lge2,
-                       outage_phase_error_uniform_pi, scheme_crossover_power,
+                       outage_phase_error_uniform_pi, scheme_crossover_dbm,
                        se_exact_L1, se_gamma, se_phase_error_uniform_pi)
 from .channel import (NonReciprocalChannel, Reciprocity, ReciprocalChannel,
                       Scheme, SystemConfig, UniformPhaseError, VonMisesPhaseError,

@@ -231,10 +231,18 @@ def _se_cascade_law(L: int, rho, sigma2: float, half_rate: bool):
 
     That tail is the law of c G E with c = rho sigma^4, G ~ Gamma(L, 1) and
     E ~ Exp(1); averaging over E in closed form leaves E_G[e^x E1(x)] at
-    x = 1/(c G).
+    x = 1/(c G), which is ln(c G) - gamma to double precision where c G overflows.
     """
-    c = _column(rho) * sigma2**2
-    return _rate(_gamma_expectation(lambda g: scaled_exp1(1.0 / (c * g)), L), rho, half_rate)
+    column = _column(rho)
+    log_c = np.log(column) + 2.0 * math.log(sigma2)
+
+    def phi(g: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", divide="ignore"):
+            x = 1.0 / (column * (sigma2 * sigma2) * g)
+        huge = x == 0.0
+        return np.where(huge, log_c + np.log(g) - EULER_GAMMA, scaled_exp1(np.where(huge, 1, x)))
+
+    return _rate(_gamma_expectation(phi, L), rho, half_rate)
 
 
 def se_exact_L1(rho, sigma2: float = 1.0, half_rate: bool = False):
@@ -365,21 +373,20 @@ def delta_p(L1: int, L2: int, k: float) -> float:
     return 20.0 * math.log10(math.e) * (digamma(L2 * k) - digamma(L1 * k))
 
 
-def scheme_crossover_power(L: int, omega: float, nu: float, noise_mw: float,
-                           sigma2: float = 1.0) -> float:
-    """Transmit power (mW) where the one-slot scheme starts to outperform the
+def scheme_crossover_dbm(L: int, omega: float, nu: float, noise_mw: float,
+                         sigma2: float = 1.0) -> float:
+    """Transmit power (dBm) where the one-slot scheme starts to outperform the
     two-slot scheme (nu=0, or omega=0 at any nu), or the upper power bound below
     which it still does (nu=1).
 
     The two-slot rate is (ln P - ln N0 + c_L) / (2 ln 2).  It meets the one-slot
     rate (ln P - ln N_eff + c_L) / ln 2 at N_eff^2 / N0 e^-c_L, and the floor
-    rate at ln P = 2 ln 2 R_floor + ln N0 - c_L."""
-    c = _log_gain_constant(L, sigma2)
+    rate at ln P = 2 ln 2 R_floor + ln N0 - c_L.  Taken in logs, so it is finite
+    where the power in mW is not a double."""
     n_eff = _log_growth_noise(omega, nu, noise_mw)
-    if n_eff is None:
-        return math.exp(2.0 * LOG2 * _floor_se(L, omega, sigma2)
-                        + math.log(noise_mw) - c)
-    return n_eff**2 / noise_mw * math.exp(-c)
+    log_p = (2.0 * LOG2 * _floor_se(L, omega, sigma2) + math.log(noise_mw) if n_eff is None
+             else 2.0 * math.log(n_eff) - math.log(noise_mw)) - _log_gain_constant(L, sigma2)
+    return 10.0 / math.log(10.0) * log_p
 
 
 # Fixed grid for E[log K_0(S)] in u = log s.  The every-other-node sum, at

@@ -124,8 +124,10 @@ def parse_phase_error(text: str):
         if kind == "uniform":
             return UniformPhaseError(float(rest))
         if kind == "vonmises":
-            mu, kappa = (float(t) for t in rest.split(","))
-            return VonMisesPhaseError(mu, kappa)
+            mu, comma, kappa = rest.partition(",")
+            if not comma:
+                raise ValueError("kappa is missing, use vonmises:MU,KAPPA")
+            return VonMisesPhaseError(float(mu), float(kappa))
     except ValueError as exc:
         raise SpecError(f"bad phase error spec {text!r}: {exc}") from exc
     raise SpecError(f"bad phase error spec {text!r}: "
@@ -547,21 +549,21 @@ def run_optimize(spec: ExperimentSpec) -> dict:
             for m in spec.methods]
     gains = dict(zip(spec.methods, mc.collect_gains(cfgs, spec.trials, spec.seed, spec.workers)))
     header, cells = ["trial"], [[str(t) for t in range(spec.trials)]]
-    if "sdp" in spec.methods:
-        header.append("t_star")
-        cells.append([fmt_val(t) for t in rho * gains["sdp"].t_star])
-    for m in spec.methods:
-        g1, g2 = rho * gains[m].g1, rho * gains[m].g2
-        header.extend([f"gamma1_{m}", f"gamma2_{m}", f"min_{m}"])
-        cells.extend([fmt_val(v) for v in col] for col in (g1, g2, np.minimum(g1, g2)))
+    with np.errstate(over="ignore"):  # a huge sigma2 takes the SINRs past the doubles
+        if "sdp" in spec.methods:
+            header.append("t_star")
+            cells.append([fmt_val(t) for t in rho * gains["sdp"].t_star])
+        for m in spec.methods:
+            g1, g2 = rho * gains[m].g1, rho * gains[m].g2
+            header.extend([f"gamma1_{m}", f"gamma2_{m}", f"min_{m}"])
+            cells.extend([fmt_val(v) for v in col] for col in (g1, g2, np.minimum(g1, g2)))
     return {"": (header, [list(row) for row in zip(*cells)], False, "SINR")}
 
 
 def _crossover_dbm(cfg: SystemConfig) -> str:
     """Closed-form power where the one-slot scheme overtakes, in dBm."""
-    p_mw = analytic.scheme_crossover_power(cfg.L, cfg.omega, cfg.nu, cfg.noise_mw,
-                                           cfg.sigma2)
-    return f"{10.0 * math.log10(p_mw):.6f}"
+    return "{:.6f}".format(analytic.scheme_crossover_dbm(cfg.L, cfg.omega, cfg.nu,
+                                                        cfg.noise_mw, cfg.sigma2))
 
 
 def run_crossover(spec: ExperimentSpec) -> dict:

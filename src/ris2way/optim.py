@@ -1,30 +1,30 @@
 """Surface phase design.
 
 Reciprocal channels admit a closed-form optimum.  Non-reciprocal channels get
-max-min SINR treatment: the unit-modulus phase problem is lifted to a PSD
-matrix variable with per-element trace constraints, the rank constraint is
-dropped, and the resulting small dense SDP is solved with a log-barrier
+max-min SINR treatment.  User p's gain at the phases x = e^{j phi} is
+x^H W_p x, W_p = w_p w_p^H, w_p = conj(z_p); relaxing x x^H to an L x L
+Hermitian X >= 0 with unit diagonal gives the standard semidefinite relaxation
+(Luo, Ma, So, Ye and Zhang, 2010; Wu and Zhang, 2019), solved by a log-barrier
 interior-point method (no external solver): along one central path that
 maximizes the SINR level, or, as the reference, by bisection over the level
-from the bracket [1, 2L] of the scaled forms, each level decided on that
-path stopped at the level.  The relaxation has only L+2 constraints (L pair
-traces, two form levels), so each Newton step solves an (L+3)x(L+3) system
-in the constraint multipliers and the level step, and recovers the matrix
-step from them at O(L^3) cost (the Schur-complement reduction of Helmberg,
-Rendl, Vanderbei and Wolkowicz, 1996).  The step is measured in whitened
-coordinates: with A = R R^T, Y = R^{-1} dA R^{-T} needs no inverse, the
-Newton decrement is the sum of squares |Y|_F^2 + sum_p g_p^2 delta_p^2, and
-the eigenvalues of Y (or, once the decrement is below 1/2, a Cholesky factor
-of I + s Y) give log det(A + s dA) for a step length s, so the backtracking
-line search needs no factorization of A + s dA (Boyd and Vandenberghe, 2004,
-sections 9.5 and 11.3).  Rank-one solutions are recovered by Gaussian
-randomization (Sidiropoulos, Davidson and Luo, 2006); a greedy discretized
-coordinate search is the low-complexity alternative.  It picks each element's
-grid angle by a real proxy of the candidate values, certified against their
-rounding error, and scans the whole grid only where the certificate fails.
+from the bracket [1, 2L] of the scaled forms, each level decided on that path
+stopped at the level.  With only L+2 constraints (L diagonal entries, two
+form levels), each Newton step solves an (L+3)x(L+3) system, built from X w_p
+at O(L^2) cost, and recovers the matrix step at O(L^3) cost (Helmberg, Rendl,
+Vanderbei and Wolkowicz, 1996).  In whitened coordinates, X = R R^H and
+Y = R^{-1} dX R^{-H}, the Newton decrement is a sum of squares, and the
+eigenvalues of Y (or, once the decrement is below 1/2, a Cholesky factor of
+I + s Y) give log det(X + s dX) for a step length s, so the backtracking line
+search needs no factorization of X + s dX (Boyd and Vandenberghe, 2004,
+sections 9.5 and 11.3).  Rank-one solutions are recovered
+by Gaussian randomization (Sidiropoulos, Davidson and Luo, 2006); a greedy
+discretized coordinate search is the low-complexity alternative.  It picks
+each element's grid angle by a real proxy of the candidate values, certified
+against their rounding error, and scans the whole grid only where the
+certificate fails.
 
 Every stage runs on stacks of instances in one layout: the (2, m, L) terms
-of m instances (a channel block's `terms`), their (m, 2, 2L, 2L) forms, and
+of m instances (a channel block's `terms`), their (m, 2, L) form vectors, and
 one relaxed solution and RNG per row for the rounding.  `maxmin_block` is the
 one driver of the design pipeline: it solves the m instances of a Monte
 Carlo block together (the optimize command reads its trials from those
@@ -49,9 +49,9 @@ import numpy as np
 from .channel import (NonReciprocalChannel, ReciprocalChannel, sinr_nonreciprocal,
                       wrap_phases)
 
-# elements of the largest stacked array of a sub-batch: the (rows, 2, 2L, 2L)
-# form pairs of the relaxation, the (rows, K, 2L) draws of the rounding, the
-# (rows, 2, grid) candidates of the greedy search; 2 MiB of float64
+# float64 elements of the largest stacked array of a sub-batch: the complex
+# (rows, L, L) iterates of the relaxation, the complex (rows, K, L) candidates
+# of the rounding, the (rows, 2, grid) candidates of the greedy search; 2 MiB
 _STACK_ELEMENTS = 1 << 18
 _GREEDY_THRESHOLD = 1e-6
 _GREEDY_MAX_SWEEPS = 200
@@ -82,11 +82,12 @@ class OptimMethod(enum.Enum):
 
 @dataclass
 class SdpSolution:
-    """feasibility_gap: the final bracket width on the bisection path; on the
-    joint path the nominal barrier bound (2L+2)/tau in the forms' units, which
-    is not certified once tau passes ~1e6 (roundoff of the (L+3) Newton system
-    keeps the last stages from centring; at L=8, tol 3e-7 a rounded solution
-    can exceed t_star + feasibility_gap by ~3e-8 relative)."""
+    """a_star: the L x L Hermitian X* with unit diagonal.  feasibility_gap: the
+    final bracket width on the bisection path; on the joint path the nominal
+    barrier bound (2L+2)/tau in the forms' units, which is not certified once
+    tau passes ~1e6 (roundoff of the (L+3) Newton system keeps the last stages
+    from centring; at L=8, tol 3e-7 a rounded solution can exceed
+    t_star + feasibility_gap by ~7e-8 relative)."""
 
     t_star: float
     a_star: np.ndarray
@@ -109,44 +110,19 @@ def optimal_phase_reciprocal(ch: ReciprocalChannel) -> np.ndarray:
     return wrap_phases(-np.angle(ch.h * ch.g))
 
 
-def _interleave(cos_part: np.ndarray, sin_part: np.ndarray) -> np.ndarray:
-    out = np.empty(cos_part.shape[:-1] + (2 * cos_part.shape[-1],))
-    out[..., 0::2] = cos_part
-    out[..., 1::2] = sin_part
-    return out
-
-
-def _lifted_vectors(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors c, d with (alpha . c)^2 + (alpha . d)^2 = |sum z_l e^{j phi_l}|^2
-    for alpha = (cos phi_1, sin phi_1, ..., cos phi_L, sin phi_L), along the
-    last axis of z."""
-    amp = np.abs(z)
-    theta = -np.angle(z)  # z_l = |z_l| e^{-j theta_l}
-    c = _interleave(amp * np.cos(theta), amp * np.sin(theta))
-    d = _interleave(-amp * np.sin(theta), amp * np.cos(theta))
-    return c, d
-
-
 def _forms(terms: np.ndarray) -> np.ndarray:
-    """(F_1, F_2) of each instance of the (2, m, L) terms: (m, 2, 2L, 2L)."""
-    c, d = _lifted_vectors(np.ascontiguousarray(terms.swapaxes(0, 1)))
-    return c[..., :, None] * c[..., None, :] + d[..., :, None] * d[..., None, :]
+    """The form vectors w_p = conj(z_p) of each instance of the (2, m, L)
+    terms: (m, 2, L), with w_p^H x = sum_l z_{p,l} x_l."""
+    return np.ascontiguousarray(np.conj(terms).swapaxes(0, 1), dtype=complex)
 
 
 def build_quadratic_forms(ch: NonReciprocalChannel) -> np.ndarray:
-    """Lift both users' gains g_p (their SINRs at rho = 1) to quadratic forms.
-
-    Returns (F_1, F_2) of the channel's `terms`, a (2, 2L, 2L) array of
-    symmetric PSD forms in the stacked cos/sin variables, each of rank <= 2,
-    with alpha^T F_p alpha = g_p.
-    """
+    """Both users' gains g_p (their SINRs at rho = 1) as Hermitian forms
+    x^H W_p x = |w_p^H x|^2 of x = e^{j phi}, W_p = w_p w_p^H: returns the
+    (2, L) vectors w_p = conj(z_p) of the channel's `terms`."""
     if not isinstance(ch, NonReciprocalChannel):
         raise ValueError("quadratic forms are defined for non-reciprocal realizations")
     return _forms(ch.terms[:, None])[0]
-
-
-def lifted_to_phases(alpha: np.ndarray) -> np.ndarray:
-    return wrap_phases(np.arctan2(alpha[..., 1::2], alpha[..., 0::2]))
 
 
 def _sub_batches(m: int, per_row: int) -> list[slice]:
@@ -155,18 +131,25 @@ def _sub_batches(m: int, per_row: int) -> list[slice]:
 
 
 # ---------------------------------------------------------------------------
-# log-barrier interior-point machinery on the lifted cone, for stacks of
+# log-barrier interior-point machinery on the Hermitian cone, for stacks of
 # instances: every array has a leading row axis
 # ---------------------------------------------------------------------------
 
-def _form_values(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """<F_p, X> for the (m, 2, n, n) forms and the (m, n, n) matrices: (m, 2)."""
-    m = len(f)
-    return (f.reshape(m, 2, -1) @ x.reshape(m, -1, 1))[..., 0]
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
 
 
-def _transpose(x: np.ndarray) -> np.ndarray:
-    return x.swapaxes(-1, -2)
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of complex matrices.  numpy's matmul costs ~0.3 us per
+    matrix (2-vCPU Xeon, numpy 2.4); up to 4 inner terms, products cost less."""
+    if a.shape[-1] > 4:
+        return a @ b
+    return sum(a[..., :, j:j + 1] * b[..., j:j + 1, :] for j in range(a.shape[-1]))
+
+
+def _form_values(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w_p^H X w_p for the (m, 2, L) vectors and the (m, L, L) Hermitian X: (m, 2)."""
+    return (_matmul(w.conj(), x) * w).sum(axis=2).real
 
 
 def _diagonal(x: np.ndarray) -> np.ndarray:
@@ -177,84 +160,90 @@ def _diagonal(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (n * n,))[..., ::n + 1]
 
 
-def _pair_sums(x: np.ndarray) -> np.ndarray:
-    """Sums over the (cos, sin) pairs of the last axis."""
-    return x[..., 0::2] + x[..., 1::2]
+def _unit_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, 2, L) vectors times 2^-e per row, which is exact, with the
+    largest real or imaginary part of each row in [0.5, 1); returns them and e."""
+    e = np.frexp(np.abs(w.view(float)).max(axis=(1, 2)))[1]
+    return np.ldexp(w.view(float), -e[:, None, None]).view(complex), e
 
 
-def _newton_step(a: np.ndarray, chol: np.ndarray, f: np.ndarray, gains: np.ndarray,
+def _newton_step(x: np.ndarray, chol: np.ndarray, w: np.ndarray, gains: np.ndarray,
                  g: np.ndarray, grad_t: np.ndarray):
-    """Newton direction of the barrier under the pair-trace rows, per row.
+    """Newton direction of the barrier under the unit-diagonal rows, per row.
 
-    The rows hold A, its Cholesky factor R (A = R R^T), the forms (F_1, F_2),
-    the form values <F_p, A>, the slacks g_p and g_theta = grad_t.  With
-    G = -A^{-1} - sum_p F_p / g_p and E_l the diagonal indicator of pair l,
-    stationarity gives dA = -A (G + sum_p delta_p F_p + sum_l nu_l E_l) A
-    = R Y R^T, with Y = I + R^T M R and M = sum_p (1/g_p - delta_p) F_p -
-    diag(nu), where (delta_1, delta_2, nu_1..nu_L, dtheta) solve the symmetric
-    (L+3) system delta_1 + delta_2 = g_theta, <E_l, dA> = 0,
-    g_p^2 delta_p = <F_p, dA> - dtheta.  Its entries are <F_p, A F_q A>, pair
-    sums of diag(A F_p A) and 2x2 block sums of A*A.  Y = R^{-1} dA R^{-T}
-    needs no inverse, and the decrement is |Y|_F^2 + sum_p g_p^2 delta_p^2 >= 0;
-    the form -(<G, dA> + g_theta dtheta) is the same number in exact
-    arithmetic, but through A^{-1} roundoff swamps it near the rank-one
-    optimum.  dA and Y are symmetrized: asymmetric roundoff in A lets the pair
-    traces drift.
+    The rows hold X, its Cholesky factor R (X = R R^H), the form vectors w_p,
+    the form values w_p^H X w_p, the slacks g_p and g_theta = grad_t.  The
+    barrier -2 log det X - sum_p log g_p keeps the central path of the real
+    2L x 2L image of the problem, whose log det is 2 log det X + const.
+    With G = -2 X^{-1} - sum_p W_p / g_p, stationarity gives
+    dX = -X (G + sum_p delta_p W_p + diag(nu)) X / 2 = R Y R^H, with
+    Y = I + R^H M R / 2 and M = sum_p (1/g_p - delta_p) W_p - diag(nu), where
+    (delta_1, delta_2, nu_1..nu_L, dtheta) solve the (L+3) system
+    delta_1 + delta_2 = g_theta, diag(dX) = 0, g_p^2 delta_p = <W_p, dX> -
+    dtheta.  With v_p = X w_p its entries |w_p^H v_q|^2 / 2, |v_p|^2 / 2 and
+    |X|^2 / 2 cost O(L^2); no W_p is built.  User 1's row enters as its
+    difference from user 2's, taken before g_p^2 is added: late on the path
+    g_p^2 is below the roundoff of the other entries, and the rows of parallel
+    forms would round to one.  The decrement is 2 |Y|_F^2 +
+    sum_p g_p^2 delta_p^2 >= 0, -(<G, dX> + g_theta dtheta) in exact arithmetic,
+    where roundoff through X^{-1} swamps it near the rank-one optimum.  dX and Y
+    are made Hermitian: asymmetric roundoff in X lets the diagonal drift.
 
-    Returns (dA, dtheta, Y, decrement); raises LinAlgError for a singular
-    system.
+    Returns (dX, dtheta, Y, decrement); raises LinAlgError for a singular system.
     """
-    m, n, _ = a.shape
-    afa = a[:, None] @ f @ a[:, None]
-    afa_pairs = _pair_sums(_diagonal(afa))  # (m, form, pair)
-    fafa = f.reshape(m, 2, -1) @ _transpose(afa.reshape(m, 2, -1))  # <F_p, A F_q A>
-    s = np.zeros((m, n // 2 + 3, n // 2 + 3))
-    s[:, :2, :2] = fafa
+    m, L, _ = x.shape
+    r = _matmul(w.conj(), x)  # rows w_p^H X = v_p^H
+    cross = _matmul(r, w.swapaxes(1, 2))  # w_p^H X w_q
+    half_k = 0.5 * (cross.real ** 2 + cross.imag ** 2)
+    half_v = 0.5 * (r.real ** 2 + r.imag ** 2)  # (m, form, element)
+    s = np.zeros((m, L + 3, L + 3))
+    s[:, :2, :2] = half_k
     _diagonal(s)[:, :2] += g ** 2
-    s[:, :2, 2:-1] = afa_pairs
-    s[:, 2:-1, :2] = _transpose(afa_pairs)
-    a2 = a * a
-    s[:, 2:-1, 2:-1] = (a2[:, 0::2, 0::2] + a2[:, 0::2, 1::2]
-                        + a2[:, 1::2, 0::2] + a2[:, 1::2, 1::2])
+    s[:, :2, 2:-1] = half_v
+    s[:, 2:-1, :2] = half_v.swapaxes(1, 2)
+    s[:, 2:-1, 2:-1] = 0.5 * (x.real ** 2 + x.imag ** 2)
     s[:, :2, -1] = s[:, -1, :2] = 1.0
-    # -<F_p, A G A> = <F_p, A> + sum_q <F_p, A F_q A> / g_q, and -<E_l, A G A> alike
-    rhs = np.empty((m, n // 2 + 3))
-    rhs[:, :2] = gains + fafa[:, :, 0] / g[:, :1] + fafa[:, :, 1] / g[:, 1:]
-    rhs[:, 2:-1] = (_pair_sums(_diagonal(a)) + afa_pairs[:, 0] / g[:, :1]
-                    + afa_pairs[:, 1] / g[:, 1:])
+    # -<W_p, X G X> / 2 = <W_p, X> + sum_q |w_p^H X w_q|^2 / (2 g_q), and
+    # -diag(X G X) / 2 alike
+    rhs = np.empty((m, L + 3))
+    rhs[:, :2] = gains + (half_k / g[:, None, :]).sum(axis=2)
+    rhs[:, 2:-1] = _diagonal(x).real + (half_v / g[:, :, None]).sum(axis=1)
     rhs[:, -1] = grad_t
+    kd = half_k[:, 0] - half_k[:, 1]  # user 1's row less user 2's
+    s[:, 0, :2] = kd + g ** 2 * [1.0, -1.0]
+    s[:, 0, 2:-1], s[:, 0, -1] = half_v[:, 0] - half_v[:, 1], 0.0
+    rhs[:, 0] = gains[:, 0] - gains[:, 1] + (kd / g).sum(axis=1)
     sol = np.linalg.solve(s, rhs[..., None])[..., 0]
-    delta = sol[:, :2]
-    coef = 1.0 / g - delta
-    m_mat = coef[:, 0, None, None] * f[:, 0] + coef[:, 1, None, None] * f[:, 1]
-    _diagonal(m_mat)[:] -= np.repeat(sol[:, 2:-1], 2, axis=1)
-    w = _transpose(chol) @ (m_mat @ chol)
-    y = 0.5 * (w + _transpose(w))
+    delta, nu, dtheta = sol[:, :2], sol[:, 2:-1], sol[:, -1]
+    u = _matmul(_adjoint(chol), w.swapaxes(1, 2))  # columns R^H w_p
+    rmr = (_matmul(u * (1.0 / g - delta)[:, None, :], _adjoint(u))
+           - _matmul(_adjoint(chol) * nu[:, None, :], chol))  # R^H M R
+    y = 0.25 * (rmr + _adjoint(rmr))
     _diagonal(y)[:] += 1.0
-    da = (chol @ y) @ _transpose(chol)
-    decrement = ((y.reshape(m, 1, -1) @ y.reshape(m, -1, 1))[:, 0, 0]
-                 + ((g * delta) ** 2).sum(axis=1))
-    return 0.5 * (da + _transpose(da)), sol[:, -1], y, decrement
+    dx = _matmul(_matmul(chol, y), _adjoint(chol))
+    decrement = 2.0 * (y.real ** 2 + y.imag ** 2).sum(axis=(1, 2)) + ((g * delta) ** 2).sum(axis=1)
+    return 0.5 * (dx + _adjoint(dx)), dtheta, y, decrement
 
 
 def _step_lengths(y: np.ndarray, ratio: np.ndarray, slope: np.ndarray,
                   decrement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backtracking over s = 1, 1/2, ..., 2^-59 per row.
 
-    In whitened coordinates A + s dA = R (I + s Y) R^T, and the slacks move to
-    g_p (1 + s ratio_p).  So phi = -tau theta - log det A - sum_p log g_p
-    changes by s slope + (s tr Y - log det(I + s Y)) + sum_p h(s ratio_p),
+    In whitened coordinates X + s dX = R (I + s Y) R^H, and the slacks move to
+    g_p (1 + s ratio_p).  So phi = -tau theta - 2 log det X - sum_p log g_p
+    changes by s slope + 2 (s tr Y - log det(I + s Y)) + sum_p h(s ratio_p),
     with h(x) = x - log(1 + x) >= 0 and slope the derivative of phi along the
     step: the bracket is second order too, so no first-order terms cancel.
     With lambda the eigenvalues of Y, I + s Y > 0 iff 1 + s min(lambda) > 0
-    and the bracket is sum_i h(s lambda_i), arithmetic for every s.  A row with
-    decrement < 1/2 has |Y|_2 <= |Y|_F < 0.71, so I + s Y > 0 for every s <= 1
-    and a Cholesky factor gives the log det at a fraction of the cost of the
-    eigenvalues.  Accept the first s with positive slacks and a change <=
-    s slope / 4.  Returns the step per row and a mask of rows that found none.
+    and the bracket is 2 sum_i h(s lambda_i), arithmetic for every s.  A row
+    with decrement < 1/2 has |Y|_2 <= |Y|_F < 1/2, so I + s Y > 0 for every
+    s <= 1 and a Cholesky factor gives the log det at a fraction of the cost
+    of the eigenvalues.  Accept the first s with positive slacks and a change
+    <= s slope / 4.  Returns the step per row and a mask of rows that found
+    none.
     """
     m = len(y)
-    trace = y.trace(axis1=1, axis2=2)
+    trace = y.trace(axis1=1, axis2=2).real
     by_eig = decrement >= 0.5
     lam = np.zeros(y.shape[:2])
     if by_eig.any():
@@ -275,12 +264,12 @@ def _step_lengths(y: np.ndarray, ratio: np.ndarray, slope: np.ndarray,
                 rows = pending[~eig]
                 trial = s[~eig, None, None] * y[rows]
                 _diagonal(trial)[:] += 1.0
-                logdet = 2.0 * np.log(_diagonal(np.linalg.cholesky(trial))).sum(axis=1)
-                bracket[~eig] = s[~eig] * trace[rows] - logdet
+                logdet = 2.0 * np.log(_diagonal(np.linalg.cholesky(trial)).real).sum(axis=1)
+                bracket[~eig] = 2.0 * (s[~eig] * trace[rows] - logdet)
             if eig.any():
                 x = s[eig, None] * lam[pending[eig]]
                 ok[eig] = x[:, 0] > -1.0
-                bracket[eig] = h(x)
+                bracket[eig] = 2.0 * h(x)
             r = s[:, None] * ratio[pending]
             dphi = s * slope[pending] + bracket + h(r)
             ok &= (r > -1.0).all(axis=1) & (dphi <= 0.25 * s * slope[pending])
@@ -303,28 +292,29 @@ def _failing_row(fn, *stacks: np.ndarray) -> int:
     return 0
 
 
-def _maximize_linear_over_cone(f: np.ndarray, a0: np.ndarray, gap_tol: float,
+def _maximize_linear_over_cone(w: np.ndarray, x0: np.ndarray, gap_tol: float,
                                level: Optional[np.ndarray] = None) -> SdpSolution:
-    """Per row: max theta  s.t. <F_p, A> - theta >= 0, pair traces = 1, A > 0.
+    """Per row: max theta  s.t. w_p^H X w_p - theta >= 0, X_ll = 1, X > 0.
 
-    f is the (m, 2, n, n) stack of form pairs and a0 the (m, n, n) start.
-    Central-path following with barrier -log det A - sum_p log g_p; the
-    barrier parameter grows by 10 per stage.  A stage ends after 60 steps, or
-    when the decrement falls to 2e-9 (Boyd and Vandenberghe, algorithm 9.5),
-    or when the step no longer descends as the decrement predicts (slope >
-    -decrement / 2): the roundoff of the (L+3) system grows like tau^2, and
-    once it is as large as the decrement further steps cannot center the row
-    better.  A row ends at a stage end with gap <= gap_tol max(1, |theta|),
-    or, given its `level`, once theta > level or, at a stage end, theta + gap
-    < level or gap <= gap_tol: the phase-I test of the level (section 11.4).
-    Rows that finish drop out of the stack; the result is in the forms' units.
+    w is the (m, 2, L) stack of form vectors and x0 the (m, L, L) start.
+    Central-path following with barrier -2 log det X - sum_p log g_p (see
+    `_newton_step`), of complexity 2L + 2; the barrier parameter grows by 10
+    per stage.  A stage ends after 60 steps, or when the decrement falls to
+    2e-9 (Boyd and Vandenberghe, algorithm 9.5), or when the step no longer
+    descends as the decrement predicts (slope > -decrement / 2): the roundoff
+    of the (L+3) system grows like tau^2, and once it is as large as the
+    decrement further steps cannot center the row better.  A row ends at a
+    stage end with gap <= gap_tol max(1, |theta|), or, given its `level`, once
+    theta > level or, at a stage end, theta + gap < level or gap <= gap_tol:
+    the phase-I test of the level (section 11.4).  Rows that finish drop out
+    of the stack; the result is in the forms' units.
     """
-    m, _, n, _ = f.shape
-    complexity = n + 2.0
-    out = SdpSolution(np.empty(m), np.empty((m, n, n)), np.empty(m, dtype=int), np.empty(m))
+    m, _, L = w.shape
+    complexity = 2.0 * L + 2.0
+    out = SdpSolution(np.empty(m), np.empty((m, L, L), complex), np.empty(m, int), np.empty(m))
     live = np.arange(m)
-    a = np.array(a0, dtype=float, order="C")
-    gains = _form_values(f, a)
+    x = np.array(x0, dtype=complex, order="C")
+    gains = _form_values(w, x)
     theta = gains.min(axis=1) - 1.0
     tau = np.ones(m)
     steps = np.zeros(m, dtype=int)
@@ -341,25 +331,25 @@ def _maximize_linear_over_cone(f: np.ndarray, a0: np.ndarray, gap_tol: float,
             raise SolverFailureError(
                 f"iterate left the feasible interior: slacks {g[i]!r}", int(live[i]))
         try:
-            chol = np.linalg.cholesky(a)
+            chol = np.linalg.cholesky(x)
         except np.linalg.LinAlgError:
-            i = _failing_row(np.linalg.cholesky, a)
+            i = _failing_row(np.linalg.cholesky, x)
             raise SolverFailureError(f"iterate left the positive definite cone at "
                                      f"tau={tau[i]!r}", int(live[i])) from None
         grad_t = -tau + (1.0 / g).sum(axis=1)
         try:
-            da, dtheta, y, decrement = _newton_step(a, chol, f, gains, g, grad_t)
+            dx, dtheta, y, decrement = _newton_step(x, chol, w, gains, g, grad_t)
         except np.linalg.LinAlgError:
-            i = _failing_row(_newton_step, a, chol, f, gains, g, grad_t)
+            i = _failing_row(_newton_step, x, chol, w, gains, g, grad_t)
             raise SolverFailureError(f"singular Newton system at tau={tau[i]!r}",
                                      int(live[i])) from None
         # the slacks' relative steps and the slope of phi along the step taken
-        ratio = (_form_values(f, da) - dtheta[:, None]) / g
-        slope = -tau * dtheta - y.trace(axis1=1, axis2=2) - ratio.sum(axis=1)
+        ratio = (_form_values(w, dx) - dtheta[:, None]) / g
+        slope = -tau * dtheta - 2.0 * y.trace(axis1=1, axis2=2).real - ratio.sum(axis=1)
         steps += 1
         inner += 1
         moving = (decrement / 2.0 > 1e-9) & (slope < -decrement / 2.0)
-        step = np.zeros(len(a))
+        step = np.zeros(len(x))
         if moving.any():
             step[moving], failed = _step_lengths(y[moving], ratio[moving], slope[moving],
                                                  decrement[moving])
@@ -367,9 +357,9 @@ def _maximize_linear_over_cone(f: np.ndarray, a0: np.ndarray, gap_tol: float,
                 i = int(np.flatnonzero(moving)[np.argmax(failed)])
                 raise SolverFailureError(f"line search failed at tau={tau[i]!r}, "
                                          f"decrement={decrement[i]!r}", int(live[i]))
-        a = a + step[:, None, None] * da
+        x = x + step[:, None, None] * dx
         theta = theta + step * dtheta
-        gains = _form_values(f, a)
+        gains = _form_values(w, x)
 
         gap = complexity / tau
         stage_end = ~moving | (inner >= 60)
@@ -383,90 +373,88 @@ def _maximize_linear_over_cone(f: np.ndarray, a0: np.ndarray, gap_tol: float,
         inner = np.where(next_stage, 0, inner)
         if done.any():
             rows = live[done]
-            out.t_star[rows], out.a_star[rows] = theta[done], a[done]
+            out.t_star[rows], out.a_star[rows] = theta[done], x[done]
             out.iterations[rows], out.feasibility_gap[rows] = steps[done], gap[done]
             keep = ~done
-            live, a, f = live[keep], a[keep], f[keep]
+            live, x, w = live[keep], x[keep], w[keep]
             gains, theta, tau, steps, inner = (gains[keep], theta[keep], tau[keep],
                                                steps[keep], inner[keep])
     return out
 
 
-def _initial_interior(n: int) -> np.ndarray:
-    return 0.5 * np.eye(n)
-
-
-def _scaled(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Form pairs divided by the smaller form value at the initial point, per
-    row: the optimum then lies in [1, 2L] scaled units, so relative gap targets
-    stay relative even for lopsided users.  Returns (scaled forms, scale, a0)."""
-    m, _, n, _ = f.shape
-    a0 = np.broadcast_to(_initial_interior(n), (m, n, n))
-    scale = _form_values(f, a0).min(axis=1)
+def _scaled(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Form vectors over the square root of the smaller form value at X0 = I,
+    per row: the optimum then lies in [1, L] scaled units (w^H X w <= |w|^2 tr X),
+    so relative gap targets stay relative even for lopsided users.  Each row is
+    first brought to unit size by an exact power of two, so no square under- or
+    overflows.  Returns (scaled vectors, scale in the forms' units, X0)."""
+    m, _, L = w.shape
+    unit, e = _unit_rows(w)
+    scale = (unit.real ** 2 + unit.imag ** 2).sum(axis=2).min(axis=1)
     if not np.all(scale > 0.0):
         raise SolverFailureError("a quadratic form vanishes on the initial point",
                                  int(np.argmin(scale > 0.0)))
-    return f / scale[:, None, None, None], scale, a0
+    x0 = np.broadcast_to(np.eye(L, dtype=complex), (m, L, L))
+    with np.errstate(over="ignore"):
+        return unit / np.sqrt(scale)[:, None, None], np.ldexp(scale, 2 * e), x0
 
 
-def _sdp_joint(f: np.ndarray, tol: float) -> SdpSolution:
-    """The relaxation of each row of the (m, 2, n, n) form pairs on the joint
+def _sdp_joint(w: np.ndarray, tol: float) -> SdpSolution:
+    """The relaxation of each row of the (m, 2, L) form vectors on the joint
     central path; the solution's fields hold one entry (or matrix) per row."""
-    fs, scale, a0 = _scaled(f)
-    out = _maximize_linear_over_cone(fs, a0, gap_tol=tol / 4.0)
-    out.t_star *= scale
-    out.feasibility_gap *= scale
+    ws, scale, x0 = _scaled(w)
+    out = _maximize_linear_over_cone(ws, x0, gap_tol=tol / 4.0)
+    with np.errstate(over="ignore"):
+        out.t_star *= scale
+        out.feasibility_gap *= scale
     return out
 
 
-def _sdp_bisect(f: np.ndarray, tol: float) -> SdpSolution:
+def _sdp_bisect(w: np.ndarray, tol: float) -> SdpSolution:
     """`_sdp_joint`'s relaxation by bisection over the level, each level decided
-    by the same barrier stopped at it.  Every row starts from the `_scaled`
-    bracket [1, 2L] (level 1 holds at a0; lambda_max(F_p) <= tr F_p bounds the
-    forms by 2L), the live rows bisect in lockstep, one stacked test per step,
-    and a row leaves once hi - lo <= tol lo; feasibility_gap is hi - lo, scaled."""
-    fs, scale, a0 = _scaled(f)
-    lo, hi = np.ones(len(f)), np.full(len(f), float(f.shape[-1]))
-    best, warm = np.array(a0), np.array(a0)
-    steps = np.zeros(len(f), dtype=int)
-    live = np.arange(len(f))
+    by the same barrier stopped at it.  Every row starts from the bracket
+    [1, 2L] of the `_scaled` forms, the live rows bisect in lockstep, one
+    stacked test per step, and a row leaves once hi - lo <= tol lo;
+    feasibility_gap is hi - lo, scaled."""
+    ws, scale, x0 = _scaled(w)
+    lo, hi = np.ones(len(w)), np.full(len(w), 2.0 * w.shape[-1])
+    best, warm = np.array(x0), np.array(x0)
+    steps = np.zeros(len(w), dtype=int)
+    live = np.arange(len(w))
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        out = _maximize_linear_over_cone(fs[live], warm[live], gap_tol=tol / 8.0, level=mid)
+        out = _maximize_linear_over_cone(ws[live], warm[live], gap_tol=tol / 8.0, level=mid)
         steps[live] += out.iterations
         ok = out.t_star > mid
         lo[live[ok]], best[live[ok]] = mid[ok], out.a_star[ok]
         hi[live[~ok]] = mid[~ok]
         # pull the next start back toward the analytic center: iterates near the
         # cone boundary make poor Newton starts for a different level
-        warm[live] = 0.8 * out.a_star + 0.2 * a0[live]
+        warm[live] = 0.8 * out.a_star + 0.2 * x0[live]
         live = live[hi[live] - lo[live] > tol * lo[live]]
     return SdpSolution(t_star=lo * scale, a_star=best, iterations=steps,
                        feasibility_gap=(hi - lo) * scale)
 
 
 def _form_arrays(forms, a_star: Optional[np.ndarray] = None) -> np.ndarray:
-    """The (m, 2, n, n) forms as one float array, once they and the (m, n, n)
-    a_star are checked to be square of one shape, n = 2L."""
+    """The (m, 2, L) form vectors as one complex array, once they and the
+    (m, L, L) a_star are checked to be of one length L >= 1."""
     try:
-        f = np.asarray(forms, dtype=float)
-    except ValueError as exc:  # F_1 and F_2 of different shapes
-        raise ValueError(f"forms must be square arrays of one shape: {exc}") from None
-    m, n = f.shape[:1], f.shape[-1:]
-    shapes = [f.shape] + ([] if a_star is None else [np.shape(a_star)])
-    if shapes != [m + (2,) + 2 * n, m + 2 * n][:len(shapes)]:
-        raise ValueError(f"forms{'' if a_star is None else ' and a_star'} must be square "
-                         f"arrays of one shape, got shapes {shapes}")
-    if n[0] % 2 or n[0] < 2:
-        raise ValueError("forms must have even dimension 2L")
-    return f
+        w = np.ascontiguousarray(forms, dtype=complex)
+    except ValueError:  # w_1 and w_2 of different lengths
+        w = np.empty(0)
+    if w.ndim != 3 or w.shape[1] != 2 or w.shape[2] < 1:
+        raise ValueError("forms must be two vectors of one length")
+    if a_star is not None and np.shape(a_star) != (len(w),) + 2 * w.shape[2:]:
+        raise ValueError(f"a_star must be L x L for forms of length L, got {np.shape(a_star)}")
+    return w
 
 
 def sdp_maxmin(forms, tol: float = SDP_TOL) -> SdpSolution:
-    """Solve the lifted max-min relaxation of the forms (F_1, F_2), a pair or a
-    (2, 2L, 2L) array, to relative tolerance 0 < `tol` < 1: a one-row
-    `_sdp_joint`, the path `maxmin_block` runs.  a_star is a symmetric 2L x 2L
-    array; feasibility_gap is nominal (see `SdpSolution`).
+    """Solve the max-min relaxation of the form vectors (w_1, w_2), a pair or a
+    (2, L) array, to relative tolerance 0 < `tol` < 1: a one-row
+    `_sdp_joint`, the path `maxmin_block` runs.  a_star is a Hermitian L x L
+    array with unit diagonal; feasibility_gap is nominal (see `SdpSolution`).
     """
     if not 0 < tol < 1:
         raise ValueError(f"relaxation tolerance must be > 0 and < 1, got {tol!r}")
@@ -479,38 +467,40 @@ def sdp_maxmin(forms, tol: float = SDP_TOL) -> SdpSolution:
 def gaussian_randomization(a_star: np.ndarray, forms: np.ndarray, k: int,
                            rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """Phases (m, L) and their values (m,) from the relaxed solutions of the
-    (m, 2L, 2L) a_star and the (m, 2, 2L, 2L) forms: per row, draw K Gaussian
-    vectors with covariance A* from rngs[i] in one call, normalize each cos/sin
-    pair onto the unit circle (a numerically zero pair is resampled uniformly),
-    keep the first candidate with the best min-SINR quadratic form value.  Row
-    i gets the bits it gets alone; a non-PSD A* raises naming its `instance`."""
+    (m, L, L) a_star and the (m, 2, L) form vectors.  Per row, one
+    rngs[i].standard_normal((K, 2L)) call gives K complex Gaussian vectors
+    zeta (consecutive normals are a real and an imaginary part), and the
+    candidates x = S zeta, with S the principal square root of X*: S is unique,
+    so no eigenvector basis enters.  A candidate's phases are those of x (a
+    numerically zero x_l is resampled uniformly); the first with the best
+    min_p |w_p^H e^{j phi}|^2, compared on the row's vectors times an exact
+    power of two, wins.  Row i gets the bits it gets alone; a non-PSD X*
+    raises naming its `instance`."""
     if k < 1:
         raise ValueError("need at least one randomization sample")
-    f = _form_arrays(forms, a_star)
-    m, _, n, _ = f.shape
+    w = _form_arrays(forms, a_star)
+    m, _, L = w.shape
     if len(rngs) != m:
         raise ValueError("gaussian randomization needs one RNG per instance")
-    w, v = np.linalg.eigh(a_star)
-    bad = (w < -1e-9 * np.maximum(w[:, -1:], 0.0)).any(axis=1)
+    lam, v = np.linalg.eigh(a_star)
+    bad = (lam < -1e-9 * np.maximum(lam[:, -1:], 0.0)).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        raise SolverFailureError(f"relaxed solution is not PSD within tolerance: {w[i].min()!r}", i)
-    factor = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-
-    pairs = (np.stack([rng.standard_normal((k, n)) for rng in rngs])
-             @ factor.swapaxes(1, 2)).reshape(m, k, n // 2, 2)
-    norms = np.linalg.norm(pairs, axis=3)
-    degenerate = norms < 1e-150
+        raise SolverFailureError(f"relaxed solution is not PSD within tolerance: {lam[i].min()!r}", i)
+    root = _matmul(v * np.sqrt(np.clip(lam, 0.0, None))[:, None, :], _adjoint(v))
+    x = _matmul(np.stack([rng.standard_normal((k, 2 * L)) for rng in rngs]).view(complex),
+                root.swapaxes(1, 2))
+    phases = np.angle(x)
+    degenerate = np.abs(x) < 1e-150
     for i in np.flatnonzero(degenerate.any(axis=(1, 2))):
-        ang = rngs[i].uniform(0.0, 2.0 * math.pi, size=int(np.sum(degenerate[i])))
-        pairs[i][degenerate[i]] = np.column_stack([np.cos(ang), np.sin(ang)])
-        norms[i][degenerate[i]] = 1.0
-    pairs /= norms[..., None]
-    tilde = pairs.reshape(m, k, n)
-    values = np.minimum(np.sum((tilde @ f[:, 0]) * tilde, axis=2),
-                        np.sum((tilde @ f[:, 1]) * tilde, axis=2))
+        phases[i][degenerate[i]] = rngs[i].uniform(0.0, 2.0 * math.pi, int(degenerate[i].sum()))
+    unit, e = _unit_rows(w)
+    np.exp(np.multiply(phases, 1j, out=x), out=x)  # the candidates e^{j phi}, in place
+    sums = _matmul(x, _adjoint(unit))  # (m, K, user): w_p^H e^{j phi}
+    values = np.min(sums.real ** 2 + sums.imag ** 2, axis=2)
     best = np.arange(m), np.argmax(values, axis=1)
-    return lifted_to_phases(tilde[best]), values[best]
+    with np.errstate(over="ignore"):
+        return wrap_phases(phases[best]), np.ldexp(values[best], 2 * e)
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +635,11 @@ def maxmin_block(terms: np.ndarray, method: OptimMethod,
         raise ValueError(f"not a max-min search: {method}")
     if rngs is None or len(rngs) != m:
         raise ValueError("gaussian randomization needs one RNG per instance")
-    for rows in _sub_batches(m, max(8 * L * L, 2 * L * RANDOMIZATION_K)):
-        f = _forms(terms[:, rows])
+    for rows in _sub_batches(m, 2 * L * max(L, RANDOMIZATION_K)):
+        w = _forms(terms[:, rows])
         try:
-            sol = _sdp_joint(f, SDP_TOL)
-            phases[rows], _ = gaussian_randomization(sol.a_star, f, RANDOMIZATION_K, rngs[rows])
+            sol = _sdp_joint(w, SDP_TOL)
+            phases[rows], _ = gaussian_randomization(sol.a_star, w, RANDOMIZATION_K, rngs[rows])
         except SolverFailureError as exc:
             exc.instance += rows.start
             raise

@@ -140,7 +140,7 @@ def test_criterion_4_scheme_crossover_powers():
     details = []
     ok = True
     for L, target in targets.items():
-        closed = 10 * math.log10(an.scheme_crossover_power(L, 1e-4, 0.0, 1e-10))
+        closed = an.scheme_crossover_dbm(L, 1e-4, 0.0, 1e-10)
         cfg = base_cfg(L=L, noise_mw=1e-10)
         grid = np.arange(closed - 10.0, closed + 10.5, 2.0)
         sim = mc.find_crossover(cfg, grid, trials=4000, seed=404)

@@ -412,22 +412,22 @@ def test_delta_values():
 
 def test_crossover_power_reference_values():
     for L, ref in CROSSOVER_DBM.items():
-        got = 10 * math.log10(an.scheme_crossover_power(L, 1e-4, 0.0, 1e-10))
+        got = an.scheme_crossover_dbm(L, 1e-4, 0.0, 1e-10)
         assert got == pytest.approx(ref, abs=1e-9)
 
 
 def test_crossover_power_noise_floor_scaling():
     # omega -> 0: boundary proportional to the noise power
-    lo = an.scheme_crossover_power(2, 1e-18, 0.0, 1e-10)
-    hi = an.scheme_crossover_power(2, 1e-18, 0.0, 1e-8)
-    assert hi / lo == pytest.approx(100.0, rel=1e-6, abs=0)
+    lo = an.scheme_crossover_dbm(2, 1e-18, 0.0, 1e-10)
+    hi = an.scheme_crossover_dbm(2, 1e-18, 0.0, 1e-8)
+    assert 10.0 ** (0.1 * (hi - lo)) == pytest.approx(100.0, rel=1e-6, abs=0)
 
 
 def test_crossover_is_intersection_of_asymptotic_se():
     # the closed form must equal the power where the two schemes' asymptotic
     # rates intersect
     for L in (1, 2, 16):
-        boundary = an.scheme_crossover_power(L, 1e-4, 0.0, 1e-10)
+        boundary = 10.0 ** (0.1 * an.scheme_crossover_dbm(L, 1e-4, 0.0, 1e-10))
 
         def gap(p_mw):
             return (an.asymptotic_se(L, p_mw, 1e-4, 0.0, 1e-10, scheme=Scheme.ONE)
@@ -439,8 +439,8 @@ def test_crossover_is_intersection_of_asymptotic_se():
 
 def test_crossover_interference_limited_branch():
     # nu=1: upper power bound below which the one-slot scheme still wins
-    p1 = an.scheme_crossover_power(1, 1e-4, 1.0, 1e-10)
-    p4 = an.scheme_crossover_power(4, 1e-4, 1.0, 1e-10)
+    p1 = 10.0 ** (0.1 * an.scheme_crossover_dbm(1, 1e-4, 1.0, 1e-10))
+    p4 = 10.0 ** (0.1 * an.scheme_crossover_dbm(4, 1e-4, 1.0, 1e-10))
     assert p1 > 0 and p4 > 0
     # the bound solves R_two(P) = R_floor: check by direct evaluation
     r_floor = an.se_exact_L1(1e4)

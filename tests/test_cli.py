@@ -820,6 +820,53 @@ def test_outage_limits_at_a_tiny_sigma2_print_no_warning(tmp_path):
     assert [float(v) for v in rows[0][1:]] == [1.0, 0.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["se", "--L", "1", "--methods", "exact", "--sigma2", "1e-300"],
+    ["optimize", "--L", "3", "--sigma2", "1e153", "--trials", "3"],
+])
+def test_rates_and_designs_at_extreme_sigma2_print_no_warning(tmp_path, argv):
+    """The exact rate at sigma2 = 1e-300 (1 / (c G) is inf: rate 0) and the
+    designs' SINRs at 1e153 (past the largest double: inf) are intended limits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+
+
+@pytest.mark.parametrize("sigma2", ["1e-170", "1e160"])
+def test_sdp_design_does_not_depend_on_the_scale_of_the_terms(tmp_path, sigma2):
+    """sigma2 scales every term, and the max-min phases do not depend on it:
+    the sdp design's SINRs at sigma2 are its SINRs at 1 times sigma2^2 (here
+    0 and inf, past the doubles), not a solver failure."""
+    out = tmp_path / "o.csv"
+    argv = ["optimize", "--L", "3", "--methods", "sdp", "--trials", "3", "--out", str(out)]
+    assert run_cli(argv + ["--sigma2", sigma2]) == 0
+    _, rows = read_csv(out)
+    assert {v for row in rows for v in row[1:]} == {"0" if sigma2 == "1e-170" else "inf"}
+
+
+@pytest.mark.parametrize("argv, low", [
+    (["crossover", "--L", "2", "--methods", "analytic", "--sigma2", "1e-300"], 5000.0),
+    (["se", "--L", "3", "--methods", "phase-error", "--sigma2", "1e300", "--p-dbm", "0:0:1"],
+     1000.0),
+])
+def test_closed_forms_at_extreme_sigma2_are_finite(tmp_path, argv, low):
+    """The crossover power at sigma2 = 1e-300 is past the largest double in
+    mW, and finite in dBm; the rate at sigma2 = 1e300 is finite although
+    rho sigma^4 is not."""
+    out = tmp_path / "c.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    _, [[_, value]] = read_csv(out)
+    assert low < float(value) < math.inf
+
+
+def test_vonmises_spec_without_kappa_names_it(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli(["outage", "--L", "2", "--phase-error", "vonmises:0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'vonmises:0': kappa is missing, use vonmises:MU,KAPPA" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_outage_sweep_holds_no_per_trial_gains(tmp_path, monkeypatch, workers):
     """An outage-only run counts each block as it is drawn, serially or in a

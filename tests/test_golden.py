@@ -3,16 +3,23 @@
 The seven presets (seeds 0 and 42) and a set of command-line sweeps run at
 small trial counts, and the SHA-256 of every CSV and SVG they write must equal
 the digest in `golden.json`.  Each file also has a short digest per line, so a
-mismatch names its first differing line.  numpy's SIMD loops may round
-differently on another CPU, so the file records the python and numpy versions
-and the machine it was made on.  A digest changes only with a declared change
-of the contract; `python tests/make_golden.py` rewrites the file.
+mismatch names its first differing line.  The file records the python and
+numpy versions and the machine it was made on.  Within one numpy, every file
+outside SDP_FILES keeps its digest under other BLAS kernels and SIMD loops,
+which a run in a child process with OpenBLAS's Haswell kernels and numpy's
+dispatch held to its baseline checks; the SDP files' rounding follows the
+relaxed solution's last bits, so they may move.  A digest changes only with a
+declared change of the contract; `python tests/make_golden.py` rewrites the
+file.
 """
 
 import csv
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +35,11 @@ STORED_AS = {"seed0/fig4_outage.csv": "mc_outage/outage.csv",
              "seed0/fig5_b_nu1.csv": "closed_form_se/b_nu1.csv",
              "seed0/fig6_outage.csv": "phase_jitter/outage.csv",
              "seed0/fig6_se.csv": "phase_jitter/se.csv"}
+
+# the outputs of the max-min relaxation's Gaussian randomization
+SDP_FILES = {"optimize_nonrec_L8.csv", "optimize_nonrec_L8.svg", "se_nonrec_L3_sdp_min.csv",
+             "seed0/fig8_a_methods.csv", "seed0/fig8_a_methods.svg",
+             "seed42/fig8_a_methods.csv", "seed42/fig8_a_methods.svg"}
 
 _PRESET_TRIALS = ["--trials-outage", "2000", "--trials-se", "200", "--trials-opt", "4"]
 _NONREC = ["--reciprocity", "non-reciprocal"]
@@ -152,3 +164,30 @@ def test_outputs_match_golden_digests(tmp_path):
     # the benchmark's stored digits, which only a change to the benchmark may move
     checked, errors = _closed_form_differences(tmp_path)
     assert checked and not errors, errors[:5]
+
+
+def test_digests_outside_the_sdp_files_do_not_depend_on_the_host(tmp_path):
+    """`produce` in a child process that runs OpenBLAS's Haswell kernels and
+    numpy without its SIMD dispatch targets above the baseline (those this
+    host enabled: naming a baseline feature would stop numpy from importing)
+    writes every file outside SDP_FILES with its golden digest.  The SDP files
+    that move are printed, not asserted."""
+    from numpy._core import _multiarray_umath as umath
+    above = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", NPY_DISABLE_CPU_FEATURES=" ".join(above),
+               PYTHONPATH=os.pathsep.join([str(Path(__file__).parent)] + sys.path))
+    child = ("import json, sys; from pathlib import Path; import test_golden as t; "
+             "from numpy._core import _multiarray_umath as u; "
+             "t.produce(Path(sys.argv[1])); "
+             "print(json.dumps([t.record(Path(sys.argv[1]))['files'], "
+             "[f for f in u.__cpu_dispatch__ if u.__cpu_features__.get(f)]]))")
+    run = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    files, enabled = json.loads(run.stdout)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["files"]
+    moved = sorted(name for name in golden if files[name]["sha256"] != golden[name]["sha256"])
+    print(f"OPENBLAS_CORETYPE=Haswell, NPY_DISABLE_CPU_FEATURES={' '.join(above)!r}: "
+          f"dispatch targets left enabled {enabled}; moved SDP files "
+          f"{[f for f in moved if f in SDP_FILES]}")
+    assert files.keys() == golden.keys()
+    assert [f for f in moved if f not in SDP_FILES] == []

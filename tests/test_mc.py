@@ -518,7 +518,7 @@ def test_phase_error_applies_to_both_schemes():
 def test_crossover_matches_closed_form_boundary():
     cfg = cfg_rec(L=2, noise_mw=1e-10)
     got = find_crossover(cfg, np.arange(-10.0, 40.0, 2.0), trials=4_000, seed=12)
-    ref = 10 * math.log10(an.scheme_crossover_power(2, cfg.omega, 0.0, cfg.noise_mw))
+    ref = an.scheme_crossover_dbm(2, cfg.omega, 0.0, cfg.noise_mw)
     assert abs(got - ref) < 2.0
 
 

@@ -1,6 +1,6 @@
-"""Phase design: closed-form optimum, quadratic-form lifting, the relaxation
-solver with both search paths, randomized rank-one recovery, greedy search,
-and the u1/random baselines that `mc` computes."""
+"""Phase design: closed-form optimum, the Hermitian forms of the users'
+gains, the relaxation solver with both search paths, randomized rank-one
+recovery, greedy search, and the u1/random baselines that `mc` computes."""
 
 import dataclasses
 import math
@@ -17,12 +17,13 @@ from ris2way.channel import (NonReciprocalChannel, ReciprocalChannel, Reciprocit
 from ris2way.mc import collect_gains
 from ris2way.optim import (OptimMethod, _greedy_block, _newton_step, _sdp_bisect,
                            _sdp_joint, build_quadratic_forms, gaussian_randomization,
-                           greedy_iterative, lifted_to_phases, maxmin_block,
-                           optimal_phase_reciprocal, sdp_maxmin, solve_maxmin)
+                           greedy_iterative, maxmin_block, optimal_phase_reciprocal,
+                           sdp_maxmin, solve_maxmin)
 
-def phases_to_lifted(phases):
-    """alpha = (cos phi_1, sin phi_1, ..., cos phi_L, sin phi_L)."""
-    return optim._interleave(np.cos(phases), np.sin(phases))
+
+def form_value(w, phases):
+    """x^H W x = |w^H x|^2 at x = e^{j phases}."""
+    return abs(np.vdot(w, np.exp(1j * phases))) ** 2
 
 
 def round_one(a_star, forms, k, rng):
@@ -73,12 +74,10 @@ def test_quadratic_forms_reproduce_sinr_many_instances():
     for _ in range(200):
         ch = lopsided(nonrec(4, rng.integers(2**31)), 3.0, 0.6)
         forms = build_quadratic_forms(ch)
-        assert all(np.array_equal(f, f.T) for f in forms)
+        assert forms.shape == (2, 4)
         for _ in range(50):
             phases = rng.uniform(0, 2 * math.pi, 4)
-            alpha = phases_to_lifted(phases)
-            q1 = alpha @ forms[0] @ alpha
-            q2 = alpha @ forms[1] @ alpha
+            q1, q2 = (form_value(w, phases) for w in forms)
             g1, g2 = sinr_nonreciprocal(ch, phases, 1.0)
             worst = max(worst, abs(q1 - g1) / g1, abs(q2 - g2) / g2)
     assert worst < 1e-9
@@ -88,19 +87,16 @@ def test_quadratic_forms_single_element_constant():
     ch = nonrec(1, 5)
     forms = build_quadratic_forms(lopsided(ch, 2.0, 5.0))
     for p in (0.0, 1.0, 4.4):
-        alpha = phases_to_lifted(np.array([p]))
-        assert alpha @ forms[0] @ alpha == pytest.approx(
+        assert form_value(forms[0], np.array([p])) == pytest.approx(
             2.0 * (np.abs(ch.h_r[0]) * np.abs(ch.g_t[0])) ** 2, rel=1e-12)
 
 
-def test_quadratic_forms_rank_two():
-    ch = nonrec(5, 6)
-    forms = build_quadratic_forms(lopsided(ch, 1.0, 2.0))
-    for f in forms:
-        w = np.linalg.eigvalsh(f)[::-1]  # descending
-        assert w[0] > 0 and w[1] > 0
-        assert w[0] == pytest.approx(w[1], rel=1e-9)  # both nonzero eigenvalues equal
-        assert np.all(np.abs(w[2:]) <= 1e-9 * w[0])
+def test_quadratic_forms_are_conjugate_terms():
+    # W_p = w_p w_p^H is rank one, and its vector is the conjugate of z_p
+    ch = lopsided(nonrec(5, 6), 1.0, 2.0)
+    forms = build_quadratic_forms(ch)
+    assert np.array_equal(forms, np.conj(ch.terms))
+    assert np.array_equal(optim._forms(ch.terms[:, None, :])[0], forms)
 
 
 def test_sdp_single_element_value():
@@ -152,50 +148,56 @@ def test_sdp_solution_feasibility_certificates():
     forms = build_quadratic_forms(nonrec(4, 14))
     sol = sdp_maxmin(forms, tol=1e-4)
     a = sol.a_star
-    assert np.array_equal(a, a.T)
-    n = a.shape[0]
-    for l in range(n // 2):
-        assert a[2 * l, 2 * l] + a[2 * l + 1, 2 * l + 1] == pytest.approx(1.0, abs=1e-7)
+    assert a.shape == (4, 4) and np.array_equal(a, a.conj().T)
+    assert np.abs(a.diagonal() - 1.0).max() <= 1e-7
     assert np.linalg.eigvalsh(a)[0] >= -1e-8
-    assert np.sum(forms[0] * a) >= sol.t_star * (1 - 1e-9)
-    assert np.sum(forms[1] * a) >= sol.t_star * (1 - 1e-9)
+    assert np.vdot(forms[0], a @ forms[0]).real >= sol.t_star * (1 - 1e-9)
+    assert np.vdot(forms[1], a @ forms[1]).real >= sol.t_star * (1 - 1e-9)
 
 
 @pytest.mark.parametrize("L", [1, 4, 9])
 def test_newton_step_satisfies_kkt_conditions(L):
-    # random interior point with unit pair traces; theta at 70% of the smaller form
+    # random Hermitian interior point with unit diagonal; theta at 70% of the
+    # smaller form; the barrier is -2 log det X - sum_p log g_p
     rng = np.random.default_rng(40 + L)
-    n = 2 * L
-    x = rng.standard_normal((n, n))
-    a = x @ x.T / n + 0.1 * np.eye(n)
-    scale = 1.0 / np.sqrt(np.repeat(a.diagonal().reshape(L, 2).sum(axis=1), 2))
+    z = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
+    a = z @ z.conj().T / L + 0.1 * np.eye(L)
+    scale = 1.0 / np.sqrt(a.diagonal().real)
     a = a * np.outer(scale, scale)
-    f = build_quadratic_forms(lopsided(nonrec(L, 50 + L), 1.7, 0.4))
-    gains = np.array([np.sum(f[0] * a), np.sum(f[1] * a)])
+    w = build_quadratic_forms(lopsided(nonrec(L, 50 + L), 1.7, 0.4))
+    f = [np.outer(v, v.conj()) for v in w]  # W_p = w_p w_p^H
+    gains = np.array([np.vdot(v, a @ v).real for v in w])
     g = gains - (gains.min() - 0.3 * gains.min())
     grad_t = -10.0 + float(np.sum(1.0 / g))
     chol = np.linalg.cholesky(a)
-    step = _newton_step(a[None], chol[None], np.stack(f)[None], gains[None], g[None],
+    step = _newton_step(a[None], chol[None], w[None], gains[None], g[None],
                         np.array([grad_t]))
     da, dtheta, y, decrement = (v[0] for v in step)
 
+    def inner(p, q):  # <P, Q> = Re tr(P^H Q)
+        return np.sum(p.conj() * q).real
+
     ainv = np.linalg.inv(a)
-    grad_a = -ainv - f[0] / g[0] - f[1] / g[1]
+    grad_a = -2.0 * ainv - f[0] / g[0] - f[1] / g[1]
     size = np.abs(grad_a).max()
-    assert np.allclose(da, da.T, rtol=0.0, atol=1e-15 * np.abs(da).max())
-    assert np.abs(da.diagonal().reshape(L, 2).sum(axis=1)).max() <= 1e-12 * np.abs(da).max()
-    delta = np.array([(np.sum(f[p] * da) - dtheta) / g[p] ** 2 for p in (0, 1)])
+    assert np.allclose(da, da.conj().T, rtol=0.0, atol=1e-15 * np.abs(da).max())
+    if L == 1:  # X = [1] is the one feasible point: the step is zero to roundoff
+        assert np.abs(da).max() <= 1e-12 and np.abs(y).max() <= 1e-12
+    else:
+        assert np.abs(da.diagonal()).max() <= 1e-12 * np.abs(da).max()
+    delta = np.array([(inner(f[p], da) - dtheta) / g[p] ** 2 for p in (0, 1)])
     assert delta.sum() == pytest.approx(grad_t, rel=1e-10)
-    resid = ainv @ da @ ainv + delta[0] * f[0] + delta[1] * f[1] + grad_a
+    resid = 2.0 * ainv @ da @ ainv + delta[0] * f[0] + delta[1] * f[1] + grad_a
     assert np.abs(resid - np.diag(resid.diagonal())).max() <= 1e-9 * size
-    assert np.allclose(resid.diagonal()[0::2], resid.diagonal()[1::2], rtol=0.0,
-                       atol=1e-9 * size)
+    assert np.abs(resid.diagonal().imag).max() <= 1e-9 * size
     # Y is the whitened step, and far from the boundary the sum-of-squares
-    # decrement equals the gradient form through A^{-1} to roundoff
+    # decrement equals the gradient form through X^{-1} to roundoff
     r_inv = np.linalg.inv(chol)
-    assert np.allclose(y, r_inv @ da @ r_inv.T, rtol=0.0, atol=1e-12 * np.abs(y).max())
+    if L > 1:
+        assert np.allclose(y, r_inv @ da @ r_inv.conj().T, rtol=0.0,
+                           atol=1e-12 * np.abs(y).max())
     assert decrement >= 0.0
-    assert decrement == pytest.approx(-(np.sum(grad_a * da) + grad_t * dtheta),
+    assert decrement == pytest.approx(-(inner(grad_a, da) + grad_t * dtheta),
                                       rel=1e-9, abs=0)
 
 
@@ -223,8 +225,8 @@ def test_sdp_at_32_elements_bounds_greedy_and_randomization():
     sol = sdp_maxmin(forms, tol=tol)
     assert 0.0 <= sol.feasibility_gap <= tol * sol.t_star
     a = sol.a_star
-    assert np.array_equal(a, a.T)
-    assert np.abs(a.diagonal().reshape(32, 2).sum(axis=1) - 1.0).max() <= 1e-7
+    assert np.array_equal(a, a.conj().T)
+    assert np.abs(a.diagonal() - 1.0).max() <= 1e-7
     assert np.linalg.eigvalsh(a)[0] >= -1e-8
     _, rounded = round_one(sol.a_star, forms, 100, np.random.default_rng(42))
     greedy = min(greedy_iterative(ch).achieved)
@@ -240,31 +242,29 @@ def test_sdp_needs_positive_tolerance(tol):
 
 
 def test_malformed_forms_rejected():
-    f1, f2 = build_quadratic_forms(nonrec(3, 43))
+    w1, w2 = build_quadratic_forms(nonrec(3, 43))
     rng = np.random.default_rng(44)
-    for forms, reason in [((f1[:, :4], f2[:, :4]), "square"),
-                          ((f1[0], f2[0]), "square"),
-                          ((f1, f2[:4, :4]), "one shape"),
-                          ((f1[:5, :5], f2[:5, :5]), "even dimension")]:
-        with pytest.raises(ValueError, match=reason):
+    for forms in [(w1, w2[:2]), (w1,), (w1, w2, w1), (w1[:0], w2[:0]),
+                  (np.outer(w1, w1), np.outer(w2, w2))]:
+        with pytest.raises(ValueError, match="two vectors of one length"):
             sdp_maxmin(forms)
-        a_star = 0.5 * np.eye(forms[0].shape[-1])
-        with pytest.raises(ValueError, match=reason):
-            gaussian_randomization(a_star[None], [forms], 5, [rng])
+        with pytest.raises(ValueError, match="two vectors of one length"):
+            gaussian_randomization(np.eye(3)[None], [forms], 5, [rng])
     with pytest.raises(ValueError, match="a_star"):
-        gaussian_randomization(0.5 * np.eye(4)[None], [(f1, f2)], 5, [rng])
+        gaussian_randomization(np.eye(4)[None], [(w1, w2)], 5, [rng])
 
 
 def test_randomization_rank_one_recovers_exactly():
+    # every candidate of X* = x x^H is x times one complex number: the phases
+    # up to a common rotation, which leaves both gains unchanged
     rng = np.random.default_rng(15)
     phases_true = rng.uniform(0, 2 * math.pi, 4)
-    alpha = phases_to_lifted(phases_true)
+    x = np.exp(1j * phases_true)
     forms = build_quadratic_forms(nonrec(4, 16))
-    got, val = round_one(np.outer(alpha, alpha), forms, 5, rng)
-    assert np.allclose(got, phases_true, atol=1e-7)
-    q1 = alpha @ forms[0] @ alpha
-    q2 = alpha @ forms[1] @ alpha
-    assert val == pytest.approx(min(q1, q2), rel=1e-7)
+    got, val = round_one(np.outer(x, x.conj()), forms, 5, rng)
+    rotation = np.exp(1j * (got - phases_true))
+    assert np.allclose(rotation, rotation[0], rtol=0.0, atol=1e-7)
+    assert val == pytest.approx(min(form_value(w, phases_true) for w in forms), rel=1e-7)
 
 
 def test_randomization_bounded_by_relaxation_and_consistent():
@@ -296,19 +296,19 @@ def test_stacked_randomization_rows_equal_stacks_of_one(L, m):
     """1020 instances in all: row i of one stacked call gets the phases and the
     value of row i rounded alone, bit for bit.  User 1 is at 40 times, or user
     2 at 0.02 times, the other's average SINR on two thirds of the rows; the
-    covariances have every rank, and a tenth of them a zero pair, which the
+    covariances have every rank, and a tenth of them a zero element, which the
     rounding resamples uniformly."""
     rng = np.random.default_rng(90 + L)
     z1, z2 = nonrec_terms(L, m, 90 + L)
     z1[:m // 3] *= math.sqrt(40.0)
     z2[m // 3:2 * m // 3] *= math.sqrt(0.02)
     forms = optim._forms(np.stack([z1, z2]))
-    n = 2 * L
-    x = rng.standard_normal((m, n, n)) * (rng.integers(1, n + 1, (m, 1, 1)) > np.arange(n))
-    a = x @ x.swapaxes(1, 2)
-    a[:m // 10, :2], a[:m // 10, :, :2] = 0.0, 0.0
-    traces = np.repeat(a.diagonal(axis1=1, axis2=2).reshape(m, L, 2).sum(axis=2), 2, axis=1)
-    scale = np.where(traces > 0.0, 1.0 / np.sqrt(np.where(traces > 0.0, traces, 1.0)), 0.0)
+    x = ((rng.standard_normal((m, L, L)) + 1j * rng.standard_normal((m, L, L)))
+         * (rng.integers(1, L + 1, (m, 1, 1)) > np.arange(L)))
+    a = x @ x.conj().swapaxes(1, 2)
+    a[:m // 10, :1], a[:m // 10, :, :1] = 0.0, 0.0
+    diag = a.diagonal(axis1=1, axis2=2).real
+    scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), 0.0)
     a = a * scale[:, :, None] * scale[:, None, :]
 
     def rngs():
@@ -323,8 +323,8 @@ def test_stacked_randomization_rows_equal_stacks_of_one(L, m):
 
 def test_randomization_failure_names_its_row():
     forms = optim._forms(np.stack(nonrec_terms(2, 6, 95)))
-    a = np.broadcast_to(0.5 * np.eye(4), (6, 4, 4)).copy()
-    a[4] = np.diag([1.0, 0.0, 1.5, -0.5])
+    a = np.broadcast_to(np.eye(2, dtype=complex), (6, 2, 2)).copy()
+    a[4] = np.diag([1.5, -0.5])
     with pytest.raises(optim.SolverFailureError, match="not PSD") as info:
         gaussian_randomization(a, forms, 10, [np.random.default_rng(i) for i in range(6)])
     assert info.value.instance == 4
@@ -407,23 +407,13 @@ def test_quadratic_identity_holds_for_every_method_output():
     # and the phases of mc's baselines: u1's co-phasing of user 1, uniform draws
     baselines = [-np.angle(ch.h_r * ch.g_t), rng.uniform(0.0, 2 * math.pi, 5)]
     for phases in [res.phases for res in results] + baselines:
-        alpha = phases_to_lifted(phases)
-        q1 = alpha @ forms[0] @ alpha
-        q2 = alpha @ forms[1] @ alpha
+        q1, q2 = (form_value(w, phases) for w in forms)
         g1, g2 = sinr_nonreciprocal(ch, phases, 1.0)
         assert q1 == pytest.approx(g1, rel=1e-9)
         assert q2 == pytest.approx(g2, rel=1e-9)
     for res in results:
         assert res.achieved[0] == pytest.approx(sinr_nonreciprocal(ch, res.phases, 1.0)[0],
                                                 rel=1e-12)
-
-
-def test_lifted_round_trip():
-    phases = np.array([0.0, 1.2, math.pi, 5.9])
-    assert np.allclose(lifted_to_phases(phases_to_lifted(phases)), phases)
-    alpha = phases_to_lifted(phases)
-    pairs = alpha.reshape(-1, 2)
-    assert np.allclose(np.linalg.norm(pairs, axis=1), 1.0)
 
 
 def test_solve_maxmin_sdp_populates_result():
@@ -592,6 +582,24 @@ def test_block_rows_equal_solve_maxmin(method):
             assert np.isnan(bound[i]) and res.t_star is None
 
 
+def test_sdp_phases_do_not_depend_on_a_power_of_two_scale():
+    """Terms times 2^-550 or 2^520, whose squares leave the doubles, get the
+    phases of the unscaled stack bit for bit: each row's form vectors are
+    brought to unit size by a power of two before the relaxation and the
+    rounding, which is exact."""
+    z1, z2 = nonrec_terms(4, 40, 82)
+    terms = np.stack([z1, z2])[:, 4:]  # rows with both users' forms nonzero
+    def design(t):
+        return maxmin_block(t, OptimMethod.SDP_RELAX,
+                            [np.random.default_rng(950 + i) for i in range(t.shape[1])])
+    phases, bound = design(terms)
+    for e in (-550, 520):
+        scaled, scaled_bound = design(np.ldexp(terms.view(float), e).view(complex))
+        assert np.array_equal(scaled, phases)
+        assert np.all(scaled_bound == (0.0 if e < 0 else np.inf))
+    assert np.array_equal(design(terms * 2.0 ** -40)[1], bound * 2.0 ** -80)
+
+
 @pytest.mark.parametrize("L", [1, 2, 4, 8, 16, 32])
 def test_stacked_joint_path_agrees_with_bisect(L):
     tol = 1e-3  # keeps the bisection reference affordable
@@ -653,7 +661,7 @@ def _one_instance():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda ch: gaussian_randomization(np.eye(4)[None], build_quadratic_forms(ch)[None], 0,
+    (lambda ch: gaussian_randomization(np.eye(2)[None], build_quadratic_forms(ch)[None], 0,
                                        [np.random.default_rng(0)]),
      "need at least one randomization sample"),
     (lambda ch: maxmin_block(np.ones((2, 2, 2)), OptimMethod.SDP_RELAX,
